@@ -9,6 +9,7 @@ servable from memory only while that buffer is retained.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -39,21 +40,41 @@ class VersionStore:
         self.machine = machine
         self._versions: Dict[bytes, List[Version]] = {}
         self._bytes = 0
+        self._count = 0
+        # Reclamation index.  A version becomes invisible exactly when its
+        # successor's timestamp falls at or below the horizon, so each
+        # superseding add() files its key under the *successor's*
+        # timestamp: one bucket per commit timestamp, plus a heap of the
+        # bucket timestamps because direct callers and redo replay may
+        # install timestamps out of order across keys.
+        self._superseded: Dict[int, List[bytes]] = {}
+        self._superseded_order: List[int] = []
 
     def add(self, key: bytes, version: Version) -> None:
         """Install a newly committed version (must be newest for the key)."""
         self.machine.cpu.charge("hash_probe", category="tc_mvcc")
         self.machine.cpu.charge("install_cas", category="tc_mvcc")
         chain = self._versions.setdefault(key, [])
-        if chain and chain[0].timestamp >= version.timestamp:
-            raise ValueError(
-                f"version timestamps must increase: {version.timestamp} "
-                f"after {chain[0].timestamp}"
-            )
+        timestamp = version.timestamp
+        nbytes = version.size_bytes
+        if chain:
+            if chain[0].timestamp >= timestamp:
+                raise ValueError(
+                    f"version timestamps must increase: {timestamp} "
+                    f"after {chain[0].timestamp}"
+                )
+            bucket = self._superseded.get(timestamp)
+            if bucket is None:
+                self._superseded[timestamp] = [key]
+                heapq.heappush(self._superseded_order, timestamp)
+            else:
+                bucket.append(key)
+        else:
+            nbytes += len(key)
         chain.insert(0, version)
-        nbytes = version.size_bytes + (len(key) if len(chain) == 1 else 0)
         self.machine.dram.allocate(nbytes, DRAM_TAG)
         self._bytes += nbytes
+        self._count += 1
 
     def visible(self, key: bytes, read_timestamp: int) -> Tuple[
             Optional[Version], int]:
@@ -86,28 +107,30 @@ class VersionStore:
         """Drop versions no reader can see; returns versions removed.
 
         Keeps, per key, the newest version at or below the horizon (it is
-        still visible) and everything above it.
+        still visible) and everything above it, so a chain never empties.
+        Only chains filed in the reclamation index at or below the horizon
+        are visited: the cost is O(versions reclaimed), not O(keys).
         """
+        order = self._superseded_order
         removed = 0
-        empty_keys = []
-        for key, chain in self._versions.items():
-            keep = len(chain)
-            for index, version in enumerate(chain):
-                if version.timestamp <= horizon_timestamp:
-                    keep = index + 1
-                    break
-            if keep < len(chain):
-                for version in chain[keep:]:
-                    self._bytes -= version.size_bytes
-                    self.machine.dram.free(version.size_bytes, DRAM_TAG)
-                    removed += 1
+        freed = 0
+        while order and order[0] <= horizon_timestamp:
+            for key in self._superseded.pop(heapq.heappop(order)):
+                chain = self._versions[key]
+                # Oldest is last; it goes once its successor is visible
+                # at the horizon.  An earlier bucket of this same call
+                # may already have trimmed the chain.
+                keep = len(chain)
+                while (keep > 1
+                       and chain[keep - 2].timestamp <= horizon_timestamp):
+                    keep -= 1
+                    freed += chain[keep].size_bytes
+                removed += len(chain) - keep
                 del chain[keep:]
-            if not chain:
-                empty_keys.append(key)
-        for key in empty_keys:
-            del self._versions[key]
-            self._bytes -= len(key)
-            self.machine.dram.free(len(key), DRAM_TAG)
+        if removed:
+            self._bytes -= freed
+            self._count -= removed
+            self.machine.dram.free(freed, DRAM_TAG)
         return removed
 
     @property
@@ -115,7 +138,7 @@ class VersionStore:
         return self._bytes
 
     def version_count(self) -> int:
-        return sum(len(chain) for chain in self._versions.values())
+        return self._count
 
     def key_count(self) -> int:
         return len(self._versions)

@@ -410,21 +410,13 @@ class PageCache:
             self.stats.bytes_flushed += image.size_bytes
             return
         if state.base_present and state.deltas:
-            old_bytes = state.resident_size_bytes
             new_base = state.consolidate()
             self.machine.cpu.charge(
                 "consolidate_per_byte", new_base, category="cache"
             )
             if entry.page_id in self._resident:
                 self.resize(entry)
-            del old_bytes
-        if not state.base_present:
-            raise ValueError(
-                f"page {entry.page_id}: cannot write full image without base"
-            )
-        assert state.base is not None
-        image = PageImage("full", entry.page_id,
-                          records=tuple(state.base))
+        image = state.full_image()
         addr = self.store.append(image)
         for old_addr in entry.flash_chain:
             self.store.invalidate(old_addr)
@@ -648,7 +640,7 @@ class PageCache:
                 if state is not None:
                     cut = len(state.deltas) - state.flushed_delta_count
                     unflushed = state.deltas[:cut]
-                rebuilt = DataPageState(entry.page_id, base=None, deltas=[])
+                base_records: List = []
                 flushed_deltas: List = []
                 for index, addr in enumerate(entry.flash_chain):
                     result = self.store.read(addr)
@@ -664,7 +656,7 @@ class PageCache:
                                 f"page {entry.page_id}: chain head is "
                                 f"not full"
                             )
-                        rebuilt.install_base(list(image.records))
+                        base_records = list(image.records)
                     else:
                         if image.kind != "delta":
                             raise RuntimeError(
@@ -674,7 +666,10 @@ class PageCache:
                         flushed_deltas.extend(image.deltas)
                 # Newest first: unflushed resident deltas, then flash
                 # deltas (which arrive oldest-first).
-                rebuilt.deltas = unflushed + list(reversed(flushed_deltas))
+                rebuilt = DataPageState(
+                    entry.page_id, base=base_records,
+                    deltas=unflushed + list(reversed(flushed_deltas)),
+                )
                 rebuilt.flushed_delta_count = len(flushed_deltas)
                 rebuilt.base_flushed = True
                 was_tracked = entry.page_id in self._resident

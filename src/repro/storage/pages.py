@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 RECORD_OVERHEAD_BYTES = 16   # per-record header: lengths, flags, version
 DELTA_OVERHEAD_BYTES = 24    # delta header: kind, lengths, timestamp, link
@@ -85,10 +85,16 @@ class DataPageState:
     ``base`` is the consolidated, key-sorted record array (or ``None`` when
     the base page has been evicted while its deltas stay resident — the
     record-cache mode of Section 6.3).  ``deltas`` is newest-first.
+
+    Both are plain attributes so the read path pays no indirection, but
+    only this class's constructor and mutation methods may assign or
+    mutate them: the byte totals behind the ``*_size_bytes`` properties
+    are maintained incrementally there, never re-summed.
     """
 
     __slots__ = (
         "page_id", "base", "_base_keys", "deltas",
+        "_base_bytes", "_delta_bytes",
         "flushed_delta_count", "base_flushed",
     )
 
@@ -104,37 +110,38 @@ class DataPageState:
         # A freshly allocated page has a present-but-empty base; an explicit
         # ``base=None`` means the base is evicted (its contents live on
         # flash), which a lookup must treat as "go fetch", not "empty".
-        if base is DataPageState._UNSET:
-            self.base: Optional[List[Record]] = []
-        else:
-            self.base = base  # type: ignore[assignment]
+        self._set_base(
+            [] if base is DataPageState._UNSET else base  # type: ignore[arg-type]
+        )
         self.deltas: List[RecordDelta] = deltas if deltas is not None else []
-        self._rebuild_key_index()
+        self._delta_bytes = sum(d.size_bytes for d in self.deltas)
         # Persistence bookkeeping used by the log store's delta-only flushes.
         self.flushed_delta_count = 0
         self.base_flushed = False
 
-    def _rebuild_key_index(self) -> None:
-        if self.base is None:
+    def _set_base(self, records: Optional[List[Record]]) -> None:
+        """Point ``base`` at ``records``; sizes it and indexes its keys once."""
+        self.base: Optional[List[Record]] = records
+        if records is None:
             self._base_keys: Optional[List[bytes]] = None
+            self._base_bytes = 0
         else:
-            self._base_keys = [record.key for record in self.base]
+            self._base_keys = [record.key for record in records]
+            self._base_bytes = full_image_size_bytes(records)
 
     # --- size accounting --------------------------------------------------
 
     @property
     def base_size_bytes(self) -> int:
-        if self.base is None:
-            return 0
-        return PAGE_HEADER_BYTES + sum(r.size_bytes for r in self.base)
+        return self._base_bytes
 
     @property
     def delta_size_bytes(self) -> int:
-        return sum(d.size_bytes for d in self.deltas)
+        return self._delta_bytes
 
     @property
     def resident_size_bytes(self) -> int:
-        return self.base_size_bytes + self.delta_size_bytes
+        return self._base_bytes + self._delta_bytes
 
     @property
     def chain_length(self) -> int:
@@ -154,19 +161,18 @@ class DataPageState:
     def prepend_delta(self, delta: RecordDelta) -> None:
         """Prepend one update delta (the Bw-tree's latch-free update)."""
         self.deltas.insert(0, delta)
+        self._delta_bytes += delta.size_bytes
 
     def drop_base(self) -> int:
         """Evict the base page, keeping deltas resident; returns bytes freed."""
-        freed = self.base_size_bytes
-        self.base = None
-        self._base_keys = None
+        freed = self._base_bytes
+        self._set_base(None)
         return freed
 
     def install_base(self, records: List[Record]) -> int:
         """Install a (sorted) base image, e.g. after a fetch; returns bytes."""
-        self.base = records
-        self._rebuild_key_index()
-        return self.base_size_bytes
+        self._set_base(records)
+        return self._base_bytes
 
     def replace_base(self, records: List[Record]) -> int:
         """Replace the base with new (sorted) contents after a split/merge.
@@ -175,10 +181,9 @@ class DataPageState:
         exists on flash), the new contents differ from anything persisted,
         so the page must be re-flushed in full.
         """
-        self.base = records
-        self._rebuild_key_index()
+        self._set_base(records)
         self.base_flushed = False
-        return self.base_size_bytes
+        return self._base_bytes
 
     def consolidate(self) -> int:
         """Fold deltas into a fresh sorted base; returns new base bytes.
@@ -201,12 +206,12 @@ class DataPageState:
                 )
             else:
                 merged.pop(delta.key, None)
-        self.base = [merged[k] for k in sorted(merged)]
-        self._rebuild_key_index()
+        self._set_base([merged[k] for k in sorted(merged)])
         self.deltas = []
+        self._delta_bytes = 0
         self.flushed_delta_count = 0
         self.base_flushed = False
-        return self.base_size_bytes
+        return self._base_bytes
 
     # --- lookup ---------------------------------------------------------------
 
@@ -284,6 +289,15 @@ class DataPageState:
             if self.flushed_delta_count else list(self.deltas)
         return list(reversed(pending))
 
+    def full_image(self) -> "PageImage":
+        """The present base as a full flush image, sized without a re-sum."""
+        if self.base is None:
+            raise ValueError(
+                f"page {self.page_id}: cannot write full image without base"
+            )
+        return PageImage("full", self.page_id, records=tuple(self.base),
+                         size_bytes=self._base_bytes)
+
     def mark_deltas_flushed(self) -> None:
         self.flushed_delta_count = len(self.deltas)
 
@@ -300,12 +314,12 @@ class DataPageState:
         )
 
 
-def full_image_size_bytes(records: List[Record]) -> int:
+def full_image_size_bytes(records: Iterable[Record]) -> int:
     """Serialized size of a full page image holding ``records``."""
     return PAGE_HEADER_BYTES + sum(r.size_bytes for r in records)
 
 
-def delta_image_size_bytes(deltas: List[RecordDelta]) -> int:
+def delta_image_size_bytes(deltas: Iterable[RecordDelta]) -> int:
     """Serialized size of a delta-only flush image."""
     return PAGE_HEADER_BYTES + sum(d.size_bytes for d in deltas)
 
@@ -316,13 +330,15 @@ class PageImage:
 
     ``kind`` is "full" (complete record array) or "delta" (only updates since
     the previous flush, paper Figure 5).  Payload objects are kept verbatim by
-    the simulated flash so reads round-trip exactly.
+    the simulated flash so reads round-trip exactly.  ``size_bytes`` is the
+    serialized size, summed once here unless the builder already holds it.
     """
 
     kind: str
     page_id: int
     records: Tuple[Record, ...] = field(default_factory=tuple)
     deltas: Tuple[RecordDelta, ...] = field(default_factory=tuple)
+    size_bytes: int = field(default=-1, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("full", "delta"):
@@ -331,9 +347,9 @@ class PageImage:
             raise ValueError("full image cannot carry deltas")
         if self.kind == "delta" and self.records:
             raise ValueError("delta image cannot carry records")
-
-    @property
-    def size_bytes(self) -> int:
-        if self.kind == "full":
-            return full_image_size_bytes(list(self.records))
-        return delta_image_size_bytes(list(self.deltas))
+        if self.size_bytes < 0:
+            object.__setattr__(
+                self, "size_bytes",
+                full_image_size_bytes(self.records) if self.kind == "full"
+                else delta_image_size_bytes(self.deltas),
+            )
