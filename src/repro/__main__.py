@@ -85,10 +85,6 @@ SUBCOMMANDS: Dict[str, Tuple[str, str]] = {
         "repro.observability.whatif",
         "virtual causal profiler: predicted + validated component speedups",
     ),
-    "sanitize": (
-        "repro.sanitizer.cli",
-        "threaded-fleet trace under the deterministic race sanitizer",
-    ),
     "doc-check": (
         "repro.analysis.doccheck",
         "verify backticked repro.* symbols in the docs resolve",

@@ -12,9 +12,11 @@ Rules (ids usable in ``--select`` and ``# repro: ignore[...]``):
 
 * ``cost-accounting`` — public methods in the engine packages that touch
   pages or logs must charge CPU / I/O-path work on every path;
-* ``determinism`` — no wall-clock or unseeded randomness inside
-  ``src/repro`` outside ``bench/``; simulated time comes from
-  ``hardware/clock.py``;
+* ``determinism`` — no wall-clock, unseeded randomness or
+  host-concurrency import (``threading``, ``concurrent.futures``,
+  ``multiprocessing``, ``asyncio``) inside ``src/repro`` outside
+  ``bench/``; simulated time comes from ``hardware/clock.py`` and OS
+  scheduling never orders simulated work;
 * ``slots-dataclass`` — hot-path dataclasses carry ``__slots__``;
 * ``mutable-default`` — no mutable default argument values;
 * ``counter-additivity`` — keys summed across shards must exist in the
@@ -28,12 +30,8 @@ Rules (ids usable in ``--select`` and ``# repro: ignore[...]``):
   ``epoch_enter``/``epoch_exit`` pair on every path;
 * ``fault-site-coverage`` — durability mutations in the storage/TC
   layers are preceded by a registered :data:`repro.faults.FAULT_SITES`
-  hit, so the crash matrix can reach them;
-* ``shard-isolation`` — closures dispatched onto the shard thread pool
-  touch only shard-local state.
+  hit, so the crash matrix can reach them.
 
-The protocol rules are the static half of a two-sided check; the
-dynamic half is :mod:`repro.sanitizer` (``python -m repro sanitize``).
 Rule-by-rule examples live in ``docs/ANALYSIS.md``.
 
 Run ``python -m repro lint`` (or see :mod:`repro.analysis.cli`).

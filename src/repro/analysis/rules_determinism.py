@@ -1,4 +1,5 @@
-"""determinism: simulated runs must not read wall clocks or global RNGs.
+"""determinism: simulated runs must not read wall clocks, global RNGs or
+the host scheduler.
 
 The reproduction's whole point is that results are independent of how
 fast Python happens to execute (PAPER.md / ``hardware/clock.py``): time
@@ -8,7 +9,12 @@ replay bit-identically.  Wall-clock reads (``time.time`` & friends,
 ``datetime.now``) and unseeded randomness (module-level ``random.*``,
 ``random.Random()`` with no seed) break both, so they are banned inside
 ``src/repro`` — except under ``bench/``, whose job is to measure real
-wall time.
+wall time.  Host concurrency (``threading``, ``concurrent.futures``,
+``multiprocessing``, ``asyncio``) is banned at the import for the same
+reason: once OS scheduling can order two charges, no number is a
+function of the seed alone.  Concurrency is priced on the virtual clock
+instead (``concurrency_mode`` cost terms, fleet elapsed as the max over
+shards).
 """
 
 from __future__ import annotations
@@ -34,15 +40,30 @@ WALL_CLOCK_TIME_ATTRS = frozenset({
 #: ``datetime``/``date`` constructors that read the wall clock.
 WALL_CLOCK_DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
 
+#: Top-level modules whose import puts execution order in the hands of
+#: the OS scheduler.
+HOST_CONCURRENCY_MODULES = frozenset({
+    "threading", "concurrent", "multiprocessing", "asyncio",
+})
+
 _HINT = "simulated time must come from hardware/clock.py (VirtualClock)"
+_SCHED_HINT = (
+    "OS scheduling must not order simulated work; price concurrency on "
+    "the virtual clock"
+)
 _RNG_HINT = "use an explicitly seeded random.Random(seed) instance"
+
+
+def _is_host_concurrency(module: str) -> bool:
+    return module.split(".")[0] in HOST_CONCURRENCY_MODULES
 
 
 @rule
 class DeterminismRule(Rule):
     rule_id = "determinism"
     description = (
-        "no wall-clock reads or unseeded randomness outside bench/"
+        "no wall-clock reads, unseeded randomness or host-concurrency "
+        "imports outside bench/"
     )
 
     def check(self, files: Sequence[SourceFile],
@@ -63,6 +84,11 @@ class DeterminismRule(Rule):
                 for alias in node.names:
                     if alias.name in ("time", "datetime", "random"):
                         modules[alias.asname or alias.name] = alias.name
+                    elif _is_host_concurrency(alias.name):
+                        findings.append(self._finding(
+                            source, node,
+                            f"import {alias.name}; " + _SCHED_HINT,
+                        ))
             elif isinstance(node, ast.ImportFrom):
                 findings.extend(self._import_from(source, node))
                 if node.module == "datetime":
@@ -137,7 +163,13 @@ class DeterminismRule(Rule):
 
     def _import_from(self, source: SourceFile,
                      node: ast.ImportFrom) -> Iterator[Finding]:
-        if node.module == "time":
+        module = node.module or ""
+        # level > 0 is a relative import of one of our own modules.
+        if node.level == 0 and _is_host_concurrency(module):
+            yield self._finding(
+                source, node, f"from {module} import ...; " + _SCHED_HINT,
+            )
+        elif node.module == "time":
             for alias in node.names:
                 if alias.name in WALL_CLOCK_TIME_ATTRS:
                     yield self._finding(

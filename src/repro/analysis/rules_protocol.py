@@ -3,12 +3,11 @@
 PR 4 found four durability bugs *dynamically* — a WAL inversion among
 them — that are really static *ordering* properties of the source: a
 recovery-log append must dominate the data-component post it covers, an
-epoch guard must dominate a latch-free dereference, a registered fault
-site must dominate a durability-critical mutation, and thread-dispatched
-closures must stay shard-local.  The crash matrix samples these
-disciplines at a handful of seeded interleavings; the four rules below
-prove them on every path, reusing the statement dataflow of the
-cost-accounting rule plus the PR-3 :class:`ProjectIndex`.
+epoch guard must dominate a latch-free dereference, and a registered
+fault site must dominate a durability-critical mutation.  The crash
+matrix samples these disciplines at a handful of seeded interleavings;
+the three rules below prove them on every path, reusing the statement
+dataflow of the cost-accounting rule plus the PR-3 :class:`ProjectIndex`.
 
 * ``wal-ordering`` — in WAL-governed classes (those owning a
   ``RecoveryLog`` directly or through one attribute hop), every DC page
@@ -32,9 +31,6 @@ cost-accounting rule plus the PR-3 :class:`ProjectIndex`.
   the same function body, by ``faults.hit()`` on a *registered*
   :data:`~repro.faults.plan.FAULT_SITES` name — so a new crash window
   cannot ship uninjectable by the crash matrix.
-* ``shard-isolation`` — in modules importing ``ThreadPoolExecutor``,
-  closures defined inside methods (the thread-dispatched jobs) may only
-  touch ``self`` state that is allowlisted as synchronized.
 
 Suppress a justified exception with ``# repro: ignore[rule-id]`` on the
 flagged line (justification comment required by review convention).
@@ -885,79 +881,3 @@ class FaultSiteCoverageRule(Rule):
                     "to repro.faults.plan and call faults.hit() first"
                 ),
             )
-
-
-# ---------------------------------------------------------------------------
-# shard-isolation
-# ---------------------------------------------------------------------------
-
-#: ``self`` attributes a thread-dispatched closure may touch: objects
-#: that are synchronized (the sanitizer carries its own lock) or
-#: explicitly guarded against threaded use at construction time (the
-#: fault injector — ShardedEngine refuses threaded+faults).
-_SHARD_SAFE_ATTRS = frozenset({"faults", "_sanitizer", "sanitizer"})
-
-
-def _imports_thread_pool(tree: ast.Module) -> bool:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            if any(alias.name == "ThreadPoolExecutor"
-                   for alias in node.names):
-                return True
-        elif isinstance(node, ast.Import):
-            if any("concurrent" in alias.name for alias in node.names):
-                return True
-    return False
-
-
-@rule
-class ShardIsolationRule(Rule):
-    rule_id = "shard-isolation"
-    description = (
-        "closures dispatched on the thread pool must touch only "
-        "shard-local state, not unsynchronized self attributes"
-    )
-
-    def check(self, files: Sequence[SourceFile],
-              config: LintConfig) -> Iterator[Finding]:
-        for source in files:
-            if not scoped_to(source, COST_SCOPE_SEGMENTS):
-                continue
-            if not _imports_thread_pool(source.tree):
-                continue
-            for node in source.tree.body:
-                if not isinstance(node, ast.ClassDef):
-                    continue
-                for item in node.body:
-                    if isinstance(
-                        item, (ast.FunctionDef, ast.AsyncFunctionDef)
-                    ):
-                        yield from self._check_method(source, item)
-
-    def _check_method(self, source: SourceFile,
-                      method: ast.AST) -> Iterator[Finding]:
-        for closure in ast.walk(method):
-            if closure is method or not isinstance(
-                closure, (ast.FunctionDef, ast.AsyncFunctionDef,
-                          ast.Lambda)
-            ):
-                continue
-            for sub in ast.walk(closure):
-                if not (isinstance(sub, ast.Attribute)
-                        and isinstance(sub.value, ast.Name)
-                        and sub.value.id == "self"):
-                    continue
-                if sub.attr in _SHARD_SAFE_ATTRS:
-                    continue
-                name = getattr(closure, "name", "<lambda>")
-                yield Finding(
-                    path=source.path, line=sub.lineno,
-                    col=sub.col_offset, rule=self.rule_id,
-                    message=(
-                        f"closure {name!r} may run on the shard thread "
-                        f"pool but touches self.{sub.attr} — cross-"
-                        "shard state is unsynchronized there; pass "
-                        "shard-local values in, or allowlist the "
-                        "attribute if it is synchronized"
-                    ),
-                )

@@ -223,7 +223,6 @@ def _run_sharded_mix(
     cores_per_shard: int,
     value_bytes: int,
     sync_commit: bool,
-    threaded: bool,
     commit_pipeline: bool = False,
     log_topology: str = "colocated",
 ) -> Dict[str, object]:
@@ -252,7 +251,6 @@ def _run_sharded_mix(
             num_shards,
             cores_per_shard=cores_per_shard,
             tc_config=tc_config,
-            threaded=threaded,
             log_topology=log_topology,
         )
         generator = WorkloadGenerator(builder(**spec_kwargs))
@@ -327,7 +325,6 @@ def _run_commit_pipeline_block(
     shard_counts: Tuple[int, ...],
     cores_per_shard: int,
     value_bytes: int,
-    threaded: bool,
     sync_curve: Optional[Dict[str, object]],
 ) -> Dict[str, object]:
     """The schema-v4 ``commit_pipeline`` block (YCSB-A, batched path).
@@ -354,7 +351,7 @@ def _run_commit_pipeline_block(
     async_curve = _run_sharded_mix(
         "a", record_count, op_count, batch_size, shard_counts,
         cores_per_shard, value_bytes, sync_commit=False,
-        threaded=threaded, commit_pipeline=True)
+        commit_pipeline=True)
     block: Dict[str, object] = {
         "workload": "ycsb-a",
         "commit_interval_us": defaults.commit_interval_us,
@@ -385,7 +382,6 @@ def _run_commit_pipeline_block(
         curve = _run_sharded_mix(
             "a", record_count, op_count, batch_size, (n_shards,),
             cores_per_shard, value_bytes, sync_commit=False,
-            threaded=threaded and topology != "shared",
             commit_pipeline=True, log_topology=topology)
         entry = curve[top]
         ops = entry["operations"]
@@ -942,7 +938,6 @@ def run_bench(
     eviction_comparison: bool = True,
     shard_counts: Iterable[int] = DEFAULT_SHARD_COUNTS,
     per_path_comparison: bool = True,
-    threaded_shards: bool = False,
     trace: bool = False,
     record_cache_comparison: bool = True,
     tiered_comparison: bool = True,
@@ -966,7 +961,6 @@ def run_bench(
             "value_bytes": value_bytes,
             "sync_commit": sync_commit,
             "shard_counts": list(shard_counts),
-            "threaded_shards": threaded_shards,
         },
         "mixes": {},
     }
@@ -982,12 +976,12 @@ def run_bench(
         for mix in mixes:
             sharded[f"ycsb-{mix}"] = _run_sharded_mix(
                 mix, record_count, op_count, batch_size, shard_counts,
-                cores, value_bytes, sync_commit, threaded_shards)
+                cores, value_bytes, sync_commit)
     report["sharded"] = sharded
     if shard_counts and "a" in mixes:
         report["commit_pipeline"] = _run_commit_pipeline_block(
             record_count, op_count, batch_size, shard_counts, cores,
-            value_bytes, threaded_shards, sharded.get("ycsb-a"))
+            value_bytes, sharded.get("ycsb-a"))
     if record_cache_comparison:
         report["record_cache"] = _run_record_cache_block(
             record_count, op_count, cores, value_bytes)
@@ -1240,10 +1234,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="run ONLY the sharded benchmark at this "
                              "shard count (default: full run sweeps "
                              f"{list(DEFAULT_SHARD_COUNTS)})")
-    parser.add_argument("--threaded", action="store_true",
-                        help="thread-per-shard dispatch for sharded runs "
-                             "(same simulated results, overlapped wall "
-                             "clock)")
     parser.add_argument("--trace", action="store_true",
                         help="also measure tracing overhead on batched "
                              "ycsb-a and record the per-component cost "
@@ -1308,7 +1298,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.scaling_smoke:
         curve = _run_sharded_mix(
             "a", 500, 2000, args.batch_size, (1, 4), args.cores, 100,
-            sync_commit=False, threaded=False, commit_pipeline=True)
+            sync_commit=False, commit_pipeline=True)
         scaling = curve["4"]["scaling_vs_1"]
         print(
             f"scaling smoke: ycsb-a 4-shard async scaling_vs_1 = "
@@ -1355,7 +1345,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         eviction_comparison=eviction_comparison,
         shard_counts=shard_counts,
         per_path_comparison=per_path_comparison,
-        threaded_shards=args.threaded,
         trace=args.trace,
         record_cache_comparison=not args.smoke and args.shards is None,
         tiered_comparison=not args.smoke and args.shards is None,

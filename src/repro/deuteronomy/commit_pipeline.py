@@ -194,7 +194,6 @@ class CommitPipeline:
         """Drain every in-flight buffer whose ack time has passed."""
         machine = self.machine
         faults = machine.faults
-        sanitizer = machine.sanitizer if __debug__ else None
         now = machine.clock.now
         while self._inflight and self._inflight[0][1] <= now:
             buffer, _ack_s = self._inflight.popleft()
@@ -202,8 +201,6 @@ class CommitPipeline:
                 faults.hit(SITE_PRE_ACK)
             machine.cpu.charge("commit_ack", 1.0, category="commit_pipeline")
             self.acks += 1
-            if sanitizer is not None:
-                sanitizer.write(self.log, "ack.mark_durable")
             self.log.mark_durable(buffer)
             if faults is not None:
                 faults.hit(SITE_POST_ACK)
@@ -240,7 +237,6 @@ class CommitPipeline:
             # metadata) still need to reach the device.
             self.spill()
         faults = machine.faults
-        sanitizer = machine.sanitizer if __debug__ else None
         clock = machine.clock
         while self._inflight:
             buffer, ack_s = self._inflight.popleft()
@@ -255,8 +251,6 @@ class CommitPipeline:
                 machine.cpu.charge("commit_ack", 1.0,
                                    category="commit_pipeline")
                 self.acks += 1
-                if sanitizer is not None:
-                    sanitizer.write(self.log, "force.mark_durable")
                 self.log.mark_durable(buffer)
                 if faults is not None:
                     faults.hit(SITE_POST_ACK)

@@ -44,7 +44,9 @@ class DeuteronomyEngine:
 
     @classmethod
     def recover(cls, crashed: "DeuteronomyEngine",
-                tc_config: Optional[TcConfig] = None) -> "DeuteronomyEngine":
+                tc_config: Optional[TcConfig] = None,
+                log_device: Optional[LogDevice] = None,
+                ) -> "DeuteronomyEngine":
         """Rebuild the engine after a power loss.
 
         DRAM and the stores' open write buffers are lost; the data
@@ -52,7 +54,9 @@ class DeuteronomyEngine:
         redo record is replayed through the normal blind-update path.
         Transactions whose redo records had not reached flash are lost —
         the standard write-ahead-logging contract (``checkpoint()`` forces
-        the log).
+        the log).  ``log_device`` is the commit-log device the
+        replacement's pipeline writes to (a fleet passes the drive its
+        topology assigns; None rebuilds the colocated default).
 
         Recovery is idempotent per crashed engine: the replacement shares
         the crashed engine's machine and flash store, so running the crash
@@ -73,6 +77,7 @@ class DeuteronomyEngine:
             tc_config=tc_config if tc_config is not None
             else crashed.tc.config,
             data_component=dc,
+            log_device=log_device,
         )
         engine.tc.replay_redo(durable)
         crashed._recovered_into = engine

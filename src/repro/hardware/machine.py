@@ -22,7 +22,6 @@ from .ssd import SimulatedSsd, SsdSpec
 if TYPE_CHECKING:  # deliberate: hardware stays import-independent of faults
     from ..faults.plan import FaultInjector
     from ..observability.spans import Tracer
-    from ..sanitizer.core import RaceSanitizer
 
 #: Shared no-op context manager returned by :meth:`Machine.trace_span`
 #: when no tracer is attached.  ``nullcontext`` is stateless, so one
@@ -114,10 +113,6 @@ class Machine:
         # Optional trace-span tracer (repro.observability); installed via
         # :meth:`attach_tracer`, same single-attribute-check pattern.
         self.tracer: Tracer | None = None
-        # Optional race sanitizer (repro.sanitizer); instrumented sites
-        # report happens-before events on named objects when set.  Same
-        # single-attribute-check pattern as faults and tracer.
-        self.sanitizer: RaceSanitizer | None = None
 
     # --- tracing -----------------------------------------------------------
 

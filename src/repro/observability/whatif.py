@@ -158,17 +158,14 @@ class WhatifConfig:
                 f"unknown log topology {self.log_topology!r}; "
                 f"expected one of {LOG_TOPOLOGIES}"
             )
-        if self.log_topology != "colocated":
-            if self.commit != "async":
-                raise ValueError(
-                    "dedicated/shared log topologies require the commit "
-                    "pipeline (commit='async')"
-                )
-            if self.shards < 2:
-                raise ValueError(
-                    "dedicated/shared log topologies require a fleet "
-                    "(shards >= 2)"
-                )
+        if self.log_topology != "colocated" and self.shards < 2:
+            # Whatif's own rule: the single-engine path builds no
+            # ShardedEngine.  The pipeline and log_ssd_spec rules are the
+            # fleet constructor's and surface from run_scenario.
+            raise ValueError(
+                "dedicated/shared log topologies require a fleet "
+                "(shards >= 2)"
+            )
 
     def label(self) -> str:
         """Human-readable scenario tag used in reports."""
@@ -266,11 +263,6 @@ def run_scenario(
     """
     if ssd_factor is not None and log_factor is not None:
         raise ValueError("scale one device component at a time")
-    if log_factor is not None and config.log_topology == "colocated":
-        raise ValueError(
-            "log_device scaling needs a dedicated/shared log topology "
-            "(colocated log writes land on the data SSD)"
-        )
     builder = MIX_BUILDERS[config.mix]
     spec = builder(record_count=config.record_count, seed=config.seed)
     generator = WorkloadGenerator(spec)
@@ -287,6 +279,11 @@ def run_scenario(
 
     fleet: Optional[ShardedEngine] = None
     if config.shards <= 1:
+        if log_factor is not None:
+            raise ValueError(
+                "log_device scaling needs a fleet (shards >= 2) on a "
+                "dedicated/shared log topology"
+            )
         machine = Machine(cores=config.cores, cost_table=CostTable(),
                           ssd_spec=data_spec)
         engine: object = DeuteronomyEngine(machine, tc_config=tc_config)

@@ -16,16 +16,16 @@ contract holds per shard: each shard's durable log is a prefix of its
 append order, and :meth:`ShardedEngine.recover` rebuilds every shard
 plus an identically-routing router.
 
-Dispatch is sequential by default — simulated virtual time makes the
-results deterministic and thread-independent — with optional
-thread-per-shard dispatch (``threaded=True``) for wall-clock overlap;
-shards share no state, so threading changes no observable outcome, only
-real elapsed time.
+Dispatch is sequential in ascending shard id — the only dispatch there
+is.  Concurrency is priced on the virtual clock (``concurrency_mode``
+cost terms, ``elapsed_seconds`` as the max over shards), never bought
+with host threads, so a fleet-wide fault plan sees one deterministic
+hit order and a crash between sub-batches leaves exactly the
+lower-numbered shards applied.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import (
     Callable,
     Iterable,
@@ -43,7 +43,6 @@ from ..hardware.logdevice import LogDevice
 from ..hardware.machine import Machine
 from ..hardware.metrics import CounterSet
 from ..hardware.ssd import SimulatedSsd, SsdSpec
-from ..sanitizer.core import RaceSanitizer
 from .router import ShardRouter
 
 # stats() keys that are additive across shards; the rest are re-derived
@@ -79,7 +78,6 @@ class ShardedEngine:
         tree_config: Optional[BwTreeConfig] = None,
         tc_config: Optional[TcConfig] = None,
         machine_factory: Optional[Callable[[], Machine]] = None,
-        threaded: bool = False,
         faults: Optional[FaultInjector] = None,
         log_topology: str = "colocated",
         log_ssd_spec: Optional[SsdSpec] = None,
@@ -90,26 +88,13 @@ class ShardedEngine:
                 f"unknown log topology {log_topology!r}; "
                 f"expected one of {LOG_TOPOLOGIES}"
             )
-        if log_topology == "shared" and threaded:
-            # Every shard's LogDevice submits into one SimulatedSsd;
-            # its counters are not thread-safe, and determinism is the
-            # point of the shared-queue cost model.
+        if log_topology == "colocated" and log_ssd_spec is not None:
             raise ValueError(
-                "shared log topology requires sequential dispatch "
-                "(threaded=False)"
-            )
-        if threaded and faults is not None:
-            # The injector's hit counters mutate without a lock and the
-            # crash matrix depends on a deterministic fleet-wide hit
-            # order; both break once shard jobs run concurrently.  (The
-            # shard-isolation lint allowlists closures reading
-            # ``self.faults`` on the strength of this guard.)
-            raise ValueError(
-                "fault injection requires sequential dispatch "
-                "(threaded=False)"
+                "log_ssd_spec needs a dedicated log drive (log_topology "
+                "'per-shard' or 'shared'); colocated log writes land on "
+                "each shard's data SSD"
             )
         self.router = ShardRouter(num_shards)
-        self.threaded = threaded
         self.log_topology = log_topology
         # Device spec for dedicated/shared log drives; None mirrors each
         # shard's data-SSD spec.  The what-if profiler passes a scaled
@@ -123,10 +108,6 @@ class ShardedEngine:
         # ``machine.faults``, which callers typically point at the same
         # injector for fleet-wide hit ordering).
         self.faults = faults
-        # Optional race sanitizer (repro.sanitizer): when attached,
-        # _dispatch declares fork/join happens-before edges around every
-        # threaded scatter and runs each job as a labeled logical task.
-        self._sanitizer: Optional[RaceSanitizer] = None
         self.counters = CounterSet()
         if _shards is not None:
             if len(_shards) != num_shards:
@@ -157,14 +138,19 @@ class ShardedEngine:
     ) -> Optional[LogDevice]:
         """The shard's commit-log device under the chosen topology.
 
-        Returns None when the shard needs no explicit device: the commit
-        pipeline is off, or the topology is "colocated" (the TC then
-        builds its own queue over the shard's data SSD).
+        Returns None under "colocated": a pipelined TC then builds its
+        own queue over the shard's data SSD.  The other topologies exist
+        only as commit-pipeline devices, so asking for one without the
+        pipeline is an error, not a silently colocated fleet.
         """
-        if tc_config is None or not tc_config.commit_pipeline:
-            return None
         if self.log_topology == "colocated":
             return None
+        if tc_config is None or not tc_config.commit_pipeline:
+            raise ValueError(
+                f"log topology {self.log_topology!r} requires the commit "
+                "pipeline (TcConfig(commit_pipeline=True)); without it "
+                "the fleet would run colocated"
+            )
         ack = tc_config.log_ack_latency_us
         spec = (self._log_ssd_spec if self._log_ssd_spec is not None
                 else machine.ssd.spec)
@@ -203,37 +189,6 @@ class ShardedEngine:
         self.counters.add("router.routed_ops")
         return shard
 
-    def _dispatch(
-        self, jobs: Sequence[Callable[[], object]],
-    ) -> List[object]:
-        """Run per-shard jobs, sequentially or one thread per shard.
-
-        Shards share no state, so threaded dispatch changes wall-clock
-        overlap only — simulated costs and results are identical to the
-        sequential (deterministic test-default) mode.
-        """
-        if self.threaded and len(jobs) > 1:
-            sanitizer = self._sanitizer
-            labels: List[str] = []
-            if sanitizer is not None:
-                # Logical task labels are positional: jobs are built in
-                # shard order, so label i covers shard i's sub-batch.
-                labels = [f"shard-{index}" for index in range(len(jobs))]
-                for label in labels:
-                    sanitizer.fork(label)
-                jobs = [
-                    sanitizer.bound(label, job)
-                    for label, job in zip(labels, jobs)
-                ]
-            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-                futures = [pool.submit(job) for job in jobs]
-                results = [future.result() for future in futures]
-            if sanitizer is not None:
-                for label in labels:
-                    sanitizer.join(label)
-            return results
-        return [job() for job in jobs]
-
     # --- single-key API -----------------------------------------------
 
     def get(self, key: bytes) -> Optional[bytes]:
@@ -256,36 +211,31 @@ class ShardedEngine:
         key_of: Callable,
         run_shard: Callable[[DeuteronomyEngine, list], list],
     ) -> list:
-        """Fan a batch out by shard, dispatch, merge in input order."""
+        """Fan a batch out by shard, run each sub-batch in ascending
+        shard id, merge in input order."""
         per_shard, positions = self.router.scatter(items, key_of)
-        jobs: List[Callable[[], list]] = []
-        job_positions: List[List[int]] = []
+        results: List[list] = []
+        result_positions: List[List[int]] = []
         for shard_id, sub_batch in enumerate(per_shard):
             if not sub_batch:
                 continue
             shard = self.shards[shard_id]
             shard.machine.cpu.charge("hash_probe", len(sub_batch),
                                      category="router")
-
-            def job(shard: DeuteronomyEngine = shard,
-                    sub: list = sub_batch) -> list:
-                if self.faults is not None:
-                    # A crash here models a fleet-wide power loss between
-                    # shard sub-batches: earlier shards committed (and
-                    # possibly flushed), later shards never saw the batch.
-                    self.faults.hit("sharded.apply_batch.boundary")
-                # Shard-local span: the scatter's router hashing is
-                # charged before any span opens and shows up as the
-                # tracer's unattributed "router" bucket by design.
-                with shard.machine.trace_span("shard.batch", "sharding"):
-                    return run_shard(shard, sub)
-
-            jobs.append(job)
-            job_positions.append(positions[shard_id])
-        results = self._dispatch(jobs)
+            if self.faults is not None:
+                # A crash here models a fleet-wide power loss between
+                # shard sub-batches: earlier shards committed (and
+                # possibly flushed), later shards never saw the batch.
+                self.faults.hit("sharded.apply_batch.boundary")
+            # Shard-local span: the scatter's router hashing is charged
+            # before the span opens and shows up as the tracer's
+            # unattributed "router" bucket by design.
+            with shard.machine.trace_span("shard.batch", "sharding"):
+                results.append(run_shard(shard, sub_batch))
+            result_positions.append(positions[shard_id])
         self.counters.add("router.batches")
         self.counters.add("router.routed_ops", len(items))
-        return self.router.gather(len(items), results, job_positions)
+        return self.router.gather(len(items), results, result_positions)
 
     def multi_put(
         self, items: Sequence[Tuple[bytes, bytes]],
@@ -361,9 +311,12 @@ class ShardedEngine:
                 shard.dc.bulk_load(shard_items)
         return total
 
-    def checkpoint(self) -> None:
+    # All simulated cost lives in DeuteronomyEngine.checkpoint, charged
+    # to each shard's own machine; the fleet adds no work of its own.
+    def checkpoint(self) -> None:  # repro: ignore[cost-accounting]
         """Flush every shard's log and dirty pages (fleet-wide WAL point)."""
-        self._dispatch([shard.checkpoint for shard in self.shards])
+        for shard in self.shards:
+            shard.checkpoint()
 
     def drain_commits(self) -> None:
         """Drain every shard's commit pipeline (no-op for sync shards).
@@ -406,26 +359,6 @@ class ShardedEngine:
             tracers.append(tracer)
         return tracers
 
-    def attach_sanitizer(self, sanitizer: RaceSanitizer) -> None:
-        """Install a race sanitizer on the fleet and every shard machine.
-
-        Names the objects worth tracking — each shard engine and its
-        recovery log — so instrumented sites (the commit pipeline's ack
-        drains, the threaded dispatch wrapper) report happens-before
-        events on them.  Detach with :meth:`detach_sanitizer`.
-        """
-        self._sanitizer = sanitizer
-        for index, shard in enumerate(self.shards):
-            sanitizer.name_object(shard, f"shard[{index}]")
-            sanitizer.name_object(shard.tc.log, f"shard[{index}].log")
-            shard.machine.sanitizer = sanitizer
-
-    def detach_sanitizer(self) -> None:
-        """Remove the sanitizer; dispatch reverts to untracked."""
-        self._sanitizer = None
-        for shard in self.shards:
-            shard.machine.sanitizer = None
-
     # --- recovery ------------------------------------------------------
 
     @classmethod
@@ -441,17 +374,25 @@ class ShardedEngine:
         """
         if crashed._recovered_into is not None:
             return crashed._recovered_into
-        recovered_shards = [
-            DeuteronomyEngine.recover(shard) for shard in crashed.shards
-        ]
+        # The new fleet owns the log drives, so it has to exist before
+        # the shards can recover onto them: adopt the crashed shards,
+        # then swap each for its replacement.  Writes still queued on
+        # the old drives were never acked and are lost with them.
         engine = cls(
             crashed.num_shards,
-            threaded=crashed.threaded,
             faults=crashed.faults,
             log_topology=crashed.log_topology,
             log_ssd_spec=crashed._log_ssd_spec,
-            _shards=recovered_shards,
+            _shards=crashed.shards,
         )
+        engine.shards = [
+            DeuteronomyEngine.recover(
+                shard,
+                log_device=engine._build_log_device(shard.machine,
+                                                    shard.tc.config),
+            )
+            for shard in crashed.shards
+        ]
         crashed._recovered_into = engine
         return engine
 
@@ -525,7 +466,4 @@ class ShardedEngine:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ShardedEngine(num_shards={self.num_shards}, "
-            f"threaded={self.threaded})"
-        )
+        return f"ShardedEngine(num_shards={self.num_shards})"

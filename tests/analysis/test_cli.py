@@ -88,7 +88,6 @@ def test_registered_rule_ids_are_stable():
         "wal-ordering",
         "epoch-discipline",
         "fault-site-coverage",
-        "shard-isolation",
     }
 
 
@@ -100,14 +99,3 @@ def test_empty_select_is_an_error(tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             lint_main(["--select", empty, str(tmp_path)])
         assert excinfo.value.code == 2
-
-
-def test_threaded_faults_guard():
-    """Pin for the shard-isolation fix: the fleet fault injector is
-    unsynchronized, so threaded dispatch must refuse it up front."""
-    from repro.faults.plan import FaultInjector, FaultPlan
-    from repro.sharding.engine import ShardedEngine
-
-    injector = FaultInjector(plan=FaultPlan(rules=()))
-    with pytest.raises(ValueError, match="sequential dispatch"):
-        ShardedEngine(num_shards=2, threaded=True, faults=injector)

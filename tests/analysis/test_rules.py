@@ -225,6 +225,15 @@ def stamp():
     return time.time()
 """
 
+CONCURRENCY_POSITIVE = """\
+from concurrent.futures import ThreadPoolExecutor
+
+
+def dispatch(jobs):
+    with ThreadPoolExecutor() as pool:
+        return list(pool.map(lambda job: job(), jobs))
+"""
+
 
 class TestDeterminism:
     RULE = "determinism"
@@ -284,6 +293,49 @@ def make_rng(seed):
             if f.rule == self.RULE
         ]
         assert not findings
+
+    # Host concurrency: OS scheduling must not be able to order charges.
+
+    @pytest.mark.parametrize("code,fragment", [
+        (CONCURRENCY_POSITIVE, "from concurrent.futures import"),
+        ("import threading\n", "import threading"),
+        ("import concurrent.futures as cf\n", "import concurrent.futures"),
+        ("from multiprocessing import Pool\n", "from multiprocessing"),
+        ("import asyncio\n", "import asyncio"),
+    ])
+    def test_host_concurrency_import_is_flagged(self, tmp_path, code,
+                                                fragment):
+        findings = _lint_snippet(tmp_path, code, self.RULE)
+        assert len(findings) == 1, code
+        assert fragment in findings[0].message
+        assert findings[0].line == 1
+
+    def test_host_concurrency_suppression_silences(self, tmp_path):
+        suppressed = CONCURRENCY_POSITIVE.replace(
+            "import ThreadPoolExecutor",
+            "import ThreadPoolExecutor  # repro: ignore[determinism]",
+        )
+        assert not _lint_snippet(tmp_path, suppressed, self.RULE)
+
+    def test_sequential_dispatch_and_relative_imports_are_clean(
+            self, tmp_path):
+        clean = """\
+from .threading import helper
+
+
+def dispatch(shards):
+    return [helper(shard) for shard in shards]
+"""
+        assert not _lint_snippet(tmp_path, clean, self.RULE)
+
+    def test_host_concurrency_in_bench_is_exempt(self, tmp_path):
+        bench = tmp_path / "repro" / "bench"
+        bench.mkdir(parents=True)
+        (bench / "pool.py").write_text(CONCURRENCY_POSITIVE)
+        assert not [
+            f for f in lint_paths([str(tmp_path)])
+            if f.rule == self.RULE
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -209,59 +209,6 @@ def test_fault_rule_checks_closure_bodies_independently(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# shard-isolation
-# ---------------------------------------------------------------------------
-
-SHARD_DIRTY = """\
-from concurrent.futures import ThreadPoolExecutor
-
-
-class Fleet:
-    def __init__(self, shards):
-        self.shards = shards
-        self.total = 0
-
-    def dispatch(self):
-        def job(shard):
-            self.total += 1
-            return shard
-
-        with ThreadPoolExecutor() as pool:
-            return list(pool.map(job, self.shards))
-"""
-
-SHARD_CLEAN = """\
-from concurrent.futures import ThreadPoolExecutor
-
-
-class Fleet:
-    def __init__(self, shards):
-        self.shards = shards
-
-    def dispatch(self):
-        def job(shard):
-            return shard
-
-        with ThreadPoolExecutor() as pool:
-            return list(pool.map(job, self.shards))
-"""
-
-
-def test_shard_rule_flags_self_state_in_closures(tmp_path):
-    target = tmp_path / "fleet.py"
-    target.write_text(SHARD_DIRTY)
-    found = _findings(str(target), "shard-isolation")
-    assert len(found) == 1
-    assert "self.total" in found[0].message
-
-
-def test_shard_rule_accepts_shard_local_closures(tmp_path):
-    target = tmp_path / "fleet.py"
-    target.write_text(SHARD_CLEAN)
-    assert _findings(str(target), "shard-isolation") == []
-
-
-# ---------------------------------------------------------------------------
 # the in-tree fixes stay pinned
 # ---------------------------------------------------------------------------
 
@@ -271,5 +218,5 @@ def test_shipped_package_is_protocol_clean():
 
     package = os.path.dirname(os.path.abspath(repro.__file__))
     for rule in ("wal-ordering", "epoch-discipline",
-                 "fault-site-coverage", "shard-isolation"):
+                 "fault-site-coverage"):
         assert _findings(package, rule) == []

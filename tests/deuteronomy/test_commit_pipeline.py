@@ -11,7 +11,7 @@ from repro.bwtree import BwTreeConfig
 from repro.deuteronomy import DeuteronomyEngine, LogRecord, RecoveryLog
 from repro.deuteronomy.commit_pipeline import CommitPipeline
 from repro.deuteronomy.tc import TcConfig
-from repro.hardware import LogDevice, Machine
+from repro.hardware import LogDevice, Machine, SsdSpec
 from repro.sharding.engine import ShardedEngine
 
 TREE = BwTreeConfig(segment_bytes=1 << 16)
@@ -246,9 +246,21 @@ class TestShardedTopologies:
         with pytest.raises(ValueError, match="log topology"):
             self._fleet(log_topology="nvram")
 
-    def test_shared_topology_requires_sequential_dispatch(self):
-        with pytest.raises(ValueError, match="sequential"):
-            self._fleet(log_topology="shared", threaded=True)
+    @pytest.mark.parametrize("topology", ["per-shard", "shared"])
+    @pytest.mark.parametrize("tc_config",
+                             [None, TcConfig(sync_commit=True)])
+    def test_dedicated_log_without_pipeline_rejected(self, topology,
+                                                     tc_config):
+        """Used to run colocated while stats() reported the label."""
+        with pytest.raises(ValueError,
+                           match="requires the commit pipeline"):
+            ShardedEngine(2, tree_config=TREE, tc_config=tc_config,
+                          log_topology=topology)
+
+    def test_log_ssd_spec_on_colocated_rejected(self):
+        """Used to be silently ignored: there is no log drive to spec."""
+        with pytest.raises(ValueError, match="log_ssd_spec"):
+            self._fleet(log_ssd_spec=SsdSpec())
 
     @pytest.mark.parametrize("topology",
                              ["colocated", "per-shard", "shared"])
@@ -261,6 +273,50 @@ class TestShardedTopologies:
             assert shard.tc.log.sealed_pending == 0
         assert fleet.stats()["log_topology"] == topology
         assert fleet.get(b"k3") == b"v"
+
+    @pytest.mark.parametrize("topology", ["per-shard", "shared"])
+    def test_recovered_fleet_keeps_its_log_topology(self, topology):
+        """Recovery used to rebuild every shard colocated: the shared
+        drive, its busy seconds and the fleet elapsed floor vanished
+        while stats() still reported the crashed fleet's label."""
+        # A log drive slow enough that its busy time, not any shard's
+        # own elapsed time, bounds the fleet.
+        slow = SsdSpec(iops=100.0)
+        fleet = self._fleet(shards=3, log_topology=topology,
+                            log_ssd_spec=slow)
+        fleet.apply_batch([("put", b"k%d" % i, b"v") for i in range(32)])
+        fleet.checkpoint()
+        old_drives = {id(shard.tc.pipeline.device.ssd)
+                      for shard in fleet.shards}
+
+        recovered = ShardedEngine.recover(fleet)
+        recovered.reset_accounting()
+        recovered.apply_batch(
+            [("put", b"k%d" % i, b"w") for i in range(32)])
+        recovered.drain_commits()
+
+        devices = [shard.tc.pipeline.device for shard in recovered.shards]
+        for shard, device in zip(recovered.shards, devices):
+            assert device.ssd is not shard.machine.ssd
+            assert not device.colocated
+            assert device.ssd.spec == slow
+            assert device.submitted_writes >= 1
+        drives = {id(device.ssd) for device in devices}
+        assert not drives & old_drives   # the crashed queues are gone
+        stats = recovered.stats()
+        assert stats["log_topology"] == topology
+        slowest_shard = max(shard_stats["elapsed_seconds"]
+                            for shard_stats in stats["per_shard"])
+        if topology == "shared":
+            assert len(drives) == 1
+            busy = recovered.shared_log_busy_seconds
+            assert busy > slowest_shard
+            assert stats["fleet"]["elapsed_seconds"] == busy
+        else:
+            assert len(drives) == recovered.num_shards
+            assert recovered.shared_log_busy_seconds == 0.0
+            assert stats["fleet"]["elapsed_seconds"] == slowest_shard
+        assert recovered.get(b"k3") == b"w"
 
     def test_drain_commits_is_a_noop_for_sync_fleet(self):
         fleet = ShardedEngine(2, tree_config=TREE,

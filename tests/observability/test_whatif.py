@@ -124,6 +124,24 @@ class TestDeviceContracts:
         baseline = run_scenario(SYNC_SINGLE, record=True)
         assert DEVICE_LOG not in available_components(baseline)
 
+    def test_log_topology_rules_surface_from_the_fleet_constructor(self):
+        """Whatif no longer re-implements ShardedEngine's two topology
+        rules; a bad fleet scenario fails with the constructor's error
+        and the single-engine path keeps its own guard."""
+        sync_shared = WhatifConfig(record_count=64, op_count=64, shards=2,
+                                   commit="sync", log_topology="shared")
+        with pytest.raises(ValueError,
+                           match="requires the commit pipeline"):
+            run_scenario(sync_shared)
+        colocated_fleet = WhatifConfig(record_count=64, op_count=64,
+                                       shards=2, commit="async")
+        with pytest.raises(ValueError, match="log_ssd_spec"):
+            run_scenario(colocated_fleet, log_factor=2.0)
+        with pytest.raises(ValueError, match="needs a fleet"):
+            run_scenario(SYNC_SINGLE, log_factor=2.0)
+        with pytest.raises(ValueError, match="require a fleet"):
+            WhatifConfig(commit="async", log_topology="shared")
+
 
 class TestQueueingContract:
     def test_default_window_async_is_effectively_linear(self):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.bwtree import BwTreeConfig
 from repro.deuteronomy import DeuteronomyEngine, TcConfig
+from repro.faults import CrashError, FaultInjector, FaultPlan
 from repro.hardware import Machine
 from repro.sharding import ShardedEngine
 
@@ -14,14 +15,14 @@ TREE_CONFIG = BwTreeConfig(segment_bytes=1 << 14)
 TC_CONFIG = TcConfig(log_buffer_bytes=1 << 12)
 
 
-def make_sharded(num_shards: int, threaded: bool = False,
-                 sync: bool = False) -> ShardedEngine:
+def make_sharded(num_shards: int, sync: bool = False,
+                 **kwargs) -> ShardedEngine:
     return ShardedEngine(
         num_shards,
         cores_per_shard=1,
         tree_config=TREE_CONFIG,
         tc_config=TcConfig(log_buffer_bytes=1 << 12, sync_commit=sync),
-        threaded=threaded,
+        **kwargs,
     )
 
 
@@ -133,19 +134,36 @@ class TestShardIndependence:
                 assert sharded.shard_for(record.key) == shard_id
 
 
-class TestThreadedDispatch:
-    def test_threaded_matches_sequential(self):
-        ops = random_ops(300, key_space=50, seed=99)
-        sequential = make_sharded(4, threaded=False)
-        threaded = make_sharded(4, threaded=True)
-        assert run_stream(sequential, ops) == run_stream(threaded, ops)
-        seq_stats = sequential.stats()
-        thr_stats = threaded.stats()
-        # Simulated accounting is thread-independent: identical costs.
-        assert thr_stats["fleet"]["core_seconds"] \
-            == pytest.approx(seq_stats["fleet"]["core_seconds"])
-        assert thr_stats["fleet"]["operations"] \
-            == seq_stats["fleet"]["operations"]
+class TestDispatchOrder:
+    """Ascending shard id is the dispatch contract: a fleet-wide crash
+    between sub-batches leaves exactly the lower-numbered shards
+    applied, which is what lets the crash matrix name a fleet state as
+    "(boundary, Nth hit)"."""
+
+    @pytest.mark.parametrize("untouched,hit", [
+        (None, 1), (None, 2), (None, 3), (None, 4),
+        # A batch that skips shard 1: hits count touched shards only.
+        (1, 1), (1, 2), (1, 3),
+    ])
+    def test_crash_at_boundary_hit_k_applies_first_k_minus_1_shards(
+            self, untouched, hit):
+        injector = FaultInjector(
+            FaultPlan.crash_at("sharded.apply_batch.boundary", hit))
+        sharded = make_sharded(4, sync=True, faults=injector)
+        keys = [key for key in (b"user%06d" % i for i in range(64))
+                if sharded.shard_for(key) != untouched]
+        touched = sorted({sharded.shard_for(key) for key in keys})
+        assert touched == [s for s in range(4) if s != untouched]
+
+        with pytest.raises(CrashError):
+            sharded.apply_batch([("put", key, b"v") for key in keys])
+
+        applied = touched[:hit - 1]
+        assert injector.hits("sharded.apply_batch.boundary") == hit
+        for shard_id, shard in enumerate(sharded.shards):
+            expected = 1 if shard_id in applied else 0
+            assert shard.stats()["commits"] == expected
+            assert shard.tc.log.flushes == expected
 
 
 class TestFleetRecovery:
