@@ -43,7 +43,7 @@ from .calibration import (
     run_measurement,
 )
 from .catalog import CostCatalog
-from .costmeter import CostBill, meter_bill
+from .costmeter import CostBill, RunPrice, meter_bill, price_run
 from .costmodel import (
     CssParameters,
     OperationCost,
@@ -137,6 +137,8 @@ __all__ = [
     "PacedPhaseStats",
     "CostBill",
     "meter_bill",
+    "RunPrice",
+    "price_run",
     "PriceTrends",
     "project_catalog",
     "breakeven_trajectory",

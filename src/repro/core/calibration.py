@@ -238,6 +238,29 @@ class PxMxMeasurement:
         )
 
 
+#: Reads replayed before accounting resets in the Section 5.1 point
+#: experiment (both trees, and the bench's Figure-3 re-derivation).
+PXMX_WARMUP_OPERATIONS = 2_000
+
+
+def measure_masstree_reads(spec: WorkloadSpec, cores: int,
+                           measure_operations: int) -> Tuple[float, int]:
+    """The MM side of the Section 5.1 point experiment: load ``spec``
+    into a MassTree, warm, reset, read; returns (core us per op, DRAM
+    footprint bytes)."""
+    machine = Machine.paper_default(cores=cores)
+    masstree = MassTree(machine)
+    for key, value in WorkloadGenerator(spec).load_items():
+        masstree.upsert(key, value)
+    reader = WorkloadGenerator(spec)
+    for op in reader.operations(PXMX_WARMUP_OPERATIONS):
+        masstree.get(op.key)
+    machine.reset_accounting()
+    for op in reader.operations(measure_operations):
+        masstree.get(op.key)
+    return machine.summary().core_us_per_op, masstree.dram_footprint_bytes()
+
+
 def measure_px_mx(record_count: int = 20_000, value_bytes: int = 100,
                   cores: int = 4, seed: int = 42,
                   measure_operations: int = 10_000) -> PxMxMeasurement:
@@ -254,24 +277,13 @@ def measure_px_mx(record_count: int = 20_000, value_bytes: int = 100,
     bwtree.bulk_load(WorkloadGenerator(spec).load_items())
     bwtree.checkpoint()
     generator = WorkloadGenerator(spec)
-    apply_operations(bwtree, generator.operations(2_000))
+    apply_operations(bwtree, generator.operations(PXMX_WARMUP_OPERATIONS))
     bw_machine.reset_accounting()
     apply_operations(bwtree, generator.operations(measure_operations))
     bw_us = bw_machine.summary().core_us_per_op
     bw_bytes = bwtree.dram_footprint_bytes()
 
-    mt_machine = Machine.paper_default(cores=cores)
-    masstree = MassTree(mt_machine)
-    for key, value in WorkloadGenerator(spec).load_items():
-        masstree.upsert(key, value)
-    reader = WorkloadGenerator(spec)
-    for op in reader.operations(2_000):
-        masstree.get(op.key)
-    mt_machine.reset_accounting()
-    for op in reader.operations(measure_operations):
-        masstree.get(op.key)
-    mt_us = mt_machine.summary().core_us_per_op
-    mt_bytes = masstree.dram_footprint_bytes()
+    mt_us, mt_bytes = measure_masstree_reads(spec, cores, measure_operations)
 
     return PxMxMeasurement(
         px=bw_us / mt_us,

@@ -5,7 +5,9 @@ given a machine's accounting over a measurement window, it computes the
 dollars-per-second (times the implicit 1/L) actually spent on DRAM rental,
 flash rental, processor time and SSD I/O capability.  This is what lets
 experiments compare cache policies by the money they cost rather than by
-proxy metrics.
+proxy metrics.  :func:`meter_bill` prices one machine's window per
+second; :func:`price_run` prices a finished run (engine or fleet) per
+operation in Eq. (4)-(5) terms.
 """
 
 from __future__ import annotations
@@ -84,4 +86,68 @@ def meter_bill(machine: Machine,
         io_cost=machine.ssd.spec.iops_price_dollars * io_fraction,
         window_seconds=window,
         operations=run.operations,
+    )
+
+
+@dataclass(frozen=True)
+class RunPrice:
+    """One run's Eq. (4)-(5) bill, in dollars per operation."""
+
+    exec_dollars_per_op: float
+    io_dollars_per_op: float
+    log_io_dollars_per_op: float
+    dram_dollars_per_op: float
+    tier_dollars_per_op: float
+
+    @property
+    def dollars_per_op(self) -> float:
+        return (self.exec_dollars_per_op + self.io_dollars_per_op
+                + self.log_io_dollars_per_op + self.dram_dollars_per_op
+                + self.tier_dollars_per_op)
+
+
+def price_run(
+    ops: int,
+    cores: int,
+    core_seconds: float,
+    elapsed_seconds: float,
+    ssd_ios: float,
+    dram_bytes: int = 0,
+    log_device_writes: int = 0,
+    tier_bytes: int = 0,
+    tier_dollars_per_byte: float = 0.0,
+    catalog: Optional[CostCatalog] = None,
+) -> RunPrice:
+    """Price a run per operation in the paper's Eq. (4)-(5) terms.
+
+    Each term is capital dollars times the fraction of that capital the
+    run kept busy, per op:
+
+    * execution (``$P/ROPS``): ``$P * core_s / (cores * ops)``;
+    * I/O (``$I/IOPS``): ``$I * ios / (IOPS * ops)`` for the data SSD
+      and, for ``log_device_writes`` on a dedicated or shared log drive,
+      the same per-access price (colocated log writes are already in
+      ``ssd_ios``, so callers pass 0);
+    * DRAM rent (``Ps*$M``) and far-tier rent, each tier's end-of-run
+      resident bytes at its own $/byte over the run's virtual elapsed
+      time: ``$/byte * bytes * elapsed / ops``.
+
+    A quantity a caller does not bill stays at its zero default and
+    contributes exactly ``0.0``, so the total is unchanged by it.  Every
+    caller prices through these expressions, so bit-equal inputs price
+    to bit-equal dollars.
+    """
+    if ops < 1:
+        raise ValueError(f"pricing needs at least one op, got {ops}")
+    cat = catalog if catalog is not None else CostCatalog()
+    return RunPrice(
+        exec_dollars_per_op=(cat.processor_dollars * core_seconds
+                             / (cores * ops)),
+        io_dollars_per_op=cat.ssd_io_dollars * ssd_ios / (cat.iops * ops),
+        log_io_dollars_per_op=(cat.ssd_io_dollars * log_device_writes
+                               / (cat.iops * ops)),
+        dram_dollars_per_op=(cat.dram_per_byte * dram_bytes
+                             * elapsed_seconds / ops),
+        tier_dollars_per_op=(tier_dollars_per_byte * tier_bytes
+                             * elapsed_seconds / ops),
     )

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional, Tuple
+from typing import Deque, Tuple
 
 from ..hardware.logdevice import LogDevice
 from ..hardware.machine import Machine

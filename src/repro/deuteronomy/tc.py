@@ -66,7 +66,6 @@ class TcConfig:
     # records in a far-memory victim tier (promote-on-hit back) instead
     # of dropping them.
     read_cache_demote: bool = False
-    read_cache_demote_budget_bytes: Optional[int] = None
     version_gc_horizon_lag: int = 1024   # truncate versions this far back
     # Force the log to flash at every commit: durable commits at the cost
     # of small log writes (group commit would amortize them; the default
@@ -140,7 +139,6 @@ class TransactionComponent:
         self.read_cache = ReadCache(
             machine, self.config.read_cache_bytes,
             demote_to_tiers=self.config.read_cache_demote,
-            demote_budget_bytes=self.config.read_cache_demote_budget_bytes,
         )
         # Record-cache v2: when enabled, the record heap supersedes the
         # FIFO read cache on the read path and absorbs blind writes

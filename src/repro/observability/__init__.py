@@ -38,7 +38,6 @@ from .whatif import (
     CONTRACT_FLOAT_ASSOC,
     CONTRACT_QUEUEING,
     ChargeRecorder,
-    WhatifConfig,
     WhatifSummary,
     check_agreement,
     predict,
@@ -57,7 +56,6 @@ __all__ = [
     "MetricsRegistry",
     "Span",
     "Tracer",
-    "WhatifConfig",
     "WhatifSummary",
     "check_agreement",
     "engine_registry",

@@ -24,19 +24,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..core.catalog import CostCatalog
-from ..deuteronomy.engine import DeuteronomyEngine
-from ..deuteronomy.tc import TcConfig
-from ..hardware.machine import Machine
-from ..sharding.engine import ShardedEngine
-from ..workloads.ycsb import OpKind, WorkloadGenerator, WorkloadSpec
+from ..core.costmeter import price_run
+from ..scenarios import MIX_BUILDERS, Scenario, fleet_totals
 from .registry import engine_registry, fleet_registry
-from .spans import COMPONENT_OF_CATEGORY, Tracer, export_chrome, export_json
-
-MIX_BUILDERS = {
-    "a": WorkloadSpec.ycsb_a,
-    "b": WorkloadSpec.ycsb_b,
-    "c": WorkloadSpec.ycsb_c,
-}
+from .spans import Tracer, export_chrome, export_json
 
 #: Relative tolerance for re-summing per-span CPU buckets with fsum
 #: against the event-ordered running total: float addition is not
@@ -44,74 +35,24 @@ MIX_BUILDERS = {
 FSUM_REL_TOL = 1e-9
 
 
-def run_traced(
-    seed: int,
-    mix: str,
-    record_count: int,
-    op_count: int,
-    shards: int,
-    batch_size: int,
-    cores: int = 4,
-    sync_commit: bool = True,
-) -> Tuple[List[Tracer], dict, dict]:
+def run_traced(scenario: Scenario) -> Tuple[List[Tracer], dict, dict]:
     """Load, warm, trace and replay; returns (tracers, stats, metrics).
 
-    ``stats`` is ``engine.stats()`` (single engine) or
+    ``stats`` is ``engine.stats()`` (bare engine) or
     ``ShardedEngine.stats()`` (fleet); ``metrics`` is the registry delta
     over the traced window.  Tracers attach immediately after
-    ``reset_accounting()``, establishing the bit-exact reconciliation
-    baseline.
+    ``prepare()`` resets accounting, establishing the bit-exact
+    reconciliation baseline.
     """
-    builder = MIX_BUILDERS[mix]
-    spec = builder(record_count=record_count, seed=seed)
-    generator = WorkloadGenerator(spec)
-    ops = list(generator.operations(op_count))
-
-    if shards <= 1:
-        machine = Machine.paper_default(cores=cores)
-        engine = DeuteronomyEngine(
-            machine, tc_config=TcConfig(sync_commit=sync_commit))
-        engine.dc.bulk_load(generator.load_items())
-        machine.reset_accounting()
-        tracer = Tracer(machine, detailed=True)
-        machine.attach_tracer(tracer)
-        registry = engine_registry(engine)
-        before = registry.snapshot()
-        _drive(engine, ops, batch_size)
-        stats = engine.stats()
-        metrics = registry.delta(before)
-        return [tracer], stats, metrics
-
-    fleet = ShardedEngine(
-        shards, cores_per_shard=cores,
-        tc_config=TcConfig(sync_commit=sync_commit))
-    fleet.bulk_load(generator.load_items())
-    fleet.reset_accounting()
-    tracers = fleet.attach_tracers(detailed=True)
-    registry = fleet_registry(fleet)
+    run = scenario.prepare()
+    tracers = [Tracer(machine, detailed=True) for machine in run.machines]
+    for tracer in tracers:
+        tracer.machine.attach_tracer(tracer)
+    registry = (fleet_registry(run.engine) if scenario.shards
+                else engine_registry(run.engine))
     before = registry.snapshot()
-    _drive(fleet, ops, batch_size)
-    stats = fleet.stats()
-    metrics = registry.delta(before)
-    return tracers, stats, metrics
-
-
-def _drive(engine, ops, batch_size: int) -> None:
-    """Replay the operation stream per-op or in apply_batch chunks."""
-    if batch_size and batch_size > 1:
-        for start in range(0, len(ops), batch_size):
-            batch = [
-                ("get", op.key, None) if op.kind is OpKind.READ
-                else ("put", op.key, op.value)
-                for op in ops[start:start + batch_size]
-            ]
-            engine.apply_batch(batch)
-        return
-    for op in ops:
-        if op.kind is OpKind.READ:
-            engine.get(op.key)
-        else:
-            engine.put(op.key, op.value)
+    run.drive()
+    return tracers, run.engine.stats(), registry.delta(before)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +74,7 @@ def verify_reconciliation(tracers: List[Tracer], stats: dict) -> dict:
     inconsistency raises AssertionError).
     """
     fleet = "fleet" in stats
-    target = stats["fleet"] if fleet else stats
+    target = fleet_totals(stats)
     core_seconds = [t.total_core_seconds() for t in tracers]
     traced_core = sum(core_seconds) if fleet else core_seconds[0]
     assert traced_core == target["core_seconds"], (
@@ -244,8 +185,16 @@ def cost_report(
         for tag, nbytes in tracer.machine.dram.by_tag().items():
             dram_by_tag[tag] = dram_by_tag.get(tag, 0) + nbytes
 
-    per_core_second = catalog.processor_dollars / cores
-    per_io = catalog.ssd_io_dollars / catalog.iops
+    def row(label: str, us: float, ios: int) -> str:
+        price = price_run(ops=op_count, cores=cores,
+                          core_seconds=us * 1e-6, elapsed_seconds=0.0,
+                          ssd_ios=ios, catalog=catalog)
+        return (
+            f"  {label:<14s} {us / op_count:>11.4f} "
+            f"{price.exec_dollars_per_op:>12.3e} "
+            f"{ios / op_count:>8.4f} {price.io_dollars_per_op:>12.3e}"
+        )
+
     lines = [
         "$ per op by component "
         f"({'fleet of ' + str(len(tracers)) + ' shards, ' if fleet else ''}"
@@ -270,25 +219,8 @@ def cost_report(
         ios = ios_by_component.get(component, 0)
         total_us += us
         total_ios += ios
-        exec_dollars = per_core_second * (us * 1e-6) / op_count \
-            if op_count else 0.0
-        io_dollars = per_io * ios / op_count if op_count else 0.0
-        lines.append(
-            f"  {component:<14s} {us / op_count if op_count else 0.0:>11.4f} "
-            f"{exec_dollars:>12.3e} "
-            f"{ios / op_count if op_count else 0.0:>8.4f} "
-            f"{io_dollars:>12.3e}"
-        )
-    total_exec = per_core_second * (total_us * 1e-6) / op_count \
-        if op_count else 0.0
-    total_io = per_io * total_ios / op_count if op_count else 0.0
-    lines.append(
-        f"  {'TOTAL':<14s} "
-        f"{total_us / op_count if op_count else 0.0:>11.4f} "
-        f"{total_exec:>12.3e} "
-        f"{total_ios / op_count if op_count else 0.0:>8.4f} "
-        f"{total_io:>12.3e}"
-    )
+        lines.append(row(component, us, ios))
+    lines.append(row("TOTAL", total_us, total_ios))
     lines.append("")
     lines.append("  DRAM rent (the Ps*$M storage term), resident bytes "
                  "by tag:")
@@ -299,7 +231,7 @@ def cost_report(
             f"  {tag:<18s} {nbytes:>12,d} "
             f"{nbytes * catalog.dram_per_byte:>12.3e}"
         )
-    target = stats["fleet"] if fleet else stats
+    target = fleet_totals(stats)
     lines.append("")
     lines.append(
         f"  reconciles with stats(): core_seconds="
@@ -326,11 +258,11 @@ def render_trees(tracers: List[Tracer], limit: int = 3) -> str:
 # ---------------------------------------------------------------------------
 
 def _smoke() -> int:
-    """Tiny CI run: single engine + 2-shard fleet, full reconciliation."""
-    for shards, batch in ((1, 0), (1, 16), (2, 16)):
-        tracers, stats, metrics = run_traced(
+    """Tiny CI run: bare engine + 2-shard fleet, full reconciliation."""
+    for shards, batch in ((0, 0), (0, 16), (2, 16)):
+        tracers, stats, metrics = run_traced(Scenario(
             seed=7, mix="a", record_count=64, op_count=200,
-            shards=shards, batch_size=batch)
+            shards=shards, batch_size=batch))
         verify_reconciliation(tracers, stats)
         counters = metrics["counters"]
         assert isinstance(counters, dict) and counters, (
@@ -355,7 +287,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         default="a")
     parser.add_argument("--records", type=int, default=400)
     parser.add_argument("--ops", type=int, default=1200)
-    parser.add_argument("--shards", type=int, default=1)
+    parser.add_argument("--shards", type=int, default=1,
+                        help="1 = one bare engine (default); N > 1 = an "
+                             "N-shard fleet behind the router")
     parser.add_argument("--batch-size", type=int, default=0,
                         help="0 = per-op replay (default); >1 groups ops "
                              "into apply_batch calls")
@@ -375,10 +309,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.shards < 1:
         parser.error("--shards must be >= 1")
 
-    tracers, stats, metrics = run_traced(
-        seed=args.seed, mix=args.mix, record_count=args.records,
-        op_count=args.ops, shards=args.shards,
-        batch_size=args.batch_size)
+    try:
+        scenario = Scenario(
+            seed=args.seed, mix=args.mix, record_count=args.records,
+            op_count=args.ops, shards=args.shards if args.shards > 1 else 0,
+            batch_size=args.batch_size)
+    except ValueError as exc:
+        parser.error(str(exc))
+    tracers, stats, metrics = run_traced(scenario)
     reconciliation = verify_reconciliation(tracers, stats)
 
     config = {

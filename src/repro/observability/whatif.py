@@ -53,20 +53,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.catalog import CostCatalog
-from ..deuteronomy.engine import DeuteronomyEngine
-from ..deuteronomy.tc import TcConfig
-from ..hardware.cpu import CostTable
-from ..hardware.machine import Machine
+from ..core.costmeter import price_run
 from ..hardware.ssd import SsdSpec
-from ..sharding.engine import LOG_TOPOLOGIES, ShardedEngine
-from ..workloads.ycsb import WorkloadGenerator
+from ..scenarios import (
+    ASYNC_COMMIT,
+    MIX_BUILDERS,
+    SYNC_COMMIT,
+    Scenario,
+    fleet_totals,
+)
+from ..sharding.engine import LOG_TOPOLOGIES
 from .spans import COMPONENT_OF_CATEGORY
-from .trace_cli import MIX_BUILDERS, _drive
 
 #: Pseudo-components naming hardware rather than CPU cost categories:
 #: ``ssd`` scales every simulated drive (data and, in a fleet, any log
@@ -119,64 +121,6 @@ class ChargeRecorder:
         self.events.append((category, microseconds))
 
 
-@dataclass(frozen=True)
-class WhatifConfig:
-    """One seeded scenario: workload mix + engine/fleet shape."""
-
-    seed: int = 7
-    mix: str = "a"
-    record_count: int = 400
-    op_count: int = 1200
-    shards: int = 1
-    batch_size: int = 16
-    cores: int = 4
-    commit: str = "sync"  # "sync" | "async" (commit pipeline)
-    log_topology: str = "colocated"
-    #: Commit-pipeline epoch window (None = TcConfig default).  Small
-    #: windows make epoch counts clock-sensitive — the deliberately
-    #: nonlinear regime the queueing contract exists for.
-    commit_interval_us: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.commit_interval_us is not None and self.commit != "async":
-            raise ValueError(
-                "commit_interval_us only applies to the commit pipeline "
-                "(commit='async')"
-            )
-        if self.mix not in MIX_BUILDERS:
-            raise ValueError(f"unknown mix {self.mix!r}; "
-                             f"expected one of {sorted(MIX_BUILDERS)}")
-        if self.commit not in ("sync", "async"):
-            raise ValueError(f"commit must be 'sync' or 'async', "
-                             f"got {self.commit!r}")
-        if self.shards < 1:
-            raise ValueError(f"need at least one shard, got {self.shards}")
-        if self.op_count < 1:
-            raise ValueError(f"need at least one op, got {self.op_count}")
-        if self.log_topology not in LOG_TOPOLOGIES:
-            raise ValueError(
-                f"unknown log topology {self.log_topology!r}; "
-                f"expected one of {LOG_TOPOLOGIES}"
-            )
-        if self.log_topology != "colocated" and self.shards < 2:
-            # Whatif's own rule: the single-engine path builds no
-            # ShardedEngine.  The pipeline and log_ssd_spec rules are the
-            # fleet constructor's and surface from run_scenario.
-            raise ValueError(
-                "dedicated/shared log topologies require a fleet "
-                "(shards >= 2)"
-            )
-
-    def label(self) -> str:
-        """Human-readable scenario tag used in reports."""
-        topo = ("" if self.log_topology == "colocated"
-                else f", {self.log_topology} log")
-        return (f"ycsb-{self.mix}, {self.shards} shard"
-                f"{'s' if self.shards != 1 else ''}, "
-                f"{self.commit} commit{topo}, {self.op_count} ops, "
-                f"seed {self.seed}")
-
-
 @dataclass
 class ShardView:
     """One shard machine's accounting over the measured window."""
@@ -198,7 +142,7 @@ class RunView:
     """A run's accounting, shaped so prediction and validation compare
     field-for-field (per shard plus fleet-level floors)."""
 
-    config: WhatifConfig
+    config: Scenario
     ops: int
     shards: List[ShardView]
     #: Shared log drive's total busy seconds (fleet elapsed floor;
@@ -245,7 +189,7 @@ class WhatifSummary:
 # ---------------------------------------------------------------------------
 
 def run_scenario(
-    config: WhatifConfig,
+    config: Scenario,
     cpu_factors: Optional[Mapping[str, float]] = None,
     ssd_factor: Optional[float] = None,
     log_factor: Optional[float] = None,
@@ -258,83 +202,30 @@ def run_scenario(
     machine; ``ssd_factor``/``log_factor`` build the run on
     :meth:`repro.hardware.ssd.SsdSpec.scaled` devices.  ``record``
     attaches a :class:`ChargeRecorder` per shard (baseline runs).
-    Scaling and recording both start *after* ``reset_accounting()`` so
-    the measured window matches the tracing baseline exactly.
+    Scaling and recording both start *after* ``prepare()`` resets
+    accounting, so the measured window matches the tracing baseline
+    exactly.
     """
     if ssd_factor is not None and log_factor is not None:
         raise ValueError("scale one device component at a time")
-    builder = MIX_BUILDERS[config.mix]
-    spec = builder(record_count=config.record_count, seed=config.seed)
-    generator = WorkloadGenerator(spec)
-    ops = list(generator.operations(config.op_count))
-
-    data_spec = SsdSpec() if ssd_factor is None else SsdSpec().scaled(ssd_factor)
-    if config.commit == "sync":
-        tc_config = TcConfig(sync_commit=True)
-    elif config.commit_interval_us is not None:
-        tc_config = TcConfig(commit_pipeline=True,
-                             commit_interval_us=config.commit_interval_us)
-    else:
-        tc_config = TcConfig(commit_pipeline=True)
-
-    fleet: Optional[ShardedEngine] = None
-    if config.shards <= 1:
-        if log_factor is not None:
-            raise ValueError(
-                "log_device scaling needs a fleet (shards >= 2) on a "
-                "dedicated/shared log topology"
-            )
-        machine = Machine(cores=config.cores, cost_table=CostTable(),
-                          ssd_spec=data_spec)
-        engine: object = DeuteronomyEngine(machine, tc_config=tc_config)
-        single = engine
-        assert isinstance(single, DeuteronomyEngine)
-        single.dc.bulk_load(generator.load_items())
-        machine.reset_accounting()
-        machines = [machine]
-    else:
-        log_spec = (SsdSpec().scaled(log_factor)
-                    if log_factor is not None else None)
-        fleet = ShardedEngine(
-            config.shards,
-            cores_per_shard=config.cores,
-            tc_config=tc_config,
-            machine_factory=lambda: Machine(
-                cores=config.cores, cost_table=CostTable(),
-                ssd_spec=data_spec),
-            log_topology=config.log_topology,
-            log_ssd_spec=log_spec,
-        )
-        engine = fleet
-        fleet.bulk_load(generator.load_items())
-        fleet.reset_accounting()
-        machines = [shard.machine for shard in fleet.shards]
-
+    run = config.prepare(
+        ssd_spec=(SsdSpec().scaled(ssd_factor)
+                  if ssd_factor is not None else None),
+        log_ssd_spec=(SsdSpec().scaled(log_factor)
+                      if log_factor is not None else None),
+    )
     recorders: List[Optional[ChargeRecorder]] = []
-    for machine in machines:
+    for machine in run.machines:
         recorder = ChargeRecorder() if record else None
         machine.cpu.sink = recorder
         recorders.append(recorder)
         if cpu_factors is not None:
             machine.cpu.scale_costs(dict(cpu_factors))
 
-    _drive(engine, ops, config.batch_size)
-    if fleet is not None:
-        fleet.drain_commits()
-        stats = fleet.stats()
-        shards = fleet.shards
-        shared = fleet.shared_log_busy_seconds
-    else:
-        single = engine
-        assert isinstance(single, DeuteronomyEngine)
-        if single.tc.pipeline is not None:
-            single.tc.pipeline.force()
-        stats = single.stats()
-        shards = [single]
-        shared = 0.0
+    run.drive()
 
     views: List[ShardView] = []
-    for index, shard in enumerate(shards):
+    for shard, recorder in zip(run.shards, recorders):
         machine = shard.machine
         pipeline = shard.tc.pipeline
         device = pipeline.device if pipeline is not None else None
@@ -345,7 +236,6 @@ def run_scenario(
             for name, value in machine.cpu.counters.snapshot().items()
             if name.startswith("cpu_us.")
         }
-        recorder = recorders[index]
         views.append(ShardView(
             cores=machine.cpu.cores,
             busy_us=machine.cpu.busy_us,
@@ -359,17 +249,18 @@ def run_scenario(
         config=config,
         ops=config.op_count,
         shards=views,
-        shared_log_busy_seconds=shared,
-        dram_bytes=sum(m.dram.current_bytes for m in machines),
+        shared_log_busy_seconds=(run.engine.shared_log_busy_seconds
+                                 if config.shards else 0.0),
+        dram_bytes=sum(m.dram.current_bytes for m in run.machines),
     )
-    _assert_mirrors_stats(view, stats)
+    _assert_mirrors_stats(view, run.engine.stats())
     return view
 
 
 def _assert_mirrors_stats(view: RunView, stats: dict) -> None:
     """The view must reproduce ``stats()`` accounting bit for bit —
     this is what makes predicted and actual summaries comparable."""
-    target = stats["fleet"] if "fleet" in stats else stats
+    target = fleet_totals(stats)
     core = sum(shard.busy_us * 1e-6 for shard in view.shards)
     assert core == target["core_seconds"], (
         f"view core-seconds {core!r} != stats {target['core_seconds']!r}"
@@ -403,27 +294,26 @@ def _fleet_elapsed(view: RunView) -> float:
 
 def summarize(view: RunView,
               catalog: Optional[CostCatalog] = None) -> WhatifSummary:
-    """Price a run in Eq. (4)-(5) terms.
-
-    * execution (``$P/ROPS``): ``$P * core_s / (cores * ops)``;
-    * I/O (``$I/IOPS``): ``$I * ios / (IOPS * ops)``;
-    * DRAM rent (``Ps*$M``): ``$M * resident_bytes * elapsed / ops``
-      (capital tied up for the run's duration, the bench's tiered-block
-      convention).
+    """Price a run in Eq. (4)-(5) terms
+    (:func:`repro.core.costmeter.price_run`: execution, data-SSD I/O and
+    DRAM rent — the terms a component speedup can move).
 
     Applied identically to baseline, predicted and validated views, so
     bit-equal inputs price to bit-equal dollars.
     """
-    catalog = catalog if catalog is not None else CostCatalog()
     ops = view.ops
-    cores = view.shards[0].cores
     core_seconds = sum(shard.busy_us * 1e-6 for shard in view.shards)
     ssd_ios = sum(shard.ssd_ios for shard in view.shards)
     elapsed = _fleet_elapsed(view)
-    exec_dollars = catalog.processor_dollars * core_seconds / (cores * ops)
-    io_dollars = catalog.ssd_io_dollars * ssd_ios / (catalog.iops * ops)
-    dram_dollars = (catalog.dram_per_byte * view.dram_bytes
-                    * elapsed / ops)
+    price = price_run(
+        ops=ops,
+        cores=view.shards[0].cores,
+        core_seconds=core_seconds,
+        elapsed_seconds=elapsed,
+        ssd_ios=ssd_ios,
+        dram_bytes=view.dram_bytes,
+        catalog=catalog,
+    )
     return WhatifSummary(
         ops=ops,
         core_seconds=core_seconds,
@@ -432,10 +322,10 @@ def summarize(view: RunView,
         dram_bytes=view.dram_bytes,
         ops_per_sec=(ops / elapsed) if elapsed else 0.0,
         core_us_per_op=core_seconds * 1e6 / ops,
-        exec_dollars_per_op=exec_dollars,
-        io_dollars_per_op=io_dollars,
-        dram_dollars_per_op=dram_dollars,
-        dollars_per_op=exec_dollars + io_dollars + dram_dollars,
+        exec_dollars_per_op=price.exec_dollars_per_op,
+        io_dollars_per_op=price.io_dollars_per_op,
+        dram_dollars_per_op=price.dram_dollars_per_op,
+        dollars_per_op=price.dollars_per_op,
     )
 
 
@@ -557,12 +447,12 @@ def _fold(
 # the prediction-vs-validation contract
 # ---------------------------------------------------------------------------
 
-def contract_for(config: WhatifConfig, component: str) -> str:
+def contract_for(config: Scenario, component: str) -> str:
     """Which agreement contract a (scenario, component) pair falls
     under (see module docstring)."""
     if component == DEVICE_LOG:
         return CONTRACT_QUEUEING
-    if config.commit == "async":
+    if config.tc_config.commit_pipeline:
         return CONTRACT_QUEUEING
     if component == DEVICE_SSD:
         return CONTRACT_FLOAT_ASSOC
@@ -658,7 +548,7 @@ def _scenario_kwargs(component: str, speedup: float) -> Dict[str, object]:
 
 
 def run_whatif(
-    config: WhatifConfig,
+    config: Scenario,
     components: Optional[Sequence[str]] = None,
     speedup: float = 2.0,
     validate: str = "top",
@@ -756,7 +646,7 @@ def run_whatif(
             "mix": f"ycsb-{config.mix}",
             "records": config.record_count,
             "ops": config.op_count,
-            "shards": config.shards,
+            "shards": max(config.shards, 1),
             "batch_size": config.batch_size,
             "cores": config.cores,
             "commit": config.commit,
@@ -854,8 +744,7 @@ def parse_speedup(spec: str) -> Tuple[str, float]:
 
 def _smoke() -> int:
     """Tiny CI run exercising every contract class end to end."""
-    sync = WhatifConfig(seed=7, mix="a", record_count=64, op_count=200,
-                        shards=1, batch_size=16)
+    sync = Scenario(seed=7, mix="a", record_count=64, op_count=200)
     result = run_whatif(sync, speedup=2.0, validate="all")
     assert result["components"], "sweep found no components"
     contracts = {v["contract"] for v in result["validated"]}
@@ -873,9 +762,10 @@ def _smoke() -> int:
     # with an epoch window small enough that speeding the Bw-tree up
     # shifts epoch counts — prediction and validation genuinely differ,
     # and must still agree within the documented tolerance.
-    shared = WhatifConfig(seed=7, mix="a", record_count=128, op_count=400,
-                          shards=2, batch_size=16, commit="async",
-                          log_topology="shared", commit_interval_us=0.5)
+    shared = Scenario(seed=7, mix="a", record_count=128, op_count=400,
+                      shards=2, log_topology="shared",
+                      tc_config=replace(ASYNC_COMMIT,
+                                        commit_interval_us=0.5))
     shared_result = run_whatif(shared, components=["bwtree", DEVICE_LOG],
                                speedup=2.0, validate="all")
     assert all(v["contract"] == CONTRACT_QUEUEING
@@ -907,7 +797,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--mix", choices=sorted(MIX_BUILDERS), default="a")
     parser.add_argument("--records", type=int, default=400)
     parser.add_argument("--ops", type=int, default=1200)
-    parser.add_argument("--shards", type=int, default=1)
+    parser.add_argument("--shards", type=int, default=1,
+                        help="1 = one bare engine (default); N > 1 = an "
+                             "N-shard fleet behind the router")
     parser.add_argument("--batch-size", type=int, default=16)
     parser.add_argument("--cores", type=int, default=4)
     parser.add_argument("--commit", choices=("sync", "async"),
@@ -941,11 +833,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                      "or --sweep")
 
     try:
-        config = WhatifConfig(
+        config = Scenario(
             seed=args.seed, mix=args.mix, record_count=args.records,
-            op_count=args.ops, shards=args.shards,
+            op_count=args.ops, shards=args.shards if args.shards > 1 else 0,
             batch_size=args.batch_size, cores=args.cores,
-            commit=args.commit, log_topology=args.log_topology,
+            tc_config=(ASYNC_COMMIT if args.commit == "async"
+                       else SYNC_COMMIT),
+            log_topology=args.log_topology,
         )
         if args.sweep:
             result = run_whatif(config, speedup=args.factor,

@@ -5,9 +5,9 @@ DeuteronomyEngine` shards behind a stable hash router; batched requests
 scatter once into per-shard sub-batches, ride each shard's group-commit
 path, and gather back in input order.  See ``router`` for the
 partitioning contract and ``engine`` for the fleet semantics.
-``ShardedEngine.attach_tracers`` puts one
-:class:`~repro.observability.spans.Tracer` on every shard machine;
-fleet traced totals reconcile with ``stats()['fleet']`` exactly.
+One :class:`~repro.observability.spans.Tracer` per shard machine
+(``repro trace`` attaches them) reconciles with ``stats()['fleet']``
+exactly: the fleet totals are the shard-order sums.
 """
 
 from .engine import ShardedEngine

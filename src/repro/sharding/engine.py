@@ -340,25 +340,6 @@ class ShardedEngine:
         for shard in self.shards:
             shard.machine.reset_accounting()
 
-    def attach_tracers(self, detailed: bool = False) -> list:
-        """Install one fresh tracer per shard machine; returns them in
-        shard order.
-
-        Per-shard tracers mirror each shard machine's accounting
-        bit-for-bit (attach right after :meth:`reset_accounting`), so
-        fleet reconciliation is the shard-order sum of per-shard totals —
-        the same sum :meth:`stats` computes for ``fleet`` keys.
-        ``detailed`` forwards to the tracer (per-charge category buckets).
-        """
-        from ..observability.spans import Tracer
-
-        tracers = []
-        for shard in self.shards:
-            tracer = Tracer(shard.machine, detailed=detailed)
-            shard.machine.attach_tracer(tracer)
-            tracers.append(tracer)
-        return tracers
-
     # --- recovery ------------------------------------------------------
 
     @classmethod

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bwtree import BwTree, BwTreeConfig
+from repro.bwtree import BwTreeConfig
 from repro.deuteronomy import DeuteronomyEngine, TcConfig
 from repro.faults import CrashError, FaultInjector, FaultPlan
 from repro.faults.matrix import (

@@ -24,6 +24,7 @@ from repro.observability.trace_cli import (
     run_traced,
     verify_reconciliation,
 )
+from repro.scenarios import Scenario
 
 
 def _spans(tracer: Tracer):
@@ -38,12 +39,14 @@ def _spans(tracer: Tracer):
 
 @pytest.mark.parametrize(
     "mix,shards,batch",
-    [("a", 1, 0), ("b", 1, 8), ("c", 1, 0), ("a", 4, 16)],
+    [("a", 0, 0), ("b", 0, 8), ("c", 0, 0), ("a", 4, 16)],
+    # Engine count in the id: shards=0 is the one bare engine.
+    ids=["a-1-0", "b-1-8", "c-1-0", "a-4-16"],
 )
 def test_traced_replay_reconciles_exactly(mix, shards, batch):
-    tracers, stats, metrics = run_traced(
+    tracers, stats, metrics = run_traced(Scenario(
         seed=11, mix=mix, record_count=64, op_count=160,
-        shards=shards, batch_size=batch)
+        shards=shards, batch_size=batch))
     summary = verify_reconciliation(tracers, stats)
     assert summary["core_seconds_exact"] is True
     assert summary["ssd_ios_exact"] is True
@@ -93,9 +96,9 @@ def test_default_mode_tracer_reconciles_too():
 
 
 def test_fleet_tracers_attach_per_shard_machine():
-    tracers, stats, __ = run_traced(
+    tracers, stats, __ = run_traced(Scenario(
         seed=3, mix="a", record_count=48, op_count=96,
-        shards=3, batch_size=12)
+        shards=3, batch_size=12))
     assert len(tracers) == 3
     machines = {id(t.machine) for t in tracers}
     assert len(machines) == 3

@@ -13,6 +13,8 @@ output; dispatch through ``python -m repro``).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,6 @@ from repro.observability.whatif import (
     DEVICE_LOG,
     DEVICE_SSD,
     QUEUEING_REL_TOL,
-    WhatifConfig,
     _scenario_kwargs,
     available_components,
     check_agreement,
@@ -38,21 +39,21 @@ from repro.observability.whatif import (
     run_whatif,
     summarize,
 )
+from repro.scenarios import ASYNC_COMMIT, Scenario
 
-SYNC_SINGLE = WhatifConfig(seed=11, mix="a", record_count=128,
-                           op_count=400)
-SYNC_FLEET = WhatifConfig(seed=11, mix="b", record_count=128,
-                          op_count=400, shards=4)
+SYNC_SINGLE = Scenario(seed=11, mix="a", record_count=128, op_count=400)
+SYNC_FLEET = Scenario(seed=11, mix="b", record_count=128, op_count=400,
+                      shards=4)
 #: The deliberately nonlinear scenario: two shards share one commit-log
 #: drive and the epoch window is tiny (0.5us), so speeding the CPU up
 #: shifts epoch boundaries and changes the device write count — a
 #: linear fold cannot see that.
-NONLINEAR = WhatifConfig(seed=7, mix="a", record_count=128, op_count=400,
-                         shards=2, commit="async", log_topology="shared",
-                         commit_interval_us=0.5)
+NONLINEAR = Scenario(seed=7, mix="a", record_count=128, op_count=400,
+                     shards=2, log_topology="shared",
+                     tc_config=replace(ASYNC_COMMIT, commit_interval_us=0.5))
 
 
-def _validate(config: WhatifConfig, component: str, speedup: float = 2.0):
+def _validate(config: Scenario, component: str, speedup: float = 2.0):
     """(predicted view, actual view, contract, agreement errors)."""
     baseline = run_scenario(config, record=True)
     predicted = predict(baseline, component, speedup)
@@ -113,9 +114,9 @@ class TestDeviceContracts:
         assert errors["ssd_ios_rel_err"] == 0.0
 
     def test_log_device_on_shared_topology(self):
-        config = WhatifConfig(seed=7, mix="a", record_count=128,
-                              op_count=400, shards=2, commit="async",
-                              log_topology="shared")
+        config = Scenario(seed=7, mix="a", record_count=128,
+                          op_count=400, shards=2, tc_config=ASYNC_COMMIT,
+                          log_topology="shared")
         __, __, contract, errors = _validate(config, DEVICE_LOG)
         assert contract == CONTRACT_QUEUEING
         assert errors["dollars_rel_err"] <= QUEUEING_REL_TOL
@@ -125,22 +126,22 @@ class TestDeviceContracts:
         assert DEVICE_LOG not in available_components(baseline)
 
     def test_log_topology_rules_surface_from_the_fleet_constructor(self):
-        """Whatif no longer re-implements ShardedEngine's two topology
-        rules; a bad fleet scenario fails with the constructor's error
-        and the single-engine path keeps its own guard."""
-        sync_shared = WhatifConfig(record_count=64, op_count=64, shards=2,
-                                   commit="sync", log_topology="shared")
+        """Nobody re-implements ShardedEngine's two topology rules; a
+        bad fleet scenario fails with the constructor's error and the
+        bare-engine path keeps its own guards."""
+        sync_shared = Scenario(record_count=64, op_count=64, shards=2,
+                               log_topology="shared")
         with pytest.raises(ValueError,
                            match="requires the commit pipeline"):
             run_scenario(sync_shared)
-        colocated_fleet = WhatifConfig(record_count=64, op_count=64,
-                                       shards=2, commit="async")
+        colocated_fleet = Scenario(record_count=64, op_count=64,
+                                   shards=2, tc_config=ASYNC_COMMIT)
         with pytest.raises(ValueError, match="log_ssd_spec"):
             run_scenario(colocated_fleet, log_factor=2.0)
         with pytest.raises(ValueError, match="needs a fleet"):
             run_scenario(SYNC_SINGLE, log_factor=2.0)
         with pytest.raises(ValueError, match="require a fleet"):
-            WhatifConfig(commit="async", log_topology="shared")
+            Scenario(tc_config=ASYNC_COMMIT, log_topology="shared")
 
 
 class TestQueueingContract:
@@ -148,8 +149,8 @@ class TestQueueingContract:
         """At the default 50us epoch window, boundary shifts do not
         change epoch counts — measured error is zero even though the
         contract stays ``queueing`` (linearity is not guaranteed)."""
-        config = WhatifConfig(seed=11, mix="a", record_count=128,
-                              op_count=400, shards=2, commit="async")
+        config = Scenario(seed=11, mix="a", record_count=128,
+                          op_count=400, shards=2, tc_config=ASYNC_COMMIT)
         __, __, contract, errors = _validate(config, "bwtree")
         assert contract == CONTRACT_QUEUEING
         assert errors["dollars_rel_err"] == 0.0
@@ -169,10 +170,10 @@ class TestQueueingContract:
     def test_pathological_window_fails_loudly(self):
         """Past the documented envelope the tool must refuse to bless
         the prediction, not stretch the tolerance."""
-        config = WhatifConfig(seed=7, mix="a", record_count=128,
-                              op_count=800, shards=2, commit="async",
-                              log_topology="shared",
-                              commit_interval_us=1.0)
+        config = Scenario(seed=7, mix="a", record_count=128,
+                          op_count=800, shards=2, log_topology="shared",
+                          tc_config=replace(ASYNC_COMMIT,
+                                            commit_interval_us=1.0))
         baseline = run_scenario(config, record=True)
         predicted = predict(baseline, "bwtree", 8.0)
         actual = run_scenario(config,
@@ -185,12 +186,12 @@ class TestNoOpProperty:
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**16),
            mix=st.sampled_from(["a", "b", "c"]),
-           shards=st.sampled_from([1, 2]))
+           shards=st.sampled_from([0, 2]))
     def test_1x_speedup_is_bit_for_bit_noop(self, seed, mix, shards):
         """Scaling by 1.0 must not perturb a single bit — predicted
         *and* actual runs both equal the baseline exactly."""
-        config = WhatifConfig(seed=seed, mix=mix, record_count=64,
-                              op_count=160, shards=shards)
+        config = Scenario(seed=seed, mix=mix, record_count=64,
+                          op_count=160, shards=shards)
         baseline = run_scenario(config, record=True)
         for component in available_components(baseline):
             predicted = predict(baseline, component, 1.0)
@@ -258,7 +259,7 @@ class TestCli:
         assert doc["validated"][0]["component"] == "bwtree"
         assert doc["validated"][0]["agreement"]["dollars_rel_err"] == 0.0
         result = run_whatif(
-            WhatifConfig(seed=11, mix="a", record_count=64, op_count=160),
+            Scenario(seed=11, mix="a", record_count=64, op_count=160),
             components=["bwtree"], speedup=2.0, validate="all")
         assert render_json(result).encode() == out.read_bytes()
         assert "top causal bottlenecks" not in render_json(result)
