@@ -15,11 +15,10 @@ import random
 
 from repro.bench import format_table
 from repro.core import (
+    Advisor,
     CacheSizingAdvisor,
     CostCatalog,
     CssParameters,
-    Tier,
-    TierAdvisor,
 )
 
 
@@ -42,13 +41,15 @@ def main() -> None:
     offered = 2_000.0                    # ops/sec across the whole store
     rates = zipfian_page_rates(pages, offered)
 
-    boundaries = TierAdvisor(catalog, css).boundaries()
+    advisor = CacheSizingAdvisor(catalog, css)
+    # The rate at which each class stops being the cheapest.
+    upper_rate = {cold: rate for __, cold, rate
+                  in Advisor(advisor.lines).boundaries()}
     print("Tier boundaries (accesses/sec per page):")
-    print(f"  CSS below {boundaries.css_to_ss_rate:.4g}, "
-          f"SS up to {boundaries.ss_to_mm_rate:.4g}, MM above "
-          f"(Ti = {1 / boundaries.ss_to_mm_rate:.0f} s)\n")
+    print(f"  CSS below {upper_rate['CSS']:.4g}, "
+          f"SS up to {upper_rate['SS']:.4g}, MM above "
+          f"(Ti = {1 / upper_rate['SS']:.0f} s)\n")
 
-    advisor = CacheSizingAdvisor(catalog, css, include_css=True)
     sized = advisor.size_for(rates)
     all_dram = advisor.cost_if_all_cached(rates)
     no_cache = advisor.cost_if_none_cached(rates)
@@ -57,7 +58,7 @@ def main() -> None:
     rows = [
         ["cost-optimal (this paper)", f"{sized.total_cost:.4g}",
          f"{sized.cache_bytes / 1e6:,.1f} MB",
-         f"{counts[Tier.MM]:,}/{counts[Tier.SS]:,}/{counts[Tier.CSS]:,}"],
+         f"{counts['MM']:,}/{counts['SS']:,}/{counts['CSS']:,}"],
         ["everything in DRAM", f"{all_dram:.4g}",
          f"{pages * catalog.page_bytes / 1e6:,.1f} MB", f"{pages:,}/0/0"],
         ["no cache (all SS)", f"{no_cache:.4g}", "0.0 MB",

@@ -26,11 +26,11 @@ Quickstart::
 
 from .bwtree import BwTree, BwTreeConfig, OpResult
 from .core import (
+    Advisor,
     CostCatalog,
+    CostLine,
     MixtureModel,
     OperationCostModel,
-    Tier,
-    TierAdvisor,
     breakeven_interval_seconds,
     breakeven_report,
 )
@@ -57,8 +57,8 @@ __all__ = [
     "CostCatalog",
     "OperationCostModel",
     "MixtureModel",
-    "TierAdvisor",
-    "Tier",
+    "CostLine",
+    "Advisor",
     "breakeven_report",
     "breakeven_interval_seconds",
     "WorkloadSpec",

@@ -7,22 +7,28 @@ SSD IOPS, and garbage-collection policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from ..bwtree.tree import BwTree, BwTreeConfig
 from ..core.breakeven import breakeven_interval_seconds, iops_price_sweep
 from ..core.catalog import CostCatalog
+from ..core.costmodel import (
+    Advisor,
+    CostLine,
+    OperationCostModel,
+    crossover,
+    logspace_rates,
+)
 from ..core.technology import (
-    CmmCostModel,
     CmmParameters,
-    FourTierAdvisor,
     HddParameters,
-    MemoryTier,
-    NvramCostModel,
     NvramParameters,
+    cmm_line,
     hdd_breakeven_interval_seconds,
     hdd_viability,
+    nvm_line,
+    nvram_in_ssd_savings_fraction,
 )
 from ..hardware.machine import Machine
 from ..workloads.ycsb import (
@@ -460,7 +466,7 @@ class A6Result:
     nvram_price_per_byte: float
     nvram_slowdown: float
     rates: List[float]
-    tiers: List[MemoryTier]
+    tiers: List[str]
     dram_vs_nvm_rate: float
     nvm_vs_ss_rate: float
     ssd_savings_fraction: float
@@ -469,18 +475,17 @@ class A6Result:
         """NVRAM wins a band between SS and DRAM; tiers never regress
         from hot back to cold; an NVRAM SSD saves under half the SS
         execution cost (the paper's two Section 8.2 claims)."""
-        order = [MemoryTier.CSS, MemoryTier.SS, MemoryTier.NVM,
-                 MemoryTier.DRAM]
+        order = ["CSS", "SS", "NVM", "DRAM"]
         positions = [order.index(tier) for tier in self.tiers]
         monotone = positions == sorted(positions)
         return (monotone
-                and MemoryTier.NVM in self.tiers
+                and "NVM" in self.tiers
                 and 0.0 < self.ssd_savings_fraction < 0.5
                 and self.nvm_vs_ss_rate < self.dram_vs_nvm_rate)
 
     def render(self) -> str:
         rows = [
-            [f"{rate:.4g}", str(tier)]
+            [f"{rate:.4g}", tier]
             for rate, tier in zip(self.rates, self.tiers)
         ]
         table = format_table(
@@ -503,20 +508,23 @@ class A6Result:
 def ablation_a6(nvram: Optional[NvramParameters] = None,
                 points: int = 25) -> A6Result:
     parameters = nvram if nvram is not None else NvramParameters()
-    advisor = FourTierAdvisor(nvram=parameters)
-    model = NvramCostModel(nvram=parameters)
-    low = model.nvm_vs_ss_breakeven_rate() / 100
-    high = model.dram_vs_nvm_breakeven_rate() * 100
-    from ..core.costmodel import logspace_rates
-    rates = logspace_rates(low, high, points)
+    model = OperationCostModel()
+    dram = replace(model.mm_line(), kind="DRAM")
+    nvm = nvm_line(nvram=parameters)
+    ss = model.ss_line()
+    advisor = Advisor([dram, nvm, ss, model.css_line()])
+    dram_vs_nvm_rate = crossover(dram, nvm)
+    nvm_vs_ss_rate = crossover(nvm, ss)
+    rates = logspace_rates(nvm_vs_ss_rate / 100, dram_vs_nvm_rate * 100,
+                           points)
     return A6Result(
         nvram_price_per_byte=parameters.price_per_byte,
         nvram_slowdown=parameters.slowdown,
         rates=rates,
-        tiers=advisor.tier_sequence(rates),
-        dram_vs_nvm_rate=model.dram_vs_nvm_breakeven_rate(),
-        nvm_vs_ss_rate=model.nvm_vs_ss_breakeven_rate(),
-        ssd_savings_fraction=model.nvram_in_ssd_savings_fraction(),
+        tiers=[advisor.tier_for_rate(rate) for rate in rates],
+        dram_vs_nvm_rate=dram_vs_nvm_rate,
+        nvm_vs_ss_rate=nvm_vs_ss_rate,
+        ssd_savings_fraction=nvram_in_ssd_savings_fraction(),
     )
 
 
@@ -636,23 +644,28 @@ class A8Result:
 
 def ablation_a8(compression_ratio: float = 0.5,
                 decompress_ratio: float = 3.0) -> A8Result:
-    model = CmmCostModel(cmm=CmmParameters(
-        compression_ratio=compression_ratio,
-        decompress_ratio=decompress_ratio,
-    ))
-    low = model.cmm_vs_ss_breakeven_rate()
-    high = model.mm_vs_cmm_breakeven_rate()
+    model = OperationCostModel()
+    mm, ss = model.mm_line(), model.ss_line()
+
+    def cmm_at(ratio: float) -> CostLine:
+        return cmm_line(cmm=CmmParameters(
+            compression_ratio=compression_ratio, decompress_ratio=ratio))
+
+    def wins_a_band(cmm: CostLine) -> bool:
+        """CMM is on the lower envelope of MM / CMM / SS."""
+        return any(cmm.kind in boundary[:2]
+                   for boundary in Advisor([mm, cmm, ss]).boundaries())
+
+    cmm = cmm_at(decompress_ratio)
+    low = crossover(cmm, ss)
+    high = crossover(mm, cmm)
     mid = (low * high) ** 0.5 if 0 < low < high < float("inf") else high
     # Find (coarsely) where the window closes as decompression gets dear.
     closes_at = decompress_ratio
     probe = decompress_ratio
     while probe < 1000:
         probe *= 2
-        candidate = CmmCostModel(cmm=CmmParameters(
-            compression_ratio=compression_ratio,
-            decompress_ratio=probe,
-        ))
-        if not candidate.has_winning_window():
+        if not wins_a_band(cmm_at(probe)):
             closes_at = probe
             break
     return A8Result(
@@ -660,10 +673,10 @@ def ablation_a8(compression_ratio: float = 0.5,
         decompress_ratio=decompress_ratio,
         window_low_rate=low,
         window_high_rate=high,
-        has_window=model.has_winning_window(),
-        mm_cost_mid=model.base.mm_cost(mid).total,
-        ss_cost_mid=model.base.ss_cost(mid).total,
-        cmm_cost_mid=model.cmm_cost(mid).total,
+        has_window=wins_a_band(cmm),
+        mm_cost_mid=mm.at(mid).total,
+        ss_cost_mid=ss.at(mid).total,
+        cmm_cost_mid=cmm.at(mid).total,
         no_window_decompress_ratio=closes_at,
     )
 

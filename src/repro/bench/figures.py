@@ -22,7 +22,12 @@ from ..core.calibration import (
     measure_px_mx,
 )
 from ..core.catalog import CostCatalog
-from ..core.costmodel import CssParameters, OperationCostModel, logspace_rates
+from ..core.costmodel import (
+    CssParameters,
+    OperationCostModel,
+    crossover,
+    logspace_rates,
+)
 from ..core.mainmemory import MainMemoryComparison, paper_comparison
 from ..core.mixture import MixtureModel
 from ..hardware.iopath import IoPathKind
@@ -194,11 +199,11 @@ def figure2(catalog: Optional[CostCatalog] = None,
     rates = logspace_rates(report.rate_ops_per_sec / 100,
                            report.rate_ops_per_sec * 100, points)
     model = OperationCostModel(cat)
-    curves = model.curves(rates)
+    mm, ss = model.mm_line(), model.ss_line()
     return Figure2Result(
         rates=rates,
-        mm_costs=curves["MM"],
-        ss_costs=curves["SS"],
+        mm_costs=mm.totals(rates),
+        ss_costs=ss.totals(rates),
         breakeven_rate=report.rate_ops_per_sec,
         breakeven_interval=report.interval_seconds,
     )
@@ -273,7 +278,8 @@ def figure3(record_count: int = 20_000,
     crossover_paper = paper.breakeven_rate_ops_per_sec(database_bytes)
     rates = logspace_rates(crossover_measured / 30,
                            crossover_measured * 30, points)
-    curves = measured.curves(rates, database_bytes)
+    bwtree = measured.bwtree_line(database_bytes)
+    masstree = measured.masstree_line(database_bytes)
     return Figure3Result(
         comparison_paper=paper,
         comparison_measured=measured,
@@ -281,8 +287,8 @@ def figure3(record_count: int = 20_000,
         mx_measured=measurement.mx,
         database_bytes=database_bytes,
         rates=rates,
-        bwtree_costs=curves["bwtree"],
-        masstree_costs=curves["masstree"],
+        bwtree_costs=bwtree.totals(rates),
+        masstree_costs=masstree.totals(rates),
         crossover_paper=crossover_paper,
         crossover_measured=crossover_measured,
     )
@@ -354,16 +360,15 @@ def figure7(record_count: int = 20_000,
     rates = logspace_rates(min(be_user, be_kernel) / 50,
                            max(be_user, be_kernel) * 50, points)
     model_user = OperationCostModel(cat_user)
-    model_kernel = OperationCostModel(cat_kernel)
+    mm, ss_user = model_user.mm_line(), model_user.ss_line()
+    ss_kernel = OperationCostModel(cat_kernel).ss_line()
     return Figure7Result(
         r_kernel=r_kernel,
         r_user=r_user,
         rates=rates,
-        mm_costs=[model_user.mm_cost(rate).total for rate in rates],
-        ss_costs_kernel=[
-            model_kernel.ss_cost(rate).total for rate in rates
-        ],
-        ss_costs_user=[model_user.ss_cost(rate).total for rate in rates],
+        mm_costs=mm.totals(rates),
+        ss_costs_kernel=ss_kernel.totals(rates),
+        ss_costs_user=ss_user.totals(rates),
         breakeven_kernel=be_kernel,
         breakeven_user=be_user,
     )
@@ -448,21 +453,18 @@ def figure8(record_count: int = 2_000, value_bytes: int = 100,
     r_css = cat.r + decompress_us / mm_core_us
     css = CssParameters(compression_ratio=deflate.ratio, r_css=r_css)
     model = OperationCostModel(cat, css)
-    from ..core.tiers import TierAdvisor
-    advisor = TierAdvisor(cat, css, include_css=True)
-    boundaries = advisor.boundaries()
-    low = boundaries.css_to_ss_rate / 50
-    high = boundaries.ss_to_mm_rate * 50
-    rates = logspace_rates(low, high, points)
-    curves = model.curves(rates, include_css=True)
+    mm, ss, css_line = model.mm_line(), model.ss_line(), model.css_line()
+    css_to_ss_rate = crossover(ss, css_line)
+    ss_to_mm_rate = crossover(mm, ss)
+    rates = logspace_rates(css_to_ss_rate / 50, ss_to_mm_rate * 50, points)
     return Figure8Result(
         compression_ratio_rle=rle.ratio,
         compression_ratio_deflate=deflate.ratio,
         r_css=r_css,
         rates=rates,
-        mm_costs=curves["MM"],
-        ss_costs=curves["SS"],
-        css_costs=curves["CSS"],
-        css_to_ss_rate=boundaries.css_to_ss_rate,
-        ss_to_mm_rate=boundaries.ss_to_mm_rate,
+        mm_costs=mm.totals(rates),
+        ss_costs=ss.totals(rates),
+        css_costs=css_line.totals(rates),
+        css_to_ss_rate=css_to_ss_rate,
+        ss_to_mm_rate=ss_to_mm_rate,
     )

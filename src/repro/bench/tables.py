@@ -13,7 +13,6 @@ from typing import Dict, List, Optional
 from ..core.breakeven import (
     breakeven_report,
     classic_gray_interval_seconds,
-    crossover_rate,
     record_cache_breakeven_seconds,
 )
 from ..core.calibration import (
@@ -25,6 +24,7 @@ from ..core.calibration import (
     measure_px_mx,
 )
 from ..core.catalog import CostCatalog
+from ..core.costmodel import OperationCostModel, crossover
 from ..core.mainmemory import paper_comparison
 from ..hardware.iopath import IoPathKind
 from .reporting import format_table
@@ -137,6 +137,7 @@ class Table2Result:
 def table2(catalog: Optional[CostCatalog] = None) -> Table2Result:
     cat = catalog if catalog is not None else CostCatalog()
     report = breakeven_report(cat)
+    model = OperationCostModel(cat)
     return Table2Result(
         catalog=cat,
         interval_seconds=report.interval_seconds,
@@ -145,7 +146,7 @@ def table2(catalog: Optional[CostCatalog] = None) -> Table2Result:
         execution_ratio=report.execution_cost_ratio,
         gray_interval=classic_gray_interval_seconds(cat),
         record_cache_interval_10=record_cache_breakeven_seconds(cat, 10),
-        crossover_check=crossover_rate(cat),
+        crossover_check=crossover(model.mm_line(), model.ss_line()),
     )
 
 

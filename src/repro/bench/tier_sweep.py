@@ -5,10 +5,10 @@ preset storage hierarchies (:class:`~repro.hardware.tiers.
 StorageHierarchy`), Figure-2 style: one row per tier pair with the
 breakeven interval, the breakeven rate, and how much of the interval the
 CPU path contributes — the paper's headline observation, extended to
-2026 hardware.  A logspace rate sweep then shows which tier the
-:class:`~repro.core.tiers.NTierAdvisor` picks across eight decades of
-access rate, which is the demotion policy the engine's page cache
-executes (``demote_to_tiers``).
+2026 hardware.  A logspace rate sweep then shows which of the
+hierarchy's cost lines (:func:`~repro.core.tiers.hierarchy_lines`) is
+cheapest across eight decades of access rate, which is the demotion
+policy the engine's page cache executes (``demote_to_tiers``).
 
 Everything is closed-form arithmetic on the virtual cost catalog — no
 randomness, no wall clock — so the output is byte-deterministic
@@ -24,10 +24,11 @@ from typing import List, Optional
 from ..core.breakeven import (
     breakeven_interval_seconds,
     hierarchy_breakeven_surface,
+    tier_pair_breakeven,
 )
 from ..core.catalog import CostCatalog
-from ..core.costmodel import logspace_rates
-from ..core.tiers import NTierAdvisor
+from ..core.costmodel import Advisor, cheapest, logspace_rates
+from ..core.tiers import hierarchy_lines
 from ..hardware.tiers import StorageHierarchy
 
 #: The hierarchies the sweep covers, in render order.
@@ -70,13 +71,12 @@ def render_surface(catalog: Optional[CostCatalog] = None) -> str:
             )
     lines.append("")
     lines.append("cheapest tier by access rate (modern-2026 advisor)")
-    advisor = NTierAdvisor(_hierarchy("modern-2026"), cat)
+    modern = hierarchy_lines(_hierarchy("modern-2026"), cat)
     for rate in logspace_rates(1e-6, 1e2, 9):
-        tier = advisor.tier_for_rate(rate)
-        cost = advisor.cost(tier, rate).total
+        winner = cheapest(modern, rate)
         lines.append(
-            f"  {rate:>12.2e} ops/s -> {tier.name:<16s} "
-            f"(${cost:.3e}/page)"
+            f"  {rate:>12.2e} ops/s -> {winner.kind:<16s} "
+            f"(${winner.total:.3e}/page)"
         )
     return "\n".join(lines)
 
@@ -108,27 +108,41 @@ def smoke_check(catalog: Optional[CostCatalog] = None) -> List[str]:
         failures.append(
             f"modern-2026 surface has {len(modern)} pairs, expected >= 3"
         )
-    # 3. The advisor's argmin agrees with the per-pair thresholds and is
-    #    monotone in rate (the demotion policy is a threshold policy).
-    advisor = NTierAdvisor(_hierarchy("modern-2026"), cat)
-    order = [tier.name for tier in advisor.hierarchy]
-    previous = len(order) - 1
-    for rate in logspace_rates(1e-8, 1e4, 121):
-        tier = advisor.tier_for_rate(rate)
-        costs = advisor.costs_at(rate)
-        cheapest = min(costs, key=lambda name: costs[name])
-        if costs[tier.name] != costs[cheapest]:
-            failures.append(
-                f"advisor chose {tier.name} at {rate:.3e}/s but "
-                f"{cheapest} is cheaper"
-            )
-        index = order.index(tier.name)
-        if index > previous:
-            failures.append(
-                f"advisor tier moved down-stack as rate rose at "
-                f"{rate:.3e}/s"
-            )
-        previous = index
+    # 3. The advisor agrees with the per-pair thresholds: wherever both
+    #    tiers of an adjacent pair are on the lower envelope the boundary
+    #    rate is 1 / tier_pair_breakeven, the winner flips from the colder
+    #    to the hotter tier across it, and the winner only ever moves
+    #    up-stack as the rate rises (demotion is a threshold policy).
+    for preset in PRESETS:
+        hierarchy = _hierarchy(preset)
+        advisor = Advisor(hierarchy_lines(hierarchy, cat))
+        order = [tier.name for tier in hierarchy]
+        for hot, cold, rate in advisor.boundaries():
+            if order.index(cold) - order.index(hot) == 1:
+                closed_form = 1.0 / tier_pair_breakeven(
+                    hierarchy.get(hot), hierarchy.get(cold), cat)
+                if abs(rate / closed_form - 1.0) > 1e-12:
+                    failures.append(
+                        f"{preset}: {hot}/{cold} envelope boundary "
+                        f"{rate!r} != 1 / tier_pair_breakeven "
+                        f"{closed_form!r}"
+                    )
+            below = advisor.tier_for_rate(rate * 0.99)
+            above = advisor.tier_for_rate(rate * 1.01)
+            if (below, above) != (cold, hot):
+                failures.append(
+                    f"{preset}: winner goes {below} -> {above} across "
+                    f"the {hot}/{cold} boundary at {rate:.3e}/s"
+                )
+        previous = len(order) - 1
+        for rate in logspace_rates(1e-8, 1e4, 121):
+            index = order.index(advisor.tier_for_rate(rate))
+            if index > previous:
+                failures.append(
+                    f"{preset}: advisor tier moved down-stack as rate "
+                    f"rose at {rate:.3e}/s"
+                )
+            previous = index
     # 4. Deterministic render: two evaluations are byte-identical.
     if render_surface(cat) != render_surface(cat):
         failures.append("render_surface is not deterministic")
@@ -146,8 +160,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--smoke", action="store_true",
         help="assert the CI invariants (exact Eq. 6 reduction, monotone "
-             "surface, advisor/argmin agreement) and exit non-zero on "
-             "failure",
+             "surface, advisor/per-pair threshold agreement) and exit "
+             "non-zero on failure",
     )
     args = parser.parse_args(argv)
     print(render_surface())

@@ -2,10 +2,12 @@
 
 * :mod:`catalog` — infrastructure prices and measured quantities (§3.1, §4.1)
 * :mod:`mixture` — mixed MM/SS workload throughput and R derivation (§2)
-* :mod:`costmodel` — MM / SS / CSS operation pricing (§3.2, §7.2)
+* :mod:`costmodel` — every operation class as a ``CostLine``; the one
+  ``crossover`` and the one ``Advisor`` over them (§3.2, §7.2)
 * :mod:`breakeven` — the updated five-minute rule (§4.2)
 * :mod:`mainmemory` — Bw-tree vs MassTree crossover (§5)
-* :mod:`tiers` — tier selection and cost-optimal cache sizing
+* :mod:`technology` — NVRAM, HDD and compressed-memory lines (§7.2, §8)
+* :mod:`tiers` — N-tier hierarchy lines and cost-optimal cache sizing
 * :mod:`calibration` — measuring the model's inputs from the simulator
 """
 
@@ -21,7 +23,6 @@ from .breakeven import (
     breakeven_rate_ops_per_sec,
     breakeven_report,
     classic_gray_interval_seconds,
-    crossover_rate,
     hierarchy_breakeven_surface,
     iops_price_sweep,
     page_size_sweep,
@@ -45,9 +46,13 @@ from .calibration import (
 from .catalog import CostCatalog
 from .costmeter import CostBill, RunPrice, meter_bill, price_run
 from .costmodel import (
+    Advisor,
+    CostLine,
     CssParameters,
     OperationCost,
     OperationCostModel,
+    cheapest,
+    crossover,
     logspace_rates,
 )
 from .mainmemory import MainMemoryComparison, paper_comparison
@@ -69,30 +74,26 @@ from .sensitivity import (
     tornado,
 )
 from .technology import (
-    CmmCostModel,
     CmmParameters,
-    FourTierAdvisor,
     HddParameters,
     HddViabilityReport,
-    MemoryTier,
-    NvramCostModel,
     NvramParameters,
+    cmm_line,
     hdd_breakeven_interval_seconds,
     hdd_viability,
+    nvm_line,
+    nvram_in_ssd_savings_fraction,
 )
-from .tiers import (
-    CacheSizingAdvisor,
-    CacheSizingResult,
-    NTierAdvisor,
-    Tier,
-    TierAdvisor,
-    TierBoundaries,
-)
+from .tiers import CacheSizingAdvisor, CacheSizingResult, hierarchy_lines
 
 __all__ = [
     "CostCatalog",
     "OperationCostModel",
     "OperationCost",
+    "CostLine",
+    "crossover",
+    "cheapest",
+    "Advisor",
     "CssParameters",
     "logspace_rates",
     "MixtureModel",
@@ -107,31 +108,26 @@ __all__ = [
     "breakeven_rate_ops_per_sec",
     "breakeven_report",
     "classic_gray_interval_seconds",
-    "crossover_rate",
     "record_cache_breakeven_seconds",
     "page_size_sweep",
     "iops_price_sweep",
     "TierPairBreakeven",
     "tier_pair_breakeven",
     "hierarchy_breakeven_surface",
-    "NTierAdvisor",
+    "hierarchy_lines",
     "MainMemoryComparison",
     "paper_comparison",
-    "Tier",
-    "TierAdvisor",
-    "TierBoundaries",
     "CacheSizingAdvisor",
     "CacheSizingResult",
     "NvramParameters",
-    "NvramCostModel",
-    "MemoryTier",
-    "FourTierAdvisor",
+    "nvm_line",
+    "nvram_in_ssd_savings_fraction",
     "HddParameters",
     "HddViabilityReport",
     "hdd_viability",
     "hdd_breakeven_interval_seconds",
     "CmmParameters",
-    "CmmCostModel",
+    "cmm_line",
     "AdaptiveCacheController",
     "PacedDriver",
     "PacedPhaseStats",

@@ -31,7 +31,6 @@ field named instead of silently producing a wrong interval.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
@@ -180,20 +179,6 @@ def iops_price_sweep(catalog: CostCatalog,
     ]
 
 
-def crossover_rate(catalog: CostCatalog) -> float:
-    """The rate where Equation (4) equals Equation (5), solved directly.
-
-    Provided as a cross-check on :func:`breakeven_rate_ops_per_sec`: the
-    two derivations must agree to float precision.
-    """
-    storage_gap = (catalog.mm_storage_cost() - catalog.ss_storage_cost())
-    execution_gap = (catalog.ss_execution_cost_per_op
-                     - catalog.mm_execution_cost_per_op)
-    if execution_gap <= 0:
-        return math.inf
-    return storage_gap / execution_gap
-
-
 # ---------------------------------------------------------------------------
 # N-tier generalization
 # ---------------------------------------------------------------------------
@@ -214,9 +199,10 @@ class TierPairBreakeven:
         return self.cpu_term_seconds / self.interval_seconds
 
 
-def tier_pair_breakeven(upper: "TierSpec", lower: "TierSpec",
-                        catalog: CostCatalog | None = None) -> float:
-    """Equation (6) between two adjacent tiers of a hierarchy.
+def _tier_pair_terms(upper: "TierSpec", lower: "TierSpec",
+                     catalog: CostCatalog | None = None
+                     ) -> Tuple[float, float]:
+    """Equation (6)'s (I/O term, CPU term) between two adjacent tiers.
 
     The derivation is the paper's, with the DRAM/SSD constants replaced
     by the pair's:
@@ -232,8 +218,8 @@ def tier_pair_breakeven(upper: "TierSpec", lower: "TierSpec",
       the paper's ``(R - 1)``.
 
     Over :meth:`~repro.hardware.tiers.StorageHierarchy.paper_2018`'s
-    single DRAM/NVMe boundary this reduces *exactly* (bit-for-bit) to
-    :func:`breakeven_interval_seconds` — pinned by a test.
+    single DRAM/NVMe boundary the sum reduces *exactly* (bit-for-bit)
+    to :func:`breakeven_interval_seconds` — pinned by a test.
     """
     cat = catalog if catalog is not None else CostCatalog()
     _validate_catalog(cat)
@@ -265,6 +251,17 @@ def tier_pair_breakeven(upper: "TierSpec", lower: "TierSpec",
             f"tier {lower.name!r} has cheaper access capital than "
             f"{upper.name!r}: the tiers are mis-ordered"
         )
+    return io_term, cpu_term
+
+
+def tier_pair_breakeven(upper: "TierSpec", lower: "TierSpec",
+                        catalog: CostCatalog | None = None) -> float:
+    """Equation (6) between two adjacent tiers: the breakeven interval.
+
+    The page cache turns this value into its runtime demotion
+    thresholds, so its bits are pinned by tests.
+    """
+    io_term, cpu_term = _tier_pair_terms(upper, lower, catalog)
     return io_term + cpu_term
 
 
@@ -275,25 +272,20 @@ def hierarchy_breakeven_surface(
 
     For any valid :class:`~repro.hardware.tiers.StorageHierarchy` the
     intervals increase monotonically down the stack (colder boundaries
-    break even at longer intervals), which is what makes the threshold
-    demotion policy in :class:`repro.core.tiers.NTierAdvisor` optimal.
+    break even at longer intervals), which is what makes threshold
+    demotion the same policy as the argmin over
+    :func:`repro.core.tiers.hierarchy_lines`.
     """
-    cat = catalog if catalog is not None else CostCatalog()
     rows: List[TierPairBreakeven] = []
     for upper, lower in hierarchy.pairs():
-        interval = tier_pair_breakeven(upper, lower, cat)
-        rent_gap = upper.dollars_per_byte - (
-            0.0 if lower.durable_home else lower.dollars_per_byte
-        )
-        denom = rent_gap * cat.page_bytes
-        io_term = (lower.io_dollars / lower.iops
-                   - upper.io_dollars / upper.iops) / denom
+        io_term, cpu_term = _tier_pair_terms(upper, lower, catalog)
+        interval = io_term + cpu_term
         rows.append(TierPairBreakeven(
             upper=upper.name,
             lower=lower.name,
             interval_seconds=interval,
             rate_ops_per_sec=1.0 / interval,
             io_term_seconds=io_term,
-            cpu_term_seconds=interval - io_term,
+            cpu_term_seconds=cpu_term,
         ))
     return rows

@@ -12,15 +12,18 @@ expansion Mx against its performance gain Px:
 
 With the paper's Px ~ 2.6 and Mx ~ 2.1 this collapses to Ti ~ 8.3e3 / S
 (Equation 8): the bigger the database, the higher the access rate has to be
-before MassTree's faster-but-fatter design wins.
+before MassTree's faster-but-fatter design wins.  Equation (7) stays in
+its closed form (``BENCH_engine.json`` reads it); the two
+:class:`~repro.core.costmodel.CostLine` constructors price Figure 3, and
+a test pins their :func:`~repro.core.costmodel.crossover` to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
 
 from .catalog import CostCatalog
+from .costmodel import CostLine
 
 
 @dataclass(frozen=True)
@@ -63,40 +66,20 @@ class MainMemoryComparison:
         """The access rate above which MassTree is cheaper."""
         return 1.0 / self.breakeven_interval_seconds(database_bytes)
 
-    # --- the two cost lines (Figure 3) -------------------------------------
+    # --- the two whole-database cost lines (Figure 3) --------------------
 
-    def bwtree_cost(self, rate_ops_per_sec: float,
-                    database_bytes: float) -> float:
+    def bwtree_line(self, database_bytes: float) -> CostLine:
         """$DM per second: whole-database DRAM rental + execution."""
         cat = self.catalog
-        return (database_bytes * cat.dram_per_byte
-                + rate_ops_per_sec * cat.mm_execution_cost_per_op)
+        return CostLine("bwtree", database_bytes * cat.dram_per_byte,
+                        cat.mm_execution_cost_per_op)
 
-    def masstree_cost(self, rate_ops_per_sec: float,
-                      database_bytes: float) -> float:
+    def masstree_line(self, database_bytes: float) -> CostLine:
         """$MTM per second: expanded DRAM rental + faster execution."""
         cat = self.catalog
-        return (self.mx * database_bytes * cat.dram_per_byte
-                + rate_ops_per_sec * cat.mm_execution_cost_per_op / self.px)
-
-    def curves(self, rates: Sequence[float],
-               database_bytes: float) -> Dict[str, List[float]]:
-        """Cost series for both systems over access rates (Figure 3)."""
-        return {
-            "rates": list(rates),
-            "bwtree": [
-                self.bwtree_cost(rate, database_bytes) for rate in rates
-            ],
-            "masstree": [
-                self.masstree_cost(rate, database_bytes) for rate in rates
-            ],
-        }
-
-    def cheaper_system(self, rate_ops_per_sec: float,
-                       database_bytes: float) -> str:
-        bw = self.bwtree_cost(rate_ops_per_sec, database_bytes)
-        mt = self.masstree_cost(rate_ops_per_sec, database_bytes)
-        return "masstree" if mt < bw else "bwtree"
+        return CostLine("masstree",
+                        self.mx * database_bytes * cat.dram_per_byte,
+                        cat.mm_execution_cost_per_op / self.px)
 
 
 def paper_comparison(catalog: CostCatalog | None = None

@@ -14,19 +14,19 @@ DRAM+flash:
   operation class between MM and SS.
 
 Everything here reuses the Equation (4)/(5) structure: a storage rental
-term plus a rate-scaled execution term, so every pairwise breakeven has
-the Equation (6) closed form.
+term plus a rate-scaled execution term — a
+:class:`~repro.core.costmodel.CostLine` — so every pairwise breakeven is
+:func:`~repro.core.costmodel.crossover` of two lines.
 """
 
 from __future__ import annotations
 
-import enum
-import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional
 
+from .breakeven import breakeven_interval_seconds
 from .catalog import CostCatalog
-from .costmodel import CssParameters, OperationCost, OperationCostModel
+from .costmodel import CostLine
 
 
 # ----------------------------------------------------------------------
@@ -55,120 +55,38 @@ class NvramParameters:
             )
 
 
-class NvramCostModel:
-    """Prices the NVM operation class next to MM and SS."""
+def nvm_line(catalog: Optional[CostCatalog] = None,
+             nvram: Optional[NvramParameters] = None) -> CostLine:
+    """An operation on NVRAM-resident data: no I/O, slower execution.
 
-    def __init__(self, catalog: Optional[CostCatalog] = None,
-                 nvram: Optional[NvramParameters] = None) -> None:
-        self.catalog = catalog if catalog is not None else CostCatalog()
-        self.nvram = nvram if nvram is not None else NvramParameters()
-        self.base = OperationCostModel(self.catalog)
-
-    def nvm_cost(self, rate_ops_per_sec: float,
-                 nbytes: float | None = None) -> OperationCost:
-        """An operation on NVRAM-resident data: no I/O, slower execution."""
-        if rate_ops_per_sec < 0:
-            raise ValueError("access rate cannot be negative")
-        cat = self.catalog
-        size = cat.page_bytes if nbytes is None else nbytes
-        return OperationCost(
-            kind="NVM",
-            rate_ops_per_sec=rate_ops_per_sec,
-            storage_cost=self.nvram.price_per_byte * size,
-            execution_cost=(rate_ops_per_sec * self.nvram.slowdown
-                            * cat.mm_execution_cost_per_op),
-        )
-
-    # --- pairwise breakevens ---------------------------------------------
-
-    def dram_vs_nvm_breakeven_rate(self) -> float:
-        """Above this rate, DRAM (plus a flash copy) beats NVRAM.
-
-        Storage gap: (M + Fl − NV)·Ps;  execution gap: (slowdown−1)·P/ROPS.
-        """
-        cat = self.catalog
-        storage_gap = (
-            (cat.dram_per_byte + cat.flash_per_byte
-             - self.nvram.price_per_byte) * cat.page_bytes
-        )
-        execution_gap = (
-            (self.nvram.slowdown - 1.0) * cat.mm_execution_cost_per_op
-        )
-        if storage_gap <= 0:
-            return 0.0      # NVRAM costs as much as DRAM: never wins
-        if execution_gap <= 0:
-            return math.inf  # NVRAM as fast as DRAM: always wins
-        return storage_gap / execution_gap
-
-    def nvm_vs_ss_breakeven_rate(self) -> float:
-        """Above this rate, NVRAM beats flash-with-I/O.
-
-        NVRAM pays more for bytes but nothing for the I/O path; the paper's
-        point that "fetching data from NVRAM has much lower cost ... than
-        an SS operation".
-        """
-        cat = self.catalog
-        storage_gap = (
-            (self.nvram.price_per_byte - cat.flash_per_byte)
-            * cat.page_bytes
-        )
-        execution_gap = (
-            cat.ss_execution_cost_per_op
-            - self.nvram.slowdown * cat.mm_execution_cost_per_op
-        )
-        if execution_gap <= 0:
-            return math.inf  # NVRAM ops cost as much as SS ops: never wins
-        return storage_gap / execution_gap
-
-    def nvram_in_ssd_savings_fraction(self) -> float:
-        """How much an NVRAM-based SSD would cut the SS *execution* cost.
-
-        Modelled as removing the device's contribution but keeping the
-        whole software path — the paper's argument for why NVRAM is
-        unlikely to displace flash inside SSDs: "the cost of accessing an
-        SSD is high largely because of the execution cost of an I/O, so
-        little access cost is saved".
-        """
-        cat = self.catalog
-        full = cat.ss_execution_cost_per_op
-        without_device = cat.r * cat.mm_execution_cost_per_op
-        return 1.0 - without_device / full
+    NVRAM pays more for bytes than flash but nothing for the I/O path —
+    the paper's point that "fetching data from NVRAM has much lower cost
+    ... than an SS operation" — and, being persistent, rents no flash
+    copy, which is what lets it undercut DRAM below some access rate.
+    """
+    cat = catalog if catalog is not None else CostCatalog()
+    parameters = nvram if nvram is not None else NvramParameters()
+    return CostLine(
+        "NVM",
+        parameters.price_per_byte * cat.page_bytes,
+        parameters.slowdown * cat.mm_execution_cost_per_op,
+    )
 
 
-class MemoryTier(enum.Enum):
-    DRAM = "DRAM"
-    NVM = "NVM"
-    SS = "SS"
-    CSS = "CSS"
+def nvram_in_ssd_savings_fraction(
+        catalog: Optional[CostCatalog] = None) -> float:
+    """How much an NVRAM-based SSD would cut the SS *execution* cost.
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
-
-class FourTierAdvisor:
-    """Cheapest of DRAM / NVM / SS / CSS at a given per-page access rate."""
-
-    def __init__(self, catalog: Optional[CostCatalog] = None,
-                 nvram: Optional[NvramParameters] = None,
-                 css: Optional[CssParameters] = None) -> None:
-        self.catalog = catalog if catalog is not None else CostCatalog()
-        self.nvm_model = NvramCostModel(self.catalog, nvram)
-        self.base_model = OperationCostModel(self.catalog, css)
-
-    def costs_at(self, rate: float) -> Dict[MemoryTier, float]:
-        return {
-            MemoryTier.DRAM: self.base_model.mm_cost(rate).total,
-            MemoryTier.NVM: self.nvm_model.nvm_cost(rate).total,
-            MemoryTier.SS: self.base_model.ss_cost(rate).total,
-            MemoryTier.CSS: self.base_model.css_cost(rate).total,
-        }
-
-    def tier_for_rate(self, rate: float) -> MemoryTier:
-        costs = self.costs_at(rate)
-        return min(costs, key=lambda tier: costs[tier])
-
-    def tier_sequence(self, rates: Sequence[float]) -> List[MemoryTier]:
-        return [self.tier_for_rate(rate) for rate in rates]
+    Modelled as removing the device's contribution but keeping the
+    whole software path — the paper's argument for why NVRAM is
+    unlikely to displace flash inside SSDs: "the cost of accessing an
+    SSD is high largely because of the execution cost of an I/O, so
+    little access cost is saved".
+    """
+    cat = catalog if catalog is not None else CostCatalog()
+    full = cat.ss_execution_cost_per_op
+    without_device = cat.r * cat.mm_execution_cost_per_op
+    return 1.0 - without_device / full
 
 
 # ----------------------------------------------------------------------
@@ -245,12 +163,15 @@ def hdd_breakeven_interval_seconds(catalog: Optional[CostCatalog] = None,
     The whole drive price buys its (tiny) IOPS; the result is an interval
     of hours, which is why page caching against HDDs barely ever evicts —
     and why HDDs remain fine for backup/archive (low access frequency).
+    The catalog with the drive substituted goes through the same
+    validation as every other Equation (6) entry point (``r_hdd < 1``
+    raises).
     """
     cat = catalog if catalog is not None else CostCatalog()
     drive = hdd if hdd is not None else HddParameters()
-    io_term = drive.price_dollars / drive.iops
-    cpu_term = (r_hdd - 1.0) * cat.processor_dollars / cat.rops
-    return (io_term + cpu_term) / (cat.dram_per_byte * cat.page_bytes)
+    return breakeven_interval_seconds(replace(
+        cat, ssd_io_dollars=drive.price_dollars, iops=drive.iops, r=r_hdd,
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -276,73 +197,20 @@ class CmmParameters:
             raise ValueError("decompress ratio cannot be negative")
 
 
-class CmmCostModel:
-    """Prices CMM next to MM and SS (the paper's 'staging' idea)."""
+def cmm_line(catalog: Optional[CostCatalog] = None,
+             cmm: Optional[CmmParameters] = None) -> CostLine:
+    """The CMM class next to MM and SS (the paper's 'staging' idea).
 
-    def __init__(self, catalog: Optional[CostCatalog] = None,
-                 cmm: Optional[CmmParameters] = None) -> None:
-        self.catalog = catalog if catalog is not None else CostCatalog()
-        self.cmm = cmm if cmm is not None else CmmParameters()
-        self.base = OperationCostModel(self.catalog)
-
-    def cmm_cost(self, rate_ops_per_sec: float,
-                 nbytes: float | None = None) -> OperationCost:
-        if rate_ops_per_sec < 0:
-            raise ValueError("access rate cannot be negative")
-        cat = self.catalog
-        size = cat.page_bytes if nbytes is None else nbytes
-        ratio = self.cmm.compression_ratio
-        storage = (cat.dram_per_byte + cat.flash_per_byte) * size * ratio
-        execution_per_op = (
-            (1.0 + self.cmm.decompress_ratio)
-            * cat.mm_execution_cost_per_op
-        )
-        return OperationCost(
-            kind="CMM",
-            rate_ops_per_sec=rate_ops_per_sec,
-            storage_cost=storage,
-            execution_cost=rate_ops_per_sec * execution_per_op,
-        )
-
-    def mm_vs_cmm_breakeven_rate(self) -> float:
-        """Above this rate, uncompressed DRAM beats compressed DRAM."""
-        cat = self.catalog
-        storage_gap = (
-            (cat.dram_per_byte + cat.flash_per_byte) * cat.page_bytes
-            * (1.0 - self.cmm.compression_ratio)
-        )
-        execution_gap = (self.cmm.decompress_ratio
-                         * cat.mm_execution_cost_per_op)
-        if execution_gap <= 0:
-            return math.inf
-        return storage_gap / execution_gap
-
-    def cmm_vs_ss_breakeven_rate(self) -> float:
-        """Above this rate, compressed DRAM beats flash-with-I/O."""
-        cat = self.catalog
-        ratio = self.cmm.compression_ratio
-        storage_gap = (
-            (cat.dram_per_byte + cat.flash_per_byte) * ratio
-            - cat.flash_per_byte
-        ) * cat.page_bytes
-        execution_gap = (
-            cat.ss_execution_cost_per_op
-            - (1.0 + self.cmm.decompress_ratio)
-            * cat.mm_execution_cost_per_op
-        )
-        if execution_gap <= 0:
-            return math.inf
-        if storage_gap <= 0:
-            return 0.0
-        return storage_gap / execution_gap
-
-    def has_winning_window(self) -> bool:
-        """Is there a rate band where CMM is the cheapest of MM/CMM/SS?
-
-        The paper conjectures CMM's "total cost might well be lower than
-        either of these alternatives" in a middle band; this checks the
-        conjecture for the configured parameters.
-        """
-        low = self.cmm_vs_ss_breakeven_rate()
-        high = self.mm_vs_cmm_breakeven_rate()
-        return low < high
+    The paper conjectures CMM's "total cost might well be lower than
+    either of these alternatives" in a middle band: it is, exactly when
+    this line is on the lower envelope of MM / CMM / SS
+    (:meth:`repro.core.costmodel.Advisor.boundaries`).
+    """
+    cat = catalog if catalog is not None else CostCatalog()
+    parameters = cmm if cmm is not None else CmmParameters()
+    return CostLine(
+        "CMM",
+        (cat.dram_per_byte + cat.flash_per_byte) * cat.page_bytes
+        * parameters.compression_ratio,
+        (1.0 + parameters.decompress_ratio) * cat.mm_execution_cost_per_op,
+    )

@@ -1,100 +1,53 @@
-"""Tier selection and cache sizing from the cost model.
+"""Cache sizing and N-tier hierarchies as cost lines.
 
 The operational payoff of the paper's analysis: a data caching system can
 *choose*, per page, the cheapest way to hold it — DRAM-cached (MM), on
 flash (SS), or compressed on flash (CSS) — from nothing but the page's
-access rate (Sections 4.2, 7.2).  ``TierAdvisor`` computes the boundaries;
-``CacheSizingAdvisor`` turns a per-page access histogram into the DRAM
-budget that minimizes total cost, which is the cache-size decision the
-paper says should replace "just buy more DRAM".
+access rate (Sections 4.2, 7.2).  ``CacheSizingAdvisor`` turns a per-page
+access histogram into the DRAM budget that minimizes total cost, which
+is the cache-size decision the paper says should replace "just buy more
+DRAM"; :func:`hierarchy_lines` prices every tier of a
+:class:`~repro.hardware.tiers.StorageHierarchy` as a
+:class:`~repro.core.costmodel.CostLine` so the same
+:class:`~repro.core.costmodel.Advisor` places pages in an N-tier stack.
 """
 
 from __future__ import annotations
 
-import enum
-import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from ..hardware.tiers import StorageHierarchy, TierSpec
-from .breakeven import breakeven_rate_ops_per_sec, tier_pair_breakeven
+from ..hardware.tiers import StorageHierarchy
 from .catalog import CostCatalog
-from .costmodel import CssParameters, OperationCost, OperationCostModel
+from .costmodel import CostLine, CssParameters, OperationCostModel, cheapest
 
 
-class Tier(enum.Enum):
-    MM = "MM"      # DRAM-cached, durable copy on flash
-    SS = "SS"      # flash-resident, uncompressed
-    CSS = "CSS"    # flash-resident, compressed
+def hierarchy_lines(hierarchy: StorageHierarchy,
+                    catalog: CostCatalog | None = None) -> List[CostLine]:
+    """One cost line per tier of ``hierarchy``, fastest tier first.
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
+        cost(tier, N) = Ps * (tier $/byte + home rent)
+                        + N * ($Io/IOPS + R_tier * $P/ROPS)
 
-
-@dataclass(frozen=True)
-class TierBoundaries:
-    """Access rates where the cheapest tier changes (Figure 8's regions)."""
-
-    css_to_ss_rate: float
-    ss_to_mm_rate: float
-
-    def tier_for(self, rate_ops_per_sec: float) -> Tier:
-        if rate_ops_per_sec >= self.ss_to_mm_rate:
-            return Tier.MM
-        if rate_ops_per_sec >= self.css_to_ss_rate:
-            return Tier.SS
-        return Tier.CSS
-
-
-class TierAdvisor:
-    """Chooses the cheapest operation class per access rate."""
-
-    def __init__(self, catalog: CostCatalog | None = None,
-                 css: CssParameters | None = None,
-                 include_css: bool = True) -> None:
-        self.catalog = catalog if catalog is not None else CostCatalog()
-        self.model = OperationCostModel(self.catalog, css)
-        self.include_css = include_css
-
-    def tier_for_rate(self, rate_ops_per_sec: float) -> Tier:
-        """Cheapest tier at this per-page access rate."""
-        winner = self.model.cheapest(rate_ops_per_sec,
-                                     include_css=self.include_css)
-        return Tier(winner.kind)
-
-    def tier_for_interval(self, seconds_between_accesses: float) -> Tier:
-        """Cheapest tier given the time between accesses (the paper's Ti)."""
-        if seconds_between_accesses <= 0:
-            raise ValueError("access interval must be positive")
-        return self.tier_for_rate(1.0 / seconds_between_accesses)
-
-    def boundaries(self) -> TierBoundaries:
-        """Closed-form tier boundaries.
-
-        SS->MM is Equation (6)'s breakeven rate.  CSS->SS equates the CSS
-        and SS cost lines: the storage saved by compression pays for the
-        decompression CPU up to
-
-            N = Ps * $Fl * (1 - ratio) / ((r_css - R) * $P/ROPS).
-        """
-        ss_to_mm = breakeven_rate_ops_per_sec(self.catalog)
-        if not self.include_css:
-            return TierBoundaries(css_to_ss_rate=0.0, ss_to_mm_rate=ss_to_mm)
-        cat = self.catalog
-        css = self.model.css
-        execution_gap = (
-            (css.r_css - cat.r) * cat.mm_execution_cost_per_op
+    where the home rent applies to every tier *except* the durable home
+    itself (inclusive caching: the durable copy is paid for regardless
+    of where the page is also cached).  Slopes increase down the stack,
+    so the winning line only moves up-stack as the rate grows, and every
+    envelope boundary between adjacent tiers agrees with
+    :func:`repro.core.breakeven.tier_pair_breakeven` (pinned by tests).
+    """
+    cat = catalog if catalog is not None else CostCatalog()
+    home = hierarchy.home
+    lines: List[CostLine] = []
+    for tier in hierarchy:
+        rent = tier.dollars_per_byte + (
+            0.0 if tier.durable_home else home.dollars_per_byte
         )
-        storage_gap = (
-            cat.page_bytes * cat.flash_per_byte
-            * (1.0 - css.compression_ratio)
-        )
-        if execution_gap <= 0:
-            # Decompression costs nothing extra: CSS dominates SS entirely.
-            css_to_ss = math.inf
-        else:
-            css_to_ss = storage_gap / execution_gap
-        return TierBoundaries(css_to_ss_rate=css_to_ss, ss_to_mm_rate=ss_to_mm)
+        per_access = (tier.io_dollars_per_access_rate
+                      + tier.cpu_path_r * cat.processor_dollars / cat.rops)
+        lines.append(CostLine(tier.name, rent * cat.page_bytes, per_access))
+    return lines
 
 
 @dataclass(frozen=True)
@@ -104,14 +57,12 @@ class CacheSizingResult:
     cached_pages: int
     cache_bytes: float
     total_cost: float
-    tier_of_page: Tuple[Tier, ...]
+    tier_of_page: Tuple[str, ...]
 
     @property
-    def tier_counts(self) -> Dict[Tier, int]:
-        counts: Dict[Tier, int] = {tier: 0 for tier in Tier}
-        for tier in self.tier_of_page:
-            counts[tier] += 1
-        return counts
+    def tier_counts(self) -> Counter[str]:
+        """Pages per line kind (a kind that won no page counts 0)."""
+        return Counter(self.tier_of_page)
 
 
 class CacheSizingAdvisor:
@@ -119,131 +70,42 @@ class CacheSizingAdvisor:
 
     Because the per-page cost curves cross exactly once, the optimal policy
     is a threshold: cache every page whose access rate exceeds the Equation
-    (6) breakeven, leave the rest on (compressed) flash.
+    (6) breakeven, leave the rest on flash — compressed flash too when
+    ``css`` parameters are given.
     """
 
     def __init__(self, catalog: CostCatalog | None = None,
-                 css: CssParameters | None = None,
-                 include_css: bool = False) -> None:
+                 css: CssParameters | None = None) -> None:
         self.catalog = catalog if catalog is not None else CostCatalog()
-        self.advisor = TierAdvisor(self.catalog, css, include_css=include_css)
-        self.model = self.advisor.model
-        self.include_css = include_css
+        model = OperationCostModel(self.catalog, css)
+        self.mm = model.mm_line()
+        self.ss = model.ss_line()
+        self.lines: Tuple[CostLine, ...] = (self.mm, self.ss)
+        if css is not None:
+            self.lines += (model.css_line(),)
 
     def size_for(self, page_rates: Sequence[float]) -> CacheSizingResult:
         """Pick the cheapest tier per page and total it up.
 
         ``page_rates`` are accesses/second per page (any order).  Tier
         selection and costing come from the *same*
-        :meth:`~repro.core.costmodel.OperationCostModel.cheapest` call,
-        so they cannot disagree: the old per-tier ``if``/``elif`` could
-        price a page with ``css_cost`` even under ``include_css=False``
-        whenever a hand-constructed advisor's selection drifted from the
-        model's argmin (pinned by a regression test).
+        :func:`~repro.core.costmodel.cheapest` call, so they cannot
+        disagree (pinned by a regression test).
         """
-        tiers: List[Tier] = []
-        total = 0.0
-        cached = 0
-        for rate in page_rates:
-            winner = self.model.cheapest(rate, include_css=self.include_css)
-            tier = Tier(winner.kind)
-            tiers.append(tier)
-            if tier is Tier.MM:
-                cached += 1
-            total += winner.total
+        winners = [cheapest(self.lines, rate) for rate in page_rates]
+        tiers = tuple(winner.kind for winner in winners)
+        cached = tiers.count(self.mm.kind)
         return CacheSizingResult(
             cached_pages=cached,
             cache_bytes=cached * self.catalog.page_bytes,
-            total_cost=total,
-            tier_of_page=tuple(tiers),
+            total_cost=sum(winner.total for winner in winners),
+            tier_of_page=tiers,
         )
 
     def cost_if_all_cached(self, page_rates: Sequence[float]) -> float:
         """The "main-memory system" alternative: everything in DRAM."""
-        return sum(self.model.mm_cost(rate).total for rate in page_rates)
+        return sum(self.mm.totals(page_rates))
 
     def cost_if_none_cached(self, page_rates: Sequence[float]) -> float:
         """The "no cache" alternative: every access is an SS operation."""
-        return sum(self.model.ss_cost(rate).total for rate in page_rates)
-
-
-class NTierAdvisor:
-    """Cheapest tier of an N-tier hierarchy at a per-page access rate.
-
-    The N-tier generalization of :class:`TierAdvisor`: every tier's cost
-    is a line in the access rate —
-
-        cost(tier, N) = Ps * (tier $/byte + home rent)
-                        + N * ($Io/IOPS + R_tier * $P/ROPS)
-
-    where the home rent applies to every tier *except* the durable home
-    itself (inclusive caching: the durable copy is paid for regardless
-    of where the page is also cached).  Selection is the argmin over
-    those lines — one code path for choosing *and* pricing, the same
-    discipline :meth:`CacheSizingAdvisor.size_for` follows — which makes
-    ``tier_for_rate`` automatically monotone in rate (slopes increase
-    down the stack, so the winning line can only move up-stack as the
-    rate grows; pinned by a hypothesis property).  The boundary rates
-    agree with :func:`repro.core.breakeven.tier_pair_breakeven` at every
-    adjacent pair.
-    """
-
-    def __init__(self, hierarchy: Optional[StorageHierarchy] = None,
-                 catalog: Optional[CostCatalog] = None) -> None:
-        self.hierarchy = (hierarchy if hierarchy is not None
-                          else StorageHierarchy.modern_2026())
-        self.catalog = catalog if catalog is not None else CostCatalog()
-
-    def cost(self, tier: TierSpec, rate_ops_per_sec: float) -> OperationCost:
-        """The (storage, execution) cost line for one tier at one rate."""
-        if rate_ops_per_sec < 0:
-            raise ValueError("access rate cannot be negative")
-        cat = self.catalog
-        home = self.hierarchy.home
-        rent = tier.dollars_per_byte + (
-            0.0 if tier.durable_home else home.dollars_per_byte
-        )
-        per_access = (tier.io_dollars / tier.iops
-                      + tier.cpu_path_r * cat.processor_dollars / cat.rops)
-        return OperationCost(
-            kind=tier.name,
-            rate_ops_per_sec=rate_ops_per_sec,
-            storage_cost=rent * cat.page_bytes,
-            execution_cost=rate_ops_per_sec * per_access,
-        )
-
-    def costs_at(self, rate_ops_per_sec: float) -> Dict[str, float]:
-        """Total modeled cost per tier name at one rate."""
-        return {
-            tier.name: self.cost(tier, rate_ops_per_sec).total
-            for tier in self.hierarchy
-        }
-
-    def tier_for_rate(self, rate_ops_per_sec: float) -> TierSpec:
-        """The cost-minimizing tier; ties go to the faster tier."""
-        best: Optional[TierSpec] = None
-        best_cost = math.inf
-        for tier in self.hierarchy:
-            total = self.cost(tier, rate_ops_per_sec).total
-            if total < best_cost:
-                best = tier
-                best_cost = total
-        assert best is not None   # hierarchy has >= 2 tiers
-        return best
-
-    def tier_for_interval(self, seconds_between_accesses: float) -> TierSpec:
-        if seconds_between_accesses <= 0:
-            raise ValueError("access interval must be positive")
-        return self.tier_for_rate(1.0 / seconds_between_accesses)
-
-    def boundaries(self) -> List[Tuple[TierSpec, TierSpec, float]]:
-        """(upper, lower, breakeven rate) at every adjacent boundary.
-
-        Rates decrease down the stack for any valid hierarchy, which is
-        what makes the per-pair thresholds equivalent to the argmin.
-        """
-        out: List[Tuple[TierSpec, TierSpec, float]] = []
-        for upper, lower in self.hierarchy.pairs():
-            interval = tier_pair_breakeven(upper, lower, self.catalog)
-            out.append((upper, lower, 1.0 / interval))
-        return out
+        return sum(self.ss.totals(page_rates))

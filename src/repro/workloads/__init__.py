@@ -10,7 +10,6 @@ from .distributions import (
     access_interval_seconds,
     make_chooser,
 )
-from .trace import Trace
 from .ycsb import (
     Operation,
     OpKind,
@@ -39,5 +38,4 @@ __all__ = [
     "apply_operations",
     "partition_operations",
     "shard_balance",
-    "Trace",
 ]

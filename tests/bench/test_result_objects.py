@@ -26,8 +26,8 @@ class TestFigure2Shape:
         rate = breakeven_rate_ops_per_sec(cat)
         rates = logspace_rates(rate / 10, rate * 10, 9)
         model = OperationCostModel(cat)
-        mm = [model.mm_cost(r).total for r in rates]
-        ss = [model.ss_cost(r).total for r in rates]
+        mm = model.mm_line().totals(rates)
+        ss = model.ss_line().totals(rates)
         if swap:
             mm, ss = ss, mm
         return Figure2Result(
@@ -50,14 +50,14 @@ class TestFigure7Shape:
         cat_u = CostCatalog().with_r(r_user)
         cat_k = CostCatalog().with_r(r_kernel)
         rates = logspace_rates(1e-4, 1.0, 8)
+        mm = OperationCostModel(cat_u).mm_line()
+        ss_kernel = OperationCostModel(cat_k).ss_line()
+        ss_user = OperationCostModel(cat_u).ss_line()
         return Figure7Result(
             r_kernel=r_kernel, r_user=r_user, rates=rates,
-            mm_costs=[OperationCostModel(cat_u).mm_cost(r).total
-                      for r in rates],
-            ss_costs_kernel=[OperationCostModel(cat_k).ss_cost(r).total
-                             for r in rates],
-            ss_costs_user=[OperationCostModel(cat_u).ss_cost(r).total
-                           for r in rates],
+            mm_costs=mm.totals(rates),
+            ss_costs_kernel=ss_kernel.totals(rates),
+            ss_costs_user=ss_user.totals(rates),
             breakeven_kernel=breakeven_rate_ops_per_sec(cat_k),
             breakeven_user=breakeven_rate_ops_per_sec(cat_u),
         )

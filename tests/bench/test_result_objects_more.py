@@ -5,7 +5,6 @@ from repro.bench.figures import Figure1Result, Figure3Result, Figure8Result
 from repro.bench.tables import Table2Result, Table3Result, Table4Result
 from repro.core import CostCatalog, paper_comparison
 from repro.core.mixture import mixed_throughput, relative_performance
-from repro.core.technology import MemoryTier
 
 
 def make_figure1(r=5.8, distort=1.0):
@@ -54,14 +53,15 @@ class TestFigure3Shape:
         size = 6.1e9
         crossover = comparison.breakeven_rate_ops_per_sec(size)
         rates = [crossover / 4, crossover, crossover * 4]
-        curves = comparison.curves(rates, size)
+        bwtree = comparison.bwtree_line(size)
+        masstree = comparison.masstree_line(size)
         return Figure3Result(
             comparison_paper=comparison,
             comparison_measured=comparison,
             px_measured=2.6, mx_measured=2.1,
             database_bytes=size, rates=rates,
-            bwtree_costs=curves["bwtree"],
-            masstree_costs=curves["masstree"],
+            bwtree_costs=bwtree.totals(rates),
+            masstree_costs=masstree.totals(rates),
             crossover_paper=crossover,
             crossover_measured=crossover,
         )
@@ -155,8 +155,7 @@ class TestAblationShapesMore:
         good = A6Result(
             nvram_price_per_byte=2e-9, nvram_slowdown=2.0,
             rates=[1e-4, 1e-2, 1e-1, 10.0],
-            tiers=[MemoryTier.CSS, MemoryTier.SS, MemoryTier.NVM,
-                   MemoryTier.DRAM],
+            tiers=["CSS", "SS", "NVM", "DRAM"],
             dram_vs_nvm_rate=0.126, nvm_vs_ss_rate=0.0076,
             ssd_savings_fraction=0.36,
         )
@@ -164,8 +163,7 @@ class TestAblationShapesMore:
         regressing = A6Result(
             nvram_price_per_byte=2e-9, nvram_slowdown=2.0,
             rates=[1e-4, 1e-2, 1e-1, 10.0],
-            tiers=[MemoryTier.CSS, MemoryTier.NVM, MemoryTier.SS,
-                   MemoryTier.DRAM],
+            tiers=["CSS", "NVM", "SS", "DRAM"],
             dram_vs_nvm_rate=0.126, nvm_vs_ss_rate=0.0076,
             ssd_savings_fraction=0.36,
         )

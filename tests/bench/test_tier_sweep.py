@@ -2,7 +2,15 @@
 
 from repro.__main__ import main as cli_main
 from repro.bench.tier_sweep import PRESETS, render_surface, smoke_check
-from repro.core import CostCatalog, breakeven_interval_seconds
+from repro.core import (
+    Advisor,
+    CostCatalog,
+    breakeven_interval_seconds,
+    crossover,
+    hierarchy_breakeven_surface,
+    hierarchy_lines,
+)
+from repro.hardware import StorageHierarchy, TierSpec
 
 
 class TestRenderSurface:
@@ -41,6 +49,35 @@ class TestSmokeCheck:
         # must say so rather than silently passing.
         failures = smoke_check(CostCatalog().with_r(2.0))
         assert any("Equation (6)" in failure for failure in failures)
+
+
+class TestDominatedTier:
+    def test_dominated_middle_tier_is_absent_from_boundaries(self):
+        """A middle tier barely cheaper than DRAM but with most of the
+        I/O path's CPU cost is never the cheapest place for a page: the
+        per-pair surface still prints both of its boundaries (out of
+        order — the symptom), the advisor's envelope skips it."""
+        hierarchy = StorageHierarchy((
+            TierSpec(name="dram", dollars_per_byte=5.0e-9,
+                     access_latency_s=100e-9, iops=1.0e9, io_dollars=0.0,
+                     cpu_path_r=1.0),
+            TierSpec(name="slow-dimm", dollars_per_byte=4.9e-9,
+                     access_latency_s=1e-6, iops=1.0e8, io_dollars=0.0,
+                     cpu_path_r=5.0),
+            TierSpec(name="nvme-ssd", dollars_per_byte=0.5e-9,
+                     access_latency_s=80e-6, iops=2.0e5, io_dollars=50.0,
+                     cpu_path_r=5.8, durable_home=True),
+        ))
+        surface = hierarchy_breakeven_surface(hierarchy)
+        assert surface[0].interval_seconds > surface[1].interval_seconds
+        dram, __, nvme = lines = hierarchy_lines(hierarchy)
+        advisor = Advisor(lines)
+        assert advisor.boundaries() == [
+            ("dram", "nvme-ssd", crossover(dram, nvme)),
+        ]
+        assert advisor.tier_for_rate(crossover(dram, nvme) * 1.01) == "dram"
+        assert advisor.tier_for_rate(crossover(dram, nvme) * 0.99) \
+            == "nvme-ssd"
 
 
 class TestCli:

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 
 from repro.core import (
     CostCatalog,
+    OperationCostModel,
     breakeven_interval_seconds,
     breakeven_rate_ops_per_sec,
     breakeven_report,
     classic_gray_interval_seconds,
-    crossover_rate,
+    crossover,
     hierarchy_breakeven_surface,
     iops_price_sweep,
     page_size_sweep,
@@ -51,10 +52,15 @@ def test_gray_classic_smaller():
         < breakeven_interval_seconds(cat)
 
 
+def mm_ss_crossover(cat: CostCatalog) -> float:
+    model = OperationCostModel(cat)
+    return crossover(model.mm_line(), model.ss_line())
+
+
 def test_crossover_rate_agrees_with_equation_6():
     cat = CostCatalog()
-    assert crossover_rate(cat) == pytest.approx(
-        breakeven_rate_ops_per_sec(cat), rel=1e-9
+    assert mm_ss_crossover(cat) == pytest.approx(
+        breakeven_rate_ops_per_sec(cat), rel=1e-12
     )
 
 
@@ -77,7 +83,7 @@ def test_two_derivations_agree_property(dram, flash, processor, io_dollars,
         processor_dollars=processor, ssd_io_dollars=io_dollars,
         rops=rops, iops=iops, page_bytes=page, r=r,
     )
-    assert crossover_rate(cat) == pytest.approx(
+    assert mm_ss_crossover(cat) == pytest.approx(
         breakeven_rate_ops_per_sec(cat), rel=1e-9
     )
 
@@ -228,6 +234,15 @@ class TestTierPairBreakeven:
         cat = CostCatalog()
         assert tier_pair_breakeven(hierarchy.top, hierarchy.home, cat) \
             == breakeven_interval_seconds(cat)
+
+    def test_page_cache_thresholds_are_pinned(self):
+        """``repro.storage.cache.TierCache`` turns this function's value
+        into the page cache's runtime demotion thresholds (hence
+        ``rows/tiered/*`` in BENCH_engine.json, which runs cxl-2026):
+        literals captured before the cost-line refactor, bit for bit."""
+        dram, cxl, nvme = StorageHierarchy.cxl_2026().tiers
+        assert tier_pair_breakeven(dram, cxl) == 5.555555555555556
+        assert tier_pair_breakeven(cxl, nvme) == 104.62962962962962
 
     def test_misordered_pair_rejected(self):
         hierarchy = StorageHierarchy.cxl_2026()

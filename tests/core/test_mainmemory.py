@@ -4,7 +4,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.core import CostCatalog, MainMemoryComparison, paper_comparison
+from repro.core import (
+    CostCatalog,
+    MainMemoryComparison,
+    cheapest,
+    crossover,
+    paper_comparison,
+)
 
 
 def test_paper_constant_8_3e3():
@@ -42,23 +48,41 @@ def test_costs_equal_at_breakeven():
     cmp = paper_comparison()
     size = 6.1e9
     rate = cmp.breakeven_rate_ops_per_sec(size)
-    assert cmp.bwtree_cost(rate, size) == pytest.approx(
-        cmp.masstree_cost(rate, size), rel=1e-9
+    assert cmp.bwtree_line(size).at(rate).total == pytest.approx(
+        cmp.masstree_line(size).at(rate).total, rel=1e-9
     )
+
+
+@pytest.mark.parametrize("size", [6.1e9, 100e9])
+def test_line_crossover_is_equation_7(size):
+    """Cross-check, not a second derivation: Eq. (7) stays in the
+    paper's closed form and the two whole-database lines must cross on
+    it."""
+    cmp = paper_comparison()
+    assert crossover(cmp.masstree_line(size), cmp.bwtree_line(size)) \
+        == pytest.approx(cmp.breakeven_rate_ops_per_sec(size), rel=1e-12)
 
 
 def test_winner_flips_at_crossover():
     cmp = paper_comparison()
     size = 6.1e9
+    lines = [cmp.bwtree_line(size), cmp.masstree_line(size)]
     rate = cmp.breakeven_rate_ops_per_sec(size)
-    assert cmp.cheaper_system(rate * 0.5, size) == "bwtree"
-    assert cmp.cheaper_system(rate * 2.0, size) == "masstree"
+    assert cheapest(lines, rate * 0.5).kind == "bwtree"
+    assert cheapest(lines, rate * 2.0).kind == "masstree"
 
 
 def test_curves_structure():
-    curves = paper_comparison().curves([1e5, 1e6], 6.1e9)
-    assert set(curves) == {"rates", "bwtree", "masstree"}
-    assert len(curves["bwtree"]) == 2
+    """Figure 3's two series: one whole-database line per system."""
+    cmp = paper_comparison()
+    bwtree, masstree = cmp.bwtree_line(6.1e9), cmp.masstree_line(6.1e9)
+    assert (bwtree.kind, masstree.kind) == ("bwtree", "masstree")
+    cat = cmp.catalog
+    assert bwtree.at(1e6).total == pytest.approx(
+        6.1e9 * cat.dram_per_byte + 1e6 * cat.mm_execution_cost_per_op)
+    assert masstree.at(1e6).total == pytest.approx(
+        2.1 * 6.1e9 * cat.dram_per_byte
+        + 1e6 * cat.mm_execution_cost_per_op / 2.6)
 
 
 def test_px_mx_validation():
@@ -79,6 +103,6 @@ def test_size_validation():
 def test_breakeven_equalizes_costs_property(px, mx, size):
     cmp = MainMemoryComparison(px=px, mx=mx, catalog=CostCatalog())
     rate = cmp.breakeven_rate_ops_per_sec(size)
-    assert cmp.bwtree_cost(rate, size) == pytest.approx(
-        cmp.masstree_cost(rate, size), rel=1e-6
+    assert cmp.bwtree_line(size).at(rate).total == pytest.approx(
+        cmp.masstree_line(size).at(rate).total, rel=1e-6
     )

@@ -1,99 +1,121 @@
-"""Tier selection and cost-optimal cache sizing."""
+"""Tier selection over line sets, and cost-optimal cache sizing.
+
+One ``Advisor`` serves every line set; the classes below are the two
+sets the repo ships (MM/SS/CSS and a storage hierarchy's tiers).  Their
+names predate the single advisor and are kept so test ids stay stable.
+"""
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from repro.core import (
+    Advisor,
     CacheSizingAdvisor,
     CostCatalog,
     CssParameters,
-    NTierAdvisor,
-    Tier,
-    TierAdvisor,
+    OperationCostModel,
     breakeven_rate_ops_per_sec,
+    cheapest,
+    crossover,
+    hierarchy_lines,
     tier_pair_breakeven,
 )
 from repro.hardware import StorageHierarchy
 
-#: Colder tiers must never win at higher rates: the ordering the
-#: monotonicity properties below assert against.
-TIER_RANK = {Tier.MM: 0, Tier.SS: 1, Tier.CSS: 2}
+CSS = CssParameters(compression_ratio=0.5, r_css=9.0)
+PRESETS = [StorageHierarchy.paper_2018, StorageHierarchy.cxl_2026,
+           StorageHierarchy.modern_2026]
+
+
+def mm_ss_css() -> Advisor:
+    model = OperationCostModel(CostCatalog(), CSS)
+    return Advisor([model.mm_line(), model.ss_line(), model.css_line()])
+
+
+def assert_argmin(advisor: Advisor, rate: float) -> None:
+    costs = advisor.costs_at(rate)
+    assert costs[advisor.tier_for_rate(rate)] == min(costs.values())
+
+
+def assert_monotone(advisor: Advisor, low: float, high: float) -> None:
+    """A hotter page never lands on a colder (later-listed) line."""
+    if low > high:
+        low, high = high, low
+    order = [line.kind for line in advisor.lines]
+    assert order.index(advisor.tier_for_rate(high)) \
+        <= order.index(advisor.tier_for_rate(low))
 
 
 @pytest.fixture
-def advisor() -> TierAdvisor:
-    return TierAdvisor(CostCatalog(),
-                       CssParameters(compression_ratio=0.5, r_css=9.0))
+def advisor() -> Advisor:
+    return mm_ss_css()
 
 
 class TestTierAdvisor:
+    """The paper's three classes: MM, SS, CSS (Figure 8)."""
+
     def test_hot_page_goes_to_dram(self, advisor):
-        assert advisor.tier_for_rate(100.0) is Tier.MM
+        assert advisor.tier_for_rate(100.0) == "MM"
 
     def test_cold_page_goes_to_compressed_flash(self, advisor):
-        assert advisor.tier_for_rate(1e-6) is Tier.CSS
+        assert advisor.tier_for_rate(1e-6) == "CSS"
 
     def test_warm_page_goes_to_flash(self, advisor):
-        boundaries = advisor.boundaries()
-        mid = (boundaries.css_to_ss_rate * boundaries.ss_to_mm_rate) ** 0.5
-        assert advisor.tier_for_rate(mid) is Tier.SS
+        (__, __, ss_to_mm), (__, __, css_to_ss) = advisor.boundaries()
+        assert advisor.tier_for_rate((css_to_ss * ss_to_mm) ** 0.5) == "SS"
 
     def test_interval_form(self, advisor):
-        assert advisor.tier_for_interval(0.001) is Tier.MM
-        assert advisor.tier_for_interval(1e7) is Tier.CSS
+        assert advisor.tier_for_interval(0.001) == "MM"
+        assert advisor.tier_for_interval(1e7) == "CSS"
         with pytest.raises(ValueError):
             advisor.tier_for_interval(0)
 
     def test_boundaries_ordered(self, advisor):
-        boundaries = advisor.boundaries()
-        assert 0 < boundaries.css_to_ss_rate < boundaries.ss_to_mm_rate
+        (mm, ss, ss_to_mm), (ss_again, css, css_to_ss) = advisor.boundaries()
+        assert (mm, ss, ss_again, css) == ("MM", "SS", "SS", "CSS")
+        assert 0 < css_to_ss < ss_to_mm
 
     def test_ss_to_mm_boundary_is_equation_6(self, advisor):
-        assert advisor.boundaries().ss_to_mm_rate == pytest.approx(
-            breakeven_rate_ops_per_sec(advisor.catalog)
+        assert advisor.boundaries()[0][2] == pytest.approx(
+            breakeven_rate_ops_per_sec(CostCatalog()), rel=1e-12
         )
 
     def test_boundary_tier_lookup_matches_advisor(self, advisor):
+        """Reading the tier off the boundary list is the same policy."""
         boundaries = advisor.boundaries()
         for rate in (1e-7, 1e-3, 1.0, 100.0):
-            assert boundaries.tier_for(rate) is advisor.tier_for_rate(rate)
+            hotter = [hot for hot, __, bound in boundaries if rate >= bound]
+            expected = hotter[0] if hotter else boundaries[-1][1]
+            assert advisor.tier_for_rate(rate) == expected
 
     def test_without_css_only_two_tiers(self):
-        advisor = TierAdvisor(include_css=False)
-        assert advisor.tier_for_rate(1e-9) is Tier.SS
-        assert advisor.tier_for_rate(1e3) is Tier.MM
+        model = OperationCostModel()
+        advisor = Advisor([model.mm_line(), model.ss_line()])
+        assert advisor.tier_for_rate(1e-9) == "SS"
+        assert advisor.tier_for_rate(1e3) == "MM"
 
     def test_free_decompression_makes_css_dominate_ss(self):
         cat = CostCatalog()
-        advisor = TierAdvisor(cat, CssParameters(
+        model = OperationCostModel(cat, CssParameters(
             compression_ratio=0.5, r_css=cat.r,
         ))
-        assert advisor.boundaries().css_to_ss_rate == float("inf")
+        assert crossover(model.ss_line(), model.css_line()) == float("inf")
+        assert Advisor(
+            [model.mm_line(), model.ss_line(), model.css_line()]
+        ).boundaries() == [
+            ("MM", "CSS", crossover(model.mm_line(), model.css_line())),
+        ]
 
     @settings(max_examples=100, deadline=None)
     @given(rate=st.floats(1e-9, 1e4))
     def test_advisor_picks_true_minimum_property(self, rate):
-        advisor = TierAdvisor(CostCatalog(),
-                              CssParameters(0.5, 9.0))
-        tier = advisor.tier_for_rate(rate)
-        model = advisor.model
-        costs = {
-            Tier.MM: model.mm_cost(rate).total,
-            Tier.SS: model.ss_cost(rate).total,
-            Tier.CSS: model.css_cost(rate).total,
-        }
-        assert costs[tier] == pytest.approx(min(costs.values()))
+        assert_argmin(mm_ss_css(), rate)
 
     @settings(max_examples=100, deadline=None)
     @given(low=st.floats(1e-9, 1e4), high=st.floats(1e-9, 1e4))
     def test_tier_for_rate_monotone_property(self, low, high):
-        """A hotter page never lands on a colder tier."""
-        if low > high:
-            low, high = high, low
-        advisor = TierAdvisor(CostCatalog(), CssParameters(0.5, 9.0))
-        assert TIER_RANK[advisor.tier_for_rate(high)] \
-            <= TIER_RANK[advisor.tier_for_rate(low)]
+        assert_monotone(mm_ss_css(), low, high)
 
 
 class TestCacheSizing:
@@ -107,7 +129,7 @@ class TestCacheSizing:
         assert result.cache_bytes == pytest.approx(
             2 * advisor.catalog.page_bytes
         )
-        assert result.tier_of_page[:2] == (Tier.MM, Tier.MM)
+        assert result.tier_of_page == ("MM", "MM", "SS", "SS")
 
     def test_optimal_beats_extremes(self):
         """The sized cache costs no more than all-DRAM or no-cache."""
@@ -129,18 +151,14 @@ class TestCacheSizing:
         )
 
     def test_tier_counts(self):
-        advisor = CacheSizingAdvisor(include_css=True)
-        boundaries = TierAdvisor(advisor.catalog,
-                                 advisor.model.css).boundaries()
-        ss_mid = (boundaries.css_to_ss_rate
-                  * boundaries.ss_to_mm_rate) ** 0.5
-        rates = [boundaries.ss_to_mm_rate * 10,
-                 ss_mid,
-                 boundaries.css_to_ss_rate / 10]
+        advisor = CacheSizingAdvisor(css=CSS)
+        (__, __, ss_to_mm), (__, __, css_to_ss) = \
+            Advisor(advisor.lines).boundaries()
+        rates = [ss_to_mm * 10, (css_to_ss * ss_to_mm) ** 0.5,
+                 css_to_ss / 10]
         counts = advisor.size_for(rates).tier_counts
-        assert counts[Tier.MM] == 1
-        assert counts[Tier.SS] == 1
-        assert counts[Tier.CSS] == 1
+        assert (counts["MM"], counts["SS"], counts["CSS"]) == (1, 1, 1)
+        assert CacheSizingAdvisor().size_for(rates).tier_counts["CSS"] == 0
 
     @settings(max_examples=50, deadline=None)
     @given(rates=st.lists(st.floats(1e-8, 1e4), min_size=1, max_size=40))
@@ -151,68 +169,84 @@ class TestCacheSizing:
         assert sized <= advisor.cost_if_none_cached(rates) * (1 + 1e-12)
 
     def test_size_for_without_css_never_prices_css(self):
-        """The bug this pins: selection and costing share one code path.
-
-        The old ``if``/``elif`` in ``size_for`` could still reach the
-        CSS costing branch under ``include_css=False``.  Every page's
-        tier and price must now come from the same ``cheapest`` call.
-        """
-        advisor = CacheSizingAdvisor(include_css=False)
+        """Selection and costing share one code path: without ``css``
+        parameters no page is placed on, or priced as, CSS."""
+        advisor = CacheSizingAdvisor()
+        assert [line.kind for line in advisor.lines] == ["MM", "SS"]
         breakeven = breakeven_rate_ops_per_sec(advisor.catalog)
         rates = [breakeven * factor
                  for factor in (100, 3, 1.0, 0.3, 1e-3, 1e-6, 1e-9)]
         result = advisor.size_for(rates)
-        assert Tier.CSS not in result.tier_of_page
-        expected = sum(
-            advisor.model.cheapest(rate, include_css=False).total
-            for rate in rates
+        assert "CSS" not in result.tier_of_page
+        assert result.total_cost == sum(
+            cheapest(advisor.lines, rate).total for rate in rates
         )
-        assert result.total_cost == expected
 
     @settings(max_examples=50, deadline=None)
     @given(rates=st.lists(st.floats(1e-9, 1e4), min_size=1, max_size=30))
     def test_size_for_matches_cheapest_property(self, rates):
-        """Tier selection agrees with the model's argmin, CSS on or off."""
-        for include_css in (False, True):
-            advisor = CacheSizingAdvisor(
-                css=CssParameters(0.5, 9.0), include_css=include_css)
+        """Tier selection agrees with the argmin, CSS given or not."""
+        for css in (None, CSS):
+            advisor = CacheSizingAdvisor(css=css)
             result = advisor.size_for(rates)
-            for rate, tier in zip(rates, result.tier_of_page):
-                winner = advisor.model.cheapest(
-                    rate, include_css=include_css)
-                assert tier is Tier(winner.kind)
+            assert list(result.tier_of_page) == [
+                Advisor(advisor.lines).tier_for_rate(rate) for rate in rates
+            ]
 
 
 class TestNTierAdvisor:
-    @pytest.fixture
-    def advisor(self) -> NTierAdvisor:
-        return NTierAdvisor(StorageHierarchy.modern_2026())
+    """A storage hierarchy's tiers as lines (``hierarchy_lines``)."""
 
-    def test_default_hierarchy_is_modern(self):
-        assert len(NTierAdvisor().hierarchy) == 4
+    @pytest.fixture
+    def hierarchy(self) -> StorageHierarchy:
+        return StorageHierarchy.modern_2026()
+
+    @pytest.fixture
+    def advisor(self, hierarchy) -> Advisor:
+        return Advisor(hierarchy_lines(hierarchy))
 
     def test_hot_page_goes_to_dram(self, advisor):
-        assert advisor.tier_for_rate(100.0).name == "dram"
+        assert advisor.tier_for_rate(100.0) == "dram"
 
     def test_glacial_page_goes_to_object_store(self, advisor):
-        assert advisor.tier_for_rate(1e-9).name == "object-store"
+        assert advisor.tier_for_rate(1e-9) == "object-store"
 
     def test_interval_form_and_validation(self, advisor):
-        assert advisor.tier_for_interval(0.001).name == "dram"
+        assert advisor.tier_for_interval(0.001) == "dram"
         with pytest.raises(ValueError):
             advisor.tier_for_interval(0)
         with pytest.raises(ValueError):
-            advisor.cost(advisor.hierarchy.top, -1.0)
+            advisor.lines[0].at(-1.0)
 
-    def test_costs_at_covers_every_tier(self, advisor):
+    def test_costs_at_covers_every_tier(self, advisor, hierarchy):
         costs = advisor.costs_at(1.0)
-        assert set(costs) == {t.name for t in advisor.hierarchy}
+        assert list(costs) == [tier.name for tier in hierarchy]
         assert all(value > 0 for value in costs.values())
 
-    def test_boundaries_agree_with_tier_pair_breakeven(self, advisor):
-        for upper, lower, rate in advisor.boundaries():
-            assert rate == pytest.approx(1.0 / tier_pair_breakeven(
-                upper, lower, advisor.catalog))
+    def test_home_tier_pays_no_second_rent(self, hierarchy):
+        """Every cached tier rents its bytes *and* the durable copy."""
+        cat = CostCatalog()
+        lines = hierarchy_lines(hierarchy, cat)
+        home = hierarchy.home
+        for tier, line in zip(hierarchy, lines):
+            rent = tier.dollars_per_byte + (
+                0.0 if tier is home else home.dollars_per_byte)
+            assert line.storage_cost == rent * cat.page_bytes
+
+    def test_boundaries_agree_with_tier_pair_breakeven(self):
+        """Cross-check on all three presets: the envelope of the tier
+        lines lands on the retained Equation (6) closed form."""
+        for preset in PRESETS:
+            hierarchy = preset()
+            boundaries = Advisor(hierarchy_lines(hierarchy)).boundaries()
+            assert [(hot, cold) for hot, cold, __ in boundaries] == [
+                (upper.name, lower.name)
+                for upper, lower in hierarchy.pairs()
+            ]
+            for (upper, lower), (__, __, rate) in zip(hierarchy.pairs(),
+                                                      boundaries):
+                assert rate == pytest.approx(
+                    1.0 / tier_pair_breakeven(upper, lower), rel=1e-12)
 
     def test_boundary_rates_decrease_down_the_stack(self, advisor):
         rates = [rate for __, __, rate in advisor.boundaries()]
@@ -223,32 +257,27 @@ class TestNTierAdvisor:
         the lower — the argmin and the pair breakevens are the same
         policy."""
         for upper, lower, rate in advisor.boundaries():
-            assert advisor.tier_for_rate(rate * 1.01) is upper
-            assert advisor.tier_for_rate(rate * 0.99) is lower
+            assert advisor.tier_for_rate(rate * 1.01) == upper
+            assert advisor.tier_for_rate(rate * 0.99) == lower
 
     @settings(max_examples=100, deadline=None)
     @given(low=st.floats(1e-10, 1e5), high=st.floats(1e-10, 1e5))
     def test_tier_for_rate_monotone_property(self, low, high):
         """Hotter pages move strictly up-stack (or stay put)."""
-        if low > high:
-            low, high = high, low
-        advisor = NTierAdvisor(StorageHierarchy.modern_2026())
-        order = [tier.name for tier in advisor.hierarchy]
-        assert order.index(advisor.tier_for_rate(high).name) \
-            <= order.index(advisor.tier_for_rate(low).name)
+        assert_monotone(
+            Advisor(hierarchy_lines(StorageHierarchy.modern_2026())),
+            low, high)
 
     @settings(max_examples=100, deadline=None)
     @given(rate=st.floats(1e-10, 1e5))
     def test_tier_for_rate_is_argmin_property(self, rate):
-        advisor = NTierAdvisor(StorageHierarchy.modern_2026())
-        costs = advisor.costs_at(rate)
-        winner = advisor.tier_for_rate(rate)
-        assert costs[winner.name] == min(costs.values())
+        assert_argmin(
+            Advisor(hierarchy_lines(StorageHierarchy.modern_2026())), rate)
 
     def test_two_tier_advisor_matches_equation_6(self):
-        """Over the paper's own hierarchy the N-tier argmin flips at
-        exactly the Equation (6) rate."""
-        advisor = NTierAdvisor(StorageHierarchy.paper_2018())
-        breakeven = breakeven_rate_ops_per_sec(advisor.catalog)
-        assert advisor.tier_for_rate(breakeven * 1.01).name == "dram"
-        assert advisor.tier_for_rate(breakeven * 0.99).name == "nvme-ssd"
+        """Over the paper's own hierarchy the argmin flips at exactly
+        the Equation (6) rate."""
+        advisor = Advisor(hierarchy_lines(StorageHierarchy.paper_2018()))
+        breakeven = breakeven_rate_ops_per_sec(CostCatalog())
+        assert advisor.tier_for_rate(breakeven * 1.01) == "dram"
+        assert advisor.tier_for_rate(breakeven * 0.99) == "nvme-ssd"
