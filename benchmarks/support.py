@@ -1,9 +1,9 @@
 """Shared helpers for the benchmark suite.
 
-Each benchmark regenerates one of the paper's figures/tables (see
-DESIGN.md Section 4), asserts its qualitative shape, and writes the
-rendered rows/series — the same ones the paper reports — to
-``benchmarks/results/<id>.txt`` so they survive pytest's output capture.
+``test_experiments.py`` regenerates each of the paper's figures/tables
+(see DESIGN.md Section 4), checks the paper's claims about it, and writes
+the rendered rows/series — the same ones the paper reports — to
+``benchmarks/results/<slug>.txt`` so they survive pytest's output capture.
 """
 
 from __future__ import annotations

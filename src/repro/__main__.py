@@ -11,54 +11,12 @@ from __future__ import annotations
 import argparse
 import importlib
 import sys
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
-from .bench import (
-    ablation_a1,
-    ablation_a2,
-    ablation_a3,
-    ablation_a4,
-    ablation_a5,
-    ablation_a6,
-    ablation_a7,
-    ablation_a8,
-    ablation_a9,
-    ablation_a10,
-    figure1,
-    figure2,
-    figure3,
-    figure7,
-    figure8,
-    table1,
-    table2,
-    table3,
-    table4,
-)
+from .bench import EXPERIMENTS, check_shapes, render
+from .bench.reporting import format_scorecard
 
-EXPERIMENTS: Dict[str, Tuple[str, Callable]] = {
-    "f1": ("Figure 1: mixed MM/SS workload performance", figure1),
-    "f2": ("Figure 2: MM vs SS cost, the 45-second rule", figure2),
-    "f3": ("Figure 3: Bw-tree vs MassTree crossover", figure3),
-    "f7": ("Figure 7: kernel vs user-level I/O paths", figure7),
-    "f8": ("Figure 8: compression (CSS) regimes", figure8),
-    "t1": ("Table 1: hardware cost catalog", table1),
-    "t2": ("Table 2: breakeven derivations", table2),
-    "t3": ("Table 3: main-memory comparison numbers", table3),
-    "t4": ("Table 4: R derivation via Eq (3)", table4),
-    "a1": ("Ablation 1: log-structured write traffic", ablation_a1),
-    "a2": ("Ablation 2: blind updates avoid read I/O", ablation_a2),
-    "a3": ("Ablation 3: TC record caching", ablation_a3),
-    "a4": ("Ablation 4: falling IOPS prices", ablation_a4),
-    "a5": ("Ablation 5: GC policy trade-off", ablation_a5),
-    "a6": ("Ablation 6: NVRAM as extended memory", ablation_a6),
-    "a7": ("Ablation 7: 'disk is tape' HDD arithmetic", ablation_a7),
-    "a8": ("Ablation 8: compressed main memory", ablation_a8),
-    "a9": ("Ablation 9: the LSM follows Equation (2)", ablation_a9),
-    "a10": ("Ablation 10: adaptive eviction, moving hot set",
-            ablation_a10),
-}
-
-FAST = ("f2", "f8", "t2", "a4", "a6", "a7", "a8")
+FAST = ("f2", "f8", "t2", "a4", "a6", "a7", "a8", "tiers")
 
 #: Every subcommand, its implementing module (whose ``main(argv)`` it
 #: dispatches to, imported lazily) and a one-line description.  The
@@ -89,10 +47,6 @@ SUBCOMMANDS: Dict[str, Tuple[str, str]] = {
         "repro.analysis.doccheck",
         "verify backticked repro.* symbols in the docs resolve",
     ),
-    "tiers": (
-        "repro.bench.tier_sweep",
-        "N-tier storage-hierarchy breakeven surface sweep",
-    ),
 }
 
 
@@ -103,8 +57,8 @@ def _overview_epilog() -> str:
         lines.append(f"  {name:<13s} {description}")
     lines.append("")
     lines.append("experiments (run by id):")
-    for key, (description, __) in EXPERIMENTS.items():
-        lines.append(f"  {key:<13s} {description}")
+    for key, experiment in EXPERIMENTS.items():
+        lines.append(f"  {key:<13s} {experiment.title}")
     lines.append("")
     lines.append("  fast          the quick analytic subset "
                  f"({' '.join(FAST)})")
@@ -146,8 +100,8 @@ def main(argv=None) -> int:
     for name in args.experiments:
         lowered = name.lower()
         if lowered == "list":
-            for key, (description, __) in EXPERIMENTS.items():
-                print(f"  {key:4s} {description}")
+            for key, experiment in EXPERIMENTS.items():
+                print(f"  {key:5s} {experiment.title}")
             return 0
         if lowered == "all":
             requested.extend(EXPERIMENTS)
@@ -165,18 +119,19 @@ def main(argv=None) -> int:
 
     failures = 0
     for key in dict.fromkeys(requested):   # dedupe, keep order
-        description, runner = EXPERIMENTS[key]
+        experiment = EXPERIMENTS[key]
         print("=" * 72)
-        print(f"[{key}] {description}")
+        print(f"[{key}] {experiment.title}")
         print("=" * 72)
         with WallTimer() as timer:
-            result = runner()
-        print(result.render())
-        ok = result.shape_ok()
-        print(f"\nshape check: {'OK' if ok else 'FAILED'} "
+            values = experiment.measure()
+        print(render(experiment, values))
+        results = check_shapes(experiment, values)
+        failed = sum(row["status"] == "fail" for row in results)
+        print(f"\n{format_scorecard(results)}")
+        print(f"claims: {len(results) - failed}/{len(results)} pass "
               f"({timer.elapsed:.1f}s)\n")
-        if not ok:
-            failures += 1
+        failures += failed
     return 1 if failures else 0
 
 

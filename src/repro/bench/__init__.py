@@ -1,67 +1,13 @@
 """Experiment drivers regenerating every figure, table and ablation.
 
-See DESIGN.md Section 4 for the experiment index.  Each driver returns a
-structured result with a ``render()`` method (the rows/series the paper
-reports) and a ``shape_ok()`` check asserting the paper's qualitative
-claims.
+See DESIGN.md Section 4 for the experiment index.  The reproduction is
+one table, :data:`EXPERIMENTS` (``repro.bench.experiments``): each row
+measures one flat dict of values, :func:`render` prints the rows/series
+the paper reports from it, and :func:`check_shapes` scores the paper's
+claims about it one named claim at a time.
 """
 
-from .ablations import (
-    A1Result,
-    A2Result,
-    A3Result,
-    A4Result,
-    A5Result,
-    A6Result,
-    A7Result,
-    A8Result,
-    A9Result,
-    A10Result,
-    ablation_a1,
-    ablation_a2,
-    ablation_a3,
-    ablation_a4,
-    ablation_a5,
-    ablation_a6,
-    ablation_a7,
-    ablation_a8,
-    ablation_a9,
-    ablation_a10,
-)
-from .figures import (
-    Figure1Result,
-    Figure2Result,
-    Figure3Result,
-    Figure7Result,
-    Figure8Result,
-    figure1,
-    figure2,
-    figure3,
-    figure7,
-    figure8,
-)
-from .reporting import format_series, format_table
-from .tables import (
-    Table1Result,
-    Table2Result,
-    Table3Result,
-    Table4Result,
-    table1,
-    table2,
-    table3,
-    table4,
-)
+from .experiments import EXPERIMENTS, check_shapes
+from .reporting import format_table, render
 
-__all__ = [
-    "figure1", "figure2", "figure3", "figure7", "figure8",
-    "Figure1Result", "Figure2Result", "Figure3Result", "Figure7Result",
-    "Figure8Result",
-    "table1", "table2", "table3", "table4",
-    "Table1Result", "Table2Result", "Table3Result", "Table4Result",
-    "ablation_a1", "ablation_a2", "ablation_a3", "ablation_a4",
-    "ablation_a5", "ablation_a6", "ablation_a7", "ablation_a8",
-    "ablation_a9", "ablation_a10",
-    "A1Result", "A2Result", "A3Result", "A4Result", "A5Result",
-    "A6Result", "A7Result", "A8Result", "A9Result", "A10Result",
-    "format_table", "format_series",
-]
+__all__ = ["EXPERIMENTS", "check_shapes", "format_table", "render"]

@@ -1,12 +1,48 @@
-"""Plain-text rendering of experiment tables and series.
+"""Plain-text rendering of experiment reports and the claim scorecard.
 
-Benchmarks print the same rows/series the paper's figures show; these
-helpers keep the formatting consistent and dependency-free.
+Benchmarks print the same rows/series the paper's figures show; an
+experiment describes them as a :class:`Report` and :func:`render` is the
+one place they become text, so the formatting stays consistent and
+dependency-free.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Sequence
+
+
+class Table(NamedTuple):
+    title: str
+    headers: Sequence[str]
+    rows: Sequence[Sequence[object]]
+
+
+class Report(NamedTuple):
+    """What an experiment prints: tables, then trailing note lines."""
+
+    tables: Sequence[Table]
+    notes: Sequence[str] = ()
+
+
+def render(experiment, values: Dict[str, object]) -> str:
+    """The text of ``experiment.report(values)``: blocks a blank line
+    apart — the content of ``benchmarks/results/<slug>.txt``."""
+    report = experiment.report(values)
+    blocks = [format_table(table.headers, table.rows, title=table.title)
+              for table in report.tables]
+    if report.notes:
+        blocks.append("\n".join(report.notes))
+    return "\n\n".join(blocks)
+
+
+def format_scorecard(results: Iterable[Dict[str, object]]) -> str:
+    """One line per :func:`~repro.bench.experiments.check_shapes` row:
+    id, claim, the paper's value, the measured one, pass/fail."""
+    return "\n".join(
+        f"{row['id']} · {row['claim']} · paper: {row['paper']} · "
+        f"measured: {_fmt_measured(row['measured'])} · {row['status']}"
+        for row in results
+    )
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
@@ -38,15 +74,10 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
     return "\n".join(lines)
 
 
-def format_series(name: str, xs: Sequence[float], ys: Sequence[float],
-                  x_label: str = "x", y_label: str = "y") -> str:
-    """Render one figure series as aligned (x, y) pairs."""
-    if len(xs) != len(ys):
-        raise ValueError("series lengths differ")
-    lines = [f"series {name} ({x_label} -> {y_label})"]
-    for x, y in zip(xs, ys):
-        lines.append(f"  {_fmt(x):>14}  {_fmt(y):>14}")
-    return "\n".join(lines)
+def _fmt_measured(value: object) -> str:
+    if isinstance(value, (list, tuple)):
+        return ", ".join(_fmt(item) for item in value)
+    return _fmt(value)
 
 
 def _fmt(value: object) -> str:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import format_series, format_table
+from repro.bench import format_table
 
 
 def test_table_alignment_and_title():
@@ -30,16 +30,3 @@ def test_number_formatting():
     assert "0.000123" in text
     assert "3.142" in text
     assert "yes" in text
-
-
-def test_series_rendering():
-    text = format_series("curve", [1.0, 2.0], [10.0, 20.0],
-                         x_label="rate", y_label="cost")
-    assert "curve" in text
-    assert "rate" in text and "cost" in text
-    assert len(text.splitlines()) == 3
-
-
-def test_series_length_mismatch():
-    with pytest.raises(ValueError):
-        format_series("bad", [1.0], [1.0, 2.0])

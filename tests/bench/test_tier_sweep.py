@@ -1,7 +1,8 @@
-"""``python -m repro tiers``: the N-tier breakeven surface CLI."""
+"""``python -m repro tiers``: the N-tier breakeven surface row."""
 
 from repro.__main__ import main as cli_main
-from repro.bench.tier_sweep import PRESETS, render_surface, smoke_check
+from repro.bench import EXPERIMENTS, render
+from repro.bench.experiments import TIER_PRESETS
 from repro.core import (
     Advisor,
     CostCatalog,
@@ -12,6 +13,19 @@ from repro.core import (
 )
 from repro.hardware import StorageHierarchy, TierSpec
 
+from .test_experiments import failed_claims as failed
+
+
+TIERS = EXPERIMENTS["tiers"]
+
+
+def render_surface():
+    return render(TIERS, TIERS.measure())
+
+
+def failed_claims(catalog=None):
+    return failed("tiers", TIERS.measure(catalog))
+
 
 class TestRenderSurface:
     def test_render_is_deterministic(self):
@@ -19,7 +33,7 @@ class TestRenderSurface:
 
     def test_covers_every_preset(self):
         out = render_surface()
-        for preset in PRESETS:
+        for preset in TIER_PRESETS:
             assert f"[{preset}]" in out
 
     def test_paper_row_prints_equation_6_interval(self):
@@ -41,14 +55,14 @@ class TestRenderSurface:
 
 class TestSmokeCheck:
     def test_invariants_hold(self):
-        assert smoke_check() == []
+        assert failed_claims() == []
 
     def test_detects_catalog_preset_drift(self):
         # The paper-2018 preset bakes in the paper's R; a catalog whose R
-        # disagrees breaks the exact Equation (6) reduction and the check
+        # disagrees breaks the exact Equation (6) reduction and the claim
         # must say so rather than silently passing.
-        failures = smoke_check(CostCatalog().with_r(2.0))
-        assert any("Equation (6)" in failure for failure in failures)
+        failures = failed_claims(CostCatalog().with_r(2.0))
+        assert any("Eq. (6)" in failure for failure in failures)
 
 
 class TestDominatedTier:
@@ -87,6 +101,10 @@ class TestCli:
         assert "N-tier breakeven surface" in out
 
     def test_tiers_smoke_passes(self, capsys):
-        assert cli_main(["tiers", "--smoke"]) == 0
+        """The old smoke invariants are the row's claims: they always
+        run, and the CLI prints one scorecard line for each."""
+        assert cli_main(["tiers"]) == 0
         out = capsys.readouterr().out
-        assert "smoke: OK" in out
+        for claim in TIERS.claims:
+            assert f"tiers · {claim.name} · " in out
+        assert "fail" not in out
