@@ -34,14 +34,10 @@ class VirtualClock:
 
     def advance(self, seconds: float) -> float:
         """Advance the clock by ``seconds`` and return the new time."""
-        if seconds < 0.0:
-            raise ValueError(f"cannot advance clock by negative {seconds}")
+        if not seconds >= 0.0:
+            raise ValueError(f"clock advance must be >= 0, got {seconds}")
         self._now += seconds
         return self._now
-
-    def advance_us(self, microseconds: float) -> float:
-        """Advance the clock by ``microseconds`` and return the new time."""
-        return self.advance(microseconds * 1e-6)
 
     def reset(self, start: float = 0.0) -> None:
         """Rewind the clock, used between benchmark phases."""

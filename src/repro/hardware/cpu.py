@@ -19,7 +19,7 @@ Calibration targets (DESIGN.md Section 5):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Dict, Mapping, Optional, Protocol
 
 from .clock import VirtualClock
@@ -133,6 +133,11 @@ class CpuModel:
     approximating the steady-state elapsed time of a CPU-bound run in which
     all cores are busy.  This is the quantity the paper's throughput numbers
     are built from.
+
+    A charge is one Python frame: :meth:`charge` and :meth:`charge_us` each
+    spell out the same billing sequence — reject a negative or NaN amount,
+    apply the what-if factor, then add the one resulting float to
+    ``busy_us``, the ``cpu_us.<category>`` counter, the sink and the clock.
     """
 
     def __init__(
@@ -144,22 +149,34 @@ class CpuModel:
         if cores < 1:
             raise ValueError(f"need at least one core, got {cores}")
         self.cores = cores
-        self.costs = costs if costs is not None else CostTable()
+        self._costs = costs if costs is not None else CostTable()
+        # Resolved once; ``costs`` is read-only, so this cannot go stale.
+        self._units: Dict[str, float] = asdict(self._costs)
         self.clock = clock if clock is not None else VirtualClock()
         self.counters = CounterSet()
+        # The dict behind ``counters`` (a reset clears it in place) and the
+        # interned category -> "cpu_us.<category>" keys that index it.
+        self._counts = self.counters._counts
+        self._keys: Dict[str, str] = {}
         self._busy_us = 0.0
-        # Optional per-charge observer (a tracer); ``None`` keeps the hot
-        # path at one attribute check per charge.
+        # Optional per-charge observer (a tracer); ``None`` costs a charge
+        # one attribute check.
         self.sink: ChargeSink | None = None
         # Optional what-if scaling: category -> factor applied to the
-        # *final* charge amount (see :meth:`scale_costs`).  ``None`` keeps
-        # the hot path at one attribute check per charge.
+        # *final* charge amount (see :meth:`scale_costs`); ``None`` costs
+        # a charge one attribute check.
         self._scale: Optional[Dict[str, float]] = None
+
+    @property
+    def costs(self) -> CostTable:
+        """The unit-price table; read-only because prices are resolved at
+        construction (:meth:`scale_costs` varies them at run time)."""
+        return self._costs
 
     def scale_costs(self, factors: Optional[Mapping[str, float]]) -> None:
         """Install per-category what-if charge scaling (``None`` clears).
 
-        Every subsequent :meth:`charge_us` whose ``category`` appears in
+        Every subsequent charge whose ``category`` appears in
         ``factors`` has its amount multiplied by the factor *before* it
         reaches any accounting — the busy scalar, the per-category
         counters, the :class:`ChargeSink` and the clock advance all see
@@ -179,7 +196,7 @@ class CpuModel:
             self._scale = None
             return
         for category, factor in factors.items():
-            if factor <= 0.0:
+            if not factor > 0.0:
                 raise ValueError(
                     f"scale factor for {category!r} must be positive, "
                     f"got {factor}"
@@ -198,30 +215,52 @@ class CpuModel:
 
     def charge_us(self, microseconds: float, category: str = "other") -> None:
         """Charge ``microseconds`` of single-core work to ``category``."""
-        if microseconds < 0.0:
-            raise ValueError(f"cannot charge negative work: {microseconds}")
-        scale = self._scale
-        if scale is not None:
-            factor = scale.get(category)
+        # The billing sequence; keep in step with :meth:`charge`.
+        if not microseconds >= 0.0:
+            raise ValueError(f"charged work must be >= 0, got {microseconds}")
+        if self._scale is not None:
+            factor = self._scale.get(category)
             if factor is not None:
                 microseconds = microseconds * factor
         self._busy_us += microseconds
-        self.counters.add(f"cpu_us.{category}", microseconds)
-        sink = self.sink
-        if sink is not None:
-            sink.on_charge(category, microseconds)
-        self.clock.advance_us(microseconds / self.cores)
+        key = self._keys.get(category)
+        if key is None:
+            key = self._keys[category] = f"cpu_us.{category}"
+        self._counts[key] += microseconds
+        if self.sink is not None:
+            self.sink.on_charge(category, microseconds)
+        self.clock._now += (microseconds / self.cores) * 1e-6
 
     def charge(self, primitive: str, count: float = 1.0,
                category: str | None = None) -> float:
         """Charge ``count`` occurrences of a named :class:`CostTable` entry.
 
-        Returns the charged core-microseconds so callers can aggregate
-        per-operation costs without re-reading the table.
+        Returns the charged core-microseconds (before any what-if
+        scaling) so callers can aggregate per-operation costs without
+        re-reading the table.
         """
-        unit = getattr(self.costs, primitive)
+        unit = self._units.get(primitive)
+        if unit is None:
+            unit = getattr(self._costs, primitive)  # AttributeError names it
         amount = unit * count
-        self.charge_us(amount, category if category is not None else primitive)
+        if category is None:
+            category = primitive
+        # The billing sequence; keep in step with :meth:`charge_us`.
+        if not amount >= 0.0:
+            raise ValueError(f"charged work must be >= 0, got {amount}")
+        microseconds = amount
+        if self._scale is not None:
+            factor = self._scale.get(category)
+            if factor is not None:
+                microseconds = amount * factor
+        self._busy_us += microseconds
+        key = self._keys.get(category)
+        if key is None:
+            key = self._keys[category] = f"cpu_us.{category}"
+        self._counts[key] += microseconds
+        if self.sink is not None:
+            self.sink.on_charge(category, microseconds)
+        self.clock._now += (microseconds / self.cores) * 1e-6
         return amount
 
     def elapsed_if_cpu_bound(self) -> float:

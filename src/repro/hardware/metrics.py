@@ -18,9 +18,9 @@ class CounterSet:
         self._counts: Dict[str, float] = defaultdict(float)
 
     def add(self, name: str, amount: float = 1.0) -> None:
-        """Increment counter ``name`` by ``amount`` (negative is rejected)."""
-        if amount < 0.0:
-            raise ValueError(f"counter {name!r} cannot decrease by {amount}")
+        """Increment ``name`` by ``amount`` (negative and NaN rejected)."""
+        if not amount >= 0.0:
+            raise ValueError(f"counter {name!r} increment must be >= 0, got {amount}")
         self._counts[name] += amount
 
     def get(self, name: str) -> float:

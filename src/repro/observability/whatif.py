@@ -4,8 +4,8 @@ Coz-style causal profiling answers "what would happen to end-to-end
 performance if component X were ``k`` times faster?" — on real hardware
 the answer is statistical (Coz slows everything *else* down and
 extrapolates).  On this repo's virtual clock it can be **exact**: every
-core-microsecond a component bills flows through one place
-(:meth:`repro.hardware.cpu.CpuModel.charge_us`), so replaying the same
+core-microsecond a component bills goes through one billing sequence
+(:meth:`repro.hardware.cpu.CpuModel.charge`), so replaying the same
 seeded trace with that component's charges scaled yields the true
 fleet-level delta, not an estimate.
 
@@ -369,7 +369,7 @@ def predict(baseline: RunView, component: str, speedup: float) -> RunView:
 
     For CPU components this folds each shard's charge stream with the
     per-category factor ``1/speedup`` applied exactly the way
-    :meth:`repro.hardware.cpu.CpuModel.charge_us` applies it, so the
+    :meth:`repro.hardware.cpu.CpuModel.charge` applies it, so the
     predicted busy scalar and per-category counters are bit-identical
     to a scaled run's — as long as the scaling does not feed back into
     control flow (the ``exact`` contract).  Device components divide

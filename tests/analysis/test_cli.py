@@ -28,8 +28,20 @@ def test_repo_is_lint_clean(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_default_paths_cover_the_package(capsys):
+def test_default_paths_cover_the_package(monkeypatch):
+    """No arguments means the package: with ``test_repo_is_lint_clean``
+    (which lints the defaults for real) this is "the package is clean"
+    without parsing ``src/`` a second time."""
+    linted = []
+
+    def record(paths, select=None):
+        linted.append(list(paths))
+        return []
+
+    monkeypatch.setattr("repro.analysis.cli.lint_paths", record)
+    assert lint_main([]) == 0
     assert lint_main([PACKAGE_DIR]) == 0
+    assert linted == [[PACKAGE_DIR], [PACKAGE_DIR]]
 
 
 def test_findings_exit_nonzero_with_location(tmp_path, capsys):

@@ -11,6 +11,8 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.analysis.doccheck import DocChecker, extract_symbols
 
@@ -18,13 +20,15 @@ PACKAGE_ROOT = os.path.dirname(os.path.abspath(repro.__file__))
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def _checker() -> DocChecker:
+@pytest.fixture(scope="module")
+def checker() -> DocChecker:
+    """One index of ``src/`` for the module: every test only reads it."""
     return DocChecker(PACKAGE_ROOT)
 
 
-def test_architecture_doc_has_no_stale_symbols():
+def test_architecture_doc_has_no_stale_symbols(checker):
     doc = REPO_ROOT / "docs" / "ARCHITECTURE.md"
-    assert _checker().check_doc(str(doc)) == []
+    assert checker.check_doc(str(doc)) == []
 
 
 def test_extract_symbols_only_matches_backticked_repro_refs():
@@ -40,8 +44,7 @@ def test_extract_symbols_only_matches_backticked_repro_refs():
     assert len(symbols) == 2  # unbackticked / foreign refs ignored
 
 
-def test_module_class_member_and_instance_attrs_resolve():
-    checker = _checker()
+def test_module_class_member_and_instance_attrs_resolve(checker):
     assert checker.resolve("repro.observability") is None
     assert checker.resolve("repro.observability.spans.Tracer") is None
     # Methods, properties and self.<attr> instance attributes all count.
@@ -53,30 +56,30 @@ def test_module_class_member_and_instance_attrs_resolve():
         "repro.observability.spans.SPAN_NAMES") is None
 
 
-def test_unknown_member_is_reported(tmp_path):
+def test_unknown_member_is_reported(checker, tmp_path):
     doc = tmp_path / "doc.md"
     doc.write_text("`repro.hardware.machine.Machine.frobnicate`\n")
-    errors = _checker().check_doc(str(doc))
+    errors = checker.check_doc(str(doc))
     assert len(errors) == 1
     assert "frobnicate" in errors[0]
 
 
-def test_unknown_module_is_reported():
-    reason = _checker().resolve("repro.nonexistent.Widget")
+def test_unknown_module_is_reported(checker):
+    reason = checker.resolve("repro.nonexistent.Widget")
     assert reason is not None
 
 
-def test_doc_without_any_symbols_is_an_error(tmp_path):
+def test_doc_without_any_symbols_is_an_error(checker, tmp_path):
     doc = tmp_path / "empty.md"
     doc.write_text("prose with no symbol citations\n")
-    errors = _checker().check_doc(str(doc))
+    errors = checker.check_doc(str(doc))
     assert errors
     assert "no `repro.*` symbol references" in errors[0]
 
 
-def test_analysis_doc_has_no_stale_symbols():
+def test_analysis_doc_has_no_stale_symbols(checker):
     doc = REPO_ROOT / "docs" / "ANALYSIS.md"
-    assert _checker().check_doc(str(doc)) == []
+    assert checker.check_doc(str(doc)) == []
 
 
 def test_analysis_doc_is_in_the_default_doc_set():

@@ -30,15 +30,16 @@ def test_advance_returns_new_time():
     assert clock.advance(2.0) == 3.0
 
 
-def test_advance_us_converts_units():
-    clock = VirtualClock()
-    clock.advance_us(2_000_000.0)
-    assert clock.now == pytest.approx(2.0)
-
-
 def test_rejects_negative_advance():
     with pytest.raises(ValueError):
         VirtualClock().advance(-0.1)
+
+
+def test_rejects_nan_advance_and_stays_put():
+    clock = VirtualClock(1.0)
+    with pytest.raises(ValueError):
+        clock.advance(float("nan"))
+    assert clock.now == 1.0
 
 
 def test_zero_advance_is_allowed():

@@ -1,8 +1,12 @@
 """CPU cost model: charging, clock coupling, calibration invariants."""
 
+import sys
+from dataclasses import fields
+
 import pytest
 
-from repro.hardware import CostTable, CpuModel, VirtualClock
+from repro.hardware import CostTable, CpuModel, Machine, VirtualClock
+from repro.observability.whatif import ChargeRecorder
 
 
 def test_charge_named_primitive_returns_amount():
@@ -68,6 +72,137 @@ def test_reset_preserves_clock():
 def test_unknown_primitive_raises():
     with pytest.raises(AttributeError):
         CpuModel(cores=1).charge("not_a_primitive")
+
+
+def accounts(cpu):
+    return cpu.busy_us, cpu.counters.snapshot(), cpu.clock.now
+
+
+def test_unknown_primitive_names_it_and_charges_nothing():
+    cpu = CpuModel(cores=2)
+    cpu.sink = sink = ChargeRecorder()
+    cpu.charge("hash_probe")
+    before = accounts(cpu)
+    with pytest.raises(AttributeError, match="not_a_primitive"):
+        cpu.charge("not_a_primitive", 3, category="tc")
+    assert accounts(cpu) == before
+    assert len(sink.events) == 1
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1.0, -float("inf")])
+def test_nan_and_negative_charges_raise_with_nothing_charged(bad):
+    """NaN fails every ``<`` test, so the check must be ``not x >= 0``:
+    one NaN would otherwise poison busy_us, the category counter and
+    the clock for the rest of the run."""
+    cpu = CpuModel(cores=4)
+    cpu.sink = sink = ChargeRecorder()
+    cpu.charge_us(1.5, "tc")
+    before = accounts(cpu)
+    with pytest.raises(ValueError):
+        cpu.charge_us(bad, "tc")
+    with pytest.raises(ValueError):
+        cpu.charge("hash_probe", bad, category="tc")
+    assert accounts(cpu) == before
+    assert sink.events == [("tc", 1.5)]
+
+
+def test_nan_scale_factor_is_rejected():
+    cpu = CpuModel(cores=1)
+    with pytest.raises(ValueError):
+        cpu.scale_costs({"tc": float("nan")})
+    cpu.charge_us(2.0, "tc")
+    assert cpu.busy_us == 2.0
+
+
+def test_costs_is_read_only():
+    """Unit prices are resolved at construction; a swapped table would
+    be silently ignored, so assignment must fail loudly."""
+    table = CostTable().with_overrides(hash_probe=7.0)
+    cpu = CpuModel(cores=1, costs=table)
+    assert cpu.costs is table
+    with pytest.raises(AttributeError):
+        cpu.costs = CostTable()
+    assert cpu.charge("hash_probe") == 7.0
+
+
+def test_every_cost_table_entry_is_chargeable():
+    table = CostTable()
+    cpu = CpuModel(cores=1, costs=table)
+    for field in fields(table):
+        assert cpu.charge(field.name) == getattr(table, field.name)
+
+
+# ----------------------------------------------------------------------
+# complexity guard: a charge is one Python frame
+# ----------------------------------------------------------------------
+
+def python_frames(call):
+    """Python-level function entries made while ``call`` runs."""
+    entered = []
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(profiler)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+def test_a_charge_enters_one_python_frame():
+    cpu = CpuModel(cores=4)
+    cpu.charge("hash_probe", category="tc")     # interns the counter key
+    cpu.charge_us(1.0, "tc")
+    assert python_frames(
+        lambda: cpu.charge("hash_probe", 2, category="tc")
+    ) == ["<lambda>", "charge"]
+    assert python_frames(
+        lambda: cpu.charge_us(1.0, "tc")
+    ) == ["<lambda>", "charge_us"]
+    # A new category costs no extra frame either.
+    assert python_frames(
+        lambda: cpu.charge("hash_probe", category="fresh")
+    ) == ["<lambda>", "charge"]
+    # What-if scaling is applied inside the same frame.
+    cpu.scale_costs({"tc": 0.5})
+    assert python_frames(
+        lambda: cpu.charge("hash_probe", category="tc")
+    ) == ["<lambda>", "charge"]
+
+
+def test_a_sink_costs_exactly_one_more_frame():
+    cpu = CpuModel(cores=4)
+    cpu.sink = ChargeRecorder()
+    assert python_frames(
+        lambda: cpu.charge("hash_probe", category="tc")
+    ) == ["<lambda>", "charge", "on_charge"]
+    assert python_frames(
+        lambda: cpu.charge_us(1.0, "tc")
+    ) == ["<lambda>", "charge_us", "on_charge"]
+
+
+def test_charges_after_a_reset_still_reach_the_counters():
+    """The billing sequence adds to the dict behind ``cpu.counters``;
+    a reset must keep that dict, not replace it."""
+    cpu = CpuModel(cores=1)
+    cpu.charge_us(3.0, "tc")
+    cpu.reset()
+    assert cpu.counters.snapshot() == {}
+    cpu.charge_us(2.0, "tc")
+    cpu.charge("hash_probe", category="mvcc")
+    assert cpu.counters.snapshot() == {
+        "cpu_us.tc": 2.0, "cpu_us.mvcc": cpu.costs.hash_probe}
+    assert cpu.counters.get("cpu_us.tc") == 2.0
+
+    machine = Machine.paper_default(cores=2)
+    machine.cpu.charge_us(5.0, "tc")
+    machine.reset_accounting()
+    machine.cpu.charge_us(1.0, "bwtree")
+    assert machine.cpu.counters.snapshot() == {"cpu_us.bwtree": 1.0}
+    assert machine.cpu.busy_us == 1.0
 
 
 class TestCostTable:

@@ -1,0 +1,148 @@
+"""The fused billing sequence against the call chain it replaced.
+
+``ReferenceCpuModel`` keeps the retired path verbatim — ``charge`` ->
+``charge_us`` -> ``CounterSet.add`` -> ``advance_us`` -> ``advance``, one
+``getattr`` on the cost table and one f-string per charge — so the two
+can be driven side by side and compared with ``==``, never ``approx``:
+a host-side optimization must leave every virtual number bit-identical.
+"""
+
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.hardware import CostTable, CpuModel, VirtualClock
+from repro.observability.whatif import ChargeRecorder
+from repro.scenarios import Scenario
+
+
+class ReferenceCpuModel(CpuModel):
+    """``CpuModel`` with the pre-fusion ``charge`` / ``charge_us``."""
+
+    def charge_us(self, microseconds, category="other"):
+        if microseconds < 0.0:
+            raise ValueError(f"cannot charge negative work: {microseconds}")
+        scale = self._scale
+        if scale is not None:
+            factor = scale.get(category)
+            if factor is not None:
+                microseconds = microseconds * factor
+        self._busy_us += microseconds
+        self.counters.add(f"cpu_us.{category}", microseconds)
+        sink = self.sink
+        if sink is not None:
+            sink.on_charge(category, microseconds)
+        self.advance_us(microseconds / self.cores)
+
+    def charge(self, primitive, count=1.0, category=None):
+        unit = getattr(self.costs, primitive)
+        amount = unit * count
+        self.charge_us(amount, category if category is not None else primitive)
+        return amount
+
+    def advance_us(self, microseconds):
+        """The retired ``VirtualClock.advance_us``."""
+        return self.clock.advance(microseconds * 1e-6)
+
+
+PRIMITIVES = st.sampled_from(sorted(CostTable.__dataclass_fields__))
+CATEGORIES = st.sampled_from(["tc", "bwtree", "mvcc", "other"])
+COUNTS = st.one_of(
+    st.integers(0, 8192),
+    st.floats(0.0, 1e6),
+    st.floats(-4.0, -1e-9),          # rejected by both, nothing charged
+)
+MICROSECONDS = st.one_of(
+    st.floats(0.0, 1e9),
+    st.floats(-4.0, -1e-9),
+)
+FACTORS = st.floats(1e-3, 1e3)
+STEPS = st.lists(st.one_of(
+    st.tuples(st.just("charge"), PRIMITIVES, COUNTS,
+              st.one_of(st.none(), CATEGORIES)),
+    st.tuples(st.just("charge"), PRIMITIVES, COUNTS,
+              st.one_of(st.none(), CATEGORIES)),
+    st.tuples(st.just("charge"), st.just("no_such_primitive"), COUNTS,
+              CATEGORIES),
+    st.tuples(st.just("charge_us"), MICROSECONDS,
+              st.one_of(st.none(), CATEGORIES)),
+    st.tuples(st.just("scale"), st.one_of(
+        st.none(), st.dictionaries(CATEGORIES, FACTORS, max_size=3))),
+    st.tuples(st.just("sink"), st.booleans()),
+    st.tuples(st.just("reset")),
+), max_size=40)
+
+
+def apply(cpu, recorder, step):
+    """Run one step; returns what the caller saw (value or exception)."""
+    kind = step[0]
+    try:
+        if kind == "charge":
+            __, primitive, count, category = step
+            return cpu.charge(primitive, count, category)
+        if kind == "charge_us":
+            __, microseconds, category = step
+            if category is None:
+                return cpu.charge_us(microseconds)
+            return cpu.charge_us(microseconds, category)
+        if kind == "scale":
+            return cpu.scale_costs(step[1])
+        if kind == "sink":
+            cpu.sink = recorder if step[1] else None
+            return None
+        return cpu.reset()
+    except (ValueError, AttributeError) as error:
+        return type(error)
+
+
+def accounts(cpu, recorder):
+    return (cpu.busy_us, cpu.counters.snapshot(), cpu.clock.now,
+            recorder.events)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cores=st.sampled_from([1, 4, 8]), steps=STEPS)
+def test_fused_charge_is_bit_identical_to_the_reference_chain(cores, steps):
+    fused = CpuModel(cores, clock=VirtualClock())
+    reference = ReferenceCpuModel(cores, clock=VirtualClock())
+    fused_events, reference_events = ChargeRecorder(), ChargeRecorder()
+    for step in steps:
+        assert (apply(fused, fused_events, step)
+                == apply(reference, reference_events, step)), step
+        assert (accounts(fused, fused_events)
+                == accounts(reference, reference_events)), step
+
+
+def record_engine_run(scenario):
+    """Drive ``scenario`` with a recorder on every machine."""
+    run = scenario.prepare()
+    recorders = []
+    for machine in run.machines:
+        machine.cpu.sink = recorder = ChargeRecorder()
+        recorders.append(recorder)
+    run.drive()
+    return (
+        [type(machine.cpu) for machine in run.machines],
+        [recorder.events for recorder in recorders],
+        [(machine.cpu.busy_us, machine.cpu.counters.snapshot(),
+          machine.clock.now) for machine in run.machines],
+        run.result(),
+    )
+
+
+def test_engine_charge_stream_is_identical_under_both_models():
+    """Batched YCSB-A through a 2-shard fleet with checkpoint and
+    warm-up: every charge, in order, with the same float."""
+    scenario = Scenario(seed=42, mix="a", record_count=300, op_count=1536,
+                        shards=2, batch_size=64, checkpoint=True,
+                        warmup_ops=256)
+    kinds, events, totals, result = record_engine_run(scenario)
+    with mock.patch("repro.hardware.machine.CpuModel", ReferenceCpuModel):
+        (ref_kinds, ref_events, ref_totals,
+         ref_result) = record_engine_run(scenario)
+    assert set(kinds) == {CpuModel} and set(ref_kinds) == {ReferenceCpuModel}
+    assert sum(len(stream) for stream in events) > 5_000
+    assert events == ref_events
+    assert totals == ref_totals
+    assert result == ref_result

@@ -19,6 +19,15 @@ class TestCounterSet:
         with pytest.raises(ValueError):
             CounterSet().add("io", -1.0)
 
+    def test_rejects_nan_increment_and_adds_nothing(self):
+        counters = CounterSet()
+        counters.add("io", 2.0)
+        with pytest.raises(ValueError):
+            counters.add("io", float("nan"))
+        with pytest.raises(ValueError):
+            counters.add("new", float("nan"))
+        assert counters.snapshot() == {"io": 2.0}
+
     def test_snapshot_is_a_copy(self):
         counters = CounterSet()
         counters.add("a", 1)
