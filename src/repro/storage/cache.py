@@ -296,7 +296,10 @@ class PageCache:
             self.tiers.stats = self.stats
         self._vclock = machine.clock
         # LRU order over resident pages: page id -> accounted bytes.
+        # ``_resident_bytes`` is the running sum of its values; only
+        # register / resize / _untrack write either.
         self._resident: "OrderedDict[int, int]" = OrderedDict()
+        self._resident_bytes = 0
         # CLOCK ring: page id -> reference bit, in hand order (the front
         # is where the hand points).  Touching a page is a plain store
         # into this dict — no reordering on the hot path.
@@ -313,6 +316,7 @@ class PageCache:
         nbytes = entry.resident_bytes
         self.machine.dram.allocate(nbytes, DRAM_TAG)
         self._resident[entry.page_id] = nbytes
+        self._resident_bytes += nbytes
         if self.policy is EvictionPolicy.CLOCK:
             self._clock_ring[entry.page_id] = True
         self.touch(entry)
@@ -328,9 +332,11 @@ class PageCache:
         elif new < old:
             self.machine.dram.free(old - new, DRAM_TAG)
         self._resident[entry.page_id] = new
+        self._resident_bytes += new - old
 
     def _untrack(self, entry: PageEntry) -> None:
         nbytes = self._resident.pop(entry.page_id)
+        self._resident_bytes -= nbytes
         self._clock_ring.pop(entry.page_id, None)
         self.machine.dram.free(nbytes, DRAM_TAG)
 
@@ -366,7 +372,7 @@ class PageCache:
 
     @property
     def resident_bytes(self) -> int:
-        return sum(self._resident.values())
+        return self._resident_bytes
 
     @property
     def resident_pages(self) -> int:
@@ -499,9 +505,21 @@ class PageCache:
             # Oldest-idle first, then fall through to LRU order.
             stale.sort(key=lambda pid: self.mapping_table.get(pid).last_access)
             yield from stale
-        for pid in list(self._resident):
-            if pid not in protect:
-                yield pid
+        # LRU order, walked lazily from the front of the live dict: the
+        # consumer untracks most victims it is handed, so each step
+        # restarts at the new front instead of snapshotting every
+        # resident id up front.  A victim the consumer left resident
+        # (record-cache retention) is passed over, not offered twice.
+        resident = self._resident
+        offered: Set[int] = set()
+        while True:
+            for pid in resident:
+                if pid not in protect and pid not in offered:
+                    break
+            else:
+                return
+            offered.add(pid)
+            yield pid
 
     def _clock_victims(self, protect: Set[int]) -> Iterable[int]:
         """Second-chance sweep: clear set bits, evict clear ones.
@@ -641,6 +659,7 @@ class PageCache:
                     cut = len(state.deltas) - state.flushed_delta_count
                     unflushed = state.deltas[:cut]
                 base_records: List = []
+                base_bytes: Optional[int] = None
                 flushed_deltas: List = []
                 for index, addr in enumerate(entry.flash_chain):
                     result = self.store.read(addr)
@@ -657,6 +676,7 @@ class PageCache:
                                 f"not full"
                             )
                         base_records = list(image.records)
+                        base_bytes = image.size_bytes
                     else:
                         if image.kind != "delta":
                             raise RuntimeError(
@@ -669,6 +689,7 @@ class PageCache:
                 rebuilt = DataPageState(
                     entry.page_id, base=base_records,
                     deltas=unflushed + list(reversed(flushed_deltas)),
+                    base_size_bytes=base_bytes,
                 )
                 rebuilt.flushed_delta_count = len(flushed_deltas)
                 rebuilt.base_flushed = True
@@ -693,7 +714,7 @@ class PageCache:
             raise RuntimeError(
                 f"page {entry.page_id}: chain head is not a full image"
             )
-        state.install_base(list(image.records))
+        state.install_base(list(image.records), image.size_bytes)
         state.base_flushed = True
         self.machine.cpu.charge("page_install", category="cache")
         self.machine.cpu.charge(

@@ -105,29 +105,39 @@ class DataPageState:
         page_id: int,
         base: object = _UNSET,
         deltas: Optional[List[RecordDelta]] = None,
+        base_size_bytes: Optional[int] = None,
     ) -> None:
         self.page_id = page_id
         # A freshly allocated page has a present-but-empty base; an explicit
         # ``base=None`` means the base is evicted (its contents live on
         # flash), which a lookup must treat as "go fetch", not "empty".
         self._set_base(
-            [] if base is DataPageState._UNSET else base  # type: ignore[arg-type]
+            [] if base is DataPageState._UNSET else base,  # type: ignore[arg-type]
+            base_size_bytes,
         )
         self.deltas: List[RecordDelta] = deltas if deltas is not None else []
-        self._delta_bytes = sum(d.size_bytes for d in self.deltas)
+        self._delta_bytes = (sum(d.size_bytes for d in self.deltas)
+                             if self.deltas else 0)
         # Persistence bookkeeping used by the log store's delta-only flushes.
         self.flushed_delta_count = 0
         self.base_flushed = False
 
-    def _set_base(self, records: Optional[List[Record]]) -> None:
-        """Point ``base`` at ``records``; sizes it and indexes its keys once."""
+    def _set_base(self, records: Optional[List[Record]],
+                  size_bytes: Optional[int] = None) -> None:
+        """Point ``base`` at ``records``; sizes it and indexes its keys once.
+
+        ``size_bytes`` is the full-image size of ``records`` when the
+        caller already holds it (a fetched :class:`PageImage` was sized
+        when it was flushed); without it the records are summed here.
+        """
         self.base: Optional[List[Record]] = records
         if records is None:
             self._base_keys: Optional[List[bytes]] = None
             self._base_bytes = 0
         else:
             self._base_keys = [record.key for record in records]
-            self._base_bytes = full_image_size_bytes(records)
+            self._base_bytes = (full_image_size_bytes(records)
+                                if size_bytes is None else size_bytes)
 
     # --- size accounting --------------------------------------------------
 
@@ -169,9 +179,14 @@ class DataPageState:
         self._set_base(None)
         return freed
 
-    def install_base(self, records: List[Record]) -> int:
-        """Install a (sorted) base image, e.g. after a fetch; returns bytes."""
-        self._set_base(records)
+    def install_base(self, records: List[Record],
+                     size_bytes: Optional[int] = None) -> int:
+        """Install a (sorted) base image, e.g. after a fetch; returns bytes.
+
+        A fetch passes the image's own ``size_bytes`` so the records are
+        not summed again.
+        """
+        self._set_base(records, size_bytes)
         return self._base_bytes
 
     def replace_base(self, records: List[Record]) -> int:
@@ -332,6 +347,9 @@ class PageImage:
     the previous flush, paper Figure 5).  Payload objects are kept verbatim by
     the simulated flash so reads round-trip exactly.  ``size_bytes`` is the
     serialized size, summed once here unless the builder already holds it.
+    A fetch installs it without re-summing, so an explicit value is taken
+    on trust: only :meth:`DataPageState.full_image`, whose running total
+    is pinned to a recomputation, passes one.
     """
 
     kind: str

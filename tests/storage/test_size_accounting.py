@@ -2,33 +2,43 @@
 
 ``DataPageState`` keeps its base/delta byte totals up to date in its
 constructor and mutation methods, which makes ``PageCache.resize`` O(1)
-per posted delta.  These tests pin the totals to a from-scratch
-recomputation, the no-re-sum property as a call count, and the rule that
-keeps the totals from going stale: nobody outside ``pages.py`` writes
-``base`` or ``deltas``.
+per posted delta; ``PageCache`` keeps a running total of resident bytes
+and a fetched ``PageImage`` brings its own size, which makes a miss
+O(1) in the number of resident pages and of records sized.  These
+tests pin the totals to a from-scratch recomputation, the no-re-sum
+property as call counts, and the rules that keep the totals from going
+stale: nobody outside ``pages.py`` writes ``base`` or ``deltas``, and
+only ``DataPageState.full_image`` hands ``PageImage`` a size.
 """
 
 from __future__ import annotations
 
+import ast
+import collections
 import pathlib
 import re
+import sys
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 import repro
-from repro.bwtree import BwTreeConfig
+from repro.bwtree import BwTree, BwTreeConfig
 from repro.deuteronomy import DeuteronomyEngine, TcConfig
 from repro.hardware import Machine
 from repro.storage import (
     PAGE_HEADER_BYTES,
     DataPageState,
     DeltaKind,
+    PageImage,
     Record,
     RecordDelta,
 )
 from repro.storage.cache import DRAM_TAG
+from repro.storage.pages import delta_image_size_bytes, full_image_size_bytes
 from repro.workloads import OpKind, WorkloadGenerator, WorkloadSpec
+
+from .sequences import SEEDS, SHAPES, apply_step, make_steps, make_tree
 
 KEYS = st.sampled_from([b"a", b"bb", b"ccc", b"dddd", b"eeeee"])
 VALUES = st.binary(max_size=20)
@@ -101,6 +111,82 @@ def test_prepend_delta_never_sizes_the_base(monkeypatch):
     assert calls == []
 
 
+def count_calls(function) -> collections.Counter:
+    """Every Python and C function entered while ``function`` runs."""
+    calls: collections.Counter = collections.Counter()
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            calls[f"{pathlib.Path(code.co_filename).stem}.{code.co_name}"] += 1
+        elif event == "c_call":
+            calls[f"{arg.__module__}.{arg.__qualname__}"] += 1
+
+    sys.setprofile(profiler)
+    try:
+        function()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class CountingResident(collections.OrderedDict):
+    """A ``PageCache._resident`` that counts the ids iteration hands out
+    (C-level copies such as ``list(resident)`` included)."""
+
+    handed_out = 0
+
+    def __iter__(self):
+        for page_id in super().__iter__():
+            self.handed_out += 1
+            yield page_id
+
+
+def calls_of_one_miss(resident_pages: int) -> collections.Counter:
+    """A full cache of ``resident_pages`` clean, equal-sized pages, then
+    one fetch that has to push the LRU page out."""
+    tree = BwTree(Machine.paper_default(cores=1),
+                  BwTreeConfig(max_page_bytes=512))
+    tree.bulk_load((b"key%06d" % index, b"v" * 40)
+                   for index in range(5 * (resident_pages + 3)))
+    tree.checkpoint()
+    cache, table = tree.cache, tree.mapping_table
+    leaves = tree.leaf_page_ids()
+    assert len(leaves) == resident_pages + 3
+    # Out go the short last page, one more, and the page to be missed.
+    cold = table.get(leaves[len(leaves) // 2])
+    for page_id in (leaves[-1], leaves[-2], cold.page_id):
+        cache.evict(table.get(page_id))
+    assert cache.resident_pages == resident_pages
+    cache.capacity_bytes = cache.resident_bytes
+    cache._resident = CountingResident(cache._resident)
+    before = (cache.stats.fetches, cache.stats.evictions)
+
+    def miss() -> None:
+        cache.fetch(cold)
+        cache.ensure_capacity(protect={cold.page_id})
+
+    calls = count_calls(miss)
+    assert (cache.stats.fetches, cache.stats.evictions) == (
+        before[0] + 1, before[1] + 1)
+    assert cache.resident_pages == resident_pages
+    # The victim walk looked at the LRU page and nothing else.
+    assert cache._resident.handed_out == 1
+    return calls
+
+
+def test_a_miss_costs_the_same_calls_whatever_the_cache_holds():
+    """Complexity guard as call counts: a miss with 2,048 resident pages
+    enters exactly the functions a miss with 64 does, never ``sum`` (the
+    resident-byte total is a running one) and never
+    ``full_image_size_bytes`` (the fetched image carries its size)."""
+    small, large = calls_of_one_miss(64), calls_of_one_miss(2048)
+    assert small == large
+    assert small["cache.fetch"] == small["cache.evict"] == 1
+    assert "builtins.sum" not in large
+    assert "pages.full_image_size_bytes" not in large
+
+
 def test_only_pages_module_writes_base_and_deltas():
     """The cached totals cannot go stale while ``DataPageState`` is the
     sole writer of ``base``/``deltas``: no other module assigns them or
@@ -124,14 +210,20 @@ def test_only_pages_module_writes_base_and_deltas():
     assert offenders == []
 
 
-def _assert_residency_reconciles(engine: DeuteronomyEngine) -> None:
-    tree = engine.dc
-    tracked = sum(tree.cache._resident.values())
-    assert tracked == tree.mapping_table.resident_bytes()
-    assert tracked == engine.machine.dram.bytes_for(DRAM_TAG)
-    for entry in tree.mapping_table.entries():
-        if entry.state is not None:
-            assert_sizes_match_recomputation(entry.state)
+def assert_residency_reconciles(tree: BwTree) -> None:
+    """The views of page-cache bytes agree with each other and with a
+    from-scratch recomputation of every resident page."""
+    cache = tree.cache
+    tracked = [entry for entry in tree.mapping_table.entries()
+               if cache.is_tracked(entry.page_id)]
+    assert len(tracked) == cache.resident_pages
+    assert (cache.resident_bytes
+            == sum(cache._resident.values())
+            == sum(entry.resident_bytes for entry in tracked)
+            == tree.mapping_table.resident_bytes()
+            == tree.machine.dram.bytes_for(DRAM_TAG))
+    for entry in tracked:
+        assert_sizes_match_recomputation(entry.state)
 
 
 def test_cache_accounting_reconciles_through_eviction_gc_and_recovery():
@@ -149,7 +241,7 @@ def test_cache_accounting_reconciles_through_eviction_gc_and_recovery():
     )
     engine.multi_put(generator.load_items())
     engine.checkpoint()
-    _assert_residency_reconciles(engine)
+    assert_residency_reconciles(engine.dc)
     operations = list(generator.operations(6000))
     for start in range(0, len(operations), 500):
         for op in operations[start:start + 500]:
@@ -157,16 +249,73 @@ def test_cache_accounting_reconciles_through_eviction_gc_and_recovery():
                 engine.get(op.key)
             else:
                 engine.put(op.key, op.value)
-        _assert_residency_reconciles(engine)
+        assert_residency_reconciles(engine.dc)
         if start == 2000:
             engine.checkpoint()
             engine.collect_garbage()
-            _assert_residency_reconciles(engine)
+            assert_residency_reconciles(engine.dc)
         if start == 4000:
             before_crash = engine.dc.cache.stats
             assert before_crash.evictions > 0
             assert before_crash.record_cache_retained > 0
             engine.checkpoint()
             engine = DeuteronomyEngine.recover(engine)
-            _assert_residency_reconciles(engine)
+            assert_residency_reconciles(engine.dc)
     assert engine.dc.cache.stats.evictions > 0
+
+
+def assert_stored_images_carry_their_true_size(tree: BwTree) -> None:
+    store = tree.store
+    for image in (*store._payloads.values(), *store._open_buffer.values()):
+        if isinstance(image, PageImage):
+            expected = (full_image_size_bytes(image.records)
+                        if image.kind == "full"
+                        else delta_image_size_bytes(image.deltas))
+            assert image.size_bytes == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(shape=SHAPES, seed=SEEDS)
+def test_running_totals_equal_recomputation_after_every_step(shape, seed):
+    """``resident_bytes`` is a running total written by ``register``,
+    ``resize`` and ``_untrack`` only; whatever a step does — fetch,
+    ``forget`` on merge, eviction with retained deltas, tier promote,
+    the idle sweep, crash and recovery — it equals the sum it replaced.
+    ``fetch`` trusts ``PageImage.size_bytes`` the same way: after
+    splits, merges, consolidations, delta flushes, checkpoints and GC
+    relocation every image on flash or in the open buffer still carries
+    the size a re-sum of its payload gives."""
+    tree = make_tree(shape)
+    for step in make_steps(seed):
+        tree = apply_step(tree, step)
+        assert_residency_reconciles(tree)
+        if step[0] in ("checkpoint", "gc", "crash"):
+            assert_stored_images_carry_their_true_size(tree)
+        if step[0] == "crash":
+            # Recovery restores chains, not pages: the new cache is empty.
+            assert tree.cache.resident_bytes == 0
+            assert tree.cache.resident_pages == 0
+
+
+def test_only_full_image_hands_page_image_a_size():
+    """An explicit ``size_bytes`` is taken on trust, so exactly one
+    builder may pass it: ``DataPageState.full_image``, whose total is
+    pinned to a recomputation above."""
+    package = pathlib.Path(repro.__file__).parent
+    sized = []
+    for path in sorted(package.rglob("*.py")):
+        source = path.read_text()
+        if "PageImage(" not in source:
+            continue
+        tree = ast.parse(source)
+        for call in ast.walk(tree):
+            if (isinstance(call, ast.Call)
+                    and getattr(call.func, "id", None) == "PageImage"
+                    and (len(call.args) > 4 or any(
+                        keyword.arg in ("size_bytes", None)
+                        for keyword in call.keywords))):
+                inside = [node.name for node in ast.walk(tree)
+                          if isinstance(node, ast.FunctionDef)
+                          and node.lineno <= call.lineno <= node.end_lineno]
+                sized.append((str(path.relative_to(package)), inside))
+    assert sized == [("storage/pages.py", ["full_image"])]
