@@ -4,9 +4,10 @@ The paper's argument rests on *complete accounting*: every operation's
 core-seconds and I/O-path CPU must be charged to a machine, or Equations
 (1)-(6) and the ~45 s breakeven silently go wrong.  Nothing in Python
 enforces that a new code path charges the :class:`~repro.hardware.cpu
-.CpuModel`, stays deterministic under replay, or keeps fleet counters
-additive — so this package enforces it mechanically, the way a type
-checker enforces signatures.
+.CpuModel` or stays deterministic under replay — so this package
+enforces it mechanically, the way a type checker enforces signatures.
+(Fleet totals need no rule: there is one ``STATS`` table in
+``deuteronomy/engine.py`` and the fleet is a fold by row kind.)
 
 Rules (ids usable in ``--select`` and ``# repro: ignore[...]``):
 
@@ -19,8 +20,6 @@ Rules (ids usable in ``--select`` and ``# repro: ignore[...]``):
   scheduling never orders simulated work;
 * ``slots-dataclass`` — hot-path dataclasses carry ``__slots__``;
 * ``mutable-default`` — no mutable default argument values;
-* ``counter-additivity`` — keys summed across shards must exist in the
-  per-shard ``stats()`` dicts;
 * ``wal-ordering`` — durable-content mutations (DC posts, dirty record
   appends, checkpoints) must be dominated by a recovery-log append or
   sync on every non-raising path, and checkpoint invalidation must

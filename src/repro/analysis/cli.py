@@ -26,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro lint",
         description=(
             "Domain-aware static checks: cost-accounting completeness, "
-            "determinism, hot-path hygiene, counter additivity."
+            "determinism, hot-path hygiene, WAL/epoch/fault-site protocol."
         ),
     )
     parser.add_argument(

@@ -126,8 +126,8 @@ class Rule:
     """Base class: subclasses set ``rule_id`` and implement ``check``.
 
     ``check`` receives every parsed file at once so project-wide rules
-    (counter additivity, call-graph cost analysis) can correlate across
-    modules; per-file rules just iterate.
+    (call-graph cost analysis) can correlate across modules; per-file
+    rules just iterate.
     """
 
     rule_id: str = ""
@@ -154,7 +154,6 @@ def rule(cls: Type[Rule]) -> Type[Rule]:
 def all_rules() -> List[Rule]:
     """Fresh instances of every registered rule, in registration order."""
     # Importing the rule modules registers them; deferred to avoid cycles.
-    from . import rules_additivity  # noqa: F401
     from . import rules_cost  # noqa: F401
     from . import rules_determinism  # noqa: F401
     from . import rules_hotpath  # noqa: F401

@@ -270,21 +270,6 @@ class CommitPipeline:
     def epoch_open(self) -> bool:
         return self._epoch_open
 
-    def stats(self) -> dict:
-        sizes = self.group_sizes
-        return {
-            "epochs_opened": self.epochs_opened,
-            "epochs_closed": self.epochs_closed,
-            "acks": self.acks,
-            "futures_resolved": self.futures_resolved,
-            "commit_wait_us": self.commit_wait_us,
-            "group_size_mean": sizes.mean,
-            "group_size_max": sizes.maximum,
-            "device_writes": self.device.submitted_writes,
-            "device_bytes": self.device.submitted_bytes,
-            "device_queue_wait_us": self.device.queue_wait_us,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CommitPipeline(epochs={self.epochs_closed}, "

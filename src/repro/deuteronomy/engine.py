@@ -8,7 +8,7 @@ context-manager transaction API.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..bwtree.tree import BwTree, BwTreeConfig
 from ..hardware.logdevice import LogDevice
@@ -211,76 +211,118 @@ class DeuteronomyEngine:
             return self.dc.collect_garbage(target_utilization)
 
     def stats(self) -> dict:
-        """One engine's cost/cache accounting as a flat dict.
-
-        Everything here is either an additive count (summable across a
-        shard fleet) or derivable from the additive counts, so
-        ``ShardedEngine.stats`` can aggregate shards uniformly and the
-        paper's Eqs. 4-5 pricing (core-seconds of CPU, resident DRAM
-        bytes) still applies to the fleet as a whole.
-        """
-        summary = self.machine.summary()
-        read_cache = self.tc.read_cache
-        records = self.tc.records
-        page_cache = self.dc.cache
-        pipeline = self.tc.pipeline
-        device = pipeline.device if pipeline is not None else None
-        elapsed = summary.elapsed_seconds
-        if device is not None:
-            # A dedicated (non-colocated) log device adds its own busy
-            # time as an elapsed floor; a colocated device contributes 0
-            # here (already in the machine's SSD busy seconds).
-            elapsed = max(elapsed, device.elapsed_contribution())
-        return {
-            "operations": summary.operations,
-            "core_seconds": summary.cpu_busy_seconds,
-            "elapsed_seconds": elapsed,
-            "ssd_busy_seconds": summary.ssd_busy_seconds,
-            "ssd_ios": summary.ssd_ios,
-            "dram_bytes": self.machine.dram.current_bytes,
-            "tc_dram_bytes": self.tc.dram_footprint_bytes(),
-            "commits": self.tc.counters.get("tc.commits"),
-            "aborts": self.tc.counters.get("tc.aborts"),
-            "reads": self.tc.counters.get("tc.reads"),
-            "dc_reads": self.tc.counters.get("tc.dc_reads"),
-            "tc_hit_rate": self.tc.tc_hit_rate(),
-            "read_cache_hits": read_cache.hits,
-            "read_cache_misses": read_cache.misses,
-            "read_cache_hit_rate": read_cache.hit_rate(),
-            "record_cache_hits": (
-                records.hits if records is not None else 0),
-            "record_cache_misses": (
-                records.misses if records is not None else 0),
-            "record_cache_hit_rate": (
-                records.hit_rate() if records is not None else 0.0),
-            "record_cache_gc_relocations": (
-                records.gc_relocations if records is not None else 0),
-            "record_heap_bytes": (
-                records.physical_bytes if records is not None else 0),
-            "page_cache_touches": page_cache.stats.touches,
-            "page_cache_fetches": page_cache.stats.fetches,
-            "page_cache_hit_rate": page_cache.hit_rate(),
-            "page_cache_demotions": page_cache.stats.demotions,
-            "page_cache_promotions": page_cache.stats.promotions,
-            "read_cache_demotions": read_cache.demotions,
-            "read_cache_promotions": read_cache.promotions,
-            "tier_resident_bytes": (
-                (page_cache.tiers.resident_bytes
-                 if page_cache.tiers is not None else 0)
-                + read_cache.tier_resident_bytes),
-            "log_flushes": self.tc.log.flushes,
-            "log_batch_appends": self.tc.log.batch_appends,
-            "log_device_writes": (
-                device.submitted_writes if device is not None else 0),
-            "log_device_bytes": (
-                device.submitted_bytes if device is not None else 0),
-            "commit_epochs": (
-                pipeline.epochs_closed if pipeline is not None else 0),
-            "commit_wait_us": (
-                pipeline.commit_wait_us if pipeline is not None else 0.0),
-            "commit_futures_resolved": (
-                pipeline.futures_resolved if pipeline is not None else 0),
-        }
+        """One engine's cost/cache accounting as a flat dict: one entry
+        per :data:`STATS` row, in table order."""
+        totals: dict = {}
+        for name, kind, read in STATS:
+            totals[name] = read(totals if kind == "ratio" else self)
+        return totals
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DeuteronomyEngine(dc={self.dc!r})"
+
+
+def _elapsed_seconds(engine: "DeuteronomyEngine") -> float:
+    elapsed = engine.machine.summary().elapsed_seconds
+    pipeline = engine.tc.pipeline
+    if pipeline is not None:
+        # A dedicated (non-colocated) log device adds its own busy time
+        # as an elapsed floor; a colocated device contributes 0 here
+        # (already in the machine's SSD busy seconds).
+        elapsed = max(elapsed, pipeline.device.elapsed_contribution())
+    return elapsed
+
+
+def _tier_resident_bytes(engine: "DeuteronomyEngine") -> int:
+    tiers = engine.dc.cache.tiers
+    return ((tiers.resident_bytes if tiers is not None else 0)
+            + engine.tc.read_cache.tier_resident_bytes)
+
+
+def _served_share(missed: str, total: str) -> Callable[[dict], float]:
+    """``1 - missed/total`` over summed counts; 0.0 with no traffic."""
+    return lambda totals: (
+        1.0 - totals[missed] / totals[total] if totals[total] else 0.0)
+
+
+def _hit_share(hits: str, misses: str) -> Callable[[dict], float]:
+    """``hits/(hits+misses)`` over summed counts; 0.0 with no probes."""
+    def rate(totals: dict) -> float:
+        probes = totals[hits] + totals[misses]
+        return totals[hits] / probes if probes else 0.0
+    return rate
+
+
+#: Every statistic an engine reports, as ``(name, kind, reader)`` rows in
+#: ``stats()`` order.  ``kind`` says how a shard fleet combines the row,
+#: which keeps the paper's Eqs. 4-5 pricing (core-seconds of CPU,
+#: resident DRAM bytes) applicable to the fleet as a whole:
+#:
+#: * ``counter`` — monotonic count, summed across shards;
+#: * ``level`` — instantaneous resident bytes, summed across shards;
+#: * ``max`` — shards run in parallel, so the slowest bounds the fleet;
+#: * ``ratio`` — a rate of the sums, never a mean of per-shard rates.
+#:
+#: The reader is ``engine -> value``, except for ``ratio`` rows, where
+#: it is ``totals -> value`` over the rows above it: a bare engine
+#: passes its own counts, a fleet its sums, so each rate has one formula.
+STATS: Tuple[Tuple[str, str, Callable], ...] = (
+    ("operations", "counter", lambda e: e.machine.operations),
+    ("core_seconds", "counter", lambda e: e.machine.cpu.busy_seconds),
+    ("elapsed_seconds", "max", _elapsed_seconds),
+    ("ssd_busy_seconds", "counter", lambda e: e.machine.ssd.busy_seconds),
+    ("ssd_ios", "counter", lambda e: e.machine.ssd.total_ios),
+    ("dram_bytes", "level", lambda e: e.machine.dram.current_bytes),
+    ("tc_dram_bytes", "level", lambda e: e.tc.dram_footprint_bytes()),
+    ("commits", "counter", lambda e: e.tc.counters.get("tc.commits")),
+    ("aborts", "counter", lambda e: e.tc.counters.get("tc.aborts")),
+    ("reads", "counter", lambda e: e.tc.counters.get("tc.reads")),
+    ("dc_reads", "counter", lambda e: e.tc.counters.get("tc.dc_reads")),
+    ("tc_hit_rate", "ratio", _served_share("dc_reads", "reads")),
+    ("read_cache_hits", "counter", lambda e: e.tc.read_cache.hits),
+    ("read_cache_misses", "counter", lambda e: e.tc.read_cache.misses),
+    ("read_cache_hit_rate", "ratio",
+     _hit_share("read_cache_hits", "read_cache_misses")),
+    ("record_cache_hits", "counter",
+     lambda e: e.tc.records.hits if e.tc.records is not None else 0),
+    ("record_cache_misses", "counter",
+     lambda e: e.tc.records.misses if e.tc.records is not None else 0),
+    ("record_cache_hit_rate", "ratio",
+     _hit_share("record_cache_hits", "record_cache_misses")),
+    ("record_cache_gc_relocations", "counter",
+     lambda e: (e.tc.records.gc_relocations
+                if e.tc.records is not None else 0)),
+    ("record_heap_bytes", "level",
+     lambda e: (e.tc.records.physical_bytes
+                if e.tc.records is not None else 0)),
+    ("page_cache_touches", "counter", lambda e: e.dc.cache.stats.touches),
+    ("page_cache_fetches", "counter", lambda e: e.dc.cache.stats.fetches),
+    ("page_cache_hit_rate", "ratio",
+     _served_share("page_cache_fetches", "page_cache_touches")),
+    ("page_cache_demotions", "counter",
+     lambda e: e.dc.cache.stats.demotions),
+    ("page_cache_promotions", "counter",
+     lambda e: e.dc.cache.stats.promotions),
+    ("read_cache_demotions", "counter",
+     lambda e: e.tc.read_cache.demotions),
+    ("read_cache_promotions", "counter",
+     lambda e: e.tc.read_cache.promotions),
+    ("tier_resident_bytes", "level", _tier_resident_bytes),
+    ("log_flushes", "counter", lambda e: e.tc.log.flushes),
+    ("log_batch_appends", "counter", lambda e: e.tc.log.batch_appends),
+    ("log_device_writes", "counter",
+     lambda e: (e.tc.pipeline.device.submitted_writes
+                if e.tc.pipeline is not None else 0)),
+    ("log_device_bytes", "counter",
+     lambda e: (e.tc.pipeline.device.submitted_bytes
+                if e.tc.pipeline is not None else 0)),
+    ("commit_epochs", "counter",
+     lambda e: (e.tc.pipeline.epochs_closed
+                if e.tc.pipeline is not None else 0)),
+    ("commit_wait_us", "counter",
+     lambda e: (e.tc.pipeline.commit_wait_us
+                if e.tc.pipeline is not None else 0.0)),
+    ("commit_futures_resolved", "counter",
+     lambda e: (e.tc.pipeline.futures_resolved
+                if e.tc.pipeline is not None else 0)),
+)

@@ -10,8 +10,8 @@ along its execution path.  This package makes that accounting visible
   CPU/IoPath/DRAM charges each component bills, forming a
   cost-attribution tree that reconciles exactly with ``engine.stats()``;
 * :mod:`~repro.observability.registry` — a counters/gauges/histograms
-  registry read off live components, with snapshot/delta APIs and
-  lint-checked additive fleet summing;
+  registry read off live components, with snapshot/delta APIs and a
+  fleet registry folded from the engine's one ``STATS`` table;
 * :mod:`~repro.observability.trace_cli` — ``python -m repro trace``:
   replays a seeded workload and exports JSON / Chrome-trace output plus
   the "$ per op by component" report citing Eq. (4)-(5) terms by name;

@@ -11,41 +11,20 @@ Naming convention: ``component.metric`` (``tc.commits``,
 ``read_cache.resident_bytes``), mirroring the span components of
 :mod:`repro.observability.spans`.
 
-Fleet summation reuses :meth:`repro.deuteronomy.engine.DeuteronomyEngine.
-stats` for the additive subset declared in ``_REGISTRY_ADDITIVE_KEYS`` —
-the same declaration shape the counter-additivity lint statically checks
-against every imported provider's ``stats()``/``snapshot()`` dict, so a
-renamed engine counter fails ``repro lint`` before it silently zeroes a
-fleet metric.
+The fleet registry is a walk of the one ``STATS`` table in
+:mod:`repro.deuteronomy.engine`: one ``fleet.<name>`` metric per row,
+combined across shards by the row's kind.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping
 
-# Runtime import (not TYPE_CHECKING): the counter-additivity lint
-# resolves providers through module-level imports, and this module's
-# _REGISTRY_ADDITIVE_KEYS must stay pinned to DeuteronomyEngine.stats().
-from ..deuteronomy.engine import DeuteronomyEngine
+from ..deuteronomy.engine import STATS, DeuteronomyEngine
 from ..hardware.metrics import Histogram
 
 if TYPE_CHECKING:
     from ..sharding.engine import ShardedEngine
-
-#: ``DeuteronomyEngine.stats()`` keys the fleet registry sums across
-#: shards.  Statically cross-checked by the ``counter-additivity`` lint
-#: rule: every key must be a literal key of the provider's ``stats()``
-#: dict, so the declaration cannot drift from the engine.
-_REGISTRY_ADDITIVE_KEYS = (
-    "operations", "core_seconds", "ssd_ios", "dram_bytes",
-    "tc_dram_bytes", "commits", "aborts", "reads", "dc_reads",
-    "read_cache_hits", "read_cache_misses", "page_cache_touches",
-    "page_cache_fetches", "page_cache_demotions",
-    "page_cache_promotions", "read_cache_demotions",
-    "read_cache_promotions", "log_flushes", "log_batch_appends",
-    "log_device_writes", "log_device_bytes", "commit_epochs",
-    "commit_wait_us", "commit_futures_resolved",
-)
 
 
 class MetricsRegistry:
@@ -223,22 +202,28 @@ def engine_registry(engine: "DeuteronomyEngine") -> MetricsRegistry:
 
 
 def fleet_registry(fleet: "ShardedEngine") -> MetricsRegistry:
-    """Fleet-level registry: additive engine counters summed over shards.
+    """Fleet-level registry: ``fleet.<name>`` for every ``STATS`` row.
 
-    Sums go through each shard's ``stats()`` dict for exactly the keys in
-    ``_REGISTRY_ADDITIVE_KEYS`` (lint-checked against the engine), so the
-    fleet totals here always agree with ``ShardedEngine.stats()['fleet']``.
-    Ratios are re-derived from the sums, never averaged.
+    ``counter`` rows register as counters and ``level`` rows as gauges,
+    both summing the row's reader over the live shards.  ``max`` and
+    ``ratio`` rows are gauges read off ``ShardedEngine.stats()['fleet']``,
+    the one place the elapsed floor and the rates of sums are computed.
     """
     registry = MetricsRegistry()
 
-    def summed(key: str) -> Callable[[], float]:
-        return lambda: float(sum(
-            shard.stats()[key] for shard in fleet.shards
-        ))
+    def summed(read: Callable) -> Callable[[], float]:
+        return lambda: sum(read(shard) for shard in fleet.shards)
 
-    for key in _REGISTRY_ADDITIVE_KEYS:
-        registry.register_counter(f"fleet.{key}", summed(key))
+    def folded(name: str) -> Callable[[], float]:
+        return lambda: fleet.stats()["fleet"][name]
+
+    for name, kind, read in STATS:
+        if kind == "counter":
+            registry.register_counter(f"fleet.{name}", summed(read))
+        elif kind == "level":
+            registry.register_gauge(f"fleet.{name}", summed(read))
+        else:
+            registry.register_gauge(f"fleet.{name}", folded(name))
     registry.register_gauge("fleet.num_shards",
                             lambda: float(fleet.num_shards))
     registry.register_counter(
@@ -247,13 +232,4 @@ def fleet_registry(fleet: "ShardedEngine") -> MetricsRegistry:
     registry.register_counter(
         "fleet.routed_batches",
         lambda: fleet.counters.get("router.batches"))
-
-    def fleet_tc_hit_rate() -> float:
-        reads = sum(s.stats()["reads"] for s in fleet.shards)
-        if reads == 0:
-            return 0.0
-        dc_reads = sum(s.stats()["dc_reads"] for s in fleet.shards)
-        return 1.0 - dc_reads / reads
-
-    registry.register_gauge("fleet.tc_hit_rate", fleet_tc_hit_rate)
     return registry

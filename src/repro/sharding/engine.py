@@ -36,7 +36,7 @@ from typing import (
 )
 
 from ..bwtree.tree import BwTreeConfig
-from ..deuteronomy.engine import DeuteronomyEngine
+from ..deuteronomy.engine import STATS, DeuteronomyEngine
 from ..deuteronomy.tc import TcConfig
 from ..faults.plan import FaultInjector
 from ..hardware.logdevice import LogDevice
@@ -44,21 +44,6 @@ from ..hardware.machine import Machine
 from ..hardware.metrics import CounterSet
 from ..hardware.ssd import SimulatedSsd, SsdSpec
 from .router import ShardRouter
-
-# stats() keys that are additive across shards; the rest are re-derived
-# from the sums so fleet-level rates weight every shard's traffic.
-_ADDITIVE_STAT_KEYS = (
-    "operations", "core_seconds", "ssd_busy_seconds", "ssd_ios",
-    "dram_bytes", "tc_dram_bytes", "commits", "aborts", "reads",
-    "dc_reads", "read_cache_hits", "read_cache_misses",
-    "record_cache_hits", "record_cache_misses",
-    "record_cache_gc_relocations", "record_heap_bytes",
-    "page_cache_touches", "page_cache_fetches", "page_cache_demotions",
-    "page_cache_promotions", "read_cache_demotions",
-    "read_cache_promotions", "tier_resident_bytes", "log_flushes",
-    "log_batch_appends", "log_device_writes", "log_device_bytes",
-    "commit_epochs", "commit_wait_us", "commit_futures_resolved",
-)
 
 # Where commit-pipeline log writes land, the costed hardware axis of the
 # five-minute-rule revisit: "colocated" shares each shard's data SSD,
@@ -382,35 +367,23 @@ class ShardedEngine:
     def stats(self) -> dict:
         """Fleet-level cost/cache accounting.
 
-        ``fleet`` sums every shard's additive counters and re-derives
-        the rates from the sums (so rates are traffic-weighted), keeping
-        the paper's Eq. 4-5 pricing applicable to the fleet: core
-        seconds and DRAM bytes are totals over all shard machines.
-        ``elapsed_seconds`` is the *maximum* over shards — shards run in
-        parallel, so the slowest shard bounds fleet virtual time.
+        ``fleet`` folds every shard's ``stats()`` row by row, each by
+        its :data:`~repro.deuteronomy.engine.STATS` kind: counters and
+        levels sum, so the paper's Eq. 4-5 pricing applies to the fleet
+        (core seconds and DRAM bytes are totals over all shard
+        machines); rates are re-read from the sums, so they are
+        traffic-weighted; ``elapsed_seconds`` is the *maximum* — shards
+        run in parallel, so the slowest shard bounds fleet virtual time.
         """
         per_shard = [shard.stats() for shard in self.shards]
-        if __debug__:
-            # Runtime twin of the counter-additivity lint: every key we
-            # are about to sum must exist in every shard's stats() dict,
-            # or the fleet totals silently under-count.
-            for index, stats in enumerate(per_shard):
-                missing = [
-                    key for key in _ADDITIVE_STAT_KEYS
-                    if key not in stats
-                ]
-                assert not missing, (
-                    f"shard {index} stats() is missing additive keys "
-                    f"{missing}; fleet sums would under-count"
-                )
-        fleet = {
-            key: sum(stats[key] for stats in per_shard)
-            for key in _ADDITIVE_STAT_KEYS
-        }
-        fleet["elapsed_seconds"] = max(
-            (stats["elapsed_seconds"] for stats in per_shard),
-            default=0.0,
-        )
+        fleet: dict = {}
+        for name, kind, read in STATS:
+            if kind == "ratio":
+                fleet[name] = read(fleet)
+            elif kind == "max":
+                fleet[name] = max(stats[name] for stats in per_shard)
+            else:
+                fleet[name] = sum(stats[name] for stats in per_shard)
         if self._shared_log_ssd is not None:
             # One drive serves every shard's commit log: its total busy
             # time is a fleet-wide serial floor no amount of shard
@@ -419,24 +392,6 @@ class ShardedEngine:
                 fleet["elapsed_seconds"],
                 self._shared_log_ssd.busy_seconds,
             )
-        reads = fleet["reads"]
-        fleet["tc_hit_rate"] = (
-            1.0 - fleet["dc_reads"] / reads if reads else 0.0
-        )
-        probes = fleet["read_cache_hits"] + fleet["read_cache_misses"]
-        fleet["read_cache_hit_rate"] = (
-            fleet["read_cache_hits"] / probes if probes else 0.0
-        )
-        record_probes = (fleet["record_cache_hits"]
-                         + fleet["record_cache_misses"])
-        fleet["record_cache_hit_rate"] = (
-            fleet["record_cache_hits"] / record_probes
-            if record_probes else 0.0
-        )
-        touches = fleet["page_cache_touches"]
-        fleet["page_cache_hit_rate"] = (
-            1.0 - fleet["page_cache_fetches"] / touches if touches else 0.0
-        )
         return {
             "num_shards": self.num_shards,
             "log_topology": self.log_topology,

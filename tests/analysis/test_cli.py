@@ -96,7 +96,6 @@ def test_registered_rule_ids_are_stable():
         "determinism",
         "slots-dataclass",
         "mutable-default",
-        "counter-additivity",
         "wal-ordering",
         "epoch-discipline",
         "fault-site-coverage",

@@ -436,83 +436,6 @@ def collect(item, bucket=None):
 
 
 # ---------------------------------------------------------------------------
-# counter-additivity
-# ---------------------------------------------------------------------------
-
-ADDITIVITY_POSITIVE = """\
-class Shard:
-    def stats(self):
-        return {"operations": 1, "commits": 2}
-
-
-_ADDITIVE_STAT_KEYS = (
-    "operations",
-    "commits",
-    "aborts",
-)
-
-
-class Fleet:
-    def __init__(self, shards):
-        self.shards = shards
-
-    def stats(self):
-        per_shard = [shard.stats() for shard in self.shards]
-        return {
-            key: sum(stats[key] for stats in per_shard)
-            for key in _ADDITIVE_STAT_KEYS
-        }
-"""
-
-
-class TestCounterAdditivity:
-    RULE = "counter-additivity"
-
-    def test_missing_provider_key_is_flagged(self, tmp_path):
-        findings = _lint_snippet(tmp_path, ADDITIVITY_POSITIVE, self.RULE)
-        assert len(findings) == 1
-        finding = findings[0]
-        assert "'aborts'" in finding.message
-        assert "Shard" in finding.message
-        # Points at the tuple element that has no backing counter.
-        assert finding.line == ADDITIVITY_POSITIVE.splitlines().index(
-            "    \"aborts\","
-        ) + 1
-
-    def test_suppression_silences(self, tmp_path):
-        suppressed = ADDITIVITY_POSITIVE.replace(
-            "    \"aborts\",",
-            "    \"aborts\",  # repro: ignore[counter-additivity]",
-        )
-        assert not _lint_snippet(tmp_path, suppressed, self.RULE)
-
-    def test_complete_provider_is_clean(self, tmp_path):
-        clean = ADDITIVITY_POSITIVE.replace(
-            "return {\"operations\": 1, \"commits\": 2}",
-            "return {\"operations\": 1, \"commits\": 2, \"aborts\": 3}",
-        )
-        assert not _lint_snippet(tmp_path, clean, self.RULE)
-
-    def test_imported_provider_is_checked(self, tmp_path):
-        (tmp_path / "shard.py").write_text(
-            "class Shard:\n"
-            "    def stats(self):\n"
-            "        return {\"operations\": 1}\n"
-        )
-        (tmp_path / "fleet.py").write_text(
-            "from shard import Shard\n\n"
-            "_ADDITIVE_STAT_KEYS = (\"operations\", \"commits\")\n"
-        )
-        findings = [
-            f for f in lint_paths([str(tmp_path)])
-            if f.rule == self.RULE
-        ]
-        assert len(findings) == 1
-        assert "'commits'" in findings[0].message
-        assert findings[0].path.endswith("fleet.py")
-
-
-# ---------------------------------------------------------------------------
 # observability hooks as domain touch verbs
 # ---------------------------------------------------------------------------
 
@@ -714,54 +637,3 @@ class TestRecordCacheTouchVerbs:
             "        self.records.seal_arena()",
         )
         assert not _lint_snippet(tmp_path, charged, self.RULE)
-
-
-# ---------------------------------------------------------------------------
-# counter-additivity against snapshot() providers (metrics registry)
-# ---------------------------------------------------------------------------
-
-SNAPSHOT_ADDITIVITY_POSITIVE = """\
-class Collector:
-    def snapshot(self):
-        return {"hits": 1, "misses": 2}
-
-
-REGISTRY_ADDITIVE_KEYS = ("hits", "misses", "evictions")
-
-
-def fleet_totals(collectors):
-    return {
-        key: sum(collector.snapshot()[key] for collector in collectors)
-        for key in REGISTRY_ADDITIVE_KEYS
-    }
-"""
-
-
-class TestSnapshotProviderAdditivity:
-    """The registry convention: ``snapshot()`` dict literals back
-    additive declarations just like engine ``stats()`` dicts."""
-
-    RULE = "counter-additivity"
-
-    def test_missing_snapshot_key_is_flagged(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path, SNAPSHOT_ADDITIVITY_POSITIVE, self.RULE)
-        assert len(findings) == 1
-        assert "'evictions'" in findings[0].message
-        assert "Collector" in findings[0].message
-
-    def test_suppression_silences(self, tmp_path):
-        suppressed = SNAPSHOT_ADDITIVITY_POSITIVE.replace(
-            "(\"hits\", \"misses\", \"evictions\")",
-            "(\"hits\", \"misses\",\n"
-            "    \"evictions\",  # repro: ignore[counter-additivity]\n"
-            ")",
-        )
-        assert not _lint_snippet(tmp_path, suppressed, self.RULE)
-
-    def test_complete_snapshot_provider_is_clean(self, tmp_path):
-        clean = SNAPSHOT_ADDITIVITY_POSITIVE.replace(
-            "return {\"hits\": 1, \"misses\": 2}",
-            "return {\"hits\": 1, \"misses\": 2, \"evictions\": 0}",
-        )
-        assert not _lint_snippet(tmp_path, clean, self.RULE)

@@ -182,12 +182,11 @@ class TestStats:
             log.append(record(index))
             pipeline.enqueue_epoch()
         pipeline.force()
-        stats = pipeline.stats()
-        assert stats["epochs_closed"] == 1
-        assert stats["futures_resolved"] == 4
-        assert stats["group_size_mean"] == 4.0
-        assert stats["device_writes"] == 1
-        assert stats["device_queue_wait_us"] == 0.0
+        assert pipeline.epochs_closed == 1
+        assert pipeline.futures_resolved == 4
+        assert pipeline.group_sizes.mean == 4.0
+        assert pipeline.device.submitted_writes == 1
+        assert pipeline.device.queue_wait_us == 0.0
 
 
 class TestEngineIntegration:

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.deuteronomy.engine import DeuteronomyEngine
+from repro.deuteronomy.engine import STATS, DeuteronomyEngine
 from repro.deuteronomy.tc import TcConfig
 from repro.hardware.machine import Machine
 from repro.hardware.metrics import Histogram
 from repro.observability.registry import (
-    _REGISTRY_ADDITIVE_KEYS,
     MetricsRegistry,
     engine_registry,
     fleet_registry,
@@ -134,19 +133,36 @@ class TestFleetRegistry:
         ]
         fleet.apply_batch(batch)
 
-        registry = fleet_registry(fleet)
-        counters = registry.snapshot()["counters"]
+        snapshot = fleet_registry(fleet).snapshot()
+        counters, gauges = snapshot["counters"], snapshot["gauges"]
         fleet_stats = fleet.stats()
-        for key in _REGISTRY_ADDITIVE_KEYS:
-            expected = sum(
-                shard.stats()[key] for shard in fleet.shards)
-            assert counters[f"fleet.{key}"] == float(expected), key
-            assert counters[f"fleet.{key}"] == \
-                float(fleet_stats["fleet"][key]), key
+        for name, kind, __ in STATS:
+            # Counters are the only rows a delta may subtract.
+            table = counters if kind == "counter" else gauges
+            assert table[f"fleet.{name}"] == \
+                float(fleet_stats["fleet"][name]), name
+        assert len(counters) + len(gauges) == len(STATS) + 3
         assert counters["fleet.routed_ops"] == \
             float(fleet_stats["routed_ops"])
         assert counters["fleet.routed_batches"] == \
             float(fleet_stats["routed_batches"])
+
+    def test_resident_bytes_are_levels_not_deltas(self):
+        """A read-only window grows no DRAM; the delta must still report
+        the resident level Eq. 5 prices, not the growth."""
+        fleet = ShardedEngine(
+            2, cores_per_shard=2,
+            tc_config=TcConfig(sync_commit=True))
+        fleet.bulk_load(_items(48))
+        fleet.multi_get([key for key, __ in _items(48)])
+        registry = fleet_registry(fleet)
+        before = registry.snapshot()
+        fleet.multi_get([key for key, __ in _items(48)])
+        delta = registry.delta(before)
+        level = fleet.stats()["fleet"]["dram_bytes"]
+        assert level > 0
+        assert delta["gauges"]["fleet.dram_bytes"] == level
+        assert "fleet.dram_bytes" not in delta["counters"]
 
     def test_fleet_hit_rate_rederived_from_sums(self):
         fleet = ShardedEngine(
