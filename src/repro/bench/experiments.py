@@ -968,9 +968,7 @@ def measure_a3(record_count: int = 6_000, operations: int = 4_000,
         machine.reset_accounting()
         for op in WorkloadGenerator(spec).operations(operations):
             if op.kind.value == "read":
-                txn = engine.tc.begin()
-                engine.tc.read(txn, op.key)
-                engine.tc.commit(txn)
+                engine.tc.get(op.key)
             else:
                 engine.tc.run_update(op.key, op.value)
         read_ios = int(engine.tc.counters.get("tc.dc_read_ios"))

@@ -103,16 +103,7 @@ class DeuteronomyEngine:
     def get(self, key: bytes) -> Optional[bytes]:
         """Autocommitted snapshot read."""
         with self.machine.trace_span("engine.get", "engine"):
-            txn = self.tc.begin()
-            try:
-                value = self.tc.read(txn, key)
-            except BaseException:
-                # A failed read must not leave a dangling active
-                # transaction.
-                self.tc.abort(txn)
-                raise
-            self.tc.commit(txn)
-            return value
+            return self.tc.get(key)
 
     def put(self, key: bytes, value: bytes) -> None:
         """Autocommitted single-key update."""

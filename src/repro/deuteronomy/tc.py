@@ -44,7 +44,6 @@ class Transaction:
     read_timestamp: int
     status: TxnStatus = TxnStatus.ACTIVE
     write_set: Dict[bytes, Optional[bytes]] = field(default_factory=dict)
-    read_keys: List[bytes] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.txn_id <= 0:
@@ -153,6 +152,9 @@ class TransactionComponent:
             )
         self.versions = VersionStore(machine)
         self.counters = CounterSet()
+        # The dict behind ``counters`` (a reset clears it in place): the
+        # read path bumps its constant-1 counters here directly.
+        self._counts = self.counters._counts
         # Group-commit batch sizes (metrics-registry histogram; observing
         # is bookkeeping, not simulated work, so it carries no charge).
         self.batch_sizes = Histogram("tc_commit_batch_size")
@@ -337,6 +339,40 @@ class TransactionComponent:
     # reads and writes
     # ------------------------------------------------------------------
 
+    def get(self, key: bytes) -> Optional[bytes]:
+        """Read-only autocommit transaction: one snapshot read of ``key``.
+
+        Bills what :meth:`begin`, :meth:`read` and :meth:`commit` would
+        bill for it, in the same order and under the same spans, and
+        still consumes a transaction id — but builds no
+        :class:`Transaction`: nobody else can see it, so it never enters
+        the active set and cannot pin the version-GC horizon.  A failed
+        read counts an abort, as :meth:`abort` would, and re-raises.
+        """
+        machine = self.machine
+        charge = machine.cpu.charge
+        counts = self._counts
+        charge("timestamp_alloc", category="tc")
+        read_ts = self._clock
+        self._next_txn_id += 1
+        counts["tc.begins"] += 1.0
+        try:
+            charge("op_dispatch", category="tc")
+            machine.begin_operation()
+            counts["tc.reads"] += 1.0
+            with machine.trace_span("tc.read", "tc"):
+                value = self._snapshot_read(key, read_ts)
+        except BaseException:
+            counts["tc.aborts"] += 1.0
+            raise
+        with machine.trace_span("tc.commit", "tc"):
+            charge("timestamp_alloc", category="tc")
+            self._clock += 1
+            self._maybe_drain_records()
+            counts["tc.commits"] += 1.0
+            self._maybe_gc_versions()
+        return value
+
     def read(self, txn: Transaction, key: bytes) -> Optional[bytes]:
         """Transactional read at the transaction's snapshot."""
         self._require_active(txn)
@@ -356,54 +392,57 @@ class TransactionComponent:
 
     def _read_one(self, txn: Transaction, key: bytes) -> Optional[bytes]:
         self.machine.begin_operation()
-        txn.read_keys.append(key)
-        self.counters.add("tc.reads")
+        self._counts["tc.reads"] += 1.0
         with self.machine.trace_span("tc.read", "tc"):
             # Read-your-own-writes.
             if key in txn.write_set:
-                self.counters.add("tc.own_write_hits")
+                self._counts["tc.own_write_hits"] += 1.0
                 return txn.write_set[key]
+            return self._snapshot_read(key, txn.read_timestamp)
 
-            # 1. MVCC version store — may be servable from a retained log
-            #    buffer (updated-record cache).
-            version, examined = self.versions.visible(
-                key, txn.read_timestamp)
-            del examined  # already charged per visibility check
-            if version is not None:
-                if self.log.is_buffer_retained(version.log_buffer_id):
-                    self.counters.add("tc.log_cache_hits")
-                    return version.value
-                # The buffer holding the version was dropped; fall through
-                # to the read cache / DC for the record bytes.
-                self.counters.add("tc.log_cache_stale")
+    def _snapshot_read(self, key: bytes, read_ts: int) -> Optional[bytes]:
+        """The committed value of ``key`` as of ``read_ts``, through the
+        TC's caches first and the data component last."""
+        counts = self._counts
+        # 1. MVCC version store — may be servable from a retained log
+        #    buffer (updated-record cache).
+        version, examined = self.versions.visible(key, read_ts)
+        del examined  # already charged per visibility check
+        if version is not None:
+            if self.log.is_buffer_retained(version.log_buffer_id):
+                counts["tc.log_cache_hits"] += 1.0
+                return version.value
+            # The buffer holding the version was dropped; fall through
+            # to the read cache / DC for the record bytes.
+            counts["tc.log_cache_stale"] += 1.0
 
-            # 2. Record heap (record-cache v2) or the FIFO read cache of
-            #    records previously fetched from the DC.  A record-heap
-            #    hit may be a cached tombstone: "known deleted" without
-            #    a DC trip.
-            if self.records is not None:
-                hit, value = self.records.lookup(key)
-                if hit:
-                    self.counters.add("tc.record_cache_hits")
-                    return value
-            else:
-                hit, value = self.read_cache.lookup(key)
-                if hit:
-                    self.counters.add("tc.read_cache_hits")
-                    return value
+        # 2. Record heap (record-cache v2) or the FIFO read cache of
+        #    records previously fetched from the DC.  A record-heap
+        #    hit may be a cached tombstone: "known deleted" without
+        #    a DC trip.
+        if self.records is not None:
+            hit, value = self.records.lookup(key)
+            if hit:
+                counts["tc.record_cache_hits"] += 1.0
+                return value
+        else:
+            hit, value = self.read_cache.lookup(key)
+            if hit:
+                counts["tc.read_cache_hits"] += 1.0
+                return value
 
-            # 3. Full trip to the data component (may cost an I/O).
-            result = self.dc.get_with_stats(key)
-            self.counters.add("tc.dc_reads")
-            if result.ios > 0:
-                self.counters.add("tc.dc_read_ios", result.ios)
-            found_value = result.value if result.found else None
-            if self.records is not None:
-                # Negative results are cached too (as clean tombstones).
-                self.records.append_record(key, found_value, dirty=False)
-            elif found_value is not None:
-                self.read_cache.insert(key, found_value)
-            return found_value
+        # 3. Full trip to the data component (may cost an I/O).
+        result = self.dc.get_with_stats(key)
+        counts["tc.dc_reads"] += 1.0
+        if result.ios > 0:
+            self.counters.add("tc.dc_read_ios", result.ios)
+        found_value = result.value if result.found else None
+        if self.records is not None:
+            # Negative results are cached too (as clean tombstones).
+            self.records.append_record(key, found_value, dirty=False)
+        elif found_value is not None:
+            self.read_cache.insert(key, found_value)
+        return found_value
 
     def write(self, txn: Transaction, key: bytes,
               value: Optional[bytes]) -> None:
@@ -461,13 +500,6 @@ class TransactionComponent:
     # ------------------------------------------------------------------
     # one-shot helpers
     # ------------------------------------------------------------------
-
-    def run_read_only(self, keys: List[bytes]) -> List[Optional[bytes]]:
-        """Execute a read-only transaction over ``keys``."""
-        txn = self.begin()
-        values = [self.read(txn, key) for key in keys]
-        self.commit(txn)
-        return values
 
     def run_update(self, key: bytes, value: Optional[bytes]) -> int:
         """Execute a single-update transaction; returns commit timestamp."""
@@ -577,14 +609,10 @@ class TransactionComponent:
     # maintenance / reporting
     # ------------------------------------------------------------------
 
-    def _oldest_active_read_timestamp(self) -> int:
-        if not self._active:
-            return self._clock
-        return min(t.read_timestamp for t in self._active.values())
-
     def _maybe_gc_versions(self) -> None:
-        horizon = (self._oldest_active_read_timestamp()
-                   - self.config.version_gc_horizon_lag)
+        oldest = (min(t.read_timestamp for t in self._active.values())
+                  if self._active else self._clock)
+        horizon = oldest - self.config.version_gc_horizon_lag
         if horizon > 0:
             self.versions.truncate(horizon)
 

@@ -9,6 +9,7 @@ from repro.deuteronomy import (
     TransactionComponent,
     TxnStatus,
 )
+from repro.faults import FaultInjector, FaultPlan, IoError
 from repro.hardware import Machine
 
 
@@ -88,7 +89,31 @@ class TestReadsAndWrites:
     def test_run_read_only(self, tc):
         tc.run_update(b"a", b"1")
         tc.run_update(b"b", b"2")
-        assert tc.run_read_only([b"a", b"b", b"c"]) == [b"1", b"2", None]
+        assert [tc.get(key) for key in (b"a", b"b", b"c")] == [
+            b"1", b"2", None]
+        assert tc.counters.get("tc.commits") == 5
+        assert not tc._active
+
+    def test_failed_get_leaves_no_active_transaction(self, machine):
+        """A transient error inside an autocommit read aborts it: the
+        active set stays empty, so the next commit still truncates."""
+        tc = TransactionComponent(
+            machine, BwTree(machine, BwTreeConfig(segment_bytes=1 << 16)),
+            TcConfig(read_cache_bytes=64, read_cache_demote=True,
+                     version_gc_horizon_lag=1))
+        tc.dc.upsert(b"cold", b"v" * 20)
+        tc.dc.upsert(b"warm", b"w" * 20)
+        assert tc.get(b"cold") == b"v" * 20
+        assert tc.get(b"warm") == b"w" * 20     # demotes "cold"
+        assert tc.read_cache.demotions == 1
+        machine.faults = FaultInjector(FaultPlan.io_error_at("tier.promote", 1))
+        with pytest.raises(IoError):
+            tc.get(b"cold")
+        assert not tc._active
+        assert tc.counters.get("tc.aborts") == 1
+        for value in (b"1", b"2", b"3", b"4"):
+            tc.run_update(b"k", value)
+        assert tc.versions.version_count() == 2
 
 
 class TestConflicts:
