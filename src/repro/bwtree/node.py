@@ -26,7 +26,9 @@ class InnerNode:
     ``children[i]`` covers keys in ``[keys[i-1], keys[i])`` with the usual
     sentinel conventions: ``children[0]`` covers everything below
     ``keys[0]`` and ``children[-1]`` everything at or above ``keys[-1]``.
-    Invariant: ``len(children) == len(keys) + 1``.
+    Invariant: ``len(children) == len(keys) + 1``.  The routing rule
+    itself (``bisect_right`` over ``keys``, and the comparisons it is
+    charged) lives in one place, the tree's descent.
     """
 
     __slots__ = ("node_id", "keys", "children")
@@ -56,10 +58,6 @@ class InnerNode:
             INNER_ENTRY_OVERHEAD_BYTES + len(key) for key in self.keys
         ) + INNER_ENTRY_OVERHEAD_BYTES * len(self.children)
 
-    def child_for(self, key: bytes) -> int:
-        """Child id covering ``key``."""
-        return self.children[bisect.bisect_right(self.keys, key)]
-
     def child_index(self, child_id: int) -> int:
         """Position of ``child_id`` among the children."""
         try:
@@ -68,12 +66,6 @@ class InnerNode:
             raise KeyError(
                 f"inner node {self.node_id} has no child {child_id}"
             ) from None
-
-    def search_steps(self) -> int:
-        """Binary-search comparisons for one routing decision."""
-        if not self.keys:
-            return 1
-        return max(1, len(self.keys).bit_length())
 
     def insert_separator(self, key: bytes, right_child: int) -> None:
         """Install a separator after a child split: ``key`` routes to

@@ -124,6 +124,9 @@ class BwTree:
         self.gc = GarbageCollector(machine, self.store, self.mapping_table,
                                    checkpoint_manager=self.checkpoints)
         self.counters = CounterSet()
+        # The dict behind ``counters`` (a reset clears it in place): the
+        # blind-write path bumps its counters here directly.
+        self._counts = self.counters._counts
         self._inners: Dict[int, InnerNode] = {}
         self._inner_sizes: Dict[int, int] = {}
         self._next_inner_id = -1
@@ -190,16 +193,23 @@ class BwTree:
     # ------------------------------------------------------------------
 
     def _descend(self, key: bytes) -> PageEntry:
-        """Walk from the root to the covering leaf, charging CPU costs."""
+        """Walk from the root to the covering leaf, charging CPU costs.
+
+        Each level routes ``key`` to ``children[bisect_right(keys, key)]``
+        (a separator belongs to its right child) and is charged one
+        binary search over its keys: ``bit_length`` comparisons, at
+        least one.
+        """
         charge = self.machine.cpu.charge
         inners = self._inners
         node_id = self.root_id
         while node_id < 0:
             node = inners[node_id]
+            keys = node.keys
             charge("pointer_chase", category="bwtree")
-            charge("page_binary_search_step", node.search_steps(),
+            charge("page_binary_search_step", len(keys).bit_length() or 1,
                    category="bwtree")
-            node_id = node.child_for(key)
+            node_id = node.children[bisect.bisect_right(keys, key)]
         charge("mapping_table_lookup", category="bwtree")
         return self.mapping_table.get(node_id)
 
@@ -315,35 +325,43 @@ class BwTree:
         epoch enter/exit, which is exactly what a multi-op network request
         saves a real server.  Returns an aggregate :class:`OpResult`
         (``ios`` summed, ``latency_us`` spanning the whole batch).
+
+        The per-record bookkeeping — operation count, validity checks,
+        timestamp, counters — is done in this frame; the validators are
+        called only to raise.
         """
-        with self.machine.trace_span("bwtree.blind_batch", "bwtree"):
-            window = self.machine.latency_window()
-            cpu = self.machine.cpu
-            cpu.charge("op_dispatch", category="bwtree")
-            cpu.charge("epoch_protect", category="bwtree")
+        machine = self.machine
+        with machine.trace_span("bwtree.blind_batch", "bwtree"):
+            window = machine.latency_window()
+            charge = machine.cpu.charge
+            charge("op_dispatch", category="bwtree")
+            charge("epoch_protect", category="bwtree")
             result = OpResult(found=True)
-            counters = self.counters
+            counts = self._counts
+            descend = self._descend
+            post = self._post_blind_delta
             for key, value in ops:
-                self.machine.begin_operation()
+                machine._ops_started += 1
                 ios_before = result.ios
-                if value is None:
+                if type(key) is not bytes or not key:
                     self._validate_key(key)
-                    delta = RecordDelta(DeltaKind.DELETE, key, None,
-                                        self._next_timestamp())
+                if value is None:
+                    kind = DeltaKind.DELETE
                 else:
-                    self._validate_kv(key, value)
-                    delta = RecordDelta(DeltaKind.UPSERT, key, value,
-                                        self._next_timestamp())
-                entry = self._descend(key)
-                self._post_blind_delta(entry, delta, result)
-                counters.add("bwtree.ops")
+                    if type(value) is not bytes:
+                        self._validate_kv(key, value)
+                    kind = DeltaKind.UPSERT
+                self._timestamp += 1
+                delta = RecordDelta(kind, key, value, self._timestamp)
+                post(descend(key), delta, result)
+                counts["bwtree.ops"] += 1.0
                 if result.ios > ios_before:
-                    counters.add("bwtree.ss_ops")
+                    counts["bwtree.ss_ops"] += 1.0
                 else:
-                    counters.add("bwtree.mm_ops")
-            result.latency_us = self.machine.observe_latency(window)
-            counters.add("bwtree.ios", result.ios)
-            counters.add("bwtree.blind_batches")
+                    counts["bwtree.mm_ops"] += 1.0
+            result.latency_us = machine.observe_latency(window)
+            counts["bwtree.ios"] += result.ios
+            counts["bwtree.blind_batches"] += 1.0
             return result
 
     def insert(self, key: bytes, value: bytes) -> bool:
@@ -362,8 +380,14 @@ class BwTree:
 
     def _post_blind_delta(self, entry: PageEntry, delta: RecordDelta,
                           result: OpResult) -> None:
-        cpu = self.machine.cpu
-        if entry.state is None:
+        """Prepend ``delta`` to the leaf, then run whichever of the
+        blind-chain fetch, consolidation, split and eviction it calls
+        for.  ``prepend_delta`` sizes the delta once (it charges nothing,
+        so it may precede the charges); that size is both the copy
+        charge and the page's resident growth."""
+        cache = self.cache
+        state = entry.state
+        if state is None:
             # Page fully evicted: the blind update still succeeds by
             # creating delta-only resident state (paper Section 6.2).
             state = DataPageState(entry.page_id, base=None, deltas=[])
@@ -373,21 +397,29 @@ class BwTree:
                     f"page {entry.page_id}: no state and no flash images"
                 )
             entry.state = state
-            self.cache.register(entry)
-        state = entry.state
-        cpu.charge("install_cas", category="bwtree")
-        cpu.charge("copy_per_byte", delta.size_bytes, category="bwtree")
-        state.prepend_delta(delta)
-        self.cache.resize(entry)
-        self.cache.touch(entry)
-        if (not state.base_present
-                and state.chain_length > self.config.blind_chain_limit):
+            cache.register(entry)
+        size = state.prepend_delta(delta)
+        charge = self.machine.cpu.charge
+        charge("install_cas", category="bwtree")
+        charge("copy_per_byte", size, category="bwtree")
+        cache.touch(entry, grown_bytes=size)
+        config = self.config
+        if (state.base is None
+                and len(state.deltas) > config.blind_chain_limit):
             # Pathologically long blind chain: pay the fetch now so reads
             # stay bounded.
-            result.ios += self.cache.fetch(entry)
-        self._maybe_consolidate(entry)
-        self._maybe_split(entry)
-        self.cache.ensure_capacity(protect={entry.page_id})
+            result.ios += cache.fetch(entry)
+            state = entry.state
+        if state.base is not None:
+            if len(state.deltas) >= config.consolidate_threshold:
+                self._consolidate(entry)
+                # None when the leaf collapsed or merged away.
+                state = entry.state
+            if (state is not None
+                    and state.base_size_bytes > config.max_page_bytes):
+                self._maybe_split(entry)
+        if cache.capacity_bytes is not None:
+            cache.ensure_capacity(protect={entry.page_id})
 
     def _validate_key(self, key: bytes) -> None:
         if not isinstance(key, bytes):
@@ -420,7 +452,7 @@ class BwTree:
         new_base_bytes = state.consolidate()
         self.machine.cpu.charge("consolidate_per_byte", new_base_bytes,
                                 category="bwtree")
-        self.counters.add("bwtree.consolidations")
+        self._counts["bwtree.consolidations"] += 1.0
         self.cache.resize(entry)
         if not state.base:
             self._collapse_empty_leaf(entry)

@@ -56,7 +56,10 @@ class VersionStore:
         self.machine.cpu.charge("install_cas", category="tc_mvcc")
         chain = self._versions.setdefault(key, [])
         timestamp = version.timestamp
-        nbytes = version.size_bytes
+        # Version.size_bytes, in this frame.
+        value = version.value
+        nbytes = VERSION_ENTRY_OVERHEAD_BYTES + (
+            len(value) if value is not None else 0)
         if chain:
             if chain[0].timestamp >= timestamp:
                 raise ValueError(

@@ -133,7 +133,10 @@ class RecoveryLog:
         total_bytes = 0
         buffers = self._buffers
         for record in records:
-            nbytes = record.size_bytes
+            # LogRecord.size_bytes, in this frame.
+            value = record.value
+            nbytes = LOG_RECORD_OVERHEAD_BYTES + len(record.key) + (
+                len(value) if value is not None else 0)
             if nbytes > self.buffer_bytes:
                 raise ValueError(
                     f"record of {nbytes}B exceeds buffer size "

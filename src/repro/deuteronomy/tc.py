@@ -176,7 +176,7 @@ class TransactionComponent:
         txn = Transaction(self._next_txn_id, read_timestamp=self._clock)
         self._next_txn_id += 1
         self._active[txn.txn_id] = txn
-        self.counters.add("tc.begins")
+        self._counts["tc.begins"] += 1.0
         return txn
 
     def commit(self, txn: Transaction) -> int:
@@ -289,6 +289,7 @@ class TransactionComponent:
                 results.append(commit_ts)
             buffer_ids = self.log.append_batch(records)
             dc_ops: List[Tuple[bytes, Optional[bytes]]] = []
+            counts = self._counts
             for txn, start, end, commit_ts in committed:
                 for index in range(start, end):
                     record = records[index]
@@ -303,10 +304,10 @@ class TransactionComponent:
                         pass
                     else:
                         dc_ops.append((record.key, record.value))
-                    self.counters.add("tc.writes_applied")
+                    counts["tc.writes_applied"] += 1.0
                 txn.status = TxnStatus.COMMITTED
                 del self._active[txn.txn_id]
-                self.counters.add("tc.commits")
+                counts["tc.commits"] += 1.0
             if dc_ops:
                 # Blind posts, exactly as in :meth:`commit`, but the DC
                 # enters its epoch and dispatches once for the whole group.
@@ -318,7 +319,7 @@ class TransactionComponent:
                         len(committed))
                 elif self.config.sync_commit:
                     self.log.flush()
-            self.counters.add("tc.group_commits")
+            counts["tc.group_commits"] += 1.0
             self._maybe_gc_versions()
             return results
 
@@ -461,12 +462,24 @@ class TransactionComponent:
 
     def _buffer_write(self, txn: Transaction, key: bytes,
                       value: Optional[bytes]) -> None:
-        self.machine.begin_operation()
-        value_len = len(value) if value is not None else 0
-        self.machine.cpu.charge("copy_per_byte", len(key) + value_len,
-                                category="tc")
+        """Every TC write enters here.  A key or value the data component
+        would reject is rejected now, before anything is counted,
+        charged or buffered: past this point the write is logged and
+        versioned at commit, and a late rejection would leave the
+        logged record for recovery to replay into the same error."""
+        if type(key) is not bytes or not key:
+            self.dc._validate_key(key)
+        value_len = 0
+        if value is not None:
+            if type(value) is not bytes:
+                self.dc._validate_kv(key, value)
+            value_len = len(value)
+        machine = self.machine
+        machine._ops_started += 1
+        machine.cpu.charge("copy_per_byte", len(key) + value_len,
+                           category="tc")
         txn.write_set[key] = value
-        self.counters.add("tc.writes")
+        self._counts["tc.writes"] += 1.0
 
     def execute_batch(
         self, txn: Transaction,
@@ -502,9 +515,17 @@ class TransactionComponent:
     # ------------------------------------------------------------------
 
     def run_update(self, key: bytes, value: Optional[bytes]) -> int:
-        """Execute a single-update transaction; returns commit timestamp."""
+        """Execute a single-update transaction; returns commit timestamp.
+
+        A rejected write aborts the transaction, so it does not stay
+        active and pin the version-GC horizon.
+        """
         txn = self.begin()
-        self.write(txn, key, value)
+        try:
+            self.write(txn, key, value)
+        except BaseException:
+            self.abort(txn)
+            raise
         return self.commit(txn)
 
     def run_update_batch(
@@ -516,14 +537,20 @@ class TransactionComponent:
         timestamp — a crash recovers to a prefix of the batch — but the
         request dispatch, the log append, the DC posts and the flush
         decision are shared across the group (Deuteronomy 2.0's batched
-        log buffers).  Returns one commit timestamp per item.
+        log buffers).  Returns one commit timestamp per item.  A rejected
+        write aborts every transaction of the group before any commits.
         """
         self.machine.cpu.charge("op_dispatch", category="tc")
-        txns = []
-        for key, value in items:
-            txn = self.begin()
-            self._buffer_write(txn, key, value)
-            txns.append(txn)
+        txns: List[Transaction] = []
+        try:
+            for key, value in items:
+                txn = self.begin()
+                txns.append(txn)
+                self._buffer_write(txn, key, value)
+        except BaseException:
+            for txn in txns:
+                self.abort(txn)
+            raise
         return self.commit_batch(txns, sequential=True)
 
     # ------------------------------------------------------------------

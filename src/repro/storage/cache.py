@@ -297,7 +297,7 @@ class PageCache:
         self._vclock = machine.clock
         # LRU order over resident pages: page id -> accounted bytes.
         # ``_resident_bytes`` is the running sum of its values; only
-        # register / resize / _untrack write either.
+        # register / resize / touch / _untrack write either.
         self._resident: "OrderedDict[int, int]" = OrderedDict()
         self._resident_bytes = 0
         # CLOCK ring: page id -> reference bit, in hand order (the front
@@ -340,18 +340,29 @@ class PageCache:
         self._clock_ring.pop(entry.page_id, None)
         self.machine.dram.free(nbytes, DRAM_TAG)
 
-    def touch(self, entry: PageEntry) -> None:
+    def touch(self, entry: PageEntry, grown_bytes: int = 0) -> None:
         """Record an access: recency state and virtual access time.
 
         Under LRU every touch reorders the recency list; under CLOCK it is
         a single reference-bit store and all ordering work is deferred to
         the (rare) eviction sweep.
+
+        ``grown_bytes`` is what the access added to a tracked page's
+        resident size when the caller already knows it — a blind post
+        passes its delta's size — so that access needs no :meth:`resize`,
+        which re-reads the page's size.
         """
+        page_id = entry.page_id
+        if grown_bytes:
+            if page_id not in self._resident:
+                raise KeyError(f"page {page_id} is not tracked")
+            self.machine.dram.allocate(grown_bytes, DRAM_TAG)
+            self._resident[page_id] += grown_bytes
+            self._resident_bytes += grown_bytes
         entry.last_access = self._vclock.now
         entry.access_count += 1
         stats = self.stats
         stats.touches += 1
-        page_id = entry.page_id
         if self.policy is EvictionPolicy.CLOCK:
             ring = self._clock_ring
             if page_id in ring:

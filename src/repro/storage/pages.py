@@ -168,10 +168,13 @@ class DataPageState:
 
     # --- mutation -----------------------------------------------------------
 
-    def prepend_delta(self, delta: RecordDelta) -> None:
-        """Prepend one update delta (the Bw-tree's latch-free update)."""
+    def prepend_delta(self, delta: RecordDelta) -> int:
+        """Prepend one update delta (the Bw-tree's latch-free update);
+        returns the delta's size, so the poster need not size it again."""
+        size = delta.size_bytes
         self.deltas.insert(0, delta)
-        self._delta_bytes += delta.size_bytes
+        self._delta_bytes += size
+        return size
 
     def drop_base(self) -> int:
         """Evict the base page, keeping deltas resident; returns bytes freed."""
@@ -205,23 +208,33 @@ class DataPageState:
 
         Requires the base to be present.  Unflushed deltas folded here are
         no longer individually flushable, so persistence bookkeeping resets:
-        the next flush must write a full page image.
+        the next flush must write a full page image.  The new base is
+        sized as the fold goes — each delta adjusts the base's running
+        total by the record it adds, replaces or removes — so the merged
+        records are never re-summed.
         """
         if self.base is None:
             raise ValueError(
                 f"page {self.page_id}: cannot consolidate without base"
             )
         merged: Dict[bytes, Record] = {r.key: r for r in self.base}
+        size = self._base_bytes
         # Apply oldest-first so newer deltas win.
         for delta in reversed(self.deltas):
+            key = delta.key
+            old = merged.get(key)
             if delta.kind is DeltaKind.UPSERT:
-                assert delta.value is not None
-                merged[delta.key] = Record(
-                    delta.key, delta.value, delta.timestamp
-                )
-            else:
-                merged.pop(delta.key, None)
-        self._set_base([merged[k] for k in sorted(merged)])
+                value = delta.value
+                assert value is not None
+                merged[key] = Record(key, value, delta.timestamp)
+                if old is None:
+                    size += RECORD_OVERHEAD_BYTES + len(key) + len(value)
+                else:
+                    size += len(value) - len(old.value)
+            elif old is not None:
+                del merged[key]
+                size -= RECORD_OVERHEAD_BYTES + len(key) + len(old.value)
+        self._set_base([merged[k] for k in sorted(merged)], size)
         self.deltas = []
         self._delta_bytes = 0
         self.flushed_delta_count = 0

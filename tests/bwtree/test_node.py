@@ -1,12 +1,45 @@
-"""Inner-node invariants."""
+"""Inner-node invariants, and routing through them.
+
+Routing has one definition, the tree's descent, so the routing and
+search-step assertions below descend a tree whose index is the node
+under test.
+"""
 
 import pytest
 
-from repro.bwtree import InnerNode
+from repro.bwtree import BwTree, InnerNode
+from repro.hardware import Machine
 
 
 def node(keys, children):
     return InnerNode(-1, keys, children)
+
+
+def descend(routing, key):
+    """``(leaf id, binary-search steps charged)`` when ``routing`` is the
+    root of a tree's index and the tree descends to ``key``."""
+    tree = BwTree(Machine.paper_default(cores=1))
+    while tree.mapping_table.next_page_id <= max(routing.children):
+        tree._allocate_leaf()
+    tree._inners[routing.node_id] = routing
+    tree.root_id = routing.node_id
+    cpu = tree.machine.cpu
+    charge = cpu.charge
+    steps = []
+
+    def recording(primitive, count=1.0, category=None):
+        if primitive == "page_binary_search_step":
+            steps.append(count)
+        return charge(primitive, count, category)
+
+    cpu.charge = recording
+    leaf = tree._descend(key).page_id
+    assert len(steps) == 1   # one search per level, one level
+    return leaf, steps[0]
+
+
+def route(routing, key):
+    return descend(routing, key)[0]
 
 
 def test_requires_negative_id():
@@ -30,11 +63,11 @@ def test_keys_strictly_sorted():
 
 def test_child_for_routes_half_open_ranges():
     routing = node([b"g", b"m"], [1, 2, 3])
-    assert routing.child_for(b"a") == 1
-    assert routing.child_for(b"g") == 2   # separator belongs to the right
-    assert routing.child_for(b"k") == 2
-    assert routing.child_for(b"m") == 3
-    assert routing.child_for(b"z") == 3
+    assert route(routing, b"a") == 1
+    assert route(routing, b"g") == 2   # separator belongs to the right
+    assert route(routing, b"k") == 2
+    assert route(routing, b"m") == 3
+    assert route(routing, b"z") == 3
 
 
 def test_child_index_and_missing_child():
@@ -49,8 +82,8 @@ def test_insert_separator_keeps_order():
     routing.insert_separator(b"m", 9)
     assert routing.keys == [b"g", b"m", b"s"]
     assert routing.children == [1, 2, 9, 3]
-    assert routing.child_for(b"m") == 9
-    assert routing.child_for(b"l") == 2
+    assert route(routing, b"m") == 9
+    assert route(routing, b"l") == 2
 
 
 def test_insert_duplicate_separator_rejected():
@@ -65,7 +98,7 @@ def test_remove_middle_child_merges_range_left():
     assert separator == b"g"
     assert routing.children == [1, 3]
     # keys in [g, m) now route to child 1's successor range:
-    assert routing.child_for(b"h") == 1
+    assert route(routing, b"h") == 1
 
 
 def test_remove_leftmost_child():
@@ -73,7 +106,7 @@ def test_remove_leftmost_child():
     separator = routing.remove_child(1)
     assert separator is None
     assert routing.children == [2, 3]
-    assert routing.child_for(b"a") == 2
+    assert route(routing, b"a") == 2
 
 
 def test_remove_only_sibling_leaves_no_keys():
@@ -81,6 +114,7 @@ def test_remove_only_sibling_leaves_no_keys():
     routing.remove_child(2)
     assert routing.keys == []
     assert routing.children == [1]
+    assert descend(routing, b"z") == (1, 1)
 
 
 def test_split_pushes_middle_key_up():
@@ -106,7 +140,8 @@ def test_size_bytes_counts_keys_and_children():
 
 
 def test_search_steps_logarithmic():
-    assert node([b"a"], [1, 2]).search_steps() == 1
+    assert descend(node([], [1]), b"a")[1] == 1
+    assert descend(node([b"a"], [1, 2]), b"a")[1] == 1
     wide = InnerNode(-1, [b"k%03d" % i for i in range(100)],
                      list(range(101)))
-    assert wide.search_steps() == 7
+    assert descend(wide, b"k050") == (51, 7)

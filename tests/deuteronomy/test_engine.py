@@ -73,3 +73,40 @@ def test_engine_survives_cold_cache(engine):
     engine.dc.cache.capacity_bytes = None
     for index in range(300):
         assert engine.get(b"key%04d" % index) == b"v%d" % index
+
+
+REJECTED_WRITES = {
+    "put-str-value": (lambda e: e.put(b"b", "not-bytes"), TypeError),
+    "put-str-key": (lambda e: e.put("b", b"v"), TypeError),
+    "put-empty-key": (lambda e: e.put(b"", b"v"), ValueError),
+    "delete-str-key": (lambda e: e.delete("a"), TypeError),
+    "multi_put-empty-key": (
+        lambda e: e.multi_put([(b"b", b"1"), (b"", b"2"), (b"c", b"3")]),
+        ValueError),
+    "apply_batch-int-value": (
+        lambda e: e.apply_batch([("put", b"b", b"1"), ("put", b"c", 7)]),
+        TypeError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_WRITES))
+def test_a_rejected_write_is_neither_logged_nor_applied(engine, name):
+    """A key or value the data component would reject is rejected where
+    the TC buffers it.  Nothing of the call is logged, versioned or
+    posted (no half-applied batch), no transaction stays active to pin
+    the version-GC horizon, and recovery does not replay a record it
+    cannot apply."""
+    write, error = REJECTED_WRITES[name]
+    engine.put(b"a", b"1")
+    with pytest.raises(error):
+        write(engine)
+    assert engine.tc._active == {}
+    for key, expected in ((b"a", b"1"), (b"b", None), (b"c", None)):
+        assert engine.get(key) == expected
+        assert engine.dc.get(key) == expected
+    engine.checkpoint()
+    assert [record.key for record in engine.tc.log.durable_records] == [
+        b"a"]
+    recovered = DeuteronomyEngine.recover(engine)
+    assert recovered.get(b"a") == b"1"
+    assert recovered.get(b"b") is None

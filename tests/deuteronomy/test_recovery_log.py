@@ -89,6 +89,32 @@ def test_delete_record_allowed(log):
     assert log.is_buffer_retained(buffer_id)
 
 
+def test_append_batch_accounts_what_single_appends_do():
+    """A group append places, retains and bills the same bytes as one
+    append per record (each record sized as ``LogRecord.size_bytes``):
+    only the number of charges differs."""
+    records = [record(index, size=index % 7 * 20) for index in range(30)]
+    records[3] = LogRecord(b"gone", None, 3, 3)
+    single, batched = Machine.paper_default(), Machine.paper_default()
+    one_by_one = RecoveryLog(single, buffer_bytes=1024,
+                             retain_budget_bytes=2048)
+    grouped = RecoveryLog(batched, buffer_bytes=1024,
+                          retain_budget_bytes=2048)
+    ids = [one_by_one.append(entry) for entry in records]
+    assert grouped.append_batch(records) == ids
+    total = sum(entry.size_bytes for entry in records)
+    assert grouped.appended_bytes == one_by_one.appended_bytes == total
+    assert grouped.retained_bytes == one_by_one.retained_bytes
+    assert (batched.dram.bytes_for("tc_recovery_log")
+            == single.dram.bytes_for("tc_recovery_log"))
+    log_cpu = "cpu_us.tc_log"
+    per_byte = batched.cpu.costs.log_append_per_byte
+    assert (batched.cpu.counters.get(log_cpu)
+            == pytest.approx(total * per_byte))
+    assert (batched.cpu.counters.get(log_cpu)
+            == pytest.approx(single.cpu.counters.get(log_cpu)))
+
+
 class TestRetentionBudget:
     """Direct ``_enforce_budget`` behaviour: eviction order, additivity,
     and the sealed/unflushed protections the async pipeline relies on."""

@@ -278,7 +278,8 @@ def assert_stored_images_carry_their_true_size(tree: BwTree) -> None:
 @given(shape=SHAPES, seed=SEEDS)
 def test_running_totals_equal_recomputation_after_every_step(shape, seed):
     """``resident_bytes`` is a running total written by ``register``,
-    ``resize`` and ``_untrack`` only; whatever a step does — fetch,
+    ``resize``, ``touch`` (a blind post's known growth) and ``_untrack``
+    only; whatever a step does — fetch,
     ``forget`` on merge, eviction with retained deltas, tier promote,
     the idle sweep, crash and recovery — it equals the sum it replaced.
     ``fetch`` trusts ``PageImage.size_bytes`` the same way: after
