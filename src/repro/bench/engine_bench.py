@@ -42,6 +42,7 @@ from ..core.calibration import PXMX_WARMUP_OPERATIONS, measure_masstree_reads
 from ..core.catalog import CostCatalog
 from ..core.mainmemory import MainMemoryComparison
 from ..deuteronomy.tc import TcConfig
+from ..hardware.logdevice import ACK_LATENCY_US
 from ..hardware.tiers import StorageHierarchy
 from ..observability.registry import engine_registry
 from ..observability.spans import Tracer
@@ -170,8 +171,11 @@ def scenario_table(smoke: bool = False) -> Dict[str, Scenario]:
     read_hot = replace(base, mix="c", batch_size=0, checkpoint=True)
     split = BwTreeConfig(cache_capacity_bytes=budget - heap)
     no_tc_cache = TcConfig(read_cache_bytes=1)
+    # YCSB-C never dirties a record; the drain threshold only has to
+    # sit under the heap for the config to be valid.
     record_heap = TcConfig(record_cache=True, record_cache_bytes=heap,
-                           record_arena_bytes=arena)
+                           record_arena_bytes=arena,
+                           record_dirty_flush_bytes=heap // 2)
     table["record-cache/page"] = replace(
         read_hot, tc_config=no_tc_cache,
         tree_config=BwTreeConfig(cache_capacity_bytes=budget))
@@ -189,12 +193,12 @@ def scenario_table(smoke: bool = False) -> Dict[str, Scenario]:
         # a second copy of the hot set.
         resident = replace(read_hot, warmup_ops=PXMX_WARMUP_OPERATIONS)
         table["figure3/page"] = replace(resident, tc_config=no_tc_cache)
+        resident_heap = max(heap, base.record_count * value_bytes * 2)
         table["figure3/record-cache"] = replace(
             resident, tc_config=TcConfig(
-                record_cache=True,
-                record_cache_bytes=max(
-                    heap, base.record_count * value_bytes * 2),
-                record_arena_bytes=max(arena, 16 << 10)))
+                record_cache=True, record_cache_bytes=resident_heap,
+                record_arena_bytes=max(arena, 16 << 10),
+                record_dirty_flush_bytes=resident_heap // 2))
 
     # Skewed YCSB-B on a capped page cache, per-op, periodic commit.
     capped = sizes["capped_cache_bytes"]
@@ -427,7 +431,7 @@ def run_bench(smoke: bool = False) -> Dict[str, object]:
                                  else SHARD_COUNTS),
             "commit_interval_us": ASYNC_COMMIT.commit_interval_us,
             "commit_epoch_bytes": ASYNC_COMMIT.commit_epoch_bytes,
-            "log_ack_latency_us": ASYNC_COMMIT.log_ack_latency_us,
+            "log_ack_latency_us": ACK_LATENCY_US,
             **_budgets(base.record_count, base.spec().value_bytes),
             "hierarchy": [tier.name for tier in hierarchy],
             "far_tier": hierarchy[1].name,

@@ -43,6 +43,7 @@ class RecoveryError(RuntimeError):
     """Raised when a tree cannot be rebuilt from flash contents."""
 
 MAPPING_ENTRY_BYTES = 64   # DRAM charged per mapping-table entry
+INNER_FANOUT = 128         # children per inner node before it splits
 DRAM_TAG_INDEX = "bwtree_index"
 DRAM_TAG_MAPPING = "mapping_table"
 
@@ -58,10 +59,8 @@ class BwTreeConfig:
     consolidate_threshold: int = 8      # delta-chain length trigger
     blind_chain_limit: int = 64         # fetch+consolidate past this
     max_flash_fragments: int = 4        # delta images before full rewrite
-    inner_fanout: int = 128
     cache_capacity_bytes: Optional[int] = None
     eviction_policy: EvictionPolicy = EvictionPolicy.LRU
-    ti_seconds: float = 45.0
     record_cache: bool = False
     segment_bytes: int = 1 << 20
     # Demote-not-drop eviction: park victims in the middle tiers of the
@@ -75,8 +74,6 @@ class BwTreeConfig:
             raise ValueError("max_page_bytes unreasonably small")
         if self.consolidate_threshold < 1:
             raise ValueError("consolidate_threshold must be >= 1")
-        if self.inner_fanout < 4:
-            raise ValueError("inner_fanout must be >= 4")
 
 
 @dataclass(slots=True)
@@ -114,7 +111,6 @@ class BwTree:
             self.store,
             capacity_bytes=self.config.cache_capacity_bytes,
             policy=self.config.eviction_policy,
-            ti_seconds=self.config.ti_seconds,
             record_cache=self.config.record_cache,
             max_flash_fragments=self.config.max_flash_fragments,
             demote_to_tiers=self.config.demote_to_tiers,
@@ -520,7 +516,7 @@ class BwTree:
         self._parent[right_id] = parent_id
         self._reaccount_inner(parent)
         self.machine.cpu.charge("install_cas", category="bwtree")
-        if parent.fanout > self.config.inner_fanout:
+        if parent.fanout > INNER_FANOUT:
             self._split_inner(parent)
 
     def _split_inner(self, node: InnerNode) -> None:
@@ -869,11 +865,10 @@ class BwTree:
     def _bulk_build_index(self, leaf_keys: List[Tuple[bytes, int]]) -> None:
         """Build the inner-node structure over sorted (min key, pid)."""
         level = leaf_keys
-        fanout = self.config.inner_fanout
         while len(level) > 1:
             next_level: List[Tuple[bytes, int]] = []
-            for start in range(0, len(level), fanout):
-                group = level[start:start + fanout]
+            for start in range(0, len(level), INNER_FANOUT):
+                group = level[start:start + INNER_FANOUT]
                 if len(group) == 1 and next_level:
                     # Avoid a trailing 1-child node: merge into previous.
                     prev_key, prev_id = next_level[-1]

@@ -78,7 +78,6 @@ class TcConfig:
     commit_pipeline: bool = False
     commit_interval_us: float = 50.0
     commit_epoch_bytes: int = 1 << 16
-    log_ack_latency_us: float = 25.0
     # Record-cache v2 (Deuteronomy 2.0): replace the FIFO read cache with
     # a log-structured record heap serving reads *and* a blind-write fast
     # path that defers DC page materialization to checkpoint/drain time.
@@ -103,6 +102,14 @@ class TcConfig:
                 "concurrency_mode must be 'latch_free' or 'latched', "
                 f"got {self.concurrency_mode!r}"
             )
+        if (self.record_cache
+                and self.record_dirty_flush_bytes >= self.record_cache_bytes):
+            raise ValueError(
+                "record_dirty_flush_bytes must be below record_cache_bytes "
+                f"({self.record_dirty_flush_bytes} >= "
+                f"{self.record_cache_bytes}): dirty records are pinned, so "
+                "the heap would outgrow its budget before it drains"
+            )
 
 
 class TransactionComponent:
@@ -126,10 +133,7 @@ class TransactionComponent:
         self._last_future: Optional[CommitFuture] = None
         if self.config.commit_pipeline:
             if log_device is None:
-                log_device = LogDevice(
-                    machine.ssd, machine.clock,
-                    ack_latency_us=self.config.log_ack_latency_us,
-                )
+                log_device = LogDevice(machine.ssd, machine.clock)
             self.pipeline = CommitPipeline(
                 machine, self.log, log_device,
                 commit_interval_us=self.config.commit_interval_us,

@@ -270,7 +270,6 @@ def _build(scenario: str, config: MatrixConfig,
             tree_config=_tree_config(config),
             tc_config=_tc_config(config, pipelined),
             machine_factory=factory,
-            faults=injector,
         )
     raise ValueError(f"unknown scenario {scenario!r}")
 

@@ -36,6 +36,9 @@ from __future__ import annotations
 from .clock import VirtualClock
 from .ssd import SimulatedSsd
 
+#: Microseconds from the end of a write's service to its ack.
+ACK_LATENCY_US = 25.0
+
 
 class LogDevice:
     """FIFO ack-queue view of one SSD used as a commit log device."""
@@ -44,7 +47,7 @@ class LogDevice:
         self,
         ssd: SimulatedSsd,
         clock: VirtualClock,
-        ack_latency_us: float = 25.0,
+        ack_latency_us: float = ACK_LATENCY_US,
         colocated: bool = True,
     ) -> None:
         if ack_latency_us < 0.0:

@@ -90,16 +90,12 @@ class Machine:
         ssd_spec: SsdSpec | None = None,
         io_path: IoPathKind = IoPathKind.USER_LEVEL,
         dram_capacity_bytes: int | None = None,
-        processor_price_dollars: float = 300.0,
-        dram_price_per_byte: float = 5.0e-9,
     ) -> None:
         self.clock = VirtualClock()
         self.cpu = CpuModel(cores, cost_table, self.clock)
         self.ssd = SimulatedSsd(ssd_spec)
         self.dram = DramModel(dram_capacity_bytes)
         self.io_path = IoPathModel(io_path, self.cpu)
-        self.processor_price_dollars = processor_price_dollars
-        self.dram_price_per_byte = dram_price_per_byte
         # Per-operation latency (execution + device service time).  The
         # paper's cost metric deliberately excludes waiting time; latency
         # is tracked separately for the Section 8.1 "time-value"

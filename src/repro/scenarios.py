@@ -141,7 +141,6 @@ class Scenario:
         if self.shards:
             fleet = ShardedEngine(
                 self.shards,
-                cores_per_shard=self.cores,
                 tree_config=self.tree_config,
                 tc_config=self.tc_config,
                 machine_factory=machine,

@@ -38,7 +38,6 @@ from typing import (
 from ..bwtree.tree import BwTreeConfig
 from ..deuteronomy.engine import STATS, DeuteronomyEngine
 from ..deuteronomy.tc import TcConfig
-from ..faults.plan import FaultInjector
 from ..hardware.logdevice import LogDevice
 from ..hardware.machine import Machine
 from ..hardware.metrics import CounterSet
@@ -63,7 +62,6 @@ class ShardedEngine:
         tree_config: Optional[BwTreeConfig] = None,
         tc_config: Optional[TcConfig] = None,
         machine_factory: Optional[Callable[[], Machine]] = None,
-        faults: Optional[FaultInjector] = None,
         log_topology: str = "colocated",
         log_ssd_spec: Optional[SsdSpec] = None,
         _shards: Optional[Sequence[DeuteronomyEngine]] = None,
@@ -88,11 +86,6 @@ class ShardedEngine:
         # The single drive behind every shard's queue under "shared"
         # (None otherwise); its busy seconds floor fleet elapsed time.
         self._shared_log_ssd: Optional[SimulatedSsd] = None
-        # Fleet-level fault injector: fires at the between-shard batch
-        # boundaries (per-shard sites run off each shard machine's own
-        # ``machine.faults``, which callers typically point at the same
-        # injector for fleet-wide hit ordering).
-        self.faults = faults
         self.counters = CounterSet()
         if _shards is not None:
             if len(_shards) != num_shards:
@@ -136,16 +129,15 @@ class ShardedEngine:
                 "pipeline (TcConfig(commit_pipeline=True)); without it "
                 "the fleet would run colocated"
             )
-        ack = tc_config.log_ack_latency_us
         spec = (self._log_ssd_spec if self._log_ssd_spec is not None
                 else machine.ssd.spec)
         if self.log_topology == "per-shard":
             return LogDevice(SimulatedSsd(spec), machine.clock,
-                             ack_latency_us=ack, colocated=False)
+                             colocated=False)
         if self._shared_log_ssd is None:
             self._shared_log_ssd = SimulatedSsd(spec)
         return LogDevice(self._shared_log_ssd, machine.clock,
-                         ack_latency_us=ack, colocated=False)
+                         colocated=False)
 
     @property
     def num_shards(self) -> int:
@@ -205,17 +197,21 @@ class ShardedEngine:
             if not sub_batch:
                 continue
             shard = self.shards[shard_id]
-            shard.machine.cpu.charge("hash_probe", len(sub_batch),
-                                     category="router")
-            if self.faults is not None:
+            machine = shard.machine
+            machine.cpu.charge("hash_probe", len(sub_batch),
+                               category="router")
+            faults = machine.faults
+            if faults is not None:
                 # A crash here models a fleet-wide power loss between
                 # shard sub-batches: earlier shards committed (and
                 # possibly flushed), later shards never saw the batch.
-                self.faults.hit("sharded.apply_batch.boundary")
+                # A fleet-wide plan points every shard machine at one
+                # injector, so the hits keep one order.
+                faults.hit("sharded.apply_batch.boundary")
             # Shard-local span: the scatter's router hashing is charged
             # before the span opens and shows up as the tracer's
             # unattributed "router" bucket by design.
-            with shard.machine.trace_span("shard.batch", "sharding"):
+            with machine.trace_span("shard.batch", "sharding"):
                 results.append(run_shard(shard, sub_batch))
             result_positions.append(positions[shard_id])
         self.counters.add("router.batches")
@@ -346,7 +342,6 @@ class ShardedEngine:
         # the old drives were never acked and are lost with them.
         engine = cls(
             crashed.num_shards,
-            faults=crashed.faults,
             log_topology=crashed.log_topology,
             log_ssd_spec=crashed._log_ssd_spec,
             _shards=crashed.shards,

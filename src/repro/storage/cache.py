@@ -2,19 +2,23 @@
 
 This is the component that makes a *data caching system* (paper Section 1.3):
 hot pages live in DRAM, cold pages live only on flash, and the eviction
-policy decides which is which.  Three policies are provided:
+policy decides which is which.  Two policies pick victims under a byte
+budget:
 
-* classic LRU under a byte budget,
+* classic LRU, and
 * CLOCK (second chance): each access sets a reference bit instead of
   reordering a recency list, so the touch on every single operation is a
   plain store; a clock hand sweeps residents only when eviction is actually
   needed, clearing bits and evicting pages whose bit is already clear.
   CLOCK approximates LRU's hit rate at a fraction of the per-access
-  bookkeeping — the O(1)-touch choice for the batched hot path; and
-* the paper's cost-derived rule (Section 4.2): evict a page once the time
-  since its last access exceeds the breakeven interval Ti (~45 s with the
-  paper's constants), because past that point an SS operation is cheaper
-  than continued DRAM rental.
+  bookkeeping — the O(1)-touch choice for the batched hot path.
+
+The paper's cost-derived rule (Section 4.2) is not a victim order but a
+sweep, :meth:`PageCache.evict_idle_pages`: evict every page idle longer
+than the breakeven interval Ti (~45 s with the paper's constants), because
+past that point an SS operation is cheaper than continued DRAM rental.
+:class:`~repro.core.adaptive.AdaptiveCacheController` sets ``ti_seconds``
+from Eq. (6) and drives the sweep.
 
 The cache also implements the **record cache** of Section 6.3: in record
 cache mode an evicted page keeps its delta records resident, so a later read
@@ -30,7 +34,7 @@ list.  Fetching a page with resident deltas therefore only needs the base
 the cache stops treating eviction as binary.  A victim whose observed
 access rate clears the breakeven of a middle tier of a
 :class:`~repro.hardware.tiers.StorageHierarchy` (CXL-class far memory in
-the default ``cxl_2026`` stack) *moves* there instead of being dropped:
+the ``cxl_2026`` stack) *moves* there instead of being dropped:
 its page state is parked in a :class:`TierCache` keyed by a snapshot of
 the flash chain, and a later fetch that finds a current copy promotes it
 back into DRAM with **zero device I/Os** — paying only the far-memory
@@ -54,6 +58,8 @@ from .mapping_table import FlashAddr, MappingTable, PageEntry
 from .pages import DataPageState, PageImage
 
 DRAM_TAG = "page_cache"
+#: Default idle-sweep breakeven, the paper's Eq. (6) Ti in seconds.
+TI_SECONDS = 45.0
 
 
 class EvictionPolicy(enum.Enum):
@@ -61,7 +67,6 @@ class EvictionPolicy(enum.Enum):
 
     LRU = "lru"
     CLOCK = "clock"         # second chance: ref bit, O(1) touch
-    TI_THRESHOLD = "ti"     # paper Section 4.2 breakeven-interval rule
 
 
 @dataclass(slots=True)
@@ -92,7 +97,7 @@ class _DemotedPage:
 
 
 class TierCache:
-    """Victim store over the middle tiers of a storage hierarchy.
+    """Victim store over the middle tiers of the ``cxl_2026`` hierarchy.
 
     Holds evicted page states "in" each tier strictly between DRAM and
     the durable home, with per-tier byte budgets and FIFO overflow.  A
@@ -106,7 +111,6 @@ class TierCache:
     """
 
     def __init__(self, machine: Machine,
-                 hierarchy: Optional[StorageHierarchy] = None,
                  budget_bytes: Optional[int] = None) -> None:
         if budget_bytes is not None and budget_bytes <= 0:
             raise ValueError("tier budget must be positive when given")
@@ -115,14 +119,8 @@ class TierCache:
         # import time, gone by the time any cache is constructed.
         from ..core.breakeven import tier_pair_breakeven
         self.machine = machine
-        self.hierarchy = (hierarchy if hierarchy is not None
-                          else StorageHierarchy.cxl_2026())
+        self.hierarchy = StorageHierarchy.cxl_2026()
         middles = self.hierarchy.tiers[1:-1]
-        if not middles:
-            raise ValueError(
-                "demotion needs at least one tier between the top tier "
-                "and the durable home"
-            )
         self.budget_bytes = budget_bytes
         # Each middle tier keeps victims whose observed access interval
         # is within the breakeven of the boundary *below* it: past that
@@ -267,12 +265,9 @@ class PageCache:
         store: LogStructuredStore,
         capacity_bytes: Optional[int] = None,
         policy: EvictionPolicy = EvictionPolicy.LRU,
-        ti_seconds: float = 45.0,
         record_cache: bool = False,
-        record_cache_budget_bytes: Optional[int] = None,
         max_flash_fragments: int = 4,
         demote_to_tiers: bool = False,
-        demote_hierarchy: Optional[StorageHierarchy] = None,
         demote_budget_bytes: Optional[int] = None,
     ) -> None:
         if capacity_bytes is not None and capacity_bytes <= 0:
@@ -282,17 +277,15 @@ class PageCache:
         self.store = store
         self.capacity_bytes = capacity_bytes
         self.policy = policy
-        self.ti_seconds = ti_seconds
+        # The idle-sweep breakeven; the adaptive controller overwrites it
+        # with its Eq. (6) value.
+        self.ti_seconds = TI_SECONDS
         self.record_cache = record_cache
-        self.record_cache_budget_bytes = record_cache_budget_bytes
         self.max_flash_fragments = max_flash_fragments
         self.stats = CacheStats()
         self.tiers: Optional[TierCache] = None
         if demote_to_tiers:
-            self.tiers = TierCache(
-                machine, hierarchy=demote_hierarchy,
-                budget_bytes=demote_budget_bytes,
-            )
+            self.tiers = TierCache(machine, budget_bytes=demote_budget_bytes)
             self.tiers.stats = self.stats
         self._vclock = machine.clock
         # LRU order over resident pages: page id -> accounted bytes.
@@ -454,12 +447,7 @@ class PageCache:
         if state.has_unflushed_changes:
             self.flush_page(entry)
         self.machine.cpu.charge("evict_bookkeeping", category="cache")
-        keep_deltas = (self.record_cache and bool(state.deltas)
-                       and state.base_present)
-        if keep_deltas and self.record_cache_budget_bytes is not None:
-            keep_deltas = (state.delta_size_bytes
-                           <= self.record_cache_budget_bytes)
-        if keep_deltas:
+        if self.record_cache and state.deltas and state.base_present:
             state.drop_base()
             self.resize(entry)
             self.stats.record_cache_retained += 1
@@ -505,17 +493,6 @@ class PageCache:
         if self.policy is EvictionPolicy.CLOCK:
             yield from self._clock_victims(protect)
             return
-        if self.policy is EvictionPolicy.TI_THRESHOLD:
-            now = self.machine.clock.now
-            stale = [
-                pid for pid in self._resident
-                if pid not in protect
-                and now - self.mapping_table.get(pid).last_access
-                > self.ti_seconds
-            ]
-            # Oldest-idle first, then fall through to LRU order.
-            stale.sort(key=lambda pid: self.mapping_table.get(pid).last_access)
-            yield from stale
         # LRU order, walked lazily from the front of the live dict: the
         # consumer untracks most victims it is handed, so each step
         # restarts at the new front instead of snapshotting every

@@ -16,7 +16,6 @@ import pytest
 
 from repro.storage import (
     DeltaKind,
-    EvictionPolicy,
     LogStructuredStore,
     MappingTable,
     PageCache,
@@ -74,11 +73,7 @@ class TestScanChargesDispatch:
 
 class TestDeltaDropChargesEviction:
     def test_evict_idle_pages_charges_bookkeeping(self, machine):
-        cache, entry = _delta_only_rig(
-            machine,
-            policy=EvictionPolicy.TI_THRESHOLD,
-            ti_seconds=45.0,
-        )
+        cache, entry = _delta_only_rig(machine)
         machine.clock.advance(100.0)
         before = _cache_cpu_us(machine)
         evictions_before = cache.stats.evictions

@@ -176,6 +176,24 @@ class TestEngineFastPath:
         assert engine.tc.counters.get("tc.record_cache_drains") >= 1
         assert engine.tc.records.dirty_bytes < 1 << 10
 
+    def test_drain_threshold_must_sit_under_the_heap(self):
+        """Dirty records are pinned: a threshold at or above the heap
+        budget lets the heap outgrow it (4 KiB heap, 64 KiB threshold:
+        400 puts once ended at 10x the budget), so the config is refused."""
+        from repro.deuteronomy import TcConfig
+        with pytest.raises(ValueError, match="record_dirty_flush_bytes"):
+            TcConfig(record_cache=True, record_cache_bytes=4 << 10,
+                     record_arena_bytes=1 << 10,
+                     record_dirty_flush_bytes=64 << 10)
+        TcConfig(record_cache_bytes=4 << 10,
+                 record_dirty_flush_bytes=64 << 10)   # heap off: unused
+        engine = self._engine(record_cache_bytes=4 << 10,
+                              record_arena_bytes=1 << 10,
+                              record_dirty_flush_bytes=3 << 10)
+        for index in range(400):
+            engine.put(b"k%04d" % index, b"v" * 64)
+        assert engine.stats()["record_heap_bytes"] <= 4 << 10
+
     def test_deletes_ride_the_fast_path(self):
         engine = self._engine()
         engine.put(b"k", b"v")

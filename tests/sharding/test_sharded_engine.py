@@ -149,7 +149,13 @@ class TestDispatchOrder:
             self, untouched, hit):
         injector = FaultInjector(
             FaultPlan.crash_at("sharded.apply_batch.boundary", hit))
-        sharded = make_sharded(4, sync=True, faults=injector)
+
+        def machine() -> Machine:
+            shard_machine = Machine.paper_default(cores=1)
+            shard_machine.faults = injector
+            return shard_machine
+
+        sharded = make_sharded(4, sync=True, machine_factory=machine)
         keys = [key for key in (b"user%06d" % i for i in range(64))
                 if sharded.shard_for(key) != untouched]
         touched = sorted({sharded.shard_for(key) for key in keys})

@@ -42,8 +42,7 @@ class Shape:
         return BwTreeConfig(
             max_page_bytes=512, min_page_bytes=160, consolidate_threshold=4,
             segment_bytes=1 << 13, cache_capacity_bytes=self.capacity_bytes,
-            eviction_policy=self.policy, ti_seconds=TI_SECONDS,
-            record_cache=self.record_cache,
+            eviction_policy=self.policy, record_cache=self.record_cache,
             demote_to_tiers=self.demote_to_tiers,
         )
 
@@ -103,9 +102,16 @@ def make_steps(seed: int, count: int = 300) -> List[Step]:
     return steps
 
 
+def with_tiny_ti(tree: BwTree) -> BwTree:
+    """Shorten the idle-sweep breakeven, as the adaptive controller does."""
+    tree.cache.ti_seconds = TI_SECONDS
+    return tree
+
+
 def make_tree(shape: Shape, cache_class: type = PageCache) -> BwTree:
     with mock.patch("repro.bwtree.tree.PageCache", cache_class):
-        return BwTree(Machine.paper_default(cores=1), shape.config())
+        return with_tiny_ti(
+            BwTree(Machine.paper_default(cores=1), shape.config()))
 
 
 def apply_step(tree: BwTree, step: Step,
@@ -136,5 +142,5 @@ def apply_step(tree: BwTree, step: Step,
     else:
         tree.checkpoint()
         with mock.patch("repro.bwtree.tree.PageCache", cache_class):
-            tree = tree.simulate_crash_and_recover()
+            tree = with_tiny_ti(tree.simulate_crash_and_recover())
     return tree

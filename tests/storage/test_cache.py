@@ -3,11 +3,10 @@
 import pytest
 
 from repro.core import tier_pair_breakeven
-from repro.hardware import Machine, StorageHierarchy
+from repro.hardware import Machine
 from repro.storage import (
     DataPageState,
     DeltaKind,
-    EvictionPolicy,
     LogStructuredStore,
     MappingTable,
     PageCache,
@@ -262,9 +261,7 @@ class TestTiPolicy:
     def test_evict_idle_pages_by_interval(self, machine):
         table = MappingTable()
         store = LogStructuredStore(machine, segment_bytes=1 << 14)
-        cache = PageCache(machine, table, store,
-                          policy=EvictionPolicy.TI_THRESHOLD,
-                          ti_seconds=45.0)
+        cache = PageCache(machine, table, store)
         old = table.allocate()
         old.state.install_base([Record(b"a", b"v")])
         cache.register(old)
@@ -295,13 +292,6 @@ class TestDemoteNotDrop:
         machine.clock.advance(10.0)
         cache.touch(entry)
         return entry
-
-    def test_middle_tiers_required(self, machine):
-        table = MappingTable()
-        store = LogStructuredStore(machine, segment_bytes=1 << 14)
-        with pytest.raises(ValueError, match="between"):
-            PageCache(machine, table, store, demote_to_tiers=True,
-                      demote_hierarchy=StorageHierarchy.paper_2018())
 
     def test_target_tier_thresholds(self, machine):
         table, __, cache = self.make_tiered(machine)

@@ -34,17 +34,6 @@ class ReferencePageCache(PageCache):
         if self.policy is EvictionPolicy.CLOCK:
             yield from self._clock_victims(protect)
             return
-        if self.policy is EvictionPolicy.TI_THRESHOLD:
-            now = self.machine.clock.now
-            stale = [
-                pid for pid in self._resident
-                if pid not in protect
-                and now - self.mapping_table.get(pid).last_access
-                > self.ti_seconds
-            ]
-            # Oldest-idle first, then fall through to LRU order.
-            stale.sort(key=lambda pid: self.mapping_table.get(pid).last_access)
-            yield from stale
         for pid in list(self._resident):
             if pid not in protect:
                 yield pid
@@ -150,13 +139,12 @@ def test_reoffering_a_retained_page_is_caught():
         assert_same_run(ReofferingPageCache, shape, seed=0)
 
 
-def three_flushed_pages_with_a_delta(policy, capacity_bytes):
+def three_flushed_pages_with_a_delta(capacity_bytes):
     machine = Machine.paper_default(cores=1)
     table = MappingTable()
     cache = PageCache(
         machine, table, LogStructuredStore(machine, segment_bytes=1 << 14),
-        capacity_bytes=capacity_bytes, policy=policy, ti_seconds=45.0,
-        record_cache=True)
+        capacity_bytes=capacity_bytes, record_cache=True)
     entries = []
     for index in range(3):
         entry = table.allocate()
@@ -173,8 +161,7 @@ def three_flushed_pages_with_a_delta(policy, capacity_bytes):
 def test_lru_offers_a_retained_page_once_per_call():
     """Retaining the first victim's deltas is not enough, so the walk
     moves on to the next page instead of dropping those deltas."""
-    __, cache, (first, second, third) = three_flushed_pages_with_a_delta(
-        EvictionPolicy.LRU, capacity_bytes=700)
+    __, cache, (first, second, third) = three_flushed_pages_with_a_delta(700)
     log = log_victims(cache)
     assert cache.ensure_capacity() == 2
     assert log == ["call", first.page_id, second.page_id]
@@ -183,17 +170,3 @@ def test_lru_offers_a_retained_page_once_per_call():
     assert not second.state.base_present and second.state.deltas
     assert third.state.base_present
 
-
-def test_ti_offers_stale_pages_again_in_lru_order():
-    """The Ti arm's stale list is followed by the whole LRU order, so a
-    stale page whose deltas were retained is dropped on the second offer
-    when the budget still is not met."""
-    machine, cache, entries = three_flushed_pages_with_a_delta(
-        EvictionPolicy.TI_THRESHOLD, capacity_bytes=100)
-    machine.clock.advance(100.0)
-    ids = [entry.page_id for entry in entries]
-    log = log_victims(cache)
-    assert cache.ensure_capacity() == 5
-    assert log == ["call"] + ids + ids[:2]
-    assert cache.stats.record_cache_retained == 3
-    assert [entry.state is None for entry in entries] == [True, True, False]
