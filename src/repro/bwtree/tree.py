@@ -225,51 +225,90 @@ class BwTree:
         return self.get_with_stats(key).value
 
     def get_with_stats(self, key: bytes) -> OpResult:
-        """Point lookup returning the value plus cost-relevant facts."""
-        self._validate_key(key)
-        with self.machine.trace_span("bwtree.get", "bwtree"):
-            window = self._begin_op()
-            entry = self._descend(key)
-            self.cache.touch(entry)
-            result = OpResult()
-            cpu = self.machine.cpu
+        """Point lookup returning the value plus cost-relevant facts.
 
-            if entry.state is not None:
-                probe = entry.state.lookup(key)
-                cpu.charge("delta_chain_hop", probe.delta_hops,
-                           category="bwtree")
-                if not probe.base_missing:
-                    # Resolved without I/O.  If the base was evicted, the
-                    # answer came from a resident delta: a record-cache
-                    # hit (Section 6.3).
-                    if not entry.state.base_present:
-                        result.record_cache_hit = True
-                    self._finish_read(entry, probe, result)
-                    self._post_op(entry, result, window)
-                    return result
-
-            # Base page (and possibly flushed deltas) must come from
-            # flash: the SS operation of the paper's model.
-            result.ios += self.cache.fetch(entry)
-            self.cache.ensure_capacity(protect={entry.page_id})
-            assert entry.state is not None
-            probe = entry.state.lookup(key)
-            assert not probe.base_missing
-            cpu.charge("delta_chain_hop", probe.delta_hops,
+        The bookkeeping the writes leave to ``_begin_op`` / ``_descend``
+        / ``_post_op`` — op count, latency window, routing, counters,
+        the consolidation check — is done in this frame, with the same
+        charges in the same order; the validator is called only to
+        raise.
+        """
+        if type(key) is not bytes or not key:
+            self._validate_key(key)
+        machine = self.machine
+        with machine.trace_span("bwtree.get", "bwtree"):
+            machine._ops_started += 1
+            cpu = machine.cpu
+            ssd = machine.ssd
+            cpu_before = cpu._busy_us
+            service_before = ssd._service_us_total
+            charge = cpu.charge
+            charge("op_dispatch", category="bwtree")
+            charge("epoch_protect", category="bwtree")
+            inners = self._inners
+            node_id = self.root_id
+            while node_id < 0:
+                node = inners[node_id]
+                keys = node.keys
+                charge("pointer_chase", category="bwtree")
+                charge("page_binary_search_step",
+                       len(keys).bit_length() or 1, category="bwtree")
+                node_id = node.children[bisect.bisect_right(keys, key)]
+            charge("mapping_table_lookup", category="bwtree")
+            entry = self.mapping_table.get(node_id)
+            cache = self.cache
+            cache.touch(entry)
+            ios = 0
+            record_cache_hit = False
+            state = entry.state
+            probe = None
+            if state is not None:
+                probe = state.lookup(key)
+                charge("delta_chain_hop", probe.delta_hops,
                        category="bwtree")
-            self._finish_read(entry, probe, result)
-            self._post_op(entry, result, window)
-            return result
-
-    def _finish_read(self, entry: PageEntry, probe, result: OpResult) -> None:
-        cpu = self.machine.cpu
-        if probe.searched_base and entry.state is not None:
-            cpu.charge("page_binary_search_step",
-                       entry.state.base_search_steps(), category="bwtree")
-        result.found = probe.found
-        result.value = probe.value
-        if probe.found and probe.value is not None:
-            cpu.charge("copy_per_byte", len(probe.value), category="bwtree")
+                if probe.base_missing:
+                    probe = None
+                elif state.base is None:
+                    # Resolved without I/O from a resident delta of a
+                    # page whose base was evicted: a record-cache hit
+                    # (Section 6.3).
+                    record_cache_hit = True
+            if probe is None:
+                # Base page (and possibly flushed deltas) must come from
+                # flash: the SS operation of the paper's model.
+                ios = cache.fetch(entry)
+                cache.ensure_capacity(protect={entry.page_id})
+                state = entry.state
+                assert state is not None
+                probe = state.lookup(key)
+                assert not probe.base_missing
+                charge("delta_chain_hop", probe.delta_hops,
+                       category="bwtree")
+            if probe.searched_base:
+                # One binary search over the base: bit_length comparisons,
+                # at least one on a non-empty base, none on an empty one.
+                charge("page_binary_search_step",
+                       len(state.base).bit_length(), category="bwtree")
+            value = probe.value
+            found = probe.found
+            if found and value is not None:
+                charge("copy_per_byte", len(value), category="bwtree")
+            latency = ((cpu._busy_us - cpu_before)
+                       + (ssd._service_us_total - service_before))
+            machine.op_latencies.observe(latency)
+            counts = self._counts
+            counts["bwtree.ops"] += 1.0
+            counts["bwtree.ios"] += ios
+            if ios > 0:
+                counts["bwtree.ss_ops"] += 1.0
+            else:
+                counts["bwtree.mm_ops"] += 1.0
+            if record_cache_hit:
+                counts["bwtree.record_cache_hits"] += 1.0
+            if (state.base is not None
+                    and len(state.deltas) >= self.config.consolidate_threshold):
+                self._consolidate(entry)
+            return OpResult(value, found, ios, record_cache_hit, latency)
 
     def contains(self, key: bytes) -> bool:
         return self.get_with_stats(key).found

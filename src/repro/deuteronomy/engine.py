@@ -138,7 +138,12 @@ class DeuteronomyEngine:
 
     def multi_get(self, keys: Sequence[bytes]) -> List[Optional[bytes]]:
         """Batched autocommitted snapshot reads: one transaction and one
-        request dispatch amortized across the whole batch."""
+        request dispatch amortized across the whole batch.  A key the
+        data component would reject refuses the batch before its
+        transaction begins: nothing of it is charged or counted."""
+        for key in keys:
+            if type(key) is not bytes or not key:
+                self.dc._validate_key(key)
         with self.machine.trace_span("engine.multi_get", "engine"):
             txn = self.tc.begin()
             try:
@@ -157,8 +162,12 @@ class DeuteronomyEngine:
         ``ops`` items are ``(kind, key, value)`` with kind ``"get"``,
         ``"put"`` or ``"delete"`` (value ignored for gets/deletes).  Reads
         see the batch's earlier writes.  Returns one entry per op: the
-        value for gets, ``None`` for writes.
+        value for gets, ``None`` for writes.  A key the data component
+        would reject refuses the batch as in :meth:`multi_get`.
         """
+        for __, key, __ in ops:
+            if type(key) is not bytes or not key:
+                self.dc._validate_key(key)
         with self.machine.trace_span("engine.apply_batch", "engine"):
             txn = self.tc.begin()
             try:

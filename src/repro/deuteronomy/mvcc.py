@@ -10,6 +10,7 @@ servable from memory only while that buffer is retained.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -49,6 +50,10 @@ class VersionStore:
         # install timestamps out of order across keys.
         self._superseded: Dict[int, List[bytes]] = {}
         self._superseded_order: List[int] = []
+        #: The heap's head, ``inf`` when it is empty: ``truncate(h)``
+        #: reclaims nothing unless this is ``<= h``, so callers skip the
+        #: call otherwise.  A plain attribute, read without a call.
+        self.oldest_superseded: float = math.inf
 
     def add(self, key: bytes, version: Version) -> None:
         """Install a newly committed version (must be newest for the key)."""
@@ -70,6 +75,8 @@ class VersionStore:
             if bucket is None:
                 self._superseded[timestamp] = [key]
                 heapq.heappush(self._superseded_order, timestamp)
+                if timestamp < self.oldest_superseded:
+                    self.oldest_superseded = timestamp
             else:
                 bucket.append(key)
         else:
@@ -130,6 +137,7 @@ class VersionStore:
                     freed += chain[keep].size_bytes
                 removed += len(chain) - keep
                 del chain[keep:]
+        self.oldest_superseded = order[0] if order else math.inf
         if removed:
             self._bytes -= freed
             self._count -= removed

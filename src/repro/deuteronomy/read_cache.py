@@ -48,7 +48,6 @@ class ReadCache:
         self._tier_bytes = 0
         self.hits = 0
         self.misses = 0
-        self.inserts = 0
         self.evicted_records = 0
         self.rejected_inserts = 0
         self.demotions = 0
@@ -87,38 +86,42 @@ class ReadCache:
             value = self._tier_entries.pop(key)
             self._tier_bytes -= self._entry_bytes(key, value)
             self.promotions += 1
-            self._admit(key, value)
+            # It fitted when it was demoted, so it is admitted again.
+            self.insert(key, value)
         return value
 
     def insert(self, key: bytes, value: bytes) -> None:
-        """Append a record read from the DC, evicting FIFO if over budget."""
-        if self._entry_bytes(key, value) > self.budget_bytes:
+        """Append a record to the DRAM FIFO (a re-insert moves it to the
+        back), demoting or dropping victims while over budget.
+
+        The entry is sized once and admitted in this frame.
+        """
+        nbytes = READ_CACHE_ENTRY_OVERHEAD_BYTES + len(key) + len(value)
+        machine = self.machine
+        budget = self.budget_bytes
+        if nbytes > budget:
             # An over-budget record would evict the whole cache and still
             # not fit; reject it outright.  Only the admission probe is
             # charged -- no bytes are copied.
-            self.machine.cpu.charge("hash_probe", category="tc_read_cache")
+            machine.cpu.charge("hash_probe", category="tc_read_cache")
             self.rejected_inserts += 1
             return
-        self._admit(key, value)
-        self.inserts += 1
-
-    def _admit(self, key: bytes, value: bytes) -> None:
-        """Install one record in the DRAM FIFO, demoting/evicting victims."""
-        if key in self._entries:
-            old = self._entries.pop(key)
-            freed = self._entry_bytes(key, old)
-            self.machine.dram.free(freed, DRAM_TAG)
+        entries = self._entries
+        dram = machine.dram
+        if key in entries:
+            old = entries.pop(key)
+            freed = READ_CACHE_ENTRY_OVERHEAD_BYTES + len(key) + len(old)
+            dram.free(freed, DRAM_TAG)
             self._bytes -= freed
-        nbytes = self._entry_bytes(key, value)
-        self._entries[key] = value
-        self.machine.dram.allocate(nbytes, DRAM_TAG)
+        entries[key] = value
+        dram.allocate(nbytes, DRAM_TAG)
         self._bytes += nbytes
-        self.machine.cpu.charge("copy_per_byte", nbytes,
-                                category="tc_read_cache")
-        while self._bytes > self.budget_bytes and self._entries:
-            old_key, old_value = self._entries.popitem(last=False)
-            freed = self._entry_bytes(old_key, old_value)
-            self.machine.dram.free(freed, DRAM_TAG)
+        machine.cpu.charge("copy_per_byte", nbytes, category="tc_read_cache")
+        while self._bytes > budget:
+            old_key, old_value = entries.popitem(last=False)
+            freed = (READ_CACHE_ENTRY_OVERHEAD_BYTES + len(old_key)
+                     + len(old_value))
+            dram.free(freed, DRAM_TAG)
             self._bytes -= freed
             self.evicted_records += 1
             if self.demote_to_tiers:

@@ -352,8 +352,14 @@ class TransactionComponent:
         still consumes a transaction id — but builds no
         :class:`Transaction`: nobody else can see it, so it never enters
         the active set and cannot pin the version-GC horizon.  A failed
-        read counts an abort, as :meth:`abort` would, and re-raises.
+        read counts an abort, as :meth:`abort` would, and re-raises; a
+        key the data component would reject is rejected first, before
+        anything is charged or counted.  The commit half's record drain
+        and version GC are checked here and called only when they have
+        work.
         """
+        if type(key) is not bytes or not key:
+            self.dc._validate_key(key)
         machine = self.machine
         charge = machine.cpu.charge
         counts = self._counts
@@ -363,7 +369,7 @@ class TransactionComponent:
         counts["tc.begins"] += 1.0
         try:
             charge("op_dispatch", category="tc")
-            machine.begin_operation()
+            machine._ops_started += 1
             counts["tc.reads"] += 1.0
             with machine.trace_span("tc.read", "tc"):
                 value = self._snapshot_read(key, read_ts)
@@ -373,9 +379,19 @@ class TransactionComponent:
         with machine.trace_span("tc.commit", "tc"):
             charge("timestamp_alloc", category="tc")
             self._clock += 1
-            self._maybe_drain_records()
+            records = self.records
+            if (records is not None and records.dirty_bytes
+                    >= self.config.record_dirty_flush_bytes):
+                self.flush_record_cache()
             counts["tc.commits"] += 1.0
-            self._maybe_gc_versions()
+            # _maybe_gc_versions, in this frame.
+            active = self._active
+            oldest = (min(t.read_timestamp for t in active.values())
+                      if active else self._clock)
+            horizon = oldest - self.config.version_gc_horizon_lag
+            versions = self.versions
+            if 0 < horizon and versions.oldest_superseded <= horizon:
+                versions.truncate(horizon)
         return value
 
     def read(self, txn: Transaction, key: bytes) -> Optional[bytes]:
@@ -396,7 +412,11 @@ class TransactionComponent:
         return [self._read_one(txn, key) for key in keys]
 
     def _read_one(self, txn: Transaction, key: bytes) -> Optional[bytes]:
-        self.machine.begin_operation()
+        """Every transactional read enters here; a key the data component
+        would reject is rejected before the read is counted."""
+        if type(key) is not bytes or not key:
+            self.dc._validate_key(key)
+        self.machine._ops_started += 1
         self._counts["tc.reads"] += 1.0
         with self.machine.trace_span("tc.read", "tc"):
             # Read-your-own-writes.
@@ -644,7 +664,7 @@ class TransactionComponent:
         oldest = (min(t.read_timestamp for t in self._active.values())
                   if self._active else self._clock)
         horizon = oldest - self.config.version_gc_horizon_lag
-        if horizon > 0:
+        if 0 < horizon and self.versions.oldest_superseded <= horizon:
             self.versions.truncate(horizon)
 
     def tc_hit_rate(self) -> float:

@@ -265,12 +265,6 @@ class DataPageState:
             return LookupResult(True, self.base[index].value, hops, True)
         return LookupResult(False, None, hops, True)
 
-    def base_search_steps(self) -> int:
-        """Binary-search comparisons for one base lookup (for cost charging)."""
-        if self.base is None or not self.base:
-            return 0
-        return max(1, (len(self.base)).bit_length())
-
     def iter_records(self) -> Iterator[Record]:
         """Yield the page's logical records in key order.
 

@@ -21,7 +21,7 @@ from repro.hardware import Machine
 from repro.observability.spans import Tracer
 from repro.observability.whatif import ChargeRecorder
 
-from ..storage.test_size_accounting import count_calls
+from ..frames import count_calls
 
 
 def reference_get(engine, key):

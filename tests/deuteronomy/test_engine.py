@@ -110,3 +110,46 @@ def test_a_rejected_write_is_neither_logged_nor_applied(engine, name):
     recovered = DeuteronomyEngine.recover(engine)
     assert recovered.get(b"a") == b"1"
     assert recovered.get(b"b") is None
+
+
+REJECTED_READS = {
+    "get-empty-key": (lambda e: e.get(b""), ValueError),
+    "get-str-key": (lambda e: e.get("a"), TypeError),
+    "multi_get-empty-key": (lambda e: e.multi_get([b"a", b""]), ValueError),
+    "apply_batch-int-key": (
+        lambda e: e.apply_batch([("get", b"a", None), ("get", 7, None)]),
+        TypeError),
+    "apply_batch-put-then-bad-get": (
+        lambda e: e.apply_batch([("put", b"b", b"1"), ("get", b"", None)]),
+        ValueError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_READS))
+def test_a_rejected_read_is_neither_billed_nor_counted(engine, name):
+    """A read of a key the data component would reject is refused
+    before anything is charged or counted: no operation, no core-µs, no
+    begin, read or abort — and no half-run batch."""
+    read, error = REJECTED_READS[name]
+    engine.put(b"a", b"1")
+    machine, tc = engine.machine, engine.tc
+    before = (machine.operations, machine.cpu.busy_us,
+              tc.counters.snapshot())
+    with pytest.raises(error):
+        read(engine)
+    assert (machine.operations, machine.cpu.busy_us,
+            tc.counters.snapshot()) == before
+    assert tc._active == {}
+    assert engine.get(b"b") is None
+
+
+def test_a_rejected_read_in_an_open_transaction_is_not_counted(engine):
+    """Inside an explicit transaction the request dispatch is billed,
+    but the read itself is refused before it counts as an operation."""
+    machine, tc = engine.machine, engine.tc
+    with pytest.raises(ValueError):
+        with engine.transaction() as txn:
+            tc.read(txn, b"")
+    assert machine.operations == 0
+    assert tc.counters.get("tc.reads") == 0
+    assert tc.counters.get("tc.aborts") == 1

@@ -1,0 +1,36 @@
+"""One call counter for every complexity guard."""
+
+import collections
+import os
+import pathlib
+import sys
+
+import repro
+
+PACKAGE = os.path.dirname(repro.__file__) + os.sep
+
+
+def count_calls(function) -> collections.Counter:
+    """The Python frames (``<file stem>.<function>``) and C calls
+    (``<module>.<qualname>``, module ``None`` for a method) ``function``
+    enters.  Its ``frames`` keeps only the Python frames whose code is in
+    ``repro``, so it does not depend on the interpreter's own functions."""
+    calls: collections.Counter = collections.Counter()
+    frames = calls.frames = collections.Counter()  # type: ignore[attr-defined]
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            name = f"{pathlib.Path(code.co_filename).stem}.{code.co_name}"
+            calls[name] += 1
+            if code.co_filename.startswith(PACKAGE):
+                frames[name] += 1
+        elif event == "c_call":
+            calls[f"{arg.__module__}.{arg.__qualname__}"] += 1
+
+    sys.setprofile(profiler)
+    try:
+        function()
+    finally:
+        sys.setprofile(None)
+    return calls

@@ -1,12 +1,13 @@
 """CPU cost model: charging, clock coupling, calibration invariants."""
 
-import sys
 from dataclasses import fields
 
 import pytest
 
 from repro.hardware import CostTable, CpuModel, Machine, VirtualClock
 from repro.observability.whatif import ChargeRecorder
+
+from ..frames import count_calls
 
 
 def test_charge_named_primitive_returns_amount():
@@ -136,52 +137,32 @@ def test_every_cost_table_entry_is_chargeable():
 # complexity guard: a charge is one Python frame
 # ----------------------------------------------------------------------
 
-def python_frames(call):
-    """Python-level function entries made while ``call`` runs."""
-    entered = []
-
-    def profiler(frame, event, arg):
-        if event == "call":
-            entered.append(frame.f_code.co_name)
-
-    sys.setprofile(profiler)
-    try:
-        call()
-    finally:
-        sys.setprofile(None)
-    return entered
+def frames(call):
+    """The ``repro`` frames ``call`` enters."""
+    return count_calls(call).frames
 
 
 def test_a_charge_enters_one_python_frame():
     cpu = CpuModel(cores=4)
     cpu.charge("hash_probe", category="tc")     # interns the counter key
     cpu.charge_us(1.0, "tc")
-    assert python_frames(
-        lambda: cpu.charge("hash_probe", 2, category="tc")
-    ) == ["<lambda>", "charge"]
-    assert python_frames(
-        lambda: cpu.charge_us(1.0, "tc")
-    ) == ["<lambda>", "charge_us"]
+    charge = {"cpu.charge": 1}
+    assert frames(lambda: cpu.charge("hash_probe", 2, category="tc")) == charge
+    assert frames(lambda: cpu.charge_us(1.0, "tc")) == {"cpu.charge_us": 1}
     # A new category costs no extra frame either.
-    assert python_frames(
-        lambda: cpu.charge("hash_probe", category="fresh")
-    ) == ["<lambda>", "charge"]
+    assert frames(lambda: cpu.charge("hash_probe", category="fresh")) == charge
     # What-if scaling is applied inside the same frame.
     cpu.scale_costs({"tc": 0.5})
-    assert python_frames(
-        lambda: cpu.charge("hash_probe", category="tc")
-    ) == ["<lambda>", "charge"]
+    assert frames(lambda: cpu.charge("hash_probe", category="tc")) == charge
 
 
 def test_a_sink_costs_exactly_one_more_frame():
     cpu = CpuModel(cores=4)
     cpu.sink = ChargeRecorder()
-    assert python_frames(
-        lambda: cpu.charge("hash_probe", category="tc")
-    ) == ["<lambda>", "charge", "on_charge"]
-    assert python_frames(
-        lambda: cpu.charge_us(1.0, "tc")
-    ) == ["<lambda>", "charge_us", "on_charge"]
+    assert frames(lambda: cpu.charge("hash_probe", category="tc")) == {
+        "cpu.charge": 1, "whatif.on_charge": 1}
+    assert frames(lambda: cpu.charge_us(1.0, "tc")) == {
+        "cpu.charge_us": 1, "whatif.on_charge": 1}
 
 
 def test_charges_after_a_reset_still_reach_the_counters():

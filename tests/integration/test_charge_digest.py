@@ -1,19 +1,22 @@
-"""Pinned digests of one seeded run: the virtual clock, to the last bit.
+"""Pinned digests of seeded runs: the virtual clock, to the last bit.
 
 A host-clock optimization must bill exactly the charges it replaced, in
-the same order, and leave every statistic where it was.  This run is
-small enough for tier-1 and wide enough to cross the write path's rare
-branches: a load through 64-record group commits (leaf splits), then
-batched YCSB-A (sync commit) over a page cache a fraction of the data,
-with record-cache retention (evicted pages keep their deltas) and a
-short blind-chain limit, a checkpoint, segment GC, a crash and
-recovery, and more batches on the recovered engine.
+the same order, and leave every statistic where it was.  Each run is
+small enough for tier-1 and wide enough to cross one path's rare
+branches.  The write run: a load through 64-record group commits (leaf
+splits), then batched YCSB-A (sync commit) over a page cache a fraction
+of the data, with record-cache retention (evicted pages keep their
+deltas) and a short blind-chain limit, a checkpoint, segment GC, a
+crash and recovery, and more batches on the recovered engine.  The read
+run: YCSB-B through ``get``, ``apply_batch`` and YCSB-C through
+``multi_get``, over a small page cache with record-cache retention and
+a small read cache that demotes its FIFO victims to a tier.
 
-It pins the sha256 of the ``ChargeRecorder`` stream, as ``(category,
-repr(microseconds))`` lines, and of ``repr(engine.stats())`` at the end.
-Swapping two charges of one post, or dropping one, changes the first;
-a drifting counter changes the second.  When a change moves the
-virtual clock on purpose, recompute both and say why in the change.
+Each pins the sha256 of the ``ChargeRecorder`` stream, as ``(category,
+repr(microseconds))`` lines, and of ``repr(engine.stats())`` at the
+end.  Swapping two charges of one op, or dropping one, changes the
+first; a drifting counter changes the second.  When a change moves the
+virtual clock on purpose, recompute them and say why in the change.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from repro.hardware import Machine
 from repro.observability.whatif import ChargeRecorder
 from repro.scenarios import batch_item
 from repro.storage.cache import PageCache
-from repro.workloads import WorkloadGenerator, WorkloadSpec
+from repro.workloads import OpKind, WorkloadGenerator, WorkloadSpec
 
 BATCH = 64
 TREE_CONFIG = BwTreeConfig(cache_capacity_bytes=48 * 1024,
@@ -91,8 +94,87 @@ def test_charge_stream_and_stats_match_their_pinned_digests(monkeypatch):
     tally(engine.dc)
 
     assert all(count > 0 for count in reached.values()), reached
-    stream = "".join(f"{category} {microseconds!r}\n"
-                     for category, microseconds in recorder.events)
-    assert hashlib.sha256(stream.encode()).hexdigest() == CHARGES_SHA256
+    assert sha256_of_charges(recorder) == CHARGES_SHA256
     assert (hashlib.sha256(repr(engine.stats()).encode()).hexdigest()
             == STATS_SHA256)
+
+
+def sha256_of_charges(recorder: ChargeRecorder) -> str:
+    stream = "".join(f"{category} {microseconds!r}\n"
+                     for category, microseconds in recorder.events)
+    return hashlib.sha256(stream.encode()).hexdigest()
+
+
+READ_CACHE_BYTES = 4096
+READ_TREE_CONFIG = BwTreeConfig(cache_capacity_bytes=24 * 1024,
+                                record_cache=True, segment_bytes=1 << 15)
+READ_TC_CONFIG = TcConfig(log_buffer_bytes=1024, log_retain_budget_bytes=2048,
+                          read_cache_bytes=READ_CACHE_BYTES,
+                          read_cache_demote=True, version_gc_horizon_lag=64)
+READ_BATCH = 16
+
+READ_CHARGES_SHA256 = (
+    "744dda60818a6983ee62a14e111582ac19b9a2108fa55396e11130d64849cdc6")
+READ_STATS_SHA256 = (
+    "ab4763b70db4d2e513b2ffc5a820cdbd8a670681070e08ef4799ca8514579e51")
+
+
+def test_read_path_charge_stream_and_stats_match_their_pinned_digests(
+        monkeypatch):
+    # A log that drops its buffers sends re-reads of written keys past
+    # the version store, so DC reads land on delta-only pages; updates
+    # to evicted pages grow chains that the read's fetch consolidates.
+    reached = {"read_consolidations": 0}
+    get_with_stats = BwTree.get_with_stats
+
+    def spying_get(tree, key):
+        before = tree.counters.get("bwtree.consolidations")
+        result = get_with_stats(tree, key)
+        reached["read_consolidations"] += (
+            tree.counters.get("bwtree.consolidations") - before)
+        return result
+
+    monkeypatch.setattr(BwTree, "get_with_stats", spying_get)
+    machine = Machine.paper_default(cores=1)
+    recorder = ChargeRecorder()
+    machine.cpu.sink = recorder
+    engine = DeuteronomyEngine(machine, tree_config=READ_TREE_CONFIG,
+                               tc_config=READ_TC_CONFIG)
+    generator = WorkloadGenerator(
+        WorkloadSpec.ycsb_b(record_count=1500, seed=5))
+    items = list(generator.load_items())
+    # One record too large for the read cache to admit.
+    oversized = items[700][0]
+    items[700] = (oversized, b"x" * READ_CACHE_BYTES)
+    engine.dc.bulk_load(items)
+    engine.checkpoint()
+    ops = list(generator.operations(9000))
+    third = len(ops) // 3
+    for op in ops[:third]:
+        if op.kind is OpKind.READ:
+            engine.get(op.key)
+        else:
+            engine.put(op.key, op.value)
+    assert engine.get(oversized) == b"x" * READ_CACHE_BYTES
+    for start in range(third, 2 * third, READ_BATCH):
+        engine.apply_batch([batch_item(op)
+                            for op in ops[start:start + READ_BATCH]])
+    keys = [op.key for op in WorkloadGenerator(
+        WorkloadSpec.ycsb_c(record_count=1500, seed=6)).operations(third)]
+    for start in range(0, len(keys), READ_BATCH):
+        engine.multi_get(keys[start:start + READ_BATCH])
+
+    tree, read_cache = engine.dc, engine.tc.read_cache
+    reached.update(
+        fetches=tree.cache.stats.fetches,
+        evictions=tree.cache.stats.evictions,
+        delta_only_hits=tree.counters.get("bwtree.record_cache_hits"),
+        read_cache_fifo_evictions=read_cache.evicted_records,
+        read_cache_rejects=read_cache.rejected_inserts,
+        tier_promotes=read_cache.promotions)
+    assert all(count > 0 for count in reached.values()), reached
+    assert sha256_of_charges(recorder) == READ_CHARGES_SHA256
+    latencies = machine.op_latencies
+    stats = (engine.stats(), latencies.count, latencies.total)
+    assert (hashlib.sha256(repr(stats).encode()).hexdigest()
+            == READ_STATS_SHA256)

@@ -17,7 +17,6 @@ import ast
 import collections
 import pathlib
 import re
-import sys
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -38,6 +37,7 @@ from repro.storage.cache import DRAM_TAG
 from repro.storage.pages import delta_image_size_bytes, full_image_size_bytes
 from repro.workloads import OpKind, WorkloadGenerator, WorkloadSpec
 
+from ..frames import count_calls
 from .sequences import SEEDS, SHAPES, apply_step, make_steps, make_tree
 
 KEYS = st.sampled_from([b"a", b"bb", b"ccc", b"dddd", b"eeeee"])
@@ -109,25 +109,6 @@ def test_prepend_delta_never_sizes_the_base(monkeypatch):
     state.prepend_delta(delta)
     assert state.resident_size_bytes == before + delta.size_bytes
     assert calls == []
-
-
-def count_calls(function) -> collections.Counter:
-    """Every Python and C function entered while ``function`` runs."""
-    calls: collections.Counter = collections.Counter()
-
-    def profiler(frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            calls[f"{pathlib.Path(code.co_filename).stem}.{code.co_name}"] += 1
-        elif event == "c_call":
-            calls[f"{arg.__module__}.{arg.__qualname__}"] += 1
-
-    sys.setprofile(profiler)
-    try:
-        function()
-    finally:
-        sys.setprofile(None)
-    return calls
 
 
 class CountingResident(collections.OrderedDict):
