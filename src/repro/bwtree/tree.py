@@ -228,10 +228,10 @@ class BwTree:
         """Point lookup returning the value plus cost-relevant facts.
 
         The bookkeeping the writes leave to ``_begin_op`` / ``_descend``
-        / ``_post_op`` — op count, latency window, routing, counters,
-        the consolidation check — is done in this frame, with the same
-        charges in the same order; the validator is called only to
-        raise.
+        / ``_post_op`` — op count, latency window, routing down to the
+        mapping-table dict, counters, the consolidation check — is done
+        in this frame, with the same charges in the same order; the
+        validator is called only to raise.
         """
         if type(key) is not bytes or not key:
             self._validate_key(key)
@@ -255,7 +255,7 @@ class BwTree:
                        len(keys).bit_length() or 1, category="bwtree")
                 node_id = node.children[bisect.bisect_right(keys, key)]
             charge("mapping_table_lookup", category="bwtree")
-            entry = self.mapping_table.get(node_id)
+            entry = self.mapping_table._entries[node_id]
             cache = self.cache
             cache.touch(entry)
             ios = 0
@@ -362,8 +362,12 @@ class BwTree:
         (``ios`` summed, ``latency_us`` spanning the whole batch).
 
         The per-record bookkeeping — operation count, validity checks,
-        timestamp, counters — is done in this frame; the validators are
-        called only to raise.
+        timestamp, counters, the descent of :meth:`_descend` — is done in
+        this frame; the validators are called only to raise.  So is the
+        post of :meth:`_post_blind_delta` when the leaf's base is
+        resident, the common case: the same charges, touch,
+        consolidate/split checks and eviction, in the same order.  A
+        delta-only or evicted leaf goes through ``_post_blind_delta``.
         """
         machine = self.machine
         with machine.trace_span("bwtree.blind_batch", "bwtree"):
@@ -373,8 +377,13 @@ class BwTree:
             charge("epoch_protect", category="bwtree")
             result = OpResult(found=True)
             counts = self._counts
-            descend = self._descend
-            post = self._post_blind_delta
+            inners = self._inners
+            entries = self.mapping_table._entries
+            cache = self.cache
+            touch = cache.touch
+            config = self.config
+            consolidate_threshold = config.consolidate_threshold
+            max_page_bytes = config.max_page_bytes
             for key, value in ops:
                 machine._ops_started += 1
                 ios_before = result.ios
@@ -388,7 +397,32 @@ class BwTree:
                     kind = DeltaKind.UPSERT
                 self._timestamp += 1
                 delta = RecordDelta(kind, key, value, self._timestamp)
-                post(descend(key), delta, result)
+                node_id = self.root_id
+                while node_id < 0:
+                    node = inners[node_id]
+                    keys = node.keys
+                    charge("pointer_chase", category="bwtree")
+                    charge("page_binary_search_step",
+                           len(keys).bit_length() or 1, category="bwtree")
+                    node_id = node.children[bisect.bisect_right(keys, key)]
+                charge("mapping_table_lookup", category="bwtree")
+                entry = entries[node_id]
+                state = entry.state
+                if state is None or state.base is None:
+                    self._post_blind_delta(entry, delta, result)
+                else:
+                    size = state.prepend_delta(delta)
+                    charge("install_cas", category="bwtree")
+                    charge("copy_per_byte", size, category="bwtree")
+                    touch(entry, size)
+                    if len(state.deltas) >= consolidate_threshold:
+                        self._consolidate(entry)
+                        # None when the leaf collapsed or merged away.
+                        state = entry.state
+                    if state is not None and state._base_bytes > max_page_bytes:
+                        self._maybe_split(entry)
+                    if cache.capacity_bytes is not None:
+                        cache.ensure_capacity(protect={entry.page_id})
                 counts["bwtree.ops"] += 1.0
                 if result.ios > ios_before:
                     counts["bwtree.ss_ops"] += 1.0
@@ -456,14 +490,16 @@ class BwTree:
         if cache.capacity_bytes is not None:
             cache.ensure_capacity(protect={entry.page_id})
 
-    def _validate_key(self, key: bytes) -> None:
+    @staticmethod
+    def _validate_key(key: bytes) -> None:
         if not isinstance(key, bytes):
             raise TypeError(f"keys must be bytes, got {type(key).__name__}")
         if not key:
             raise ValueError("keys must be non-empty")
 
-    def _validate_kv(self, key: bytes, value: bytes) -> None:
-        self._validate_key(key)
+    @staticmethod
+    def _validate_kv(key: bytes, value: bytes) -> None:
+        BwTree._validate_key(key)
         if not isinstance(value, bytes):
             raise TypeError(
                 f"values must be bytes, got {type(value).__name__}"

@@ -13,13 +13,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 from ..bwtree.tree import BwTree, BwTreeConfig
 from ..hardware.logdevice import LogDevice
 from ..hardware.machine import Machine
-from .tc import (
-    TcConfig,
-    Transaction,
-    TransactionAborted,
-    TransactionComponent,
-    TxnStatus,
-)
+from .tc import TcConfig, Transaction, TransactionComponent, TxnStatus
 
 
 class DeuteronomyEngine:
@@ -162,24 +156,13 @@ class DeuteronomyEngine:
         ``ops`` items are ``(kind, key, value)`` with kind ``"get"``,
         ``"put"`` or ``"delete"`` (value ignored for gets/deletes).  Reads
         see the batch's earlier writes.  Returns one entry per op: the
-        value for gets, ``None`` for writes.  A key the data component
-        would reject refuses the batch as in :meth:`multi_get`.
+        value for gets, ``None`` for writes.  An unknown kind, a key the
+        data component would reject or a put without a bytes value
+        refuses the whole batch before any of it is billed or counted
+        (:meth:`TransactionComponent.apply_batch`).
         """
-        for __, key, __ in ops:
-            if type(key) is not bytes or not key:
-                self.dc._validate_key(key)
         with self.machine.trace_span("engine.apply_batch", "engine"):
-            txn = self.tc.begin()
-            try:
-                results = self.tc.execute_batch(txn, ops)
-            except BaseException:
-                self.tc.abort(txn)
-                raise
-            committed = self.tc.commit_batch([txn])[0]
-            if committed is None:  # pragma: no cover - single-txn batch
-                raise TransactionAborted(
-                    f"txn {txn.txn_id}: batch conflict")
-            return results
+            return self.tc.apply_batch(ops)
 
     def checkpoint(self) -> None:
         """Flush the log and every dirty data page.

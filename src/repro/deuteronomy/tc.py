@@ -54,6 +54,29 @@ class TransactionAborted(RuntimeError):
     """Raised when commit fails a conflict check."""
 
 
+def check_batch(
+    ops: Iterable[Tuple[str, bytes, Optional[bytes]]],
+) -> List[bytes]:
+    """The keys of a mixed ``(kind, key, value)`` batch, in order, once
+    every op is known good: a kind of ``"get"`` / ``"put"`` /
+    ``"delete"``, a key the data component accepts and, for a put, a
+    bytes value.  The first bad op raises what the data component would
+    raise for it, before the caller has run or billed any of the batch."""
+    keys: List[bytes] = []
+    for kind, key, value in ops:
+        if type(key) is not bytes or not key:
+            BwTree._validate_key(key)
+        if kind == "put":
+            if type(value) is not bytes:
+                if value is None:
+                    raise ValueError("put requires a value")
+                BwTree._validate_kv(key, value)
+        elif kind != "get" and kind != "delete":
+            raise ValueError(f"unknown batch op kind {kind!r}")
+        keys.append(key)
+    return keys
+
+
 @dataclass(frozen=True, slots=True)
 class TcConfig:
     """TC sizing knobs."""
@@ -434,7 +457,9 @@ class TransactionComponent:
         version, examined = self.versions.visible(key, read_ts)
         del examined  # already charged per visibility check
         if version is not None:
-            if self.log.is_buffer_retained(version.log_buffer_id):
+            # RecoveryLog.is_buffer_retained, in this frame.
+            buffers = self.log._buffers
+            if buffers and version.log_buffer_id >= buffers[0].buffer_id:
                 counts["tc.log_cache_hits"] += 1.0
                 return version.value
             # The buffer holding the version was dropped; fall through
@@ -514,29 +539,132 @@ class TransactionComponent:
         ``ops`` items are ``(kind, key, value)`` with kind one of
         ``"get"``, ``"put"``, ``"delete"`` (value ignored for get/delete).
         Returns one entry per op: the read value for gets (reads see the
-        batch's earlier writes), ``None`` for writes.
+        batch's earlier writes), ``None`` for writes.  A bad op
+        (:func:`check_batch`) refuses the list before any of it runs.
         """
         self._require_active(txn)
+        ops = list(ops)
+        check_batch(ops)
         self.machine.cpu.charge("op_dispatch", category="tc")
         results: List[Optional[bytes]] = []
         for kind, key, value in ops:
             if kind == "get":
                 results.append(self._read_one(txn, key))
-            elif kind == "put":
-                if value is None:
-                    raise ValueError("put requires a value")
-                self._buffer_write(txn, key, value)
-                results.append(None)
-            elif kind == "delete":
-                self._buffer_write(txn, key, None)
-                results.append(None)
             else:
-                raise ValueError(f"unknown batch op kind {kind!r}")
+                self._buffer_write(txn, key,
+                                   value if kind == "put" else None)
+                results.append(None)
         return results
 
     # ------------------------------------------------------------------
     # one-shot helpers
     # ------------------------------------------------------------------
+
+    def apply_batch(
+        self, ops: Sequence[Tuple[str, bytes, Optional[bytes]]],
+    ) -> List[Optional[bytes]]:
+        """Run a mixed batch (see :meth:`execute_batch`) as one
+        transaction through a one-transaction group commit.
+
+        Bills what :meth:`begin`, :meth:`execute_batch` and
+        :meth:`commit_batch` would bill for it, in the same order and
+        under the same spans, and still consumes a transaction id — but,
+        like :meth:`get`, builds no :class:`Transaction` and never
+        enters the active set.  The whole batch is checked first
+        (:func:`check_batch`): a bad op refuses it before anything is
+        charged or counted.  A failed read counts an abort and re-raises.
+        """
+        check_batch(ops)
+        machine = self.machine
+        charge = machine.cpu.charge
+        trace_span = machine.trace_span
+        counts = self._counts
+        charge("timestamp_alloc", category="tc")
+        read_ts = self._clock
+        txn_id = self._next_txn_id
+        self._next_txn_id += 1
+        counts["tc.begins"] += 1.0
+        write_set: Dict[bytes, Optional[bytes]] = {}
+        results: List[Optional[bytes]] = []
+        try:
+            charge("op_dispatch", category="tc")
+            for kind, key, value in ops:
+                machine._ops_started += 1
+                if kind == "get":
+                    counts["tc.reads"] += 1.0
+                    with trace_span("tc.read", "tc"):
+                        if key in write_set:
+                            counts["tc.own_write_hits"] += 1.0
+                            results.append(write_set[key])
+                        else:
+                            results.append(self._snapshot_read(key, read_ts))
+                    continue
+                if kind == "delete":
+                    value = None
+                    charge("copy_per_byte", len(key), category="tc")
+                else:
+                    charge("copy_per_byte", len(key) + len(value),
+                           category="tc")
+                write_set[key] = value
+                counts["tc.writes"] += 1.0
+                results.append(None)
+        except BaseException:
+            counts["tc.aborts"] += 1.0
+            raise
+        self.batch_sizes.observe(1.0)
+        with trace_span("tc.commit_batch", "tc"):
+            charge("timestamp_alloc", category="tc")
+            versions = self.versions
+            chains = versions._versions
+            commit_ts = self._clock + 1
+            records: List[LogRecord] = []
+            for key, value in write_set.items():
+                # The conflict probe, VersionStore.newest_timestamp in
+                # this frame.
+                charge("hash_probe", category="tc_mvcc")
+                chain = chains.get(key)
+                if chain and chain[0].timestamp > read_ts:
+                    counts["tc.aborts"] += 1.0
+                    raise TransactionAborted(
+                        f"txn {txn_id}: write-write conflict on {key!r}")
+                records.append(LogRecord(key, value, commit_ts, txn_id))
+            self._clock = commit_ts
+            buffer_ids = self.log.append_batch(records)
+            read_cache = self.read_cache
+            cached = read_cache._entries
+            parked = read_cache._tier_entries
+            heap = self.records
+            dc_ops: List[Tuple[bytes, Optional[bytes]]] = []
+            for record, buffer_id in zip(records, buffer_ids):
+                key = record.key
+                value = record.value
+                versions.add(key, Version(commit_ts, value, buffer_id))
+                if key in cached or key in parked:
+                    read_cache.invalidate(key)
+                if heap is None or not heap.append_record(key, value,
+                                                          dirty=True):
+                    dc_ops.append((key, value))
+                counts["tc.writes_applied"] += 1.0
+            counts["tc.commits"] += 1.0
+            if dc_ops:
+                self.dc.apply_blind_batch(dc_ops)
+            if (heap is not None and heap.dirty_bytes
+                    >= self.config.record_dirty_flush_bytes):
+                self.flush_record_cache()
+            if records:
+                if self.pipeline is not None:
+                    self._last_future = self.pipeline.enqueue_epoch(1)
+                elif self.config.sync_commit:
+                    self.log.flush()
+            counts["tc.group_commits"] += 1.0
+            # _maybe_gc_versions, in this frame.
+            active = self._active
+            oldest = (min(t.read_timestamp for t in active.values())
+                      if active else self._clock)
+            horizon = oldest - self.config.version_gc_horizon_lag
+            if 0 < horizon and versions.oldest_superseded <= horizon:
+                versions.truncate(horizon)
+        return results
 
     def run_update(self, key: bytes, value: Optional[bytes]) -> int:
         """Execute a single-update transaction; returns commit timestamp.

@@ -37,7 +37,7 @@ from typing import (
 
 from ..bwtree.tree import BwTreeConfig
 from ..deuteronomy.engine import STATS, DeuteronomyEngine
-from ..deuteronomy.tc import TcConfig
+from ..deuteronomy.tc import TcConfig, check_batch
 from ..hardware.logdevice import LogDevice
 from ..hardware.machine import Machine
 from ..hardware.metrics import CounterSet
@@ -185,12 +185,14 @@ class ShardedEngine:
     def _scatter_gather(
         self,
         items: Sequence,
-        key_of: Callable,
+        keys: List[bytes],
         run_shard: Callable[[DeuteronomyEngine, list], list],
     ) -> list:
         """Fan a batch out by shard, run each sub-batch in ascending
-        shard id, merge in input order."""
-        per_shard, positions = self.router.scatter(items, key_of)
+        shard id, merge in input order.  ``keys[i]`` is the key of
+        ``items[i]``; the caller has already checked every item, so no
+        shard can refuse its sub-batch after an earlier one ran."""
+        per_shard, positions = self.router.scatter(items, keys)
         results: List[list] = []
         result_positions: List[List[int]] = []
         for shard_id, sub_batch in enumerate(per_shard):
@@ -214,8 +216,9 @@ class ShardedEngine:
             with machine.trace_span("shard.batch", "sharding"):
                 results.append(run_shard(shard, sub_batch))
             result_positions.append(positions[shard_id])
-        self.counters.add("router.batches")
-        self.counters.add("router.routed_ops", len(items))
+        counts = self.counters._counts
+        counts["router.batches"] += 1.0
+        counts["router.routed_ops"] += len(items)
         return self.router.gather(len(items), results, result_positions)
 
     def multi_put(
@@ -227,34 +230,33 @@ class ShardedEngine:
         last-wins, exactly as on a single engine, because a key's
         occurrences all land on the same shard in order).  Returns one
         commit timestamp per item; timestamps are per-shard clocks and
-        only comparable within a shard.
+        only comparable within a shard.  A bad key or value refuses the
+        whole batch before any shard runs (as :meth:`apply_batch`; a
+        ``None`` value deletes, as on a single engine).
         """
         items = list(items)
-        return self._scatter_gather(
-            items, lambda item: item[0],
-            lambda shard, sub: shard.multi_put(sub),
-        )
+        keys = check_batch([("put", key, value) if value is not None
+                            else ("delete", key, None)
+                            for key, value in items])
+        return self._scatter_gather(items, keys,
+                                    DeuteronomyEngine.multi_put)
 
     def multi_delete(self, keys: Sequence[bytes]) -> List[int]:
         """Group-committed deletes (see :meth:`multi_put`)."""
-        keys = list(keys)
-        return self._scatter_gather(
-            keys, lambda key: key,
-            lambda shard, sub: shard.multi_delete(sub),
-        )
+        keys = check_batch([("delete", key, None) for key in keys])
+        return self._scatter_gather(keys, keys,
+                                    DeuteronomyEngine.multi_delete)
 
     def multi_get(self, keys: Sequence[bytes]) -> List[Optional[bytes]]:
         """Batched reads: one snapshot transaction per involved shard.
 
         Each shard's sub-batch is one consistent snapshot; there is no
         cross-shard snapshot (shards have independent clocks), matching
-        the usual contract of hash-sharded stores.
+        the usual contract of hash-sharded stores.  A bad key refuses
+        the whole batch before any shard runs.
         """
-        keys = list(keys)
-        return self._scatter_gather(
-            keys, lambda key: key,
-            lambda shard, sub: shard.multi_get(sub),
-        )
+        keys = check_batch([("get", key, None) for key in keys])
+        return self._scatter_gather(keys, keys, DeuteronomyEngine.multi_get)
 
     def apply_batch(
         self, ops: Sequence[Tuple[str, bytes, Optional[bytes]]],
@@ -265,12 +267,13 @@ class ShardedEngine:
         commit, so reads see the batch's earlier writes *to keys of the
         same shard* — with hash routing that is every earlier write to
         the same key, which is what read-your-batch-writes requires.
+        Every op is checked (:func:`~repro.deuteronomy.tc.check_batch`)
+        before any shard runs, so a bad op refuses the whole batch
+        instead of leaving the shards before it committed.
         """
         ops = list(ops)
-        return self._scatter_gather(
-            ops, lambda op: op[1],
-            lambda shard, sub: shard.apply_batch(sub),
-        )
+        return self._scatter_gather(ops, check_batch(ops),
+                                    DeuteronomyEngine.apply_batch)
 
     # --- load / maintenance -------------------------------------------
 

@@ -10,11 +10,17 @@ Scatter splits a request batch into per-shard sub-batches while
 remembering each element's position in the input; gather writes the
 per-shard results back into those positions, so callers see one flat
 result list in input order regardless of how the batch was partitioned.
+
+The hash is pure-Python and hot keys recur in every batch, so a router
+remembers each key's shard in a plain dict of at most
+:data:`ROUTE_MEMO_ENTRIES` keys (cleared when full).  The memo only
+caches ``fnv1a_64(key) % num_shards``: routing is the same with or
+without it, which is all a recovered router needs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple, TypeVar
+from typing import Dict, List, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -22,6 +28,9 @@ R = TypeVar("R")
 _FNV64_OFFSET = 0xCBF29CE484222325
 _FNV64_PRIME = 0x100000001B3
 _FNV64_MASK = 0xFFFFFFFFFFFFFFFF
+
+#: Keys a router remembers the shard of; the memo starts over when full.
+ROUTE_MEMO_ENTRIES = 1 << 16
 
 
 def fnv1a_64(key: bytes) -> int:
@@ -35,31 +44,48 @@ def fnv1a_64(key: bytes) -> int:
 class ShardRouter:
     """Maps keys to shards and splits/merges batches accordingly."""
 
-    __slots__ = ("num_shards",)
+    __slots__ = ("num_shards", "_memo")
 
     def __init__(self, num_shards: int) -> None:
         if num_shards <= 0:
             raise ValueError(f"need at least one shard, got {num_shards}")
         self.num_shards = num_shards
+        self._memo: Dict[bytes, int] = {}
 
     def shard_for(self, key: bytes) -> int:
         """The shard owning ``key``; stable across processes and runs."""
-        return fnv1a_64(key) % self.num_shards
+        shard = self._memo.get(key)
+        if shard is None:
+            shard = self._route(key)
+        return shard
+
+    def _route(self, key: bytes) -> int:
+        """Hash ``key`` to its shard and remember the answer."""
+        shard = fnv1a_64(key) % self.num_shards
+        memo = self._memo
+        if len(memo) >= ROUTE_MEMO_ENTRIES:
+            memo.clear()
+        memo[key] = shard
+        return shard
 
     def scatter(
-        self, items: Sequence[T], key_of: Callable[[T], bytes],
+        self, items: Sequence[T], keys: Sequence[bytes],
     ) -> Tuple[List[List[T]], List[List[int]]]:
         """Split ``items`` into per-shard sub-batches, preserving order.
 
-        Returns ``(per_shard_items, per_shard_positions)`` where the
-        positions record where each sub-batch element sat in the input,
-        for :meth:`gather` to invert the split.
+        ``keys[i]`` is the key of ``items[i]``.  Returns
+        ``(per_shard_items, per_shard_positions)`` where the positions
+        record where each sub-batch element sat in the input, for
+        :meth:`gather` to invert the split.
         """
         per_shard: List[List[T]] = [[] for __ in range(self.num_shards)]
         positions: List[List[int]] = [[] for __ in range(self.num_shards)]
-        for position, item in enumerate(items):
-            shard = self.shard_for(key_of(item))
-            per_shard[shard].append(item)
+        memo = self._memo
+        for position, key in enumerate(keys):
+            shard = memo.get(key)
+            if shard is None:
+                shard = self._route(key)
+            per_shard[shard].append(items[position])
             positions[shard].append(position)
         return per_shard, positions
 

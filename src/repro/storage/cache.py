@@ -352,7 +352,8 @@ class PageCache:
             self.machine.dram.allocate(grown_bytes, DRAM_TAG)
             self._resident[page_id] += grown_bytes
             self._resident_bytes += grown_bytes
-        entry.last_access = self._vclock.now
+        # VirtualClock.now, without the property's frame.
+        entry.last_access = self._vclock._now
         entry.access_count += 1
         stats = self.stats
         stats.touches += 1

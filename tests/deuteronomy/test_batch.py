@@ -5,6 +5,8 @@ import pytest
 from repro.bwtree import BwTreeConfig
 from repro.deuteronomy import DeuteronomyEngine, TcConfig
 from repro.hardware import Machine
+from repro.scenarios import batch_item
+from repro.sharding import ShardedEngine
 from repro.workloads import OpKind, WorkloadGenerator, WorkloadSpec
 
 from ..frames import count_calls
@@ -214,14 +216,26 @@ class TestBatchEdgeCases:
         assert engine.multi_get([b"a", b"b"]) == [b"3", None]
 
 
+#: Functions a warmed batched op must not enter: the transaction object's
+#: lifecycle and per-op helpers, the Bw-tree descent and post helpers
+#: and mapping-table accessor, the MVCC conflict probe and log-retention
+#: check (inline in the TC), and the router's hash (memoized).
+BATCH_FORBIDDEN = {"tc.begin", "tc.execute_batch", "tc.commit_batch",
+                   "tc._read_one", "tc._buffer_write", "tc._require_active",
+                   "tree._descend", "mapping_table.get",
+                   "mvcc.newest_timestamp",
+                   "recovery_log.is_buffer_retained", "router.fnv1a_64"}
+
+
 def test_a_blind_post_does_its_bookkeeping_in_the_frames_it_has():
     """Complexity guard as call counts: one 64-put ``apply_batch`` on a
-    warmed engine enters at most 22 ``repro`` frames per put: 21.5 here
-    (24.9 Python frames with the generated dataclass ``__init__``s, 61.2
-    calls with C calls), down from 49.5 Python frames before the batched
+    warmed engine enters at most 15 ``repro`` frames per put: 14.8 here
+    (55.1 calls with C calls), down from 21.5 while the descent and the
+    post of a resident leaf ran in helper frames and the batch built a
+    transaction object, and from 49.5 Python frames before the batched
     write path routed, validated, timestamped, counted and sized in the
-    frames it already had.  Routing is inline in the descent, a delta is
-    sized once, a consolidation keeps a running size instead of
+    frames it already had.  Routing is inline in the blind batch, a
+    delta is sized once, a consolidation keeps a running size instead of
     re-summing its page, and no counter goes through ``CounterSet.add``."""
     generator = WorkloadGenerator(WorkloadSpec.ycsb_a(record_count=2000,
                                                       seed=3))
@@ -238,6 +252,56 @@ def test_a_blind_post_does_its_bookkeeping_in_the_frames_it_has():
     forbidden = {"node.child_for", "node.search_steps",
                  "tree._validate_kv", "tree._validate_key",
                  "tree._next_timestamp", "metrics.add",
-                 "pages.full_image_size_bytes"}
+                 "pages.full_image_size_bytes"} | BATCH_FORBIDDEN
     assert forbidden.isdisjoint(calls), forbidden & set(calls)
-    assert sum(calls.frames.values()) / 64 <= 22
+    assert sum(calls.frames.values()) / 64 <= 15
+
+
+def warmed_batch_calls(engine, generator):
+    """Calls of the 41st 64-op YCSB-A batch, the first 40 run to warm."""
+    ops = [batch_item(op) for op in generator.operations(41 * 64)]
+    for start in range(0, 40 * 64, 64):
+        engine.apply_batch(ops[start:start + 64])
+    calls = count_calls(lambda: engine.apply_batch(ops[40 * 64:]))
+    lambdas = [name for name in calls.frames if name.endswith("<lambda>")]
+    assert not lambdas, lambdas
+    assert BATCH_FORBIDDEN.isdisjoint(calls), BATCH_FORBIDDEN & set(calls)
+    return calls
+
+
+def test_a_batched_op_does_its_bookkeeping_in_the_frames_it_has():
+    """Complexity guard as frame counts, on ``update_batched`` in
+    miniature (YCSB-A, sync commit): a warmed 64-op mixed
+    ``apply_batch`` enters 757 ``repro`` frames, 11.8 per op, down from
+    1,009 (15.8) when the batch built a transaction object and went
+    through ``begin`` / ``execute_batch`` / ``commit_batch``, and the
+    blind post descended and posted in helper frames."""
+    generator = WorkloadGenerator(WorkloadSpec.ycsb_a(record_count=4000,
+                                                      seed=42))
+    engine = DeuteronomyEngine(Machine.paper_default(cores=4),
+                               tc_config=TcConfig(sync_commit=True))
+    engine.dc.bulk_load(generator.load_items())
+    engine.checkpoint()
+    calls = warmed_batch_calls(engine, generator)
+    assert calls["tc.apply_batch"] == calls["tree.apply_blind_batch"] == 1
+    assert calls["tree.get_with_stats"] > 0   # reads reach the DC too
+    assert sum(calls.frames.values()) == 757
+
+
+def test_a_fleet_batch_does_its_bookkeeping_in_the_frames_it_has():
+    """The same guard on ``fleet_async`` in miniature (8 shards, commit
+    pipeline, one shared log device, every key routed once by the bulk
+    load): a warmed 64-op ``apply_batch`` enters 916 ``repro`` frames,
+    14.3 per op, down from 1,418 (22.2) when the scatter re-hashed every
+    key through a ``key_of`` lambda and each shard ran a lambda and a
+    transaction object."""
+    generator = WorkloadGenerator(WorkloadSpec.ycsb_a(record_count=4000,
+                                                      seed=42))
+    fleet = ShardedEngine(8, tc_config=TcConfig(commit_pipeline=True),
+                          log_topology="shared")
+    fleet.bulk_load(generator.load_items())
+    fleet.checkpoint()
+    calls = warmed_batch_calls(fleet, generator)
+    assert calls["router.scatter"] == 1
+    assert calls["tc.apply_batch"] == 8
+    assert sum(calls.frames.values()) == 916

@@ -122,6 +122,16 @@ REJECTED_READS = {
     "apply_batch-put-then-bad-get": (
         lambda e: e.apply_batch([("put", b"b", b"1"), ("get", b"", None)]),
         ValueError),
+    # A batch that reads before its bad op is refused whole, too.
+    "apply_batch-get-then-put-without-value": (
+        lambda e: e.apply_batch([("get", b"a", None), ("put", b"b", None)]),
+        ValueError),
+    "apply_batch-get-then-unknown-kind": (
+        lambda e: e.apply_batch([("get", b"a", None), ("frob", b"b", None)]),
+        ValueError),
+    "apply_batch-get-then-str-value": (
+        lambda e: e.apply_batch([("get", b"a", None), ("put", b"b", "1")]),
+        TypeError),
 }
 
 

@@ -10,13 +10,18 @@ deltas) and a short blind-chain limit, a checkpoint, segment GC, a
 crash and recovery, and more batches on the recovered engine.  The read
 run: YCSB-B through ``get``, ``apply_batch`` and YCSB-C through
 ``multi_get``, over a small page cache with record-cache retention and
-a small read cache that demotes its FIFO victims to a tier.
+a small read cache that demotes its FIFO victims to a tier.  The fleet
+run: batched YCSB-A, ``multi_put`` and ``multi_get`` on four shards
+behind the router, with the async commit pipeline on one shared log
+device, half the shards over a small page cache and half unbudgeted,
+then a crash, recovery, and more batches on the recovered fleet.
 
 Each pins the sha256 of the ``ChargeRecorder`` stream, as ``(category,
-repr(microseconds))`` lines, and of ``repr(engine.stats())`` at the
-end.  Swapping two charges of one op, or dropping one, changes the
-first; a drifting counter changes the second.  When a change moves the
-virtual clock on purpose, recompute them and say why in the change.
+repr(microseconds))`` lines (a fleet's shard streams in shard order),
+and of ``repr(engine.stats())`` at the end.  Swapping two charges of
+one op, or dropping one, changes the first; a drifting counter, or a
+key routed to another shard, changes the second.  When a change moves
+the virtual clock on purpose, recompute them and say why in the change.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from repro.deuteronomy import DeuteronomyEngine, TcConfig
 from repro.hardware import Machine
 from repro.observability.whatif import ChargeRecorder
 from repro.scenarios import batch_item
+from repro.sharding import ShardedEngine
 from repro.storage.cache import PageCache
 from repro.workloads import OpKind, WorkloadGenerator, WorkloadSpec
 
@@ -99,8 +105,10 @@ def test_charge_stream_and_stats_match_their_pinned_digests(monkeypatch):
             == STATS_SHA256)
 
 
-def sha256_of_charges(recorder: ChargeRecorder) -> str:
+def sha256_of_charges(*recorders: ChargeRecorder) -> str:
+    """The sha256 of the recorders' charge streams, one after another."""
     stream = "".join(f"{category} {microseconds!r}\n"
+                     for recorder in recorders
                      for category, microseconds in recorder.events)
     return hashlib.sha256(stream.encode()).hexdigest()
 
@@ -178,3 +186,97 @@ def test_read_path_charge_stream_and_stats_match_their_pinned_digests(
     stats = (engine.stats(), latencies.count, latencies.total)
     assert (hashlib.sha256(repr(stats).encode()).hexdigest()
             == READ_STATS_SHA256)
+
+
+FLEET_SHARDS = 4
+#: Shards whose page cache has no byte budget: their blind posts never
+#: call ``ensure_capacity``.
+UNBUDGETED_SHARDS = (2, 3)
+FLEET_TREE_CONFIG = BwTreeConfig(cache_capacity_bytes=16 * 1024,
+                                 record_cache=True, segment_bytes=1 << 15)
+FLEET_TC_CONFIG = TcConfig(commit_pipeline=True, version_gc_horizon_lag=64)
+
+FLEET_CHARGES_SHA256 = (
+    "ce6c3fd0af47c11e7c2cdc59d980c8cee865233eb1f9b02df42157c7e65c352c")
+FLEET_STATS_SHA256 = (
+    "5e5df59751afb3c08e686202114ee899aa01812b7ee0a2ecbf4daaf212f12692")
+
+
+def test_fleet_charge_streams_and_stats_match_their_pinned_digests(
+        monkeypatch):
+    # Blind posts must run inline with and without a page-cache budget,
+    # and through the helper for leaves whose base was evicted.
+    reached = {"inline_posts_budgeted": 0, "inline_posts_unbudgeted": 0,
+               "helper_posts": 0, "evictions": 0, "retained": 0,
+               "consolidations": 0, "commit_epochs": 0, "redo_replayed": 0}
+    touch = PageCache.touch
+    post = BwTree._post_blind_delta
+
+    def spying_touch(cache, entry, grown_bytes=0):
+        if sys._getframe(1).f_code.co_name == "apply_blind_batch":
+            budget = ("budgeted" if cache.capacity_bytes is not None
+                      else "unbudgeted")
+            reached[f"inline_posts_{budget}"] += 1
+        return touch(cache, entry, grown_bytes)
+
+    def spying_post(tree, entry, delta, result):
+        reached["helper_posts"] += 1
+        return post(tree, entry, delta, result)
+
+    monkeypatch.setattr(PageCache, "touch", spying_touch)
+    monkeypatch.setattr(BwTree, "_post_blind_delta", spying_post)
+
+    def tally(fleet: ShardedEngine) -> None:
+        for shard in fleet.shards:
+            reached["evictions"] += shard.dc.cache.stats.evictions
+            reached["retained"] += shard.dc.cache.stats.record_cache_retained
+            reached["consolidations"] += shard.dc.counters.get(
+                "bwtree.consolidations")
+            reached["commit_epochs"] += shard.tc.pipeline.epochs_closed
+            reached["redo_replayed"] += shard.tc.counters.get(
+                "tc.redo_replayed")
+
+    def unbudget(fleet: ShardedEngine) -> None:
+        for shard_id in UNBUDGETED_SHARDS:
+            fleet.shards[shard_id].dc.cache.capacity_bytes = None
+
+    recorders = []
+
+    def machine() -> Machine:
+        shard_machine = Machine.paper_default(cores=1)
+        recorder = ChargeRecorder()
+        shard_machine.cpu.sink = recorder
+        recorders.append(recorder)
+        return shard_machine
+
+    fleet = ShardedEngine(FLEET_SHARDS, tree_config=FLEET_TREE_CONFIG,
+                          tc_config=FLEET_TC_CONFIG,
+                          machine_factory=machine, log_topology="shared")
+    unbudget(fleet)
+    generator = WorkloadGenerator(
+        WorkloadSpec.ycsb_a(record_count=1600, seed=17))
+    items = list(generator.load_items())
+    fleet.bulk_load(items)
+    fleet.checkpoint()
+    ops = [batch_item(op) for op in generator.operations(90 * BATCH)]
+    batches = [ops[start:start + BATCH]
+               for start in range(0, len(ops), BATCH)]
+    for batch in batches[:30]:
+        fleet.apply_batch(batch)
+    fleet.multi_put([(key, b"m" * 90) for key, __ in items[::7]])
+    fleet.multi_get([key for key, __ in items[::5]])
+    fleet.checkpoint()
+    for batch in batches[30:60]:
+        fleet.apply_batch(batch)
+    tally(fleet)
+    fleet = ShardedEngine.recover(fleet)
+    unbudget(fleet)
+    for batch in batches[60:]:
+        fleet.apply_batch(batch)
+    fleet.drain_commits()
+    tally(fleet)
+
+    assert all(count > 0 for count in reached.values()), reached
+    assert sha256_of_charges(*recorders) == FLEET_CHARGES_SHA256
+    assert (hashlib.sha256(repr(fleet.stats()).encode()).hexdigest()
+            == FLEET_STATS_SHA256)

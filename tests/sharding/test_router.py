@@ -1,7 +1,12 @@
 """Hash partitioning and scatter/gather mechanics."""
 
-import pytest
+from unittest import mock
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+import repro.sharding.router as router_module
 from repro.sharding import ShardRouter, fnv1a_64
 
 
@@ -39,16 +44,18 @@ class TestScatterGather:
     def test_scatter_preserves_order_within_shard(self):
         router = ShardRouter(3)
         keys = [b"key%04d" % index for index in range(60)]
-        per_shard, positions = router.scatter(keys, lambda k: k)
+        ops = [("get", key, None) for key in keys]
+        per_shard, positions = router.scatter(ops, keys)
         assert sum(len(sub) for sub in per_shard) == 60
-        for sub, posns in zip(per_shard, positions):
+        for shard, (sub, posns) in enumerate(zip(per_shard, positions)):
             assert posns == sorted(posns)
-            assert [keys[p] for p in posns] == sub
+            assert [ops[p] for p in posns] == sub
+            assert all(router.shard_for(op[1]) == shard for op in sub)
 
     def test_gather_inverts_scatter(self):
         router = ShardRouter(4)
         items = [b"item%03d" % index for index in range(40)]
-        per_shard, positions = router.scatter(items, lambda item: item)
+        per_shard, positions = router.scatter(items, items)
         # Identity "work" per shard: results are the items themselves.
         assert router.gather(len(items), per_shard, positions) == items
 
@@ -59,6 +66,31 @@ class TestScatterGather:
 
     def test_empty_batch(self):
         router = ShardRouter(4)
-        per_shard, positions = router.scatter([], lambda item: item)
+        per_shard, positions = router.scatter([], [])
         assert all(not sub for sub in per_shard)
         assert router.gather(0, per_shard, positions) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(keys=st.lists(st.binary(min_size=1, max_size=24), max_size=40),
+       num_shards=st.integers(min_value=1, max_value=16),
+       bound=st.integers(min_value=1, max_value=8))
+def test_the_route_memo_never_changes_a_route(keys, num_shards, bound):
+    """``shard_for`` and ``scatter`` route every key to ``fnv1a_64(key) %
+    n``: on first calls (memo misses), repeated calls (hits), fresh
+    routers, and with a memo bound the keys overflow, so it restarts."""
+    expected = [fnv1a_64(key) % num_shards for key in keys]
+    with mock.patch.object(router_module, "ROUTE_MEMO_ENTRIES", bound):
+        router = ShardRouter(num_shards)
+        for __ in range(2):
+            assert [router.shard_for(key) for key in keys] == expected
+            per_shard, positions = router.scatter(keys, keys)
+            routed = [None] * len(keys)
+            for shard, posns in enumerate(positions):
+                for position in posns:
+                    routed[position] = shard
+            assert routed == expected
+            assert len(router._memo) <= bound
+        fresh = ShardRouter(num_shards)
+        assert ([fresh.shard_for(key) for key in reversed(keys)]
+                == expected[::-1])

@@ -172,6 +172,59 @@ class TestDispatchOrder:
             assert shard.tc.log.flushes == expected
 
 
+#: Batches whose good op routes to shard 0 and whose bad op to a later
+#: shard (``b""`` hashes to shard 1 of 4), so a fleet that ran shards
+#: before checking would already have run shard 0.
+REJECTED_FLEET_BATCHES = {
+    "apply_batch-unknown-kind": (
+        lambda f, a, b: f.apply_batch([("put", a, b"new"),
+                                       ("frob", b, None)]),
+        ValueError),
+    "apply_batch-int-value": (
+        lambda f, a, b: f.apply_batch([("put", a, b"new"), ("put", b, 7)]),
+        TypeError),
+    "apply_batch-put-without-value": (
+        lambda f, a, b: f.apply_batch([("put", a, b"new"),
+                                       ("put", b, None)]),
+        ValueError),
+    "apply_batch-empty-key": (
+        lambda f, a, b: f.apply_batch([("put", a, b"new"),
+                                       ("get", b"", None)]),
+        ValueError),
+    "multi_put-int-value": (
+        lambda f, a, b: f.multi_put([(a, b"new"), (b, 7)]), TypeError),
+    "multi_delete-empty-key": (
+        lambda f, a, b: f.multi_delete([a, b""]), ValueError),
+    "multi_get-empty-key": (
+        lambda f, a, b: f.multi_get([a, b""]), ValueError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_FLEET_BATCHES))
+def test_a_rejected_fleet_batch_runs_on_no_shard(name):
+    """Every op of a fleet batch is checked before any shard runs: a bad
+    op refuses the whole batch, so no shard commits, bills or counts
+    any of it."""
+    batch, error = REJECTED_FLEET_BATCHES[name]
+    fleet = make_sharded(4)
+    assert fleet.shard_for(b"") == 1
+    a, b = (next(key for key in (b"user%06d" % i for i in range(64))
+                 if fleet.shard_for(key) == shard) for shard in (0, 2))
+    fleet.multi_put([(a, b"old"), (b, b"old")])
+
+    def state():
+        return ([(shard.machine.operations, shard.machine.cpu.busy_us,
+                  shard.tc.counters.snapshot()) for shard in fleet.shards],
+                fleet.counters.snapshot())
+
+    before = state()
+    with pytest.raises(error):
+        batch(fleet, a, b)
+    assert state() == before
+    assert all(shard.tc._active == {} for shard in fleet.shards)
+    assert fleet.multi_get([a, b]) == [b"old", b"old"]
+
+
 class TestFleetRecovery:
     def test_recover_matches_single_engine_recovery(self):
         ops = random_ops(300, key_space=40, seed=7)
