@@ -503,6 +503,18 @@ class ProjectIndex:
         return False
 
 
+def _own_methods(
+    index: ProjectIndex, source: SourceFile
+) -> Iterator[Tuple[ast.ClassDef, CallableInfo]]:
+    """(class node, method info) pairs whose definition is *this* file."""
+    for node in source.tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for info in index.classes.get(node.name, {}).values():
+            if info.source is source:
+                yield node, info
+
+
 def split_call(node: ast.Call) -> Tuple[Optional[Tuple[str, ...]],
                                         Optional[str]]:
     """Decompose a call into (receiver name chain, method name).

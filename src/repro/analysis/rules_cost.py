@@ -14,8 +14,8 @@ Mechanics:
   graph (:class:`~repro.analysis.project.ProjectIndex`), so a call to
   ``self.cache.fetch(...)`` counts as both (PageCache.fetch charges);
 * a four-state dataflow ``{(touched, charged)}`` runs over the method
-  body; branches union, loops are zero-or-more, ``raise`` exits are
-  exempt (error paths owe nothing);
+  body on the shared :class:`~repro.analysis.flow.Flow` walker, whose
+  ``raise`` exits are exempt (error paths owe nothing);
 * a violating exit is any reachable ``(touched=True, charged=False)``.
 
 Suppress intentionally free bookkeeping with
@@ -25,7 +25,7 @@ Suppress intentionally free bookkeeping with
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, Optional, Sequence, Tuple
 
 from .core import (
     COST_SCOPE_SEGMENTS,
@@ -33,34 +33,34 @@ from .core import (
     LintConfig,
     Rule,
     SourceFile,
+    decorator_names,
     rule,
     scoped_to,
 )
+from .flow import Flow, iter_calls
 from .project import (
     CallableInfo,
     ProjectIndex,
+    _own_methods,
     split_call,
     _is_state_drop,
 )
 
 # One dataflow fact: (has touched pages/logs, has charged the machine).
 State = Tuple[bool, bool]
-States = FrozenSet[State]
 
-_ENTRY: States = frozenset({(False, False)})
+_ENTRY: FrozenSet[State] = frozenset({(False, False)})
 
 
-class _PathAnalyzer:
-    """Runs the (touched, charged) dataflow over one method body."""
+class _PathAnalyzer(Flow[State]):
+    """The (touched, charged) transfer over one method body."""
 
     def __init__(self, index: ProjectIndex, info: CallableInfo,
                  local_events: Dict[str, Tuple[bool, bool]]) -> None:
+        super().__init__()
         self.index = index
         self.info = info
         self.local_events = local_events
-        self.exits: Set[State] = set()
-
-    # -- expression-level event collection ------------------------------
 
     def _call_events(self, node: ast.Call) -> Tuple[bool, bool]:
         receiver, method = split_call(node)
@@ -75,104 +75,23 @@ class _PathAnalyzer:
             charged = charged or local_charge
         return touched, charged
 
-    def _expr_events(self, node: Optional[ast.AST]) -> Tuple[bool, bool]:
-        """(touches, charges) anywhere inside an expression subtree."""
-        if node is None:
-            return False, False
-        touched = charged = False
-        for sub in ast.walk(node):
-            if isinstance(sub, (ast.Lambda, ast.FunctionDef,
-                                ast.AsyncFunctionDef)):
-                continue
-            if isinstance(sub, ast.Call):
-                t, c = self._call_events(sub)
-                touched = touched or t
-                charged = charged or c
-        return touched, charged
-
-    @staticmethod
-    def _apply(states: States, events: Tuple[bool, bool]) -> States:
-        touch, charge = events
+    def transfer(self, node: ast.AST,
+                 states: FrozenSet[State]) -> FrozenSet[State]:
+        touch = charge = False
+        for call in iter_calls(node):
+            t, c = self._call_events(call)
+            touch = touch or t
+            charge = charge or c
         if not touch and not charge:
             return states
-        return frozenset(
-            (t or touch, c or charge) for t, c in states
-        )
+        return frozenset((t or touch, c or charge) for t, c in states)
 
-    # -- statement-level dataflow ---------------------------------------
-
-    def run(self, body: Sequence[ast.stmt]) -> Set[State]:
-        fallthrough = self._block(body, _ENTRY)
-        self.exits.update(fallthrough)
-        return self.exits
-
-    def _block(self, body: Sequence[ast.stmt], states: States) -> States:
-        current = states
-        for stmt in body:
-            if not current:
-                break
-            current = self._stmt(stmt, current)
-        return current
-
-    def _stmt(self, stmt: ast.stmt, states: States) -> States:
-        if isinstance(stmt, ast.Return):
-            after = self._apply(states, self._expr_events(stmt.value))
-            self.exits.update(after)
-            return frozenset()
-        if isinstance(stmt, ast.Raise):
-            # Error paths are exempt: a raise owes no accounting.
-            return frozenset()
-        if isinstance(stmt, ast.If):
-            entry = self._apply(states, self._expr_events(stmt.test))
-            return (self._block(stmt.body, entry)
-                    | self._block(stmt.orelse, entry))
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            entry = self._apply(states, self._expr_events(stmt.iter))
-            once = self._block(stmt.body, entry)
-            # Zero iterations or >=1 (flags are monotone: one symbolic
-            # pass reaches the loop fixpoint).
-            merged = entry | once
-            return merged | self._block(stmt.orelse, merged)
-        if isinstance(stmt, ast.While):
-            entry = self._apply(states, self._expr_events(stmt.test))
-            once = self._block(stmt.body, entry)
-            merged = entry | once
-            return merged | self._block(stmt.orelse, merged)
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            events = (False, False)
-            for item in stmt.items:
-                t, c = self._expr_events(item.context_expr)
-                events = (events[0] or t, events[1] or c)
-            return self._block(stmt.body, self._apply(states, events))
-        if isinstance(stmt, ast.Try):
-            body_out = self._block(stmt.body, states)
-            body_out = self._block(stmt.orelse, body_out)
-            handler_out: States = frozenset()
-            for handler in stmt.handlers:
-                # A handler may run after any prefix of the body; the
-                # entry states are a sound under-approximation.
-                handler_out = handler_out | self._block(
-                    handler.body, states | body_out
-                )
-            merged = body_out | handler_out
-            if stmt.finalbody:
-                merged = self._block(stmt.finalbody, merged)
-            return merged
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            return states  # nested definitions execute when called
-        if isinstance(stmt, (ast.Break, ast.Continue)):
-            # Loop-edge approximation: treat as falling through.
-            return states
+    def effect(self, stmt: ast.stmt,
+               states: FrozenSet[State]) -> FrozenSet[State]:
         if isinstance(stmt, ast.Assign) and _is_state_drop(stmt):
-            events = self._expr_events(stmt.value)
-            return self._apply(states, (True, events[1]))
-        # Expression statements, assignments, asserts, etc.
-        events = (False, False)
-        for child in ast.iter_child_nodes(stmt):
-            t, c = self._expr_events(child)
-            events = (events[0] or t, events[1] or c)
-        return self._apply(states, events)
+            # Dropping a page's resident state is a touch.
+            return frozenset((True, charged) for __, charged in states)
+        return super().effect(stmt, states)
 
 
 def _local_closures(index: ProjectIndex, info: CallableInfo,
@@ -213,32 +132,19 @@ class CostAccountingRule(Rule):
         for source in files:
             if not scoped_to(source, COST_SCOPE_SEGMENTS):
                 continue
-            for node in source.tree.body:
-                if not isinstance(node, ast.ClassDef):
+            for __, info in _own_methods(index, source):
+                if info.node.name.startswith("_") \
+                        or "property" in decorator_names(info.node):
                     continue
-                methods = index.classes.get(node.name, {})
-                for item in node.body:
-                    if not isinstance(
-                        item, (ast.FunctionDef, ast.AsyncFunctionDef)
-                    ):
-                        continue
-                    if item.name.startswith("_"):
-                        continue
-                    if "property" in _decorators(item):
-                        continue
-                    info = methods.get(item.name)
-                    if info is None or info.source is not source:
-                        continue
-                    finding = self._check_method(index, info, source)
-                    if finding is not None:
-                        yield finding
+                finding = self._check_method(index, info, source)
+                if finding is not None:
+                    yield finding
 
     def _check_method(self, index: ProjectIndex, info: CallableInfo,
                       source: SourceFile) -> Optional[Finding]:
         node = info.node
         locals_ = _local_closures(index, info, node)
-        analyzer = _PathAnalyzer(index, info, locals_)
-        exits = analyzer.run(node.body)
+        exits = _PathAnalyzer(index, info, locals_).run(node.body, _ENTRY)
         if any(touched and not charged for touched, charged in exits):
             return Finding(
                 path=source.path,
@@ -254,15 +160,3 @@ class CostAccountingRule(Rule):
                 ),
             )
         return None
-
-
-def _decorators(node: ast.AST) -> List[str]:
-    names: List[str] = []
-    for decorator in getattr(node, "decorator_list", []):
-        target = decorator.func if isinstance(decorator, ast.Call) \
-            else decorator
-        if isinstance(target, ast.Attribute):
-            names.append(target.attr)
-        elif isinstance(target, ast.Name):
-            names.append(target.id)
-    return names

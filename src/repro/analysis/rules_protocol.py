@@ -6,8 +6,10 @@ recovery-log append must dominate the data-component post it covers, an
 epoch guard must dominate a latch-free dereference, and a registered
 fault site must dominate a durability-critical mutation.  The crash
 matrix samples these disciplines at a handful of seeded interleavings;
-the three rules below prove them on every path, reusing the statement
-dataflow of the cost-accounting rule plus the PR-3 :class:`ProjectIndex`.
+the three rules below check them on every path.  The first two walk
+each method with the lint's one statement walker,
+:class:`~repro.analysis.flow.Flow`, resolving calls through the
+:class:`ProjectIndex`; the third is lexical.
 
 * ``wal-ordering`` — in WAL-governed classes (those owning a
   ``RecoveryLog`` directly or through one attribute hop), every DC page
@@ -49,6 +51,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    TypeVar,
 )
 
 from ..faults.plan import FAULT_SITES
@@ -59,12 +62,15 @@ from .core import (
     Rule,
     SourceFile,
     decorator_names,
+    iter_functions,
     rule,
     scoped_to,
 )
+from .flow import Flow, iter_calls
 from .project import (
     CallableInfo,
     ProjectIndex,
+    _own_methods,
     _walk_skipping_nested_defs,
     split_call,
 )
@@ -75,131 +81,67 @@ from .project import (
 
 #: classify(call) -> (demand message or None, is_license)
 Classifier = Callable[[ast.Call], Tuple[Optional[str], bool]]
+#: (line, col) of a demand call -> its message; dedupes merged paths.
+Violations = Dict[Tuple[int, int], str]
 
 _UNLICENSED: FrozenSet[bool] = frozenset({False})
 
-
-def _iter_calls(node: ast.AST) -> List[ast.Call]:
-    """Calls inside an expression subtree, skipping nested defs/lambdas,
-    ordered by source position (the CPython evaluation order for the
-    call patterns the engine uses)."""
-    calls: List[ast.Call] = []
-    stack: List[ast.AST] = [node]
-    while stack:
-        current = stack.pop()
-        if isinstance(
-            current, (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef)
-        ):
-            continue
-        if isinstance(current, ast.Call):
-            calls.append(current)
-        stack.extend(ast.iter_child_nodes(current))
-    calls.sort(key=lambda call: (call.lineno, call.col_offset))
-    return calls
+T = TypeVar("T")
 
 
-class _DominanceFlow:
-    """Forward boolean dataflow: is every *demand* call dominated by a
-    *license* call on each non-raising path reaching it?
-
-    Structure mirrors the cost rule's ``_PathAnalyzer``: branches
-    union, loops are zero-or-more (sound because a license is monotone
-    within a path), ``raise`` exits are exempt, nested defs execute when
-    called and contribute nothing in place.
-    """
+class _DominanceFlow(Flow[bool]):
+    """Is every *demand* call dominated by a *license* call on each
+    non-raising path reaching it?  (A license is monotone within a
+    path.)"""
 
     def __init__(self, classify: Classifier) -> None:
+        super().__init__()
         self._classify = classify
-        #: (line, col) -> (call, demand message); dedupes merged paths.
-        self.violations: Dict[Tuple[int, int], Tuple[ast.Call, str]] = {}
-        self.exits: Set[bool] = set()
+        self.violations: Violations = {}
 
-    def run(self, body: Sequence[ast.stmt]) -> None:
-        fallthrough = self._block(body, _UNLICENSED)
-        self.exits.update(fallthrough)
-
-    def licensed_on_all_exits(self) -> bool:
-        return bool(self.exits) and all(self.exits)
-
-    def _apply(self, node: Optional[ast.AST],
-               states: FrozenSet[bool]) -> FrozenSet[bool]:
-        if node is None or not states:
-            return states
-        calls = _iter_calls(node)
-        if not calls:
-            return states
+    def transfer(self, node: ast.AST,
+                 states: FrozenSet[bool]) -> FrozenSet[bool]:
+        calls = iter_calls(node)
         out: Set[bool] = set()
-        for state in states:
-            licensed = state
+        for licensed in states:
             for call in calls:
                 demand, license_ = self._classify(call)
                 if demand is not None and not licensed:
                     self.violations.setdefault(
-                        (call.lineno, call.col_offset), (call, demand)
+                        (call.lineno, call.col_offset), demand
                     )
                 if license_:
                     licensed = True
             out.add(licensed)
         return frozenset(out)
 
-    def _block(self, body: Sequence[ast.stmt],
-               states: FrozenSet[bool]) -> FrozenSet[bool]:
-        current = states
-        for stmt in body:
-            if not current:
-                break
-            current = self._stmt(stmt, current)
-        return current
 
-    def _stmt(self, stmt: ast.stmt,
-              states: FrozenSet[bool]) -> FrozenSet[bool]:
-        if isinstance(stmt, ast.Return):
-            after = self._apply(stmt.value, states)
-            self.exits.update(after)
-            return frozenset()
-        if isinstance(stmt, ast.Raise):
-            # Error paths are exempt: nothing durable is published.
-            return frozenset()
-        if isinstance(stmt, ast.If):
-            entry = self._apply(stmt.test, states)
-            return (self._block(stmt.body, entry)
-                    | self._block(stmt.orelse, entry))
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            entry = self._apply(stmt.iter, states)
-            once = self._block(stmt.body, entry)
-            merged = entry | once
-            return merged | self._block(stmt.orelse, merged)
-        if isinstance(stmt, ast.While):
-            entry = self._apply(stmt.test, states)
-            once = self._block(stmt.body, entry)
-            merged = entry | once
-            return merged | self._block(stmt.orelse, merged)
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            entry = states
-            for item in stmt.items:
-                entry = self._apply(item.context_expr, entry)
-            return self._block(stmt.body, entry)
-        if isinstance(stmt, ast.Try):
-            body_out = self._block(stmt.body, states)
-            body_out = self._block(stmt.orelse, body_out)
-            handler_out: FrozenSet[bool] = frozenset()
-            for handler in stmt.handlers:
-                handler_out = handler_out | self._block(
-                    handler.body, states | body_out
-                )
-            merged = body_out | handler_out
-            if stmt.finalbody:
-                merged = self._block(stmt.finalbody, merged)
-            return merged
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            return states
-        if isinstance(stmt, (ast.Break, ast.Continue)):
-            return states
-        out = states
-        for child in ast.iter_child_nodes(stmt):
-            out = self._apply(child, out)
-        return out
+def _dominance(classify: Classifier,
+               info: CallableInfo) -> Tuple[bool, Violations]:
+    """(licensed on every exit, unlicensed demands) of one method."""
+    flow = _DominanceFlow(classify)
+    exits = flow.run(info.node.body, _UNLICENSED)
+    return bool(exits) and all(exits), flow.violations
+
+
+def _fixpoint(
+    infos: Sequence[CallableInfo],
+    evaluate: Callable[[CallableInfo, Dict[str, T]], T],
+) -> Dict[str, T]:
+    """qualname -> ``evaluate(info, summaries)``, re-run until no value
+    changes (at most four passes), so a method's summary folds in those
+    of the methods it calls."""
+    summaries: Dict[str, T] = {}
+    for _ in range(4):
+        changed = False
+        for info in infos:
+            value = evaluate(info, summaries)
+            if summaries.get(info.qualname) != value:
+                summaries[info.qualname] = value
+                changed = True
+        if not changed:
+            break
+    return summaries
 
 
 def _is_generator(node: ast.AST) -> bool:
@@ -209,18 +151,6 @@ def _is_generator(node: ast.AST) -> bool:
         if isinstance(sub, (ast.Yield, ast.YieldFrom)):
             return True
     return False
-
-
-def _own_methods(
-    index: ProjectIndex, source: SourceFile
-) -> Iterator[Tuple[ast.ClassDef, CallableInfo]]:
-    """(class node, method info) pairs whose definition is *this* file."""
-    for node in source.tree.body:
-        if not isinstance(node, ast.ClassDef):
-            continue
-        for info in index.classes.get(node.name, {}).values():
-            if info.source is source:
-                yield node, info
 
 
 def _first_str_arg(call: ast.Call) -> Optional[str]:
@@ -293,7 +223,7 @@ class WalOrderingRule(Rule):
             for node, info in _own_methods(index, source):
                 if node.name in governed:
                     yield from self._check_ordering(
-                        index, governed, summaries, info, source
+                        index, summaries, info, source
                     )
                 yield from self._check_checkpoint_invalidation(
                     info, source
@@ -350,8 +280,8 @@ class WalOrderingRule(Rule):
         return None
 
     def _classifier(
-        self, index: ProjectIndex, governed: Set[str],
-        summaries: Dict[Tuple[str, str], bool], info: CallableInfo,
+        self, index: ProjectIndex, summaries: Dict[str, bool],
+        info: CallableInfo,
     ) -> Classifier:
         def classify(call: ast.Call) -> Tuple[Optional[str], bool]:
             if self._is_log_write(index, info, call):
@@ -363,20 +293,16 @@ class WalOrderingRule(Rule):
                 callee = index._resolve_call_target(
                     info, receiver, method
                 )
-                if callee is not None \
-                        and callee.class_name in governed \
-                        and summaries.get(
-                            (callee.class_name or "", callee.qualname)
-                        ):
-                    license_ = True
+                license_ = callee is not None \
+                    and summaries.get(callee.qualname, False)
             return self._demand(index, info, call), license_
 
         return classify
 
     def _log_summaries(
         self, index: ProjectIndex, governed: Set[str]
-    ) -> Dict[Tuple[str, str], bool]:
-        """(class, qualname) -> callee issues a log write on all exits.
+    ) -> Dict[str, bool]:
+        """qualname -> the method issues a log write on all its exits.
 
         Fixpoint so ``sync_log`` -> ``commit`` -> engine wrappers chain.
         """
@@ -385,49 +311,18 @@ class WalOrderingRule(Rule):
             for class_name in governed
             for info in index.classes.get(class_name, {}).values()
         ]
-        summaries: Dict[Tuple[str, str], bool] = {}
-        for _ in range(4):
-            changed = False
-            for info in infos:
-                key = (info.class_name or "", info.qualname)
-
-                def classify(call: ast.Call,
-                             _info: CallableInfo = info
-                             ) -> Tuple[Optional[str], bool]:
-                    if self._is_log_write(index, _info, call):
-                        return None, True
-                    receiver, method = split_call(call)
-                    if method is not None and receiver \
-                            and receiver[0] in ("self", "cls"):
-                        callee = index._resolve_call_target(
-                            _info, receiver, method
-                        )
-                        if callee is not None and summaries.get(
-                            (callee.class_name or "", callee.qualname)
-                        ):
-                            return None, True
-                    return None, False
-
-                flow = _DominanceFlow(classify)
-                flow.run(list(getattr(info.node, "body", [])))
-                value = flow.licensed_on_all_exits()
-                if summaries.get(key) != value:
-                    summaries[key] = value
-                    changed = True
-            if not changed:
-                break
-        return summaries
+        return _fixpoint(infos, lambda info, summaries: _dominance(
+            self._classifier(index, summaries, info), info
+        )[0])
 
     def _check_ordering(
-        self, index: ProjectIndex, governed: Set[str],
-        summaries: Dict[Tuple[str, str], bool], info: CallableInfo,
-        source: SourceFile,
+        self, index: ProjectIndex, summaries: Dict[str, bool],
+        info: CallableInfo, source: SourceFile,
     ) -> Iterator[Finding]:
-        flow = _DominanceFlow(
-            self._classifier(index, governed, summaries, info)
+        __, violations = _dominance(
+            self._classifier(index, summaries, info), info
         )
-        flow.run(list(getattr(info.node, "body", [])))
-        for (line, col), (__, what) in sorted(flow.violations.items()):
+        for (line, col), what in sorted(violations.items()):
             yield Finding(
                 path=source.path, line=line, col=col, rule=self.rule_id,
                 message=(
@@ -549,7 +444,7 @@ class EpochDisciplineRule(Rule):
               config: LintConfig) -> Iterator[Finding]:
         index = ProjectIndex(files)
         aware = _epoch_aware_classes(index)
-        protects, derefs = self._summaries(index, aware)
+        summaries = self._summaries(index, aware)
         for source in files:
             if not scoped_to(source, _EPOCH_SCOPE_SEGMENTS):
                 continue
@@ -559,17 +454,14 @@ class EpochDisciplineRule(Rule):
                 yield from self._check_pairing(info, source)
                 if info.node.name.startswith("_"):
                     continue
-                if "property" in set(decorator_names(info.node)):
+                if "property" in decorator_names(info.node):
                     continue
                 if _is_generator(info.node):
                     continue
-                flow = _DominanceFlow(
-                    self._classifier(index, info, protects, derefs)
+                __, violations = _dominance(
+                    self._classifier(index, info, summaries), info
                 )
-                flow.run(list(getattr(info.node, "body", [])))
-                for (line, col), (__, what) in sorted(
-                    flow.violations.items()
-                ):
+                for (line, col), what in sorted(violations.items()):
                     yield Finding(
                         path=source.path, line=line, col=col,
                         rule=self.rule_id,
@@ -583,7 +475,7 @@ class EpochDisciplineRule(Rule):
 
     def _classifier(
         self, index: ProjectIndex, info: CallableInfo,
-        protects: Dict[str, bool], derefs: Dict[str, bool],
+        summaries: Dict[str, Tuple[bool, bool]],
     ) -> Classifier:
         def classify(call: ast.Call) -> Tuple[Optional[str], bool]:
             if _is_protect_charge(call):
@@ -601,57 +493,54 @@ class EpochDisciplineRule(Rule):
                 )
                 if callee is not None \
                         and callee.class_name == info.class_name:
+                    protects, derefs = summaries.get(
+                        callee.qualname, (False, False)
+                    )
                     demand = None
-                    if derefs.get(callee.qualname):
+                    if derefs:
                         demand = (
                             f"call to {callee.qualname} (dereferences "
                             "without protecting)"
                         )
-                    return demand, bool(protects.get(callee.qualname))
+                    return demand, protects
             return None, False
 
         return classify
 
     def _summaries(
         self, index: ProjectIndex, aware: Set[str]
-    ) -> Tuple[Dict[str, bool], Dict[str, bool]]:
-        """qualname -> protects-on-all-exits / has-unprotected-deref,
-        for folding private helpers (``_descend``, ``_write_record``)
-        into their public callers."""
+    ) -> Dict[str, Tuple[bool, bool]]:
+        """qualname -> (protects on all exits, has an unprotected
+        dereference), for folding private helpers (``_descend``,
+        ``_write_record``) into their public callers.  Generators are
+        left out: they run lazily under the consumer's epoch."""
         infos = [
             info
             for class_name in aware
             for info in index.classes.get(class_name, {}).values()
+            if not _is_generator(info.node)
         ]
-        protects: Dict[str, bool] = {}
-        derefs: Dict[str, bool] = {}
-        for _ in range(4):
-            changed = False
-            for info in infos:
-                if _is_generator(info.node):
-                    # Runs lazily under the consumer's epoch.
-                    continue
-                flow = _DominanceFlow(
-                    self._classifier(index, info, protects, derefs)
-                )
-                flow.run(list(getattr(info.node, "body", [])))
-                new_protect = flow.licensed_on_all_exits()
-                new_deref = bool(flow.violations)
-                if protects.get(info.qualname) != new_protect:
-                    protects[info.qualname] = new_protect
-                    changed = True
-                if derefs.get(info.qualname) != new_deref:
-                    derefs[info.qualname] = new_deref
-                    changed = True
-            if not changed:
-                break
-        return protects, derefs
+
+        def evaluate(info: CallableInfo,
+                     summaries: Dict[str, Tuple[bool, bool]]
+                     ) -> Tuple[bool, bool]:
+            protects, violations = _dominance(
+                self._classifier(index, info, summaries), info
+            )
+            return protects, bool(violations)
+
+        return _fixpoint(infos, evaluate)
 
     def _check_pairing(self, info: CallableInfo,
                        source: SourceFile) -> Iterator[Finding]:
-        analyzer = _EpochPairing()
-        analyzer.run(list(getattr(info.node, "body", [])))
-        for line, col in sorted(analyzer.leaks):
+        flow = _EpochPairing()
+        flow.run(info.node.body, frozenset({0}))
+        leaks = {
+            (node.lineno, node.col_offset)
+            for node, depths in flow.exits
+            if any(depth > 0 for depth in depths)
+        }
+        for line, col in sorted(leaks):
             yield Finding(
                 path=source.path, line=line, col=col, rule=self.rule_id,
                 message=(
@@ -662,7 +551,7 @@ class EpochDisciplineRule(Rule):
             )
 
 
-class _EpochPairing:
+class _EpochPairing(Flow[int]):
     """Depth dataflow for explicit epoch_enter/epoch_exit pairing.
 
     The production code protects by *charging* (scalar cost, no handle),
@@ -671,26 +560,12 @@ class _EpochPairing:
     """
 
     _CAP = 4
+    #: Unlike WAL/cost accounting, raising with an epoch held leaks it.
+    raise_exempt = False
 
-    def __init__(self) -> None:
-        self.leaks: Set[Tuple[int, int]] = set()
-        #: exits (return/raise) pending their enclosing finally blocks.
-        self._exits: List[Tuple[ast.stmt, FrozenSet[int]]] = []
-
-    def run(self, body: Sequence[ast.stmt]) -> None:
-        out = self._block(body, frozenset({0}))
-        for node, states in self._exits:
-            self._exit(node, states)
-        for depth in out:
-            if depth > 0 and body:
-                last = body[-1]
-                self.leaks.add((last.lineno, last.col_offset))
-
-    def _apply(self, node: Optional[ast.AST],
-               states: FrozenSet[int]) -> FrozenSet[int]:
-        if node is None or not states:
-            return states
-        for call in _iter_calls(node):
+    def transfer(self, node: ast.AST,
+                 states: FrozenSet[int]) -> FrozenSet[int]:
+        for call in iter_calls(node):
             __, method = split_call(call)
             if method in _EPOCH_ENTER_VERBS:
                 states = frozenset(
@@ -701,81 +576,6 @@ class _EpochPairing:
                     max(depth - 1, 0) for depth in states
                 )
         return states
-
-    def _exit(self, node: ast.stmt, states: FrozenSet[int]) -> None:
-        for depth in states:
-            if depth > 0:
-                self.leaks.add((node.lineno, node.col_offset))
-
-    def _block(self, body: Sequence[ast.stmt],
-               states: FrozenSet[int]) -> FrozenSet[int]:
-        current = states
-        for stmt in body:
-            if not current:
-                break
-            current = self._stmt(stmt, current)
-        return current
-
-    def _stmt(self, stmt: ast.stmt,
-              states: FrozenSet[int]) -> FrozenSet[int]:
-        if isinstance(stmt, ast.Return):
-            after = self._apply(stmt.value, states)
-            self._exits.append((stmt, after))
-            return frozenset()
-        if isinstance(stmt, ast.Raise):
-            # Unlike WAL/cost accounting, raising with an epoch held
-            # leaks it — raise paths are NOT exempt here.
-            self._exits.append((stmt, states))
-            return frozenset()
-        if isinstance(stmt, ast.If):
-            entry = self._apply(stmt.test, states)
-            return (self._block(stmt.body, entry)
-                    | self._block(stmt.orelse, entry))
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            entry = self._apply(stmt.iter, states)
-            once = self._block(stmt.body, entry)
-            merged = entry | once
-            return merged | self._block(stmt.orelse, merged)
-        if isinstance(stmt, ast.While):
-            entry = self._apply(stmt.test, states)
-            once = self._block(stmt.body, entry)
-            merged = entry | once
-            return merged | self._block(stmt.orelse, merged)
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            entry = states
-            for item in stmt.items:
-                entry = self._apply(item.context_expr, entry)
-            return self._block(stmt.body, entry)
-        if isinstance(stmt, ast.Try):
-            mark = len(self._exits)
-            body_out = self._block(stmt.body, states)
-            body_out = self._block(stmt.orelse, body_out)
-            handler_out: FrozenSet[int] = frozenset()
-            for handler in stmt.handlers:
-                handler_out = handler_out | self._block(
-                    handler.body, states | body_out
-                )
-            merged = body_out | handler_out
-            if stmt.finalbody:
-                # Exits inside the try run the finally first — an
-                # epoch_exit there balances an early return.
-                deferred = self._exits[mark:]
-                del self._exits[mark:]
-                for node, exit_states in deferred:
-                    self._exits.append(
-                        (node, self._block(stmt.finalbody, exit_states))
-                    )
-                merged = self._block(stmt.finalbody, merged)
-            return merged
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            return states
-        if isinstance(stmt, (ast.Break, ast.Continue)):
-            return states
-        out = states
-        for child in ast.iter_child_nodes(stmt):
-            out = self._apply(child, out)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -804,15 +604,6 @@ def _module_str_constants(tree: ast.Module) -> Dict[str, str]:
     return constants
 
 
-def _function_bodies(tree: ast.Module) -> Iterator[ast.AST]:
-    """Every def in the module, nested closures included — each body is
-    checked for dominance independently (a hit in the enclosing method
-    does not execute when the closure later runs on its own)."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
 @rule
 class FaultSiteCoverageRule(Rule):
     rule_id = "fault-site-coverage"
@@ -828,7 +619,9 @@ class FaultSiteCoverageRule(Rule):
             if not scoped_to(source, _FAULT_SCOPE_SEGMENTS):
                 continue
             constants = _module_str_constants(source.tree)
-            for node in _function_bodies(source.tree):
+            # Nested closures too, each on its own: a hit in the
+            # enclosing method does not run when the closure later does.
+            for node in iter_functions(source.tree):
                 yield from self._check_body(source, node, constants)
 
     def _site_name(self, call: ast.Call,

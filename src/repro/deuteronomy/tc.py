@@ -116,6 +116,12 @@ class TcConfig:
     concurrency_mode: str = "latch_free"
 
     def __post_init__(self) -> None:
+        if self.version_gc_horizon_lag < 0:
+            raise ValueError(
+                "version_gc_horizon_lag must be >= 0, got "
+                f"{self.version_gc_horizon_lag}: a negative lag truncates "
+                "versions that open snapshots still read"
+            )
         if self.sync_commit and self.commit_pipeline:
             raise ValueError(
                 "sync_commit and commit_pipeline are mutually exclusive"
@@ -500,14 +506,6 @@ class TransactionComponent:
         self._require_active(txn)
         self.machine.cpu.charge("op_dispatch", category="tc")
         self._buffer_write(txn, key, value)
-
-    def write_batch(self, txn: Transaction,
-                    items: Iterable[Tuple[bytes, Optional[bytes]]]) -> None:
-        """Buffer a group of updates under one request dispatch."""
-        self._require_active(txn)
-        self.machine.cpu.charge("op_dispatch", category="tc")
-        for key, value in items:
-            self._buffer_write(txn, key, value)
 
     def _buffer_write(self, txn: Transaction, key: bytes,
                       value: Optional[bytes]) -> None:

@@ -212,6 +212,51 @@ class Installer:
         )
         assert not _lint_snippet(tmp_path, suppressed, self.RULE)
 
+    DEFERRED_CHARGE = """\
+class Reader:
+    def __init__(self, machine, cache):
+        self.machine = machine
+        self.cache = cache
+
+    def lookup(self, entry):
+        self.cache.fetch(entry)
+        later = lambda: self.machine.cpu.charge("page_read")
+        return later
+"""
+
+    @pytest.mark.parametrize("shape", ["lambda", "def"])
+    def test_a_charge_that_is_only_defined_is_flagged(self, tmp_path,
+                                                      shape):
+        # A lambda body runs when it is called, like a nested def's: the
+        # charge it holds does not pay for the fetch in place.
+        code = self.DEFERRED_CHARGE
+        if shape == "def":
+            code = code.replace(
+                "        later = lambda: self.machine.cpu.charge(\"page_read\")\n",
+                "\n"
+                "        def later():\n"
+                "            self.machine.cpu.charge(\"page_read\")\n"
+                "\n",
+            )
+        findings = _lint_snippet(tmp_path, code, self.RULE)
+        assert [f.message.split()[0] for f in findings] == ["Reader.lookup"]
+
+    def test_a_return_inside_try_pays_in_its_finally(self, tmp_path):
+        code = """\
+class Reader:
+    def __init__(self, machine, cache):
+        self.machine = machine
+        self.cache = cache
+
+    def lookup(self, entry):
+        try:
+            self.cache.fetch(entry)
+            return entry
+        finally:
+            self.machine.cpu.charge("page_read")
+"""
+        assert not _lint_snippet(tmp_path, code, self.RULE)
+
 
 # ---------------------------------------------------------------------------
 # determinism

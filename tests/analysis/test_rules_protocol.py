@@ -70,6 +70,38 @@ def test_wal_rule_is_path_sensitive(tmp_path):
     assert "Engine.commit" in found[0].message
 
 
+WAL_FINALLY = WAL_BRANCH.replace(
+    "    def commit(self, key, value, durable):\n"
+    "        if durable:\n"
+    "            self.log.append((key, value))\n"
+    "        self.dc.upsert(key, value)\n",
+    "    def commit(self, key, value):\n"
+    "        try:\n"
+    "            return key\n"
+    "        finally:\n"
+    "            self.dc.upsert(key, value)\n",
+)
+
+
+def test_wal_rule_follows_a_return_through_finally(tmp_path):
+    """The return leaves through the finally block, which posts to the
+    DC with nothing logged on that path."""
+    target = tmp_path / "finally.py"
+    target.write_text(WAL_FINALLY)
+    found = _findings(str(target), "wal-ordering")
+    assert len(found) == 1
+    assert "Engine.commit: DC upsert" in found[0].message
+    assert found[0].line == WAL_FINALLY.splitlines().index(
+        "            self.dc.upsert(key, value)") + 1
+    logged = WAL_FINALLY.replace(
+        "            return key\n",
+        "            self.log.append((key, value))\n"
+        "            return key\n",
+    )
+    target.write_text(logged)
+    assert _findings(str(target), "wal-ordering") == []
+
+
 # ---------------------------------------------------------------------------
 # epoch-discipline
 # ---------------------------------------------------------------------------

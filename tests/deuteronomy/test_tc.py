@@ -71,6 +71,25 @@ class TestReadsAndWrites:
         tc.run_update(b"k", b"v2")
         assert tc.read(reader, b"k") == b"v1"
 
+    def test_a_zero_gc_lag_keeps_an_open_snapshot(self, machine):
+        tc = TransactionComponent(
+            machine, BwTree(machine, BwTreeConfig(segment_bytes=1 << 16)),
+            TcConfig(version_gc_horizon_lag=0))
+        keys = [b"k%d" % i for i in range(5)]
+        for key in keys:
+            tc.run_update(key, b"v0")
+        reader = tc.begin()
+        for round_ in range(1, 8):
+            for key in keys:
+                tc.run_update(key, b"v%d" % round_)
+        assert tc.read(reader, b"k1") == b"v0"
+
+    def test_a_negative_gc_lag_is_rejected(self):
+        # Such a lag would truncate past the oldest open snapshot: the
+        # read above would return the newest value instead.
+        with pytest.raises(ValueError, match="version_gc_horizon_lag"):
+            TcConfig(version_gc_horizon_lag=-3)
+
     def test_delete_via_none(self, tc):
         tc.run_update(b"k", b"v")
         tc.run_update(b"k", None)
