@@ -63,7 +63,7 @@ DOMAIN_TOUCH_VERBS = frozenset({
     # Observability hooks: opening a trace span or recording a hot-path
     # histogram sample marks measured storage work — a method worth a
     # span or a metric is a method whose cost must be charged.
-    "trace_span",
+    "open_span",
     "observe",
     # Asynchronous commit pipeline: enqueueing into an epoch, honoring a
     # device ack, and resolving commit futures are commit-path work on

@@ -236,7 +236,10 @@ class BwTree:
         if type(key) is not bytes or not key:
             self._validate_key(key)
         machine = self.machine
-        with machine.trace_span("bwtree.get", "bwtree"):
+        tracer = machine.tracer
+        if tracer is not None:
+            tracer.open_span("bwtree.get", "bwtree")
+        try:
             machine._ops_started += 1
             cpu = machine.cpu
             ssd = machine.ssd
@@ -309,6 +312,9 @@ class BwTree:
                     and len(state.deltas) >= self.config.consolidate_threshold):
                 self._consolidate(entry)
             return OpResult(value, found, ios, record_cache_hit, latency)
+        finally:
+            if tracer is not None:
+                tracer.close_span()
 
     def contains(self, key: bytes) -> bool:
         return self.get_with_stats(key).found
@@ -320,7 +326,10 @@ class BwTree:
     def upsert(self, key: bytes, value: bytes) -> OpResult:
         """Blind upsert: posts a delta without reading the base page."""
         self._validate_kv(key, value)
-        with self.machine.trace_span("bwtree.upsert", "bwtree"):
+        tracer = self.machine.tracer
+        if tracer is not None:
+            tracer.open_span("bwtree.upsert", "bwtree")
+        try:
             window = self._begin_op()
             entry = self._descend(key)
             result = OpResult(found=True)
@@ -332,11 +341,17 @@ class BwTree:
             )
             self._post_op(entry, result, window)
             return result
+        finally:
+            if tracer is not None:
+                tracer.close_span()
 
     def delete(self, key: bytes) -> OpResult:
         """Blind delete: posts a tombstone delta without reading the base."""
         self._validate_key(key)
-        with self.machine.trace_span("bwtree.delete", "bwtree"):
+        tracer = self.machine.tracer
+        if tracer is not None:
+            tracer.open_span("bwtree.delete", "bwtree")
+        try:
             window = self._begin_op()
             entry = self._descend(key)
             result = OpResult()
@@ -348,6 +363,9 @@ class BwTree:
             )
             self._post_op(entry, result, window)
             return result
+        finally:
+            if tracer is not None:
+                tracer.close_span()
 
     def apply_blind_batch(
         self, ops: "List[Tuple[bytes, Optional[bytes]]]"
@@ -370,7 +388,10 @@ class BwTree:
         delta-only or evicted leaf goes through ``_post_blind_delta``.
         """
         machine = self.machine
-        with machine.trace_span("bwtree.blind_batch", "bwtree"):
+        tracer = machine.tracer
+        if tracer is not None:
+            tracer.open_span("bwtree.blind_batch", "bwtree")
+        try:
             window = machine.latency_window()
             charge = machine.cpu.charge
             charge("op_dispatch", category="bwtree")
@@ -432,6 +453,9 @@ class BwTree:
             counts["bwtree.ios"] += result.ios
             counts["bwtree.blind_batches"] += 1.0
             return result
+        finally:
+            if tracer is not None:
+                tracer.close_span()
 
     def insert(self, key: bytes, value: bytes) -> bool:
         """Insert iff absent (non-blind: reads first). True on success."""

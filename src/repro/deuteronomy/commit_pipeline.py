@@ -78,7 +78,7 @@ class CommitPipeline:
         commit_interval_us: float = 50.0,
         epoch_bytes: int = 1 << 16,
     ) -> None:
-        if commit_interval_us <= 0.0:
+        if not commit_interval_us > 0.0:   # NaN fails this too
             raise ValueError(
                 f"commit interval must be positive, got {commit_interval_us}"
             )
@@ -159,13 +159,7 @@ class CommitPipeline:
 
     def _close_epoch(self) -> None:
         """Seal the epoch's buffer and submit it as one device write."""
-        with self.machine.trace_span("commit_pipeline.epoch_flush",
-                                     "commit_pipeline"):
-            sealed = self.log.seal()
-            if sealed is not None:
-                ack_s = self.log.submit_sealed(sealed, self.device)
-                self._inflight.append((sealed, ack_s))
-            self._bytes_submitted_upto = self.log.appended_bytes
+        self.spill()
         self.group_sizes.observe(float(self._epoch_commits))
         self.epochs_closed += 1
         self._epoch_open = False
@@ -178,15 +172,21 @@ class CommitPipeline:
 
         The spilled buffer joins the FIFO behind older sealed buffers,
         so durability order still follows append order.  The epoch (a
-        grouping of *commits*, not buffers) stays open if it was open.
+        grouping of *commits*, not buffers) stays open if it was open;
+        closing one seals and submits through here too.
         """
-        with self.machine.trace_span("commit_pipeline.epoch_flush",
-                                     "commit_pipeline"):
+        tracer = self.machine.tracer
+        if tracer is not None:
+            tracer.open_span("commit_pipeline.epoch_flush", "commit_pipeline")
+        try:
             sealed = self.log.seal()
             if sealed is not None:
                 ack_s = self.log.submit_sealed(sealed, self.device)
                 self._inflight.append((sealed, ack_s))
             self._bytes_submitted_upto = self.log.appended_bytes
+        finally:
+            if tracer is not None:
+                tracer.close_span()
 
     # --- ack / resolution ---------------------------------------------------
 
@@ -238,10 +238,12 @@ class CommitPipeline:
             self.spill()
         faults = machine.faults
         clock = machine.clock
+        tracer = machine.tracer
         while self._inflight:
             buffer, ack_s = self._inflight.popleft()
-            with machine.trace_span("commit_pipeline.commit_wait",
-                                    "commit_pipeline"):
+            if tracer is not None:
+                tracer.open_span("commit_pipeline.commit_wait", "commit_pipeline")
+            try:
                 wait_s = ack_s - clock.now
                 if wait_s > 0.0:
                     clock.advance(wait_s)
@@ -255,6 +257,9 @@ class CommitPipeline:
                 if faults is not None:
                     faults.hit(SITE_POST_ACK)
                 self.resolve_future()
+            finally:
+                if tracer is not None:
+                    tracer.close_span()
 
     # --- introspection ------------------------------------------------------
 

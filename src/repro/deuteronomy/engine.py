@@ -96,18 +96,36 @@ class DeuteronomyEngine:
 
     def get(self, key: bytes) -> Optional[bytes]:
         """Autocommitted snapshot read."""
-        with self.machine.trace_span("engine.get", "engine"):
+        tracer = self.machine.tracer
+        if tracer is not None:
+            tracer.open_span("engine.get", "engine")
+        try:
             return self.tc.get(key)
+        finally:
+            if tracer is not None:
+                tracer.close_span()
 
     def put(self, key: bytes, value: bytes) -> None:
         """Autocommitted single-key update."""
-        with self.machine.trace_span("engine.put", "engine"):
+        tracer = self.machine.tracer
+        if tracer is not None:
+            tracer.open_span("engine.put", "engine")
+        try:
             self.tc.run_update(key, value)
+        finally:
+            if tracer is not None:
+                tracer.close_span()
 
     def delete(self, key: bytes) -> None:
         """Autocommitted single-key delete."""
-        with self.machine.trace_span("engine.delete", "engine"):
+        tracer = self.machine.tracer
+        if tracer is not None:
+            tracer.open_span("engine.delete", "engine")
+        try:
             self.tc.run_update(key, None)
+        finally:
+            if tracer is not None:
+                tracer.close_span()
 
     # --- batched (multi-op) conveniences ------------------------------
 
@@ -116,19 +134,31 @@ class DeuteronomyEngine:
         flush decision for the whole batch.  Items are applied in order
         (a later write to the same key wins, exactly like sequential
         ``put`` calls).  Returns one commit timestamp per item."""
-        with self.machine.trace_span("engine.multi_put", "engine"):
+        tracer = self.machine.tracer
+        if tracer is not None:
+            tracer.open_span("engine.multi_put", "engine")
+        try:
             timestamps = self.tc.run_update_batch(items)
             assert all(ts is not None for ts in timestamps)
             return timestamps  # type: ignore[return-value]
+        finally:
+            if tracer is not None:
+                tracer.close_span()
 
     def multi_delete(self, keys: Iterable[bytes]) -> List[int]:
         """Group-committed autocommit deletes (see :meth:`multi_put`)."""
-        with self.machine.trace_span("engine.multi_delete", "engine"):
+        tracer = self.machine.tracer
+        if tracer is not None:
+            tracer.open_span("engine.multi_delete", "engine")
+        try:
             timestamps = self.tc.run_update_batch(
                 (key, None) for key in keys
             )
             assert all(ts is not None for ts in timestamps)
             return timestamps  # type: ignore[return-value]
+        finally:
+            if tracer is not None:
+                tracer.close_span()
 
     def multi_get(self, keys: Sequence[bytes]) -> List[Optional[bytes]]:
         """Batched autocommitted snapshot reads: one transaction and one
@@ -138,7 +168,10 @@ class DeuteronomyEngine:
         for key in keys:
             if type(key) is not bytes or not key:
                 self.dc._validate_key(key)
-        with self.machine.trace_span("engine.multi_get", "engine"):
+        tracer = self.machine.tracer
+        if tracer is not None:
+            tracer.open_span("engine.multi_get", "engine")
+        try:
             txn = self.tc.begin()
             try:
                 values = self.tc.read_batch(txn, keys)
@@ -147,6 +180,9 @@ class DeuteronomyEngine:
                 raise
             self.tc.commit(txn)
             return values
+        finally:
+            if tracer is not None:
+                tracer.close_span()
 
     def apply_batch(
         self, ops: Sequence[Tuple[str, bytes, Optional[bytes]]]
@@ -161,8 +197,14 @@ class DeuteronomyEngine:
         refuses the whole batch before any of it is billed or counted
         (:meth:`TransactionComponent.apply_batch`).
         """
-        with self.machine.trace_span("engine.apply_batch", "engine"):
+        tracer = self.machine.tracer
+        if tracer is not None:
+            tracer.open_span("engine.apply_batch", "engine")
+        try:
             return self.tc.apply_batch(ops)
+        finally:
+            if tracer is not None:
+                tracer.close_span()
 
     def checkpoint(self) -> None:
         """Flush the log and every dirty data page.
@@ -171,10 +213,16 @@ class DeuteronomyEngine:
         heap are drained into the DC first (after the log force — WAL
         ordering) so the checkpoint image covers them.
         """
-        with self.machine.trace_span("engine.checkpoint", "engine"):
+        tracer = self.machine.tracer
+        if tracer is not None:
+            tracer.open_span("engine.checkpoint", "engine")
+        try:
             self.tc.sync_log()
             self.tc.flush_record_cache()
             self.dc.checkpoint()
+        finally:
+            if tracer is not None:
+                tracer.close_span()
 
     def collect_garbage(self, target_utilization: float = 0.8) -> int:
         """Run segment GC with write-ahead ordering preserved.
@@ -189,9 +237,15 @@ class DeuteronomyEngine:
         would then serve writes the log never made durable (the WAL
         inversion the crash matrix's GC sites catch).
         """
-        with self.machine.trace_span("engine.collect_garbage", "engine"):
+        tracer = self.machine.tracer
+        if tracer is not None:
+            tracer.open_span("engine.collect_garbage", "engine")
+        try:
             self.tc.sync_log()
             return self.dc.collect_garbage(target_utilization)
+        finally:
+            if tracer is not None:
+                tracer.close_span()
 
     def stats(self) -> dict:
         """One engine's cost/cache accounting as a flat dict: one entry

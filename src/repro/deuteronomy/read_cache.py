@@ -82,12 +82,18 @@ class ReadCache:
         faults = self.machine.faults
         if faults is not None:
             faults.hit("tier.promote")
-        with self.machine.trace_span("tier_cache.promote", "tier_cache"):
+        tracer = self.machine.tracer
+        if tracer is not None:
+            tracer.open_span("tier_cache.promote", "tier_cache")
+        try:
             value = self._tier_entries.pop(key)
             self._tier_bytes -= self._entry_bytes(key, value)
             self.promotions += 1
             # It fitted when it was demoted, so it is admitted again.
             self.insert(key, value)
+        finally:
+            if tracer is not None:
+                tracer.close_span()
         return value
 
     def insert(self, key: bytes, value: bytes) -> None:
@@ -132,7 +138,10 @@ class ReadCache:
         faults = self.machine.faults
         if faults is not None:
             faults.hit("cache.demote")
-        with self.machine.trace_span("tier_cache.demote", "tier_cache"):
+        tracer = self.machine.tracer
+        if tracer is not None:
+            tracer.open_span("tier_cache.demote", "tier_cache")
+        try:
             nbytes = self._entry_bytes(key, value)
             self.machine.cpu.charge("copy_per_byte", nbytes,
                                     category="tier_cache")
@@ -149,6 +158,9 @@ class ReadCache:
                 old_key, old_value = self._tier_entries.popitem(last=False)
                 self._tier_bytes -= self._entry_bytes(old_key, old_value)
                 self.tier_drops += 1
+        finally:
+            if tracer is not None:
+                tracer.close_span()
 
     def invalidate(self, key: bytes) -> None:
         """Drop a stale record (its key was updated) from every tier."""

@@ -163,7 +163,10 @@ class RecordStore:
         Sets the record's second-chance bit so GC relocates it once
         instead of evicting it.
         """
-        with self.machine.trace_span("record_cache.lookup", "record_cache"):
+        tracer = self.machine.tracer
+        if tracer is not None:
+            tracer.open_span("record_cache.lookup", "record_cache")
+        try:
             self._charge_protect()
             self.machine.cpu.charge("hash_probe", category=CHARGE_CATEGORY)
             record = self._index.get(key)
@@ -173,6 +176,9 @@ class RecordStore:
             record.referenced = True
             self.hits += 1
             return True, record.value
+        finally:
+            if tracer is not None:
+                tracer.close_span()
 
     # ------------------------------------------------------------------
     # writes
@@ -187,7 +193,10 @@ class RecordStore:
         :meth:`drain_dirty`.  Returns ``False`` (rejecting the record)
         when the image cannot fit in one arena.
         """
-        with self.machine.trace_span("record_cache.append", "record_cache"):
+        tracer = self.machine.tracer
+        if tracer is not None:
+            tracer.open_span("record_cache.append", "record_cache")
+        try:
             self._charge_protect()
             nbytes = self._record_bytes(key, value)
             if nbytes > self.arena_bytes:
@@ -201,6 +210,9 @@ class RecordStore:
             if self._physical_bytes > self.budget_bytes:
                 self.collect_garbage()
             return True
+        finally:
+            if tracer is not None:
+                tracer.close_span()
 
     def _write_record(self, key: bytes, value: Optional[bytes], nbytes: int,
                       dirty: bool, referenced: bool) -> None:
@@ -299,7 +311,10 @@ class RecordStore:
         which may seal mid-pass — those newly sealed arenas wait for the
         next pass).
         """
-        with self.machine.trace_span("record_cache.gc", "record_cache"):
+        tracer = self.machine.tracer
+        if tracer is not None:
+            tracer.open_span("record_cache.gc", "record_cache")
+        try:
             self.machine.cpu.charge("op_dispatch", category=CHARGE_CATEGORY)
             self._charge_protect()
             self.gc_passes += 1
@@ -330,6 +345,9 @@ class RecordStore:
                 self.arenas_reclaimed += 1
                 reclaimed += 1
             return reclaimed
+        finally:
+            if tracer is not None:
+                tracer.close_span()
 
     # ------------------------------------------------------------------
     # dirty drain (DC absorption)

@@ -274,7 +274,10 @@ class RecoveryLog:
                 faults.hit("recovery_log.flush")
             self.machine.ssd.write(current.nbytes)
 
-        with self.machine.trace_span("recovery_log.flush", "recovery_log"):
+        tracer = self.machine.tracer
+        if tracer is not None:
+            tracer.open_span("recovery_log.flush", "recovery_log")
+        try:
             run_with_retries(self.machine, write_buffer,
                              stats=self.retry_stats)
             # The device ack is the durability point: these records
@@ -295,6 +298,9 @@ class RecoveryLog:
             self._next_buffer_id += 1
             self._enforce_budget()
             return current.buffer_id
+        finally:
+            if tracer is not None:
+                tracer.close_span()
 
     def _enforce_budget(self) -> None:
         if self.retain_budget_bytes is None:

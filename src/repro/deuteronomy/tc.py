@@ -122,6 +122,20 @@ class TcConfig:
                 f"{self.version_gc_horizon_lag}: a negative lag truncates "
                 "versions that open snapshots still read"
             )
+        if not self.commit_interval_us > 0.0:
+            # ``not > 0`` so NaN is refused too: every window comparison
+            # against NaN is False, so its epochs would close only on the
+            # byte threshold.
+            raise ValueError(
+                "commit_interval_us must be > 0, got "
+                f"{self.commit_interval_us}"
+            )
+        if (self.log_retain_budget_bytes is not None
+                and self.log_retain_budget_bytes < 0):
+            raise ValueError(
+                "log_retain_budget_bytes must be >= 0 or None, got "
+                f"{self.log_retain_budget_bytes}"
+            )
         if self.sync_commit and self.commit_pipeline:
             raise ValueError(
                 "sync_commit and commit_pipeline are mutually exclusive"
@@ -221,7 +235,10 @@ class TransactionComponent:
         Returns the commit timestamp.
         """
         self._require_active(txn)
-        with self.machine.trace_span("tc.commit", "tc"):
+        tracer = self.machine.tracer
+        if tracer is not None:
+            tracer.open_span("tc.commit", "tc")
+        try:
             for key in txn.write_set:
                 newest = self.versions.newest_timestamp(key)
                 if newest is not None and newest > txn.read_timestamp:
@@ -263,6 +280,9 @@ class TransactionComponent:
             self.counters.add("tc.commits")
             self._maybe_gc_versions()
             return commit_ts
+        finally:
+            if tracer is not None:
+                tracer.close_span()
 
     def commit_batch(
         self, txns: Sequence[Transaction], sequential: bool = False
@@ -289,7 +309,10 @@ class TransactionComponent:
         for txn in txns:
             self._require_active(txn)
         self.batch_sizes.observe(float(len(txns)))
-        with self.machine.trace_span("tc.commit_batch", "tc"):
+        tracer = self.machine.tracer
+        if tracer is not None:
+            tracer.open_span("tc.commit_batch", "tc")
+        try:
             # One timestamp-range allocation covers the whole group.
             self.machine.cpu.charge("timestamp_alloc", category="tc")
             results: List[Optional[int]] = []
@@ -355,6 +378,9 @@ class TransactionComponent:
             counts["tc.group_commits"] += 1.0
             self._maybe_gc_versions()
             return results
+        finally:
+            if tracer is not None:
+                tracer.close_span()
 
     def abort(self, txn: Transaction) -> None:
         """Abort: buffered writes are simply discarded."""
@@ -391,6 +417,7 @@ class TransactionComponent:
             self.dc._validate_key(key)
         machine = self.machine
         charge = machine.cpu.charge
+        tracer = machine.tracer
         counts = self._counts
         charge("timestamp_alloc", category="tc")
         read_ts = self._clock
@@ -400,12 +427,19 @@ class TransactionComponent:
             charge("op_dispatch", category="tc")
             machine._ops_started += 1
             counts["tc.reads"] += 1.0
-            with machine.trace_span("tc.read", "tc"):
+            if tracer is not None:
+                tracer.open_span("tc.read", "tc")
+            try:
                 value = self._snapshot_read(key, read_ts)
+            finally:
+                if tracer is not None:
+                    tracer.close_span()
         except BaseException:
             counts["tc.aborts"] += 1.0
             raise
-        with machine.trace_span("tc.commit", "tc"):
+        if tracer is not None:
+            tracer.open_span("tc.commit", "tc")
+        try:
             charge("timestamp_alloc", category="tc")
             self._clock += 1
             records = self.records
@@ -421,6 +455,9 @@ class TransactionComponent:
             versions = self.versions
             if 0 < horizon and versions.oldest_superseded <= horizon:
                 versions.truncate(horizon)
+        finally:
+            if tracer is not None:
+                tracer.close_span()
         return value
 
     def read(self, txn: Transaction, key: bytes) -> Optional[bytes]:
@@ -447,12 +484,18 @@ class TransactionComponent:
             self.dc._validate_key(key)
         self.machine._ops_started += 1
         self._counts["tc.reads"] += 1.0
-        with self.machine.trace_span("tc.read", "tc"):
+        tracer = self.machine.tracer
+        if tracer is not None:
+            tracer.open_span("tc.read", "tc")
+        try:
             # Read-your-own-writes.
             if key in txn.write_set:
                 self._counts["tc.own_write_hits"] += 1.0
                 return txn.write_set[key]
             return self._snapshot_read(key, txn.read_timestamp)
+        finally:
+            if tracer is not None:
+                tracer.close_span()
 
     def _snapshot_read(self, key: bytes, read_ts: int) -> Optional[bytes]:
         """The committed value of ``key`` as of ``read_ts``, through the
@@ -575,7 +618,7 @@ class TransactionComponent:
         check_batch(ops)
         machine = self.machine
         charge = machine.cpu.charge
-        trace_span = machine.trace_span
+        tracer = machine.tracer
         counts = self._counts
         charge("timestamp_alloc", category="tc")
         read_ts = self._clock
@@ -590,12 +633,17 @@ class TransactionComponent:
                 machine._ops_started += 1
                 if kind == "get":
                     counts["tc.reads"] += 1.0
-                    with trace_span("tc.read", "tc"):
+                    if tracer is not None:
+                        tracer.open_span("tc.read", "tc")
+                    try:
                         if key in write_set:
                             counts["tc.own_write_hits"] += 1.0
                             results.append(write_set[key])
                         else:
                             results.append(self._snapshot_read(key, read_ts))
+                    finally:
+                        if tracer is not None:
+                            tracer.close_span()
                     continue
                 if kind == "delete":
                     value = None
@@ -610,7 +658,9 @@ class TransactionComponent:
             counts["tc.aborts"] += 1.0
             raise
         self.batch_sizes.observe(1.0)
-        with trace_span("tc.commit_batch", "tc"):
+        if tracer is not None:
+            tracer.open_span("tc.commit_batch", "tc")
+        try:
             charge("timestamp_alloc", category="tc")
             versions = self.versions
             chains = versions._versions
@@ -662,6 +712,9 @@ class TransactionComponent:
             horizon = oldest - self.config.version_gc_horizon_lag
             if 0 < horizon and versions.oldest_superseded <= horizon:
                 versions.truncate(horizon)
+        finally:
+            if tracer is not None:
+                tracer.close_span()
         return results
 
     def run_update(self, key: bytes, value: Optional[bytes]) -> int:

@@ -7,8 +7,9 @@ data structures, per-primitive *prices* come from the calibrated
 
 Observability hooks live on :class:`~repro.hardware.machine.Machine`:
 ``attach_tracer`` installs a :class:`~repro.observability.spans.Tracer`
-and ``trace_span`` opens per-operation cost-attribution spans (a no-op
-singleton when untraced).
+as ``machine.tracer``, and each span site opens a per-operation
+cost-attribution span through it only when it is not ``None`` (one
+attribute check when untraced).
 """
 
 from .clock import VirtualClock

@@ -8,9 +8,8 @@ accounting into the throughput numbers the paper's analysis consumes.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ContextManager
+from typing import TYPE_CHECKING
 
 from .clock import VirtualClock
 from .cpu import CostTable, CpuModel
@@ -22,12 +21,6 @@ from .ssd import SimulatedSsd, SsdSpec
 if TYPE_CHECKING:  # deliberate: hardware stays import-independent of faults
     from ..faults.plan import FaultInjector
     from ..observability.spans import Tracer
-
-#: Shared no-op context manager returned by :meth:`Machine.trace_span`
-#: when no tracer is attached.  ``nullcontext`` is stateless, so one
-#: instance serves every call — the untraced hot path pays a single
-#: attribute check plus an enter/exit on this singleton.
-_NULL_SPAN: ContextManager[None] = contextlib.nullcontext()
 
 
 @dataclass(frozen=True)
@@ -107,7 +100,8 @@ class Machine:
         # keeps the hot paths at a single attribute check per site.
         self.faults: FaultInjector | None = None
         # Optional trace-span tracer (repro.observability); installed via
-        # :meth:`attach_tracer`, same single-attribute-check pattern.
+        # :meth:`attach_tracer`, same single-attribute-check pattern: a
+        # span site opens and closes a span only when this is not None.
         self.tracer: Tracer | None = None
 
     # --- tracing -----------------------------------------------------------
@@ -122,28 +116,10 @@ class Machine:
         self.cpu.sink = tracer if tracer.detailed else None
 
     def detach_tracer(self) -> None:
-        """Remove the tracer; the hot path reverts to no-op spans."""
+        """Remove the tracer; span sites go back to one ``is None``
+        check each."""
         self.tracer = None
         self.cpu.sink = None
-
-    def trace_span(self, name: str, component: str) -> ContextManager[object]:
-        """A span context for ``with machine.trace_span(...):`` sites.
-
-        Returns the shared no-op context when tracing is off, so
-        instrumented methods cost one attribute check when untraced.
-        The default-mode stash is inlined here (rather than calling
-        ``tracer.span``) because this runs once per span on the hot
-        path.
-        """
-        tracer = self.tracer
-        if tracer is None:
-            return _NULL_SPAN
-        if tracer.detailed:
-            return tracer.span(name, component)
-        tracer._pending_name = name
-        tracer._pending_component = component
-        tracer._pending_notes = None
-        return tracer._handle
 
     def latency_window(self) -> "tuple[float, float]":
         """Snapshot (cpu busy us, device service us) to bracket one op.

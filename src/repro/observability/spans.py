@@ -1,20 +1,34 @@
 """Virtual-time trace spans with exact cost attribution.
 
 A :class:`Tracer` attaches to one simulated :class:`~repro.hardware.machine.
-Machine`.  Components open span context managers around their hot-path
-methods (``engine.get`` → ``tc.read`` → ``bwtree.get`` →
-``page_cache.fetch`` → ``log_store.read``); each span brackets the CPU
-model's running ``busy_us`` scalar plus the SSD's access/service scalars
-and the DRAM footprint, so one operation renders as a cost-attribution
-tree.
+Machine`.  Components open a span around their hot-path methods
+(``engine.get`` → ``tc.read`` → ``bwtree.get`` → ``page_cache.fetch`` →
+``log_store.read``); each span brackets the CPU model's running
+``busy_us`` scalar plus the SSD's access/service scalars and the DRAM
+footprint, so one operation renders as a cost-attribution tree.
+
+Every span site has the same guarded form, so an untraced machine pays
+one ``is None`` check per site and enters no frame for the span::
+
+    tracer = machine.tracer
+    if tracer is not None:
+        tracer.open_span("tc.read", "tc")
+    try:
+        ...
+    finally:
+        if tracer is not None:
+            tracer.close_span()
+
+The ``finally`` closes the span on a raise too, so opens and closes
+always pair LIFO and :meth:`Tracer.close_span` needs no argument.
 
 The default tracer records span boundaries as scalars appended to one
-flat event log through a single reusable context-manager handle — no
-per-span object or container survives the hot path, which keeps both
-the per-span cost and the garbage collector's generation pressure low
-enough that tracing a batched benchmark run stays under 10% wall-clock
-overhead (measured by ``python -m repro bench-engine --trace``).  The
-:class:`Span` tree is materialized from the log on first access.
+flat event log — no per-span object or container survives the hot path,
+which keeps both the per-span cost and the garbage collector's
+generation pressure low enough that tracing a batched benchmark run
+stays under 10% wall-clock overhead (measured by ``python -m repro
+bench-engine --trace``).  The :class:`Span` tree is materialized from
+the log on first access.
 
 A *detailed* tracer (``Tracer(machine, detailed=True)``) builds the
 :class:`Span` tree live and additionally installs itself as the CPU
@@ -112,15 +126,13 @@ class Span:
         "name", "component", "notes", "children",
         "begin_s", "end_s", "subtree_cpu_us", "cpu_us",
         "ssd_ios", "service_us", "dram_delta_bytes",
-        "_tracer", "_busy0", "_ios0", "_service0", "_dram0",
+        "_busy0", "_ios0", "_service0", "_dram0",
     )
 
-    def __init__(self, tracer: "Tracer", name: str, component: str,
-                 notes: Optional[Dict[str, NoteValue]] = None) -> None:
-        self._tracer = tracer
+    def __init__(self, name: str, component: str) -> None:
         self.name = name
         self.component = component
-        self.notes: Dict[str, NoteValue] = notes if notes is not None else {}
+        self.notes: Dict[str, NoteValue] = {}
         self.children: List["Span"] = []
         self.begin_s = 0.0
         self.end_s = 0.0
@@ -129,32 +141,6 @@ class Span:
         self.ssd_ios = 0
         self.service_us = 0.0
         self.dram_delta_bytes = 0
-
-    # -- context manager ------------------------------------------------
-
-    def __enter__(self) -> "Span":
-        # Hot path: read the models' private scalars through refs the
-        # tracer cached at construction — each snapshot is a handful of
-        # attribute loads, no property calls, no histogram sums.
-        tracer = self._tracer
-        self.begin_s = tracer._clock._now
-        self._busy0 = tracer._cpu._busy_us
-        ssd = tracer._ssd
-        self._ios0 = ssd._total_ios
-        self._service0 = ssd._service_us_total
-        self._dram0 = tracer._dram._current
-        tracer._open(self)
-        return self
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        tracer = self._tracer
-        self.end_s = tracer._clock._now
-        self.subtree_cpu_us = tracer._cpu._busy_us - self._busy0
-        ssd = tracer._ssd
-        self.ssd_ios = ssd._total_ios - self._ios0
-        self.service_us = ssd._service_us_total - self._service0
-        self.dram_delta_bytes = tracer._dram._current - self._dram0
-        tracer._close(self)
 
     # -- derived views ---------------------------------------------------
 
@@ -204,53 +190,9 @@ class Span:
                 f"children={len(self.children)})")
 
 
-class _SpanHandle:
-    """The default tracer's single reusable span context manager.
-
-    ``Tracer.span`` stashes the pending name/component on the tracer and
-    returns this shared handle; ``__enter__``/``__exit__`` append scalar
-    records to the tracer's flat event log.  The ``+=`` tuples die by
-    refcount inside the statement and the surviving floats/ints are not
-    GC-tracked, so the hot path adds (almost) nothing for the garbage
-    collector's generation counters to chew on.  Correctness under
-    nesting follows from ``with`` blocks closing LIFO: the handle itself
-    is stateless, the log carries the structure.
-    """
-
-    __slots__ = ("_tracer", "_events", "_clock", "_cpu", "_ssd", "_dram")
-
-    def __init__(self, tracer: "Tracer") -> None:
-        self._tracer = tracer
-        # Flat refs to the tracer's log and model objects: one fewer
-        # indirection per attribute read on the hot path.  The tracer
-        # never reassigns any of these, so the refs cannot go stale.
-        self._events = tracer._events
-        self._clock = tracer._clock
-        self._cpu = tracer._cpu
-        self._ssd = tracer._ssd
-        self._dram = tracer._dram
-
-    def __enter__(self) -> "_SpanHandle":
-        t = self._tracer
-        ssd = self._ssd
-        self._events += (
-            t._pending_name, t._pending_component, t._pending_notes,
-            self._clock._now, self._cpu._busy_us,
-            ssd._total_ios, ssd._service_us_total, self._dram._current,
-        )
-        return self
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        ssd = self._ssd
-        self._events += (
-            None, self._clock._now, self._cpu._busy_us,
-            ssd._total_ios, ssd._service_us_total, self._dram._current,
-        )
-
-
 #: Flat-log record widths: an enter record leads with the span name
 #: (a str), an exit record with ``None``.
-_ENTER_WIDTH = 8
+_ENTER_WIDTH = 7
 _EXIT_WIDTH = 6
 
 
@@ -269,18 +211,15 @@ class Tracer:
         #: Detailed mode only: charges billed while no span was open
         #: (e.g. router hashing before a shard batch span), by category.
         self.unattributed: Dict[str, float] = {}
-        # Cached model refs for the span hot path (see Span.__enter__ and
-        # _SpanHandle).
+        # Cached model refs for open_span / close_span: each snapshot is
+        # a handful of attribute loads, no property calls, no histogram
+        # sums.
         self._clock = machine.clock
         self._cpu = machine.cpu
         self._ssd = machine.ssd
         self._dram = machine.dram
-        # Default mode: flat scalar event log + the one shared handle.
+        # Default mode: the flat scalar event log.
         self._events: List[object] = []
-        self._handle = _SpanHandle(self)
-        self._pending_name: Optional[str] = None
-        self._pending_component: Optional[str] = None
-        self._pending_notes: Optional[Dict[str, NoteValue]] = None
         # Detailed mode: the live span tree; default mode materializes
         # from the event log on demand (cached by log length).
         self._roots: List[Span] = []
@@ -312,17 +251,28 @@ class Tracer:
 
     # -- span recording ---------------------------------------------------
 
-    def span(self, name: str, component: str, **notes: NoteValue):
-        """A span context manager; open/close happens via ``with``."""
-        if self.detailed:
-            return Span(self, name, component,
-                        dict(notes) if notes else None)
-        self._pending_name = name
-        self._pending_component = component
-        self._pending_notes = dict(notes) if notes else None
-        return self._handle
+    def open_span(self, name: str, component: str) -> None:
+        """Open a span nested in the innermost open one.
 
-    def _open(self, span: Span) -> None:
+        The default mode appends one enter record to the flat event log:
+        the ``+=`` tuple dies by refcount inside the statement and the
+        surviving floats/ints are not GC-tracked, so the hot path adds
+        (almost) nothing for the garbage collector's generation counters
+        to chew on.  The detailed mode pushes a live :class:`Span`.
+        """
+        ssd = self._ssd
+        if not self.detailed:
+            self._events += (
+                name, component, self._clock._now, self._cpu._busy_us,
+                ssd._total_ios, ssd._service_us_total, self._dram._current,
+            )
+            return
+        span = Span(name, component)
+        span.begin_s = self._clock._now
+        span._busy0 = self._cpu._busy_us
+        span._ios0 = ssd._total_ios
+        span._service0 = ssd._service_us_total
+        span._dram0 = self._dram._current
         stack = self._stack
         if stack:
             stack[-1].children.append(span)
@@ -330,12 +280,24 @@ class Tracer:
             self._roots.append(span)
         stack.append(span)
 
-    def _close(self, span: Span) -> None:
-        popped = self._stack.pop()
-        assert popped is span, (
-            f"span stack corruption: closed {span.name!r} "
-            f"but {popped.name!r} was innermost"
-        )
+    def close_span(self) -> None:
+        """Close the innermost open span (spans close LIFO, so the log —
+        or the detailed mode's stack — knows which one)."""
+        ssd = self._ssd
+        if not self.detailed:
+            self._events += (
+                None, self._clock._now, self._cpu._busy_us,
+                ssd._total_ios, ssd._service_us_total, self._dram._current,
+            )
+            return
+        stack = self._stack
+        assert stack, "span stack corruption: close_span with no open span"
+        span = stack.pop()
+        span.end_s = self._clock._now
+        span.subtree_cpu_us = self._cpu._busy_us - span._busy0
+        span.ssd_ios = ssd._total_ios - span._ios0
+        span.service_us = ssd._service_us_total - span._service0
+        span.dram_delta_bytes = self._dram._current - span._dram0
 
     # -- the span tree ----------------------------------------------------
 
@@ -360,6 +322,8 @@ class Tracer:
         while i < n:
             head = events[i]
             if head is None:
+                assert stack, (
+                    "span stack corruption: close_span with no open span")
                 span = stack.pop()
                 span.end_s = events[i + 1]          # type: ignore[assignment]
                 span.subtree_cpu_us = (
@@ -372,13 +336,12 @@ class Tracer:
                     events[i + 5] - span._dram0)    # type: ignore[operator]
                 i += _EXIT_WIDTH
             else:
-                span = Span(self, head, events[i + 1],  # type: ignore[arg-type]
-                            events[i + 2])              # type: ignore[arg-type]
-                span.begin_s = events[i + 3]        # type: ignore[assignment]
-                span._busy0 = events[i + 4]         # type: ignore[assignment]
-                span._ios0 = events[i + 5]          # type: ignore[assignment]
-                span._service0 = events[i + 6]      # type: ignore[assignment]
-                span._dram0 = events[i + 7]         # type: ignore[assignment]
+                span = Span(head, events[i + 1])    # type: ignore[arg-type]
+                span.begin_s = events[i + 2]        # type: ignore[assignment]
+                span._busy0 = events[i + 3]         # type: ignore[assignment]
+                span._ios0 = events[i + 4]          # type: ignore[assignment]
+                span._service0 = events[i + 5]      # type: ignore[assignment]
+                span._dram0 = events[i + 6]         # type: ignore[assignment]
                 if stack:
                     stack[-1].children.append(span)
                 else:

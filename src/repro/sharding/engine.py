@@ -213,8 +213,14 @@ class ShardedEngine:
             # Shard-local span: the scatter's router hashing is charged
             # before the span opens and shows up as the tracer's
             # unattributed "router" bucket by design.
-            with machine.trace_span("shard.batch", "sharding"):
+            tracer = machine.tracer
+            if tracer is not None:
+                tracer.open_span("shard.batch", "sharding")
+            try:
                 results.append(run_shard(shard, sub_batch))
+            finally:
+                if tracer is not None:
+                    tracer.close_span()
             result_positions.append(positions[shard_id])
         counts = self.counters._counts
         counts["router.batches"] += 1.0

@@ -176,7 +176,10 @@ class TierCache:
         faults = self.machine.faults
         if faults is not None:
             faults.hit("cache.demote")
-        with self.machine.trace_span("tier_cache.demote", "tier_cache"):
+        tracer = self.machine.tracer
+        if tracer is not None:
+            tracer.open_span("tier_cache.demote", "tier_cache")
+        try:
             nbytes = state.resident_size_bytes
             # The far-memory transfer is CPU path (load/store tiers have
             # no I/O device), priced like any other page-sized copy.
@@ -194,6 +197,9 @@ class TierCache:
             if self.stats is not None:
                 self.stats.demotions += 1
             self._enforce_budget(tier.name, protect=entry.page_id)
+        finally:
+            if tracer is not None:
+                tracer.close_span()
         return tier
 
     def _enforce_budget(self, tier_name: str, protect: int) -> None:
@@ -233,13 +239,18 @@ class TierCache:
             faults = self.machine.faults
             if faults is not None:
                 faults.hit("tier.promote")
-            with self.machine.trace_span(
-                    "tier_cache.promote", "tier_cache"):
+            tracer = self.machine.tracer
+            if tracer is not None:
+                tracer.open_span("tier_cache.promote", "tier_cache")
+            try:
                 self.machine.cpu.charge(
                     "copy_per_byte", copy.nbytes, category="tier_cache"
                 )
                 if self.stats is not None:
                     self.stats.promotions += 1
+            finally:
+                if tracer is not None:
+                    tracer.close_span()
             return copy.state
         return None
 
@@ -626,7 +637,10 @@ class PageCache:
             raise ValueError(
                 f"page {entry.page_id} has no flash images to fetch"
             )
-        with self.machine.trace_span("page_cache.fetch", "page_cache"):
+        tracer = self.machine.tracer
+        if tracer is not None:
+            tracer.open_span("page_cache.fetch", "page_cache")
+        try:
             state = entry.state
             resident_covers_flash = (
                 state is not None
@@ -693,6 +707,9 @@ class PageCache:
             self.stats.fetches += 1
             self.stats.fetch_ios += ios
             return ios
+        finally:
+            if tracer is not None:
+                tracer.close_span()
 
     def _read_base_into(self, entry: PageEntry, state: DataPageState) -> int:
         """Read the chain-head full image into ``state``; returns I/Os."""

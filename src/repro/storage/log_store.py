@@ -123,10 +123,16 @@ class LogStructuredStore:
                 faults.hit("log_store.flush")
             self.machine.ssd.write(used)
 
-        with self.machine.trace_span("log_store.flush", "log_store"):
+        tracer = self.machine.tracer
+        if tracer is not None:
+            tracer.open_span("log_store.flush", "log_store")
+        try:
             run_with_retries(self.machine, write_segment,
                              stats=self.retry_stats)
             self.machine.ssd.store_bytes(used)
+        finally:
+            if tracer is not None:
+                tracer.close_span()
         # The device has acked: only now does the segment exist.  A crash
         # before this point loses the whole open buffer and nothing else.
         # Images invalidated while still buffered leave holes: they count
@@ -161,7 +167,10 @@ class LogStructuredStore:
         image = self._payloads.get((addr.segment_id, addr.offset))
         if image is None:
             raise KeyError(f"no image at {addr}")
-        with self.machine.trace_span("log_store.read", "log_store"):
+        tracer = self.machine.tracer
+        if tracer is not None:
+            tracer.open_span("log_store.read", "log_store")
+        try:
             self.machine.io_path.charge_round_trip(addr.nbytes)
             service_us = self.machine.ssd.read(addr.nbytes)
             self.machine.cpu.charge(
@@ -169,6 +178,9 @@ class LogStructuredStore:
             )
             return ReadResult(image, from_write_buffer=False,
                               service_us=service_us)
+        finally:
+            if tracer is not None:
+                tracer.close_span()
 
     # --- occupancy ------------------------------------------------------------
 

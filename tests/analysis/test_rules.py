@@ -491,8 +491,14 @@ class Engine:
         self.values = {}
 
     def lookup(self, key):
-        with self.machine.trace_span("engine.get", "engine"):
+        tracer = self.machine.tracer
+        if tracer is not None:
+            tracer.open_span("engine.get", "engine")
+        try:
             return self.values.get(key)
+        finally:
+            if tracer is not None:
+                tracer.close_span()
 """
 
 OBSERVE_TOUCH_POSITIVE = """\
@@ -508,8 +514,9 @@ class Store:
 
 
 class TestObservabilityTouchVerbs:
-    """``trace_span`` / ``observe`` count as domain touches: a method
-    worth a span or a hot-path metric must also charge its cost."""
+    """``open_span`` / ``observe`` count as domain touches: a method
+    worth a span or a hot-path metric must also charge its cost, on the
+    traced path of a guarded span site too."""
 
     RULE = "cost-accounting"
 

@@ -25,8 +25,12 @@ from ..frames import count_calls
 
 
 def reference_get(engine, key):
-    """The retired ``DeuteronomyEngine.get``."""
-    with engine.machine.trace_span("engine.get", "engine"):
+    """The retired ``DeuteronomyEngine.get`` (its span in today's
+    guarded form)."""
+    tracer = engine.machine.tracer
+    if tracer is not None:
+        tracer.open_span("engine.get", "engine")
+    try:
         txn = engine.tc.begin()
         try:
             value = engine.tc.read(txn, key)
@@ -35,6 +39,9 @@ def reference_get(engine, key):
             raise
         engine.tc.commit(txn)
         return value
+    finally:
+        if tracer is not None:
+            tracer.close_span()
 
 
 class Tee:

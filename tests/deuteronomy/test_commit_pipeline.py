@@ -49,6 +49,27 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TcConfig(sync_commit=True, commit_pipeline=True)
 
+    @pytest.mark.parametrize("interval", [float("nan"), 0.0, -50.0])
+    def test_a_window_that_never_closes_is_rejected(self, machine, log,
+                                                    interval):
+        # A NaN window compares False against every elapsed time, so its
+        # epochs closed only on the byte threshold: over 50 64-op YCSB-A
+        # batches it closed 2 epochs, as a 1e9 us window does, where a
+        # 50 us window closes 5.
+        with pytest.raises(ValueError, match="commit_interval_us"):
+            TcConfig(commit_pipeline=True, commit_interval_us=interval)
+        with pytest.raises(ValueError, match="commit interval"):
+            CommitPipeline(machine, log, LogDevice(machine.ssd, machine.clock),
+                           commit_interval_us=interval)
+
+    def test_a_negative_log_retain_budget_is_rejected(self):
+        # -1 used to behave like 0 (retain nothing) without a word.
+        with pytest.raises(ValueError, match="log_retain_budget_bytes"):
+            TcConfig(log_retain_budget_bytes=-1)
+        assert TcConfig(log_retain_budget_bytes=0).log_retain_budget_bytes == 0
+        assert TcConfig(log_retain_budget_bytes=None).log_retain_budget_bytes \
+            is None
+
 
 class TestEpochScheduling:
     def test_enqueue_opens_epoch_and_returns_pending_future(

@@ -9,12 +9,20 @@ directly so every expected number is known in closed form.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 
 import pytest
 
+from repro.bwtree import BwTreeConfig
+from repro.deuteronomy import DeuteronomyEngine, TcConfig, TransactionAborted
+from repro.faults import CrashError, FaultInjector, FaultPlan
+from repro.hardware.dram import DramFullError
 from repro.hardware.machine import Machine
 from repro.observability.spans import (
+    _ENTER_WIDTH,
+    _EXIT_WIDTH,
     COMPONENT_OF_CATEGORY,
     SPAN_NAMES,
     Span,
@@ -22,6 +30,8 @@ from repro.observability.spans import (
     export_chrome,
     export_json,
 )
+
+from ..frames import count_calls
 
 
 def _attach(machine: Machine, detailed: bool = False) -> Tracer:
@@ -31,14 +41,26 @@ def _attach(machine: Machine, detailed: bool = False) -> Tracer:
     return tracer
 
 
+@contextlib.contextmanager
+def span_site(machine: Machine, name: str, component: str):
+    """One span site, in the guarded form every instrumented method uses."""
+    tracer = machine.tracer
+    if tracer is not None:
+        tracer.open_span(name, component)
+    try:
+        yield
+    finally:
+        if tracer is not None:
+            tracer.close_span()
+
+
 class TestUntraced:
-    def test_trace_span_is_a_shared_noop(self, machine):
-        first = machine.trace_span("engine.get", "engine")
-        second = machine.trace_span("bwtree.get", "bwtree")
-        assert first is second  # the stateless nullcontext singleton
-        with first:
-            machine.cpu.charge_us(1.0, "bwtree")
-        assert machine.cpu.busy_us == 1.0
+    def test_an_untraced_op_opens_no_span(self, machine):
+        engine = DeuteronomyEngine(machine)
+        engine.put(b"k", b"v")
+        calls = count_calls(lambda: engine.get(b"k"))
+        assert calls["engine.get"] == 1
+        assert not {"spans.open_span", "spans.close_span"} & set(calls)
 
     def test_detach_restores_noop_and_clears_sink(self, machine):
         tracer = _attach(machine, detailed=True)
@@ -46,7 +68,7 @@ class TestUntraced:
         machine.detach_tracer()
         assert machine.tracer is None
         assert machine.cpu.sink is None
-        with machine.trace_span("engine.get", "engine"):
+        with span_site(machine, "engine.get", "engine"):
             pass
         assert tracer.roots == []
 
@@ -55,9 +77,9 @@ class TestDefaultMode:
     def test_nested_attribution_from_the_flat_log(self, machine):
         tracer = _attach(machine)
         assert machine.cpu.sink is None  # default mode pays no per-charge
-        with machine.trace_span("engine.get", "engine"):
+        with span_site(machine, "engine.get", "engine"):
             machine.cpu.charge_us(2.0, "tc")
-            with machine.trace_span("bwtree.get", "bwtree"):
+            with span_site(machine, "bwtree.get", "bwtree"):
                 machine.cpu.charge_us(3.0, "bwtree")
                 machine.ssd.read(4096)
             machine.cpu.charge_us(1.0, "tc")
@@ -82,10 +104,10 @@ class TestDefaultMode:
 
     def test_rematerializes_when_more_spans_arrive(self, machine):
         tracer = _attach(machine)
-        with machine.trace_span("engine.get", "engine"):
+        with span_site(machine, "engine.get", "engine"):
             machine.cpu.charge_us(1.0, "bwtree")
         assert len(tracer.roots) == 1
-        with machine.trace_span("engine.put", "engine"):
+        with span_site(machine, "engine.put", "engine"):
             machine.cpu.charge_us(2.0, "bwtree")
         assert [root.name for root in tracer.roots] == [
             "engine.get", "engine.put",
@@ -93,28 +115,30 @@ class TestDefaultMode:
         # Cached until the log grows again.
         assert tracer.roots is tracer.roots
 
-    def test_handle_is_reused_across_spans(self, machine):
+    def test_the_flat_log_holds_no_gc_tracked_object(self, machine):
+        """No per-span object survives the hot path: the log holds only
+        interned names and scalars, nothing the collector tracks."""
         tracer = _attach(machine)
-        first = machine.trace_span("engine.get", "engine")
-        with first:
-            pass
-        second = machine.trace_span("engine.put", "engine")
-        assert first is second is tracer._handle
+        for __ in range(3):
+            with span_site(machine, "engine.get", "engine"):
+                with span_site(machine, "bwtree.get", "bwtree"):
+                    machine.cpu.charge_us(1.0, "bwtree")
+        assert len(tracer._events) == 6 * (_ENTER_WIDTH + _EXIT_WIDTH)
+        assert not any(gc.is_tracked(item) for item in tracer._events)
+        assert tracer._stack == []
 
     def test_span_notes_survive_materialization(self, machine):
+        # Span sites carry no notes: the materialized span's notes (and
+        # so the exported ``notes`` field) is an empty dict, not None.
         tracer = _attach(machine)
-        with tracer.span("tc.commit_batch", "tc", batch=4, sync=True):
-            machine.cpu.charge_us(1.0, "tc")
-        root = tracer.roots[0]
-        assert root.notes == {"batch": 4, "sync": True}
-        # machine.trace_span sites carry no notes: empty dict, not None.
-        with machine.trace_span("engine.get", "engine"):
+        with span_site(machine, "engine.get", "engine"):
             pass
-        assert tracer.roots[1].notes == {}
+        assert tracer.roots[0].notes == {}
+        assert tracer.roots[0].to_dict()["notes"] == {}
 
     def test_no_category_buckets_in_default_mode(self, machine):
         tracer = _attach(machine)
-        with machine.trace_span("engine.get", "engine"):
+        with span_site(machine, "engine.get", "engine"):
             machine.cpu.charge_us(5.0, "bwtree")
         assert tracer.roots[0].cpu_us == {}
         assert tracer.unattributed == {}
@@ -125,9 +149,9 @@ class TestDetailedMode:
         tracer = _attach(machine, detailed=True)
         assert machine.cpu.sink is tracer
         machine.cpu.charge_us(0.5, "router")  # before any span opens
-        with machine.trace_span("engine.get", "engine"):
+        with span_site(machine, "engine.get", "engine"):
             machine.cpu.charge_us(2.0, "tc")
-            with machine.trace_span("bwtree.get", "bwtree"):
+            with span_site(machine, "bwtree.get", "bwtree"):
                 machine.cpu.charge_us(3.0, "bwtree")
             machine.cpu.charge_us(1.0, "tc_mvcc")
         root = tracer.roots[0]
@@ -136,27 +160,144 @@ class TestDetailedMode:
         assert tracer.unattributed == {"router": 0.5}
         assert tracer.unattributed_us() == pytest.approx(0.5)
 
-    def test_stack_corruption_is_an_assertion(self, machine):
-        tracer = _attach(machine, detailed=True)
-        outer = tracer.span("engine.get", "engine")
-        inner = tracer.span("tc.read", "tc")
-        outer.__enter__()
-        inner.__enter__()
-        with pytest.raises(AssertionError, match="span stack corruption"):
-            outer.__exit__(None, None, None)
+    def test_stack_corruption_is_an_assertion(self):
+        # A close with no open span: the detailed mode refuses it at
+        # once, the default mode when the log is materialized.
+        for detailed in (True, False):
+            tracer = _attach(Machine.paper_default(cores=2), detailed)
+            tracer.open_span("engine.get", "engine")
+            tracer.close_span()
+            with pytest.raises(AssertionError,
+                               match="span stack corruption"):
+                tracer.close_span()
+                tracer.roots
 
     def test_note_after_open(self, machine):
         tracer = _attach(machine, detailed=True)
-        with tracer.span("page_cache.fetch", "page_cache") as span:
-            assert isinstance(span, Span)
-            span.note("outcome", "miss")
+        tracer.open_span("page_cache.fetch", "page_cache")
+        span = tracer.roots[0]
+        assert isinstance(span, Span)
+        span.note("outcome", "miss")
+        tracer.close_span()
         assert tracer.roots[0].notes == {"outcome": "miss"}
+
+
+def _assert_balanced(tracer: Tracer) -> list:
+    """Every open span was closed: the detailed stack is empty, and the
+    default log's enter/exit records pair up without a close ever
+    outrunning its opens.  Returns the (materialized) roots."""
+    if tracer.detailed:
+        assert tracer._stack == []
+    else:
+        events = tracer._events
+        depth = index = 0
+        while index < len(events):
+            if events[index] is None:
+                depth -= 1
+                assert depth >= 0
+                index += _EXIT_WIDTH
+            else:
+                depth += 1
+                index += _ENTER_WIDTH
+        assert depth == 0
+    return tracer.roots
+
+
+def _path(span: Span) -> list:
+    """Names from ``span`` down its last-opened children."""
+    names = [span.name]
+    while span.children:
+        span = span.children[-1]
+        names.append(span.name)
+    return names
+
+
+def _loaded_engine(tc_config: TcConfig | None = None,
+                   tree_config: BwTreeConfig | None = None):
+    engine = DeuteronomyEngine(Machine.paper_default(cores=2),
+                               tree_config, tc_config)
+    for index in range(120):
+        engine.dc.upsert(b"key%04d" % index, b"v" * 40)
+    engine.dc.checkpoint()
+    engine.dc.cache.ensure_capacity()
+    return engine
+
+
+class TestExceptionBalance:
+    """An op that raises inside open spans closes every one of them, in
+    both modes, so the next op's spans are roots again."""
+
+    @pytest.mark.parametrize("detailed", [False, True])
+    def test_a_write_write_conflict(self, detailed):
+        engine = _loaded_engine()
+        tracer = _attach(engine.machine, detailed)
+        with pytest.raises(TransactionAborted):
+            with engine.transaction() as txn:
+                engine.tc.write(txn, b"key0001", b"mine")
+                engine.put(b"key0001", b"theirs")
+        engine.get(b"key0002")
+        roots = _assert_balanced(tracer)
+        assert [root.name for root in roots] == [
+            "engine.put", "tc.commit", "engine.get"]
+
+    @pytest.mark.parametrize("detailed", [False, True])
+    @pytest.mark.parametrize("site", [
+        "recovery_log.flush", "recovery_log.flush.after_write"])
+    def test_a_crash_inside_the_log_flush(self, detailed, site):
+        engine = _loaded_engine(TcConfig(sync_commit=True))
+        tracer = _attach(engine.machine, detailed)
+        engine.apply_batch([("put", b"key0001", b"first")])
+        engine.machine.faults = FaultInjector(FaultPlan.crash_at(site, 1))
+        with pytest.raises(CrashError):
+            engine.apply_batch([("get", b"key0002", None),
+                                ("put", b"key0003", b"lost")])
+        roots = _assert_balanced(tracer)
+        assert len(roots) == 2
+        assert _path(roots[-1]) == [
+            "engine.apply_batch", "tc.commit_batch", "recovery_log.flush"]
+
+    @pytest.mark.parametrize("detailed", [False, True])
+    def test_a_raise_inside_a_page_fetch(self, detailed):
+        engine = _loaded_engine(tree_config=BwTreeConfig(
+            max_page_bytes=512, cache_capacity_bytes=4096,
+            segment_bytes=1 << 14))
+        evicted = next(b"key%04d" % index for index in range(120)
+                       if engine.dc._descend(b"key%04d" % index).state
+                       is None)
+        machine = engine.machine
+        tracer = _attach(machine, detailed)
+        # A full DRAM refuses the fetched page as it is registered.
+        machine.dram.capacity_bytes = machine.dram.current_bytes
+        with pytest.raises(DramFullError):
+            engine.get(evicted)
+        roots = _assert_balanced(tracer)
+        assert len(roots) == 1
+        assert _path(roots[0]) == [
+            "engine.get", "tc.read", "bwtree.get", "page_cache.fetch",
+            "log_store.read"]
+
+    @pytest.mark.parametrize("detailed", [False, True])
+    def test_a_tracer_attached_or_detached_between_ops(self, detailed):
+        engine = _loaded_engine()
+        machine = engine.machine
+        engine.put(b"key0001", b"untraced")
+        tracer = _attach(machine, detailed)
+        engine.get(b"key0001")
+        machine.detach_tracer()
+        engine.put(b"key0002", b"untraced")
+        machine.attach_tracer(tracer)
+        engine.apply_batch([("get", b"key0002", None)])
+        roots = _assert_balanced(tracer)
+        assert [root.name for root in roots] == [
+            "engine.get", "engine.apply_batch"]
+        assert _path(roots[1]) == [
+            "engine.apply_batch", "tc.commit_batch"]
 
 
 class TestReconciliationViews:
     def test_totals_match_machine_counters_bitwise(self, machine):
         tracer = _attach(machine)
-        with machine.trace_span("engine.get", "engine"):
+        with span_site(machine, "engine.get", "engine"):
             machine.cpu.charge_us(2.5, "tc")
             machine.cpu.charge_us(1.5, "tc_log")
         machine.cpu.charge_us(0.5, "router")  # outside every span
@@ -181,7 +322,7 @@ class TestReconciliationViews:
 
     def test_ssd_ios_by_component_reports_unattributed(self, machine):
         tracer = _attach(machine)
-        with machine.trace_span("log_store.read", "log_store"):
+        with span_site(machine, "log_store.read", "log_store"):
             machine.ssd.read(4096)
         machine.ssd.write(4096)  # no span open
         assert tracer.traced_ssd_ios() == 2
@@ -214,9 +355,10 @@ class TestSpanNames:
 class TestExports:
     def _traced_machine(self) -> Machine:
         machine = Machine.paper_default(cores=2)
-        tracer = _attach(machine)
+        tracer = _attach(machine, detailed=True)
         for index in range(3):
-            with tracer.span("engine.get", "engine", op=index):
+            with span_site(machine, "engine.get", "engine"):
+                tracer.roots[-1].note("op", index)
                 machine.cpu.charge_us(1.0 + index, "bwtree")
         return machine
 
