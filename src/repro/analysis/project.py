@@ -27,10 +27,12 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .core import SourceFile
 
-#: Attribute names whose call is, by itself, a CPU / I/O-path charge.
+#: Attribute names whose call is, by itself, a CPU / I/O-path charge
+#: (``bill`` charges a plan's fixed run of steps).
 CHARGE_ATTRS = frozenset({
     "charge",
     "charge_us",
+    "bill",
     "charge_submit",
     "charge_complete",
     "charge_round_trip",

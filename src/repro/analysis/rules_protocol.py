@@ -21,7 +21,8 @@ each method with the lint's one statement walker,
   through the same receiver, every invalidate must follow a ``flush``
   on that receiver.
 * ``epoch-discipline`` — in epoch-aware classes (those charging
-  ``epoch_protect`` / ``latch_acquire`` anywhere), every public
+  ``epoch_protect`` / ``latch_acquire`` anywhere, directly or by billing
+  a charge plan with such a step), every public
   non-generator method must establish protection before dereferencing
   the mapping table, the record-heap index, or a delta chain; explicit
   ``epoch_enter`` / ``epoch_exit`` pairs must balance on every exit,
@@ -390,10 +391,43 @@ _EPOCH_ENTER_VERBS = frozenset({"epoch_enter", "enter_epoch"})
 _EPOCH_EXIT_VERBS = frozenset({"epoch_exit", "exit_epoch"})
 
 
-def _is_protect_charge(call: ast.Call) -> bool:
+def _bound_name(node: ast.AST) -> Optional[str]:
+    """``x`` for ``x`` or ``<anything>.x``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _protect_plans(files: Sequence[SourceFile]) -> FrozenSet[str]:
+    """Names bound to a charge plan (``name = <cpu>.plan(category,
+    *steps, then=step)``) with a protecting step: billing one protects
+    as its charges would.  Plans are matched by the bound name, across
+    every analyzed file."""
+    names: Set[str] = set()
+    for source in files:
+        for node in ast.walk(source.tree):
+            if not (isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Call)
+                    and split_call(node.value)[1] == "plan"):
+                continue
+            call = node.value
+            steps = [*call.args[1:],
+                     *(kw.value for kw in call.keywords if kw.arg == "then")]
+            if any(isinstance(step, ast.Constant)
+                   and step.value in _PROTECT_LABELS for step in steps):
+                names.update(name for name in map(_bound_name, node.targets)
+                             if name is not None)
+    return frozenset(names)
+
+
+def _is_protect_charge(call: ast.Call, plans: FrozenSet[str]) -> bool:
     from .project import CHARGE_ATTRS
 
     __, method = split_call(call)
+    if method == "bill":
+        return bool(call.args) and _bound_name(call.args[0]) in plans
     return (method in CHARGE_ATTRS
             and _first_str_arg(call) in _PROTECT_LABELS)
 
@@ -411,7 +445,8 @@ def _direct_deref(call: ast.Call) -> Optional[str]:
     return None
 
 
-def _epoch_aware_classes(index: ProjectIndex) -> Set[str]:
+def _epoch_aware_classes(index: ProjectIndex,
+                         plans: FrozenSet[str]) -> Set[str]:
     """Classes that charge epoch/latch protection somewhere: only these
     opted into the latch-free discipline (``ReadCache`` has an
     ``_index`` too, but it is latched — not this rule's business)."""
@@ -421,7 +456,7 @@ def _epoch_aware_classes(index: ProjectIndex) -> Set[str]:
             body = list(getattr(info.node, "body", []))
             for node in _walk_skipping_nested_defs(body):
                 if isinstance(node, ast.Call) and (
-                    _is_protect_charge(node)
+                    _is_protect_charge(node, plans)
                     or split_call(node)[1] in _EPOCH_ENTER_VERBS
                 ):
                     aware.add(class_name)
@@ -443,8 +478,9 @@ class EpochDisciplineRule(Rule):
     def check(self, files: Sequence[SourceFile],
               config: LintConfig) -> Iterator[Finding]:
         index = ProjectIndex(files)
-        aware = _epoch_aware_classes(index)
-        summaries = self._summaries(index, aware)
+        plans = _protect_plans(files)
+        aware = _epoch_aware_classes(index, plans)
+        summaries = self._summaries(index, aware, plans)
         for source in files:
             if not scoped_to(source, _EPOCH_SCOPE_SEGMENTS):
                 continue
@@ -459,7 +495,7 @@ class EpochDisciplineRule(Rule):
                 if _is_generator(info.node):
                     continue
                 __, violations = _dominance(
-                    self._classifier(index, info, summaries), info
+                    self._classifier(index, info, summaries, plans), info
                 )
                 for (line, col), what in sorted(violations.items()):
                     yield Finding(
@@ -475,10 +511,10 @@ class EpochDisciplineRule(Rule):
 
     def _classifier(
         self, index: ProjectIndex, info: CallableInfo,
-        summaries: Dict[str, Tuple[bool, bool]],
+        summaries: Dict[str, Tuple[bool, bool]], plans: FrozenSet[str],
     ) -> Classifier:
         def classify(call: ast.Call) -> Tuple[Optional[str], bool]:
-            if _is_protect_charge(call):
+            if _is_protect_charge(call, plans):
                 return None, True
             # Pattern first: ``self.mapping_table.get`` must stay a
             # dereference even though MappingTable.get resolves.
@@ -508,7 +544,7 @@ class EpochDisciplineRule(Rule):
         return classify
 
     def _summaries(
-        self, index: ProjectIndex, aware: Set[str]
+        self, index: ProjectIndex, aware: Set[str], plans: FrozenSet[str],
     ) -> Dict[str, Tuple[bool, bool]]:
         """qualname -> (protects on all exits, has an unprotected
         dereference), for folding private helpers (``_descend``,
@@ -525,7 +561,7 @@ class EpochDisciplineRule(Rule):
                      summaries: Dict[str, Tuple[bool, bool]]
                      ) -> Tuple[bool, bool]:
             protects, violations = _dominance(
-                self._classifier(index, info, summaries), info
+                self._classifier(index, info, summaries, plans), info
             )
             return protects, bool(violations)
 

@@ -123,6 +123,18 @@ class BwTree:
         # The dict behind ``counters`` (a reset clears it in place): the
         # blind-write path bumps its counters here directly.
         self._counts = self.counters._counts
+        # The fixed runs of charges every operation bills, priced once:
+        # the request dispatch and epoch guard; one inner level of a
+        # descent (a pointer chase, then its binary-search steps); and a
+        # blind post (the mapping-table lookup of a resident leaf, then
+        # the CAS install and the delta's copy).
+        plan = machine.cpu.plan
+        self._dispatch = plan("bwtree", "op_dispatch", "epoch_protect")
+        self._level = plan("bwtree", "pointer_chase",
+                           then="page_binary_search_step")
+        self._post = plan("bwtree", "mapping_table_lookup", "install_cas",
+                          then="copy_per_byte")
+        self._install = plan("bwtree", "install_cas", then="copy_per_byte")
         self._inners: Dict[int, InnerNode] = {}
         self._inner_sizes: Dict[int, int] = {}
         self._next_inner_id = -1
@@ -196,24 +208,23 @@ class BwTree:
         binary search over its keys: ``bit_length`` comparisons, at
         least one.
         """
-        charge = self.machine.cpu.charge
+        cpu = self.machine.cpu
+        bill = cpu.bill
+        level = self._level
         inners = self._inners
         node_id = self.root_id
         while node_id < 0:
             node = inners[node_id]
             keys = node.keys
-            charge("pointer_chase", category="bwtree")
-            charge("page_binary_search_step", len(keys).bit_length() or 1,
-                   category="bwtree")
+            bill(level, len(keys).bit_length() or 1)
             node_id = node.children[bisect.bisect_right(keys, key)]
-        charge("mapping_table_lookup", category="bwtree")
+        cpu.charge("mapping_table_lookup", category="bwtree")
         return self.mapping_table.get(node_id)
 
     def _begin_op(self) -> Tuple[float, float]:
         self.machine.begin_operation()
         window = self.machine.latency_window()
-        self.machine.cpu.charge("op_dispatch", category="bwtree")
-        self.machine.cpu.charge("epoch_protect", category="bwtree")
+        self.machine.cpu.bill(self._dispatch)
         return window
 
     # ------------------------------------------------------------------
@@ -246,16 +257,15 @@ class BwTree:
             cpu_before = cpu._busy_us
             service_before = ssd._service_us_total
             charge = cpu.charge
-            charge("op_dispatch", category="bwtree")
-            charge("epoch_protect", category="bwtree")
+            bill = cpu.bill
+            bill(self._dispatch)
+            level = self._level
             inners = self._inners
             node_id = self.root_id
             while node_id < 0:
                 node = inners[node_id]
                 keys = node.keys
-                charge("pointer_chase", category="bwtree")
-                charge("page_binary_search_step",
-                       len(keys).bit_length() or 1, category="bwtree")
+                bill(level, len(keys).bit_length() or 1)
                 node_id = node.children[bisect.bisect_right(keys, key)]
             charge("mapping_table_lookup", category="bwtree")
             entry = self.mapping_table._entries[node_id]
@@ -393,9 +403,11 @@ class BwTree:
             tracer.open_span("bwtree.blind_batch", "bwtree")
         try:
             window = machine.latency_window()
-            charge = machine.cpu.charge
-            charge("op_dispatch", category="bwtree")
-            charge("epoch_protect", category="bwtree")
+            cpu = machine.cpu
+            bill = cpu.bill
+            bill(self._dispatch)
+            level = self._level
+            post = self._post
             result = OpResult(found=True)
             counts = self._counts
             inners = self._inners
@@ -422,19 +434,18 @@ class BwTree:
                 while node_id < 0:
                     node = inners[node_id]
                     keys = node.keys
-                    charge("pointer_chase", category="bwtree")
-                    charge("page_binary_search_step",
-                           len(keys).bit_length() or 1, category="bwtree")
+                    bill(level, len(keys).bit_length() or 1)
                     node_id = node.children[bisect.bisect_right(keys, key)]
-                charge("mapping_table_lookup", category="bwtree")
                 entry = entries[node_id]
                 state = entry.state
                 if state is None or state.base is None:
+                    cpu.charge("mapping_table_lookup", category="bwtree")
                     self._post_blind_delta(entry, delta, result)
                 else:
+                    # The lookup is billed with the post: sizing the
+                    # delta charges nothing and reads no clock.
                     size = state.prepend_delta(delta)
-                    charge("install_cas", category="bwtree")
-                    charge("copy_per_byte", size, category="bwtree")
+                    bill(post, size)
                     touch(entry, size)
                     if len(state.deltas) >= consolidate_threshold:
                         self._consolidate(entry)
@@ -492,9 +503,7 @@ class BwTree:
             entry.state = state
             cache.register(entry)
         size = state.prepend_delta(delta)
-        charge = self.machine.cpu.charge
-        charge("install_cas", category="bwtree")
-        charge("copy_per_byte", size, category="bwtree")
+        self.machine.cpu.bill(self._install, size)
         cache.touch(entry, grown_bytes=size)
         config = self.config
         if (state.base is None

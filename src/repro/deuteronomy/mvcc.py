@@ -14,12 +14,14 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..frozen import slot_init
 from ..hardware.machine import Machine
 
 VERSION_ENTRY_OVERHEAD_BYTES = 48   # hash chain + version metadata
 DRAM_TAG = "tc_version_store"
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Version:
     """One committed version of a key."""
@@ -39,6 +41,9 @@ class VersionStore:
 
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
+        # add()'s probe and install, priced once.
+        self._install = machine.cpu.plan("tc_mvcc", "hash_probe",
+                                         "install_cas")
         self._versions: Dict[bytes, List[Version]] = {}
         self._bytes = 0
         self._count = 0
@@ -57,8 +62,7 @@ class VersionStore:
 
     def add(self, key: bytes, version: Version) -> None:
         """Install a newly committed version (must be newest for the key)."""
-        self.machine.cpu.charge("hash_probe", category="tc_mvcc")
-        self.machine.cpu.charge("install_cas", category="tc_mvcc")
+        self.machine.cpu.bill(self._install)
         chain = self._versions.setdefault(key, [])
         timestamp = version.timestamp
         # Version.size_bytes, in this frame.

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..faults.retry import RetryStats, run_with_retries
+from ..frozen import slot_init
 from ..hardware.logdevice import LogDevice
 from ..hardware.machine import Machine
 
@@ -21,6 +22,7 @@ DRAM_TAG = "tc_recovery_log"
 LOG_RECORD_OVERHEAD_BYTES = 32   # LSN, txn id, timestamp, lengths
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class LogRecord:
     """One redo record: the after-image of a committed update."""

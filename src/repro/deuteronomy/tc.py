@@ -198,6 +198,10 @@ class TransactionComponent:
                 concurrency_mode=self.config.concurrency_mode,
             )
         self.versions = VersionStore(machine)
+        # The one-call paths' begin: a timestamp, then the request
+        # dispatch, priced once.
+        self._begin_dispatch = machine.cpu.plan("tc", "timestamp_alloc",
+                                                "op_dispatch")
         self.counters = CounterSet()
         # The dict behind ``counters`` (a reset clears it in place): the
         # read path bumps its constant-1 counters here directly.
@@ -416,15 +420,14 @@ class TransactionComponent:
         if type(key) is not bytes or not key:
             self.dc._validate_key(key)
         machine = self.machine
-        charge = machine.cpu.charge
+        cpu = machine.cpu
         tracer = machine.tracer
         counts = self._counts
-        charge("timestamp_alloc", category="tc")
+        cpu.bill(self._begin_dispatch)
         read_ts = self._clock
         self._next_txn_id += 1
         counts["tc.begins"] += 1.0
         try:
-            charge("op_dispatch", category="tc")
             machine._ops_started += 1
             counts["tc.reads"] += 1.0
             if tracer is not None:
@@ -440,7 +443,7 @@ class TransactionComponent:
         if tracer is not None:
             tracer.open_span("tc.commit", "tc")
         try:
-            charge("timestamp_alloc", category="tc")
+            cpu.charge("timestamp_alloc", category="tc")
             self._clock += 1
             records = self.records
             if (records is not None and records.dirty_bytes
@@ -620,7 +623,7 @@ class TransactionComponent:
         charge = machine.cpu.charge
         tracer = machine.tracer
         counts = self._counts
-        charge("timestamp_alloc", category="tc")
+        machine.cpu.bill(self._begin_dispatch)
         read_ts = self._clock
         txn_id = self._next_txn_id
         self._next_txn_id += 1
@@ -628,7 +631,6 @@ class TransactionComponent:
         write_set: Dict[bytes, Optional[bytes]] = {}
         results: List[Optional[bytes]] = []
         try:
-            charge("op_dispatch", category="tc")
             for kind, key, value in ops:
                 machine._ops_started += 1
                 if kind == "get":

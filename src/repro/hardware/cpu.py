@@ -19,8 +19,9 @@ Calibration targets (DESIGN.md Section 5):
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Dict, Mapping, Optional, Protocol
+from typing import Dict, Mapping, Optional, Protocol, Tuple
 
 from .clock import VirtualClock
 from .metrics import CounterSet
@@ -108,14 +109,27 @@ class CostTable:
     latch_acquire: float = 0.25        # acquire + release one latch pair
     latch_convoy: float = 0.15         # expected contention cost per mutation
 
+    def __post_init__(self) -> None:
+        # Prices are resolved once, when a CpuModel or a charge plan is
+        # built, so a price that cannot be billed is refused here rather
+        # than at its first charge (or never: an infinite one would set
+        # busy time and the clock to inf without an error).
+        for entry in fields(self):
+            price = getattr(self, entry.name)
+            if not 0.0 <= price < math.inf:
+                raise ValueError(
+                    f"cost {entry.name} must be finite and >= 0, got {price}"
+                )
+
     def scaled(self, factor: float) -> "CostTable":
         """Return a table with every cost multiplied by ``factor``.
 
         Used for what-if analyses (e.g. a processor 2x faster than the
         paper's server).
         """
-        if factor <= 0.0:
-            raise ValueError(f"scale factor must be positive, got {factor}")
+        if not 0.0 < factor < math.inf:
+            raise ValueError(
+                f"scale factor must be positive and finite, got {factor}")
         scaled_values = {
             f.name: getattr(self, f.name) * factor for f in fields(self)
         }
@@ -124,6 +138,38 @@ class CostTable:
     def with_overrides(self, **overrides: float) -> "CostTable":
         """Return a copy with selected primitive costs replaced."""
         return replace(self, **overrides)
+
+
+class ChargePlan:
+    """A fixed run of same-category charges, priced once by
+    :meth:`CpuModel.plan` and billed by :meth:`CpuModel.bill`.
+
+    ``primitives`` are charged once each, in order; ``then``, when set,
+    is a final step charged ``count`` times.  The plan holds each fixed
+    step's amount and clock advance as :meth:`CpuModel.charge` would
+    compute them on the model that built it.
+    """
+
+    __slots__ = ("category", "primitives", "then", "_cpu", "_key", "_steps",
+                 "_then_unit")
+
+    def __init__(self, cpu: "CpuModel", category: str,
+                 primitives: Tuple[str, ...], then: Optional[str],
+                 key: str) -> None:
+        self.category = category
+        self.primitives = primitives
+        self.then = then
+        self._cpu = cpu
+        self._key = key
+        # (amount, clock advance) per fixed step: ``unit * 1.0`` and
+        # ``(amount / cores) * 1e-6``, the floats a charge computes.
+        self._steps: Tuple[Tuple[float, float], ...] = tuple(
+            (amount, (amount / cpu.cores) * 1e-6)
+            for amount in (getattr(cpu.costs, name) * 1.0
+                           for name in primitives)
+        )
+        self._then_unit: Optional[float] = (
+            None if then is None else getattr(cpu.costs, then))
 
 
 class CpuModel:
@@ -138,6 +184,8 @@ class CpuModel:
     spell out the same billing sequence — reject a negative or NaN amount,
     apply the what-if factor, then add the one resulting float to
     ``busy_us``, the ``cpu_us.<category>`` counter, the sink and the clock.
+    A fixed run of charges is one frame too: :meth:`bill` makes a
+    :meth:`plan`'s additions, in the same order, without a call per step.
     """
 
     def __init__(
@@ -196,10 +244,10 @@ class CpuModel:
             self._scale = None
             return
         for category, factor in factors.items():
-            if not factor > 0.0:
+            if not 0.0 < factor < math.inf:
                 raise ValueError(
-                    f"scale factor for {category!r} must be positive, "
-                    f"got {factor}"
+                    f"scale factor for {category!r} must be positive and "
+                    f"finite, got {factor}"
                 )
         self._scale = dict(factors)
 
@@ -262,6 +310,71 @@ class CpuModel:
             self.sink.on_charge(category, microseconds)
         self.clock._now += (microseconds / self.cores) * 1e-6
         return amount
+
+    def plan(self, category: str, *primitives: str,
+             then: Optional[str] = None) -> ChargePlan:
+        """Price a fixed run of ``category`` charges once, for :meth:`bill`.
+
+        Billing the plan is ``charge(p, category=category)`` for each of
+        ``primitives`` in order, then ``charge(then, count,
+        category=category)`` when ``then`` is set.  Build it when its
+        owning component is built; it bills on this model only (on
+        another, :meth:`bill` falls back to charging step by step).  A
+        plan of one step would be slower than the charge it replaces, so
+        it needs at least two.
+        """
+        if len(primitives) + (then is not None) < 2:
+            raise ValueError("a plan bills at least two charges")
+        key = self._keys.get(category)
+        if key is None:
+            key = self._keys[category] = f"cpu_us.{category}"
+        return ChargePlan(self, category, primitives, then, key)
+
+    def bill(self, plan: ChargePlan, count: float = 1.0) -> None:
+        """Bill ``plan`` (``count`` is its counted final step's count).
+
+        Makes the float additions one :meth:`charge` per step would make,
+        in the same order, in one frame.  A negative or NaN ``count``
+        raises before any step is billed.  With a sink or what-if
+        scaling attached it calls :meth:`charge` once per step instead,
+        so observers see every step.
+        """
+        unit = plan._then_unit
+        if unit is not None:
+            tail = unit * count
+            if count < 0.0 or not tail >= 0.0:
+                raise ValueError(
+                    f"charged work must be >= 0, got {count} x {plan.then}")
+        if (self.sink is not None or self._scale is not None
+                or plan._cpu is not self):
+            charge = self.charge
+            category = plan.category
+            for primitive in plan.primitives:
+                charge(primitive, 1.0, category)
+            if plan.then is not None:
+                charge(plan.then, count, category)
+            return
+        # The billing sequence of :meth:`charge`, per step, with no sink
+        # and no scaling: the amounts are checked (prices at construction,
+        # the tail above), and ``busy_us``, the counter and the clock are
+        # three separate sums, each taking the steps in order.
+        busy = self._busy_us
+        counts = self._counts
+        key = plan._key
+        total = counts[key]
+        clock = self.clock
+        now = clock._now
+        for amount, advance in plan._steps:
+            busy += amount
+            total += amount
+            now += advance
+        if unit is not None:
+            busy += tail
+            total += tail
+            now += (tail / self.cores) * 1e-6
+        self._busy_us = busy
+        counts[key] = total
+        clock._now = now
 
     def elapsed_if_cpu_bound(self) -> float:
         """Seconds the charged work takes when spread across all cores."""

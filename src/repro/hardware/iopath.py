@@ -38,28 +38,42 @@ class IoPathModel:
     def __init__(self, kind: IoPathKind, cpu: CpuModel) -> None:
         self.kind = kind
         self.cpu = cpu
+        # Each user-level half is a fixed run of two charges, priced once,
+        # with the total those charges return (``0.0 + step + switch``).
+        # The halves stay two calls: one ``charge_complete`` per round
+        # trip is how a traced run counts round trips.
+        costs = cpu.costs
+        self._submit_user = cpu.plan("io_path", "io_submit_user",
+                                     "context_switch")
+        self._submit_user_us = (0.0 + costs.io_submit_user
+                                + costs.context_switch)
+        self._complete_user = cpu.plan("io_path", "io_complete_user",
+                                       "context_switch")
+        self._complete_user_us = (0.0 + costs.io_complete_user
+                                  + costs.context_switch)
 
     def charge_submit(self, nbytes: int) -> float:
         """Charge the CPU for issuing one I/O of ``nbytes``; returns us."""
-        charged = 0.0
         if self.kind is IoPathKind.USER_LEVEL:
-            charged += self.cpu.charge("io_submit_user", category="io_path")
-        else:
-            charged += self.cpu.charge("io_submit_kernel", category="io_path")
-            charged += self.cpu.charge(
-                "kernel_copy_per_byte", nbytes, category="io_path"
-            )
-        # Whatever the path, the worker yields while the device is busy.
+            self.cpu.bill(self._submit_user)
+            return self._submit_user_us
+        charged = 0.0
+        charged += self.cpu.charge("io_submit_kernel", category="io_path")
+        charged += self.cpu.charge(
+            "kernel_copy_per_byte", nbytes, category="io_path"
+        )
+        # The worker yields while the device is busy (on the user-level
+        # path too: its plan's second step).
         charged += self.cpu.charge("context_switch", category="io_path")
         return charged
 
     def charge_complete(self, nbytes: int) -> float:
         """Charge the CPU for harvesting one completion; returns us."""
-        charged = 0.0
         if self.kind is IoPathKind.USER_LEVEL:
-            charged += self.cpu.charge("io_complete_user", category="io_path")
-        else:
-            charged += self.cpu.charge("io_complete_kernel", category="io_path")
+            self.cpu.bill(self._complete_user)
+            return self._complete_user_us
+        charged = 0.0
+        charged += self.cpu.charge("io_complete_kernel", category="io_path")
         charged += self.cpu.charge("context_switch", category="io_path")
         return charged
 

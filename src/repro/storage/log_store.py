@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..faults.retry import RetryStats, run_with_retries
+from ..frozen import slot_init
 from ..hardware.machine import Machine
 from .mapping_table import FlashAddr
 from .pages import PageImage
@@ -39,6 +40,7 @@ class SegmentInfo:
         return self.live_bytes / self.total_bytes
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ReadResult:
     """One image read back from the store, with how it was served."""

@@ -17,11 +17,14 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from ..frozen import slot_init
+
 RECORD_OVERHEAD_BYTES = 16   # per-record header: lengths, flags, version
 DELTA_OVERHEAD_BYTES = 24    # delta header: kind, lengths, timestamp, link
 PAGE_HEADER_BYTES = 32       # page id, LSN, record count, side link
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Record:
     """One key/value record with an ordering timestamp."""
@@ -42,6 +45,7 @@ class DeltaKind(enum.Enum):
     DELETE = "delete"
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class RecordDelta:
     """A single-record update prepended to a page's delta chain.

@@ -133,6 +133,35 @@ def test_epoch_rule_requires_protection_before_deref(tmp_path):
     assert "_index.get" in found[0].message
 
 
+EPOCH_PLANNED = """\
+class Heap:
+    def __init__(self, machine):
+        self.machine = machine
+        self._index = {}
+        plan = machine.cpu.plan
+        self._guard = plan("heap", "op_dispatch", "epoch_protect")
+        self._probe = plan("heap", "op_dispatch", then="hash_probe")
+
+    def lookup(self, key):
+        self.machine.cpu.bill(self._guard)
+        return self._index.get(key)
+
+    def peek(self, key):
+        self.machine.cpu.bill(self._probe, 2)
+        return self._index.get(key)
+"""
+
+
+def test_epoch_rule_counts_a_billed_plan_with_a_protect_step(tmp_path):
+    """Billing a charge plan protects exactly when one of its steps is
+    a protect charge."""
+    target = tmp_path / "heap.py"
+    target.write_text(EPOCH_PLANNED)
+    found = _findings(str(target), "epoch-discipline")
+    assert len(found) == 1
+    assert "Heap.peek" in found[0].message
+
+
 EPOCH_LEAK = """\
 class Walker:
     def __init__(self, epochs):

@@ -8,7 +8,15 @@ under test.
 import pytest
 
 from repro.bwtree import BwTree, InnerNode
-from repro.hardware import Machine
+from repro.hardware import CostTable, Machine
+from repro.observability.whatif import ChargeRecorder
+
+#: Prices under which a descent's charge stream reads as its search
+#: steps: the pointer chase and the mapping-table lookup cost nothing,
+#: and each binary-search step costs exactly one.
+COUNTING = CostTable().with_overrides(pointer_chase=0.0,
+                                      page_binary_search_step=1.0,
+                                      mapping_table_lookup=0.0)
 
 
 def node(keys, children):
@@ -18,24 +26,17 @@ def node(keys, children):
 def descend(routing, key):
     """``(leaf id, binary-search steps charged)`` when ``routing`` is the
     root of a tree's index and the tree descends to ``key``."""
-    tree = BwTree(Machine.paper_default(cores=1))
+    tree = BwTree(Machine(cores=1, cost_table=COUNTING))
     while tree.mapping_table.next_page_id <= max(routing.children):
         tree._allocate_leaf()
     tree._inners[routing.node_id] = routing
     tree.root_id = routing.node_id
-    cpu = tree.machine.cpu
-    charge = cpu.charge
-    steps = []
-
-    def recording(primitive, count=1.0, category=None):
-        if primitive == "page_binary_search_step":
-            steps.append(count)
-        return charge(primitive, count, category)
-
-    cpu.charge = recording
+    tree.machine.cpu.sink = recorder = ChargeRecorder()
     leaf = tree._descend(key).page_id
-    assert len(steps) == 1   # one search per level, one level
-    return leaf, steps[0]
+    # One search per level, one level: a chase, the search, the lookup.
+    chase, steps, lookup = (amount for __, amount in recorder.events)
+    assert chase == lookup == 0.0
+    return leaf, steps
 
 
 def route(routing, key):

@@ -26,16 +26,21 @@ def test_a_point_read_does_its_bookkeeping_in_the_frames_it_has():
     """Complexity guard as frame counts (Python frames whose code is in
     the ``repro`` package), on ``read_hot`` in miniature — YCSB-C data
     bulk-loaded into the DC, every page resident, the read cache warmed
-    by a few thousand gets: a read-cache hit enters 10, a DC read of a
-    resident page 28.  That is down from 13 and 32 while every span
+    by a few thousand gets: a read-cache hit enters 9, a DC read of a
+    resident page 24.  That is down from 10 and 28 while the TC's begin,
+    the Bw-tree's dispatch and each descent level charged step by step
+    instead of billing one plan each, from 13 and 32 while every span
     site entered ``machine.trace_span`` and a ``nullcontext``, and from
     17 and 62 before the Bw-tree lookup, the read-cache admit and the
     autocommit commit half booked their work in the frames they had.
 
-    ``.frames`` counts only ``repro`` code, so it never saw the six
-    (hit) and eight (DC read) ``contextlib`` frames the untraced spans
-    cost; :data:`FORBIDDEN` is checked against every Python frame and C
-    call, so the standard library's frames are guarded too."""
+    ``.frames`` counts only code whose file is under ``repro``, so it
+    never saw the six (hit) and eight (DC read) ``contextlib`` frames
+    the untraced spans cost, nor a dataclass's generated ``__init__``
+    (its code's file is ``<string>``): :data:`FORBIDDEN` is checked
+    against every Python frame and C call, and the generated
+    ``__init__`` frames (none on a hit, two on a DC read) are pinned on
+    their own."""
     generator = WorkloadGenerator(WorkloadSpec.ycsb_c(record_count=3000,
                                                       seed=42))
     engine = DeuteronomyEngine(Machine.paper_default(cores=4),
@@ -59,5 +64,7 @@ def test_a_point_read_does_its_bookkeeping_in_the_frames_it_has():
     assert dc_read["tree.get_with_stats"] == dc_read["read_cache.insert"] == 1
     for calls in (hit, dc_read):
         assert FORBIDDEN.isdisjoint(calls), FORBIDDEN & set(calls)
-    assert sum(hit.frames.values()) == 10
-    assert sum(dc_read.frames.values()) == 28
+    assert sum(hit.frames.values()) == 9
+    assert sum(dc_read.frames.values()) == 24
+    assert hit["<string>.__init__"] == 0
+    assert dc_read["<string>.__init__"] == 2

@@ -22,7 +22,12 @@ def count_calls(function) -> collections.Counter:
     enters.  Its ``frames`` keeps only the Python frames whose code is in
     ``repro`` and is not a list, dict or set comprehension, so it depends
     neither on the interpreter's own functions nor on whether the
-    interpreter inlines comprehensions (:data:`COMPREHENSIONS`)."""
+    interpreter inlines comprehensions (:data:`COMPREHENSIONS`).
+
+    Generated code is not in ``repro``: a dataclass's ``__init__`` (and
+    :func:`repro.frozen.slot_init`'s) is compiled from a string, so it
+    counts as ``<string>.__init__`` in the full Counter and never in
+    ``frames``.  A guard pins that entry on its own."""
     calls: collections.Counter = collections.Counter()
     frames = calls.frames = collections.Counter()  # type: ignore[attr-defined]
 

@@ -165,6 +165,75 @@ def test_a_sink_costs_exactly_one_more_frame():
         "cpu.charge_us": 1, "whatif.on_charge": 1}
 
 
+def test_a_plan_bills_in_one_frame_without_a_sink_or_scaling():
+    cpu = CpuModel(cores=4)
+    dispatch = cpu.plan("tc", "timestamp_alloc", "op_dispatch")
+    post = cpu.plan("bwtree", "mapping_table_lookup", "install_cas",
+                    then="copy_per_byte")
+    assert frames(lambda: cpu.bill(dispatch)) == {"cpu.bill": 1}
+    assert frames(lambda: cpu.bill(post, 120)) == {"cpu.bill": 1}
+    # Observers see every step: the plan falls back to one charge each.
+    cpu.sink = ChargeRecorder()
+    assert frames(lambda: cpu.bill(post, 120)) == {
+        "cpu.bill": 1, "cpu.charge": 3, "whatif.on_charge": 3}
+    cpu.sink = None
+    cpu.scale_costs({"bwtree": 0.5})
+    assert frames(lambda: cpu.bill(post, 120)) == {
+        "cpu.bill": 1, "cpu.charge": 3}
+
+
+def test_a_plan_bills_what_its_charges_bill():
+    # Three cores: the clock advance is not an exact power-of-two scaling.
+    billed, charged = CpuModel(cores=3), CpuModel(cores=3)
+    post = billed.plan("bwtree", "mapping_table_lookup", "install_cas",
+                       then="copy_per_byte")
+    for size in (0, 57, 4096):
+        billed.bill(post, size)
+        for primitive in ("mapping_table_lookup", "install_cas"):
+            charged.charge(primitive, category="bwtree")
+        charged.charge("copy_per_byte", size, category="bwtree")
+        assert accounts(billed) == accounts(charged)
+
+
+def test_a_plan_is_checked_where_it_is_built():
+    cpu = CpuModel(cores=1)
+    with pytest.raises(ValueError, match="at least two"):
+        cpu.plan("tc", "hash_probe")
+    with pytest.raises(ValueError, match="at least two"):
+        cpu.plan("tc", then="copy_per_byte")
+    with pytest.raises(AttributeError, match="no_such_primitive"):
+        cpu.plan("tc", "hash_probe", "no_such_primitive")
+
+
+@pytest.mark.parametrize("sink", [False, True])
+@pytest.mark.parametrize("bad", [float("nan"), -1.0, -float("inf")])
+def test_a_bad_tail_count_raises_before_anything_is_billed(bad, sink):
+    cpu = CpuModel(cores=4)
+    cpu.sink = recorder = ChargeRecorder() if sink else None
+    post = cpu.plan("bwtree", "install_cas", then="copy_per_byte")
+    cpu.bill(post, 10)
+    before = accounts(cpu)
+    with pytest.raises(ValueError):
+        cpu.bill(post, bad)
+    assert accounts(cpu) == before
+    if sink:
+        assert len(recorder.events) == 2
+
+
+def test_a_plan_billed_on_another_model_charges_there():
+    """A plan holds its own model's prices and core count; billed on
+    another model it charges that model's prices step by step."""
+    cheap = CostTable().with_overrides(hash_probe=0.5, install_cas=0.25)
+    owner, other = CpuModel(cores=1), CpuModel(cores=2, costs=cheap)
+    reference = CpuModel(cores=2, costs=cheap)
+    install = owner.plan("tc_mvcc", "hash_probe", "install_cas")
+    other.bill(install)
+    reference.charge("hash_probe", category="tc_mvcc")
+    reference.charge("install_cas", category="tc_mvcc")
+    assert accounts(other) == accounts(reference)
+    assert owner.busy_us == 0.0
+
+
 def test_charges_after_a_reset_still_reach_the_counters():
     """The billing sequence adds to the dict behind ``cpu.counters``;
     a reset must keep that dict, not replace it."""
@@ -198,6 +267,35 @@ class TestCostTable:
     def test_scaled_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             CostTable().scaled(0.0)
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    def test_scaled_rejects_a_factor_that_cannot_price(self, factor):
+        with pytest.raises(ValueError, match="positive and finite"):
+            CostTable().scaled(factor)
+
+    def test_scaled_rejects_an_overflowing_price(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            CostTable().scaled(1e308)
+
+    @pytest.mark.parametrize("price", [-0.01, float("nan"), float("inf")])
+    def test_a_price_that_cannot_be_billed_is_refused_by_name(self, price):
+        """Prices are resolved when a model or a plan is built, so a bad
+        one must fail there: an infinite price used to set busy time and
+        the clock to inf at its first charge, with no error."""
+        with pytest.raises(ValueError, match="cost hash_probe"):
+            CostTable().with_overrides(hash_probe=price)
+        with pytest.raises(ValueError, match="cost install_cas"):
+            CostTable(install_cas=price)
+
+    def test_a_free_primitive_is_allowed(self):
+        assert CostTable().with_overrides(hash_probe=0.0).hash_probe == 0.0
+
+    def test_an_infinite_scale_factor_is_rejected(self):
+        cpu = CpuModel(cores=1)
+        with pytest.raises(ValueError, match="positive and finite"):
+            cpu.scale_costs({"tc": float("inf")})
+        cpu.charge("hash_probe", category="tc")
+        assert cpu.busy_us == cpu.costs.hash_probe
 
     def test_with_overrides(self):
         table = CostTable().with_overrides(op_dispatch=9.0)

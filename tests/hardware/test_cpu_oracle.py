@@ -5,6 +5,8 @@
 ``getattr`` on the cost table and one f-string per charge — so the two
 can be driven side by side and compared with ``==``, never ``approx``:
 a host-side optimization must leave every virtual number bit-identical.
+A billed charge plan is held to the reference charging its steps one
+call each, with and without a sink and what-if scaling.
 """
 
 from unittest import mock
@@ -58,7 +60,17 @@ MICROSECONDS = st.one_of(
     st.floats(-4.0, -1e-9),
 )
 FACTORS = st.floats(1e-3, 1e3)
+#: A plan of one to five primitives plus an optional counted tail, two
+#: steps at least: ``(primitives, tail primitive or None, tail count)``.
+PLANS = st.one_of(
+    st.tuples(st.lists(PRIMITIVES, min_size=2, max_size=5), st.none(),
+              st.just(1.0)),
+    st.tuples(st.lists(PRIMITIVES, min_size=1, max_size=5), PRIMITIVES,
+              st.one_of(COUNTS, st.just(float("nan")))),
+)
 STEPS = st.lists(st.one_of(
+    st.tuples(st.just("bill"), PLANS, CATEGORIES),
+    st.tuples(st.just("bill"), PLANS, CATEGORIES),
     st.tuples(st.just("charge"), PRIMITIVES, COUNTS,
               st.one_of(st.none(), CATEGORIES)),
     st.tuples(st.just("charge"), PRIMITIVES, COUNTS,
@@ -74,10 +86,30 @@ STEPS = st.lists(st.one_of(
 ), max_size=40)
 
 
+def reference_bill(cpu, primitives, then, count, category):
+    """A plan as the charges it stands for, one call each; a bad tail
+    count is refused before any of them."""
+    if then is not None:
+        if count < 0.0 or not getattr(cpu.costs, then) * count >= 0.0:
+            raise ValueError(f"charged work must be >= 0, got {count}")
+    for primitive in primitives:
+        cpu.charge(primitive, 1.0, category)
+    if then is not None:
+        cpu.charge(then, count, category)
+
+
 def apply(cpu, recorder, step):
-    """Run one step; returns what the caller saw (value or exception)."""
+    """Run one step; returns what the caller saw (value or exception).
+    A ``bill`` step bills a plan on the fused model and runs
+    :func:`reference_bill` on the reference."""
     kind = step[0]
     try:
+        if kind == "bill":
+            __, (primitives, then, count), category = step
+            if isinstance(cpu, ReferenceCpuModel):
+                return reference_bill(cpu, primitives, then, count, category)
+            plan = cpu.plan(category, *primitives, then=then)
+            return cpu.bill(plan, count)
         if kind == "charge":
             __, primitive, count, category = step
             return cpu.charge(primitive, count, category)

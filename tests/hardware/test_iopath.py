@@ -4,6 +4,8 @@ import pytest
 
 from repro.hardware import CpuModel, IoPathKind, IoPathModel
 
+from ..frames import count_calls
+
 
 def make(kind: IoPathKind) -> tuple:
     cpu = CpuModel(cores=1)
@@ -48,3 +50,25 @@ def test_charges_land_in_io_path_category():
     cpu, path = make(IoPathKind.USER_LEVEL)
     path.charge_round_trip(100)
     assert cpu.counters.get("cpu_us.io_path") == pytest.approx(cpu.busy_us)
+
+
+def test_a_user_round_trip_is_two_billed_plans():
+    """Each user-level half bills its two charges as one plan and
+    returns the total those charges return.  The halves stay calls of
+    their own: a traced e2e run counts round trips by
+    ``charge_complete`` calls."""
+    cpu, path = make(IoPathKind.USER_LEVEL)
+    reference = CpuModel(cores=1)
+    halves = []
+    for step in ("io_submit_user", "io_complete_user"):
+        charged = 0.0
+        charged += reference.charge(step, category="io_path")
+        charged += reference.charge("context_switch", category="io_path")
+        halves.append(charged)
+    assert path.charge_round_trip(4096) == halves[0] + halves[1]
+    assert ((cpu.busy_us, cpu.counters.snapshot(), cpu.clock.now)
+            == (reference.busy_us, reference.counters.snapshot(),
+                reference.clock.now))
+    assert count_calls(lambda: path.charge_round_trip(4096)).frames == {
+        "iopath.charge_round_trip": 1, "iopath.charge_submit": 1,
+        "iopath.charge_complete": 1, "cpu.bill": 2}

@@ -22,6 +22,12 @@ and of ``repr(engine.stats())`` at the end.  Swapping two charges of
 one op, or dropping one, changes the first; a drifting counter, or a
 key routed to another shard, changes the second.  When a change moves
 the virtual clock on purpose, recompute them and say why in the change.
+
+A recorder is a charge sink, and with a sink attached a billed charge
+plan charges step by step, so the digests pin that path.  Each run is
+then repeated with no sink, where a plan bills in one frame, and must
+end with the same ``stats()``, busy time, clock and latency totals on
+every machine.
 """
 
 from __future__ import annotations
@@ -39,6 +45,20 @@ from repro.storage.cache import PageCache
 from repro.workloads import OpKind, WorkloadGenerator, WorkloadSpec
 
 BATCH = 64
+
+
+def accounts(engine):
+    """``repr(stats())`` and, per machine, busy time, the per-category
+    CPU counters, clock and latency totals: what an untraced rerun must
+    repeat bit for bit."""
+    machines = [shard.machine for shard in getattr(engine, "shards", [engine])]
+    return repr(engine.stats()), [
+        (machine.cpu.busy_us, machine.cpu.counters.snapshot(),
+         machine.clock.now, machine.op_latencies.count,
+         machine.op_latencies.total)
+        for machine in machines]
+
+
 TREE_CONFIG = BwTreeConfig(cache_capacity_bytes=48 * 1024,
                            record_cache=True, blind_chain_limit=8,
                            segment_bytes=1 << 15)
@@ -71,38 +91,42 @@ def test_charge_stream_and_stats_match_their_pinned_digests(monkeypatch):
         reached["evictions"] += tree.cache.stats.evictions
         reached["retained"] += tree.cache.stats.record_cache_retained
 
-    machine = Machine.paper_default(cores=1)
-    recorder = ChargeRecorder()
-    machine.cpu.sink = recorder
-    engine = DeuteronomyEngine(machine, tree_config=TREE_CONFIG,
-                               tc_config=TC_CONFIG)
-    generator = WorkloadGenerator(
-        WorkloadSpec.ycsb_a(record_count=1500, seed=11))
-    items = list(generator.load_items())
-    for start in range(0, len(items), BATCH):
-        engine.multi_put(items[start:start + BATCH])
-    engine.checkpoint()
-    ops = [batch_item(op) for op in generator.operations(9600)]
-    batches = [ops[start:start + BATCH]
-               for start in range(0, len(ops), BATCH)]
-    third = len(batches) // 3
-    for batch in batches[:third]:
-        engine.apply_batch(batch)
-    engine.checkpoint()
-    engine.collect_garbage()
-    for batch in batches[third:2 * third]:
-        engine.apply_batch(batch)
-    engine.checkpoint()
-    tally(engine.dc)
-    engine = DeuteronomyEngine.recover(engine)
-    for batch in batches[2 * third:]:
-        engine.apply_batch(batch)
-    tally(engine.dc)
+    def run(sink):
+        machine = Machine.paper_default(cores=1)
+        machine.cpu.sink = sink
+        engine = DeuteronomyEngine(machine, tree_config=TREE_CONFIG,
+                                   tc_config=TC_CONFIG)
+        generator = WorkloadGenerator(
+            WorkloadSpec.ycsb_a(record_count=1500, seed=11))
+        items = list(generator.load_items())
+        for start in range(0, len(items), BATCH):
+            engine.multi_put(items[start:start + BATCH])
+        engine.checkpoint()
+        ops = [batch_item(op) for op in generator.operations(9600)]
+        batches = [ops[start:start + BATCH]
+                   for start in range(0, len(ops), BATCH)]
+        third = len(batches) // 3
+        for batch in batches[:third]:
+            engine.apply_batch(batch)
+        engine.checkpoint()
+        engine.collect_garbage()
+        for batch in batches[third:2 * third]:
+            engine.apply_batch(batch)
+        engine.checkpoint()
+        tally(engine.dc)
+        engine = DeuteronomyEngine.recover(engine)
+        for batch in batches[2 * third:]:
+            engine.apply_batch(batch)
+        tally(engine.dc)
+        return engine
 
+    recorder = ChargeRecorder()
+    engine = run(recorder)
     assert all(count > 0 for count in reached.values()), reached
     assert sha256_of_charges(recorder) == CHARGES_SHA256
     assert (hashlib.sha256(repr(engine.stats()).encode()).hexdigest()
             == STATS_SHA256)
+    assert accounts(run(None)) == accounts(engine)
 
 
 def sha256_of_charges(*recorders: ChargeRecorder) -> str:
@@ -143,35 +167,40 @@ def test_read_path_charge_stream_and_stats_match_their_pinned_digests(
         return result
 
     monkeypatch.setattr(BwTree, "get_with_stats", spying_get)
-    machine = Machine.paper_default(cores=1)
-    recorder = ChargeRecorder()
-    machine.cpu.sink = recorder
-    engine = DeuteronomyEngine(machine, tree_config=READ_TREE_CONFIG,
-                               tc_config=READ_TC_CONFIG)
-    generator = WorkloadGenerator(
-        WorkloadSpec.ycsb_b(record_count=1500, seed=5))
-    items = list(generator.load_items())
-    # One record too large for the read cache to admit.
-    oversized = items[700][0]
-    items[700] = (oversized, b"x" * READ_CACHE_BYTES)
-    engine.dc.bulk_load(items)
-    engine.checkpoint()
-    ops = list(generator.operations(9000))
-    third = len(ops) // 3
-    for op in ops[:third]:
-        if op.kind is OpKind.READ:
-            engine.get(op.key)
-        else:
-            engine.put(op.key, op.value)
-    assert engine.get(oversized) == b"x" * READ_CACHE_BYTES
-    for start in range(third, 2 * third, READ_BATCH):
-        engine.apply_batch([batch_item(op)
-                            for op in ops[start:start + READ_BATCH]])
-    keys = [op.key for op in WorkloadGenerator(
-        WorkloadSpec.ycsb_c(record_count=1500, seed=6)).operations(third)]
-    for start in range(0, len(keys), READ_BATCH):
-        engine.multi_get(keys[start:start + READ_BATCH])
 
+    def run(sink):
+        machine = Machine.paper_default(cores=1)
+        machine.cpu.sink = sink
+        engine = DeuteronomyEngine(machine, tree_config=READ_TREE_CONFIG,
+                                   tc_config=READ_TC_CONFIG)
+        generator = WorkloadGenerator(
+            WorkloadSpec.ycsb_b(record_count=1500, seed=5))
+        items = list(generator.load_items())
+        # One record too large for the read cache to admit.
+        oversized = items[700][0]
+        items[700] = (oversized, b"x" * READ_CACHE_BYTES)
+        engine.dc.bulk_load(items)
+        engine.checkpoint()
+        ops = list(generator.operations(9000))
+        third = len(ops) // 3
+        for op in ops[:third]:
+            if op.kind is OpKind.READ:
+                engine.get(op.key)
+            else:
+                engine.put(op.key, op.value)
+        assert engine.get(oversized) == b"x" * READ_CACHE_BYTES
+        for start in range(third, 2 * third, READ_BATCH):
+            engine.apply_batch([batch_item(op)
+                                for op in ops[start:start + READ_BATCH]])
+        keys = [op.key for op in WorkloadGenerator(
+            WorkloadSpec.ycsb_c(record_count=1500, seed=6)).operations(third)]
+        for start in range(0, len(keys), READ_BATCH):
+            engine.multi_get(keys[start:start + READ_BATCH])
+        return engine
+
+    recorder = ChargeRecorder()
+    engine = run(recorder)
+    machine = engine.machine
     tree, read_cache = engine.dc, engine.tc.read_cache
     reached.update(
         fetches=tree.cache.stats.fetches,
@@ -186,6 +215,7 @@ def test_read_path_charge_stream_and_stats_match_their_pinned_digests(
     stats = (engine.stats(), latencies.count, latencies.total)
     assert (hashlib.sha256(repr(stats).encode()).hexdigest()
             == READ_STATS_SHA256)
+    assert accounts(run(None)) == accounts(engine)
 
 
 FLEET_SHARDS = 4
@@ -240,43 +270,49 @@ def test_fleet_charge_streams_and_stats_match_their_pinned_digests(
         for shard_id in UNBUDGETED_SHARDS:
             fleet.shards[shard_id].dc.cache.capacity_bytes = None
 
-    recorders = []
+    def run(recorders):
+        """The fleet run; a recorder is appended per shard machine when
+        ``recorders`` is a list, none is attached when it is None."""
 
-    def machine() -> Machine:
-        shard_machine = Machine.paper_default(cores=1)
-        recorder = ChargeRecorder()
-        shard_machine.cpu.sink = recorder
-        recorders.append(recorder)
-        return shard_machine
+        def machine() -> Machine:
+            shard_machine = Machine.paper_default(cores=1)
+            if recorders is not None:
+                shard_machine.cpu.sink = recorder = ChargeRecorder()
+                recorders.append(recorder)
+            return shard_machine
 
-    fleet = ShardedEngine(FLEET_SHARDS, tree_config=FLEET_TREE_CONFIG,
-                          tc_config=FLEET_TC_CONFIG,
-                          machine_factory=machine, log_topology="shared")
-    unbudget(fleet)
-    generator = WorkloadGenerator(
-        WorkloadSpec.ycsb_a(record_count=1600, seed=17))
-    items = list(generator.load_items())
-    fleet.bulk_load(items)
-    fleet.checkpoint()
-    ops = [batch_item(op) for op in generator.operations(90 * BATCH)]
-    batches = [ops[start:start + BATCH]
-               for start in range(0, len(ops), BATCH)]
-    for batch in batches[:30]:
-        fleet.apply_batch(batch)
-    fleet.multi_put([(key, b"m" * 90) for key, __ in items[::7]])
-    fleet.multi_get([key for key, __ in items[::5]])
-    fleet.checkpoint()
-    for batch in batches[30:60]:
-        fleet.apply_batch(batch)
-    tally(fleet)
-    fleet = ShardedEngine.recover(fleet)
-    unbudget(fleet)
-    for batch in batches[60:]:
-        fleet.apply_batch(batch)
-    fleet.drain_commits()
-    tally(fleet)
+        fleet = ShardedEngine(FLEET_SHARDS, tree_config=FLEET_TREE_CONFIG,
+                              tc_config=FLEET_TC_CONFIG,
+                              machine_factory=machine, log_topology="shared")
+        unbudget(fleet)
+        generator = WorkloadGenerator(
+            WorkloadSpec.ycsb_a(record_count=1600, seed=17))
+        items = list(generator.load_items())
+        fleet.bulk_load(items)
+        fleet.checkpoint()
+        ops = [batch_item(op) for op in generator.operations(90 * BATCH)]
+        batches = [ops[start:start + BATCH]
+                   for start in range(0, len(ops), BATCH)]
+        for batch in batches[:30]:
+            fleet.apply_batch(batch)
+        fleet.multi_put([(key, b"m" * 90) for key, __ in items[::7]])
+        fleet.multi_get([key for key, __ in items[::5]])
+        fleet.checkpoint()
+        for batch in batches[30:60]:
+            fleet.apply_batch(batch)
+        tally(fleet)
+        fleet = ShardedEngine.recover(fleet)
+        unbudget(fleet)
+        for batch in batches[60:]:
+            fleet.apply_batch(batch)
+        fleet.drain_commits()
+        tally(fleet)
+        return fleet
 
+    recorders: list = []
+    fleet = run(recorders)
     assert all(count > 0 for count in reached.values()), reached
     assert sha256_of_charges(*recorders) == FLEET_CHARGES_SHA256
     assert (hashlib.sha256(repr(fleet.stats()).encode()).hexdigest()
             == FLEET_STATS_SHA256)
+    assert accounts(run(None)) == accounts(fleet)

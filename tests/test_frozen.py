@@ -1,0 +1,87 @@
+"""The records built with :func:`repro.frozen.slot_init` stay frozen
+dataclasses: same equality, hashing and repr, and no way to mutate."""
+
+import dataclasses
+from dataclasses import FrozenInstanceError, dataclass, field
+from typing import List, Optional
+
+import pytest
+
+from repro.deuteronomy.mvcc import Version
+from repro.deuteronomy.recovery_log import LogRecord
+from repro.frozen import slot_init
+from repro.storage.log_store import ReadResult
+from repro.storage.pages import DeltaKind, PageImage, Record, RecordDelta
+
+IMAGE = PageImage("full", 7, records=(Record(b"a", b"1"),))
+
+#: (class, field values, the repr a plain frozen dataclass prints)
+CASES = [
+    (Record, (b"k", b"v", 3), "Record(key=b'k', value=b'v', timestamp=3)"),
+    (RecordDelta, (DeltaKind.DELETE, b"k", None, 4),
+     "RecordDelta(kind=<DeltaKind.DELETE: 'delete'>, key=b'k', value=None, "
+     "timestamp=4)"),
+    (Version, (5, b"v", 2), "Version(timestamp=5, value=b'v', log_buffer_id=2)"),
+    (LogRecord, (b"k", None, 6, 9),
+     "LogRecord(key=b'k', value=None, timestamp=6, txn_id=9)"),
+    (ReadResult, (IMAGE, False, 12.5),
+     f"ReadResult(image={IMAGE!r}, from_write_buffer=False, service_us=12.5)"),
+]
+
+
+@pytest.mark.parametrize("cls, values, text", CASES,
+                         ids=[case[0].__name__ for case in CASES])
+def test_a_record_stays_a_frozen_dataclass(cls, values, text):
+    record = cls(*values)
+    names = [entry.name for entry in dataclasses.fields(cls)]
+    assert [getattr(record, name) for name in names] == list(values)
+    assert repr(record) == text
+    twin = cls(**dict(zip(names, values)))
+    assert twin == record and hash(twin) == hash(record)
+    assert dataclasses.replace(record) == record
+    for name in names:
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, name)
+    assert not hasattr(record, "__dict__")
+
+
+def test_defaults_are_kept():
+    assert Record(b"k", b"v") == Record(b"k", b"v", 0)
+    assert RecordDelta(DeltaKind.DELETE, b"k") == RecordDelta(
+        DeltaKind.DELETE, b"k", None, 0)
+
+
+def test_a_delta_still_checks_its_kind_against_its_value():
+    with pytest.raises(ValueError, match="requires a value"):
+        RecordDelta(DeltaKind.UPSERT, b"k")
+    with pytest.raises(ValueError, match="must not carry a value"):
+        RecordDelta(DeltaKind.DELETE, b"k", b"v")
+
+
+def test_only_frozen_slotted_plain_dataclasses_are_accepted():
+    @dataclass(slots=True)
+    class Mutable:
+        key: bytes
+
+    @dataclass(frozen=True)
+    class Unslotted:
+        key: bytes
+
+    @dataclass(frozen=True, slots=True)
+    class Factory:
+        keys: List[bytes] = field(default_factory=list)
+
+    @dataclass(frozen=True, slots=True)
+    class Hidden:
+        key: bytes
+        size: Optional[int] = field(default=None, init=False)
+
+    @dataclass(frozen=True, slots=True, kw_only=True)
+    class Keyword:
+        key: bytes
+
+    for cls in (Mutable, Unslotted, Factory, Hidden, Keyword):
+        with pytest.raises(TypeError):
+            slot_init(cls)
