@@ -122,7 +122,7 @@ class BwTree:
         self.counters = CounterSet()
         # The dict behind ``counters`` (a reset clears it in place): the
         # blind-write path bumps its counters here directly.
-        self._counts = self.counters._counts
+        self._counts = self.counters.counts
         # The fixed runs of charges every operation bills, priced once:
         # the request dispatch and epoch guard; one inner level of a
         # descent (a pointer chase, then its binary-search steps); and a
@@ -268,7 +268,7 @@ class BwTree:
                 bill(level, len(keys).bit_length() or 1)
                 node_id = node.children[bisect.bisect_right(keys, key)]
             charge("mapping_table_lookup", category="bwtree")
-            entry = self.mapping_table._entries[node_id]
+            entry = self.mapping_table.by_id[node_id]
             cache = self.cache
             cache.touch(entry)
             ios = 0
@@ -411,7 +411,7 @@ class BwTree:
             result = OpResult(found=True)
             counts = self._counts
             inners = self._inners
-            entries = self.mapping_table._entries
+            entries = self.mapping_table.by_id
             cache = self.cache
             touch = cache.touch
             config = self.config

@@ -205,7 +205,7 @@ class TransactionComponent:
         self.counters = CounterSet()
         # The dict behind ``counters`` (a reset clears it in place): the
         # read path bumps its constant-1 counters here directly.
-        self._counts = self.counters._counts
+        self._counts = self.counters.counts
         # Group-commit batch sizes (metrics-registry histogram; observing
         # is bookkeeping, not simulated work, so it carries no charge).
         self.batch_sizes = Histogram("tc_commit_batch_size")
@@ -537,7 +537,7 @@ class TransactionComponent:
         result = self.dc.get_with_stats(key)
         counts["tc.dc_reads"] += 1.0
         if result.ios > 0:
-            self.counters.add("tc.dc_read_ios", result.ios)
+            counts["tc.dc_read_ios"] += result.ios
         found_value = result.value if result.found else None
         if self.records is not None:
             # Negative results are cached too (as clean tombstones).

@@ -204,7 +204,7 @@ class CpuModel:
         self.counters = CounterSet()
         # The dict behind ``counters`` (a reset clears it in place) and the
         # interned category -> "cpu_us.<category>" keys that index it.
-        self._counts = self.counters._counts
+        self._counts = self.counters.counts
         self._keys: Dict[str, str] = {}
         self._busy_us = 0.0
         # Optional per-charge observer (a tracer); ``None`` costs a charge

@@ -12,42 +12,46 @@ class CounterSet:
 
     Components record what happened (I/Os issued, cache hits, delta hops)
     into a ``CounterSet``; experiment harnesses snapshot and diff them.
+
+    ``counts`` is the dict behind the set: a hot path may bump a counter
+    there directly (``counts[name] += amount``, never a negative or NaN
+    amount), and may hold it, since :meth:`reset` clears it in place.
     """
 
     def __init__(self) -> None:
-        self._counts: Dict[str, float] = defaultdict(float)
+        self.counts: Dict[str, float] = defaultdict(float)
 
     def add(self, name: str, amount: float = 1.0) -> None:
         """Increment ``name`` by ``amount`` (negative and NaN rejected)."""
         if not amount >= 0.0:
             raise ValueError(f"counter {name!r} increment must be >= 0, got {amount}")
-        self._counts[name] += amount
+        self.counts[name] += amount
 
     def get(self, name: str) -> float:
         """Return the value of ``name`` (0.0 if never incremented)."""
-        return self._counts.get(name, 0.0)
+        return self.counts.get(name, 0.0)
 
     def snapshot(self) -> Dict[str, float]:
         """Return a copy of all counters."""
-        return dict(self._counts)
+        return dict(self.counts)
 
     def diff(self, earlier: Mapping[str, float]) -> Dict[str, float]:
         """Return counters minus an ``earlier`` snapshot (new keys kept)."""
         return {
             name: value - earlier.get(name, 0.0)
-            for name, value in self._counts.items()
+            for name, value in self.counts.items()
             if value != earlier.get(name, 0.0)
         }
 
     def reset(self) -> None:
         """Zero every counter."""
-        self._counts.clear()
+        self.counts.clear()
 
     def __contains__(self, name: str) -> bool:
-        return name in self._counts
+        return name in self.counts
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        body = ", ".join(f"{k}={v:g}" for k, v in sorted(self._counts.items()))
+        body = ", ".join(f"{k}={v:g}" for k, v in sorted(self.counts.items()))
         return f"CounterSet({body})"
 
 

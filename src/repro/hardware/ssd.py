@@ -14,9 +14,14 @@ Models the three things the paper's analysis cares about:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from .metrics import CounterSet, Histogram
+
+#: Fields that must be > 0 (the rest must be >= 0); every field finite.
+_POSITIVE_FIELDS = frozenset({"capacity_bytes", "iops",
+                              "bandwidth_bytes_per_sec"})
 
 
 @dataclass(frozen=True)
@@ -37,14 +42,21 @@ class SsdSpec:
     flash_price_per_byte: float = 0.5e-9
 
     def __post_init__(self) -> None:
-        if self.capacity_bytes <= 0:
-            raise ValueError("SSD capacity must be positive")
-        if self.iops <= 0:
-            raise ValueError("SSD IOPS must be positive")
-        if self.bandwidth_bytes_per_sec <= 0:
-            raise ValueError("SSD bandwidth must be positive")
-        if self.price_dollars < 0:
-            raise ValueError("SSD price cannot be negative")
+        # A NaN, infinite, negative or (for a rate or a size) zero field
+        # would surface only later, as a NaN or negative service time or
+        # a nonsense $I; refuse it here, by name.
+        for spec_field in fields(self):
+            name = spec_field.name
+            value = getattr(self, name)
+            if not -math.inf < value < math.inf:
+                raise ValueError(f"SsdSpec.{name} must be finite, got {value}")
+            if name in _POSITIVE_FIELDS:
+                if not value > 0:
+                    raise ValueError(
+                        f"SsdSpec.{name} must be positive, got {value}")
+            elif value < 0:
+                raise ValueError(
+                    f"SsdSpec.{name} cannot be negative, got {value}")
 
     @property
     def iops_price_dollars(self) -> float:
@@ -67,8 +79,9 @@ class SsdSpec:
         association, since ``1/(iops*f)`` and ``(1/iops)/f`` can differ
         in the last ULPs).
         """
-        if factor <= 0.0:
-            raise ValueError(f"scale factor must be positive, got {factor}")
+        if not 0.0 < factor < math.inf:
+            raise ValueError(
+                f"scale factor must be positive and finite, got {factor}")
         return SsdSpec(
             capacity_bytes=self.capacity_bytes,
             iops=self.iops * factor,
@@ -119,17 +132,21 @@ class SimulatedSsd:
 
     def read(self, nbytes: int) -> float:
         """Perform one read access of ``nbytes``; returns service us."""
-        return self._access("read", nbytes, self.spec.read_latency_us)
+        return self._access("ssd.reads", "ssd.read_bytes", nbytes,
+                            self.spec.read_latency_us)
 
     def write(self, nbytes: int) -> float:
         """Perform one write access of ``nbytes``; returns service us."""
-        return self._access("write", nbytes, self.spec.write_latency_us)
+        return self._access("ssd.writes", "ssd.write_bytes", nbytes,
+                            self.spec.write_latency_us)
 
-    def _access(self, kind: str, nbytes: int, latency_us: float) -> float:
+    def _access(self, ios_key: str, bytes_key: str, nbytes: int,
+                latency_us: float) -> float:
         if nbytes <= 0:
             raise ValueError(f"I/O size must be positive, got {nbytes}")
-        self.counters.add(f"ssd.{kind}s")
-        self.counters.add(f"ssd.{kind}_bytes", nbytes)
+        counts = self.counters.counts
+        counts[ios_key] += 1.0
+        counts[bytes_key] += nbytes
         per_io = 1.0 / self.spec.iops
         transfer = nbytes / self.spec.bandwidth_bytes_per_sec
         self._busy_seconds += max(per_io, transfer)

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -375,8 +376,9 @@ def predict(baseline: RunView, component: str, speedup: float) -> RunView:
     control flow (the ``exact`` contract).  Device components divide
     the relevant busy floors instead.
     """
-    if speedup <= 0.0:
-        raise ValueError(f"speedup must be positive, got {speedup}")
+    if not 0.0 < speedup < math.inf:
+        raise ValueError(
+            f"speedup must be positive and finite, got {speedup}")
     if component == DEVICE_SSD:
         shards = [ShardView(
             cores=s.cores,
@@ -566,8 +568,9 @@ def run_whatif(
     """
     if validate not in ("none", "top", "all"):
         raise ValueError(f"validate must be none|top|all, got {validate!r}")
-    if speedup <= 0.0:
-        raise ValueError(f"speedup must be positive, got {speedup}")
+    if not 0.0 < speedup < math.inf:
+        raise ValueError(
+            f"speedup must be positive and finite, got {speedup}")
     catalog = catalog if catalog is not None else CostCatalog()
     baseline = run_scenario(config, record=True)
     base_summary = summarize(baseline, catalog)
@@ -737,8 +740,9 @@ def parse_speedup(spec: str) -> Tuple[str, float]:
         factor = float(text)
     except ValueError:
         raise ValueError(f"bad speedup factor {factor_text!r} in {spec!r}")
-    if factor <= 0.0:
-        raise ValueError(f"speedup must be positive, got {factor}")
+    if not 0.0 < factor < math.inf:
+        raise ValueError(
+            f"speedup must be positive and finite, got {factor}")
     return component, factor
 
 

@@ -222,7 +222,7 @@ class ShardedEngine:
                 if tracer is not None:
                     tracer.close_span()
             result_positions.append(positions[shard_id])
-        counts = self.counters._counts
+        counts = self.counters.counts
         counts["router.batches"] += 1.0
         counts["router.routed_ops"] += len(items)
         return self.router.gather(len(items), results, result_positions)

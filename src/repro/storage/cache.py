@@ -301,7 +301,8 @@ class PageCache:
         self._vclock = machine.clock
         # LRU order over resident pages: page id -> accounted bytes.
         # ``_resident_bytes`` is the running sum of its values; only
-        # register / resize / touch / _untrack write either.
+        # register / resize / touch / _untrack write either, and fetch
+        # and evict, which do register's and _untrack's work in place.
         self._resident: "OrderedDict[int, int]" = OrderedDict()
         self._resident_bytes = 0
         # CLOCK ring: page id -> reference bit, in hand order (the front
@@ -475,7 +476,11 @@ class PageCache:
                     entry, state, self._observed_interval(entry)
                 )
             entry.state = None
-            self._untrack(entry)
+            # _untrack, in this frame.
+            nbytes = self._resident.pop(entry.page_id)
+            self._resident_bytes -= nbytes
+            self._clock_ring.pop(entry.page_id, None)
+            self.machine.dram.free(nbytes, DRAM_TAG)
         self.stats.evictions += 1
 
     def _observed_interval(self, entry: PageEntry) -> float:
@@ -500,26 +505,6 @@ class PageCache:
         entry.state = None
         self._untrack(entry)
         self.stats.evictions += 1
-
-    def _victims(self, protect: Set[int]) -> Iterable[int]:
-        if self.policy is EvictionPolicy.CLOCK:
-            yield from self._clock_victims(protect)
-            return
-        # LRU order, walked lazily from the front of the live dict: the
-        # consumer untracks most victims it is handed, so each step
-        # restarts at the new front instead of snapshotting every
-        # resident id up front.  A victim the consumer left resident
-        # (record-cache retention) is passed over, not offered twice.
-        resident = self._resident
-        offered: Set[int] = set()
-        while True:
-            for pid in resident:
-                if pid not in protect and pid not in offered:
-                    break
-            else:
-                return
-            offered.add(pid)
-            yield pid
 
     def _clock_victims(self, protect: Set[int]) -> Iterable[int]:
         """Second-chance sweep: clear set bits, evict clear ones.
@@ -556,26 +541,48 @@ class PageCache:
         return 1.0 - self.stats.fetches / touches
 
     def ensure_capacity(self, protect: Optional[Set[int]] = None) -> int:
-        """Evict victims until the byte budget is met; returns evictions."""
-        if self.capacity_bytes is None:
+        """Evict victims until the byte budget is met; returns evictions.
+
+        Under LRU this is the victim walk: it restarts at the front of the
+        live recency dict for every victim (most victims are untracked as
+        they go, so nothing is snapshotted up front), never offers a page
+        in ``protect``, and offers a page it leaves resident at most once
+        per call — a record-cache-retained page, or a tracked page with no
+        state.  CLOCK takes its victims from :meth:`_clock_victims`.
+        """
+        capacity = self.capacity_bytes
+        if capacity is None:
             return 0
         protect = protect if protect is not None else set()
         evicted = 0
-        # Pull victims only while over budget: advancing the generator one
-        # step too far would move the CLOCK hand past an unreferenced page,
-        # granting it a second chance it never earned.
-        victims = iter(self._victims(protect))
-        while self.resident_bytes > self.capacity_bytes:
-            pid = next(victims, None)
-            if pid is None:
-                break
-            entry = self.mapping_table.get(pid)
-            if entry.state is None:
+        resident = self._resident
+        entries = self.mapping_table.by_id
+        # Pull CLOCK victims only while over budget: advancing the
+        # generator one step too far would move the hand past an
+        # unreferenced page, granting it a second chance it never earned.
+        clock_victims = (self._clock_victims(protect)
+                         if self.policy is EvictionPolicy.CLOCK else None)
+        offered: Set[int] = set()
+        while self._resident_bytes > capacity:
+            if clock_victims is not None:
+                pid = next(clock_victims, None)
+                if pid is None:
+                    break
+            else:
+                for pid in resident:
+                    if pid not in protect and pid not in offered:
+                        break
+                else:
+                    break
+                offered.add(pid)
+            entry = entries[pid]
+            state = entry.state
+            if state is None:
                 continue
             # Record-cache retention may leave deltas resident; if we are
             # still over budget those delta-only pages are next in line and
             # get dropped entirely on a second pass.
-            if not entry.state.base_present:
+            if state.base is None:
                 self._drop_delta_only(entry)
             else:
                 self.evict(entry)
@@ -696,14 +703,21 @@ class PageCache:
                 )
                 rebuilt.flushed_delta_count = len(flushed_deltas)
                 rebuilt.base_flushed = True
-                was_tracked = entry.page_id in self._resident
+                page_id = entry.page_id
+                was_tracked = page_id in self._resident
                 entry.state = rebuilt
                 self.machine.cpu.charge("page_install", category="cache")
                 if was_tracked:
                     self.resize(entry)
-                    self.touch(entry)
                 else:
-                    self.register(entry)
+                    # register's bookkeeping, in this frame.
+                    nbytes = rebuilt.resident_size_bytes
+                    self.machine.dram.allocate(nbytes, DRAM_TAG)
+                    self._resident[page_id] = nbytes
+                    self._resident_bytes += nbytes
+                    if self.policy is EvictionPolicy.CLOCK:
+                        self._clock_ring[page_id] = True
+                self.touch(entry)
             self.stats.fetches += 1
             self.stats.fetch_ios += ios
             return ios

@@ -173,7 +173,12 @@ class LogStructuredStore:
         if tracer is not None:
             tracer.open_span("log_store.read", "log_store")
         try:
-            self.machine.io_path.charge_round_trip(addr.nbytes)
+            # The round trip's two halves, without charge_round_trip's
+            # frame; charge_complete stays a call of its own, one per
+            # round trip, which is how a traced run counts them.
+            io_path = self.machine.io_path
+            io_path.charge_submit(addr.nbytes)
+            io_path.charge_complete(addr.nbytes)
             service_us = self.machine.ssd.read(addr.nbytes)
             self.machine.cpu.charge(
                 "copy_per_byte", addr.nbytes, category="log_store"

@@ -71,10 +71,14 @@ class PageEntry:
 
 
 class MappingTable:
-    """Allocates logical page ids and tracks every page's location."""
+    """Allocates logical page ids and tracks every page's location.
+
+    ``by_id`` is the page id -> entry dict: a hot path may look a known
+    page up there without :meth:`get`'s frame; only this class writes it.
+    """
 
     def __init__(self) -> None:
-        self._entries: Dict[int, PageEntry] = {}
+        self.by_id: Dict[int, PageEntry] = {}
         self._next_page_id = 0
 
     @property
@@ -86,59 +90,59 @@ class MappingTable:
         page_id = self._next_page_id
         self._next_page_id += 1
         entry = PageEntry(page_id=page_id, state=DataPageState(page_id))
-        self._entries[page_id] = entry
+        self.by_id[page_id] = entry
         return entry
 
     def restore_entry(self, page_id: int, flash_chain: List[FlashAddr],
                       flushed_delta_records: int = 0) -> PageEntry:
         """Recreate a non-resident entry from a checkpoint (recovery)."""
-        if page_id in self._entries:
+        if page_id in self.by_id:
             raise ValueError(f"page {page_id} already exists")
         entry = PageEntry(page_id=page_id, state=None,
                           flash_chain=list(flash_chain),
                           flushed_delta_records=flushed_delta_records)
-        self._entries[page_id] = entry
+        self.by_id[page_id] = entry
         if page_id >= self._next_page_id:
             self._next_page_id = page_id + 1
         return entry
 
     def get(self, page_id: int) -> PageEntry:
         try:
-            return self._entries[page_id]
+            return self.by_id[page_id]
         except KeyError:
             raise KeyError(f"unknown logical page id {page_id}") from None
 
     def free(self, page_id: int) -> PageEntry:
         """Drop a page (after a merge); returns the removed entry."""
         try:
-            return self._entries.pop(page_id)
+            return self.by_id.pop(page_id)
         except KeyError:
             raise KeyError(f"unknown logical page id {page_id}") from None
 
     def __contains__(self, page_id: int) -> bool:
-        return page_id in self._entries
+        return page_id in self.by_id
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.by_id)
 
     def entries(self) -> List[PageEntry]:
         """All entries (stable order by page id)."""
-        return [self._entries[pid] for pid in sorted(self._entries)]
+        return [self.by_id[pid] for pid in sorted(self.by_id)]
 
     def resident_bytes(self) -> int:
         """Total bytes of resident page state across all entries."""
-        return sum(entry.resident_bytes for entry in self._entries.values())
+        return sum(entry.resident_bytes for entry in self.by_id.values())
 
     def current_address_set(self) -> Dict[FlashAddr, int]:
         """Map every *live* flash image to its page id (for the GC)."""
         live: Dict[FlashAddr, int] = {}
-        for entry in self._entries.values():
+        for entry in self.by_id.values():
             for addr in entry.flash_chain:
                 live[addr] = entry.page_id
         return live
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        resident = sum(1 for e in self._entries.values() if e.resident)
+        resident = sum(1 for e in self.by_id.values() if e.resident)
         return (
-            f"MappingTable(pages={len(self._entries)}, resident={resident})"
+            f"MappingTable(pages={len(self.by_id)}, resident={resident})"
         )

@@ -1,5 +1,6 @@
 """The point read does its bookkeeping in the frames it already has."""
 
+from repro.bwtree import BwTreeConfig
 from repro.deuteronomy import DeuteronomyEngine, TcConfig
 from repro.hardware import Machine
 from repro.workloads import WorkloadGenerator, WorkloadSpec
@@ -68,3 +69,73 @@ def test_a_point_read_does_its_bookkeeping_in_the_frames_it_has():
     assert sum(dc_read.frames.values()) == 24
     assert hit["<string>.__init__"] == 0
     assert dc_read["<string>.__init__"] == 2
+
+
+#: Helpers a page miss must not enter besides :data:`FORBIDDEN` (whose
+#: ``CounterSet.add`` the SSD and the TC now skip too, bumping their
+#: dicts): the cache's register / untrack helpers and residency-size
+#: readers (the fetch and the eviction keep the books in their own
+#: frames), the retired victim generator (``ensure_capacity`` walks the
+#: LRU order), the page-state accessor the walk reads as an attribute,
+#: and the I/O round-trip wrapper (the store read calls its halves).
+MISS_FORBIDDEN = FORBIDDEN | {
+    "cache.register", "cache._untrack", "cache._victims",
+    "cache.resident_bytes", "mapping_table.resident_bytes",
+    "pages.base_present", "iopath.charge_round_trip"}
+
+#: The layer boundaries ``benchmarks/e2e`` counts a traced run's work
+#: by, and the e2e metric each feeds: ``log_store.reads`` counts
+#: ``LogStructuredStore.read`` calls, ``io_path.round_trips`` counts
+#: ``IoPathModel.charge_complete`` calls, ``log_store.ssd_ios`` credits
+#: each ``SimulatedSsd.read`` to the enclosing store read, and
+#: ``page_cache.host_self_s`` is the time inside ``PageCache.fetch``,
+#: ``ensure_capacity`` and ``evict``.  Inlining any of them into its
+#: caller would zero its count, so a miss must call each exactly once.
+MISS_BOUNDARIES = ("log_store.read", "iopath.charge_complete", "ssd.read",
+                   "cache.fetch", "cache.ensure_capacity", "cache.evict")
+
+
+def test_a_page_miss_does_its_bookkeeping_in_the_frames_it_has():
+    """Complexity guard as frame counts, on ``read_cold`` in miniature
+    (YCSB-C over a page cache and a read cache a fraction of the data,
+    LRU, no record cache): a warmed get whose page must come from flash
+    — one fetch, one I/O, one eviction — enters 46 ``repro`` frames.
+    That is down from 59 while the fetch registered the page through
+    ``register`` (which sized it through ``PageEntry.resident_bytes``),
+    the store read charged its round trip through
+    ``charge_round_trip``, ``ensure_capacity`` pulled victims from a
+    ``_victims`` generator, looked each up through
+    ``MappingTable.get`` and read ``resident_bytes`` and
+    ``base_present`` as properties, ``evict`` untracked through
+    ``_untrack``, and the SSD and the TC counted through
+    ``CounterSet.add``.  Its three generated dataclass ``__init__``
+    frames (the store read's result, the page lookup's, the Bw-tree
+    op's) are pinned on their own."""
+    generator = WorkloadGenerator(WorkloadSpec.ycsb_c(record_count=4000,
+                                                      seed=42))
+    engine = DeuteronomyEngine(
+        Machine.paper_default(cores=4),
+        tree_config=BwTreeConfig(cache_capacity_bytes=64 << 10),
+        tc_config=TcConfig(read_cache_bytes=16 << 10))
+    engine.dc.bulk_load(generator.load_items())
+    engine.checkpoint()
+    for op in generator.operations(3000):
+        engine.get(op.key)
+    tc, cache, ssd = engine.tc, engine.dc.cache, engine.machine.ssd
+    for key, __ in generator.load_items():
+        if key in tc.read_cache._entries:
+            continue
+        before = (cache.stats.fetches, cache.stats.evictions,
+                  ssd.total_ios, tc.counters.get("tc.dc_read_ios"))
+        miss = count_calls(lambda: engine.get(key))
+        if cache.stats.fetches > before[0]:
+            break
+    assert (cache.stats.fetches, cache.stats.evictions, ssd.total_ios,
+            tc.counters.get("tc.dc_read_ios")) == tuple(
+                count + 1 for count in before)
+    assert MISS_FORBIDDEN.isdisjoint(miss), MISS_FORBIDDEN & set(miss)
+    assert {name: miss[name] for name in MISS_BOUNDARIES} == dict.fromkeys(
+        MISS_BOUNDARIES, 1)
+    assert miss["cache.touch"] == 2   # the Bw-tree's and the fetch's
+    assert sum(miss.frames.values()) == 46
+    assert miss["<string>.__init__"] == 3

@@ -33,6 +33,40 @@ def test_spec_validation():
         SsdSpec(price_dollars=-1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("iops", float("nan")),
+    ("iops", float("inf")),
+    ("read_latency_us", -5.0),
+    ("read_latency_us", float("nan")),
+    ("write_latency_us", -1.0),
+    ("bandwidth_bytes_per_sec", float("nan")),
+    ("bandwidth_bytes_per_sec", 0.0),
+    ("capacity_bytes", float("inf")),
+    ("price_dollars", float("nan")),
+    ("flash_price_per_byte", -1.0),
+    ("flash_price_per_byte", float("inf")),
+])
+def test_spec_refuses_a_field_that_cannot_describe_a_device(field, value):
+    """A NaN IOPS made busy time NaN, a negative latency a negative
+    service time, a negative flash price a $I of $5e11: each is now
+    refused by name at construction."""
+    with pytest.raises(ValueError, match=f"SsdSpec.{field} "):
+        SsdSpec(**{field: value})
+
+
+def test_zero_latency_and_zero_prices_still_describe_a_device():
+    spec = SsdSpec(read_latency_us=0.0, write_latency_us=0.0,
+                   price_dollars=0.0, flash_price_per_byte=0.0)
+    assert SimulatedSsd(spec).read(4096) == pytest.approx(
+        4096 / spec.bandwidth_bytes_per_sec * 1e6)
+
+
+@pytest.mark.parametrize("factor", [float("nan"), float("inf"), 0.0, -2.0])
+def test_scaled_refuses_a_factor_that_is_not_a_speedup(factor):
+    with pytest.raises(ValueError, match="positive and finite"):
+        SsdSpec().scaled(factor)
+
+
 def test_scaled_iops_keeps_other_fields():
     spec = SsdSpec().scaled_iops(5e5)
     assert spec.iops == 5e5

@@ -316,3 +316,87 @@ def test_fleet_charge_streams_and_stats_match_their_pinned_digests(
     assert (hashlib.sha256(repr(fleet.stats()).encode()).hexdigest()
             == FLEET_STATS_SHA256)
     assert accounts(run(None)) == accounts(fleet)
+
+
+MISS_TREE_CONFIG = BwTreeConfig(cache_capacity_bytes=12 * 1024,
+                                segment_bytes=1 << 15)
+MISS_TC_CONFIG = TcConfig(read_cache_bytes=READ_CACHE_BYTES,
+                          version_gc_horizon_lag=64)
+#: A value whose page alone is over the page-cache budget: a miss on it
+#: leaves only the protected page resident and the cache still over.
+OVERSIZED_VALUE = b"o" * (13 * 1024)
+
+MISS_CHARGES_SHA256 = (
+    "0a4fea4c54d559339be6f36f0a48b0e91f1b3971b392f993147c6d69de860cae")
+MISS_STATS_SHA256 = (
+    "91771770d23d5075830ab4c3511f5cbb1b2cd02502f52ed446aaa132a480523b")
+
+
+def test_page_miss_charge_stream_and_stats_match_their_pinned_digests(
+        monkeypatch):
+    """The path ``read_cold`` runs: no record cache, LRU, a page cache of
+    about three pages and a FIFO read cache that evicts, so most DC
+    reads fetch a fully evicted page and evict another.  YCSB-B through
+    ``get`` / ``put``, ``apply_batch`` and ``multi_get``, with one page
+    larger than the budget, so the victim walk meets its ``protect``."""
+    reached = {"over_budget_after_walk": 0}
+    ensure_capacity = PageCache.ensure_capacity
+
+    def spying_ensure_capacity(cache, protect=None):
+        evicted = ensure_capacity(cache, protect)
+        if (cache.capacity_bytes is not None
+                and cache.resident_bytes > cache.capacity_bytes):
+            reached["over_budget_after_walk"] += 1
+        return evicted
+
+    monkeypatch.setattr(PageCache, "ensure_capacity", spying_ensure_capacity)
+
+    def run(sink):
+        machine = Machine.paper_default(cores=1)
+        machine.cpu.sink = sink
+        engine = DeuteronomyEngine(machine, tree_config=MISS_TREE_CONFIG,
+                                   tc_config=MISS_TC_CONFIG)
+        generator = WorkloadGenerator(
+            WorkloadSpec.ycsb_b(record_count=1500, seed=23))
+        items = list(generator.load_items())
+        ops = list(generator.operations(6000))
+        written = {op.key for op in ops if op.kind is not OpKind.READ}
+        index = next(index for index in range(900, len(items))
+                     if items[index][0] not in written)
+        oversized = items[index][0]
+        items[index] = (oversized, OVERSIZED_VALUE)
+        engine.dc.bulk_load(items)
+        engine.checkpoint()
+        third = len(ops) // 3
+        for op in ops[:third]:
+            if op.kind is OpKind.READ:
+                engine.get(op.key)
+            else:
+                engine.put(op.key, op.value)
+        assert engine.get(oversized) == OVERSIZED_VALUE
+        for start in range(third, 2 * third, READ_BATCH):
+            engine.apply_batch([batch_item(op)
+                                for op in ops[start:start + READ_BATCH]])
+        keys = [op.key for op in WorkloadGenerator(
+            WorkloadSpec.ycsb_c(record_count=1500, seed=24)).operations(third)]
+        for start in range(0, len(keys), READ_BATCH):
+            engine.multi_get(keys[start:start + READ_BATCH])
+        return engine
+
+    recorder = ChargeRecorder()
+    engine = run(recorder)
+    cache, read_cache = engine.dc.cache, engine.tc.read_cache
+    dc_reads = engine.tc.counters.get("tc.dc_reads")
+    reached.update(fetches=cache.stats.fetches,
+                   evictions=cache.stats.evictions,
+                   read_cache_fifo_evictions=read_cache.evicted_records)
+    assert all(count > 0 for count in reached.values()), reached
+    assert cache.stats.record_cache_retained == 0
+    assert 2 * cache.stats.evictions > dc_reads
+    assert 2 * cache.stats.fetches > dc_reads
+    latencies = engine.machine.op_latencies
+    stats = (engine.stats(), latencies.count, latencies.total)
+    assert sha256_of_charges(recorder) == MISS_CHARGES_SHA256
+    assert (hashlib.sha256(repr(stats).encode()).hexdigest()
+            == MISS_STATS_SHA256)
+    assert accounts(run(None)) == accounts(engine)

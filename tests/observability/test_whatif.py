@@ -231,6 +231,22 @@ class TestRankingAndResult:
         with pytest.raises(ValueError):
             parse_speedup("bwtree:0x")
 
+    @pytest.mark.parametrize("spec", ["ssd:nan", "bwtree:inf", "ssd:1e400",
+                                      "bwtree:-2x"])
+    def test_parse_speedup_refuses_a_factor_that_is_not_a_speedup(self,
+                                                                  spec):
+        with pytest.raises(ValueError, match="positive and finite"):
+            parse_speedup(spec)
+
+    @pytest.mark.parametrize("speedup", [float("nan"), float("inf"), 0.0])
+    def test_predict_and_run_whatif_refuse_a_non_finite_speedup(self,
+                                                                speedup):
+        baseline = run_scenario(SYNC_SINGLE, record=True)
+        with pytest.raises(ValueError, match="positive and finite"):
+            predict(baseline, "bwtree", speedup)
+        with pytest.raises(ValueError, match="positive and finite"):
+            run_whatif(SYNC_SINGLE, speedup=speedup)
+
 
 class TestCli:
     ARGS = ["--seed", "11", "--records", "64", "--ops", "160",

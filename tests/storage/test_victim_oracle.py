@@ -1,10 +1,15 @@
-"""The lazy LRU victim walk against the snapshot it replaced.
+"""The LRU victim walk inside ``ensure_capacity`` against the walk it
+replaced.
 
-``ReferencePageCache`` keeps the retired generator verbatim — it copied
-every resident id with ``list(self._resident)`` on each call — so two
-trees can be driven through the same seeded steps and compared with
-``==``: a host-side optimization must pick the same victims in the same
-order and leave every virtual number where it was.
+``ReferencePageCache`` keeps the retired ``ensure_capacity`` verbatim —
+it pulled ids from a ``_victims`` generator — with that generator's LRU
+arm in its first form, which copied every resident id with
+``list(self._resident)`` on each call.  Two trees are driven through the
+same seeded steps and compared with ``==``: a host-side optimization
+must evict the same pages in the same order and leave every virtual
+number where it was.  Victims are logged from the evictions themselves
+(``evict`` and ``_drop_delta_only``), one ``"call"`` mark per
+``ensure_capacity``, so the log sees whatever walk a cache runs.
 """
 
 import collections
@@ -28,7 +33,8 @@ from .sequences import SEEDS, SHAPES, Shape, apply_step, make_steps, make_tree
 
 
 class ReferencePageCache(PageCache):
-    """``PageCache`` with the pre-lazy ``_victims``."""
+    """``PageCache`` with the retired ``ensure_capacity`` and the
+    snapshotting LRU arm of its ``_victims``."""
 
     def _victims(self, protect):
         if self.policy is EvictionPolicy.CLOCK:
@@ -38,37 +44,108 @@ class ReferencePageCache(PageCache):
             if pid not in protect:
                 yield pid
 
+    def ensure_capacity(self, protect=None):
+        """Evict victims until the byte budget is met; returns evictions."""
+        if self.capacity_bytes is None:
+            return 0
+        protect = protect if protect is not None else set()
+        evicted = 0
+        # Pull victims only while over budget: advancing the generator one
+        # step too far would move the CLOCK hand past an unreferenced page,
+        # granting it a second chance it never earned.
+        victims = iter(self._victims(protect))
+        while self.resident_bytes > self.capacity_bytes:
+            pid = next(victims, None)
+            if pid is None:
+                break
+            entry = self.mapping_table.get(pid)
+            if entry.state is None:
+                continue
+            # Record-cache retention may leave deltas resident; if we are
+            # still over budget those delta-only pages are next in line and
+            # get dropped entirely on a second pass.
+            if not entry.state.base_present:
+                self._drop_delta_only(entry)
+            else:
+                self.evict(entry)
+            evicted += 1
+        return evicted
+
+
+def mutant_walk(cache, protect, honour_protect=True, skip_offered=True):
+    """``PageCache.ensure_capacity``'s LRU walk, with one rule switchable
+    off: skipping protected pages, or skipping a page already offered."""
+    if cache.capacity_bytes is None:
+        return 0
+    protect = protect if protect is not None else set()
+    evicted = 0
+    resident = cache._resident
+    offered = set()
+    while cache.resident_bytes > cache.capacity_bytes:
+        for pid in resident:
+            if ((not honour_protect or pid not in protect)
+                    and (not skip_offered or pid not in offered)):
+                break
+        else:
+            break
+        offered.add(pid)
+        entry = cache.mapping_table.by_id[pid]
+        state = entry.state
+        if state is None:
+            if not skip_offered:
+                break   # the only page left would be offered forever
+            continue
+        if state.base is None:
+            cache._drop_delta_only(entry)
+        else:
+            cache.evict(entry)
+        evicted += 1
+    return evicted
+
+
+class IgnoringProtectPageCache(PageCache):
+    """The inline walk without its ``protect`` check: a miss can evict
+    the page it has just fetched."""
+
+    def ensure_capacity(self, protect=None):
+        assert self.policy is EvictionPolicy.LRU
+        return mutant_walk(self, protect, honour_protect=False)
+
 
 class ReofferingPageCache(PageCache):
-    """The obvious lazy walk, which is wrong: always offer the front.
+    """The inline walk without its ``offered`` check, which always
+    offers the front: a page the walk kept resident (record-cache
+    retention) stays at the front and is offered again in the same
+    call, where its deltas are dropped too."""
 
-    A page the consumer kept resident (record-cache retention) stays at
-    the front and is offered again in the same call, where the consumer
-    drops its deltas too.
-    """
-
-    def _victims(self, protect):
+    def ensure_capacity(self, protect=None):
         assert self.policy is EvictionPolicy.LRU
-        while True:
-            pid = next(
-                (pid for pid in self._resident if pid not in protect), None)
-            if pid is None:
-                return
-            yield pid
+        return mutant_walk(self, protect, skip_offered=False)
 
 
 def log_victims(cache):
-    """Record every id ``cache._victims`` hands out, with call boundaries."""
+    """Record every page ``cache`` evicts or drops, after a ``"call"``
+    mark for each ``ensure_capacity`` call."""
     log = []
-    victims = cache._victims
+    ensure_capacity = cache.ensure_capacity
+    evict = cache.evict
+    drop_delta_only = cache._drop_delta_only
 
-    def logged(protect):
+    def logged_ensure_capacity(protect=None):
         log.append("call")
-        for pid in victims(protect):
-            log.append(pid)
-            yield pid
+        return ensure_capacity(protect)
 
-    cache._victims = logged
+    def logged_evict(entry):
+        log.append(entry.page_id)
+        return evict(entry)
+
+    def logged_drop_delta_only(entry):
+        log.append(entry.page_id)
+        return drop_delta_only(entry)
+
+    cache.ensure_capacity = logged_ensure_capacity
+    cache.evict = logged_evict
+    cache._drop_delta_only = logged_drop_delta_only
     return log
 
 
@@ -135,8 +212,18 @@ def test_reoffering_a_retained_page_is_caught():
     retained them; the oracle sees the second offer."""
     shape = Shape(EvictionPolicy.LRU, record_cache=True,
                   demote_to_tiers=False, capacity_bytes=1500)
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match=r"^\(\d+, \("):
         assert_same_run(ReofferingPageCache, shape, seed=0)
+
+
+def test_ignoring_protect_is_caught():
+    """Under a budget smaller than one page, a walk that ignores
+    ``protect`` evicts the page a blind post or a miss is working on
+    once every other page is gone; the oracle sees that eviction."""
+    shape = Shape(EvictionPolicy.LRU, record_cache=False,
+                  demote_to_tiers=False, capacity_bytes=600)
+    with pytest.raises(AssertionError, match=r"^\(\d+, \("):
+        assert_same_run(IgnoringProtectPageCache, shape, seed=0)
 
 
 def three_flushed_pages_with_a_delta(capacity_bytes):
