@@ -127,7 +127,9 @@ class BwTree:
         # the request dispatch and epoch guard; one inner level of a
         # descent (a pointer chase, then its binary-search steps); and a
         # blind post (the mapping-table lookup of a resident leaf, then
-        # the CAS install and the delta's copy).
+        # the CAS install and the delta's copy).  The point read's single
+        # charges are one-step plans: the leaf's mapping-table lookup,
+        # then its delta hops, base search steps and value copy.
         plan = machine.cpu.plan
         self._dispatch = plan("bwtree", "op_dispatch", "epoch_protect")
         self._level = plan("bwtree", "pointer_chase",
@@ -135,6 +137,10 @@ class BwTree:
         self._post = plan("bwtree", "mapping_table_lookup", "install_cas",
                           then="copy_per_byte")
         self._install = plan("bwtree", "install_cas", then="copy_per_byte")
+        self._lookup = plan("bwtree", "mapping_table_lookup")
+        self._hops = plan("bwtree", then="delta_chain_hop")
+        self._search = plan("bwtree", then="page_binary_search_step")
+        self._copy = plan("bwtree", then="copy_per_byte")
         self._inners: Dict[int, InnerNode] = {}
         self._inner_sizes: Dict[int, int] = {}
         self._next_inner_id = -1
@@ -254,9 +260,8 @@ class BwTree:
             machine._ops_started += 1
             cpu = machine.cpu
             ssd = machine.ssd
-            cpu_before = cpu._busy_us
-            service_before = ssd._service_us_total
-            charge = cpu.charge
+            cpu_before = cpu.busy_us
+            service_before = ssd.service_us_total
             bill = cpu.bill
             bill(self._dispatch)
             level = self._level
@@ -267,7 +272,7 @@ class BwTree:
                 keys = node.keys
                 bill(level, len(keys).bit_length() or 1)
                 node_id = node.children[bisect.bisect_right(keys, key)]
-            charge("mapping_table_lookup", category="bwtree")
+            bill(self._lookup)
             entry = self.mapping_table.by_id[node_id]
             cache = self.cache
             cache.touch(entry)
@@ -277,8 +282,7 @@ class BwTree:
             probe = None
             if state is not None:
                 probe = state.lookup(key)
-                charge("delta_chain_hop", probe.delta_hops,
-                       category="bwtree")
+                bill(self._hops, probe.delta_hops)
                 if probe.base_missing:
                     probe = None
                 elif state.base is None:
@@ -295,19 +299,17 @@ class BwTree:
                 assert state is not None
                 probe = state.lookup(key)
                 assert not probe.base_missing
-                charge("delta_chain_hop", probe.delta_hops,
-                       category="bwtree")
+                bill(self._hops, probe.delta_hops)
             if probe.searched_base:
                 # One binary search over the base: bit_length comparisons,
                 # at least one on a non-empty base, none on an empty one.
-                charge("page_binary_search_step",
-                       len(state.base).bit_length(), category="bwtree")
+                bill(self._search, len(state.base).bit_length())
             value = probe.value
             found = probe.found
             if found and value is not None:
-                charge("copy_per_byte", len(value), category="bwtree")
-            latency = ((cpu._busy_us - cpu_before)
-                       + (ssd._service_us_total - service_before))
+                bill(self._copy, len(value))
+            latency = ((cpu.busy_us - cpu_before)
+                       + (ssd.service_us_total - service_before))
             machine.op_latencies.observe(latency)
             counts = self._counts
             counts["bwtree.ops"] += 1.0

@@ -35,6 +35,7 @@ durable-prefix oracle checks.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Tuple
@@ -78,9 +79,10 @@ class CommitPipeline:
         commit_interval_us: float = 50.0,
         epoch_bytes: int = 1 << 16,
     ) -> None:
-        if not commit_interval_us > 0.0:   # NaN fails this too
+        if not 0.0 < commit_interval_us < math.inf:   # NaN fails this too
             raise ValueError(
-                f"commit interval must be positive, got {commit_interval_us}"
+                "commit interval must be positive and finite, got "
+                f"{commit_interval_us}"
             )
         if epoch_bytes <= 0:
             raise ValueError(
@@ -114,6 +116,10 @@ class CommitPipeline:
         self.commit_wait_us = 0.0
         self.futures_resolved = 0
         self.acks = 0
+        # The enqueue's and each resolution's charge, priced once.
+        plan = machine.cpu.plan
+        self._enqueue = plan("commit_pipeline", "commit_enqueue")
+        self._resolve = plan("commit_pipeline", "commit_resolve")
 
     # --- enqueue path -------------------------------------------------------
 
@@ -136,7 +142,7 @@ class CommitPipeline:
             self._epoch_opened_s = machine.clock.now
             self._epoch_commits = 0
             self.epochs_opened += 1
-        machine.cpu.charge("commit_enqueue", 1.0, category="commit_pipeline")
+        machine.cpu.bill(self._enqueue)
         future = CommitFuture(epoch_id=self._epoch_id, lsn=self.log.last_lsn)
         self._pending.append(future)
         self._epoch_commits += n_commits
@@ -210,11 +216,12 @@ class CommitPipeline:
         """Resolve pending futures the durable LSN has caught up to."""
         durable_lsn = self.log.durable_lsn
         pending = self._pending
-        cpu = self.machine.cpu
+        bill = self.machine.cpu.bill
+        resolve = self._resolve
         while pending and pending[0].lsn <= durable_lsn:
             future = pending.popleft()
             future.done = True
-            cpu.charge("commit_resolve", 1.0, category="commit_pipeline")
+            bill(resolve)
             self.futures_resolved += 1
 
     # --- drain --------------------------------------------------------------

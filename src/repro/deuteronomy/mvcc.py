@@ -41,9 +41,12 @@ class VersionStore:
 
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
-        # add()'s probe and install, priced once.
-        self._install = machine.cpu.plan("tc_mvcc", "hash_probe",
-                                         "install_cas")
+        # add()'s probe and install, and visible()'s probe and per-version
+        # check, priced once.
+        plan = machine.cpu.plan
+        self._install = plan("tc_mvcc", "hash_probe", "install_cas")
+        self._probe = plan("tc_mvcc", "hash_probe")
+        self._check = plan("tc_mvcc", "version_visibility_check")
         self._versions: Dict[bytes, List[Version]] = {}
         self._bytes = 0
         self._count = 0
@@ -96,15 +99,16 @@ class VersionStore:
 
         Returns (version or None, versions examined) for cost charging.
         """
-        self.machine.cpu.charge("hash_probe", category="tc_mvcc")
+        bill = self.machine.cpu.bill
+        bill(self._probe)
         chain = self._versions.get(key)
         if not chain:
             return None, 0
         examined = 0
+        check = self._check
         for version in chain:
             examined += 1
-            self.machine.cpu.charge("version_visibility_check",
-                                    category="tc_mvcc")
+            bill(check)
             if version.timestamp <= read_timestamp:
                 return version, examined
         return None, examined

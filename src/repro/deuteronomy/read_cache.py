@@ -46,6 +46,10 @@ class ReadCache:
         # accounted here rather than in the machine's DRAM model.
         self._tier_entries: "OrderedDict[bytes, bytes]" = OrderedDict()
         self._tier_bytes = 0
+        # The lookup's probe and the insert's copy, priced once.
+        plan = machine.cpu.plan
+        self._probe = plan("tc_read_cache", "hash_probe")
+        self._copy = plan("tc_read_cache", then="copy_per_byte")
         self.hits = 0
         self.misses = 0
         self.evicted_records = 0
@@ -64,7 +68,7 @@ class ReadCache:
         A DRAM miss falls through to the victim tier (one more probe);
         a hit there promotes the record back into the DRAM FIFO.
         """
-        self.machine.cpu.charge("hash_probe", category="tc_read_cache")
+        self.machine.cpu.bill(self._probe)
         if key in self._entries:
             self.hits += 1
             return True, self._entries[key]
@@ -122,7 +126,7 @@ class ReadCache:
         entries[key] = value
         dram.allocate(nbytes, DRAM_TAG)
         self._bytes += nbytes
-        machine.cpu.charge("copy_per_byte", nbytes, category="tc_read_cache")
+        machine.cpu.bill(self._copy, nbytes)
         while self._bytes > budget:
             old_key, old_value = entries.popitem(last=False)
             freed = (READ_CACHE_ENTRY_OVERHEAD_BYTES + len(old_key)

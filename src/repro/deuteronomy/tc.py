@@ -16,6 +16,7 @@ The TC provides timestamp-ordered MVCC transactions over a data component
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -122,12 +123,12 @@ class TcConfig:
                 f"{self.version_gc_horizon_lag}: a negative lag truncates "
                 "versions that open snapshots still read"
             )
-        if not self.commit_interval_us > 0.0:
-            # ``not > 0`` so NaN is refused too: every window comparison
+        if not 0.0 < self.commit_interval_us < math.inf:
+            # Written so NaN is refused too: every window comparison
             # against NaN is False, so its epochs would close only on the
-            # byte threshold.
+            # byte threshold, as an infinite window's would.
             raise ValueError(
-                "commit_interval_us must be > 0, got "
+                "commit_interval_us must be > 0 and finite, got "
                 f"{self.commit_interval_us}"
             )
         if (self.log_retain_budget_bytes is not None
@@ -144,6 +145,13 @@ class TcConfig:
             raise ValueError(
                 "concurrency_mode must be 'latch_free' or 'latched', "
                 f"got {self.concurrency_mode!r}"
+            )
+        if self.record_dirty_flush_bytes <= 0:
+            # Every dirty-byte count is >= a threshold <= 0, so every
+            # cached read and commit would drain an empty heap.
+            raise ValueError(
+                "record_dirty_flush_bytes must be > 0, got "
+                f"{self.record_dirty_flush_bytes}"
             )
         if (self.record_cache
                 and self.record_dirty_flush_bytes >= self.record_cache_bytes):
@@ -198,10 +206,15 @@ class TransactionComponent:
                 concurrency_mode=self.config.concurrency_mode,
             )
         self.versions = VersionStore(machine)
-        # The one-call paths' begin: a timestamp, then the request
-        # dispatch, priced once.
-        self._begin_dispatch = machine.cpu.plan("tc", "timestamp_alloc",
-                                                "op_dispatch")
+        # The one-call paths' charges, priced once: the begin (a
+        # timestamp, then the request dispatch), the commit timestamp,
+        # a write's copy into the write set, and the commit's conflict
+        # probe of a written key's version chain.
+        plan = machine.cpu.plan
+        self._begin_dispatch = plan("tc", "timestamp_alloc", "op_dispatch")
+        self._stamp = plan("tc", "timestamp_alloc")
+        self._copy = plan("tc", then="copy_per_byte")
+        self._conflict_probe = plan("tc_mvcc", "hash_probe")
         self.counters = CounterSet()
         # The dict behind ``counters`` (a reset clears it in place): the
         # read path bumps its constant-1 counters here directly.
@@ -443,7 +456,7 @@ class TransactionComponent:
         if tracer is not None:
             tracer.open_span("tc.commit", "tc")
         try:
-            cpu.charge("timestamp_alloc", category="tc")
+            cpu.bill(self._stamp)
             self._clock += 1
             records = self.records
             if (records is not None and records.dirty_bytes
@@ -620,10 +633,11 @@ class TransactionComponent:
         """
         check_batch(ops)
         machine = self.machine
-        charge = machine.cpu.charge
+        bill = machine.cpu.bill
+        copy = self._copy
         tracer = machine.tracer
         counts = self._counts
-        machine.cpu.bill(self._begin_dispatch)
+        bill(self._begin_dispatch)
         read_ts = self._clock
         txn_id = self._next_txn_id
         self._next_txn_id += 1
@@ -649,10 +663,9 @@ class TransactionComponent:
                     continue
                 if kind == "delete":
                     value = None
-                    charge("copy_per_byte", len(key), category="tc")
+                    bill(copy, len(key))
                 else:
-                    charge("copy_per_byte", len(key) + len(value),
-                           category="tc")
+                    bill(copy, len(key) + len(value))
                 write_set[key] = value
                 counts["tc.writes"] += 1.0
                 results.append(None)
@@ -663,15 +676,16 @@ class TransactionComponent:
         if tracer is not None:
             tracer.open_span("tc.commit_batch", "tc")
         try:
-            charge("timestamp_alloc", category="tc")
+            bill(self._stamp)
             versions = self.versions
             chains = versions._versions
             commit_ts = self._clock + 1
+            conflict_probe = self._conflict_probe
             records: List[LogRecord] = []
             for key, value in write_set.items():
                 # The conflict probe, VersionStore.newest_timestamp in
                 # this frame.
-                charge("hash_probe", category="tc_mvcc")
+                bill(conflict_probe)
                 chain = chains.get(key)
                 if chain and chain[0].timestamp > read_ts:
                     counts["tc.aborts"] += 1.0

@@ -18,32 +18,31 @@ class VirtualClock:
     whenever work is charged (scaled by the number of cores, approximating
     steady-state elapsed time for a CPU-bound run) and may also be advanced
     directly, e.g. by workload drivers that model think time.
+
+    ``now`` is the current virtual time in seconds: a plain attribute,
+    read without a call.  Only the clock's own methods and the CPU
+    model's billing write it.
     """
 
-    __slots__ = ("_now",)
+    __slots__ = ("now",)
 
     def __init__(self, start: float = 0.0) -> None:
         if start < 0.0:
             raise ValueError(f"clock cannot start before zero, got {start}")
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
+        self.now = float(start)
 
     def advance(self, seconds: float) -> float:
         """Advance the clock by ``seconds`` and return the new time."""
         if not seconds >= 0.0:
             raise ValueError(f"clock advance must be >= 0, got {seconds}")
-        self._now += seconds
-        return self._now
+        self.now += seconds
+        return self.now
 
     def reset(self, start: float = 0.0) -> None:
         """Rewind the clock, used between benchmark phases."""
         if start < 0.0:
             raise ValueError(f"clock cannot reset before zero, got {start}")
-        self._now = float(start)
+        self.now = float(start)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VirtualClock(now={self._now:.6f}s)"
+        return f"VirtualClock(now={self.now:.6f}s)"

@@ -126,7 +126,8 @@ class Machine:
 
         Reads the SSD's O(1) running service-time scalar, not
         ``latencies.total`` (an O(n) fsum) — this runs once per
-        operation on the hot path.
+        operation on the hot path, so both reads are plain attributes
+        and the call is one frame.
         """
         return self.cpu.busy_us, self.ssd.service_us_total
 

@@ -126,7 +126,10 @@ class SimulatedSsd:
         # the histogram's ``total`` is an O(n) fsum, far too slow for the
         # per-span snapshots trace spans take around every hot-path call.
         self._total_ios = 0
-        self._service_us_total = 0.0
+        #: Running sum of per-access service time in microseconds since
+        #: the last reset (O(1), unlike ``latencies.total``): a plain
+        #: attribute, read without a call; only the device writes it.
+        self.service_us_total = 0.0
 
     # --- data-path operations ------------------------------------------
 
@@ -153,7 +156,7 @@ class SimulatedSsd:
         service_us = latency_us + transfer * 1e6
         self.latencies.observe(service_us)
         self._total_ios += 1
-        self._service_us_total += service_us
+        self.service_us_total += service_us
         return service_us
 
     # --- capacity accounting --------------------------------------------
@@ -195,19 +198,13 @@ class SimulatedSsd:
         """Accesses performed since the last reset (one per read/write)."""
         return self._total_ios
 
-    @property
-    def service_us_total(self) -> float:
-        """Running sum of per-access service time (O(1), unlike
-        ``latencies.total``)."""
-        return self._service_us_total
-
     def reset(self) -> None:
         """Zero traffic accounting; stored bytes are left in place."""
         self.counters.reset()
         self.latencies.reset()
         self._busy_seconds = 0.0
         self._total_ios = 0
-        self._service_us_total = 0.0
+        self.service_us_total = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -228,9 +228,9 @@ class Tracer:
         # Attach-time baselines.  After reset_accounting() these are all
         # exactly zero, which makes every "now - baseline" below the
         # bitwise identity — the reconciliation contract.
-        self._busy_attach = machine.cpu._busy_us
+        self._busy_attach = machine.cpu.busy_us
         self._ios_attach = machine.ssd._total_ios
-        self._service_attach = machine.ssd._service_us_total
+        self._service_attach = machine.ssd.service_us_total
         self._counters_attach = {
             name: value
             for name, value in machine.cpu.counters.snapshot().items()
@@ -263,15 +263,15 @@ class Tracer:
         ssd = self._ssd
         if not self.detailed:
             self._events += (
-                name, component, self._clock._now, self._cpu._busy_us,
-                ssd._total_ios, ssd._service_us_total, self._dram._current,
+                name, component, self._clock.now, self._cpu.busy_us,
+                ssd._total_ios, ssd.service_us_total, self._dram._current,
             )
             return
         span = Span(name, component)
-        span.begin_s = self._clock._now
-        span._busy0 = self._cpu._busy_us
+        span.begin_s = self._clock.now
+        span._busy0 = self._cpu.busy_us
         span._ios0 = ssd._total_ios
-        span._service0 = ssd._service_us_total
+        span._service0 = ssd.service_us_total
         span._dram0 = self._dram._current
         stack = self._stack
         if stack:
@@ -286,17 +286,17 @@ class Tracer:
         ssd = self._ssd
         if not self.detailed:
             self._events += (
-                None, self._clock._now, self._cpu._busy_us,
-                ssd._total_ios, ssd._service_us_total, self._dram._current,
+                None, self._clock.now, self._cpu.busy_us,
+                ssd._total_ios, ssd.service_us_total, self._dram._current,
             )
             return
         stack = self._stack
         assert stack, "span stack corruption: close_span with no open span"
         span = stack.pop()
-        span.end_s = self._clock._now
-        span.subtree_cpu_us = self._cpu._busy_us - span._busy0
+        span.end_s = self._clock.now
+        span.subtree_cpu_us = self._cpu.busy_us - span._busy0
         span.ssd_ios = ssd._total_ios - span._ios0
-        span.service_us = ssd._service_us_total - span._service0
+        span.service_us = ssd.service_us_total - span._service0
         span.dram_delta_bytes = self._dram._current - span._dram0
 
     # -- the span tree ----------------------------------------------------
@@ -355,7 +355,7 @@ class Tracer:
     @property
     def total_us(self) -> float:
         """Core-microseconds charged since attach (scalar difference)."""
-        return self._cpu._busy_us - self._busy_attach
+        return self._cpu.busy_us - self._busy_attach
 
     def total_core_seconds(self) -> float:
         """Traced core-seconds; bit-equal to ``stats()['core_seconds']``

@@ -299,6 +299,13 @@ class PageCache:
             self.tiers = TierCache(machine, budget_bytes=demote_budget_bytes)
             self.tiers.stats = self.stats
         self._vclock = machine.clock
+        # The eviction's bookkeeping and a page's install, and a base
+        # read's install and copy, priced once.
+        plan = machine.cpu.plan
+        self._evict = plan("cache", "evict_bookkeeping")
+        self._install = plan("cache", "page_install")
+        self._install_base = plan("cache", "page_install",
+                                  then="copy_per_byte")
         # LRU order over resident pages: page id -> accounted bytes.
         # ``_resident_bytes`` is the running sum of its values; only
         # register / resize / touch / _untrack write either, and fetch
@@ -364,8 +371,7 @@ class PageCache:
             self.machine.dram.allocate(grown_bytes, DRAM_TAG)
             self._resident[page_id] += grown_bytes
             self._resident_bytes += grown_bytes
-        # VirtualClock.now, without the property's frame.
-        entry.last_access = self._vclock._now
+        entry.last_access = self._vclock.now
         entry.access_count += 1
         stats = self.stats
         stats.touches += 1
@@ -459,7 +465,7 @@ class PageCache:
             raise ValueError(f"page {entry.page_id} is not resident")
         if state.has_unflushed_changes:
             self.flush_page(entry)
-        self.machine.cpu.charge("evict_bookkeeping", category="cache")
+        self.machine.cpu.bill(self._evict)
         if self.record_cache and state.deltas and state.base_present:
             state.drop_base()
             self.resize(entry)
@@ -501,7 +507,7 @@ class PageCache:
         assert entry.state is not None
         if entry.state.has_unflushed_changes:
             self.flush_page(entry)
-        self.machine.cpu.charge("evict_bookkeeping", category="cache")
+        self.machine.cpu.bill(self._evict)
         entry.state = None
         self._untrack(entry)
         self.stats.evictions += 1
@@ -632,7 +638,7 @@ class PageCache:
                 # still current: reinstall it with zero device I/Os —
                 # the read is served from whichever tier holds the page.
                 entry.state = promoted
-                self.machine.cpu.charge("page_install", category="cache")
+                self.machine.cpu.bill(self._install)
                 if entry.page_id in self._resident:
                     self.resize(entry)
                     self.touch(entry)
@@ -706,7 +712,7 @@ class PageCache:
                 page_id = entry.page_id
                 was_tracked = page_id in self._resident
                 entry.state = rebuilt
-                self.machine.cpu.charge("page_install", category="cache")
+                self.machine.cpu.bill(self._install)
                 if was_tracked:
                     self.resize(entry)
                 else:
@@ -736,10 +742,7 @@ class PageCache:
             )
         state.install_base(list(image.records), image.size_bytes)
         state.base_flushed = True
-        self.machine.cpu.charge("page_install", category="cache")
-        self.machine.cpu.charge(
-            "copy_per_byte", base_addr.nbytes, category="cache"
-        )
+        self.machine.cpu.bill(self._install_base, base_addr.nbytes)
         return 0 if result.from_write_buffer else 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

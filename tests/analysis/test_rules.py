@@ -241,6 +241,28 @@ class Reader:
         findings = _lint_snippet(tmp_path, code, self.RULE)
         assert [f.message.split()[0] for f in findings] == ["Reader.lookup"]
 
+    ONE_STEP_PLAN = """\
+class Reader:
+    def __init__(self, machine, cache):
+        self.machine = machine
+        self.cache = cache
+        self._install = machine.cpu.plan("cache", "page_install")
+
+    def lookup(self, entry):
+        self.cache.fetch(entry)
+        self.machine.cpu.bill(self._install)
+        return entry
+"""
+
+    def test_a_billed_one_step_plan_pays_for_the_path(self, tmp_path):
+        assert not _lint_snippet(tmp_path, self.ONE_STEP_PLAN, self.RULE)
+
+    def test_the_path_without_its_one_step_bill_is_flagged(self, tmp_path):
+        unbilled = self.ONE_STEP_PLAN.replace(
+            "        self.machine.cpu.bill(self._install)\n", "")
+        findings = _lint_snippet(tmp_path, unbilled, self.RULE)
+        assert [f.message.split()[0] for f in findings] == ["Reader.lookup"]
+
     def test_a_return_inside_try_pays_in_its_finally(self, tmp_path):
         code = """\
 class Reader:

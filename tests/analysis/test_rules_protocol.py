@@ -162,6 +162,34 @@ def test_epoch_rule_counts_a_billed_plan_with_a_protect_step(tmp_path):
     assert "Heap.peek" in found[0].message
 
 
+EPOCH_ONE_STEP = """\
+class Tree:
+    def __init__(self, machine):
+        self.machine = machine
+        self.mapping_table = {}
+        self._protect = machine.cpu.plan("bwtree", "epoch_protect")
+        self._probe = machine.cpu.plan("bwtree", "hash_probe")
+
+    def lookup(self, page_id):
+        self.machine.cpu.bill(self._protect)
+        return self.mapping_table.get(page_id)
+
+    def peek(self, page_id):
+        self.machine.cpu.bill(self._probe)
+        return self.mapping_table.get(page_id)
+"""
+
+
+def test_epoch_rule_counts_a_billed_one_step_protect_plan(tmp_path):
+    """A one-step plan of ``epoch_protect`` protects like the charge it
+    stands for; a one-step plan of anything else does not."""
+    target = tmp_path / "tree.py"
+    target.write_text(EPOCH_ONE_STEP)
+    found = _findings(str(target), "epoch-discipline")
+    assert len(found) == 1
+    assert "Tree.peek" in found[0].message
+
+
 EPOCH_LEAK = """\
 class Walker:
     def __init__(self, epochs):

@@ -225,14 +225,15 @@ def test_every_read_outcome_is_driven():
 
 def test_dropping_the_commit_timestamp_is_caught(monkeypatch):
     """Mutation check: ``get`` without its commit-time
-    ``timestamp_alloc`` charge no longer matches the reference.  The
-    charges are counted in the ``ChargeRecorder`` stream, which sees
-    each step of a billed plan too (begin's ``timestamp_alloc`` is
-    billed with its dispatch): the mutant's lacks one per get."""
+    ``timestamp_alloc`` — the ``bill`` of the TC's one-step stamp plan —
+    no longer matches the reference.  The charges are counted in the
+    ``ChargeRecorder`` stream, which sees each step of a billed plan too
+    (begin's ``timestamp_alloc`` is billed with its dispatch): the
+    mutant's lacks one per get."""
     lines = textwrap.dedent(
         inspect.getsource(TransactionComponent.get)).splitlines()
     allocs = [index for index, line in enumerate(lines)
-              if 'charge("timestamp_alloc"' in line]
+              if "bill(self._stamp)" in line]
     assert len(allocs) == 1          # commit's
     del lines[allocs[0]]
     namespace: dict = {}

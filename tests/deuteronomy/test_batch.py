@@ -281,11 +281,14 @@ def warmed_batch_calls(engine, generator):
 def test_a_batched_op_does_its_bookkeeping_in_the_frames_it_has():
     """Complexity guard as frame counts, on ``update_batched`` in
     miniature (YCSB-A, sync commit): a warmed 64-op mixed
-    ``apply_batch`` enters 580 ``repro`` frames, 9.1 per op: 582 while
+    ``apply_batch`` enters 576 ``repro`` frames, 9.0 per op: 580 while
+    its two DC reads read ``cpu.busy_us`` and ``ssd.service_us_total``
+    through property frames, 582 while
     the log flush's device write bumped its two SSD counters through
     ``CounterSet.add``, 714 (11.2) while every charge of a fixed run was
-    a frame of its own (386
-    charges, now 144 charges and 110 billed plans), 757 while each of
+    a frame of its own (386 charges; 144 charges and 110 billed plans
+    until each hot single charge became a one-step plan, now 2 charges
+    and 252 billed plans), 757 while each of
     its 43 untraced spans entered ``machine.trace_span`` (and two
     ``contextlib`` frames ``.frames`` did not count), and 1,009 (15.8)
     when the batch built a transaction object and went through
@@ -306,17 +309,20 @@ def test_a_batched_op_does_its_bookkeeping_in_the_frames_it_has():
     calls = warmed_batch_calls(engine, generator)
     assert calls["tc.apply_batch"] == calls["tree.apply_blind_batch"] == 1
     assert calls["tree.get_with_stats"] > 0   # reads reach the DC too
-    assert sum(calls.frames.values()) == 580
+    assert sum(calls.frames.values()) == 576
     assert calls["<string>.__init__"] == 88
 
 
 def test_a_fleet_batch_does_its_bookkeeping_in_the_frames_it_has():
     """The same guard on ``fleet_async`` in miniature (8 shards, commit
     pipeline, one shared log device, every key routed once by the bulk
-    load): a warmed 64-op ``apply_batch`` enters 729 ``repro`` frames,
-    11.4 per op: 845 (13.2) while every charge of a fixed run was a
-    frame of its own, 916 (14.3) while each of its 71 untraced spans
-    entered ``machine.trace_span``, and 1,418 (22.2) when the scatter
+    load): a warmed 64-op ``apply_batch`` enters 680 ``repro`` frames,
+    10.6 per op: 729 (11.4) while the commit pipeline read ``clock.now``
+    and the DC reads ``cpu.busy_us`` and ``ssd.service_us_total``
+    through property frames (17, 16 and 16), 845 (13.2) while every
+    charge of a fixed run was a frame of its own, 916 (14.3) while each
+    of its 71 untraced spans entered ``machine.trace_span``, and 1,418
+    (22.2) when the scatter
     re-hashed every key through a ``key_of`` lambda and each shard ran a
     lambda and a transaction object.  Its 102 generated dataclass
     ``__init__`` frames, which ``.frames`` skips, are pinned too."""
@@ -329,5 +335,5 @@ def test_a_fleet_batch_does_its_bookkeeping_in_the_frames_it_has():
     calls = warmed_batch_calls(fleet, generator)
     assert calls["router.scatter"] == 1
     assert calls["tc.apply_batch"] == 8
-    assert sum(calls.frames.values()) == 729
+    assert sum(calls.frames.values()) == 680
     assert calls["<string>.__init__"] == 102

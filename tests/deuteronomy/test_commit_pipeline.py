@@ -49,13 +49,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TcConfig(sync_commit=True, commit_pipeline=True)
 
-    @pytest.mark.parametrize("interval", [float("nan"), 0.0, -50.0])
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf"), 0.0,
+                                          -50.0])
     def test_a_window_that_never_closes_is_rejected(self, machine, log,
                                                     interval):
-        # A NaN window compares False against every elapsed time, so its
-        # epochs closed only on the byte threshold: over 50 64-op YCSB-A
-        # batches it closed 2 epochs, as a 1e9 us window does, where a
-        # 50 us window closes 5.
+        # A NaN window compares False against every elapsed time, and an
+        # infinite one is never reached, so their epochs closed only on
+        # the byte threshold: over 50 64-op YCSB-A batches a NaN window
+        # closed 2 epochs, as a 1e9 us window does, where a 50 us window
+        # closes 5.
         with pytest.raises(ValueError, match="commit_interval_us"):
             TcConfig(commit_pipeline=True, commit_interval_us=interval)
         with pytest.raises(ValueError, match="commit interval"):

@@ -1,8 +1,10 @@
 """The point read does its bookkeeping in the frames it already has."""
 
+from unittest import mock
+
 from repro.bwtree import BwTreeConfig
 from repro.deuteronomy import DeuteronomyEngine, TcConfig
-from repro.hardware import Machine
+from repro.hardware import CpuModel, Machine
 from repro.workloads import WorkloadGenerator, WorkloadSpec
 
 from ..frames import count_calls
@@ -10,9 +12,10 @@ from ..frames import count_calls
 #: Functions a point read on a resident page must not enter: the
 #: Bw-tree's per-op helpers, the mapping-table and clock accessors, the
 #: machine's op-count and latency helpers, the read cache's admit and
-#: sizing helpers, the commit half's no-op calls, and any span frame
-#: while no tracer is attached (the old ``machine.trace_span`` and the
-#: standard library's context-manager protocol).
+#: sizing helpers, the commit half's no-op calls, any span frame while
+#: no tracer is attached (the old ``machine.trace_span`` and the
+#: standard library's context-manager protocol), and ``CpuModel.charge``:
+#: every charge on the path is a billed plan, one step or more.
 FORBIDDEN = {"tree._begin_op", "tree._finish_read", "tree._post_op",
              "tree._descend", "tree._maybe_consolidate", "mapping_table.get",
              "clock.now", "machine.begin_operation", "machine.latency_window",
@@ -20,7 +23,7 @@ FORBIDDEN = {"tree._begin_op", "tree._finish_read", "tree._post_op",
              "read_cache._admit", "read_cache._entry_bytes",
              "tc._maybe_drain_records", "tc._maybe_gc_versions",
              "mvcc.truncate", "machine.trace_span",
-             "contextlib.__enter__", "contextlib.__exit__"}
+             "contextlib.__enter__", "contextlib.__exit__", "cpu.charge"}
 
 
 def test_a_point_read_does_its_bookkeeping_in_the_frames_it_has():
@@ -67,6 +70,7 @@ def test_a_point_read_does_its_bookkeeping_in_the_frames_it_has():
         assert FORBIDDEN.isdisjoint(calls), FORBIDDEN & set(calls)
     assert sum(hit.frames.values()) == 9
     assert sum(dc_read.frames.values()) == 24
+    assert hit["cpu.bill"] == 4            # begin, two probes, the stamp
     assert hit["<string>.__init__"] == 0
     assert dc_read["<string>.__init__"] == 2
 
@@ -78,10 +82,16 @@ def test_a_point_read_does_its_bookkeeping_in_the_frames_it_has():
 #: frames), the retired victim generator (``ensure_capacity`` walks the
 #: LRU order), the page-state accessor the walk reads as an attribute,
 #: and the I/O round-trip wrapper (the store read calls its halves).
-MISS_FORBIDDEN = FORBIDDEN | {
+MISS_FORBIDDEN = (FORBIDDEN - {"cpu.charge"}) | {
     "cache.register", "cache._untrack", "cache._victims",
     "cache.resident_bytes", "mapping_table.resident_bytes",
     "pages.base_present", "iopath.charge_round_trip"}
+
+#: The only charges a page miss still makes through ``CpuModel.charge``:
+#: the two counted copies of the flash image, the store read's
+#: (``log_store``) and the fetch's (``cache``).  Every other charge on
+#: the miss is a billed plan.
+MISS_CHARGES = [("copy_per_byte", "log_store"), ("copy_per_byte", "cache")]
 
 #: The layer boundaries ``benchmarks/e2e`` counts a traced run's work
 #: by, and the e2e metric each feeds: ``log_store.reads`` counts
@@ -122,14 +132,23 @@ def test_a_page_miss_does_its_bookkeeping_in_the_frames_it_has():
     for op in generator.operations(3000):
         engine.get(op.key)
     tc, cache, ssd = engine.tc, engine.dc.cache, engine.machine.ssd
-    for key, __ in generator.load_items():
-        if key in tc.read_cache._entries:
-            continue
-        before = (cache.stats.fetches, cache.stats.evictions,
-                  ssd.total_ios, tc.counters.get("tc.dc_read_ios"))
-        miss = count_calls(lambda: engine.get(key))
-        if cache.stats.fetches > before[0]:
-            break
+    charged = []
+    charge = CpuModel.charge
+
+    def named(cpu, primitive, count=1.0, category=None):
+        charged.append((primitive, category))
+        return charge(cpu, primitive, count, category)
+
+    with mock.patch.object(CpuModel, "charge", named):
+        for key, __ in generator.load_items():
+            if key in tc.read_cache._entries:
+                continue
+            before = (cache.stats.fetches, cache.stats.evictions,
+                      ssd.total_ios, tc.counters.get("tc.dc_read_ios"))
+            del charged[:]
+            miss = count_calls(lambda: engine.get(key))
+            if cache.stats.fetches > before[0]:
+                break
     assert (cache.stats.fetches, cache.stats.evictions, ssd.total_ios,
             tc.counters.get("tc.dc_read_ios")) == tuple(
                 count + 1 for count in before)
@@ -139,3 +158,5 @@ def test_a_page_miss_does_its_bookkeeping_in_the_frames_it_has():
     assert miss["cache.touch"] == 2   # the Bw-tree's and the fetch's
     assert sum(miss.frames.values()) == 46
     assert miss["<string>.__init__"] == 3
+    assert miss["cpu.charge"] == len(MISS_CHARGES)
+    assert charged == MISS_CHARGES

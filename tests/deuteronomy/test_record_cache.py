@@ -194,6 +194,27 @@ class TestEngineFastPath:
             engine.put(b"k%04d" % index, b"v" * 64)
         assert engine.stats()["record_heap_bytes"] <= 4 << 10
 
+    @pytest.mark.parametrize("threshold", [0, -1])
+    def test_a_drain_threshold_that_is_always_met_is_refused(self,
+                                                              threshold):
+        """Any dirty-byte count meets a threshold <= 0, so every cached
+        get drained an empty heap: the record-heap hit below billed 1.69
+        core-us instead of 0.65 (an ``op_dispatch`` and an empty drain
+        each time) while ``tc.record_cache_drains`` did not move.  The
+        config is refused."""
+        from repro.deuteronomy import TcConfig
+        with pytest.raises(ValueError, match="record_dirty_flush_bytes"):
+            TcConfig(record_cache=True, record_dirty_flush_bytes=threshold)
+        with pytest.raises(ValueError, match="record_dirty_flush_bytes"):
+            TcConfig(record_dirty_flush_bytes=threshold)
+        engine = self._engine(record_dirty_flush_bytes=1)
+        engine.put(b"k", b"v" * 32)
+        engine.checkpoint()
+        assert engine.get(b"k") == b"v" * 32
+        busy = engine.machine.cpu.busy_us
+        assert engine.get(b"k") == b"v" * 32     # a record-heap hit
+        assert engine.machine.cpu.busy_us - busy < 1.0
+
     def test_deletes_ride_the_fast_path(self):
         engine = self._engine()
         engine.put(b"k", b"v")

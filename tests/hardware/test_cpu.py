@@ -196,28 +196,73 @@ def test_a_plan_bills_what_its_charges_bill():
 
 
 def test_a_plan_is_checked_where_it_is_built():
+    """A plan of no step is refused; one step, fixed or a counted tail
+    alone, is a plan."""
     cpu = CpuModel(cores=1)
-    with pytest.raises(ValueError, match="at least two"):
-        cpu.plan("tc", "hash_probe")
-    with pytest.raises(ValueError, match="at least two"):
-        cpu.plan("tc", then="copy_per_byte")
+    with pytest.raises(ValueError, match="at least one"):
+        cpu.plan("tc")
     with pytest.raises(AttributeError, match="no_such_primitive"):
         cpu.plan("tc", "hash_probe", "no_such_primitive")
+    with pytest.raises(AttributeError, match="no_such_primitive"):
+        cpu.plan("tc", then="no_such_primitive")
+    cpu.bill(cpu.plan("tc", "hash_probe"))
+    cpu.bill(cpu.plan("tc", then="copy_per_byte"), 64)
+    assert cpu.busy_us == cpu.costs.hash_probe + cpu.costs.copy_per_byte * 64
+
+
+def test_a_one_step_plan_bills_in_one_frame_without_a_sink_or_scaling():
+    cpu = CpuModel(cores=4)
+    probe = cpu.plan("tc", "hash_probe")
+    copy = cpu.plan("tc", then="copy_per_byte")
+    assert frames(lambda: cpu.bill(probe)) == {"cpu.bill": 1}
+    assert frames(lambda: cpu.bill(copy, 120)) == {"cpu.bill": 1}
+    cpu.sink = ChargeRecorder()
+    assert frames(lambda: cpu.bill(copy, 0)) == {
+        "cpu.bill": 1, "cpu.charge": 1, "whatif.on_charge": 1}
+    cpu.sink = None
+    cpu.scale_costs({"tc": 0.5})
+    assert frames(lambda: cpu.bill(probe)) == {"cpu.bill": 1, "cpu.charge": 1}
+    # Clearing both observers puts the plan back on the head.
+    cpu.scale_costs(None)
+    assert frames(lambda: cpu.bill(probe)) == {"cpu.bill": 1}
+
+
+@pytest.mark.parametrize("steps", [("hash_probe",), ()])
+def test_a_one_step_plan_bills_what_its_charge_bills(steps):
+    """Three cores, so the clock advance is not a power-of-two scaling;
+    a zero count still bills, as ``charge(p, 0)`` does."""
+    billed, charged = CpuModel(cores=3), CpuModel(cores=3)
+    then = None if steps else "delta_chain_hop"
+    plan = billed.plan("tc_mvcc", *steps, then=then)
+    for count in (1, 0, 7, 2.5):
+        billed.bill(plan, count)
+        if then is None:
+            charged.charge("hash_probe", category="tc_mvcc")
+        else:
+            charged.charge(then, count, category="tc_mvcc")
+        assert accounts(billed) == accounts(charged)
+    billed.sink, charged.sink = ChargeRecorder(), ChargeRecorder()
+    billed.bill(plan, 0)
+    charged.charge(then or "hash_probe", 0 if then else 1.0, "tc_mvcc")
+    assert billed.sink.events == charged.sink.events
+    assert accounts(billed) == accounts(charged)
 
 
 @pytest.mark.parametrize("sink", [False, True])
 @pytest.mark.parametrize("bad", [float("nan"), -1.0, -float("inf")])
 def test_a_bad_tail_count_raises_before_anything_is_billed(bad, sink):
-    cpu = CpuModel(cores=4)
-    cpu.sink = recorder = ChargeRecorder() if sink else None
-    post = cpu.plan("bwtree", "install_cas", then="copy_per_byte")
-    cpu.bill(post, 10)
-    before = accounts(cpu)
-    with pytest.raises(ValueError):
-        cpu.bill(post, bad)
-    assert accounts(cpu) == before
-    if sink:
-        assert len(recorder.events) == 2
+    """With fixed steps before the tail, and for a tail alone."""
+    for steps in (("install_cas",), ()):
+        cpu = CpuModel(cores=4)
+        cpu.sink = recorder = ChargeRecorder() if sink else None
+        post = cpu.plan("bwtree", *steps, then="copy_per_byte")
+        cpu.bill(post, 10)
+        before = accounts(cpu)
+        with pytest.raises(ValueError):
+            cpu.bill(post, bad)
+        assert accounts(cpu) == before
+        if sink:
+            assert len(recorder.events) == len(steps) + 1
 
 
 def test_a_plan_billed_on_another_model_charges_there():
@@ -230,6 +275,9 @@ def test_a_plan_billed_on_another_model_charges_there():
     other.bill(install)
     reference.charge("hash_probe", category="tc_mvcc")
     reference.charge("install_cas", category="tc_mvcc")
+    assert accounts(other) == accounts(reference)
+    other.bill(owner.plan("tc_mvcc", "hash_probe"))
+    reference.charge("hash_probe", category="tc_mvcc")
     assert accounts(other) == accounts(reference)
     assert owner.busy_us == 0.0
 

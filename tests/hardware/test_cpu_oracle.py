@@ -5,8 +5,9 @@
 ``getattr`` on the cost table and one f-string per charge — so the two
 can be driven side by side and compared with ``==``, never ``approx``:
 a host-side optimization must leave every virtual number bit-identical.
-A billed charge plan is held to the reference charging its steps one
-call each, with and without a sink and what-if scaling.
+A billed charge plan — one step or several, on the model that built it
+or on another — is held to the reference charging its steps one call
+each, with and without a sink and what-if scaling.
 """
 
 from unittest import mock
@@ -30,7 +31,7 @@ class ReferenceCpuModel(CpuModel):
             factor = scale.get(category)
             if factor is not None:
                 microseconds = microseconds * factor
-        self._busy_us += microseconds
+        self.busy_us += microseconds
         self.counters.add(f"cpu_us.{category}", microseconds)
         sink = self.sink
         if sink is not None:
@@ -60,17 +61,24 @@ MICROSECONDS = st.one_of(
     st.floats(-4.0, -1e-9),
 )
 FACTORS = st.floats(1e-3, 1e3)
-#: A plan of one to five primitives plus an optional counted tail, two
-#: steps at least: ``(primitives, tail primitive or None, tail count)``.
+TAIL_COUNTS = st.one_of(COUNTS, st.just(float("nan")))
+#: A plan of up to five primitives plus an optional counted tail, one
+#: step at least: ``(primitives, tail primitive or None, tail count)``.
+#: One-step plans — a fixed primitive, or a tail alone — are drawn on
+#: their own, since :meth:`CpuModel.bill` has a head for them.
 PLANS = st.one_of(
+    st.tuples(st.lists(PRIMITIVES, min_size=1, max_size=1), st.none(),
+              st.just(1.0)),
+    st.tuples(st.just([]), PRIMITIVES, TAIL_COUNTS),
     st.tuples(st.lists(PRIMITIVES, min_size=2, max_size=5), st.none(),
               st.just(1.0)),
     st.tuples(st.lists(PRIMITIVES, min_size=1, max_size=5), PRIMITIVES,
-              st.one_of(COUNTS, st.just(float("nan")))),
+              TAIL_COUNTS),
 )
 STEPS = st.lists(st.one_of(
     st.tuples(st.just("bill"), PLANS, CATEGORIES),
     st.tuples(st.just("bill"), PLANS, CATEGORIES),
+    st.tuples(st.just("bill_foreign"), PLANS, CATEGORIES),
     st.tuples(st.just("charge"), PRIMITIVES, COUNTS,
               st.one_of(st.none(), CATEGORIES)),
     st.tuples(st.just("charge"), PRIMITIVES, COUNTS,
@@ -98,17 +106,26 @@ def reference_bill(cpu, primitives, then, count, category):
         cpu.charge(then, count, category)
 
 
+#: The model a ``bill_foreign`` step builds its plan on: other prices
+#: and another core count, so a plan that billed its own amounts on the
+#: model it is billed on would not match the reference.
+FOREIGN = CpuModel(3, costs=CostTable().scaled(1.5))
+
+
 def apply(cpu, recorder, step):
     """Run one step; returns what the caller saw (value or exception).
     A ``bill`` step bills a plan on the fused model and runs
-    :func:`reference_bill` on the reference."""
+    :func:`reference_bill` on the reference; a ``bill_foreign`` step
+    bills a plan built on :data:`FOREIGN`, which must charge the fused
+    model's own prices step by step."""
     kind = step[0]
     try:
-        if kind == "bill":
+        if kind == "bill" or kind == "bill_foreign":
             __, (primitives, then, count), category = step
             if isinstance(cpu, ReferenceCpuModel):
                 return reference_bill(cpu, primitives, then, count, category)
-            plan = cpu.plan(category, *primitives, then=then)
+            owner = cpu if kind == "bill" else FOREIGN
+            plan = owner.plan(category, *primitives, then=then)
             return cpu.bill(plan, count)
         if kind == "charge":
             __, primitive, count, category = step

@@ -4,6 +4,8 @@ import pytest
 
 from repro.hardware import IoPathKind, Machine, RunSummary
 
+from ..frames import count_calls
+
 
 def test_paper_default_shape():
     machine = Machine.paper_default()
@@ -88,3 +90,22 @@ def test_latency_reset_with_accounting():
     machine.observe_latency(machine.latency_window())
     machine.reset_accounting()
     assert machine.op_latencies.count == 0
+
+
+def test_the_latency_window_reads_plain_attributes():
+    """Complexity guard: the harnesses call ``latency_window`` twice per
+    op.  It enters one frame, and ``observe_latency`` one of its own
+    plus the histogram's ``observe`` it records into: the CPU's busy
+    time, the SSD's service total and the clock are attributes, not
+    property frames."""
+    machine = Machine.paper_default()
+    window = count_calls(machine.latency_window)
+    assert window.frames == {"machine.latency_window": 1}
+    start = machine.latency_window()
+    machine.cpu.charge_us(2.0)
+    observe = count_calls(lambda: machine.observe_latency(start))
+    assert observe.frames == {"machine.observe_latency": 1,
+                              "metrics.observe": 1}
+    properties = {"cpu.busy_us", "ssd.service_us_total", "clock.now"}
+    for calls in (window, observe):
+        assert properties.isdisjoint(calls), properties & set(calls)

@@ -1,0 +1,60 @@
+"""A ratchet on cross-object private access in ``src/``.
+
+A site is an attribute read or write of a single-underscore name (``_x``,
+not a dunder) whose receiver is anything but the bare name ``self`` or
+``cls``: ``cpu._busy_us``, ``self.log._buffers``, ``BwTree._validate_key``.
+Each one couples a caller to another object's internals.  The count is
+pinned exactly: a change that adds a site fails here with the list of
+sites, and a change that retires one lowers :data:`PINNED`.
+"""
+
+import ast
+import pathlib
+
+import repro
+
+SRC = pathlib.Path(repro.__file__).parent
+
+#: Sites in ``src/`` now.  There were 91 before ``CpuModel.busy_us``,
+#: ``SimulatedSsd.service_us_total`` and ``VirtualClock.now`` became
+#: plain public attributes; only ever lower this.
+PINNED = 72
+
+
+def private_access_sites():
+    """``(path, line, source)`` of every site, in file order."""
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute)
+                    and node.attr.startswith("_")
+                    and not node.attr.startswith("__")):
+                continue
+            receiver = node.value
+            if isinstance(receiver, ast.Name) and receiver.id in ("self",
+                                                                  "cls"):
+                continue
+            sites.append((str(path.relative_to(SRC.parent)), node.lineno,
+                          ast.unparse(node)))
+    return sorted(sites)
+
+
+def test_cross_object_private_access_does_not_grow():
+    sites = private_access_sites()
+    listing = "\n".join(f"{path}:{line}: {source}"
+                        for path, line, source in sites)
+    assert len(sites) <= PINNED, (
+        f"{len(sites)} cross-object private accesses, pinned at {PINNED}; "
+        f"make the attribute public with a contract, or call a method:\n"
+        f"{listing}")
+    assert len(sites) == PINNED, (
+        f"{len(sites)} cross-object private accesses: lower PINNED from "
+        f"{PINNED} to {len(sites)}")
+
+
+def test_the_retired_reach_ins_stay_retired():
+    """The billing totals and the clock are read as public attributes."""
+    sources = {source.split(".")[-1] for __, __, source in
+               private_access_sites()}
+    assert sources.isdisjoint({"_busy_us", "_service_us_total", "_now"})
