@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List
+from typing import Dict, List
+
+from ..sharding.router import fnv1a_64
 
 
 class KeyChooser:
@@ -58,6 +60,7 @@ class ZipfianChooser(KeyChooser):
             (1.0 - (2.0 / item_count) ** (1.0 - theta))
             / (1.0 - self._zeta2 / self._zetan)
         )
+        self._rank_one_below = 1.0 + 0.5 ** theta
 
     @staticmethod
     def _zeta(n: int, theta: float) -> float:
@@ -68,7 +71,7 @@ class ZipfianChooser(KeyChooser):
         uz = u * self._zetan
         if uz < 1.0:
             return 0
-        if uz < 1.0 + 0.5 ** self.theta:
+        if uz < self._rank_one_below:
             return 1
         return int(
             self.item_count * (self._eta * u - self._eta + 1.0) ** self._alpha
@@ -83,27 +86,20 @@ class ScrambledZipfianChooser(KeyChooser):
     with cold ones.
     """
 
-    _FNV_OFFSET = 0xCBF29CE484222325
-    _FNV_PRIME = 0x100000001B3
-    _MASK = (1 << 64) - 1
-
     def __init__(self, item_count: int, theta: float = 0.99,
                  seed: int = 0) -> None:
         super().__init__(item_count, seed)
         self._zipf = ZipfianChooser(item_count, theta, seed)
-
-    @classmethod
-    def _fnv64(cls, value: int) -> int:
-        digest = cls._FNV_OFFSET
-        for __ in range(8):
-            octet = value & 0xFF
-            digest = ((digest ^ octet) * cls._FNV_PRIME) & cls._MASK
-            value >>= 8
-        return digest
+        #: rank -> index, bounded by ``item_count`` (no rank exceeds it).
+        self._index_of: Dict[int, int] = {}
 
     def next_index(self) -> int:
         rank = self._zipf.next_index()
-        return self._fnv64(rank) % self.item_count
+        index = self._index_of.get(rank)
+        if index is None:
+            index = self._index_of[rank] = (
+                fnv1a_64(rank.to_bytes(8, "little")) % self.item_count)
+        return index
 
 
 class HotspotChooser(KeyChooser):

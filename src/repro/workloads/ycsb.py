@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from bisect import bisect_right
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..frozen import slot_init
 from .distributions import KeyChooser, make_chooser
 
 
@@ -24,6 +27,14 @@ class OpKind(enum.Enum):
     READ_MODIFY_WRITE = "rmw"
 
 
+#: A spec's op-kind fractions, in the order the roll of an op meets them.
+_FRACTIONS = ("read_fraction", "update_fraction", "insert_fraction",
+              "scan_fraction", "rmw_fraction")
+_KINDS = tuple(OpKind)                  # declared in _FRACTIONS order
+_LETTERS = [bytes([letter]) for letter in range(0x61, 0x71)]   # a to p
+
+
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Operation:
     """One generated operation."""
@@ -55,10 +66,13 @@ class WorkloadSpec:
     name: str = "custom"
 
     def __post_init__(self) -> None:
-        total = (self.read_fraction + self.update_fraction
-                 + self.insert_fraction + self.scan_fraction
-                 + self.rmw_fraction)
-        if abs(total - 1.0) > 1e-9:
+        total = 0.0
+        for name in _FRACTIONS:
+            fraction = getattr(self, name)
+            if not 0.0 <= fraction <= 1.0:     # NaN fails too
+                raise ValueError(f"{name} must be in [0, 1], got {fraction}")
+            total += fraction
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"operation fractions must sum to 1, got {total}")
         if self.record_count <= 0:
             raise ValueError("record_count must be positive")
@@ -109,7 +123,7 @@ class WorkloadGenerator:
 
     def __init__(self, spec: WorkloadSpec) -> None:
         self.spec = spec
-        self._value_rng = random.Random(spec.seed ^ 0x5EED)
+        self._value_bits = random.Random(spec.seed ^ 0x5EED).getrandbits
         self._op_rng = random.Random(spec.seed ^ 0x0B5)
         self._chooser: KeyChooser = make_chooser(
             spec.distribution,
@@ -120,25 +134,35 @@ class WorkloadGenerator:
             hot_access_fraction=spec.hot_access_fraction,
         )
         self._inserted = spec.record_count
+        self._keys: Dict[int, bytes] = {}
 
     def key_for(self, index: int) -> bytes:
-        return self.spec.key_prefix + b"%010d" % index
+        """Item ``index``'s key: one shared object (and hash) per index."""
+        key = self._keys.get(index)
+        if key is None:
+            key = self._keys[index] = self.spec.key_prefix + b"%010d" % index
+        return key
 
     def make_value(self) -> bytes:
         """A pseudorandom-but-compressible value of the configured size.
 
         Values are built from a small alphabet with runs, so the
         compression experiments (paper Section 7.2) operate on data a real
-        codec can shrink.
+        codec can shrink.  A run is ``randint(1, 8)`` of letter
+        ``randrange(16)``, drawn as ``random.Random`` draws them: the
+        bound's bit length of ``getrandbits``, redrawn until below it.
         """
         n = self.spec.value_bytes
-        if n == 0:
-            return b""
+        bits = self._value_bits
         out = bytearray()
         while len(out) < n:
-            run = self._value_rng.randint(1, 8)
-            byte = self._value_rng.randrange(16) + 0x61
-            out.extend(bytes([byte]) * run)
+            run = bits(4)
+            while run >= 8:
+                run = bits(4)
+            letter = bits(5)
+            while letter >= 16:
+                letter = bits(5)
+            out += _LETTERS[letter] * (run + 1)
         return bytes(out[:n])
 
     def load_items(self) -> Iterator[Tuple[bytes, bytes]]:
@@ -147,51 +171,37 @@ class WorkloadGenerator:
             yield self.key_for(index), self.make_value()
 
     def operations(self, count: int) -> Iterator[Operation]:
-        """An operation stream of ``count`` ops following the mix."""
+        """An operation stream of ``count`` ops following the mix.
+
+        Lazy, so ops taken in turns (warm-up, then measured) continue one
+        stream; an op's kind is the first running total above its roll.
+        """
         spec = self.spec
-        thresholds = [
-            (spec.read_fraction, OpKind.READ),
-            (spec.read_fraction + spec.update_fraction, OpKind.UPDATE),
-            (spec.read_fraction + spec.update_fraction
-             + spec.insert_fraction, OpKind.INSERT),
-            (spec.read_fraction + spec.update_fraction
-             + spec.insert_fraction + spec.scan_fraction, OpKind.SCAN),
-        ]
+        bounds = list(accumulate([getattr(spec, name)
+                                  for name in _FRACTIONS[:-1]]))
+        roll = self._op_rng.random
+        next_index = self._chooser.next_index
+        grow = getattr(self._chooser, "grow", None)
+        key_for, make_value = self.key_for, self.make_value
+        read, __, insert, scan, __ = _KINDS   # locals: no enum lookups
         for __ in range(count):
-            roll = self._op_rng.random()
-            kind = OpKind.READ_MODIFY_WRITE
-            for threshold, candidate in thresholds:
-                if roll < threshold:
-                    kind = candidate
-                    break
-            if kind is OpKind.INSERT:
-                key = self.key_for(self._inserted)
+            kind = _KINDS[bisect_right(bounds, roll())]
+            if kind is insert:
+                index = self._inserted
                 self._inserted += 1
-                grow = getattr(self._chooser, "grow", None)
                 if grow is not None:
                     grow()
-                yield Operation(OpKind.INSERT, key, self.make_value())
-            elif kind is OpKind.READ:
-                yield Operation(OpKind.READ, self._next_key())
-            elif kind is OpKind.UPDATE:
-                yield Operation(OpKind.UPDATE, self._next_key(),
-                                self.make_value())
-            elif kind is OpKind.SCAN:
-                yield Operation(
-                    OpKind.SCAN, self._next_key(),
-                    scan_length=self._op_rng.randint(
-                        1, spec.max_scan_length
-                    ),
-                )
             else:
-                yield Operation(OpKind.READ_MODIFY_WRITE, self._next_key(),
-                                self.make_value())
-
-    def _next_key(self) -> bytes:
-        index = self._chooser.next_index()
-        if index >= self._inserted:
-            index = index % self._inserted
-        return self.key_for(index)
+                index = next_index()
+                if index >= self._inserted:
+                    index %= self._inserted
+            if kind is read:
+                yield Operation(kind, key_for(index))
+            elif kind is scan:
+                yield Operation(kind, key_for(index), None, self._op_rng
+                                .randint(1, spec.max_scan_length))
+            else:
+                yield Operation(kind, key_for(index), make_value())
 
 
 def partition_operations(
@@ -240,7 +250,6 @@ class RunStats:
     record_cache_hits: int = 0
     scanned_records: int = 0
     not_found: int = 0
-    per_op_kinds: List[OpKind] = field(default_factory=list, repr=False)
 
     @property
     def ss_fraction(self) -> float:
@@ -250,8 +259,7 @@ class RunStats:
         return self.ss_operations / self.operations
 
 
-def apply_operations(store, operations: Iterator[Operation],
-                     track_kinds: bool = False) -> RunStats:
+def apply_operations(store, operations: Iterator[Operation]) -> RunStats:
     """Drive a store (BwTree-compatible API) with an operation stream.
 
     The store must expose ``get_with_stats``, ``upsert`` and ``scan``;
@@ -278,12 +286,11 @@ def apply_operations(store, operations: Iterator[Operation],
             ios = store.upsert(op.key, op.value).ios
         elif op.kind is OpKind.SCAN:
             stats.scans += 1
-            before = store.counters.get(_io_counter_name(store))
+            counter = _io_counter_name(store)
+            before = store.counters.get(counter)
             for __ in store.scan(op.key, limit=op.scan_length):
                 stats.scanned_records += 1
-            ios = int(
-                store.counters.get(_io_counter_name(store)) - before
-            )
+            ios = int(store.counters.get(counter) - before)
         else:
             stats.rmws += 1
             result = store.get_with_stats(op.key)
@@ -292,13 +299,8 @@ def apply_operations(store, operations: Iterator[Operation],
         stats.ios += ios
         if ios > 0:
             stats.ss_operations += 1
-        if track_kinds:
-            stats.per_op_kinds.append(op.kind)
     return stats
 
 
 def _io_counter_name(store) -> str:
-    module = type(store).__module__
-    if "lsm" in module:
-        return "lsm.ios"
-    return "bwtree.ios"
+    return "lsm.ios" if "lsm" in type(store).__module__ else "bwtree.ios"

@@ -12,6 +12,7 @@ from repro.deuteronomy.recovery_log import LogRecord
 from repro.frozen import slot_init
 from repro.storage.log_store import ReadResult
 from repro.storage.pages import DeltaKind, PageImage, Record, RecordDelta
+from repro.workloads.ycsb import OpKind, Operation
 
 IMAGE = PageImage("full", 7, records=(Record(b"a", b"1"),))
 
@@ -26,6 +27,9 @@ CASES = [
      "LogRecord(key=b'k', value=None, timestamp=6, txn_id=9)"),
     (ReadResult, (IMAGE, False, 12.5),
      f"ReadResult(image={IMAGE!r}, from_write_buffer=False, service_us=12.5)"),
+    (Operation, (OpKind.SCAN, b"k", None, 7),
+     "Operation(kind=<OpKind.SCAN: 'scan'>, key=b'k', value=None, "
+     "scan_length=7)"),
 ]
 
 
@@ -51,6 +55,8 @@ def test_defaults_are_kept():
     assert Record(b"k", b"v") == Record(b"k", b"v", 0)
     assert RecordDelta(DeltaKind.DELETE, b"k") == RecordDelta(
         DeltaKind.DELETE, b"k", None, 0)
+    assert Operation(OpKind.READ, b"k") == Operation(OpKind.READ, b"k",
+                                                     None, 0)
 
 
 def test_a_delta_still_checks_its_kind_against_its_value():

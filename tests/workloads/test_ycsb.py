@@ -1,5 +1,8 @@
 """YCSB-style workload specs, generation and application to stores."""
 
+import hashlib
+import math
+
 import pytest
 
 from repro.bwtree import BwTree, BwTreeConfig
@@ -10,6 +13,118 @@ from repro.workloads import (
     WorkloadSpec,
     apply_operations,
 )
+
+from ..frames import count_calls
+
+MIXES = ("ycsb_a", "ycsb_b", "ycsb_c", "ycsb_d", "ycsb_e", "ycsb_f")
+DISTRIBUTIONS = ("uniform", "zipfian", "scrambled", "hotspot", "latest")
+VALUE_BYTES = (0, 1, 7, 100, 257)
+#: Both seeds roll a 5% op kind in the first 24 ops, and 15 also after.
+SEEDS = (7, 15)
+
+#: sha256 of every (mix, distribution, value size, seed) stream of a mix,
+#: in that order: :func:`stream_digest` of 16 records and 24 + 8 ops.
+GOLDEN_MIXES = {
+    "ycsb_a":
+        "2a629fb532cb83b9c033ca01c72421b929bcdd223a10e57cd05cbf2f4d21f8dd",
+    "ycsb_b":
+        "4f6c44841396bdbd39eb079df8857187fc8d760a7b18cf9d5f3f35183fe762dd",
+    "ycsb_c":
+        "9098074606e734743f821e249b7e9c6d2e89b210d43de818b273304001a0fe13",
+    "ycsb_d":
+        "d370630112d470a6c677b94886ce07583bce598b6d079bbb29cd83b3bc56db3d",
+    "ycsb_e":
+        "ab73589e3b04eb5967a8309fa7e3580623e4f70304768cf0f3e896c805854554",
+    "ycsb_f":
+        "8abe872ffdabd03b81ae9c26f6ceaf50fc51142af4fb631be169d7cf918bfac3",
+}
+
+#: The e2e benchmark's four specs at a tenth of their records and of
+#: their warm-up + measured ops, seed 42: (builder, records, ops, sha256).
+GOLDEN_E2E = [
+    ("ycsb_c", 3000, 33000,                     # read_hot
+     "3c16eb513d2cf2b80575814823d2b41b0de0532ea11709205308d334278d0e6c"),
+    ("ycsb_c", 4000, 10000,                     # read_cold
+     "b9760de0045786d79e8d4883069f69c512092e5b78a8b45c478cb1f426612eda"),
+    ("ycsb_a", 2000, 8960,                      # update_batched
+     "0fb153b41ce0915dd53523c9976051645a9ba1866fb567f2b9ed3764ae61d480"),
+    ("ycsb_a", 1600, 8960,                      # fleet_async
+     "2b9f99c4709adad02355e9f0707e74610650b9e8b136f9009db0d02a737afe1d"),
+]
+
+#: Inserts under ``latest`` rebuild its Zipfian at 16, 32 and 64 items, and
+#: a five-way mix with long scans reaches every op kind:
+#: name -> (spec fields, ops before and after the extra value, sha256).
+GOLDEN_EXTRA = {
+    "inserts": (
+        dict(read_fraction=0.5, insert_fraction=0.5, distribution="latest",
+             record_count=12), 60,
+        "7d7ef583f58e621161d5aa7ad2fbc877273319aa0098d68397546df6c89a6850"),
+    "all kinds": (
+        dict(read_fraction=0.4, update_fraction=0.3, insert_fraction=0.1,
+             scan_fraction=0.1, rmw_fraction=0.1, max_scan_length=1000,
+             record_count=40, value_bytes=33), 200,
+        "b13862ef168e0b57873a2d5042f025c04334e4bf85609e6891a9af08a460bf19"),
+}
+
+_TAGS = {OpKind.READ: b"R", OpKind.UPDATE: b"U", OpKind.INSERT: b"I",
+         OpKind.SCAN: b"S", OpKind.READ_MODIFY_WRITE: b"M"}
+
+
+def stream_digest(spec: WorkloadSpec, ops: int, more_ops: int = 0) -> str:
+    """sha256 of the load items, ``ops`` ops, one more value and then
+    ``more_ops`` ops, all from one generator."""
+    generator = WorkloadGenerator(spec)
+    digest = hashlib.sha256()
+    update = digest.update
+    for key, value in generator.load_items():
+        update(b"%b=%b;" % (key, value))
+
+    def absorb(count: int) -> None:
+        for op in generator.operations(count):
+            value = b"-" if op.value is None else b"=" + op.value
+            update(b"%b%b%b%d;" % (_TAGS[op.kind], op.key, value,
+                                   op.scan_length))
+
+    absorb(ops)
+    update(b"V%b;" % generator.make_value())
+    absorb(more_ops)
+    return digest.hexdigest()
+
+
+def mix_digest(mix: str) -> str:
+    combined = hashlib.sha256()
+    for distribution in DISTRIBUTIONS:
+        for value_bytes in VALUE_BYTES:
+            for seed in SEEDS:
+                spec = getattr(WorkloadSpec, mix)(
+                    record_count=16, distribution=distribution,
+                    value_bytes=value_bytes, seed=seed)
+                combined.update(stream_digest(spec, 24, 8).encode())
+    return combined.hexdigest()
+
+
+class TestGoldenStream:
+    """The stream is pinned draw for draw: any change to what a seed
+    generates (a key, a value byte, an op kind, a scan length, or the
+    order the generators draw in) changes a digest here.  CI runs them
+    on every Python version it tests, so they also show that the stream
+    does not depend on the interpreter."""
+
+    @pytest.mark.parametrize("mix", MIXES)
+    def test_every_mix_distribution_and_value_size(self, mix):
+        assert mix_digest(mix) == GOLDEN_MIXES[mix]
+
+    def test_the_e2e_specs_at_a_tenth(self):
+        for builder, records, ops, expected in GOLDEN_E2E:
+            spec = getattr(WorkloadSpec, builder)(record_count=records,
+                                                  seed=42)
+            assert stream_digest(spec, ops) == expected, (builder, records)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_EXTRA))
+    def test_inserts_and_scans(self, name):
+        fields, ops, expected = GOLDEN_EXTRA[name]
+        assert stream_digest(WorkloadSpec(**fields), ops, ops) == expected
 
 
 class TestSpec:
@@ -29,6 +144,21 @@ class TestSpec:
     def test_record_count_validation(self):
         with pytest.raises(ValueError):
             WorkloadSpec(record_count=0)
+
+    @pytest.mark.parametrize("fields, name", [
+        (dict(read_fraction=math.nan, update_fraction=0.0), "read_fraction"),
+        (dict(read_fraction=1.5, update_fraction=-0.5), "read_fraction"),
+        (dict(read_fraction=0.5, update_fraction=-0.5, insert_fraction=1.0),
+         "update_fraction"),
+        (dict(read_fraction=1.0, rmw_fraction=math.nan), "rmw_fraction"),
+        (dict(read_fraction=0.0, scan_fraction=math.inf), "scan_fraction"),
+    ])
+    def test_a_fraction_outside_zero_to_one_is_refused_by_name(self, fields,
+                                                               name):
+        """A NaN or negative fraction used to pass the sum check and
+        change the op mix without an error."""
+        with pytest.raises(ValueError, match=name):
+            WorkloadSpec(**fields)
 
 
 class TestGenerator:
@@ -132,3 +262,34 @@ class TestApplyOperations:
         stats = apply_operations(tree, generator.operations(300))
         assert stats.ss_fraction > 0.3
         assert stats.ios >= stats.ss_operations
+
+
+class TestFrames:
+    def test_a_warmed_ycsb_c_op_enters_four_repro_frames(self):
+        """The op loop, the scrambled chooser, its Zipfian and ``key_for``;
+        a memoised rank calls no ``fnv1a_64``, and the ``Operation`` is
+        the one generated ``__init__``."""
+        generator = WorkloadGenerator(WorkloadSpec.ycsb_c(record_count=50,
+                                                          seed=3))
+        list(generator.operations(5000))    # memoises every rank and key
+        ops = generator.operations(1000)
+        calls = count_calls(lambda: [next(ops) for __ in range(1000)])
+        assert calls.frames == {
+            "ycsb.operations": 1000,
+            "distributions.next_index": 2000,
+            "ycsb.key_for": 1000,
+        }
+        assert calls["<string>.__init__"] == 1000
+        assert not [name for name in calls
+                    if name.startswith("random.") or "fnv1a_64" in name]
+
+    def test_a_value_enters_no_random_frame(self):
+        generator = WorkloadGenerator(WorkloadSpec(record_count=200,
+                                                   value_bytes=300))
+        calls = count_calls(lambda: list(generator.load_items()))
+        assert calls.frames == {
+            "ycsb.load_items": 201,
+            "ycsb.key_for": 200,
+            "ycsb.make_value": 200,
+        }
+        assert not [name for name in calls if name.startswith("random.")]
