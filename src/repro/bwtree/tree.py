@@ -25,6 +25,7 @@ instead of performing retry-based structure-modification installs.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -46,6 +47,16 @@ MAPPING_ENTRY_BYTES = 64   # DRAM charged per mapping-table entry
 INNER_FANOUT = 128         # children per inner node before it splits
 DRAM_TAG_INDEX = "bwtree_index"
 DRAM_TAG_MAPPING = "mapping_table"
+
+
+#: The lowest value of each size and count in :class:`BwTreeConfig`;
+#: the two budgets may also be ``None``, unbudgeted.
+_CONFIG_FLOORS = {
+    "max_page_bytes": 256, "min_page_bytes": 0, "consolidate_threshold": 1,
+    "blind_chain_limit": 0, "max_flash_fragments": 1,
+    "cache_capacity_bytes": 1, "segment_bytes": 1, "demote_budget_bytes": 1,
+}
+_BUDGETS = ("cache_capacity_bytes", "demote_budget_bytes")
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,10 +81,14 @@ class BwTreeConfig:
     demote_budget_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.max_page_bytes < 256:
-            raise ValueError("max_page_bytes unreasonably small")
-        if self.consolidate_threshold < 1:
-            raise ValueError("consolidate_threshold must be >= 1")
+        # Written so that NaN fails: every comparison with NaN is false.
+        for name, low in _CONFIG_FLOORS.items():
+            value = getattr(self, name)
+            if value is None and name in _BUDGETS:
+                continue
+            if not low <= value < math.inf:
+                raise ValueError(f"BwTreeConfig.{name} must be at least "
+                                 f"{low} and finite, got {value}")
 
 
 @dataclass(slots=True)

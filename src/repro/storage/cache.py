@@ -47,6 +47,7 @@ the normal flash path, so correctness never depends on the victim tier.
 from __future__ import annotations
 
 import enum
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
@@ -112,8 +113,9 @@ class TierCache:
 
     def __init__(self, machine: Machine,
                  budget_bytes: Optional[int] = None) -> None:
-        if budget_bytes is not None and budget_bytes <= 0:
-            raise ValueError("tier budget must be positive when given")
+        if budget_bytes is not None and not 1 <= budget_bytes < math.inf:
+            raise ValueError(f"budget_bytes must be at least 1 and finite "
+                             f"when given, got {budget_bytes}")
         # Lazy import: repro.core's package init builds the calibration
         # stack on top of bwtree, which imports this module — a cycle at
         # import time, gone by the time any cache is constructed.
@@ -281,8 +283,9 @@ class PageCache:
         demote_to_tiers: bool = False,
         demote_budget_bytes: Optional[int] = None,
     ) -> None:
-        if capacity_bytes is not None and capacity_bytes <= 0:
-            raise ValueError("cache capacity must be positive when given")
+        if capacity_bytes is not None and not 1 <= capacity_bytes < math.inf:
+            raise ValueError(f"capacity_bytes must be at least 1 and finite "
+                             f"when given, got {capacity_bytes}")
         self.machine = machine
         self.mapping_table = mapping_table
         self.store = store
@@ -416,29 +419,29 @@ class PageCache:
         state = entry.state
         if state is None:
             raise ValueError(f"page {entry.page_id} has no resident state")
-        if not state.has_unflushed_changes:
+        # ``has_unflushed_changes``, from the newest ``pending`` deltas.
+        deltas = state.deltas
+        pending = len(deltas) - state.flushed_delta_count
+        base_present = state.base is not None
+        if pending <= 0 and (state.base_flushed or not base_present):
             return
         # A page whose base is not resident (record cache, or a blind update
         # posted to an evicted page) can only be flushed incrementally; the
         # fragment cap yields to correctness in that case.
-        must_delta = not state.base_present
-        can_delta = (
-            state.base_flushed
-            and not force_full
-            and (must_delta or len(entry.flash_chain) < max_fragments)
-            and state.flushed_delta_count < len(state.deltas)
-        )
-        if can_delta:
-            deltas = tuple(state.unflushed_deltas())
-            image = PageImage("delta", entry.page_id, deltas=deltas)
+        if (state.base_flushed and not force_full and pending > 0
+                and (not base_present
+                     or len(entry.flash_chain) < max_fragments)):
+            # Oldest first, as ``unflushed_deltas`` gives them.
+            image = PageImage("delta", entry.page_id,
+                              deltas=tuple(deltas[pending - 1::-1]))
             addr = self.store.append(image)
             entry.flash_chain.append(addr)
-            entry.flushed_delta_records += len(deltas)
-            state.mark_deltas_flushed()
+            entry.flushed_delta_records += pending
+            state.flushed_delta_count = len(deltas)
             self.stats.flushes_delta += 1
             self.stats.bytes_flushed += image.size_bytes
             return
-        if state.base_present and state.deltas:
+        if base_present and deltas:
             new_base = state.consolidate()
             self.machine.cpu.charge(
                 "consolidate_per_byte", new_base, category="cache"

@@ -30,21 +30,16 @@ class CheckpointImage:
     """A persisted snapshot of the mapping table's flash locations.
 
     ``page_chains`` holds, per live page: (page id, flash chain, number of
-    delta records contained in the chain's delta images).
+    delta records contained in the chain's delta images).  ``size_bytes``
+    is summed in the one pass that builds them (``write_checkpoint``).
     """
 
     page_chains: Tuple[Tuple[int, Tuple[FlashAddr, ...], int], ...]
     next_page_id: int
+    size_bytes: int
 
     kind = "checkpoint"
     page_id = -1   # not a data page; kept for log-store symmetry
-
-    @property
-    def size_bytes(self) -> int:
-        addr_count = sum(len(chain) for __, chain, __f in self.page_chains)
-        return (CHECKPOINT_HEADER_BYTES
-                + CHECKPOINT_PAGE_BYTES * len(self.page_chains)
-                + CHECKPOINT_ADDR_BYTES * addr_count)
 
     def chains(self) -> Dict[int, Tuple[List[FlashAddr], int]]:
         return {
@@ -67,17 +62,22 @@ class CheckpointManager:
         """Persist the current mapping table; every page must already have
         its state flushed (callers flush dirty pages first)."""
         chains = []
+        addr_count = 0
         for entry in self.mapping_table.entries():
             if entry.dirty:
                 raise ValueError(
                     f"page {entry.page_id} is dirty; flush before "
                     "checkpointing"
                 )
-            chains.append((entry.page_id, tuple(entry.flash_chain),
-                           entry.flushed_delta_records))
+            chain = tuple(entry.flash_chain)
+            addr_count += len(chain)
+            chains.append((entry.page_id, chain, entry.flushed_delta_records))
         image = CheckpointImage(
             page_chains=tuple(chains),
             next_page_id=self.mapping_table.next_page_id,
+            size_bytes=(CHECKPOINT_HEADER_BYTES
+                        + CHECKPOINT_PAGE_BYTES * len(chains)
+                        + CHECKPOINT_ADDR_BYTES * addr_count),
         )
         addr = self.store.append(image)
         faults = self.store.machine.faults
@@ -123,14 +123,12 @@ class CheckpointManager:
         allocated monotonically, so address order is append order) and
         invalidates the stale survivors in place.
         """
-        found: List[Tuple[FlashAddr, CheckpointImage]] = []
-        for segment_id in store.flushed_segment_ids:
-            for addr, image in store.live_images(segment_id):
-                if getattr(image, "kind", None) == "checkpoint":
-                    found.append((addr, image))  # type: ignore[arg-type]
+        # In address order: segments ascend, and each lists by offset.
+        found = [(addr, image) for segment_id in store.flushed_segment_ids
+                 for addr, image in store.live_images(segment_id)
+                 if image.kind == "checkpoint"]
         if not found:
             return None
-        found.sort(key=lambda pair: (pair[0].segment_id, pair[0].offset))
         for stale_addr, __ in found[:-1]:
             store.invalidate(stale_addr)
         return found[-1]

@@ -11,7 +11,7 @@ because segments are emptier when finally cleaned — experiment A5.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..hardware.machine import Machine
 from .log_store import LogStructuredStore
@@ -56,43 +56,29 @@ class GarbageCollector:
         # on flash, awaiting a superseding checkpoint + ``drop_pending``.
         self._pending_drops: List[int] = []
 
-    @property
-    def pending_drops(self) -> Tuple[int, ...]:
-        return tuple(self._pending_drops)
-
     def _pick_victim(self, max_occupancy: float) -> Optional[int]:
         pending = set(self._pending_drops)
-        candidates = [
-            (info.occupancy, segment_id)
-            for segment_id, info in self.store.segments.items()
-            if segment_id not in pending and info.occupancy <= max_occupancy
-        ]
-        if not candidates:
-            return None
-        candidates.sort()
-        return candidates[0][1]
+        return min(
+            ((info.occupancy, segment_id)
+             for segment_id, info in self.store.segments.items()
+             if segment_id not in pending and info.occupancy <= max_occupancy),
+            default=(None, None))[1]
 
     def _utilization(self) -> float:
         """Live fraction of flushed flash, excluding pending-drop segments
         (their space is already reclaimable, just not yet reclaimed)."""
         pending = set(self._pending_drops)
-        stored = 0
-        live = 0
-        for segment_id, info in self.store.segments.items():
-            if segment_id in pending:
-                continue
-            stored += info.total_bytes
-            live += info.live_bytes
-        if stored == 0:
-            return 1.0
-        return live / stored
+        kept = [info for segment_id, info in self.store.segments.items()
+                if segment_id not in pending]
+        stored = sum(info.total_bytes for info in kept)
+        return sum(info.live_bytes for info in kept) / stored if stored else 1.0
 
     def clean_segment(self, segment_id: int, defer_drop: bool = False) -> int:
         """Relocate a segment's live images and reclaim it; returns bytes.
 
         With ``defer_drop=True`` the segment is *not* dropped: its live
         images are relocated (and invalidated in place), and the segment
-        joins :attr:`pending_drops` until the caller has written a fresh
+        joins the pending drops until the caller has written a fresh
         checkpoint and calls :meth:`drop_pending`.  That ordering makes
         cleaning crash-safe — at every intermediate point there is a
         durable checkpoint whose chains reference images still on flash.
@@ -104,9 +90,9 @@ class GarbageCollector:
         # One large sequential read of the whole segment.
         self.machine.io_path.charge_round_trip(info.total_bytes)
         self.machine.ssd.read(info.total_bytes)
-        live_by_addr = self.mapping_table.current_address_set()
+        by_id = self.mapping_table.by_id
         for addr, image in self.store.live_images(segment_id):
-            if getattr(image, "kind", None) == "checkpoint":
+            if image.kind == "checkpoint":
                 if defer_drop:
                     # Leave the live checkpoint in place: the caller
                     # writes a superseding checkpoint before the drop,
@@ -122,15 +108,16 @@ class GarbageCollector:
                 self.stats.bytes_relocated += addr.nbytes
                 self.stats.images_relocated += 1
                 continue
-            page_id = live_by_addr.get(addr)
-            if page_id is None:
-                # Live in the segment index but no longer referenced by any
-                # mapping entry (page freed after a merge): just drop it.
+            # Only the image's own page can reference it: an image is
+            # appended by its page's flush or relocation alone.
+            entry = by_id.get(image.page_id)
+            if entry is None or addr not in entry.flash_chain:
+                # Live in the segment index but no longer referenced by its
+                # page (freed after a merge): just drop it.
                 continue
             new_addr = self.store.append(image)
-            entry = self.mapping_table.get(page_id)
-            position = entry.flash_chain.index(addr)
-            entry.flash_chain[position] = new_addr
+            chain = entry.flash_chain
+            chain[chain.index(addr)] = new_addr
             if defer_drop:
                 # The copy supersedes the original immediately; recovery
                 # before the superseding checkpoint re-derives liveness

@@ -13,6 +13,7 @@ reads of flushed images cost one SSD access plus the I/O path's CPU charges.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -58,8 +59,9 @@ class LogStructuredStore:
         machine: Machine,
         segment_bytes: int = 1 << 20,
     ) -> None:
-        if segment_bytes <= 0:
-            raise ValueError("segment size must be positive")
+        if not 1 <= segment_bytes < math.inf:
+            raise ValueError(f"segment_bytes must be at least 1 and finite, "
+                             f"got {segment_bytes}")
         self.machine = machine
         self.segment_bytes = segment_bytes
         self._next_segment_id = 0
@@ -67,7 +69,8 @@ class LogStructuredStore:
         self._open_offset = 0
         self._open_buffer: Dict[int, PageImage] = {}   # offset -> image
         self.segments: Dict[int, SegmentInfo] = {}
-        self._payloads: Dict[Tuple[int, int], PageImage] = {}
+        # segment -> offset -> image: a flushed segment keeps its buffer.
+        self._payloads: Dict[int, Dict[int, PageImage]] = {}
         self.bytes_appended = 0
         self.images_appended = 0
         self.segment_flushes = 0
@@ -140,13 +143,11 @@ class LogStructuredStore:
         # Images invalidated while still buffered leave holes: they count
         # toward the segment's total (the write is contiguous) but are dead
         # on arrival.
-        live = sum(image.size_bytes for image in self._open_buffer.values())
-        info = SegmentInfo(segment_id=segment_id, total_bytes=used,
-                           live_bytes=live)
-        for offset, image in self._open_buffer.items():
-            info.entries[offset] = (image.size_bytes, True)
-            self._payloads[(segment_id, offset)] = image
-        self.segments[segment_id] = info
+        entries = {offset: (image.size_bytes, True)
+                   for offset, image in self._open_buffer.items()}
+        self.segments[segment_id] = SegmentInfo(
+            segment_id, used, sum(n for n, __ in entries.values()), entries)
+        self._payloads[segment_id] = self._open_buffer
         self.segment_flushes += 1
         self._open_segment_id = self._take_segment_id()
         self._open_offset = 0
@@ -166,9 +167,10 @@ class LogStructuredStore:
                 "copy_per_byte", addr.nbytes, category="log_store"
             )
             return ReadResult(image, from_write_buffer=True, service_us=0.0)
-        image = self._payloads.get((addr.segment_id, addr.offset))
-        if image is None:
-            raise KeyError(f"no image at {addr}")
+        try:
+            image = self._payloads[addr.segment_id][addr.offset]
+        except KeyError:
+            raise KeyError(f"no image at {addr}") from None
         tracer = self.machine.tracer
         if tracer is not None:
             tracer.open_span("log_store.read", "log_store")
@@ -215,20 +217,17 @@ class LogStructuredStore:
         info = self.segments.get(segment_id)
         if info is None:
             raise KeyError(f"unknown segment {segment_id}")
-        result = []
-        for offset, (nbytes, live) in sorted(info.entries.items()):
-            if live:
-                addr = FlashAddr(segment_id, offset, nbytes)
-                result.append((addr, self._payloads[(segment_id, offset)]))
-        return result
+        payloads = self._payloads[segment_id]
+        return [(FlashAddr(segment_id, offset, nbytes), payloads[offset])
+                for offset, (nbytes, live) in sorted(info.entries.items())
+                if live]
 
     def drop_segment(self, segment_id: int) -> int:
         """Remove a (cleaned) segment entirely; returns bytes reclaimed."""
         info = self.segments.pop(segment_id, None)
         if info is None:
             raise KeyError(f"unknown segment {segment_id}")
-        for offset in info.entries:
-            self._payloads.pop((segment_id, offset), None)
+        del self._payloads[segment_id]
         self.machine.ssd.release_bytes(info.total_bytes)
         return info.total_bytes
 

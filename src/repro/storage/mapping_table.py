@@ -65,10 +65,6 @@ class PageEntry:
     def resident_bytes(self) -> int:
         return self.state.resident_size_bytes if self.state else 0
 
-    @property
-    def flash_fragments(self) -> int:
-        return len(self.flash_chain)
-
 
 class MappingTable:
     """Allocates logical page ids and tracks every page's location.
@@ -132,14 +128,6 @@ class MappingTable:
     def resident_bytes(self) -> int:
         """Total bytes of resident page state across all entries."""
         return sum(entry.resident_bytes for entry in self.by_id.values())
-
-    def current_address_set(self) -> Dict[FlashAddr, int]:
-        """Map every *live* flash image to its page id (for the GC)."""
-        live: Dict[FlashAddr, int] = {}
-        for entry in self.by_id.values():
-            for addr in entry.flash_chain:
-                live[addr] = entry.page_id
-        return live
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         resident = sum(1 for e in self.by_id.values() if e.resident)

@@ -212,33 +212,37 @@ class DataPageState:
 
         Requires the base to be present.  Unflushed deltas folded here are
         no longer individually flushable, so persistence bookkeeping resets:
-        the next flush must write a full page image.  The new base is
-        sized as the fold goes — each delta adjusts the base's running
-        total by the record it adds, replaces or removes — so the merged
-        records are never re-summed.
+        the next flush must write a full page image.  The deltas merge,
+        oldest first, into copies of the sorted base and its key index,
+        each at its bisected position and adjusting the running size by
+        its record, so the base is never re-sorted, re-indexed or re-summed.
         """
-        if self.base is None:
+        if self.base is None or self._base_keys is None:
             raise ValueError(
                 f"page {self.page_id}: cannot consolidate without base"
             )
-        merged: Dict[bytes, Record] = {r.key: r for r in self.base}
+        records = list(self.base)
+        keys = list(self._base_keys)
         size = self._base_bytes
-        # Apply oldest-first so newer deltas win.
         for delta in reversed(self.deltas):
             key = delta.key
-            old = merged.get(key)
+            index = bisect.bisect_left(keys, key)
+            present = index < len(keys) and keys[index] == key
             if delta.kind is DeltaKind.UPSERT:
                 value = delta.value
                 assert value is not None
-                merged[key] = Record(key, value, delta.timestamp)
-                if old is None:
-                    size += RECORD_OVERHEAD_BYTES + len(key) + len(value)
+                if present:
+                    size += len(value) - len(records[index].value)
+                    records[index] = Record(key, value, delta.timestamp)
                 else:
-                    size += len(value) - len(old.value)
-            elif old is not None:
-                del merged[key]
-                size -= RECORD_OVERHEAD_BYTES + len(key) + len(old.value)
-        self._set_base([merged[k] for k in sorted(merged)], size)
+                    size += RECORD_OVERHEAD_BYTES + len(key) + len(value)
+                    records.insert(index, Record(key, value, delta.timestamp))
+                    keys.insert(index, key)
+            elif present:
+                size -= (RECORD_OVERHEAD_BYTES + len(key)
+                         + len(records[index].value))
+                del records[index], keys[index]
+        self.base, self._base_keys, self._base_bytes = records, keys, size
         self.deltas = []
         self._delta_bytes = 0
         self.flushed_delta_count = 0

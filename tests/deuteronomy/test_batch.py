@@ -281,7 +281,8 @@ def warmed_batch_calls(engine, generator):
 def test_a_batched_op_does_its_bookkeeping_in_the_frames_it_has():
     """Complexity guard as frame counts, on ``update_batched`` in
     miniature (YCSB-A, sync commit): a warmed 64-op mixed
-    ``apply_batch`` enters 576 ``repro`` frames, 9.0 per op: 580 while
+    ``apply_batch`` enters 575 ``repro`` frames, 9.0 per op: 576 while
+    its one consolidation re-indexed the new base in ``_set_base``, 580 while
     its two DC reads read ``cpu.busy_us`` and ``ssd.service_us_total``
     through property frames, 582 while
     the log flush's device write bumped its two SSD counters through
@@ -309,15 +310,16 @@ def test_a_batched_op_does_its_bookkeeping_in_the_frames_it_has():
     calls = warmed_batch_calls(engine, generator)
     assert calls["tc.apply_batch"] == calls["tree.apply_blind_batch"] == 1
     assert calls["tree.get_with_stats"] > 0   # reads reach the DC too
-    assert sum(calls.frames.values()) == 576
+    assert sum(calls.frames.values()) == 575
     assert calls["<string>.__init__"] == 88
 
 
 def test_a_fleet_batch_does_its_bookkeeping_in_the_frames_it_has():
     """The same guard on ``fleet_async`` in miniature (8 shards, commit
     pipeline, one shared log device, every key routed once by the bulk
-    load): a warmed 64-op ``apply_batch`` enters 680 ``repro`` frames,
-    10.6 per op: 729 (11.4) while the commit pipeline read ``clock.now``
+    load): a warmed 64-op ``apply_batch`` enters 679 ``repro`` frames,
+    10.6 per op: 680 while a consolidation re-indexed the new base in
+    ``_set_base``, 729 (11.4) while the commit pipeline read ``clock.now``
     and the DC reads ``cpu.busy_us`` and ``ssd.service_us_total``
     through property frames (17, 16 and 16), 845 (13.2) while every
     charge of a fixed run was a frame of its own, 916 (14.3) while each
@@ -335,5 +337,5 @@ def test_a_fleet_batch_does_its_bookkeeping_in_the_frames_it_has():
     calls = warmed_batch_calls(fleet, generator)
     assert calls["router.scatter"] == 1
     assert calls["tc.apply_batch"] == 8
-    assert sum(calls.frames.values()) == 680
+    assert sum(calls.frames.values()) == 679
     assert calls["<string>.__init__"] == 102

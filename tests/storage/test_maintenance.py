@@ -1,0 +1,122 @@
+"""Maintenance costs what it writes.
+
+A checkpoint walks the mapping table once and sizes its image in that
+pass; cleaning a segment finds each live image's page from the image
+(``image.page_id``), not from a reverse map of every flash address.
+The frame guards pin both as exact counts on a small seeded tree, and
+the scenario below runs cleaning and recovery after leaf merges have
+freed pages and collapsed the root.
+"""
+
+from repro.bwtree import BwTree, BwTreeConfig
+from repro.bwtree.tree import DRAM_TAG_INDEX
+from repro.hardware import Machine
+from repro.workloads import OpKind, WorkloadGenerator, WorkloadSpec
+
+from ..frames import count_calls
+
+
+def assert_store_matches_mapping_table(tree: BwTree) -> None:
+    """Every chain address is live in its flushed segment, and no live
+    data image names a page the mapping table no longer has."""
+    store = tree.store
+    for entry in tree.mapping_table.entries():
+        for addr in entry.flash_chain:
+            assert store.segments[addr.segment_id].entries[addr.offset] == (
+                addr.nbytes, True)
+    for segment_id in store.flushed_segment_ids:
+        for __, image in store.live_images(segment_id):
+            assert image.kind == "checkpoint" or image.page_id in (
+                tree.mapping_table)
+
+
+def assert_contents(tree: BwTree, model: dict) -> None:
+    assert dict(tree.scan(min(model))) == model
+
+
+def test_cleaning_after_leaf_merges_and_a_root_collapse_then_recovery():
+    machine = Machine.paper_default()
+    tree = BwTree(machine, BwTreeConfig(consolidate_threshold=1))
+    keys = [b"key%05d" % index for index in range(500)]
+    for key in keys:
+        tree.upsert(key, b"v" * 64 + key)
+    tree.checkpoint()
+    assert tree.depth() == 2
+    assert machine.dram.bytes_for(DRAM_TAG_INDEX) > 0
+
+    calls = count_calls(lambda: [tree.delete(key) for key in keys[:-5]])
+    assert calls["tree._free_inner"] == 1
+    assert tree.depth() == 1
+    assert machine.dram.bytes_for(DRAM_TAG_INDEX) == 0
+    model = {key: b"v" * 64 + key for key in keys[-5:]}
+    assert_contents(tree, model)
+
+    tree.checkpoint()
+    assert tree.collect_garbage(1.0) > 0
+    assert tree.gc.stats.images_relocated > 0
+    assert_store_matches_mapping_table(tree)
+
+    tree = tree.simulate_crash_and_recover()
+    assert_contents(tree, model)
+    assert_store_matches_mapping_table(tree)
+    assert tree.collect_garbage(1.0) > 0
+    assert tree.gc.stats.images_relocated > 0
+    assert_store_matches_mapping_table(tree)
+    assert_contents(tree, model)
+
+
+def seeded_tree() -> BwTree:
+    """2,000 YCSB records on 64 KiB segments, checkpointed, then 2,000
+    updates and a second checkpoint: the first segments are part dead."""
+    generator = WorkloadGenerator(WorkloadSpec.ycsb_a(record_count=2000,
+                                                      seed=7))
+    tree = BwTree(Machine.paper_default(),
+                  BwTreeConfig(segment_bytes=1 << 16))
+    tree.bulk_load(generator.load_items())
+    tree.checkpoint()
+    for op in generator.operations(4000):
+        if op.kind is OpKind.UPDATE:
+            tree.upsert(op.key, op.value)
+    tree.checkpoint()
+    return tree
+
+
+def test_a_checkpoint_with_no_dirty_pages_walks_the_table_once_per_loop():
+    """Per page, the two dirty-check property frames of each of the two
+    walks (``BwTree.checkpoint``'s flush loop and ``write_checkpoint``'s
+    guard); then 24 fixed frames to append, flush and invalidate the
+    image.  Its size is a field, so the image is never re-summed, and
+    three records are built: the image, its address and the segment."""
+    tree = seeded_tree()
+    pages = len(tree.mapping_table)
+    calls = count_calls(tree.checkpoint)
+    assert calls["mapping_table.dirty"] == 2 * pages
+    assert calls["pages.has_unflushed_changes"] == 2 * pages
+    assert calls["cache.flush_page"] == 0
+    assert calls["checkpoint.write_checkpoint"] == 1
+    assert sum(calls.frames.values()) == 4 * pages + 24
+    assert calls["<string>.__init__"] == 3
+
+
+def test_cleaning_a_segment_hashes_no_flash_address():
+    """Cleaning a part-dead segment costs 10 frames plus 5 per live
+    image (its address, its copy's ``append`` with the copy charge and
+    the copy's address, and the source's ``invalidate``), and two
+    ``FlashAddr`` records per image.  Each image's page is found
+    through ``image.page_id``: no reverse map of the mapping table, so
+    no ``FlashAddr`` is hashed (a generated ``<string>.__hash__``) and
+    ``MappingTable.get`` does not run."""
+    tree = seeded_tree()
+    store = tree.store
+    part_dead = [segment_id for segment_id, info in store.segments.items()
+                 if info.occupancy < 1]
+    victim = max(part_dead, key=lambda s: len(store.live_images(s)))
+    live = len(store.live_images(victim))
+    assert live > 2
+    calls = count_calls(lambda: tree.gc.clean_segment(victim,
+                                                      defer_drop=True))
+    assert "<string>.__hash__" not in calls
+    assert "mapping_table.get" not in calls
+    assert calls["log_store.append"] == live
+    assert sum(calls.frames.values()) == 10 + 5 * live
+    assert calls["<string>.__init__"] == 2 * live

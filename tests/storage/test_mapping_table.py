@@ -52,20 +52,6 @@ def test_resident_bytes_sums_states():
                                       + b.resident_bytes)
 
 
-def test_current_address_set_maps_addr_to_page():
-    table = MappingTable()
-    entry = table.allocate()
-    addr1 = FlashAddr(0, 0, 100)
-    addr2 = FlashAddr(0, 100, 50)
-    entry.flash_chain = [addr1, addr2]
-    other = table.allocate()
-    other.flash_chain = [FlashAddr(1, 0, 10)]
-    live = table.current_address_set()
-    assert live[addr1] == entry.page_id
-    assert live[addr2] == entry.page_id
-    assert len(live) == 3
-
-
 def test_flash_addr_validation():
     with pytest.raises(ValueError):
         FlashAddr(0, 0, 0)

@@ -34,6 +34,12 @@ from repro.storage import (
     RecordDelta,
 )
 from repro.storage.cache import DRAM_TAG
+from repro.storage.checkpoint import (
+    CHECKPOINT_ADDR_BYTES,
+    CHECKPOINT_HEADER_BYTES,
+    CHECKPOINT_PAGE_BYTES,
+    CheckpointImage,
+)
 from repro.storage.pages import delta_image_size_bytes, full_image_size_bytes
 from repro.workloads import OpKind, WorkloadGenerator, WorkloadSpec
 
@@ -246,13 +252,23 @@ def test_cache_accounting_reconciles_through_eviction_gc_and_recovery():
 
 
 def assert_stored_images_carry_their_true_size(tree: BwTree) -> None:
+    """Every page image, and the checkpoint image ``write_checkpoint``
+    sized in its one pass, carries the size its payload recomputes to."""
     store = tree.store
-    for image in (*store._payloads.values(), *store._open_buffer.values()):
+    images = [image for segment in store._payloads.values()
+              for image in segment.values()]
+    for image in (*images, *store._open_buffer.values()):
         if isinstance(image, PageImage):
             expected = (full_image_size_bytes(image.records)
                         if image.kind == "full"
                         else delta_image_size_bytes(image.deltas))
-            assert image.size_bytes == expected
+        else:
+            assert isinstance(image, CheckpointImage)
+            expected = (CHECKPOINT_HEADER_BYTES
+                        + CHECKPOINT_PAGE_BYTES * len(image.page_chains)
+                        + CHECKPOINT_ADDR_BYTES * sum(
+                            len(chain) for __, chain, __ in image.page_chains))
+        assert image.size_bytes == expected
 
 
 @settings(max_examples=20, deadline=None)
