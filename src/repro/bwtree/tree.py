@@ -36,7 +36,7 @@ from ..storage.checkpoint import CheckpointManager
 from ..storage.gc import GarbageCollector
 from ..storage.log_store import LogStructuredStore
 from ..storage.mapping_table import FlashAddr, MappingTable, PageEntry
-from ..storage.pages import DataPageState, DeltaKind, Record, RecordDelta
+from ..storage.pages import DataPageState, Record
 from .node import InnerNode
 
 
@@ -361,11 +361,7 @@ class BwTree:
             entry = self._descend(key)
             result = OpResult(found=True)
             self._post_blind_delta(
-                entry,
-                RecordDelta(DeltaKind.UPSERT, key, value,
-                            self._next_timestamp()),
-                result,
-            )
+                entry, Record(key, value, self._next_timestamp()), result)
             self._post_op(entry, result, window)
             return result
         finally:
@@ -383,11 +379,7 @@ class BwTree:
             entry = self._descend(key)
             result = OpResult()
             self._post_blind_delta(
-                entry,
-                RecordDelta(DeltaKind.DELETE, key, None,
-                            self._next_timestamp()),
-                result,
-            )
+                entry, Record(key, None, self._next_timestamp()), result)
             self._post_op(entry, result, window)
             return result
         finally:
@@ -419,8 +411,11 @@ class BwTree:
         if tracer is not None:
             tracer.open_span("bwtree.blind_batch", "bwtree")
         try:
-            window = machine.latency_window()
+            # The latency window, bracketed in this frame.
             cpu = machine.cpu
+            ssd = machine.ssd
+            cpu_before = cpu.busy_us
+            service_before = ssd.service_us_total
             bill = cpu.bill
             bill(self._dispatch)
             level = self._level
@@ -439,14 +434,10 @@ class BwTree:
                 ios_before = result.ios
                 if type(key) is not bytes or not key:
                     self._validate_key(key)
-                if value is None:
-                    kind = DeltaKind.DELETE
-                else:
-                    if type(value) is not bytes:
-                        self._validate_kv(key, value)
-                    kind = DeltaKind.UPSERT
+                if type(value) is not bytes and value is not None:
+                    self._validate_kv(key, value)
                 self._timestamp += 1
-                delta = RecordDelta(kind, key, value, self._timestamp)
+                delta = Record(key, value, self._timestamp)
                 node_id = self.root_id
                 while node_id < 0:
                     node = inners[node_id]
@@ -477,7 +468,10 @@ class BwTree:
                     counts["bwtree.ss_ops"] += 1.0
                 else:
                     counts["bwtree.mm_ops"] += 1.0
-            result.latency_us = machine.observe_latency(window)
+            latency = ((cpu.busy_us - cpu_before)
+                       + (ssd.service_us_total - service_before))
+            machine.op_latencies.observe(latency)
+            result.latency_us = latency
             counts["bwtree.ios"] += result.ios
             counts["bwtree.blind_batches"] += 1.0
             return result
@@ -499,7 +493,7 @@ class BwTree:
         self.upsert(key, value)
         return True
 
-    def _post_blind_delta(self, entry: PageEntry, delta: RecordDelta,
+    def _post_blind_delta(self, entry: PageEntry, delta: Record,
                           result: OpResult) -> None:
         """Prepend ``delta`` to the leaf, then run whichever of the
         blind-chain fetch, consolidation, split and eviction it calls

@@ -10,7 +10,7 @@ The engine facade opens the root trace spans (``engine.get`` /
 """
 
 from .engine import DeuteronomyEngine
-from .mvcc import Version, VersionStore
+from .mvcc import VersionStore
 from .read_cache import ReadCache
 from .record_cache import RecordStore
 from .recovery_log import LogRecord, RecoveryLog
@@ -30,7 +30,6 @@ __all__ = [
     "TransactionAborted",
     "TxnStatus",
     "VersionStore",
-    "Version",
     "ReadCache",
     "RecordStore",
     "RecoveryLog",

@@ -84,10 +84,9 @@ class CommitPipeline:
                 "commit interval must be positive and finite, got "
                 f"{commit_interval_us}"
             )
-        if epoch_bytes <= 0:
-            raise ValueError(
-                f"epoch byte threshold must be positive, got {epoch_bytes}"
-            )
+        if not 0 < epoch_bytes < math.inf:
+            raise ValueError("epoch byte threshold must be positive and "
+                             f"finite, got {epoch_bytes}")
         self.machine = machine
         self.log = log
         self.device = device
@@ -130,24 +129,34 @@ class CommitPipeline:
         returned future covers everything up to the log's current LSN.
         Opens a fresh epoch when none is open, then runs the scheduler
         (close the epoch if its window or byte threshold tripped, drain
-        any acks the virtual clock has passed).
+        any acks the virtual clock has passed).  The scheduler's tests run
+        in this frame: :meth:`maybe_close` and :meth:`ack` are called only
+        when an epoch must close or an ack is due.
         """
         machine = self.machine
+        clock = machine.clock
         if not self._epoch_open:
             faults = machine.faults
             if faults is not None:
                 faults.hit(SITE_EPOCH_OPEN)
             self._epoch_open = True
             self._epoch_id += 1
-            self._epoch_opened_s = machine.clock.now
+            self._epoch_opened_s = clock.now
             self._epoch_commits = 0
             self.epochs_opened += 1
         machine.cpu.bill(self._enqueue)
-        future = CommitFuture(epoch_id=self._epoch_id, lsn=self.log.last_lsn)
+        log = self.log
+        future = CommitFuture(self._epoch_id, log.appended_records)
         self._pending.append(future)
         self._epoch_commits += n_commits
-        self.maybe_close()
-        self.ack()
+        if (clock.now - self._epoch_opened_s
+                >= self.commit_interval_us * 1e-6
+                or log.appended_bytes - self._bytes_submitted_upto
+                >= self.epoch_bytes):
+            self.maybe_close()
+        inflight = self._inflight
+        if inflight and inflight[0][1] <= clock.now:
+            self.ack()
         return future
 
     # --- epoch scheduler ----------------------------------------------------

@@ -3,41 +3,30 @@
 Paper Section 6.3: "Instead of using proxies for the multiple versions, the
 TC uses the versions themselves" — versions live in recovery-log buffers,
 and the MVCC hash table doubles as the access path to that record cache.
-A version here carries the log buffer id of its redo record; it is
-servable from memory only while that buffer is retained.
+A version here *is* the redo record the commit appended
+(:class:`~repro.deuteronomy.recovery_log.LogRecord`); it is servable from
+memory only while the log still retains its LSN.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..frozen import slot_init
 from ..hardware.machine import Machine
+from .recovery_log import LogRecord
 
 VERSION_ENTRY_OVERHEAD_BYTES = 48   # hash chain + version metadata
 DRAM_TAG = "tc_version_store"
 
 
-@slot_init
-@dataclass(frozen=True, slots=True)
-class Version:
-    """One committed version of a key."""
-
-    timestamp: int
-    value: Optional[bytes]    # None = deleted at this version
-    log_buffer_id: int
-
-    @property
-    def size_bytes(self) -> int:
-        value_len = len(self.value) if self.value is not None else 0
-        return VERSION_ENTRY_OVERHEAD_BYTES + value_len
-
-
 class VersionStore:
-    """Hash table: key -> committed versions, newest first."""
+    """Hash table: key -> committed versions (redo records), newest first.
+
+    A version's modelled size is ``VERSION_ENTRY_OVERHEAD_BYTES`` plus its
+    value, not the redo record's log size.
+    """
 
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
@@ -47,7 +36,7 @@ class VersionStore:
         self._install = plan("tc_mvcc", "hash_probe", "install_cas")
         self._probe = plan("tc_mvcc", "hash_probe")
         self._check = plan("tc_mvcc", "version_visibility_check")
-        self._versions: Dict[bytes, List[Version]] = {}
+        self._versions: Dict[bytes, List[LogRecord]] = {}
         self._bytes = 0
         self._count = 0
         # Reclamation index.  A version becomes invisible exactly when its
@@ -63,12 +52,12 @@ class VersionStore:
         #: call otherwise.  A plain attribute, read without a call.
         self.oldest_superseded: float = math.inf
 
-    def add(self, key: bytes, version: Version) -> None:
-        """Install a newly committed version (must be newest for the key)."""
+    def add(self, version: LogRecord) -> None:
+        """Install a newly committed version (must be newest for its key)."""
         self.machine.cpu.bill(self._install)
+        key = version.key
         chain = self._versions.setdefault(key, [])
         timestamp = version.timestamp
-        # Version.size_bytes, in this frame.
         value = version.value
         nbytes = VERSION_ENTRY_OVERHEAD_BYTES + (
             len(value) if value is not None else 0)
@@ -94,7 +83,7 @@ class VersionStore:
         self._count += 1
 
     def visible(self, key: bytes, read_timestamp: int) -> Tuple[
-            Optional[Version], int]:
+            Optional[LogRecord], int]:
         """Newest version with timestamp <= ``read_timestamp``.
 
         Returns (version or None, versions examined) for cost charging.
@@ -142,7 +131,9 @@ class VersionStore:
                 while (keep > 1
                        and chain[keep - 2].timestamp <= horizon_timestamp):
                     keep -= 1
-                    freed += chain[keep].size_bytes
+                    value = chain[keep].value
+                    freed += VERSION_ENTRY_OVERHEAD_BYTES + (
+                        len(value) if value is not None else 0)
                 removed += len(chain) - keep
                 del chain[keep:]
         self.oldest_superseded = order[0] if order else math.inf

@@ -17,6 +17,7 @@ value can never be served from the victim tier.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import Optional, Tuple
 
@@ -32,10 +33,13 @@ class ReadCache:
     def __init__(self, machine: Machine, budget_bytes: int,
                  demote_to_tiers: bool = False,
                  demote_budget_bytes: Optional[int] = None) -> None:
-        if budget_bytes <= 0:
-            raise ValueError("read cache budget must be positive")
-        if demote_budget_bytes is not None and demote_budget_bytes <= 0:
-            raise ValueError("demote budget must be positive when given")
+        if not 0 < budget_bytes < math.inf:   # NaN fails this too
+            raise ValueError(f"read cache budget must be positive and "
+                             f"finite, got {budget_bytes}")
+        if demote_budget_bytes is not None and not (
+                0 < demote_budget_bytes < math.inf):
+            raise ValueError("demote budget must be positive and finite "
+                             f"when given, got {demote_budget_bytes}")
         self.machine = machine
         self.budget_bytes = budget_bytes
         self.demote_to_tiers = demote_to_tiers

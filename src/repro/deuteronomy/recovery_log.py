@@ -10,6 +10,7 @@ buffer is dropped its records stop being servable from the TC.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -25,12 +26,19 @@ LOG_RECORD_OVERHEAD_BYTES = 32   # LSN, txn id, timestamp, lengths
 @slot_init
 @dataclass(frozen=True, slots=True)
 class LogRecord:
-    """One redo record: the after-image of a committed update."""
+    """One redo record: the after-image of a committed update.
+
+    It is also the committed version the MVCC store chains (Section 6.3:
+    the TC uses "the versions themselves").  ``lsn`` is its 1-based append
+    index in the log, so the caller numbers a group from
+    ``appended_records + 1``.
+    """
 
     key: bytes
     value: Optional[bytes]     # None = delete
     timestamp: int
     txn_id: int
+    lsn: int
 
     @property
     def size_bytes(self) -> int:
@@ -65,14 +73,22 @@ class RecoveryLog:
         buffer_bytes: int = 1 << 20,
         retain_budget_bytes: Optional[int] = None,
     ) -> None:
-        if buffer_bytes <= 0:
-            raise ValueError("log buffer size must be positive")
+        if not 0 < buffer_bytes < math.inf:   # NaN fails this too
+            raise ValueError(
+                f"log buffer size must be positive and finite, got "
+                f"{buffer_bytes}")
         self.machine = machine
         self.buffer_bytes = buffer_bytes
         self.retain_budget_bytes = retain_budget_bytes
         self._buffers: List[_Buffer] = [_Buffer(0)]
         self._next_buffer_id = 1
         self._retained_bytes = 0
+        #: LSN of the oldest record still retained.  Buffers hold
+        #: contiguous LSN ranges and are dropped oldest first, so a
+        #: record is servable from memory exactly when its ``lsn`` is at
+        #: least this.  Only :meth:`_enforce_budget` moves it.
+        self.first_retained_lsn = 1
+        self._append = machine.cpu.plan("tc_log", then="log_append_per_byte")
         self.flushes = 0
         self.appended_records = 0
         self.appended_bytes = 0
@@ -98,9 +114,7 @@ class RecoveryLog:
     def append(self, record: LogRecord) -> int:
         """Append one redo record, flushing the buffer when it fills.
 
-        Returns the id of the buffer holding the record; versions in the
-        MVCC store carry it so :meth:`is_buffer_retained` can tell whether
-        the record is still servable from memory.
+        Returns the id of the buffer holding the record.
         """
         nbytes = record.size_bytes
         if nbytes > self.buffer_bytes:
@@ -115,13 +129,12 @@ class RecoveryLog:
         current.nbytes += nbytes
         self.machine.dram.allocate(nbytes, DRAM_TAG)
         self._retained_bytes += nbytes
-        self.machine.cpu.charge("log_append_per_byte", nbytes,
-                                category="tc_log")
+        self.machine.cpu.bill(self._append, nbytes)
         self.appended_records += 1
         self.appended_bytes += nbytes
         return current.buffer_id
 
-    def append_batch(self, records: Sequence[LogRecord]) -> List[int]:
+    def append_batch(self, records: Sequence[LogRecord]) -> None:
         """Append a group of redo records in one pass (group commit).
 
         Per-byte work is identical to ``len(records)`` single appends —
@@ -129,38 +142,39 @@ class RecoveryLog:
         DRAM accounting happen once for the whole group, and a buffer that
         fills mid-batch still flushes immediately, so durability ordering
         is preserved: the durable log is always a prefix of the append
-        order.  Returns one buffer id per record, in order.
+        order.  The bytes still pending are accounted before such a spill,
+        whose flush may drop buffers against the retention budget.
         """
-        buffer_ids: List[int] = []
         total_bytes = 0
+        pending = 0
         buffers = self._buffers
+        buffer_bytes = self.buffer_bytes
+        current = buffers[-1]
         for record in records:
             # LogRecord.size_bytes, in this frame.
             value = record.value
             nbytes = LOG_RECORD_OVERHEAD_BYTES + len(record.key) + (
                 len(value) if value is not None else 0)
-            if nbytes > self.buffer_bytes:
+            if nbytes > buffer_bytes:
                 raise ValueError(
-                    f"record of {nbytes}B exceeds buffer size "
-                    f"{self.buffer_bytes}"
-                )
-            current = buffers[-1]
-            if current.nbytes + nbytes > self.buffer_bytes:
+                    f"record of {nbytes}B exceeds buffer size {buffer_bytes}")
+            if current.nbytes + nbytes > buffer_bytes:
+                self.machine.dram.allocate(pending, DRAM_TAG)
+                self._retained_bytes += pending
+                pending = 0
                 self._spill_full_buffer()
                 current = buffers[-1]
             current.records.append(record)
             current.nbytes += nbytes
-            self.machine.dram.allocate(nbytes, DRAM_TAG)
-            self._retained_bytes += nbytes
+            pending += nbytes
             total_bytes += nbytes
-            buffer_ids.append(current.buffer_id)
-        if total_bytes:
-            self.machine.cpu.charge("log_append_per_byte", total_bytes,
-                                    category="tc_log")
-        self.appended_records += len(buffer_ids)
+        if pending:
+            self.machine.dram.allocate(pending, DRAM_TAG)
+            self._retained_bytes += pending
+            self.machine.cpu.bill(self._append, total_bytes)
+        self.appended_records += len(records)
         self.appended_bytes += total_bytes
         self.batch_appends += 1
-        return buffer_ids
 
     def _spill_full_buffer(self) -> None:
         """The open buffer filled mid-append: flush it, or hand it to
@@ -312,17 +326,10 @@ class RecoveryLog:
             dropped = self._buffers.pop(0)
             self.machine.dram.free(dropped.nbytes, DRAM_TAG)
             self._retained_bytes -= dropped.nbytes
+            self.first_retained_lsn += len(dropped.records)
             self.dropped_buffers += 1
 
     # --- record-cache reads --------------------------------------------------
-
-    def is_buffer_retained(self, buffer_id: int) -> bool:
-        """Whether the buffer with ``buffer_id`` is still resident.
-
-        Buffers are dropped strictly oldest-first, so this is a constant
-        comparison against the oldest retained id.
-        """
-        return bool(self._buffers) and buffer_id >= self._buffers[0].buffer_id
 
     def retained_record_index(self) -> Dict[bytes, LogRecord]:
         """Newest retained record per key (for rebuild/debug, O(n))."""

@@ -25,7 +25,7 @@ from ..hardware.logdevice import LogDevice
 from ..hardware.machine import Machine
 from ..hardware.metrics import CounterSet, Histogram
 from .commit_pipeline import CommitFuture, CommitPipeline
-from .mvcc import Version, VersionStore
+from .mvcc import VersionStore
 from .read_cache import ReadCache
 from .record_cache import RecordStore
 from .recovery_log import LogRecord, RecoveryLog
@@ -78,6 +78,18 @@ def check_batch(
     return keys
 
 
+#: The lowest value of each size, count and window in :class:`TcConfig`
+#: (the commit window's is the least positive float: it must be > 0); the
+#: retention budget may also be ``None``, unbudgeted.
+_CONFIG_FLOORS = {
+    "log_buffer_bytes": 1, "log_retain_budget_bytes": 0,
+    "read_cache_bytes": 1, "version_gc_horizon_lag": 0,
+    "commit_interval_us": math.ulp(0.0), "commit_epoch_bytes": 1,
+    "record_cache_bytes": 1, "record_arena_bytes": 1,
+    "record_dirty_flush_bytes": 1,
+}
+
+
 @dataclass(frozen=True, slots=True)
 class TcConfig:
     """TC sizing knobs."""
@@ -117,26 +129,15 @@ class TcConfig:
     concurrency_mode: str = "latch_free"
 
     def __post_init__(self) -> None:
-        if self.version_gc_horizon_lag < 0:
-            raise ValueError(
-                "version_gc_horizon_lag must be >= 0, got "
-                f"{self.version_gc_horizon_lag}: a negative lag truncates "
-                "versions that open snapshots still read"
-            )
-        if not 0.0 < self.commit_interval_us < math.inf:
-            # Written so NaN is refused too: every window comparison
-            # against NaN is False, so its epochs would close only on the
-            # byte threshold, as an infinite window's would.
-            raise ValueError(
-                "commit_interval_us must be > 0 and finite, got "
-                f"{self.commit_interval_us}"
-            )
-        if (self.log_retain_budget_bytes is not None
-                and self.log_retain_budget_bytes < 0):
-            raise ValueError(
-                "log_retain_budget_bytes must be >= 0 or None, got "
-                f"{self.log_retain_budget_bytes}"
-            )
+        # Written so that NaN fails: every comparison with NaN is false,
+        # so a NaN size never fills, evicts or truncates anything.
+        for name, low in _CONFIG_FLOORS.items():
+            value = getattr(self, name)
+            if value is None and name == "log_retain_budget_bytes":
+                continue
+            if not low <= value < math.inf:
+                raise ValueError(f"TcConfig.{name} must be at least {low} "
+                                 f"and finite, got {value}")
         if self.sync_commit and self.commit_pipeline:
             raise ValueError(
                 "sync_commit and commit_pipeline are mutually exclusive"
@@ -145,13 +146,6 @@ class TcConfig:
             raise ValueError(
                 "concurrency_mode must be 'latch_free' or 'latched', "
                 f"got {self.concurrency_mode!r}"
-            )
-        if self.record_dirty_flush_bytes <= 0:
-            # Every dirty-byte count is >= a threshold <= 0, so every
-            # cached read and commit would drain an empty heap.
-            raise ValueError(
-                "record_dirty_flush_bytes must be > 0, got "
-                f"{self.record_dirty_flush_bytes}"
             )
         if (self.record_cache
                 and self.record_dirty_flush_bytes >= self.record_cache_bytes):
@@ -266,11 +260,10 @@ class TransactionComponent:
             self.machine.cpu.charge("timestamp_alloc", category="tc")
             commit_ts = self._tick()
             for key, value in txn.write_set.items():
-                record = LogRecord(key, value, commit_ts, txn.txn_id)
-                buffer_id = self.log.append(record)
-                self.versions.add(
-                    key, Version(commit_ts, value, buffer_id)
-                )
+                record = LogRecord(key, value, commit_ts, txn.txn_id,
+                                   self.log.appended_records + 1)
+                self.log.append(record)
+                self.versions.add(record)
                 self.read_cache.invalidate(key)
                 # The DC update is blind: no read, just a delta post
                 # (Section 6.2 — "all transactional updates are blind
@@ -334,7 +327,8 @@ class TransactionComponent:
             self.machine.cpu.charge("timestamp_alloc", category="tc")
             results: List[Optional[int]] = []
             records: List[LogRecord] = []
-            committed: List[Tuple[Transaction, int, int, int]] = []
+            lsn = self.log.appended_records
+            committed: List[Tuple[Transaction, int, int]] = []
             batch_written: set = set()
             for txn in txns:
                 conflict = False
@@ -355,21 +349,19 @@ class TransactionComponent:
                 commit_ts = self._tick()
                 start = len(records)
                 for key, value in txn.write_set.items():
+                    lsn += 1
                     records.append(
-                        LogRecord(key, value, commit_ts, txn.txn_id))
+                        LogRecord(key, value, commit_ts, txn.txn_id, lsn))
                     batch_written.add(key)
-                committed.append((txn, start, len(records), commit_ts))
+                committed.append((txn, start, len(records)))
                 results.append(commit_ts)
-            buffer_ids = self.log.append_batch(records)
+            self.log.append_batch(records)
             dc_ops: List[Tuple[bytes, Optional[bytes]]] = []
             counts = self._counts
-            for txn, start, end, commit_ts in committed:
+            for txn, start, end in committed:
                 for index in range(start, end):
                     record = records[index]
-                    self.versions.add(
-                        record.key,
-                        Version(commit_ts, record.value, buffer_ids[index]),
-                    )
+                    self.versions.add(record)
                     self.read_cache.invalidate(record.key)
                     if self.records is not None and \
                             self.records.append_record(
@@ -522,9 +514,9 @@ class TransactionComponent:
         version, examined = self.versions.visible(key, read_ts)
         del examined  # already charged per visibility check
         if version is not None:
-            # RecoveryLog.is_buffer_retained, in this frame.
-            buffers = self.log._buffers
-            if buffers and version.log_buffer_id >= buffers[0].buffer_id:
+            # The version is its redo record: servable while the log
+            # still retains its LSN.
+            if version.lsn >= self.log.first_retained_lsn:
                 counts["tc.log_cache_hits"] += 1.0
                 return version.value
             # The buffer holding the version was dropped; fall through
@@ -682,6 +674,8 @@ class TransactionComponent:
             commit_ts = self._clock + 1
             conflict_probe = self._conflict_probe
             records: List[LogRecord] = []
+            log = self.log
+            lsn = log.appended_records
             for key, value in write_set.items():
                 # The conflict probe, VersionStore.newest_timestamp in
                 # this frame.
@@ -691,18 +685,19 @@ class TransactionComponent:
                     counts["tc.aborts"] += 1.0
                     raise TransactionAborted(
                         f"txn {txn_id}: write-write conflict on {key!r}")
-                records.append(LogRecord(key, value, commit_ts, txn_id))
+                lsn += 1
+                records.append(LogRecord(key, value, commit_ts, txn_id, lsn))
             self._clock = commit_ts
-            buffer_ids = self.log.append_batch(records)
+            log.append_batch(records)
             read_cache = self.read_cache
             cached = read_cache._entries
             parked = read_cache._tier_entries
             heap = self.records
             dc_ops: List[Tuple[bytes, Optional[bytes]]] = []
-            for record, buffer_id in zip(records, buffer_ids):
+            for record in records:
                 key = record.key
                 value = record.value
-                versions.add(key, Version(commit_ts, value, buffer_id))
+                versions.add(record)
                 if key in cached or key in parked:
                     read_cache.invalidate(key)
                 if heap is None or not heap.append_record(key, value,
@@ -833,16 +828,13 @@ class TransactionComponent:
         of records replayed.
         """
         replayed = 0
-        for record in records:
-            self._clock = max(self._clock, record.timestamp)
-            buffer_id = self.log.append(
-                LogRecord(record.key, record.value, record.timestamp,
-                          record.txn_id)
-            )
-            self.versions.add(
-                record.key,
-                Version(record.timestamp, record.value, buffer_id),
-            )
+        log = self.log
+        for durable in records:
+            self._clock = max(self._clock, durable.timestamp)
+            record = LogRecord(durable.key, durable.value, durable.timestamp,
+                               durable.txn_id, log.appended_records + 1)
+            log.append(record)
+            self.versions.add(record)
             if record.value is None:
                 self.dc.delete(record.key)
             else:

@@ -17,12 +17,11 @@ from .pages import (
     PAGE_HEADER_BYTES,
     RECORD_OVERHEAD_BYTES,
     DataPageState,
-    DeltaKind,
     LookupResult,
     PageImage,
     Record,
-    RecordDelta,
     delta_image_size_bytes,
+    delta_size_bytes,
     full_image_size_bytes,
 )
 
@@ -42,14 +41,13 @@ __all__ = [
     "MappingTable",
     "PageEntry",
     "DataPageState",
-    "DeltaKind",
     "LookupResult",
     "PageImage",
     "Record",
-    "RecordDelta",
     "RECORD_OVERHEAD_BYTES",
     "DELTA_OVERHEAD_BYTES",
     "PAGE_HEADER_BYTES",
     "delta_image_size_bytes",
+    "delta_size_bytes",
     "full_image_size_bytes",
 ]

@@ -13,7 +13,6 @@ experiments depend on them.
 from __future__ import annotations
 
 import bisect
-import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -27,49 +26,32 @@ PAGE_HEADER_BYTES = 32       # page id, LSN, record count, side link
 @slot_init
 @dataclass(frozen=True, slots=True)
 class Record:
-    """One key/value record with an ordering timestamp."""
+    """One key/value record with an ordering timestamp.
+
+    The same type is a base-page record and a delta prepended to a page's
+    chain: consolidation moves an upsert delta into the base as is.  A
+    delta whose value is ``None`` is a delete; a base record always has a
+    value.  Timestamps order deltas against each other and against base
+    records, which is what lets every transactional update be posted
+    *blind* (Section 6.2).
+    """
 
     key: bytes
-    value: bytes
+    value: Optional[bytes]
     timestamp: int = 0
 
     @property
     def size_bytes(self) -> int:
+        """Size as a base record, whose value is never ``None`` (a delta
+        is sized by :func:`delta_size_bytes`)."""
         return RECORD_OVERHEAD_BYTES + len(self.key) + len(self.value)
 
 
-class DeltaKind(enum.Enum):
-    """What a record delta does to the page's logical contents."""
-
-    UPSERT = "upsert"
-    DELETE = "delete"
-
-
-@slot_init
-@dataclass(frozen=True, slots=True)
-class RecordDelta:
-    """A single-record update prepended to a page's delta chain.
-
-    Upserts carry the new value; deletes carry only the key.  Timestamps
-    order deltas against each other and against base records, which is what
-    lets every transactional update be posted *blind* (Section 6.2).
-    """
-
-    kind: DeltaKind
-    key: bytes
-    value: Optional[bytes] = None
-    timestamp: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind is DeltaKind.UPSERT and self.value is None:
-            raise ValueError("UPSERT delta requires a value")
-        if self.kind is DeltaKind.DELETE and self.value is not None:
-            raise ValueError("DELETE delta must not carry a value")
-
-    @property
-    def size_bytes(self) -> int:
-        value_len = len(self.value) if self.value is not None else 0
-        return DELTA_OVERHEAD_BYTES + len(self.key) + value_len
+def delta_size_bytes(delta: Record) -> int:
+    """Size of ``delta`` as a chain delta: header, key and any value."""
+    value = delta.value
+    return DELTA_OVERHEAD_BYTES + len(delta.key) + (
+        len(value) if value is not None else 0)
 
 
 @dataclass(slots=True)
@@ -108,7 +90,7 @@ class DataPageState:
         self,
         page_id: int,
         base: object = _UNSET,
-        deltas: Optional[List[RecordDelta]] = None,
+        deltas: Optional[List[Record]] = None,
         base_size_bytes: Optional[int] = None,
     ) -> None:
         self.page_id = page_id
@@ -119,8 +101,8 @@ class DataPageState:
             [] if base is DataPageState._UNSET else base,  # type: ignore[arg-type]
             base_size_bytes,
         )
-        self.deltas: List[RecordDelta] = deltas if deltas is not None else []
-        self._delta_bytes = (sum(d.size_bytes for d in self.deltas)
+        self.deltas: List[Record] = deltas if deltas is not None else []
+        self._delta_bytes = (sum(map(delta_size_bytes, self.deltas))
                              if self.deltas else 0)
         # Persistence bookkeeping used by the log store's delta-only flushes.
         self.flushed_delta_count = 0
@@ -172,10 +154,13 @@ class DataPageState:
 
     # --- mutation -----------------------------------------------------------
 
-    def prepend_delta(self, delta: RecordDelta) -> int:
+    def prepend_delta(self, delta: Record) -> int:
         """Prepend one update delta (the Bw-tree's latch-free update);
         returns the delta's size, so the poster need not size it again."""
-        size = delta.size_bytes
+        # delta_size_bytes, in this frame.
+        value = delta.value
+        size = DELTA_OVERHEAD_BYTES + len(delta.key) + (
+            len(value) if value is not None else 0)
         self.deltas.insert(0, delta)
         self._delta_bytes += size
         return size
@@ -228,15 +213,14 @@ class DataPageState:
             key = delta.key
             index = bisect.bisect_left(keys, key)
             present = index < len(keys) and keys[index] == key
-            if delta.kind is DeltaKind.UPSERT:
-                value = delta.value
-                assert value is not None
+            value = delta.value
+            if value is not None:
                 if present:
                     size += len(value) - len(records[index].value)
-                    records[index] = Record(key, value, delta.timestamp)
+                    records[index] = delta
                 else:
                     size += RECORD_OVERHEAD_BYTES + len(key) + len(value)
-                    records.insert(index, Record(key, value, delta.timestamp))
+                    records.insert(index, delta)
                     keys.insert(index, key)
             elif present:
                 size -= (RECORD_OVERHEAD_BYTES + len(key)
@@ -262,9 +246,8 @@ class DataPageState:
         for delta in self.deltas:
             hops += 1
             if delta.key == key:
-                if delta.kind is DeltaKind.DELETE:
-                    return LookupResult(False, None, hops, False)
-                return LookupResult(True, delta.value, hops, False)
+                value = delta.value
+                return LookupResult(value is not None, value, hops, False)
         if self.base is None:
             return LookupResult(False, None, hops, False, base_missing=True)
         assert self._base_keys is not None
@@ -284,13 +267,7 @@ class DataPageState:
             )
         winners: Dict[bytes, Optional[Record]] = {}
         for delta in reversed(self.deltas):
-            if delta.kind is DeltaKind.UPSERT:
-                assert delta.value is not None
-                winners[delta.key] = Record(
-                    delta.key, delta.value, delta.timestamp
-                )
-            else:
-                winners[delta.key] = None
+            winners[delta.key] = delta if delta.value is not None else None
         base_keys = {record.key for record in self.base}
         extras = sorted(
             (winner for key, winner in winners.items()
@@ -313,7 +290,7 @@ class DataPageState:
             yield extras[extra_index]
             extra_index += 1
 
-    def unflushed_deltas(self) -> List[RecordDelta]:
+    def unflushed_deltas(self) -> List[Record]:
         """Deltas not yet persisted, oldest first (the flushable suffix)."""
         pending = self.deltas[: len(self.deltas) - self.flushed_delta_count] \
             if self.flushed_delta_count else list(self.deltas)
@@ -349,9 +326,9 @@ def full_image_size_bytes(records: Iterable[Record]) -> int:
     return PAGE_HEADER_BYTES + sum(r.size_bytes for r in records)
 
 
-def delta_image_size_bytes(deltas: Iterable[RecordDelta]) -> int:
+def delta_image_size_bytes(deltas: Iterable[Record]) -> int:
     """Serialized size of a delta-only flush image."""
-    return PAGE_HEADER_BYTES + sum(d.size_bytes for d in deltas)
+    return PAGE_HEADER_BYTES + sum(map(delta_size_bytes, deltas))
 
 
 @dataclass(frozen=True, slots=True)
@@ -370,7 +347,7 @@ class PageImage:
     kind: str
     page_id: int
     records: Tuple[Record, ...] = field(default_factory=tuple)
-    deltas: Tuple[RecordDelta, ...] = field(default_factory=tuple)
+    deltas: Tuple[Record, ...] = field(default_factory=tuple)
     size_bytes: int = field(default=-1, compare=False)
 
     def __post_init__(self) -> None:

@@ -15,12 +15,10 @@ from __future__ import annotations
 import pytest
 
 from repro.storage import (
-    DeltaKind,
     LogStructuredStore,
     MappingTable,
     PageCache,
     Record,
-    RecordDelta,
 )
 
 
@@ -38,9 +36,7 @@ def _delta_only_rig(machine, **cache_kwargs):
     entry.state.install_base([Record(b"a", b"v" * 200)])
     cache.register(entry)
     cache.flush_page(entry)
-    entry.state.prepend_delta(
-        RecordDelta(DeltaKind.UPSERT, b"b", b"w" * 200, 1)
-    )
+    entry.state.prepend_delta(Record(b"b", b"w" * 200, 1))
     cache.resize(entry)
     cache.evict(entry)   # retains the deltas, drops the base
     assert entry.state is not None and not entry.state.base_present

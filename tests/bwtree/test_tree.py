@@ -68,6 +68,23 @@ class TestValidation:
         with pytest.raises(TypeError):
             small_tree.upsert(b"k", 42)
 
+    def test_upsert_refuses_a_none_value(self, small_tree):
+        """A delta whose value is ``None`` is a delete, so an upsert
+        must not build one: ``_validate_kv`` refuses it first."""
+        with pytest.raises(TypeError):
+            small_tree.upsert(b"k", None)  # type: ignore[arg-type]
+        assert small_tree.counters.get("bwtree.ops") == 0
+
+    def test_a_blind_batch_posts_a_none_value_as_a_delete(self, small_tree):
+        small_tree.upsert(b"k", b"v")
+        small_tree.upsert(b"j", b"w")
+        small_tree.apply_blind_batch([(b"k", None), (b"j", b"w2")])
+        entry = small_tree._descend(b"k")
+        newest = {delta.key: delta for delta in reversed(entry.state.deltas)}
+        assert newest[b"k"].value is None
+        assert small_tree.get(b"k") is None
+        assert small_tree.get(b"j") == b"w2"
+
 
 class TestStructure:
     def test_splits_grow_depth(self, small_tree):

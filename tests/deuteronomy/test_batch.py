@@ -218,24 +218,26 @@ class TestBatchEdgeCases:
 
 #: Functions a warmed batched op must not enter: the transaction object's
 #: lifecycle and per-op helpers, the Bw-tree descent and post helpers
-#: and mapping-table accessor, the MVCC conflict probe and log-retention
-#: check (inline in the TC), the router's hash (memoized), and any span
+#: and mapping-table accessor, the MVCC conflict probe (inline in the
+#: TC), the router's hash (memoized), and any span
 #: frame while no tracer is attached (the old ``machine.trace_span`` and
 #: the standard library's context-manager protocol, which ``.frames``
 #: does not count because its code is not in ``repro``).
 BATCH_FORBIDDEN = {"tc.begin", "tc.execute_batch", "tc.commit_batch",
                    "tc._read_one", "tc._buffer_write", "tc._require_active",
                    "tree._descend", "mapping_table.get",
-                   "mvcc.newest_timestamp",
-                   "recovery_log.is_buffer_retained", "router.fnv1a_64",
+                   "mvcc.newest_timestamp", "router.fnv1a_64",
                    "machine.trace_span", "contextlib.__enter__",
                    "contextlib.__exit__"}
 
 
 def test_a_blind_post_does_its_bookkeeping_in_the_frames_it_has():
     """Complexity guard as call counts: one 64-put ``apply_batch`` on a
-    warmed engine enters at most 12 ``repro`` frames per put: 11.8 here,
-    down from 14.7 while each charge of a fixed run (the dispatch, each
+    warmed engine enters at most 9.5 ``repro`` frames per put: 9.3 here,
+    11.6 while the log allocated DRAM once per record, the blind batch
+    bracketed its latency through two ``machine`` frames and each write
+    built a proxy version and a kind-tagged delta, 14.7 while each charge
+    of a fixed run (the dispatch, each
     descent level, the post) was a frame of its own; 21.5 while the
     descent and the post of a resident leaf ran in helper frames and the
     batch built a transaction object; and 49.5 before the batched write
@@ -243,8 +245,9 @@ def test_a_blind_post_does_its_bookkeeping_in_the_frames_it_has():
     it already had.  Routing is inline in the blind batch, a delta is
     sized once, a consolidation keeps a running size instead of
     re-summing its page, and no counter goes through ``CounterSet.add``.
-    The 214 dataclass ``__init__`` frames (``<string>`` code, which
-    ``.frames`` skips) are pinned on their own."""
+    The 95 dataclass ``__init__`` frames (``<string>`` code, which
+    ``.frames`` skips; 214 before a write built one record per layer)
+    are pinned on their own."""
     generator = WorkloadGenerator(WorkloadSpec.ycsb_a(record_count=2000,
                                                       seed=3))
     engine = DeuteronomyEngine(Machine.paper_default(cores=1))
@@ -262,8 +265,8 @@ def test_a_blind_post_does_its_bookkeeping_in_the_frames_it_has():
                  "tree._next_timestamp", "metrics.add",
                  "pages.full_image_size_bytes"} | BATCH_FORBIDDEN
     assert forbidden.isdisjoint(calls), forbidden & set(calls)
-    assert sum(calls.frames.values()) / 64 <= 12
-    assert calls["<string>.__init__"] == 214
+    assert sum(calls.frames.values()) / 64 <= 9.5
+    assert calls["<string>.__init__"] == 95
 
 
 def warmed_batch_calls(engine, generator):
@@ -281,7 +284,9 @@ def warmed_batch_calls(engine, generator):
 def test_a_batched_op_does_its_bookkeeping_in_the_frames_it_has():
     """Complexity guard as frame counts, on ``update_batched`` in
     miniature (YCSB-A, sync commit): a warmed 64-op mixed
-    ``apply_batch`` enters 575 ``repro`` frames, 9.0 per op: 576 while
+    ``apply_batch`` enters 508 ``repro`` frames, 7.9 per op: 575 while
+    the log allocated DRAM once per record and the blind batch bracketed
+    its latency through two ``machine`` frames, 576 while
     its one consolidation re-indexed the new base in ``_set_base``, 580 while
     its two DC reads read ``cpu.busy_us`` and ``ssd.service_us_total``
     through property frames, 582 while
@@ -298,9 +303,9 @@ def test_a_batched_op_does_its_bookkeeping_in_the_frames_it_has():
 
     ``.frames`` keeps only code whose file is under ``repro``; a
     dataclass ``__init__`` is generated code whose file is
-    ``<string>``, so it never showed in that count.  The 88 it runs
-    here (page deltas, redo records, versions, results) are pinned on
-    their own."""
+    ``<string>``, so it never showed in that count.  The 58 it runs
+    here (page deltas, redo records, results; 88 while each write also
+    built a proxy version) are pinned on their own."""
     generator = WorkloadGenerator(WorkloadSpec.ycsb_a(record_count=4000,
                                                       seed=42))
     engine = DeuteronomyEngine(Machine.paper_default(cores=4),
@@ -310,24 +315,29 @@ def test_a_batched_op_does_its_bookkeeping_in_the_frames_it_has():
     calls = warmed_batch_calls(engine, generator)
     assert calls["tc.apply_batch"] == calls["tree.apply_blind_batch"] == 1
     assert calls["tree.get_with_stats"] > 0   # reads reach the DC too
-    assert sum(calls.frames.values()) == 575
-    assert calls["<string>.__init__"] == 88
+    assert sum(calls.frames.values()) == 508
+    assert calls["<string>.__init__"] == 58
 
 
 def test_a_fleet_batch_does_its_bookkeeping_in_the_frames_it_has():
     """The same guard on ``fleet_async`` in miniature (8 shards, commit
     pipeline, one shared log device, every key routed once by the bulk
-    load): a warmed 64-op ``apply_batch`` enters 679 ``repro`` frames,
-    10.6 per op: 680 while a consolidation re-indexed the new base in
-    ``_set_base``, 729 (11.4) while the commit pipeline read ``clock.now``
+    load): a warmed 64-op ``apply_batch`` enters 581 ``repro`` frames,
+    9.1 per op: 679 (10.6) while each shard's commit entered the
+    pipeline's ``maybe_close`` and ``ack`` with nothing due, read
+    ``last_lsn`` through a property frame, allocated log DRAM once per
+    record and bracketed its blind batch's latency through two
+    ``machine`` frames, 680 while a consolidation re-indexed the new base
+    in ``_set_base``, 729 (11.4) while the commit pipeline read ``clock.now``
     and the DC reads ``cpu.busy_us`` and ``ssd.service_us_total``
     through property frames (17, 16 and 16), 845 (13.2) while every
     charge of a fixed run was a frame of its own, 916 (14.3) while each
     of its 71 untraced spans entered ``machine.trace_span``, and 1,418
     (22.2) when the scatter
     re-hashed every key through a ``key_of`` lambda and each shard ran a
-    lambda and a transaction object.  Its 102 generated dataclass
-    ``__init__`` frames, which ``.frames`` skips, are pinned too."""
+    lambda and a transaction object.  Its 72 generated dataclass
+    ``__init__`` frames (102 with proxy versions), which ``.frames``
+    skips, are pinned too."""
     generator = WorkloadGenerator(WorkloadSpec.ycsb_a(record_count=4000,
                                                       seed=42))
     fleet = ShardedEngine(8, tc_config=TcConfig(commit_pipeline=True),
@@ -337,5 +347,10 @@ def test_a_fleet_batch_does_its_bookkeeping_in_the_frames_it_has():
     calls = warmed_batch_calls(fleet, generator)
     assert calls["router.scatter"] == 1
     assert calls["tc.apply_batch"] == 8
-    assert sum(calls.frames.values()) == 679
-    assert calls["<string>.__init__"] == 102
+    assert calls["commit_pipeline.enqueue_epoch"] == 8
+    # No epoch closes and no ack is due: the scheduler's tests ran in
+    # ``enqueue_epoch``'s frame.
+    assert "commit_pipeline.maybe_close" not in calls
+    assert "commit_pipeline.ack" not in calls
+    assert sum(calls.frames.values()) == 581
+    assert calls["<string>.__init__"] == 72

@@ -14,12 +14,14 @@ from repro.deuteronomy.tc import TcConfig
 from repro.hardware import LogDevice, Machine, SsdSpec
 from repro.sharding.engine import ShardedEngine
 
+from ..frames import count_calls
+
 TREE = BwTreeConfig(segment_bytes=1 << 16)
 
 
 def record(index: int, size: int = 50) -> LogRecord:
     return LogRecord(b"k%04d" % index, b"v" * size, timestamp=index,
-                     txn_id=index)
+                     txn_id=index, lsn=index + 1)
 
 
 @pytest.fixture
@@ -102,6 +104,29 @@ class TestEpochScheduling:
         log.append(record(0, size=100))
         pipeline.enqueue_epoch()
         assert pipeline.epochs_closed == 1   # 132B appended >= 128B
+
+    def test_an_enqueue_enters_close_and_ack_only_when_due(
+            self, machine, log, pipeline):
+        """Frame guard: the scheduler's tests run in ``enqueue_epoch``'s
+        frame, so an enqueue with no close and no ack due enters
+        neither ``maybe_close`` nor ``ack``."""
+        log.append(record(0))
+        calls = count_calls(pipeline.enqueue_epoch)
+        assert calls["commit_pipeline.enqueue_epoch"] == 1
+        assert "commit_pipeline.maybe_close" not in calls
+        assert "commit_pipeline.ack" not in calls
+        machine.clock.advance(60e-6)   # the window trips; no ack yet
+        log.append(record(1))
+        calls = count_calls(pipeline.enqueue_epoch)
+        assert calls["commit_pipeline.maybe_close"] == 1
+        assert "commit_pipeline.ack" not in calls
+        assert pipeline.epochs_closed == 1
+        machine.clock.advance(1.0)     # its ack is due; no close
+        log.append(record(2))
+        calls = count_calls(pipeline.enqueue_epoch)
+        assert "commit_pipeline.maybe_close" not in calls
+        assert calls["commit_pipeline.ack"] == 1
+        assert log.durable_lsn == 2
 
     def test_inside_window_epoch_stays_open(self, log, pipeline):
         for index in range(3):

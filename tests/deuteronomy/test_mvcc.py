@@ -9,11 +9,11 @@ from hypothesis import given, settings
 
 from repro.deuteronomy import (
     DeuteronomyEngine,
+    LogRecord,
     TcConfig,
-    Version,
     VersionStore,
 )
-from repro.deuteronomy.mvcc import DRAM_TAG
+from repro.deuteronomy.mvcc import DRAM_TAG, VERSION_ENTRY_OVERHEAD_BYTES
 from repro.hardware import Machine
 from repro.hardware.dram import DramModel
 
@@ -23,20 +23,26 @@ def store(machine: Machine) -> VersionStore:
     return VersionStore(machine)
 
 
-def v(ts: int, value: bytes = b"v", buffer_id: int = 0) -> Version:
-    return Version(ts, value, buffer_id)
+def v(key: bytes, ts: int, value: bytes = b"v", lsn: int = 0) -> LogRecord:
+    """A committed version: the redo record that installs it."""
+    return LogRecord(key, value, ts, 0, lsn)
+
+
+def version_bytes(version: LogRecord) -> int:
+    """The modelled size of a version, which is not its log size."""
+    return VERSION_ENTRY_OVERHEAD_BYTES + len(version.value or b"")
 
 
 def test_add_and_visible(store):
-    store.add(b"k", v(5, b"five"))
+    store.add(v(b"k", 5, b"five"))
     version, examined = store.visible(b"k", 10)
     assert version is not None and version.value == b"five"
     assert examined == 1
 
 
 def test_visibility_respects_snapshot(store):
-    store.add(b"k", v(5, b"five"))
-    store.add(b"k", v(9, b"nine"))
+    store.add(v(b"k", 5, b"five"))
+    store.add(v(b"k", 9, b"nine"))
     assert store.visible(b"k", 9)[0].value == b"nine"
     assert store.visible(b"k", 8)[0].value == b"five"
     assert store.visible(b"k", 4)[0] is None
@@ -48,29 +54,29 @@ def test_unknown_key(store):
 
 
 def test_timestamps_must_increase(store):
-    store.add(b"k", v(5))
+    store.add(v(b"k", 5))
     with pytest.raises(ValueError):
-        store.add(b"k", v(5))
+        store.add(v(b"k", 5))
     with pytest.raises(ValueError):
-        store.add(b"k", v(4))
+        store.add(v(b"k", 4))
 
 
 def test_newest_timestamp(store):
     assert store.newest_timestamp(b"k") is None
-    store.add(b"k", v(3))
-    store.add(b"k", v(7))
+    store.add(v(b"k", 3))
+    store.add(v(b"k", 7))
     assert store.newest_timestamp(b"k") == 7
 
 
 def test_delete_version_visible_as_none_value(store):
-    store.add(b"k", Version(5, None, 0))
+    store.add(LogRecord(b"k", None, 5, 0, 0))
     version, __ = store.visible(b"k", 10)
     assert version is not None and version.value is None
 
 
 def test_truncate_keeps_visible_horizon_version(store):
     for ts in (1, 5, 9):
-        store.add(b"k", v(ts, b"%d" % ts))
+        store.add(v(b"k", ts, b"%d" % ts))
     removed = store.truncate(horizon_timestamp=6)
     # Version 5 is the newest at-or-below the horizon: must survive.
     assert removed == 1   # only ts=1 dropped
@@ -79,14 +85,14 @@ def test_truncate_keeps_visible_horizon_version(store):
 
 
 def test_truncate_noop_when_all_above_horizon(store):
-    store.add(b"k", v(10))
+    store.add(v(b"k", 10))
     assert store.truncate(5) == 0
     assert store.version_count() == 1
 
 
 def test_bytes_accounting(store, machine):
-    store.add(b"k", v(1, b"x" * 100))
-    store.add(b"k", v(2, b"x" * 100))
+    store.add(v(b"k", 1, b"x" * 100))
+    store.add(v(b"k", 2, b"x" * 100))
     assert machine.dram.bytes_for("tc_version_store") \
         == store.resident_bytes
     store.truncate(2)
@@ -95,9 +101,9 @@ def test_bytes_accounting(store, machine):
 
 
 def test_counts(store):
-    store.add(b"a", v(1))
-    store.add(b"a", v(2))
-    store.add(b"b", v(1))
+    store.add(v(b"a", 1))
+    store.add(v(b"a", 2))
+    store.add(v(b"b", 1))
     assert store.key_count() == 2
     assert store.version_count() == 3
 
@@ -108,7 +114,7 @@ def test_truncate_never_empties_a_chain(store):
     for index in range(20):
         key = b"k%02d" % index
         for ts in range(1, 4):
-            store.add(key, v(10 * index + ts))
+            store.add(v(key, 10 * index + ts))
     assert store.truncate(10_000) == 40
     assert store.key_count() == 20
     assert store.version_count() == 20
@@ -121,10 +127,10 @@ def test_truncate_never_empties_a_chain(store):
 def test_truncate_handles_successors_out_of_order_across_keys(store):
     """Direct callers and redo replay may install a lower successor
     timestamp after a higher one on another key."""
-    store.add(b"a", v(1))
-    store.add(b"a", v(6))
-    store.add(b"b", v(1))
-    store.add(b"b", v(3))           # successor 3 filed after successor 6
+    store.add(v(b"a", 1))
+    store.add(v(b"a", 6))
+    store.add(v(b"b", 1))
+    store.add(v(b"b", 3))           # successor 3 filed after successor 6
     assert store.truncate(4) == 1   # only b@1: a's successor is above 4
     assert store.visible(b"b", 2)[0] is None
     assert store.visible(b"a", 2)[0].timestamp == 1
@@ -147,13 +153,13 @@ def test_truncate_visits_only_superseded_chains(store):
     """Complexity guard, in lookups rather than seconds: chains with
     nothing to reclaim are never touched."""
     for index in range(10_000):
-        store.add(b"key%06d" % index, v(index + 1))
+        store.add(v(b"key%06d" % index, index + 1))
     store._versions = chains = CountingDict(store._versions)
     assert store.truncate(1 << 40) == 0
     assert chains.lookups == 0
     superseded = 25
     for index in range(superseded):
-        store.add(b"key%06d" % index, v(20_000 + index))
+        store.add(v(b"key%06d" % index, 20_000 + index))
     assert store.truncate(1 << 40) == superseded
     assert chains.lookups <= superseded
     assert store.version_count() == 10_000
@@ -176,7 +182,7 @@ def full_walk_truncate(chains, horizon_timestamp):
                 keep = index + 1
                 break
         for version in chain[keep:]:
-            freed += version.size_bytes
+            freed += version_bytes(version)
             removed += 1
         del chain[keep:]
     return removed, freed
@@ -192,12 +198,13 @@ class CheckedVersionStore(VersionStore):
         self.ref_dram = DramModel()
         self.reclaimed = 0
 
-    def add(self, key, version):
-        super().add(key, version)
+    def add(self, version):
+        super().add(version)
+        key = version.key
         chain = self.ref_chains.setdefault(key, [])
         chain.insert(0, version)
         self.ref_dram.allocate(
-            version.size_bytes + (len(key) if len(chain) == 1 else 0),
+            version_bytes(version) + (len(key) if len(chain) == 1 else 0),
             DRAM_TAG)
         self.check()
 
@@ -247,16 +254,16 @@ def test_truncate_matches_full_walk(ops):
         if op[0] == "add":
             __, key, step, value = op
             timestamp = (store.newest_timestamp(key) or 0) + step
-            redo.append((key, Version(timestamp, value, len(redo))))
-            store.add(*redo[-1])
+            redo.append(LogRecord(key, value, timestamp, 0, len(redo) + 1))
+            store.add(redo[-1])
         elif op[0] == "truncate":
             store.truncate(op[1])
         else:
             # Power loss: DRAM is gone, redo replay re-installs every
             # logged version in log order (reclaimed ones included).
             store = CheckedVersionStore(Machine.paper_default(cores=1))
-            for key, version in redo:
-                store.add(key, version)
+            for version in redo:
+                store.add(version)
 
 
 def test_truncate_matches_full_walk_through_engine_crash_and_replay():

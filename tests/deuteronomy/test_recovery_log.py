@@ -8,7 +8,7 @@ from repro.hardware import Machine
 
 def record(index: int, size: int = 50) -> LogRecord:
     return LogRecord(b"k%04d" % index, b"v" * size, timestamp=index,
-                     txn_id=index)
+                     txn_id=index, lsn=index + 1)
 
 
 @pytest.fixture
@@ -58,12 +58,16 @@ def test_retention_dram_accounted(machine):
 
 
 def test_is_buffer_retained(log):
-    first_buffer = log.append(record(0))
-    assert log.is_buffer_retained(first_buffer)
+    """A record is servable from memory while the log retains its LSN."""
+    first = record(0)
+    log.append(first)
+    assert first.lsn >= log.first_retained_lsn
     for index in range(1, 300):
         log.append(record(index))
-    assert not log.is_buffer_retained(first_buffer)
-    assert log.is_buffer_retained(log.append(record(999)))
+    assert first.lsn < log.first_retained_lsn
+    last = record(300)
+    log.append(last)
+    assert last.lsn >= log.first_retained_lsn
 
 
 def test_unbounded_retention(machine):
@@ -79,14 +83,15 @@ def test_oversized_record_rejected(log):
 
 
 def test_retained_record_index_newest_wins(log):
-    log.append(LogRecord(b"k", b"v1", 1, 1))
-    log.append(LogRecord(b"k", b"v2", 2, 2))
+    log.append(LogRecord(b"k", b"v1", 1, 1, 1))
+    log.append(LogRecord(b"k", b"v2", 2, 2, 2))
     assert log.retained_record_index()[b"k"].value == b"v2"
 
 
 def test_delete_record_allowed(log):
-    buffer_id = log.append(LogRecord(b"k", None, 1, 1))
-    assert log.is_buffer_retained(buffer_id)
+    tombstone = LogRecord(b"k", None, 1, 1, 1)
+    log.append(tombstone)
+    assert tombstone.lsn >= log.first_retained_lsn
 
 
 def test_append_batch_accounts_what_single_appends_do():
@@ -94,14 +99,19 @@ def test_append_batch_accounts_what_single_appends_do():
     append per record (each record sized as ``LogRecord.size_bytes``):
     only the number of charges differs."""
     records = [record(index, size=index % 7 * 20) for index in range(30)]
-    records[3] = LogRecord(b"gone", None, 3, 3)
+    records[3] = LogRecord(b"gone", None, 3, 3, 4)
     single, batched = Machine.paper_default(), Machine.paper_default()
     one_by_one = RecoveryLog(single, buffer_bytes=1024,
                              retain_budget_bytes=2048)
     grouped = RecoveryLog(batched, buffer_bytes=1024,
                           retain_budget_bytes=2048)
-    ids = [one_by_one.append(entry) for entry in records]
-    assert grouped.append_batch(records) == ids
+    for entry in records:
+        one_by_one.append(entry)
+    grouped.append_batch(records)
+    assert ([(buffer.buffer_id, buffer.records) for buffer in grouped._buffers]
+            == [(buffer.buffer_id, buffer.records)
+                for buffer in one_by_one._buffers])
+    assert grouped.first_retained_lsn == one_by_one.first_retained_lsn
     total = sum(entry.size_bytes for entry in records)
     assert grouped.appended_bytes == one_by_one.appended_bytes == total
     assert grouped.retained_bytes == one_by_one.retained_bytes
@@ -128,10 +138,11 @@ class TestRetentionBudget:
         # contiguous from the oldest retained one up to the open buffer.
         assert retained_ids == list(range(
             log.dropped_buffers, log.dropped_buffers + len(retained_ids)))
-        for buffer_id in range(log.dropped_buffers):
-            assert not log.is_buffer_retained(buffer_id)
-        for buffer_id in retained_ids:
-            assert log.is_buffer_retained(buffer_id)
+        # So the retained records are exactly the LSNs from
+        # ``first_retained_lsn`` on.
+        assert [entry.lsn for buffer in log._buffers
+                for entry in buffer.records] == list(
+            range(log.first_retained_lsn, 201))
 
     def test_retained_bytes_is_the_sum_of_retained_buffers(self, log):
         for index in range(150):
@@ -160,7 +171,7 @@ class TestRetentionBudget:
             log.append(record(index))
         sealed = log.seal()   # still owed to durable_records
         log._enforce_budget()
-        assert log.is_buffer_retained(sealed.buffer_id)
+        assert sealed.records[0].lsn >= log.first_retained_lsn
         assert log.sealed_pending == 1
 
     def test_budget_enforced_at_mark_durable_not_seal(self, machine):
@@ -178,7 +189,7 @@ class TestRetentionBudget:
         # The ack made the buffer evictable and the budget is tiny:
         # enforcement runs inside mark_durable and drops it.
         assert log.dropped_buffers == dropped_before + 1
-        assert not log.is_buffer_retained(sealed.buffer_id)
+        assert sealed.records[-1].lsn < log.first_retained_lsn
         assert log.durable_lsn == 5   # eviction never touches durability
 
     def test_partial_flush_keeps_retention_exact(self, machine):
@@ -189,11 +200,12 @@ class TestRetentionBudget:
         log = RecoveryLog(machine, buffer_bytes=1024,
                           retain_budget_bytes=8192)
         device = LogDevice(machine.ssd, machine.clock)
-        first_id = log.append(record(0))
+        first = record(0)
+        log.append(first)
         sealed = log.seal()
         log.submit_sealed(sealed, device)
         log.mark_durable(sealed)
-        assert log.is_buffer_retained(first_id)   # budget not exceeded
+        assert first.lsn >= log.first_retained_lsn   # budget not exceeded
         assert log.retained_bytes == sum(
             buffer.nbytes for buffer in log._buffers)
         assert log.durable_records == sealed.records

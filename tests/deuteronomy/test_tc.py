@@ -4,13 +4,16 @@ import pytest
 
 from repro.bwtree import BwTree, BwTreeConfig
 from repro.deuteronomy import (
+    RecoveryLog,
     TcConfig,
     TransactionAborted,
     TransactionComponent,
     TxnStatus,
 )
+from repro.deuteronomy.commit_pipeline import CommitPipeline
+from repro.deuteronomy.read_cache import ReadCache
 from repro.faults import FaultInjector, FaultPlan, IoError
-from repro.hardware import Machine
+from repro.hardware import LogDevice, Machine
 
 
 @pytest.fixture
@@ -209,3 +212,37 @@ class TestCachingTiers:
             + machine.dram.bytes_for("tc_version_store")
         )
         assert tc.dram_footprint_bytes() > 0
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("name", [
+    "version_gc_horizon_lag", "read_cache_bytes", "log_buffer_bytes",
+    "log_retain_budget_bytes", "commit_epoch_bytes"])
+@pytest.mark.parametrize("value", [NAN, INF], ids=["nan", "inf"])
+def test_a_size_that_never_binds_is_refused_by_name(name, value):
+    """Every comparison with NaN is false and none reaches infinity, so
+    each of these silently built a different TC: in a 2,000-record
+    YCSB-A run a NaN or infinite GC lag never truncated a version (2,975
+    resident instead of 1,167), a NaN read-cache budget never evicted, a
+    NaN or infinite log buffer never filled, a NaN retention budget
+    never dropped a buffer (an infinite one is spelled ``None``), and a
+    NaN or infinite epoch threshold never closed an epoch by bytes."""
+    with pytest.raises(ValueError, match=f"TcConfig.{name}"):
+        TcConfig(commit_pipeline=True, **{name: value})
+
+
+@pytest.mark.parametrize("value", [NAN, INF, 0, -1], ids=str)
+def test_the_components_refuse_the_same_sizes_when_built_directly(value):
+    machine = Machine.paper_default(cores=1)
+    with pytest.raises(ValueError, match="log buffer size"):
+        RecoveryLog(machine, buffer_bytes=value)
+    with pytest.raises(ValueError, match="read cache budget"):
+        ReadCache(machine, budget_bytes=value)
+    with pytest.raises(ValueError, match="demote budget"):
+        ReadCache(machine, 1 << 10, demote_budget_bytes=value)
+    log = RecoveryLog(machine)
+    with pytest.raises(ValueError, match="epoch byte threshold"):
+        CommitPipeline(machine, log, LogDevice(machine.ssd, machine.clock),
+                       epoch_bytes=value)

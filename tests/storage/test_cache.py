@@ -6,18 +6,16 @@ from repro.core import tier_pair_breakeven
 from repro.hardware import Machine
 from repro.storage import (
     DataPageState,
-    DeltaKind,
     LogStructuredStore,
     MappingTable,
     PageCache,
     PageImage,
     Record,
-    RecordDelta,
 )
 
 
-def up(key: bytes, value: bytes, ts: int = 0) -> RecordDelta:
-    return RecordDelta(DeltaKind.UPSERT, key, value, ts)
+def up(key: bytes, value: bytes, ts: int = 0) -> Record:
+    return Record(key, value, ts)
 
 
 @pytest.fixture

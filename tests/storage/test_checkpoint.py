@@ -71,11 +71,9 @@ def test_find_latest_none_when_unwritten(rig):
 
 def test_checkpoint_records_delta_counts(rig):
     __, table, store, cache, manager = rig
-    from repro.storage import DeltaKind, RecordDelta
+    from repro.storage import Record
     entry = add_page(table, cache)
-    entry.state.prepend_delta(
-        RecordDelta(DeltaKind.UPSERT, b"x", b"y", 1)
-    )
+    entry.state.prepend_delta(Record(b"x", b"y", 1))
     cache.resize(entry)
     cache.flush_page(entry)
     manager.write_checkpoint()

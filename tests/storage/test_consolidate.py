@@ -9,7 +9,7 @@ for key index and byte for byte.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage import DataPageState, DeltaKind, Record, RecordDelta
+from repro.storage import DataPageState, Record
 from repro.storage.pages import RECORD_OVERHEAD_BYTES, full_image_size_bytes
 
 # Few distinct keys, so chains repeat keys, delete present and absent
@@ -21,13 +21,8 @@ TIMESTAMPS = st.integers(0, 99)
 BASES = st.dictionaries(KEYS, st.tuples(VALUES, TIMESTAMPS), max_size=12).map(
     lambda contents: [Record(key, value, ts)
                       for key, (value, ts) in sorted(contents.items())])
-DELTAS = st.one_of(
-    st.builds(lambda key, value, ts: RecordDelta(DeltaKind.UPSERT, key,
-                                                 value, ts),
-              KEYS, VALUES, TIMESTAMPS),
-    st.builds(lambda key, ts: RecordDelta(DeltaKind.DELETE, key, None, ts),
-              KEYS, TIMESTAMPS),
-)
+# A delta is a ``Record``; a delete is one whose value is ``None``.
+DELTAS = st.builds(Record, KEYS, st.one_of(VALUES, st.none()), TIMESTAMPS)
 
 
 def reference_fold(base, deltas):
@@ -38,7 +33,7 @@ def reference_fold(base, deltas):
     for delta in reversed(deltas):
         key = delta.key
         old = merged.get(key)
-        if delta.kind is DeltaKind.UPSERT:
+        if delta.value is not None:
             merged[key] = Record(key, delta.value, delta.timestamp)
             if old is None:
                 size += RECORD_OVERHEAD_BYTES + len(key) + len(delta.value)
@@ -69,4 +64,8 @@ def test_consolidation_equals_the_dict_and_sort_fold(base, chain):
     touched = {delta.key for delta in chain}
     untouched = [r for r in base if r.key not in touched]
     assert all(any(r is kept for kept in state.base) for r in untouched)
+    # Each surviving upsert is the newest delta object itself, not a copy.
+    newest = {delta.key: delta for delta in chain}
+    upserts = [delta for delta in newest.values() if delta.value is not None]
+    assert all(any(delta is kept for kept in state.base) for delta in upserts)
     assert state.deltas == [] and state.delta_size_bytes == 0

@@ -4,13 +4,12 @@ import pytest
 
 from repro.storage import (
     DataPageState,
-    DeltaKind,
     PageImage,
     Record,
-    RecordDelta,
     RECORD_OVERHEAD_BYTES,
     DELTA_OVERHEAD_BYTES,
     PAGE_HEADER_BYTES,
+    delta_size_bytes,
     full_image_size_bytes,
 )
 
@@ -19,12 +18,12 @@ def rec(key: bytes, value: bytes = b"v", ts: int = 0) -> Record:
     return Record(key, value, ts)
 
 
-def up(key: bytes, value: bytes = b"v", ts: int = 0) -> RecordDelta:
-    return RecordDelta(DeltaKind.UPSERT, key, value, ts)
+def up(key: bytes, value: bytes = b"v", ts: int = 0) -> Record:
+    return Record(key, value, ts)
 
 
-def dl(key: bytes, ts: int = 0) -> RecordDelta:
-    return RecordDelta(DeltaKind.DELETE, key, None, ts)
+def dl(key: bytes, ts: int = 0) -> Record:
+    return Record(key, None, ts)
 
 
 class TestSizes:
@@ -32,25 +31,15 @@ class TestSizes:
         assert rec(b"ab", b"xyz").size_bytes == RECORD_OVERHEAD_BYTES + 5
 
     def test_upsert_delta_size(self):
-        assert up(b"ab", b"xyz").size_bytes == DELTA_OVERHEAD_BYTES + 5
+        assert delta_size_bytes(up(b"ab", b"xyz")) == DELTA_OVERHEAD_BYTES + 5
 
     def test_delete_delta_size(self):
-        assert dl(b"ab").size_bytes == DELTA_OVERHEAD_BYTES + 2
+        assert delta_size_bytes(dl(b"ab")) == DELTA_OVERHEAD_BYTES + 2
 
     def test_full_image_size(self):
         records = [rec(b"a"), rec(b"b")]
         expected = PAGE_HEADER_BYTES + sum(r.size_bytes for r in records)
         assert full_image_size_bytes(records) == expected
-
-
-class TestDeltaValidation:
-    def test_upsert_requires_value(self):
-        with pytest.raises(ValueError):
-            RecordDelta(DeltaKind.UPSERT, b"k", None)
-
-    def test_delete_rejects_value(self):
-        with pytest.raises(ValueError):
-            RecordDelta(DeltaKind.DELETE, b"k", b"v")
 
 
 class TestConstruction:
@@ -228,4 +217,5 @@ class TestPageImage:
         full = PageImage("full", 1, records=(rec(b"a"),))
         delta = PageImage("delta", 1, deltas=(up(b"a", b"1"),))
         assert full.size_bytes == PAGE_HEADER_BYTES + rec(b"a").size_bytes
-        assert delta.size_bytes == PAGE_HEADER_BYTES + up(b"a", b"1").size_bytes
+        assert delta.size_bytes == PAGE_HEADER_BYTES + delta_size_bytes(
+            up(b"a", b"1"))

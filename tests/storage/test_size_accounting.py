@@ -28,10 +28,9 @@ from repro.hardware import Machine
 from repro.storage import (
     PAGE_HEADER_BYTES,
     DataPageState,
-    DeltaKind,
     PageImage,
     Record,
-    RecordDelta,
+    delta_size_bytes,
 )
 from repro.storage.cache import DRAM_TAG
 from repro.storage.checkpoint import (
@@ -64,7 +63,7 @@ PAGE_OPS = st.lists(st.one_of(
 def assert_sizes_match_recomputation(state: DataPageState) -> None:
     base = 0 if state.base is None else (
         PAGE_HEADER_BYTES + sum(r.size_bytes for r in state.base))
-    deltas = sum(d.size_bytes for d in state.deltas)
+    deltas = sum(map(delta_size_bytes, state.deltas))
     assert state.base_size_bytes == base
     assert state.delta_size_bytes == deltas
     assert state.resident_size_bytes == base + deltas
@@ -78,10 +77,9 @@ def test_sizes_equal_recomputation_after_every_mutation(ops):
     state = DataPageState(1)
     for op in ops:
         if op[0] == "upsert":
-            state.prepend_delta(
-                RecordDelta(DeltaKind.UPSERT, op[1], op[2]))
+            state.prepend_delta(Record(op[1], op[2]))
         elif op[0] == "delete":
-            state.prepend_delta(RecordDelta(DeltaKind.DELETE, op[1]))
+            state.prepend_delta(Record(op[1], None))
         elif op[0] == "consolidate":
             if state.base_present:
                 assert state.consolidate() == state.base_size_bytes
@@ -111,9 +109,9 @@ def test_prepend_delta_never_sizes_the_base(monkeypatch):
         Record, "size_bytes",
         property(lambda self: calls.append(1) or record_size(self)))
     before = state.resident_size_bytes
-    delta = RecordDelta(DeltaKind.UPSERT, b"key000500", b"new")
+    delta = Record(b"key000500", b"new")
     state.prepend_delta(delta)
-    assert state.resident_size_bytes == before + delta.size_bytes
+    assert state.resident_size_bytes == before + delta_size_bytes(delta)
     assert calls == []
 
 

@@ -20,13 +20,11 @@ from hypothesis import given, settings
 
 from repro.hardware import Machine
 from repro.storage import (
-    DeltaKind,
     EvictionPolicy,
     LogStructuredStore,
     MappingTable,
     PageCache,
     Record,
-    RecordDelta,
 )
 
 from .sequences import SEEDS, SHAPES, Shape, apply_step, make_steps, make_tree
@@ -239,7 +237,7 @@ def three_flushed_pages_with_a_delta(capacity_bytes):
         cache.register(entry)
         cache.flush_page(entry)
         entry.state.prepend_delta(
-            RecordDelta(DeltaKind.UPSERT, b"k%d" % index, b"w" * 40))
+            Record(b"k%d" % index, b"w" * 40))
         cache.resize(entry)
         entries.append(entry)
     return machine, cache, entries

@@ -7,24 +7,22 @@ from typing import List, Optional
 
 import pytest
 
-from repro.deuteronomy.mvcc import Version
 from repro.deuteronomy.recovery_log import LogRecord
 from repro.frozen import slot_init
 from repro.storage.log_store import ReadResult
-from repro.storage.pages import DeltaKind, PageImage, Record, RecordDelta
+from repro.storage.pages import PageImage, Record
 from repro.workloads.ycsb import OpKind, Operation
 
 IMAGE = PageImage("full", 7, records=(Record(b"a", b"1"),))
 
-#: (class, field values, the repr a plain frozen dataclass prints)
+#: (class, field values, the repr a plain frozen dataclass prints).  A
+#: page delta is a ``Record`` (a delete is one whose value is ``None``),
+#: and an MVCC version is its ``LogRecord``.
 CASES = [
     (Record, (b"k", b"v", 3), "Record(key=b'k', value=b'v', timestamp=3)"),
-    (RecordDelta, (DeltaKind.DELETE, b"k", None, 4),
-     "RecordDelta(kind=<DeltaKind.DELETE: 'delete'>, key=b'k', value=None, "
-     "timestamp=4)"),
-    (Version, (5, b"v", 2), "Version(timestamp=5, value=b'v', log_buffer_id=2)"),
-    (LogRecord, (b"k", None, 6, 9),
-     "LogRecord(key=b'k', value=None, timestamp=6, txn_id=9)"),
+    (Record, (b"k", None, 4), "Record(key=b'k', value=None, timestamp=4)"),
+    (LogRecord, (b"k", None, 6, 9, 11),
+     "LogRecord(key=b'k', value=None, timestamp=6, txn_id=9, lsn=11)"),
     (ReadResult, (IMAGE, False, 12.5),
      f"ReadResult(image={IMAGE!r}, from_write_buffer=False, service_us=12.5)"),
     (Operation, (OpKind.SCAN, b"k", None, 7),
@@ -34,7 +32,8 @@ CASES = [
 
 
 @pytest.mark.parametrize("cls, values, text", CASES,
-                         ids=[case[0].__name__ for case in CASES])
+                         ids=["Record", "delete-delta", "LogRecord",
+                              "ReadResult", "Operation"])
 def test_a_record_stays_a_frozen_dataclass(cls, values, text):
     record = cls(*values)
     names = [entry.name for entry in dataclasses.fields(cls)]
@@ -53,17 +52,8 @@ def test_a_record_stays_a_frozen_dataclass(cls, values, text):
 
 def test_defaults_are_kept():
     assert Record(b"k", b"v") == Record(b"k", b"v", 0)
-    assert RecordDelta(DeltaKind.DELETE, b"k") == RecordDelta(
-        DeltaKind.DELETE, b"k", None, 0)
     assert Operation(OpKind.READ, b"k") == Operation(OpKind.READ, b"k",
                                                      None, 0)
-
-
-def test_a_delta_still_checks_its_kind_against_its_value():
-    with pytest.raises(ValueError, match="requires a value"):
-        RecordDelta(DeltaKind.UPSERT, b"k")
-    with pytest.raises(ValueError, match="must not carry a value"):
-        RecordDelta(DeltaKind.DELETE, b"k", b"v")
 
 
 def test_only_frozen_slotted_plain_dataclasses_are_accepted():

@@ -17,8 +17,10 @@ SRC = pathlib.Path(repro.__file__).parent
 
 #: Sites in ``src/`` now.  There were 91 before ``CpuModel.busy_us``,
 #: ``SimulatedSsd.service_us_total`` and ``VirtualClock.now`` became
-#: plain public attributes; only ever lower this.
-PINNED = 72
+#: plain public attributes, and 72 before the TC's version-retention
+#: test read ``RecoveryLog.first_retained_lsn`` instead of
+#: ``self.log._buffers``; only ever lower this.
+PINNED = 71
 
 
 def private_access_sites():
