@@ -31,7 +31,6 @@ from .core import SourceFile
 #: (``bill`` charges a plan's fixed run of steps).
 CHARGE_ATTRS = frozenset({
     "charge",
-    "charge_us",
     "bill",
     "charge_submit",
     "charge_complete",

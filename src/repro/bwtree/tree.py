@@ -142,9 +142,9 @@ class BwTree:
         # the request dispatch and epoch guard; one inner level of a
         # descent (a pointer chase, then its binary-search steps); and a
         # blind post (the mapping-table lookup of a resident leaf, then
-        # the CAS install and the delta's copy).  The point read's single
-        # charges are one-step plans: the leaf's mapping-table lookup,
-        # then its delta hops, base search steps and value copy.
+        # the CAS install and the delta's copy).  The single charges are
+        # one-step plans: the leaf's mapping-table lookup, its delta hops,
+        # base search steps and value copy, and a consolidation's bytes.
         plan = machine.cpu.plan
         self._dispatch = plan("bwtree", "op_dispatch", "epoch_protect")
         self._level = plan("bwtree", "pointer_chase",
@@ -156,6 +156,7 @@ class BwTree:
         self._hops = plan("bwtree", then="delta_chain_hop")
         self._search = plan("bwtree", then="page_binary_search_step")
         self._copy = plan("bwtree", then="copy_per_byte")
+        self._fold = plan("bwtree", then="consolidate_per_byte")
         self._inners: Dict[int, InnerNode] = {}
         self._inner_sizes: Dict[int, int] = {}
         self._next_inner_id = -1
@@ -229,8 +230,7 @@ class BwTree:
         binary search over its keys: ``bit_length`` comparisons, at
         least one.
         """
-        cpu = self.machine.cpu
-        bill = cpu.bill
+        bill = self.machine.cpu.bill
         level = self._level
         inners = self._inners
         node_id = self.root_id
@@ -239,7 +239,7 @@ class BwTree:
             keys = node.keys
             bill(level, len(keys).bit_length() or 1)
             node_id = node.children[bisect.bisect_right(keys, key)]
-        cpu.charge("mapping_table_lookup", category="bwtree")
+        bill(self._lookup)
         return self.mapping_table.get(node_id)
 
     def _begin_op(self) -> Tuple[float, float]:
@@ -447,7 +447,7 @@ class BwTree:
                 entry = entries[node_id]
                 state = entry.state
                 if state is None or state.base is None:
-                    cpu.charge("mapping_table_lookup", category="bwtree")
+                    bill(self._lookup)
                     self._post_blind_delta(entry, delta, result)
                 else:
                     # The lookup is billed with the post: sizing the
@@ -565,8 +565,7 @@ class BwTree:
         state = entry.state
         assert state is not None and state.base_present
         new_base_bytes = state.consolidate()
-        self.machine.cpu.charge("consolidate_per_byte", new_base_bytes,
-                                category="bwtree")
+        self.machine.cpu.bill(self._fold, new_base_bytes)
         self._counts["bwtree.consolidations"] += 1.0
         self.cache.resize(entry)
         if not state.base:
@@ -714,8 +713,7 @@ class BwTree:
         assert sibling_state is not None
         if sibling_state.deltas:
             folded = sibling_state.consolidate()
-            self.machine.cpu.charge("consolidate_per_byte", folded,
-                                    category="bwtree")
+            self.machine.cpu.bill(self._fold, folded)
             self.cache.resize(sibling)
         state = entry.state
         assert state is not None and state.base is not None
@@ -841,11 +839,8 @@ class BwTree:
             assert entry.state is not None
             entry.state.replace_base(list(current))
             self.cache.resize(entry)
-            self.machine.cpu.charge(
-                "copy_per_byte",
-                sum(r.size_bytes for r in current),
-                category="bwtree",
-            )
+            self.machine.cpu.bill(
+                self._copy, sum(r.size_bytes for r in current))
             leaves.append((current[0].key, entry.page_id))
             current = []
             current_bytes = 0

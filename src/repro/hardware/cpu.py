@@ -20,8 +20,8 @@ Calibration targets (DESIGN.md Section 5):
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
-from typing import Dict, Mapping, Optional, Protocol, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Dict, List, Mapping, Optional, Protocol, Tuple
 
 from .clock import VirtualClock
 from .metrics import CounterSet
@@ -145,44 +145,40 @@ class ChargePlan:
     :meth:`CpuModel.plan` and billed by :meth:`CpuModel.bill`.
 
     ``primitives`` are charged once each, in order; ``then``, when set,
-    is a final step charged ``count`` times.  The plan holds each fixed
-    step's amount and clock advance as :meth:`CpuModel.charge` would
-    compute them on the model that built it.  A plan of one step — one
-    fixed primitive, or a counted tail alone — is how a hot fixed-price
-    charge is billed, because billing it costs less than the
-    :meth:`CpuModel.charge` it stands for: on a 2-core Xeon VM with
-    Python 3.11 (``timeit`` in one process, best of 9), about 195–215 ns
-    against 315–320 ns for a fixed charge, and 295–320 ns against
-    320–340 ns for a counted one.
+    is a final step charged ``count`` times.  A plan of one step — one
+    fixed primitive, or a counted tail alone — is how a hot charge is
+    billed: the one-step head of :meth:`CpuModel.bill` costs less than
+    the two frames of a cold :meth:`CpuModel.charge`.
+
+    The other fields are read only by :meth:`CpuModel.bill`: ``cpu`` is
+    the model whose prices the plan holds, ``key`` the category's
+    counter key, ``steps`` each step's amount and clock advance (the
+    counted step's slot is rewritten by each bill), ``unit`` the counted
+    step's price (``None`` without one), and ``solo`` is ``cpu`` for a
+    one-step plan (``None`` otherwise).
     """
 
-    __slots__ = ("category", "primitives", "then", "_cpu", "_key", "_steps",
-                 "_then_unit", "_solo", "_amount", "_advance")
+    __slots__ = ("category", "primitives", "then", "cpu", "key", "steps",
+                 "unit", "solo")
 
     def __init__(self, cpu: "CpuModel", category: str,
-                 primitives: Tuple[str, ...], then: Optional[str],
-                 key: str) -> None:
+                 primitives: Tuple[str, ...], then: Optional[str]) -> None:
         self.category = category
         self.primitives = primitives
         self.then = then
-        self._cpu = cpu
-        self._key = key
-        # (amount, clock advance) per fixed step: ``unit * 1.0`` and
-        # ``(amount / cores) * 1e-6``, the floats a charge computes.
-        self._steps: Tuple[Tuple[float, float], ...] = tuple(
+        self.cpu = cpu
+        self.key = f"cpu_us.{category}"
+        # ``unit * 1.0`` and ``(amount / cores) * 1e-6``, as a charge of
+        # one computes them.
+        self.steps: List[Tuple[float, float]] = [
             (amount, (amount / cpu.cores) * 1e-6)
             for amount in (getattr(cpu.costs, name) * 1.0
-                           for name in primitives)
-        )
-        self._then_unit: Optional[float] = (
-            None if then is None else getattr(cpu.costs, then))
-        # A plan of one step names its model here (``None`` for a longer
-        # one): :meth:`CpuModel.bill` bills it without a loop when that
-        # model is plain.  A fixed step keeps its amount and advance.
-        one = len(primitives) + (then is not None) == 1
-        self._solo: Optional[CpuModel] = cpu if one else None
-        self._amount, self._advance = (
-            self._steps[0] if one and then is None else (0.0, 0.0))
+                           for name in primitives)]
+        self.unit: Optional[float] = None
+        if then is not None:
+            self.unit = getattr(cpu.costs, then)
+            self.steps.append((0.0, 0.0))
+        self.solo: Optional[CpuModel] = cpu if len(self.steps) == 1 else None
 
 
 class CpuModel:
@@ -193,17 +189,17 @@ class CpuModel:
     all cores are busy.  This is the quantity the paper's throughput numbers
     are built from.
 
-    A charge is one Python frame: :meth:`charge` and :meth:`charge_us` each
-    spell out the same billing sequence — reject a negative or NaN amount,
-    apply the what-if factor, then add the one resulting float to
-    ``busy_us``, the ``cpu_us.<category>`` counter, the sink and the clock.
-    A fixed run of charges is one frame too: :meth:`bill` makes a
-    :meth:`plan`'s additions, in the same order, without a call per step.
-    Only these three methods spell out the billing sequence.
+    Every charge is a billed :class:`ChargePlan`, and the billing sequence
+    — reject a negative or NaN count, apply the what-if factor, then add
+    each step's float to ``busy_us``, the ``cpu_us.<category>`` counter,
+    the sink and the clock — is written in :meth:`bill` alone: once in
+    its one-step head, taken by a plain model (no sink, no scaling), and
+    once in its loop, which every other bill takes.  :meth:`charge` is a
+    memoised one-step plan for cold sites.
 
     ``busy_us`` is the total core-microseconds charged since the last
-    reset: a plain attribute, read without a call; only the billing
-    methods and :meth:`reset` write it.
+    reset: a plain attribute, read without a call; only :meth:`bill` and
+    :meth:`reset` write it.
     """
 
     def __init__(
@@ -216,25 +212,21 @@ class CpuModel:
             raise ValueError(f"need at least one core, got {cores}")
         self.cores = cores
         self._costs = costs if costs is not None else CostTable()
-        # Resolved once; ``costs`` is read-only, so this cannot go stale.
-        self._units: Dict[str, float] = asdict(self._costs)
         self.clock = clock if clock is not None else VirtualClock()
         self.counters = CounterSet()
-        # The dict behind ``counters`` (a reset clears it in place) and the
-        # interned category -> "cpu_us.<category>" keys that index it.
+        # The dict behind ``counters``; a reset clears it in place.
         self._counts = self.counters.counts
-        self._keys: Dict[str, str] = {}
+        # (primitive, category) -> the one-step plan :meth:`charge` bills.
+        self._charges: Dict[Tuple[str, Optional[str]], ChargePlan] = {}
         self.busy_us = 0.0
         # Optional what-if scaling: category -> factor applied to the
-        # *final* charge amount (see :meth:`scale_costs`); ``None`` costs
-        # a charge one attribute check.
+        # *final* charge amount (see :meth:`scale_costs`).
         self._scale: Optional[Dict[str, float]] = None
-        # Optional per-charge observer (see :attr:`sink`); ``None`` costs
-        # a charge one attribute check.
+        # Optional per-charge observer (see :attr:`sink`).
         self._sink: ChargeSink | None = None
         # This model while no sink and no scaling are attached, else
-        # ``False``: a plan whose model ``is`` this bills its additions
-        # directly, so :meth:`bill` tests one identity, not three.
+        # ``False``: a one-step plan whose ``solo`` ``is`` this takes
+        # :meth:`bill`'s head, so the head tests one identity, not three.
         self._plain: object = self
 
     @property
@@ -287,92 +279,50 @@ class CpuModel:
         """Total core-seconds charged since the last reset."""
         return self.busy_us * 1e-6
 
-    def charge_us(self, microseconds: float, category: str = "other") -> None:
-        """Charge ``microseconds`` of single-core work to ``category``."""
-        # The billing sequence; keep in step with :meth:`charge`.
-        if not microseconds >= 0.0:
-            raise ValueError(f"charged work must be >= 0, got {microseconds}")
-        if self._scale is not None:
-            factor = self._scale.get(category)
-            if factor is not None:
-                microseconds = microseconds * factor
-        self.busy_us += microseconds
-        key = self._keys.get(category)
-        if key is None:
-            key = self._keys[category] = f"cpu_us.{category}"
-        self._counts[key] += microseconds
-        if self._sink is not None:
-            self._sink.on_charge(category, microseconds)
-        self.clock.now += (microseconds / self.cores) * 1e-6
-
     def charge(self, primitive: str, count: float = 1.0,
                category: str | None = None) -> float:
-        """Charge ``count`` occurrences of a named :class:`CostTable` entry.
+        """Charge ``count`` occurrences of a named :class:`CostTable` entry
+        to ``category`` (default: the primitive's name).
 
-        Returns the charged core-microseconds (before any what-if
-        scaling) so callers can aggregate per-operation costs without
-        re-reading the table.
+        Bills a one-step counted plan, built at the first charge of each
+        ``(primitive, category)``; a hot site builds its own plan instead
+        and saves this frame.  Returns the charged core-microseconds
+        (before any what-if scaling) so callers can aggregate
+        per-operation costs without re-reading the table.
         """
-        unit = self._units.get(primitive)
-        if unit is None:
-            unit = getattr(self._costs, primitive)  # AttributeError names it
-        amount = unit * count
-        if category is None:
-            category = primitive
-        # The billing sequence; keep in step with :meth:`charge_us`.
-        if not amount >= 0.0:
-            raise ValueError(f"charged work must be >= 0, got {amount}")
-        microseconds = amount
-        if self._scale is not None:
-            factor = self._scale.get(category)
-            if factor is not None:
-                microseconds = amount * factor
-        self.busy_us += microseconds
-        key = self._keys.get(category)
-        if key is None:
-            key = self._keys[category] = f"cpu_us.{category}"
-        self._counts[key] += microseconds
-        if self._sink is not None:
-            self._sink.on_charge(category, microseconds)
-        self.clock.now += (microseconds / self.cores) * 1e-6
-        return amount
+        plan = self._charges.get((primitive, category))
+        if plan is None:
+            plan = self._charges[primitive, category] = self.plan(
+                primitive if category is None else category, then=primitive)
+        self.bill(plan, count)
+        return plan.unit * count
 
     def plan(self, category: str, *primitives: str,
              then: Optional[str] = None) -> ChargePlan:
         """Price a fixed run of ``category`` charges once, for :meth:`bill`.
 
-        Billing the plan is ``charge(p, category=category)`` for each of
-        ``primitives`` in order, then ``charge(then, count,
-        category=category)`` when ``then`` is set.  Build it when its
-        owning component is built; it bills on this model only (on
-        another, :meth:`bill` falls back to charging step by step).  It
-        needs at least one step; a one-step plan is billed for less than
-        the charge it replaces (see :class:`ChargePlan`), so a hot
-        fixed-price charge is one.
+        Billing the plan charges each of ``primitives`` once, in order,
+        then ``then`` ``count`` times when it is set.  Build it when its
+        owning component is built; billed on another model, it is
+        re-priced there.  It needs at least one step.
         """
         if not primitives and then is None:
             raise ValueError("a plan bills at least one charge")
-        key = self._keys.get(category)
-        if key is None:
-            key = self._keys[category] = f"cpu_us.{category}"
-        return ChargePlan(self, category, primitives, then, key)
+        return ChargePlan(self, category, primitives, then)
 
     def bill(self, plan: ChargePlan, count: float = 1.0) -> None:
         """Bill ``plan`` (``count`` is its counted final step's count).
 
-        Makes the float additions one :meth:`charge` per step would make,
-        in the same order, in one frame.  A negative or NaN ``count``
-        raises before any step is billed.  With a sink or what-if
-        scaling attached, or for a plan built on another model, it calls
-        :meth:`charge` once per step instead, so observers see every step.
+        A negative or NaN ``count`` raises before any step is billed.
+        Each step's amount, scaled by the what-if factor of the plan's
+        category, is added to ``busy_us``, the category's counter and
+        the clock, and handed to the sink, step by step in order.
         """
-        if plan._solo is self._plain:
-            # One step, on the plain model that built it: the billing
-            # sequence of :meth:`charge` is three additions, with no loop.
-            unit = plan._then_unit
+        if plan.solo is self._plain:
+            # One step, on the plain model that built it: no loop.
+            unit = plan.unit
             if unit is None:
-                amount = plan._amount
-                advance = plan._advance
+                amount, advance = plan.steps[0]
             else:
                 amount = unit * count
                 if count < 0.0 or not amount >= 0.0:
@@ -380,43 +330,38 @@ class CpuModel:
                                      f"{count} x {plan.then}")
                 advance = (amount / self.cores) * 1e-6
             self.busy_us += amount
-            self._counts[plan._key] += amount
+            self._counts[plan.key] += amount
             self.clock.now += advance
             return
-        unit = plan._then_unit
+        if plan.cpu is not self:
+            plan = self.plan(plan.category, *plan.primitives, then=plan.then)
+        steps = plan.steps
+        unit = plan.unit
+        cores = self.cores
         if unit is not None:
             tail = unit * count
             if count < 0.0 or not tail >= 0.0:
                 raise ValueError(
                     f"charged work must be >= 0, got {count} x {plan.then}")
-        if plan._cpu is not self._plain:
-            # A sink or what-if scaling is attached, or the plan was
-            # built on another model.
-            charge = self.charge
-            category = plan.category
-            for primitive in plan.primitives:
-                charge(primitive, 1.0, category)
-            if plan.then is not None:
-                charge(plan.then, count, category)
-            return
-        # The billing sequence of :meth:`charge`, per step, with no sink
-        # and no scaling: the amounts are checked (prices at construction,
-        # the tail above), and ``busy_us``, the counter and the clock are
-        # three separate sums, each taking the steps in order.
+            steps[-1] = (tail, (tail / cores) * 1e-6)
+        scale = self._scale
+        factor = None if scale is None else scale.get(plan.category)
+        sink = self._sink
         busy = self.busy_us
         counts = self._counts
-        key = plan._key
+        key = plan.key
         total = counts[key]
         clock = self.clock
         now = clock.now
-        for amount, advance in plan._steps:
+        for amount, advance in steps:
+            if factor is not None:
+                amount = amount * factor
+                advance = (amount / cores) * 1e-6
             busy += amount
             total += amount
+            if sink is not None:
+                sink.on_charge(plan.category, amount)
             now += advance
-        if unit is not None:
-            busy += tail
-            total += tail
-            now += (tail / self.cores) * 1e-6
         self.busy_us = busy
         counts[key] = total
         clock.now = now

@@ -109,6 +109,10 @@ class ShardedEngine:
                                                           tc_config),
                     )
                 )
+        # Each shard's routing hash, counted per key, priced on its
+        # machine (a recovered shard keeps its machine).
+        self._route = [shard.machine.cpu.plan("router", then="hash_probe")
+                       for shard in self.shards]
         self._recovered_into: Optional["ShardedEngine"] = None
 
     def _build_log_device(
@@ -159,10 +163,11 @@ class ShardedEngine:
         return self.router.shard_for(key)
 
     def _shard_of(self, key: bytes) -> DeuteronomyEngine:
-        shard = self.shards[self.router.shard_for(key)]
+        shard_id = self.router.shard_for(key)
+        shard = self.shards[shard_id]
         # The routing hash is real per-operation work; charge it to the
         # owning shard so fleet core-seconds include the router.
-        shard.machine.cpu.charge("hash_probe", category="router")
+        shard.machine.cpu.bill(self._route[shard_id])
         self.counters.add("router.routed_ops")
         return shard
 
@@ -200,8 +205,7 @@ class ShardedEngine:
                 continue
             shard = self.shards[shard_id]
             machine = shard.machine
-            machine.cpu.charge("hash_probe", len(sub_batch),
-                               category="router")
+            machine.cpu.bill(self._route[shard_id], len(sub_batch))
             faults = machine.faults
             if faults is not None:
                 # A crash here models a fleet-wide power loss between

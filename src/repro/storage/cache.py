@@ -302,13 +302,16 @@ class PageCache:
             self.tiers = TierCache(machine, budget_bytes=demote_budget_bytes)
             self.tiers.stats = self.stats
         self._vclock = machine.clock
-        # The eviction's bookkeeping and a page's install, and a base
-        # read's install and copy, priced once.
+        # The eviction's bookkeeping and a page's install, a base read's
+        # install and copy, a fetched flash image's copy and a flush's
+        # consolidation, priced once.
         plan = machine.cpu.plan
         self._evict = plan("cache", "evict_bookkeeping")
         self._install = plan("cache", "page_install")
         self._install_base = plan("cache", "page_install",
                                   then="copy_per_byte")
+        self._copy = plan("cache", then="copy_per_byte")
+        self._fold = plan("cache", then="consolidate_per_byte")
         # LRU order over resident pages: page id -> accounted bytes.
         # ``_resident_bytes`` is the running sum of its values; only
         # register / resize / touch / _untrack write either, and fetch
@@ -443,9 +446,7 @@ class PageCache:
             return
         if base_present and deltas:
             new_base = state.consolidate()
-            self.machine.cpu.charge(
-                "consolidate_per_byte", new_base, category="cache"
-            )
+            self.machine.cpu.bill(self._fold, new_base)
             if entry.page_id in self._resident:
                 self.resize(entry)
         image = state.full_image()
@@ -685,9 +686,7 @@ class PageCache:
                     if not result.from_write_buffer:
                         ios += 1
                     image = result.image
-                    self.machine.cpu.charge(
-                        "copy_per_byte", addr.nbytes, category="cache"
-                    )
+                    self.machine.cpu.bill(self._copy, addr.nbytes)
                     if index == 0:
                         if image.kind != "full":
                             raise RuntimeError(

@@ -75,6 +75,9 @@ class LogStructuredStore:
         self.images_appended = 0
         self.segment_flushes = 0
         self.retry_stats = RetryStats()
+        # Staging an image into the buffer and reading one back are each
+        # a copy of its bytes.
+        self._copy = machine.cpu.plan("log_store", then="copy_per_byte")
 
     def _take_segment_id(self) -> int:
         segment_id = self._next_segment_id
@@ -104,8 +107,7 @@ class LogStructuredStore:
         self._open_offset += nbytes
         self.bytes_appended += nbytes
         self.images_appended += 1
-        # CPU cost of staging the image into the buffer (a memcpy).
-        self.machine.cpu.charge("copy_per_byte", nbytes, category="log_store")
+        self.machine.cpu.bill(self._copy, nbytes)
         return addr
 
     def flush(self) -> Optional[int]:
@@ -163,9 +165,7 @@ class LogStructuredStore:
             if image is None:
                 raise KeyError(f"no image at {addr} in open buffer")
             # Served from the in-memory write buffer: no device access.
-            self.machine.cpu.charge(
-                "copy_per_byte", addr.nbytes, category="log_store"
-            )
+            self.machine.cpu.bill(self._copy, addr.nbytes)
             return ReadResult(image, from_write_buffer=True, service_us=0.0)
         try:
             image = self._payloads[addr.segment_id][addr.offset]
@@ -182,9 +182,7 @@ class LogStructuredStore:
             io_path.charge_submit(addr.nbytes)
             io_path.charge_complete(addr.nbytes)
             service_us = self.machine.ssd.read(addr.nbytes)
-            self.machine.cpu.charge(
-                "copy_per_byte", addr.nbytes, category="log_store"
-            )
+            self.machine.cpu.bill(self._copy, addr.nbytes)
             return ReadResult(image, from_write_buffer=False,
                               service_us=service_us)
         finally:

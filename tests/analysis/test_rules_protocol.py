@@ -295,17 +295,3 @@ def test_fault_rule_checks_closure_bodies_independently(tmp_path):
     found = _findings(str(target), "fault-site-coverage")
     assert len(found) == 1
     assert found[0].line == 11
-
-
-# ---------------------------------------------------------------------------
-# the in-tree fixes stay pinned
-# ---------------------------------------------------------------------------
-
-
-def test_shipped_package_is_protocol_clean():
-    import repro
-
-    package = os.path.dirname(os.path.abspath(repro.__file__))
-    # One parse of src/ for the three rules, not one each.
-    assert lint_paths([package], select={
-        "wal-ordering", "epoch-discipline", "fault-site-coverage"}) == []

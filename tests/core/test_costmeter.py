@@ -22,7 +22,8 @@ def test_idle_machine_bills_storage_only():
 def test_busy_machine_bills_processor_fraction():
     machine = Machine.paper_default(cores=4)
     # 2 of 4 core-seconds busy over a 1-second window: half the CPU.
-    machine.cpu.charge_us(2e6)
+    # A context switch is priced at one core-microsecond.
+    machine.cpu.charge("context_switch", 2e6)
     bill = meter_bill(machine, window_seconds=1.0)
     assert bill.processor_cost == pytest.approx(300 * 0.5)
 
@@ -38,7 +39,7 @@ def test_io_billed_as_iops_fraction():
 
 def test_fractions_clamped_at_capacity():
     machine = Machine.paper_default(cores=1)
-    machine.cpu.charge_us(5e6)   # 5 core-seconds in a 1-second window
+    machine.cpu.charge("context_switch", 5e6)   # 5 core-seconds in a 1-second window
     bill = meter_bill(machine, window_seconds=1.0)
     assert bill.processor_cost == pytest.approx(300.0)
 
@@ -48,7 +49,7 @@ def test_cost_per_operation():
     machine.dram.allocate(100, "x")
     for __ in range(10):
         machine.begin_operation()
-        machine.cpu.charge_us(1.0)
+        machine.cpu.charge("context_switch", 1.0)
     bill = meter_bill(machine, window_seconds=2.0)
     assert bill.operations == 10
     assert bill.cost_per_operation == pytest.approx(

@@ -222,13 +222,14 @@ class TestBatchEdgeCases:
 #: TC), the router's hash (memoized), and any span
 #: frame while no tracer is attached (the old ``machine.trace_span`` and
 #: the standard library's context-manager protocol, which ``.frames``
-#: does not count because its code is not in ``repro``).
+#: does not count because its code is not in ``repro``), and
+#: ``CpuModel.charge``: every charge on the path is a billed plan.
 BATCH_FORBIDDEN = {"tc.begin", "tc.execute_batch", "tc.commit_batch",
                    "tc._read_one", "tc._buffer_write", "tc._require_active",
                    "tree._descend", "mapping_table.get",
                    "mvcc.newest_timestamp", "router.fnv1a_64",
                    "machine.trace_span", "contextlib.__enter__",
-                   "contextlib.__exit__"}
+                   "contextlib.__exit__", "cpu.charge"}
 
 
 def test_a_blind_post_does_its_bookkeeping_in_the_frames_it_has():
@@ -293,8 +294,8 @@ def test_a_batched_op_does_its_bookkeeping_in_the_frames_it_has():
     the log flush's device write bumped its two SSD counters through
     ``CounterSet.add``, 714 (11.2) while every charge of a fixed run was
     a frame of its own (386 charges; 144 charges and 110 billed plans
-    until each hot single charge became a one-step plan, now 2 charges
-    and 252 billed plans), 757 while each of
+    until each hot single charge became a one-step plan, now no charge
+    and 254 billed plans), 757 while each of
     its 43 untraced spans entered ``machine.trace_span`` (and two
     ``contextlib`` frames ``.frames`` did not count), and 1,009 (15.8)
     when the batch built a transaction object and went through

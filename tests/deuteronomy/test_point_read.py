@@ -1,10 +1,8 @@
 """The point read does its bookkeeping in the frames it already has."""
 
-from unittest import mock
-
 from repro.bwtree import BwTreeConfig
 from repro.deuteronomy import DeuteronomyEngine, TcConfig
-from repro.hardware import CpuModel, Machine
+from repro.hardware import Machine
 from repro.workloads import WorkloadGenerator, WorkloadSpec
 
 from ..frames import count_calls
@@ -77,21 +75,17 @@ def test_a_point_read_does_its_bookkeeping_in_the_frames_it_has():
 
 #: Helpers a page miss must not enter besides :data:`FORBIDDEN` (whose
 #: ``CounterSet.add`` the SSD and the TC now skip too, bumping their
-#: dicts): the cache's register / untrack helpers and residency-size
-#: readers (the fetch and the eviction keep the books in their own
-#: frames), the retired victim generator (``ensure_capacity`` walks the
-#: LRU order), the page-state accessor the walk reads as an attribute,
-#: and the I/O round-trip wrapper (the store read calls its halves).
-MISS_FORBIDDEN = (FORBIDDEN - {"cpu.charge"}) | {
+#: dicts, and whose ``CpuModel.charge`` the flash image's two counted
+#: copies skip too, billing plans): the cache's register / untrack
+#: helpers and residency-size readers (the fetch and the eviction keep
+#: the books in their own frames), the retired victim generator
+#: (``ensure_capacity`` walks the LRU order), the page-state accessor
+#: the walk reads as an attribute, and the I/O round-trip wrapper (the
+#: store read calls its halves).
+MISS_FORBIDDEN = FORBIDDEN | {
     "cache.register", "cache._untrack", "cache._victims",
     "cache.resident_bytes", "mapping_table.resident_bytes",
     "pages.base_present", "iopath.charge_round_trip"}
-
-#: The only charges a page miss still makes through ``CpuModel.charge``:
-#: the two counted copies of the flash image, the store read's
-#: (``log_store``) and the fetch's (``cache``).  Every other charge on
-#: the miss is a billed plan.
-MISS_CHARGES = [("copy_per_byte", "log_store"), ("copy_per_byte", "cache")]
 
 #: The layer boundaries ``benchmarks/e2e`` counts a traced run's work
 #: by, and the e2e metric each feeds: ``log_store.reads`` counts
@@ -132,23 +126,14 @@ def test_a_page_miss_does_its_bookkeeping_in_the_frames_it_has():
     for op in generator.operations(3000):
         engine.get(op.key)
     tc, cache, ssd = engine.tc, engine.dc.cache, engine.machine.ssd
-    charged = []
-    charge = CpuModel.charge
-
-    def named(cpu, primitive, count=1.0, category=None):
-        charged.append((primitive, category))
-        return charge(cpu, primitive, count, category)
-
-    with mock.patch.object(CpuModel, "charge", named):
-        for key, __ in generator.load_items():
-            if key in tc.read_cache._entries:
-                continue
-            before = (cache.stats.fetches, cache.stats.evictions,
-                      ssd.total_ios, tc.counters.get("tc.dc_read_ios"))
-            del charged[:]
-            miss = count_calls(lambda: engine.get(key))
-            if cache.stats.fetches > before[0]:
-                break
+    for key, __ in generator.load_items():
+        if key in tc.read_cache._entries:
+            continue
+        before = (cache.stats.fetches, cache.stats.evictions,
+                  ssd.total_ios, tc.counters.get("tc.dc_read_ios"))
+        miss = count_calls(lambda: engine.get(key))
+        if cache.stats.fetches > before[0]:
+            break
     assert (cache.stats.fetches, cache.stats.evictions, ssd.total_ios,
             tc.counters.get("tc.dc_read_ios")) == tuple(
                 count + 1 for count in before)
@@ -158,5 +143,3 @@ def test_a_page_miss_does_its_bookkeeping_in_the_frames_it_has():
     assert miss["cache.touch"] == 2   # the Bw-tree's and the fetch's
     assert sum(miss.frames.values()) == 46
     assert miss["<string>.__init__"] == 3
-    assert miss["cpu.charge"] == len(MISS_CHARGES)
-    assert charged == MISS_CHARGES

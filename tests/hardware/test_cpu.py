@@ -24,15 +24,15 @@ def test_charge_with_count_scales():
 
 def test_busy_accumulates():
     cpu = CpuModel(cores=1)
-    cpu.charge_us(2.0)
-    cpu.charge_us(3.0)
+    cpu.charge("context_switch", 2.0)     # priced at 1 us
+    cpu.charge("context_switch", 3.0)
     assert cpu.busy_us == pytest.approx(5.0)
     assert cpu.busy_seconds == pytest.approx(5e-6)
 
 
 def test_rejects_negative_charge():
     with pytest.raises(ValueError):
-        CpuModel(cores=1).charge_us(-1.0)
+        CpuModel(cores=1).charge("context_switch", -1.0)
 
 
 def test_rejects_zero_cores():
@@ -43,13 +43,13 @@ def test_rejects_zero_cores():
 def test_clock_advances_scaled_by_cores():
     clock = VirtualClock()
     cpu = CpuModel(cores=4, clock=clock)
-    cpu.charge_us(8.0)
+    cpu.charge("context_switch", 8.0)
     assert clock.now == pytest.approx(2e-6)
 
 
 def test_elapsed_if_cpu_bound():
     cpu = CpuModel(cores=2)
-    cpu.charge_us(4e6)   # 4 core-seconds
+    cpu.charge("context_switch", 4e6)   # 4 core-seconds
     assert cpu.elapsed_if_cpu_bound() == pytest.approx(2.0)
 
 
@@ -64,7 +64,7 @@ def test_categories_tracked():
 def test_reset_preserves_clock():
     clock = VirtualClock()
     cpu = CpuModel(cores=1, clock=clock)
-    cpu.charge_us(10.0)
+    cpu.charge("context_switch", 10.0)
     cpu.reset()
     assert cpu.busy_us == 0.0
     assert clock.now > 0.0
@@ -97,21 +97,32 @@ def test_nan_and_negative_charges_raise_with_nothing_charged(bad):
     the clock for the rest of the run."""
     cpu = CpuModel(cores=4)
     cpu.sink = sink = ChargeRecorder()
-    cpu.charge_us(1.5, "tc")
+    cpu.charge("context_switch", 1.5, "tc")
     before = accounts(cpu)
     with pytest.raises(ValueError):
-        cpu.charge_us(bad, "tc")
+        cpu.charge("context_switch", bad, "tc")
     with pytest.raises(ValueError):
         cpu.charge("hash_probe", bad, category="tc")
     assert accounts(cpu) == before
     assert sink.events == [("tc", 1.5)]
 
 
+def test_a_negative_count_is_refused_at_a_zero_price():
+    """A charge bills a one-step plan, whose rule refuses a negative
+    count before pricing it: ``0.0 * -1`` is ``-0.0``, which passed the
+    amount check alone."""
+    cpu = CpuModel(cores=1, costs=CostTable().with_overrides(hash_probe=0.0))
+    with pytest.raises(ValueError):
+        cpu.charge("hash_probe", -1.0, category="tc")
+    assert accounts(cpu) == (0.0, {}, 0.0)
+    assert cpu.charge("hash_probe", 3.0, category="tc") == 0.0
+
+
 def test_nan_scale_factor_is_rejected():
     cpu = CpuModel(cores=1)
     with pytest.raises(ValueError):
         cpu.scale_costs({"tc": float("nan")})
-    cpu.charge_us(2.0, "tc")
+    cpu.charge("context_switch", 2.0, "tc")
     assert cpu.busy_us == 2.0
 
 
@@ -134,7 +145,7 @@ def test_every_cost_table_entry_is_chargeable():
 
 
 # ----------------------------------------------------------------------
-# complexity guard: a charge is one Python frame
+# complexity guard: frames per charge and per billed plan
 # ----------------------------------------------------------------------
 
 def frames(call):
@@ -142,16 +153,16 @@ def frames(call):
     return count_calls(call).frames
 
 
-def test_a_charge_enters_one_python_frame():
+def test_a_cold_charge_bills_its_one_step_plan_in_two_frames():
+    """A ``charge`` bills the one-step plan built at the first charge of
+    its ``(primitive, category)``: two frames, where it was one while
+    ``charge`` spelled out the billing sequence itself.  A hot site
+    builds its own plan and bills it in one."""
     cpu = CpuModel(cores=4)
-    cpu.charge("hash_probe", category="tc")     # interns the counter key
-    cpu.charge_us(1.0, "tc")
-    charge = {"cpu.charge": 1}
+    cpu.charge("hash_probe", 2, category="tc")      # builds the plan
+    charge = {"cpu.charge": 1, "cpu.bill": 1}
     assert frames(lambda: cpu.charge("hash_probe", 2, category="tc")) == charge
-    assert frames(lambda: cpu.charge_us(1.0, "tc")) == {"cpu.charge_us": 1}
-    # A new category costs no extra frame either.
-    assert frames(lambda: cpu.charge("hash_probe", category="fresh")) == charge
-    # What-if scaling is applied inside the same frame.
+    # What-if scaling is applied inside the same frames.
     cpu.scale_costs({"tc": 0.5})
     assert frames(lambda: cpu.charge("hash_probe", category="tc")) == charge
 
@@ -159,10 +170,9 @@ def test_a_charge_enters_one_python_frame():
 def test_a_sink_costs_exactly_one_more_frame():
     cpu = CpuModel(cores=4)
     cpu.sink = ChargeRecorder()
+    cpu.charge("hash_probe", category="tc")
     assert frames(lambda: cpu.charge("hash_probe", category="tc")) == {
-        "cpu.charge": 1, "whatif.on_charge": 1}
-    assert frames(lambda: cpu.charge_us(1.0, "tc")) == {
-        "cpu.charge_us": 1, "whatif.on_charge": 1}
+        "cpu.charge": 1, "cpu.bill": 1, "whatif.on_charge": 1}
 
 
 def test_a_plan_bills_in_one_frame_without_a_sink_or_scaling():
@@ -172,14 +182,24 @@ def test_a_plan_bills_in_one_frame_without_a_sink_or_scaling():
                     then="copy_per_byte")
     assert frames(lambda: cpu.bill(dispatch)) == {"cpu.bill": 1}
     assert frames(lambda: cpu.bill(post, 120)) == {"cpu.bill": 1}
-    # Observers see every step: the plan falls back to one charge each.
+
+
+def test_a_plan_bills_in_one_frame_with_a_sink_or_scaling():
+    """Traced and what-if runs bill through the same frame as a plain
+    run: the sink sees every step, and no step is a call of its own."""
+    cpu = CpuModel(cores=4)
+    post = cpu.plan("bwtree", "mapping_table_lookup", "install_cas",
+                    then="copy_per_byte")
+    probe = cpu.plan("bwtree", "hash_probe")
     cpu.sink = ChargeRecorder()
     assert frames(lambda: cpu.bill(post, 120)) == {
-        "cpu.bill": 1, "cpu.charge": 3, "whatif.on_charge": 3}
+        "cpu.bill": 1, "whatif.on_charge": 3}
+    assert frames(lambda: cpu.bill(probe)) == {
+        "cpu.bill": 1, "whatif.on_charge": 1}
     cpu.sink = None
     cpu.scale_costs({"bwtree": 0.5})
-    assert frames(lambda: cpu.bill(post, 120)) == {
-        "cpu.bill": 1, "cpu.charge": 3}
+    assert frames(lambda: cpu.bill(post, 120)) == {"cpu.bill": 1}
+    assert frames(lambda: cpu.bill(probe)) == {"cpu.bill": 1}
 
 
 def test_a_plan_bills_what_its_charges_bill():
@@ -216,15 +236,6 @@ def test_a_one_step_plan_bills_in_one_frame_without_a_sink_or_scaling():
     copy = cpu.plan("tc", then="copy_per_byte")
     assert frames(lambda: cpu.bill(probe)) == {"cpu.bill": 1}
     assert frames(lambda: cpu.bill(copy, 120)) == {"cpu.bill": 1}
-    cpu.sink = ChargeRecorder()
-    assert frames(lambda: cpu.bill(copy, 0)) == {
-        "cpu.bill": 1, "cpu.charge": 1, "whatif.on_charge": 1}
-    cpu.sink = None
-    cpu.scale_costs({"tc": 0.5})
-    assert frames(lambda: cpu.bill(probe)) == {"cpu.bill": 1, "cpu.charge": 1}
-    # Clearing both observers puts the plan back on the head.
-    cpu.scale_costs(None)
-    assert frames(lambda: cpu.bill(probe)) == {"cpu.bill": 1}
 
 
 @pytest.mark.parametrize("steps", [("hash_probe",), ()])
@@ -286,19 +297,19 @@ def test_charges_after_a_reset_still_reach_the_counters():
     """The billing sequence adds to the dict behind ``cpu.counters``;
     a reset must keep that dict, not replace it."""
     cpu = CpuModel(cores=1)
-    cpu.charge_us(3.0, "tc")
+    cpu.charge("context_switch", 3.0, "tc")
     cpu.reset()
     assert cpu.counters.snapshot() == {}
-    cpu.charge_us(2.0, "tc")
+    cpu.charge("context_switch", 2.0, "tc")
     cpu.charge("hash_probe", category="mvcc")
     assert cpu.counters.snapshot() == {
         "cpu_us.tc": 2.0, "cpu_us.mvcc": cpu.costs.hash_probe}
     assert cpu.counters.get("cpu_us.tc") == 2.0
 
     machine = Machine.paper_default(cores=2)
-    machine.cpu.charge_us(5.0, "tc")
+    machine.cpu.charge("context_switch", 5.0, "tc")
     machine.reset_accounting()
-    machine.cpu.charge_us(1.0, "bwtree")
+    machine.cpu.charge("context_switch", 1.0, "bwtree")
     assert machine.cpu.counters.snapshot() == {"cpu_us.bwtree": 1.0}
     assert machine.cpu.busy_us == 1.0
 

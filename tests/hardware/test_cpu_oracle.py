@@ -5,9 +5,10 @@
 ``getattr`` on the cost table and one f-string per charge — so the two
 can be driven side by side and compared with ``==``, never ``approx``:
 a host-side optimization must leave every virtual number bit-identical.
-A billed charge plan — one step or several, on the model that built it
-or on another — is held to the reference charging its steps one call
-each, with and without a sink and what-if scaling.
+A ``charge`` (which bills a memoised one-step plan) and a billed charge
+plan — one step or several, on the model that built it or on another —
+are held to the reference charging their steps one call each, with and
+without a sink and what-if scaling.
 """
 
 from unittest import mock
@@ -56,10 +57,6 @@ COUNTS = st.one_of(
     st.floats(0.0, 1e6),
     st.floats(-4.0, -1e-9),          # rejected by both, nothing charged
 )
-MICROSECONDS = st.one_of(
-    st.floats(0.0, 1e9),
-    st.floats(-4.0, -1e-9),
-)
 FACTORS = st.floats(1e-3, 1e3)
 TAIL_COUNTS = st.one_of(COUNTS, st.just(float("nan")))
 #: A plan of up to five primitives plus an optional counted tail, one
@@ -85,8 +82,6 @@ STEPS = st.lists(st.one_of(
               st.one_of(st.none(), CATEGORIES)),
     st.tuples(st.just("charge"), st.just("no_such_primitive"), COUNTS,
               CATEGORIES),
-    st.tuples(st.just("charge_us"), MICROSECONDS,
-              st.one_of(st.none(), CATEGORIES)),
     st.tuples(st.just("scale"), st.one_of(
         st.none(), st.dictionaries(CATEGORIES, FACTORS, max_size=3))),
     st.tuples(st.just("sink"), st.booleans()),
@@ -130,11 +125,6 @@ def apply(cpu, recorder, step):
         if kind == "charge":
             __, primitive, count, category = step
             return cpu.charge(primitive, count, category)
-        if kind == "charge_us":
-            __, microseconds, category = step
-            if category is None:
-                return cpu.charge_us(microseconds)
-            return cpu.charge_us(microseconds, category)
         if kind == "scale":
             return cpu.scale_costs(step[1])
         if kind == "sink":

@@ -25,7 +25,8 @@ def test_summary_cpu_bound_throughput():
     machine = Machine.paper_default(cores=2)
     for __ in range(100):
         machine.begin_operation()
-        machine.cpu.charge_us(1.0)
+        # A context switch is priced at one core-microsecond.
+        machine.cpu.charge("context_switch", 1.0)
     summary = machine.summary()
     assert not summary.io_bound
     # 100 ops, 100 core-us over 2 cores -> 50 us elapsed -> 2 Mops/s.
@@ -37,7 +38,7 @@ def test_summary_io_bound_detection():
     machine = Machine.paper_default(cores=4)
     for __ in range(1000):
         machine.begin_operation()
-        machine.cpu.charge_us(0.1)
+        machine.cpu.charge("context_switch", 0.1)
         machine.ssd.read(4096)
     summary = machine.summary()
     assert summary.io_bound
@@ -58,7 +59,7 @@ def test_reset_accounting_preserves_resident_state():
     machine.dram.allocate(100, "x")
     machine.ssd.store_bytes(50)
     machine.begin_operation()
-    machine.cpu.charge_us(1.0)
+    machine.cpu.charge("context_switch", 1.0)
     machine.reset_accounting()
     summary = machine.summary()
     assert summary.operations == 0
@@ -78,7 +79,7 @@ def test_empty_summary_is_all_zero():
 def test_latency_window_brackets_one_op():
     machine = Machine.paper_default()
     window = machine.latency_window()
-    machine.cpu.charge_us(2.0)
+    machine.cpu.charge("context_switch", 2.0)
     machine.ssd.read(4096)
     latency = machine.observe_latency(window)
     assert latency >= 2.0 + machine.ssd.spec.read_latency_us
@@ -102,7 +103,7 @@ def test_the_latency_window_reads_plain_attributes():
     window = count_calls(machine.latency_window)
     assert window.frames == {"machine.latency_window": 1}
     start = machine.latency_window()
-    machine.cpu.charge_us(2.0)
+    machine.cpu.charge("context_switch", 2.0)
     observe = count_calls(lambda: machine.observe_latency(start))
     assert observe.frames == {"machine.observe_latency": 1,
                               "metrics.observe": 1}

@@ -34,6 +34,13 @@ from repro.observability.spans import (
 from ..frames import count_calls
 
 
+def spend(machine: Machine, microseconds: float, category: str) -> None:
+    """Charge exactly ``microseconds`` to ``category``: a context switch
+    is priced at one core-microsecond."""
+    assert machine.cpu.costs.context_switch == 1.0
+    machine.cpu.charge("context_switch", microseconds, category)
+
+
 def _attach(machine: Machine, detailed: bool = False) -> Tracer:
     machine.reset_accounting()
     tracer = Tracer(machine, detailed=detailed)
@@ -78,11 +85,11 @@ class TestDefaultMode:
         tracer = _attach(machine)
         assert machine.cpu.sink is None  # default mode pays no per-charge
         with span_site(machine, "engine.get", "engine"):
-            machine.cpu.charge_us(2.0, "tc")
+            spend(machine, 2.0, "tc")
             with span_site(machine, "bwtree.get", "bwtree"):
-                machine.cpu.charge_us(3.0, "bwtree")
+                spend(machine, 3.0, "bwtree")
                 machine.ssd.read(4096)
-            machine.cpu.charge_us(1.0, "tc")
+            spend(machine, 1.0, "tc")
 
         roots = tracer.roots
         assert len(roots) == 1
@@ -105,10 +112,10 @@ class TestDefaultMode:
     def test_rematerializes_when_more_spans_arrive(self, machine):
         tracer = _attach(machine)
         with span_site(machine, "engine.get", "engine"):
-            machine.cpu.charge_us(1.0, "bwtree")
+            spend(machine, 1.0, "bwtree")
         assert len(tracer.roots) == 1
         with span_site(machine, "engine.put", "engine"):
-            machine.cpu.charge_us(2.0, "bwtree")
+            spend(machine, 2.0, "bwtree")
         assert [root.name for root in tracer.roots] == [
             "engine.get", "engine.put",
         ]
@@ -122,7 +129,7 @@ class TestDefaultMode:
         for __ in range(3):
             with span_site(machine, "engine.get", "engine"):
                 with span_site(machine, "bwtree.get", "bwtree"):
-                    machine.cpu.charge_us(1.0, "bwtree")
+                    spend(machine, 1.0, "bwtree")
         assert len(tracer._events) == 6 * (_ENTER_WIDTH + _EXIT_WIDTH)
         assert not any(gc.is_tracked(item) for item in tracer._events)
         assert tracer._stack == []
@@ -139,7 +146,7 @@ class TestDefaultMode:
     def test_no_category_buckets_in_default_mode(self, machine):
         tracer = _attach(machine)
         with span_site(machine, "engine.get", "engine"):
-            machine.cpu.charge_us(5.0, "bwtree")
+            spend(machine, 5.0, "bwtree")
         assert tracer.roots[0].cpu_us == {}
         assert tracer.unattributed == {}
 
@@ -148,12 +155,12 @@ class TestDetailedMode:
     def test_per_span_category_buckets(self, machine):
         tracer = _attach(machine, detailed=True)
         assert machine.cpu.sink is tracer
-        machine.cpu.charge_us(0.5, "router")  # before any span opens
+        spend(machine, 0.5, "router")  # before any span opens
         with span_site(machine, "engine.get", "engine"):
-            machine.cpu.charge_us(2.0, "tc")
+            spend(machine, 2.0, "tc")
             with span_site(machine, "bwtree.get", "bwtree"):
-                machine.cpu.charge_us(3.0, "bwtree")
-            machine.cpu.charge_us(1.0, "tc_mvcc")
+                spend(machine, 3.0, "bwtree")
+            spend(machine, 1.0, "tc_mvcc")
         root = tracer.roots[0]
         assert root.cpu_us == {"tc": 2.0, "tc_mvcc": 1.0}
         assert root.children[0].cpu_us == {"bwtree": 3.0}
@@ -298,9 +305,9 @@ class TestReconciliationViews:
     def test_totals_match_machine_counters_bitwise(self, machine):
         tracer = _attach(machine)
         with span_site(machine, "engine.get", "engine"):
-            machine.cpu.charge_us(2.5, "tc")
-            machine.cpu.charge_us(1.5, "tc_log")
-        machine.cpu.charge_us(0.5, "router")  # outside every span
+            spend(machine, 2.5, "tc")
+            spend(machine, 1.5, "tc_log")
+        spend(machine, 0.5, "router")  # outside every span
         assert tracer.totals() == {
             "tc": 2.5, "tc_log": 1.5, "router": 0.5,
         }
@@ -311,9 +318,9 @@ class TestReconciliationViews:
 
     def test_cpu_us_by_component_uses_the_category_map(self, machine):
         tracer = _attach(machine)
-        machine.cpu.charge_us(1.0, "tc_log")
-        machine.cpu.charge_us(2.0, "tc_mvcc")
-        machine.cpu.charge_us(4.0, "unknown_category")
+        spend(machine, 1.0, "tc_log")
+        spend(machine, 2.0, "tc_mvcc")
+        spend(machine, 4.0, "unknown_category")
         grouped = tracer.cpu_us_by_component()
         assert grouped == {
             "recovery_log": 1.0, "tc": 2.0, "unknown_category": 4.0,
@@ -331,11 +338,11 @@ class TestReconciliationViews:
         }
 
     def test_attach_baseline_excludes_prior_work(self, machine):
-        machine.cpu.charge_us(100.0, "bwtree")
+        spend(machine, 100.0, "bwtree")
         machine.ssd.read(4096)
         tracer = Tracer(machine)  # attached without a reset
         machine.attach_tracer(tracer)
-        machine.cpu.charge_us(3.0, "bwtree")
+        spend(machine, 3.0, "bwtree")
         assert tracer.total_us == 3.0
         assert tracer.traced_ssd_ios() == 0
         assert tracer.totals() == {"bwtree": 3.0}
@@ -359,7 +366,7 @@ class TestExports:
         for index in range(3):
             with span_site(machine, "engine.get", "engine"):
                 tracer.roots[-1].note("op", index)
-                machine.cpu.charge_us(1.0 + index, "bwtree")
+                spend(machine, 1.0 + index, "bwtree")
         return machine
 
     def test_json_export_is_deterministic_and_caps_roots(self):
