@@ -110,9 +110,3 @@ class InnerNode:
         self.keys = self.keys[:mid]
         self.children = self.children[: mid + 1]
         return push_up, right
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"InnerNode(id={self.node_id}, keys={len(self.keys)}, "
-            f"children={len(self.children)})"
-        )

@@ -1077,9 +1077,3 @@ class BwTree:
         if result.record_cache_hit:
             self.counters.add("bwtree.record_cache_hits")
         self._maybe_consolidate(entry)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BwTree(pages={len(self.mapping_table)}, depth={self.depth()}, "
-            f"resident={self.cache.resident_pages})"
-        )

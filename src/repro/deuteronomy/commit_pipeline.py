@@ -291,13 +291,6 @@ class CommitPipeline:
     def epoch_open(self) -> bool:
         return self._epoch_open
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CommitPipeline(epochs={self.epochs_closed}, "
-            f"inflight={len(self._inflight)}, "
-            f"pending={len(self._pending)})"
-        )
-
 
 # Keep the private-type import honest for linters: _Buffer is part of the
 # RecoveryLog <-> CommitPipeline contract (seal/submit/mark_durable all

@@ -255,9 +255,6 @@ class DeuteronomyEngine:
             totals[name] = read(totals if kind == "ratio" else self)
         return totals
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DeuteronomyEngine(dc={self.dc!r})"
-
 
 def _elapsed_seconds(engine: "DeuteronomyEngine") -> float:
     elapsed = engine.machine.summary().elapsed_seconds

@@ -152,9 +152,3 @@ class VersionStore:
 
     def key_count(self) -> int:
         return len(self._versions)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"VersionStore(keys={self.key_count()}, "
-            f"versions={self.version_count()}, bytes={self._bytes})"
-        )

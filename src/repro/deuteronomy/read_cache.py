@@ -199,9 +199,3 @@ class ReadCache:
         if total == 0:
             return 0.0
         return self.hits / total
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ReadCache(entries={len(self._entries)}, bytes={self._bytes}, "
-            f"hit_rate={self.hit_rate():.3f})"
-        )

@@ -396,10 +396,3 @@ class RecordStore:
         if total == 0:
             return 0.0
         return self.hits / total
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RecordStore(records={len(self._index)}, "
-            f"physical={self._physical_bytes}, live={self._live_bytes}, "
-            f"dirty={self._dirty_bytes}, hit_rate={self.hit_rate():.3f})"
-        )

@@ -346,9 +346,3 @@ class RecoveryLog:
     @property
     def retained_buffers(self) -> int:
         return len(self._buffers)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RecoveryLog(buffers={len(self._buffers)}, "
-            f"retained={self._retained_bytes}B, flushes={self.flushes})"
-        )

@@ -870,9 +870,3 @@ class TransactionComponent:
             + dram.bytes_for("tc_record_cache")
             + dram.bytes_for("tc_version_store")
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"TransactionComponent(active={len(self._active)}, "
-            f"commits={self.counters.get('tc.commits'):g})"
-        )

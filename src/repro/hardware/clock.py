@@ -43,6 +43,3 @@ class VirtualClock:
         if start < 0.0:
             raise ValueError(f"clock cannot reset before zero, got {start}")
         self.now = float(start)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VirtualClock(now={self.now:.6f}s)"

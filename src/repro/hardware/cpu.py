@@ -374,6 +374,3 @@ class CpuModel:
         """Zero accounting; the shared clock is left untouched."""
         self.busy_us = 0.0
         self.counters.reset()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CpuModel(cores={self.cores}, busy={self.busy_seconds:.6f}s)"

@@ -81,9 +81,6 @@ class DramModel:
         self._current = 0
         self._peak = 0
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DramModel(current={self._current}B, peak={self._peak}B)"
-
 
 class DramFullError(RuntimeError):
     """Raised when allocations exceed a configured DRAM capacity."""

@@ -80,6 +80,3 @@ class IoPathModel:
     def charge_round_trip(self, nbytes: int) -> float:
         """Charge submit + complete for one I/O; returns total us."""
         return self.charge_submit(nbytes) + self.charge_complete(nbytes)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"IoPathModel({self.kind})"

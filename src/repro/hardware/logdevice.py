@@ -106,10 +106,3 @@ class LogDevice:
         self.submitted_bytes = 0
         self.service_seconds = 0.0
         self.queue_wait_us = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"LogDevice(writes={self.submitted_writes}, "
-            f"ack_latency_us={self.ack_latency_us}, "
-            f"colocated={self.colocated})"
-        )

@@ -188,9 +188,3 @@ class Machine:
         self.ssd.reset()
         self.op_latencies.reset()
         self._ops_started = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Machine(cores={self.cpu.cores}, io_path={self.io_path.kind}, "
-            f"ops={self._ops_started})"
-        )

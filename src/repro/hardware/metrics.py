@@ -50,10 +50,6 @@ class CounterSet:
     def __contains__(self, name: str) -> bool:
         return name in self.counts
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        body = ", ".join(f"{k}={v:g}" for k, v in sorted(self.counts.items()))
-        return f"CounterSet({body})"
-
 
 class Histogram:
     """A simple value histogram with exact percentiles.
@@ -119,9 +115,3 @@ class Histogram:
     def reset(self) -> None:
         self._values.clear()
         self._sorted = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Histogram({self.name!r}, n={self.count}, mean={self.mean:.4g}, "
-            f"p50={self.percentile(50):.4g}, p99={self.percentile(99):.4g})"
-        )

@@ -206,12 +206,6 @@ class SimulatedSsd:
         self._total_ios = 0
         self.service_us_total = 0.0
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SimulatedSsd(ios={self.total_ios:g}, "
-            f"stored={self._stored_bytes}B, busy={self._busy_seconds:.4f}s)"
-        )
-
 
 class SsdFullError(RuntimeError):
     """Raised when a store exceeds the simulated device capacity."""

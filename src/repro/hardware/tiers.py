@@ -242,10 +242,3 @@ class StorageHierarchy:
                 cpu_path_r=12.0, durable_home=True,
             ),
         ))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            "StorageHierarchy("
-            + " > ".join(tier.name for tier in self.tiers)
-            + ")"
-        )

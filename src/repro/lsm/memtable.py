@@ -77,6 +77,3 @@ class Memtable:
         self._values = []
         self._seqs = []
         self._bytes = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Memtable(entries={len(self._keys)}, bytes={self._bytes})"

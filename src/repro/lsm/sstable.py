@@ -131,9 +131,3 @@ class SsTable:
         index = bisect.bisect_left(self._keys, start)
         for i in range(index, len(self._records)):
             yield self._records[i]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SsTable(id={self.table_id}, L{self.level}, "
-            f"n={len(self._records)}, {self.data_bytes}B)"
-        )

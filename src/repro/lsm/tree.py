@@ -477,7 +477,3 @@ class LsmTree:
             raise TypeError(
                 f"values must be bytes, got {type(value).__name__}"
             )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        shape = "/".join(str(len(level)) for level in self.levels)
-        return f"LsmTree(memtable={len(self.memtable)}, tables={shape})"

@@ -273,9 +273,3 @@ class LayerTree:
             entries=self.entry_count,
             alloc_bytes=alloc,
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"LayerTree(entries={self.entry_count}, height={self._height}, "
-            f"leaves={self.leaf_count})"
-        )

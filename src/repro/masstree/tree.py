@@ -296,9 +296,3 @@ class MassTree:
             raise TypeError(
                 f"values must be bytes, got {type(value).__name__}"
             )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MassTree(records={self._count}, layers={self.layer_count}, "
-            f"bytes={self.dram_footprint_bytes()})"
-        )

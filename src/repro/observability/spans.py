@@ -185,10 +185,6 @@ class Span:
             lines.append(child.render(indent + 1))
         return "\n".join(lines)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Span({self.name!r}, subtree={self.subtree_cpu_us:.3f}us, "
-                f"children={len(self.children)})")
-
 
 #: Flat-log record widths: an enter record leads with the span name
 #: (a str), an exit record with ``None``.
@@ -436,10 +432,6 @@ class Tracer:
         if unrooted:
             grouped["unattributed"] = grouped.get("unattributed", 0) + unrooted
         return grouped
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Tracer(roots={len(self.roots)}, "
-                f"total_us={self.total_us:.3f})")
 
 
 # ---------------------------------------------------------------------------

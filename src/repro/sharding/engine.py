@@ -408,6 +408,3 @@ class ShardedEngine:
             "fleet": fleet,
             "per_shard": per_shard,
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ShardedEngine(num_shards={self.num_shards})"

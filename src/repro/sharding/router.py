@@ -107,6 +107,3 @@ class ShardRouter:
             for position, result in zip(positions, results):
                 merged[position] = result
         return merged
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ShardRouter(num_shards={self.num_shards})"

@@ -263,10 +263,6 @@ class TierCache:
             if copy is not None:
                 self._bytes[parked_name] -= copy.nbytes
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        held = {name: len(parked) for name, parked in self._parked.items()}
-        return f"TierCache({held}, bytes={self.resident_bytes})"
-
 
 class PageCache:
     """Manages which logical data pages are DRAM-resident."""
@@ -746,10 +742,3 @@ class PageCache:
         state.base_flushed = True
         self.machine.cpu.bill(self._install_base, base_addr.nbytes)
         return 0 if result.from_write_buffer else 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        cap = self.capacity_bytes if self.capacity_bytes is not None else "inf"
-        return (
-            f"PageCache(resident={self.resident_pages}p/"
-            f"{self.resident_bytes}B, cap={cap}, policy={self.policy.value})"
-        )

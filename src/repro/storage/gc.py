@@ -196,9 +196,3 @@ class GarbageCollector:
                 break
             cleaned += 1
         return cleaned
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"GarbageCollector(cleaned={self.stats.segments_cleaned}, "
-            f"reclaimed={self.stats.bytes_reclaimed}B)"
-        )

@@ -290,9 +290,3 @@ class LogStructuredStore:
         if stored == 0:
             return 1.0
         return self.live_bytes / stored
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"LogStructuredStore(segments={len(self.segments)}, "
-            f"live={self.live_bytes}B/{self.stored_bytes}B)"
-        )

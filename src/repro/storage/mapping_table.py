@@ -128,9 +128,3 @@ class MappingTable:
     def resident_bytes(self) -> int:
         """Total bytes of resident page state across all entries."""
         return sum(entry.resident_bytes for entry in self.by_id.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        resident = sum(1 for e in self.by_id.values() if e.resident)
-        return (
-            f"MappingTable(pages={len(self.by_id)}, resident={resident})"
-        )

@@ -313,13 +313,6 @@ class DataPageState:
         return (not self.base_flushed and self.base is not None) or \
             self.flushed_delta_count < len(self.deltas)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        base = "evicted" if self.base is None else f"{len(self.base)} recs"
-        return (
-            f"DataPageState(id={self.page_id}, base={base}, "
-            f"deltas={len(self.deltas)})"
-        )
-
 
 def full_image_size_bytes(records: Iterable[Record]) -> int:
     """Serialized size of a full page image holding ``records``."""

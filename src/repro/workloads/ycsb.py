@@ -31,7 +31,32 @@ class OpKind(enum.Enum):
 _FRACTIONS = ("read_fraction", "update_fraction", "insert_fraction",
               "scan_fraction", "rmw_fraction")
 _KINDS = tuple(OpKind)                  # declared in _FRACTIONS order
-_LETTERS = [bytes([letter]) for letter in range(0x61, 0x71)]   # a to p
+
+#: A generator draws its value words a block at a time: its first block
+#: is small, and each next block doubles up to the largest.
+_FIRST_BLOCK_WORDS = 256
+_BLOCK_WORDS = 8192
+#: A word's top byte: redrawn when its top bit is set, else a run's
+#: ``(length - 1) << 4`` (``& 0x70``) or a letter's index (``>> 3``).
+_REDRAWN = bytes(range(128, 256))
+_RUN = bytes(byte & 0x70 for byte in range(256))
+_LETTER = bytes(byte >> 3 & 15 for byte in range(256))
+
+
+def _plane(slot: int) -> bytes:
+    """What a run cell ``(length - 1) << 4 | letter`` puts at ``slot`` of
+    its eight: the lower-case letter, upper-case if the run ends there,
+    or 0 past the run."""
+    plane = bytearray(256)
+    for cell in range(128):
+        last = cell >> 4
+        if slot <= last:
+            plane[cell] = (0x61 if slot < last else 0x41) + (cell & 15)
+    return bytes(plane)
+
+
+_PLANES = [_plane(slot) for slot in range(8)]
+_RUN_ENDS = bytes.maketrans(b"ABCDEFGHIJKLMNOP", b"|" * 16)
 
 
 @slot_init
@@ -74,10 +99,16 @@ class WorkloadSpec:
             total += fraction
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"operation fractions must sum to 1, got {total}")
+        for name in ("record_count", "value_bytes", "max_scan_length"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.record_count <= 0:
             raise ValueError("record_count must be positive")
         if self.value_bytes < 0:
             raise ValueError("value_bytes cannot be negative")
+        if self.max_scan_length < 1:
+            raise ValueError("max_scan_length must be at least 1")
 
     # --- the standard mixes ------------------------------------------------
 
@@ -124,6 +155,10 @@ class WorkloadGenerator:
     def __init__(self, spec: WorkloadSpec) -> None:
         self.spec = spec
         self._value_bits = random.Random(spec.seed ^ 0x5EED).getrandbits
+        self._block_words = _FIRST_BLOCK_WORDS
+        self._odd = b""         # an accepted run byte whose letter is next
+        self._runs = b""        # drawn runs no value has used yet
+        self._values: List[bytes] = []      # cut, last one first
         self._op_rng = random.Random(spec.seed ^ 0x0B5)
         self._chooser: KeyChooser = make_chooser(
             spec.distribution,
@@ -150,20 +185,61 @@ class WorkloadGenerator:
         compression experiments (paper Section 7.2) operate on data a real
         codec can shrink.  A run is ``randint(1, 8)`` of letter
         ``randrange(16)``, drawn as ``random.Random`` draws them: the
-        bound's bit length of ``getrandbits``, redrawn until below it.
+        bound's bit length of ``getrandbits``, redrawn until below it.  A
+        value takes whole runs until it is long enough and keeps its
+        first ``value_bytes`` letters; values are cut a block at a time
+        (:meth:`_cut_values`).
+        """
+        values = self._values
+        while not values:
+            self._cut_values(values)
+        return values.pop()
+
+    def _cut_values(self, values: List[bytes]) -> None:
+        """Draw the next block of value words and cut it into the empty
+        ``values``, last value first.
+
+        ``getrandbits(k)`` for ``k <= 32`` is the top ``k`` bits of one
+        32-bit word, so the run draw and the letter draw each accept
+        exactly the words whose top bit is clear, alternating run,
+        letter; ``getrandbits(32 * words)`` is the same words in order,
+        word ``i`` in bits ``32 i`` to ``32 i + 31``.  Nothing else reads
+        this RNG, so drawing ahead changes no value.  Every step but the
+        cut is a C-level ``bytes`` operation: eight interleaved planes
+        spell the runs out, each run's last letter in upper case, so a
+        value of ``n`` letters from ``start`` takes the runs up to the
+        first run end at or past ``start + n - 1``.  Runs no value has
+        used, and a run byte still waiting for its letter, carry over to
+        the next block.
         """
         n = self.spec.value_bytes
-        bits = self._value_bits
-        out = bytearray()
-        while len(out) < n:
-            run = bits(4)
-            while run >= 8:
-                run = bits(4)
-            letter = bits(5)
-            while letter >= 16:
-                letter = bits(5)
-            out += _LETTERS[letter] * (run + 1)
-        return bytes(out[:n])
+        if n == 0:                          # an empty value draws nothing
+            values += [b""] * 256
+            return
+        words = self._block_words
+        self._block_words = min(2 * words, _BLOCK_WORDS)
+        top = self._value_bits(32 * words).to_bytes(4 * words, "little")
+        accepted = self._odd + top[3::4].translate(None, _REDRAWN)
+        pairs = len(accepted) >> 1
+        self._odd = accepted[2 * pairs:]
+        # One cell per run, (length - 1) << 4 | letter: the two bytes'
+        # bits do not overlap, so one integer OR merges them all.
+        cells = (int.from_bytes(accepted[:2 * pairs:2].translate(_RUN),
+                                "little")
+                 | int.from_bytes(accepted[1::2].translate(_LETTER),
+                                  "little")).to_bytes(pairs, "little")
+        slots = bytearray(8 * pairs)
+        for slot, plane in enumerate(_PLANES):
+            slots[slot::8] = cells.translate(plane)
+        runs = self._runs + bytes(slots).translate(None, b"\0")
+        letters, ends = runs.lower(), runs.translate(_RUN_ENDS)
+        start, end = 0, ends.find(b"|", n - 1)
+        while end >= 0:
+            values.append(letters[start:start + n])
+            start = end + 1
+            end = ends.find(b"|", start + n - 1)
+        self._runs = runs[start:]
+        values.reverse()
 
     def load_items(self) -> Iterator[Tuple[bytes, bytes]]:
         """The (key, value) pairs of the load phase, in key order."""
