@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..frozen import check_bounds
 from ..hardware.machine import Machine
 from ..hardware.metrics import CounterSet
 from ..storage.cache import EvictionPolicy, PageCache
@@ -47,16 +48,6 @@ MAPPING_ENTRY_BYTES = 64   # DRAM charged per mapping-table entry
 INNER_FANOUT = 128         # children per inner node before it splits
 DRAM_TAG_INDEX = "bwtree_index"
 DRAM_TAG_MAPPING = "mapping_table"
-
-
-#: The lowest value of each size and count in :class:`BwTreeConfig`;
-#: the two budgets may also be ``None``, unbudgeted.
-_CONFIG_FLOORS = {
-    "max_page_bytes": 256, "min_page_bytes": 0, "consolidate_threshold": 1,
-    "blind_chain_limit": 0, "max_flash_fragments": 1,
-    "cache_capacity_bytes": 1, "segment_bytes": 1, "demote_budget_bytes": 1,
-}
-_BUDGETS = ("cache_capacity_bytes", "demote_budget_bytes")
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,15 +71,19 @@ class BwTreeConfig:
     demote_to_tiers: bool = False
     demote_budget_bytes: Optional[int] = None
 
+    #: Every size and count; the two budgets may also be ``None``,
+    #: unbudgeted.
+    BOUNDS = {
+        "max_page_bytes": (256, math.inf), "min_page_bytes": (0, math.inf),
+        "consolidate_threshold": (1, math.inf),
+        "blind_chain_limit": (0, math.inf),
+        "max_flash_fragments": (1, math.inf),
+        "cache_capacity_bytes": (1, math.inf),
+        "segment_bytes": (1, math.inf), "demote_budget_bytes": (1, math.inf),
+    }
+
     def __post_init__(self) -> None:
-        # Written so that NaN fails: every comparison with NaN is false.
-        for name, low in _CONFIG_FLOORS.items():
-            value = getattr(self, name)
-            if value is None and name in _BUDGETS:
-                continue
-            if not low <= value < math.inf:
-                raise ValueError(f"BwTreeConfig.{name} must be at least "
-                                 f"{low} and finite, got {value}")
+        check_bounds(self)
 
 
 @dataclass(slots=True)

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
+from ..frozen import check_bounds
 from .catalog import CostCatalog
 
 if TYPE_CHECKING:  # hardware only needed for type names, avoid cycles
@@ -45,28 +46,12 @@ def _validate_catalog(catalog: CostCatalog) -> None:
 
     :class:`~repro.core.catalog.CostCatalog` enforces this at
     construction, but the breakeven entry points are duck-typed — sweeps
-    and ablations hand them catalog-like stand-ins — so the math guards
-    its own inputs.
+    and ablations hand them catalog-like stand-ins — so the math checks
+    the fields it reads against the catalog's own bounds.
     """
-    for name in ("dram_per_byte", "page_bytes", "iops", "rops",
-                 "processor_dollars"):
-        value = getattr(catalog, name)
-        if value <= 0:
-            raise ValueError(
-                f"catalog.{name} must be positive, got {value!r}: the "
-                f"breakeven interval would be infinite or divide by zero"
-            )
-    if catalog.ssd_io_dollars < 0:
-        raise ValueError(
-            f"catalog.ssd_io_dollars cannot be negative, "
-            f"got {catalog.ssd_io_dollars!r}"
-        )
-    if catalog.r < 1.0:
-        raise ValueError(
-            f"catalog.r must be >= 1.0, got {catalog.r!r}: an I/O path "
-            f"shorter than a cached MM operation makes the Equation (6) "
-            f"CPU term negative"
-        )
+    check_bounds(CostCatalog, **{name: getattr(catalog, name) for name in (
+        "dram_per_byte", "page_bytes", "iops", "rops", "processor_dollars",
+        "ssd_io_dollars", "r")})
 
 
 def _breakeven_terms(catalog: CostCatalog) -> Tuple[float, float]:

@@ -10,12 +10,16 @@ primitive costs plus the data structures' actual behaviour.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..bwtree.tree import BwTree, BwTreeConfig
+from ..frozen import ABOVE_ZERO, UP_TO_ONE, check_bounds
+from ..hardware.cpu import CpuModel
 from ..hardware.iopath import IoPathKind
 from ..hardware.machine import Machine, RunSummary
+from ..hardware.ssd import SsdSpec
 from ..masstree.tree import MassTree
 from ..workloads.ycsb import (
     RunStats,
@@ -49,6 +53,22 @@ class StackConfig:
     # SSD at tiny F, so experiments that sweep F provision the device out
     # of the bottleneck.  ``None`` keeps the paper's SSD spec.
     ssd_iops_override: Optional[float] = None
+
+    #: The workload, machine and tree fields take the bounds of the
+    #: config fields they fill.
+    BOUNDS = {
+        **{name: WorkloadSpec.BOUNDS[name] for name in (
+            "record_count", "value_bytes", "theta", "seed")},
+        "cores": CpuModel.BOUNDS["cores"],
+        "cache_fraction": (ABOVE_ZERO, UP_TO_ONE),
+        "segment_bytes": BwTreeConfig.BOUNDS["segment_bytes"],
+        "warmup_operations": (0, math.inf),
+        "measure_operations": (1, math.inf),
+        "ssd_iops_override": SsdSpec.BOUNDS["iops"],
+    }
+
+    def __post_init__(self) -> None:
+        check_bounds(self)
 
     def replace(self, **overrides: object) -> "StackConfig":
         """A copy with selected fields changed."""
@@ -118,8 +138,6 @@ def build_loaded_stack(config: StackConfig
     tree.store.flush()
     leaf_bytes = int(tree.average_leaf_bytes() * len(tree.mapping_table))
     if config.cache_fraction is not None:
-        if not 0.0 < config.cache_fraction <= 1.0:
-            raise ValueError("cache_fraction must be in (0, 1]")
         capacity = max(8 * 1024, int(leaf_bytes * config.cache_fraction))
         tree.cache.capacity_bytes = capacity
         tree.cache.ensure_capacity()

@@ -12,7 +12,10 @@ sensitivity experiments (IOPS price declines, DRAM price moves) are one
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+
+from ..frozen import ABOVE_ZERO, check_bounds
 
 
 @dataclass(frozen=True)
@@ -41,16 +44,13 @@ class CostCatalog:
     page_bytes: float = 2.7e3
     r: float = 5.8
 
+    #: Every price and rate is positive; an R below 1 would mean SS ops
+    #: beat MM ops, against the model's premise.
+    BOUNDS = {**dict.fromkeys(__annotations__, (ABOVE_ZERO, math.inf)),
+              "r": (1.0, math.inf)}
+
     def __post_init__(self) -> None:
-        for name in ("dram_per_byte", "flash_per_byte", "processor_dollars",
-                     "ssd_io_dollars", "rops", "iops", "page_bytes"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.r < 1.0:
-            raise ValueError(
-                f"R below 1 means SS ops beat MM ops ({self.r}); "
-                "that contradicts the model's premise"
-            )
+        check_bounds(self)
 
     # --- derived per-second / per-op quantities --------------------------
 

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from ..frozen import ABOVE_ZERO, UP_TO_ONE, check_bounds
 from .catalog import CostCatalog
 
 
@@ -168,14 +169,11 @@ class CssParameters:
     compression_ratio: float = 0.5
     r_css: float = 8.0
 
+    BOUNDS = {"compression_ratio": (ABOVE_ZERO, UP_TO_ONE),
+              "r_css": (ABOVE_ZERO, math.inf)}
+
     def __post_init__(self) -> None:
-        if not 0.0 < self.compression_ratio <= 1.0:
-            raise ValueError(
-                f"compression ratio must be in (0, 1], "
-                f"got {self.compression_ratio}"
-            )
-        if self.r_css <= 0:
-            raise ValueError("r_css must be positive")
+        check_bounds(self)
 
 
 class OperationCostModel:

@@ -21,9 +21,11 @@ term plus a rate-scaled execution term — a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from ..frozen import ABOVE_ZERO, UP_TO_ONE, check_bounds
 from .breakeven import breakeven_interval_seconds
 from .catalog import CostCatalog
 from .costmodel import CostLine
@@ -46,13 +48,12 @@ class NvramParameters:
     price_per_byte: float = 2.0e-9
     slowdown: float = 2.0
 
+    #: NVRAM cannot be faster than DRAM.
+    BOUNDS = {"price_per_byte": (ABOVE_ZERO, math.inf),
+              "slowdown": (1.0, math.inf)}
+
     def __post_init__(self) -> None:
-        if self.price_per_byte <= 0:
-            raise ValueError("NVRAM price must be positive")
-        if self.slowdown < 1.0:
-            raise ValueError(
-                f"NVRAM cannot be faster than DRAM (slowdown {self.slowdown})"
-            )
+        check_bounds(self)
 
 
 def nvm_line(catalog: Optional[CostCatalog] = None,
@@ -106,10 +107,10 @@ class HddParameters:
     price_dollars: float = 250.0
     capacity_bytes: float = 8e12
 
+    BOUNDS = dict.fromkeys(__annotations__, (ABOVE_ZERO, math.inf))
+
     def __post_init__(self) -> None:
-        if min(self.iops, self.latency_ms, self.price_dollars,
-               self.capacity_bytes) <= 0:
-            raise ValueError("HDD parameters must be positive")
+        check_bounds(self)
 
     @classmethod
     def commodity(cls) -> "HddParameters":
@@ -190,11 +191,11 @@ class CmmParameters:
     compression_ratio: float = 0.5
     decompress_ratio: float = 3.0   # CMM op ~= (1 + this) MM ops
 
+    BOUNDS = {"compression_ratio": (ABOVE_ZERO, UP_TO_ONE),
+              "decompress_ratio": (0.0, math.inf)}
+
     def __post_init__(self) -> None:
-        if not 0.0 < self.compression_ratio <= 1.0:
-            raise ValueError("compression ratio must be in (0, 1]")
-        if self.decompress_ratio < 0:
-            raise ValueError("decompress ratio cannot be negative")
+        check_bounds(self)
 
 
 def cmm_line(catalog: Optional[CostCatalog] = None,

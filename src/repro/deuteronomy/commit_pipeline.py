@@ -35,11 +35,11 @@ durable-prefix oracle checks.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Tuple
 
+from ..frozen import check_bounds
 from ..hardware.logdevice import LogDevice
 from ..hardware.machine import Machine
 from ..hardware.metrics import Histogram
@@ -79,14 +79,9 @@ class CommitPipeline:
         commit_interval_us: float = 50.0,
         epoch_bytes: int = 1 << 16,
     ) -> None:
-        if not 0.0 < commit_interval_us < math.inf:   # NaN fails this too
-            raise ValueError(
-                "commit interval must be positive and finite, got "
-                f"{commit_interval_us}"
-            )
-        if not 0 < epoch_bytes < math.inf:
-            raise ValueError("epoch byte threshold must be positive and "
-                             f"finite, got {epoch_bytes}")
+        from .tc import TcConfig  # lazy: that module imports this one
+        check_bounds(TcConfig, commit_interval_us=commit_interval_us,
+                     commit_epoch_bytes=epoch_bytes)
         self.machine = machine
         self.log = log
         self.device = device

@@ -17,10 +17,11 @@ value can never be served from the victim tier.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from typing import Optional, Tuple
 
+from ..bwtree.tree import BwTreeConfig
+from ..frozen import check_bounds
 from ..hardware.machine import Machine
 
 DRAM_TAG = "tc_read_cache"
@@ -33,13 +34,10 @@ class ReadCache:
     def __init__(self, machine: Machine, budget_bytes: int,
                  demote_to_tiers: bool = False,
                  demote_budget_bytes: Optional[int] = None) -> None:
-        if not 0 < budget_bytes < math.inf:   # NaN fails this too
-            raise ValueError(f"read cache budget must be positive and "
-                             f"finite, got {budget_bytes}")
-        if demote_budget_bytes is not None and not (
-                0 < demote_budget_bytes < math.inf):
-            raise ValueError("demote budget must be positive and finite "
-                             f"when given, got {demote_budget_bytes}")
+        from .tc import TcConfig  # lazy: that module imports this one
+        check_bounds(TcConfig, read_cache_bytes=budget_bytes)
+        # The victim tier takes the page cache's demote budget bound.
+        check_bounds(BwTreeConfig, demote_budget_bytes=demote_budget_bytes)
         self.machine = machine
         self.budget_bytes = budget_bytes
         self.demote_to_tiers = demote_to_tiers

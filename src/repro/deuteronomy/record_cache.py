@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..frozen import check_bounds
 from ..hardware.machine import Machine
 
 DRAM_TAG = "tc_record_cache"
@@ -85,12 +86,11 @@ class RecordStore:
     def __init__(self, machine: Machine, budget_bytes: int,
                  arena_bytes: int = 64 << 10,
                  concurrency_mode: str = "latch_free") -> None:
-        if budget_bytes <= 0:
-            raise ValueError("record store budget must be positive")
-        if arena_bytes <= 0 or arena_bytes > budget_bytes:
-            raise ValueError(
-                "arena_bytes must be positive and fit inside the budget"
-            )
+        from .tc import TcConfig  # lazy: that module imports this one
+        check_bounds(TcConfig, record_cache_bytes=budget_bytes,
+                     record_arena_bytes=arena_bytes)
+        if arena_bytes > budget_bytes:
+            raise ValueError("arena_bytes must fit inside the budget")
         if concurrency_mode not in CONCURRENCY_MODES:
             raise ValueError(
                 f"concurrency_mode must be one of {CONCURRENCY_MODES}, "

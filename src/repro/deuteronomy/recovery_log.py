@@ -10,12 +10,11 @@ buffer is dropped its records stop being servable from the TC.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..faults.retry import RetryStats, run_with_retries
-from ..frozen import slot_init
+from ..frozen import check_bounds, slot_init
 from ..hardware.logdevice import LogDevice
 from ..hardware.machine import Machine
 
@@ -73,10 +72,8 @@ class RecoveryLog:
         buffer_bytes: int = 1 << 20,
         retain_budget_bytes: Optional[int] = None,
     ) -> None:
-        if not 0 < buffer_bytes < math.inf:   # NaN fails this too
-            raise ValueError(
-                f"log buffer size must be positive and finite, got "
-                f"{buffer_bytes}")
+        from .tc import TcConfig  # lazy: that module imports this one
+        check_bounds(TcConfig, log_buffer_bytes=buffer_bytes)
         self.machine = machine
         self.buffer_bytes = buffer_bytes
         self.retain_budget_bytes = retain_budget_bytes

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..bwtree.tree import BwTree
+from ..frozen import ABOVE_ZERO, check_bounds
 from ..hardware.logdevice import LogDevice
 from ..hardware.machine import Machine
 from ..hardware.metrics import CounterSet, Histogram
@@ -78,18 +79,6 @@ def check_batch(
     return keys
 
 
-#: The lowest value of each size, count and window in :class:`TcConfig`
-#: (the commit window's is the least positive float: it must be > 0); the
-#: retention budget may also be ``None``, unbudgeted.
-_CONFIG_FLOORS = {
-    "log_buffer_bytes": 1, "log_retain_budget_bytes": 0,
-    "read_cache_bytes": 1, "version_gc_horizon_lag": 0,
-    "commit_interval_us": math.ulp(0.0), "commit_epoch_bytes": 1,
-    "record_cache_bytes": 1, "record_arena_bytes": 1,
-    "record_dirty_flush_bytes": 1,
-}
-
-
 @dataclass(frozen=True, slots=True)
 class TcConfig:
     """TC sizing knobs."""
@@ -128,16 +117,22 @@ class TcConfig:
     # CAS install) or "latched" (latch acquire + convoy terms).
     concurrency_mode: str = "latch_free"
 
+    #: Every size, count and window; an unbudgeted log retention is
+    #: ``None``, never ``inf``.
+    BOUNDS = {
+        "log_buffer_bytes": (1, math.inf),
+        "log_retain_budget_bytes": (0, math.inf),
+        "read_cache_bytes": (1, math.inf),
+        "version_gc_horizon_lag": (0, math.inf),
+        "commit_interval_us": (ABOVE_ZERO, math.inf),
+        "commit_epoch_bytes": (1, math.inf),
+        "record_cache_bytes": (1, math.inf),
+        "record_arena_bytes": (1, math.inf),
+        "record_dirty_flush_bytes": (1, math.inf),
+    }
+
     def __post_init__(self) -> None:
-        # Written so that NaN fails: every comparison with NaN is false,
-        # so a NaN size never fills, evicts or truncates anything.
-        for name, low in _CONFIG_FLOORS.items():
-            value = getattr(self, name)
-            if value is None and name == "log_retain_budget_bytes":
-                continue
-            if not low <= value < math.inf:
-                raise ValueError(f"TcConfig.{name} must be at least {low} "
-                                 f"and finite, got {value}")
+        check_bounds(self)
         if self.sync_commit and self.commit_pipeline:
             raise ValueError(
                 "sync_commit and commit_pipeline are mutually exclusive"

@@ -26,12 +26,15 @@ matrix never silently claims exhaustiveness.
 from __future__ import annotations
 
 import argparse
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..bwtree.tree import BwTreeConfig
 from ..deuteronomy.engine import DeuteronomyEngine
 from ..deuteronomy.tc import TcConfig
+from ..frozen import ABOVE_ZERO, UP_TO_ONE, check_bounds
+from ..hardware.cpu import CpuModel
 from ..hardware.machine import Machine
 from ..sharding.engine import ShardedEngine
 from ..workloads.ycsb import OpKind, WorkloadGenerator, WorkloadSpec
@@ -96,6 +99,26 @@ class MatrixConfig:
     # enough that the far-memory tier itself churns under the trace.
     demote_budget_bytes: int = 8 << 10
     scenarios: Tuple[str, ...] = SCENARIOS
+
+    #: ``max_hits_per_site`` 0 runs every hit; the engine sizes take the
+    #: bounds of the config fields they fill.
+    BOUNDS = {
+        "seed": (-math.inf, math.inf), "ops": (1, math.inf),
+        "records": (1, math.inf), "value_bytes": (0, math.inf),
+        "delete_every": (0, math.inf), "checkpoint_every": (1, math.inf),
+        "gc_every": (1, math.inf), "gc_target": (ABOVE_ZERO, UP_TO_ONE),
+        "batch_size": (1, math.inf), "shards": (1, math.inf),
+        "cores": CpuModel.BOUNDS["cores"],
+        "max_hits_per_site": (0, math.inf),
+        **{name: BwTreeConfig.BOUNDS[name] for name in (
+            "segment_bytes", "cache_capacity_bytes", "demote_budget_bytes")},
+        **{name: TcConfig.BOUNDS[name] for name in (
+            "log_buffer_bytes", "record_arena_bytes", "record_cache_bytes",
+            "record_dirty_flush_bytes")},
+    }
+
+    def __post_init__(self) -> None:
+        check_bounds(self)
 
     @classmethod
     def smoke(cls, seed: int = 0) -> "MatrixConfig":

@@ -11,16 +11,27 @@ call per field.  Everything else the dataclass generated stays: the
 frozen ``__setattr__`` / ``__delattr__``, ``__eq__``, ``__hash__`` and
 ``__repr__``.
 
+:func:`check_bounds` is the one range check of every config class: the
+class declares ``BOUNDS``, a ``{field: (low, high)}`` table, and a value
+is good when ``low <= value < high`` (so NaN never is).
+
 This module imports nothing from ``repro``, so any module can use it.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
-from dataclasses import MISSING, fields
-from typing import Any, Dict, List, Type, TypeVar
+import math
+from dataclasses import MISSING, fields, is_dataclass
+from typing import Any, Dict, List, Tuple, Type, TypeVar, get_args, get_type_hints
 
 T = TypeVar("T")
+
+#: As a ``low``, the least positive float: the value must be above 0.
+ABOVE_ZERO = math.ulp(0.0)
+#: As a ``high``, the float after 1: the value may be 1 but no more.
+UP_TO_ONE = math.nextafter(1.0, math.inf)
 
 
 def slot_init(cls: Type[T]) -> Type[T]:
@@ -68,3 +79,60 @@ def slot_init(cls: Type[T]) -> Type[T]:
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     setattr(cls, "__init__", init)
     return cls
+
+
+@functools.cache
+def _kinds(cls: type) -> Dict[str, Tuple[type, bool]]:
+    """Each bounded name's number type and whether it is ``Optional``,
+    read once per class (it takes about a millisecond) from a
+    dataclass's field annotations or a class's ``__init__``."""
+    hints = get_type_hints(cls if is_dataclass(cls)
+                           else getattr(cls, "__init__"))
+    kinds: Dict[str, Tuple[type, bool]] = {}
+    for name in getattr(cls, "BOUNDS"):
+        members = set(get_args(hints[name]) or (hints[name],))
+        optional = type(None) in members
+        (kind,) = members - {type(None)}
+        kinds[name] = (kind, optional)
+    return kinds
+
+
+def _wanted(kind: type, low: float, high: float, optional: bool) -> str:
+    """What a bounded value must be, in words."""
+    limits = ["finite"] if kind is float and high == math.inf else []
+    if low > -math.inf:
+        limits.append("> 0" if low == ABOVE_ZERO else f">= {low:g}")
+    if high < math.inf:
+        limits.append("<= 1" if high == UP_TO_ONE else f"< {high:g}")
+    text = " and ".join(limits)
+    if kind is int:
+        text = f"an int {text}".rstrip()
+    return f"{text} (or None)" if optional else text
+
+
+def check_bounds(owner: Any, **values: Any) -> None:
+    """Refuse a value outside its entry in ``owner``'s ``BOUNDS`` table.
+
+    ``owner`` is a config instance, whose every bounded field is checked
+    (call it from ``__post_init__``), or the class that owns a bound,
+    when a component built directly checks the ``values`` it was given
+    under that class's field names.  An ``int`` field refuses a
+    ``bool`` or a ``float``, a ``float`` field any non-number or
+    ``bool``, and ``None`` passes only an ``Optional`` field.  The error
+    names ``<Class>.<field>``.
+    """
+    cls = owner if isinstance(owner, type) else type(owner)
+    bounds = getattr(cls, "BOUNDS")
+    kinds = _kinds(cls)
+    for name in values or bounds:
+        value = values[name] if values else getattr(owner, name)
+        kind, optional = kinds[name]
+        if value is None and optional:
+            continue
+        low, high = bounds[name]
+        if (type(value) is bool
+                or not isinstance(value, int if kind is int else (int, float))
+                or not low <= value < high):
+            raise ValueError(f"{cls.__name__}.{name} must be "
+                             f"{_wanted(kind, low, high, optional)}, "
+                             f"got {value!r}")

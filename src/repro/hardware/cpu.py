@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Mapping, Optional, Protocol, Tuple
 
+from ..frozen import check_bounds
 from .clock import VirtualClock
 from .metrics import CounterSet
 
@@ -109,17 +110,15 @@ class CostTable:
     latch_acquire: float = 0.25        # acquire + release one latch pair
     latch_convoy: float = 0.15         # expected contention cost per mutation
 
+    #: Every price above: finite and >= 0.
+    BOUNDS = dict.fromkeys(__annotations__, (0.0, math.inf))
+
     def __post_init__(self) -> None:
         # Prices are resolved once, when a CpuModel or a charge plan is
         # built, so a price that cannot be billed is refused here rather
         # than at its first charge (or never: an infinite one would set
         # busy time and the clock to inf without an error).
-        for entry in fields(self):
-            price = getattr(self, entry.name)
-            if not 0.0 <= price < math.inf:
-                raise ValueError(
-                    f"cost {entry.name} must be finite and >= 0, got {price}"
-                )
+        check_bounds(self)
 
     def scaled(self, factor: float) -> "CostTable":
         """Return a table with every cost multiplied by ``factor``.
@@ -202,14 +201,18 @@ class CpuModel:
     :meth:`reset` write it.
     """
 
+    #: ``cores`` divides every charge on its way to the clock: a NaN
+    #: count would set ``clock.now`` to NaN at the first charge.  Every
+    #: entry point that takes a core count uses this bound.
+    BOUNDS = {"cores": (1, math.inf)}
+
     def __init__(
         self,
         cores: int,
         costs: CostTable | None = None,
         clock: VirtualClock | None = None,
     ) -> None:
-        if cores < 1:
-            raise ValueError(f"need at least one core, got {cores}")
+        check_bounds(CpuModel, cores=cores)
         self.cores = cores
         self._costs = costs if costs is not None else CostTable()
         self.clock = clock if clock is not None else VirtualClock()

@@ -13,7 +13,7 @@ from typing import Dict
 
 
 class DramModel:
-    """Tracks current and peak resident bytes per tag."""
+    """Tracks current resident bytes per tag."""
 
     def __init__(self, capacity_bytes: int | None = None) -> None:
         if capacity_bytes is not None and capacity_bytes <= 0:
@@ -21,7 +21,6 @@ class DramModel:
         self.capacity_bytes = capacity_bytes
         self._by_tag: Dict[str, int] = defaultdict(int)
         self._current = 0
-        self._peak = 0
 
     def allocate(self, nbytes: int, tag: str = "untagged") -> None:
         """Account ``nbytes`` as newly resident under ``tag``."""
@@ -35,8 +34,6 @@ class DramModel:
             )
         self._by_tag[tag] += nbytes
         self._current += nbytes
-        if self._current > self._peak:
-            self._peak = self._current
 
     def free(self, nbytes: int, tag: str = "untagged") -> None:
         """Account ``nbytes`` under ``tag`` as released."""
@@ -54,10 +51,6 @@ class DramModel:
     def current_bytes(self) -> int:
         return self._current
 
-    @property
-    def peak_bytes(self) -> int:
-        return self._peak
-
     def bytes_for(self, tag: str) -> int:
         """Currently resident bytes under ``tag``."""
         return self._by_tag.get(tag, 0)
@@ -65,10 +58,6 @@ class DramModel:
     def by_tag(self) -> Dict[str, int]:
         """Snapshot of resident bytes per tag (zero-byte tags omitted)."""
         return {tag: n for tag, n in self._by_tag.items() if n > 0}
-
-    def reset_peak(self) -> None:
-        """Restart peak tracking from the current footprint."""
-        self._peak = self._current
 
     def wipe(self) -> None:
         """Model a power loss: every resident byte is gone.
@@ -79,7 +68,6 @@ class DramModel:
         """
         self._by_tag.clear()
         self._current = 0
-        self._peak = 0
 
 
 class DramFullError(RuntimeError):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ..frozen import check_bounds
 from .clock import VirtualClock
 from .cpu import CostTable, CpuModel
 from .dram import DramModel
@@ -76,6 +77,8 @@ class RunSummary:
 class Machine:
     """A simulated server with calibrated component models."""
 
+    BOUNDS = {"cores": CpuModel.BOUNDS["cores"]}
+
     def __init__(
         self,
         cores: int = 4,
@@ -84,6 +87,7 @@ class Machine:
         io_path: IoPathKind = IoPathKind.USER_LEVEL,
         dram_capacity_bytes: int | None = None,
     ) -> None:
+        check_bounds(Machine, cores=cores)
         self.clock = VirtualClock()
         self.cpu = CpuModel(cores, cost_table, self.clock)
         self.ssd = SimulatedSsd(ssd_spec)

@@ -15,13 +15,10 @@ Models the three things the paper's analysis cares about:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
+from ..frozen import ABOVE_ZERO, check_bounds
 from .metrics import CounterSet, Histogram
-
-#: Fields that must be > 0 (the rest must be >= 0); every field finite.
-_POSITIVE_FIELDS = frozenset({"capacity_bytes", "iops",
-                              "bandwidth_bytes_per_sec"})
 
 
 @dataclass(frozen=True)
@@ -41,22 +38,20 @@ class SsdSpec:
     price_dollars: float = 300.0
     flash_price_per_byte: float = 0.5e-9
 
+    #: A NaN, infinite, negative or (for a rate or a size) zero field
+    #: would surface only later, as a NaN or negative service time or a
+    #: nonsense $I.
+    BOUNDS = {
+        "capacity_bytes": (1, math.inf), "iops": (ABOVE_ZERO, math.inf),
+        "read_latency_us": (0.0, math.inf),
+        "write_latency_us": (0.0, math.inf),
+        "bandwidth_bytes_per_sec": (ABOVE_ZERO, math.inf),
+        "price_dollars": (0.0, math.inf),
+        "flash_price_per_byte": (0.0, math.inf),
+    }
+
     def __post_init__(self) -> None:
-        # A NaN, infinite, negative or (for a rate or a size) zero field
-        # would surface only later, as a NaN or negative service time or
-        # a nonsense $I; refuse it here, by name.
-        for spec_field in fields(self):
-            name = spec_field.name
-            value = getattr(self, name)
-            if not -math.inf < value < math.inf:
-                raise ValueError(f"SsdSpec.{name} must be finite, got {value}")
-            if name in _POSITIVE_FIELDS:
-                if not value > 0:
-                    raise ValueError(
-                        f"SsdSpec.{name} must be positive, got {value}")
-            elif value < 0:
-                raise ValueError(
-                    f"SsdSpec.{name} cannot be negative, got {value}")
+        check_bounds(self)
 
     @property
     def iops_price_dollars(self) -> float:

@@ -26,8 +26,11 @@ CostTable` describing per-primitive CPU prices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
+
+from ..frozen import ABOVE_ZERO, check_bounds
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,28 +60,19 @@ class TierSpec:
     cpu_path_r: float
     durable_home: bool = False
 
+    #: A ``cpu_path_r`` below 1.0 would make an access cheaper than a
+    #: cached MM operation.
+    BOUNDS = {
+        "dollars_per_byte": (ABOVE_ZERO, math.inf),
+        "access_latency_s": (0.0, math.inf),
+        "iops": (ABOVE_ZERO, math.inf), "io_dollars": (0.0, math.inf),
+        "cpu_path_r": (1.0, math.inf),
+    }
+
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tier name must be non-empty")
-        if self.dollars_per_byte <= 0:
-            raise ValueError(
-                f"tier {self.name!r}: dollars_per_byte must be positive"
-            )
-        if self.access_latency_s < 0:
-            raise ValueError(
-                f"tier {self.name!r}: access_latency_s cannot be negative"
-            )
-        if self.iops <= 0:
-            raise ValueError(f"tier {self.name!r}: iops must be positive")
-        if self.io_dollars < 0:
-            raise ValueError(
-                f"tier {self.name!r}: io_dollars cannot be negative"
-            )
-        if self.cpu_path_r < 1.0:
-            raise ValueError(
-                f"tier {self.name!r}: cpu_path_r below 1.0 would make an "
-                f"access cheaper than a cached MM operation"
-            )
+        check_bounds(self)
 
     @property
     def io_dollars_per_access_rate(self) -> float:

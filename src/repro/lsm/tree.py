@@ -11,9 +11,11 @@ key out.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..frozen import check_bounds
 from ..hardware.machine import Machine
 from ..hardware.metrics import CounterSet
 from .memtable import Memtable
@@ -38,6 +40,14 @@ class LsmConfig:
     # table probe an SS operation.
     block_cache_bytes: Optional[int] = None
 
+    BOUNDS = dict.fromkeys(
+        ("memtable_bytes", "l0_compaction_trigger", "level_base_bytes",
+         "level_size_multiplier", "max_levels", "target_table_bytes",
+         "block_cache_bytes"), (1, math.inf))
+
+    def __post_init__(self) -> None:
+        check_bounds(self)
+
     def level_capacity(self, level: int) -> int:
         if level < 1:
             raise ValueError("levelled capacity starts at L1")
@@ -50,8 +60,7 @@ class BlockCache:
     """LRU cache of (table id, block index) data blocks."""
 
     def __init__(self, machine: Machine, capacity_bytes: int) -> None:
-        if capacity_bytes <= 0:
-            raise ValueError("block cache capacity must be positive")
+        check_bounds(LsmConfig, block_cache_bytes=capacity_bytes)
         from collections import OrderedDict
         self.machine = machine
         self.capacity_bytes = capacity_bytes

@@ -29,6 +29,7 @@ produces the same record, bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -36,7 +37,8 @@ from .bwtree.tree import BwTreeConfig
 from .core.costmeter import price_run
 from .deuteronomy.engine import DeuteronomyEngine
 from .deuteronomy.tc import TcConfig
-from .hardware.cpu import CostTable
+from .frozen import check_bounds
+from .hardware.cpu import CostTable, CpuModel
 from .hardware.machine import Machine
 from .hardware.metrics import Histogram
 from .hardware.ssd import SsdSpec
@@ -88,14 +90,19 @@ class Scenario:
     #: resets.
     warmup_ops: int = 0
 
+    BOUNDS = {
+        "seed": WorkloadSpec.BOUNDS["seed"],
+        "record_count": WorkloadSpec.BOUNDS["record_count"],
+        "op_count": (1, math.inf), "shards": (0, math.inf),
+        "batch_size": (0, math.inf), "cores": CpuModel.BOUNDS["cores"],
+        "warmup_ops": (0, math.inf),
+    }
+
     def __post_init__(self) -> None:
         if self.mix not in MIX_BUILDERS:
             raise ValueError(f"unknown mix {self.mix!r}; "
                              f"expected one of {sorted(MIX_BUILDERS)}")
-        if self.shards < 0:
-            raise ValueError(f"shards cannot be negative, got {self.shards}")
-        if self.op_count < 1:
-            raise ValueError(f"need at least one op, got {self.op_count}")
+        check_bounds(self)
         if self.log_topology not in LOG_TOPOLOGIES:
             raise ValueError(
                 f"unknown log topology {self.log_topology!r}; "

@@ -38,6 +38,8 @@ from typing import (
 from ..bwtree.tree import BwTreeConfig
 from ..deuteronomy.engine import STATS, DeuteronomyEngine
 from ..deuteronomy.tc import TcConfig, check_batch
+from ..frozen import check_bounds
+from ..hardware.cpu import CpuModel
 from ..hardware.logdevice import LogDevice
 from ..hardware.machine import Machine
 from ..hardware.metrics import CounterSet
@@ -55,6 +57,8 @@ LOG_TOPOLOGIES = ("colocated", "per-shard", "shared")
 class ShardedEngine:
     """N independent engine shards behind a hash router."""
 
+    BOUNDS = {"cores_per_shard": CpuModel.BOUNDS["cores"]}
+
     def __init__(
         self,
         num_shards: int,
@@ -66,6 +70,7 @@ class ShardedEngine:
         log_ssd_spec: Optional[SsdSpec] = None,
         _shards: Optional[Sequence[DeuteronomyEngine]] = None,
     ) -> None:
+        check_bounds(ShardedEngine, cores_per_shard=cores_per_shard)
         if log_topology not in LOG_TOPOLOGIES:
             raise ValueError(
                 f"unknown log topology {log_topology!r}; "

@@ -47,11 +47,11 @@ the normal flash path, so correctness never depends on the victim tier.
 from __future__ import annotations
 
 import enum
-import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from ..frozen import check_bounds
 from ..hardware.machine import Machine
 from ..hardware.tiers import StorageHierarchy, TierSpec
 from .log_store import LogStructuredStore
@@ -113,13 +113,12 @@ class TierCache:
 
     def __init__(self, machine: Machine,
                  budget_bytes: Optional[int] = None) -> None:
-        if budget_bytes is not None and not 1 <= budget_bytes < math.inf:
-            raise ValueError(f"budget_bytes must be at least 1 and finite "
-                             f"when given, got {budget_bytes}")
-        # Lazy import: repro.core's package init builds the calibration
+        # Lazy imports: repro.core's package init builds the calibration
         # stack on top of bwtree, which imports this module — a cycle at
         # import time, gone by the time any cache is constructed.
+        from ..bwtree.tree import BwTreeConfig
         from ..core.breakeven import tier_pair_breakeven
+        check_bounds(BwTreeConfig, demote_budget_bytes=budget_bytes)
         self.machine = machine
         self.hierarchy = StorageHierarchy.cxl_2026()
         middles = self.hierarchy.tiers[1:-1]
@@ -279,9 +278,8 @@ class PageCache:
         demote_to_tiers: bool = False,
         demote_budget_bytes: Optional[int] = None,
     ) -> None:
-        if capacity_bytes is not None and not 1 <= capacity_bytes < math.inf:
-            raise ValueError(f"capacity_bytes must be at least 1 and finite "
-                             f"when given, got {capacity_bytes}")
+        from ..bwtree.tree import BwTreeConfig  # lazy: it imports this module
+        check_bounds(BwTreeConfig, cache_capacity_bytes=capacity_bytes)
         self.machine = machine
         self.mapping_table = mapping_table
         self.store = store

@@ -13,12 +13,11 @@ reads of flushed images cost one SSD access plus the I/O path's CPU charges.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..faults.retry import RetryStats, run_with_retries
-from ..frozen import slot_init
+from ..frozen import check_bounds, slot_init
 from ..hardware.machine import Machine
 from .mapping_table import FlashAddr
 from .pages import PageImage
@@ -59,9 +58,8 @@ class LogStructuredStore:
         machine: Machine,
         segment_bytes: int = 1 << 20,
     ) -> None:
-        if not 1 <= segment_bytes < math.inf:
-            raise ValueError(f"segment_bytes must be at least 1 and finite, "
-                             f"got {segment_bytes}")
+        from ..bwtree.tree import BwTreeConfig  # lazy: that module imports this one
+        check_bounds(BwTreeConfig, segment_bytes=segment_bytes)
         self.machine = machine
         self.segment_bytes = segment_bytes
         self._next_segment_id = 0

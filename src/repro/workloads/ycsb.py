@@ -9,13 +9,14 @@ standard A-F mixes are provided as constructors.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..frozen import slot_init
+from ..frozen import ABOVE_ZERO, UP_TO_ONE, check_bounds, slot_init
 from .distributions import KeyChooser, make_chooser
 
 
@@ -90,25 +91,22 @@ class WorkloadSpec:
     seed: int = 42
     name: str = "custom"
 
+    #: Every op-mix fraction is in [0, 1] (and they sum to 1); a zipfian
+    #: theta is in (0, 1) and a hot set is a non-empty share of the keys.
+    BOUNDS = {
+        "record_count": (1, math.inf), "value_bytes": (0, math.inf),
+        "theta": (ABOVE_ZERO, 1.0), "hot_fraction": (ABOVE_ZERO, UP_TO_ONE),
+        **dict.fromkeys(("hot_access_fraction",) + _FRACTIONS,
+                        (0.0, UP_TO_ONE)),
+        "max_scan_length": (1, math.inf), "seed": (-math.inf, math.inf),
+    }
+
     def __post_init__(self) -> None:
-        total = 0.0
-        for name in _FRACTIONS:
-            fraction = getattr(self, name)
-            if not 0.0 <= fraction <= 1.0:     # NaN fails too
-                raise ValueError(f"{name} must be in [0, 1], got {fraction}")
-            total += fraction
+        check_bounds(self)
+        total = sum(getattr(self, name) for name in _FRACTIONS)
         if not abs(total - 1.0) <= 1e-9:
-            raise ValueError(f"operation fractions must sum to 1, got {total}")
-        for name in ("record_count", "value_bytes", "max_scan_length"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.record_count <= 0:
-            raise ValueError("record_count must be positive")
-        if self.value_bytes < 0:
-            raise ValueError("value_bytes cannot be negative")
-        if self.max_scan_length < 1:
-            raise ValueError("max_scan_length must be at least 1")
+            raise ValueError(f"WorkloadSpec.{' + '.join(_FRACTIONS)} must "
+                             f"sum to 1, got {total}")
 
     # --- the standard mixes ------------------------------------------------
 

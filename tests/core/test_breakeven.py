@@ -221,9 +221,9 @@ class TestDegenerateCatalogs:
         # r < 1 would make the Equation (6) CPU term negative: an I/O
         # path shorter than a cached MM operation.
         cat = self.degenerate(r=0.5)
-        with pytest.raises(ValueError, match="catalog.r"):
+        with pytest.raises(ValueError, match="CostCatalog.r "):
             breakeven_interval_seconds(cat)
-        with pytest.raises(ValueError, match="catalog.r"):
+        with pytest.raises(ValueError, match="CostCatalog.r "):
             classic_gray_interval_seconds(cat)
 
 

@@ -62,7 +62,7 @@ class TestConfigValidation:
         # closes 5.
         with pytest.raises(ValueError, match="commit_interval_us"):
             TcConfig(commit_pipeline=True, commit_interval_us=interval)
-        with pytest.raises(ValueError, match="commit interval"):
+        with pytest.raises(ValueError, match="TcConfig.commit_interval_us"):
             CommitPipeline(machine, log, LogDevice(machine.ssd, machine.clock),
                            commit_interval_us=interval)
 

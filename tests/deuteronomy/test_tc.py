@@ -236,13 +236,13 @@ def test_a_size_that_never_binds_is_refused_by_name(name, value):
 @pytest.mark.parametrize("value", [NAN, INF, 0, -1], ids=str)
 def test_the_components_refuse_the_same_sizes_when_built_directly(value):
     machine = Machine.paper_default(cores=1)
-    with pytest.raises(ValueError, match="log buffer size"):
+    with pytest.raises(ValueError, match="TcConfig.log_buffer_bytes"):
         RecoveryLog(machine, buffer_bytes=value)
-    with pytest.raises(ValueError, match="read cache budget"):
+    with pytest.raises(ValueError, match="TcConfig.read_cache_bytes"):
         ReadCache(machine, budget_bytes=value)
-    with pytest.raises(ValueError, match="demote budget"):
+    with pytest.raises(ValueError, match="BwTreeConfig.demote_budget_bytes"):
         ReadCache(machine, 1 << 10, demote_budget_bytes=value)
     log = RecoveryLog(machine)
-    with pytest.raises(ValueError, match="epoch byte threshold"):
+    with pytest.raises(ValueError, match="TcConfig.commit_epoch_bytes"):
         CommitPipeline(machine, log, LogDevice(machine.ssd, machine.clock),
                        epoch_bytes=value)

@@ -341,9 +341,9 @@ class TestCostTable:
         """Prices are resolved when a model or a plan is built, so a bad
         one must fail there: an infinite price used to set busy time and
         the clock to inf at its first charge, with no error."""
-        with pytest.raises(ValueError, match="cost hash_probe"):
+        with pytest.raises(ValueError, match="CostTable.hash_probe"):
             CostTable().with_overrides(hash_probe=price)
-        with pytest.raises(ValueError, match="cost install_cas"):
+        with pytest.raises(ValueError, match="CostTable.install_cas"):
             CostTable(install_cas=price)
 
     def test_a_free_primitive_is_allowed(self):

@@ -15,23 +15,6 @@ def test_allocate_and_free():
     assert dram.bytes_for("a") == 70
 
 
-def test_peak_tracks_high_water_mark():
-    dram = DramModel()
-    dram.allocate(100)
-    dram.free(100)
-    dram.allocate(40)
-    assert dram.peak_bytes == 100
-    assert dram.current_bytes == 40
-
-
-def test_reset_peak():
-    dram = DramModel()
-    dram.allocate(100)
-    dram.free(60)
-    dram.reset_peak()
-    assert dram.peak_bytes == 40
-
-
 def test_by_tag_omits_empty():
     dram = DramModel()
     dram.allocate(10, "x")

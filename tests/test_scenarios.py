@@ -157,8 +157,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("kwargs,message", [
         ({"mix": "z"}, "unknown mix"),
-        ({"shards": -1}, "cannot be negative"),
-        ({"op_count": 0}, "at least one op"),
+        ({"shards": -1}, "Scenario.shards"),
+        ({"op_count": 0}, "Scenario.op_count"),
         ({"shards": 2, "log_topology": "ring"}, "unknown log topology"),
         ({"log_topology": "shared"}, "require a fleet"),
     ])
