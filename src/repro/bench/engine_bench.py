@@ -9,9 +9,9 @@ default ``BENCH_engine.json``):
 * ``rows`` — name -> :meth:`~repro.scenarios.Run.result`, one flat
   record with the same key set per row.  The studies are groups of rows:
   per-op vs batched (group commit), the sync and async shard-scaling
-  curves, the three commit-log topologies, record- vs page-granularity
-  caching at equal DRAM (plus the two Figure-3 engine sides), LRU vs
-  CLOCK, and drop vs demote eviction.
+  curves, the two commit-log topologies, record- vs page-granularity
+  caching at equal DRAM (plus the two Figure-3 engine sides), and drop
+  vs demote eviction.
 * ``derived`` — the cross-row numbers: batched speedups, scaling
   curves, ``mm_core_us_drop``, the tiered ``dollars_ratio``, the
   re-derived Figure-3 crossover.
@@ -48,7 +48,6 @@ from ..observability.registry import engine_registry
 from ..observability.spans import Tracer
 from ..observability.whatif import run_whatif
 from ..scenarios import ASYNC_COMMIT, Scenario
-from ..storage.cache import EvictionPolicy
 from .wallclock import WallTimer
 
 SCHEMA_VERSION = 8
@@ -100,6 +99,11 @@ FLOORS = (
           "at equal cache DRAM the latch-free record heap cuts MM-op "
           "core-us vs the page-granularity path (measured ~0.36 "
           "tracked, ~0.40 smoke)"),
+    Floor("record-cache/latch_free_vs_latched_speedup", ">=", 1.05,
+          "Deuteronomy 2.0's contrast: on the identical trace the "
+          "latch-free record heap (epoch protect + CAS) beats the latched "
+          "one (acquire + convoy) on core-us per op (measured ~1.14 "
+          "tracked)"),
     Floor("tiered/dollars_ratio", "<=", 0.90,
           "at equal DRAM demote-not-drop undercuts the drop baseline's "
           "$-per-op, far-memory rent included (measured ~0.63 tracked, "
@@ -113,8 +117,8 @@ def _budgets(records: int, value_bytes: int) -> Dict[str, int]:
     # value; every variant gets about half the loaded data as cache DRAM.
     budget = max(32 << 10, records * (value_bytes + 30) // 2)
     heap = budget // 2
-    # Eviction and tiered studies: a page cache well under the loaded
-    # leaf footprint (about a quarter), so eviction runs constantly.
+    # Tiered study: a page cache well under the loaded leaf footprint
+    # (about a quarter), so eviction runs constantly.
     capped = max(1 << 14, (records * value_bytes) // 4)
     return {
         "record_cache_budget_bytes": budget,
@@ -155,10 +159,8 @@ def scenario_table(smoke: bool = False) -> Dict[str, Scenario]:
     if not smoke:
         # Log placement at the top shard count (colocated is the async
         # curve's own 8-shard row).
-        for topology in ("per-shard", "shared"):
-            table[f"ycsb-a/8shard/async-{topology}-log"] = replace(
-                base, shards=8, tc_config=ASYNC_COMMIT,
-                log_topology=topology)
+        table["ycsb-a/8shard/async-shared-log"] = replace(
+            base, shards=8, tc_config=ASYNC_COMMIT, log_topology="shared")
 
     # Record- vs page-granularity caching on read-hot YCSB-C: the same
     # cache DRAM budget and cold start (checkpointed, so evicted pages
@@ -203,11 +205,6 @@ def scenario_table(smoke: bool = False) -> Dict[str, Scenario]:
     # Skewed YCSB-B on a capped page cache, per-op, periodic commit.
     capped = sizes["capped_cache_bytes"]
     skewed = replace(base, mix="b", batch_size=0, tc_config=TcConfig())
-    if not smoke:
-        for policy in (EvictionPolicy.LRU, EvictionPolicy.CLOCK):
-            table[f"eviction/{policy.value}"] = replace(
-                skewed, tree_config=BwTreeConfig(
-                    eviction_policy=policy, cache_capacity_bytes=capped))
     # Drop vs demote at equal DRAM: victims go to flash and are re-read,
     # or park in the CXL far tier and promote on re-access.
     table["tiered/drop"] = replace(
@@ -215,7 +212,6 @@ def scenario_table(smoke: bool = False) -> Dict[str, Scenario]:
         tree_config=BwTreeConfig(cache_capacity_bytes=capped))
     table["tiered/demote"] = replace(
         skewed, checkpoint=True,
-        tc_config=TcConfig(read_cache_demote=True),
         tree_config=BwTreeConfig(
             cache_capacity_bytes=capped, demote_to_tiers=True,
             demote_budget_bytes=sizes["demote_budget_bytes"]))
@@ -323,25 +319,20 @@ def derive(table: Dict[str, Scenario],
 
     # Log placement: the utilization-priced execution $/op (processor +
     # every device access, no rent) against the provisioned I/O-capability
-    # capital each topology adds — 0 colocated, N * $I for per-shard
-    # drives, $I for one shared drive — so the two can be traded
-    # explicitly (the five-minute-rule revisit's axis).
+    # capital each topology adds — 0 colocated, $I for one shared drive —
+    # so the two can be traded explicitly (the five-minute-rule
+    # revisit's axis).
     drive = CostCatalog().ssd_io_dollars
-    for topology, name in (
-        ("colocated", "ycsb-a/8shard/async"),
-        ("per-shard", "ycsb-a/8shard/async-per-shard-log"),
-        ("shared", "ycsb-a/8shard/async-shared-log"),
+    for topology, name, capital in (
+        ("colocated", "ycsb-a/8shard/async", 0.0),
+        ("shared", "ycsb-a/8shard/async-shared-log", drive),
     ):
         if name in rows:
             row = rows[name]
             derived[f"log-topology/{topology}/execution_dollars_per_op"] = (
                 row["exec_dollars_per_op"] + row["io_dollars_per_op"]
                 + row["log_io_dollars_per_op"])
-            derived[f"log-topology/{topology}/log_capital_dollars"] = {
-                "colocated": 0.0,
-                "per-shard": row["shards"] * drive,
-                "shared": drive,
-            }[topology]
+            derived[f"log-topology/{topology}/log_capital_dollars"] = capital
 
     def core_us_drop(name: str, variant: str) -> None:
         page = "record-cache/page"

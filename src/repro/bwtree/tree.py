@@ -32,7 +32,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from ..frozen import check_bounds
 from ..hardware.machine import Machine
 from ..hardware.metrics import CounterSet
-from ..storage.cache import EvictionPolicy, PageCache
+from ..storage.cache import PageCache
 from ..storage.checkpoint import CheckpointManager
 from ..storage.gc import GarbageCollector
 from ..storage.log_store import LogStructuredStore
@@ -62,7 +62,6 @@ class BwTreeConfig:
     blind_chain_limit: int = 64         # fetch+consolidate past this
     max_flash_fragments: int = 4        # delta images before full rewrite
     cache_capacity_bytes: Optional[int] = None
-    eviction_policy: EvictionPolicy = EvictionPolicy.LRU
     record_cache: bool = False
     segment_bytes: int = 1 << 20
     # Demote-not-drop eviction: park victims in the middle tiers of the
@@ -120,7 +119,6 @@ class BwTree:
             self.mapping_table,
             self.store,
             capacity_bytes=self.config.cache_capacity_bytes,
-            policy=self.config.eviction_policy,
             record_cache=self.config.record_cache,
             max_flash_fragments=self.config.max_flash_fragments,
             demote_to_tiers=self.config.demote_to_tiers,

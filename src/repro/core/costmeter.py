@@ -125,7 +125,7 @@ def price_run(
 
     * execution (``$P/ROPS``): ``$P * core_s / (cores * ops)``;
     * I/O (``$I/IOPS``): ``$I * ios / (IOPS * ops)`` for the data SSD
-      and, for ``log_device_writes`` on a dedicated or shared log drive,
+      and, for ``log_device_writes`` on a shared log drive,
       the same per-access price (colocated log writes are already in
       ``ssd_ios``, so callers pass 0);
     * DRAM rent (``Ps*$M``) and far-tier rent, each tier's end-of-run

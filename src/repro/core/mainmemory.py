@@ -20,8 +20,10 @@ a test pins their :func:`~repro.core.costmodel.crossover` to it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+from ..frozen import above, check_bounds
 from .catalog import CostCatalog
 from .costmodel import CostLine
 
@@ -34,15 +36,12 @@ class MainMemoryComparison:
     mx: float                     # MassTree bytes over Bw-tree bytes
     catalog: CostCatalog
 
+    #: MassTree is the faster *and* the bigger system, or Eq. (7) has no
+    #: crossover.
+    BOUNDS = {"px": (above(1.0), math.inf), "mx": (above(1.0), math.inf)}
+
     def __post_init__(self) -> None:
-        if self.px <= 1.0:
-            raise ValueError(
-                f"Px must exceed 1 (MassTree is the faster system): {self.px}"
-            )
-        if self.mx <= 1.0:
-            raise ValueError(
-                f"Mx must exceed 1 (MassTree is the bigger system): {self.mx}"
-            )
+        check_bounds(self)
 
     # --- Equation 7 -----------------------------------------------------
 

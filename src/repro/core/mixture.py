@@ -8,8 +8,11 @@ via Equation (3), which is how the paper derives R ~ 5.8 +/- 30%.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
+
+from ..frozen import ABOVE_ZERO, UP_TO_ONE, check_bounds
 
 
 def mixed_execution_time(p0: float, f: float, r: float) -> float:
@@ -56,10 +59,11 @@ class MeasuredPoint:
     cores: int = 1
     io_bound: bool = False
 
+    BOUNDS = {"f": (0, UP_TO_ONE), "throughput": (ABOVE_ZERO, math.inf),
+              "cores": (1, math.inf)}
+
     def __post_init__(self) -> None:
-        _check_fraction(self.f)
-        if self.throughput <= 0:
-            raise ValueError("throughput must be positive")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,11 @@ DRAM).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Sequence, Tuple
 
+from ..frozen import above, check_bounds
 from .breakeven import breakeven_interval_seconds, breakeven_report
 from .catalog import CostCatalog
 
@@ -39,13 +41,12 @@ class PriceTrends:
     iops_per_year: float = 0.25
     rops_per_year: float = 0.05
 
+    #: No price or rate falls by 100% or more a year.
+    BOUNDS = {name: (above(-1.0), math.inf) for name in (
+        "dram_per_year", "flash_per_year", "iops_per_year", "rops_per_year")}
+
     def __post_init__(self) -> None:
-        for name in ("dram_per_year", "flash_per_year"):
-            if getattr(self, name) <= -1.0:
-                raise ValueError(f"{name} cannot cheapen below -100%/year")
-        for name in ("iops_per_year", "rops_per_year"):
-            if getattr(self, name) <= -1.0:
-                raise ValueError(f"{name} cannot shrink below -100%/year")
+        check_bounds(self)
 
 
 def project_catalog(catalog: CostCatalog, trends: PriceTrends,

@@ -269,8 +269,7 @@ def _elapsed_seconds(engine: "DeuteronomyEngine") -> float:
 
 def _tier_resident_bytes(engine: "DeuteronomyEngine") -> int:
     tiers = engine.dc.cache.tiers
-    return ((tiers.resident_bytes if tiers is not None else 0)
-            + engine.tc.read_cache.tier_resident_bytes)
+    return tiers.resident_bytes if tiers is not None else 0
 
 
 def _served_share(missed: str, total: str) -> Callable[[dict], float]:

@@ -28,7 +28,7 @@ from ..hardware.metrics import CounterSet, Histogram
 from .commit_pipeline import CommitFuture, CommitPipeline
 from .mvcc import VersionStore
 from .read_cache import ReadCache
-from .record_cache import RecordStore
+from .record_cache import CONCURRENCY_MODES, RecordStore
 from .recovery_log import LogRecord, RecoveryLog
 
 
@@ -86,10 +86,6 @@ class TcConfig:
     log_buffer_bytes: int = 1 << 20
     log_retain_budget_bytes: Optional[int] = 8 << 20
     read_cache_bytes: int = 4 << 20
-    # Demote-not-drop for the read cache's FIFO victims: park evicted
-    # records in a far-memory victim tier (promote-on-hit back) instead
-    # of dropping them.
-    read_cache_demote: bool = False
     version_gc_horizon_lag: int = 1024   # truncate versions this far back
     # Force the log to flash at every commit: durable commits at the cost
     # of small log writes (group commit would amortize them; the default
@@ -137,9 +133,9 @@ class TcConfig:
             raise ValueError(
                 "sync_commit and commit_pipeline are mutually exclusive"
             )
-        if self.concurrency_mode not in ("latch_free", "latched"):
+        if self.concurrency_mode not in CONCURRENCY_MODES:
             raise ValueError(
-                "concurrency_mode must be 'latch_free' or 'latched', "
+                f"concurrency_mode must be one of {CONCURRENCY_MODES}, "
                 f"got {self.concurrency_mode!r}"
             )
         if (self.record_cache
@@ -179,10 +175,7 @@ class TransactionComponent:
                 commit_interval_us=self.config.commit_interval_us,
                 epoch_bytes=self.config.commit_epoch_bytes,
             )
-        self.read_cache = ReadCache(
-            machine, self.config.read_cache_bytes,
-            demote_to_tiers=self.config.read_cache_demote,
-        )
+        self.read_cache = ReadCache(machine, self.config.read_cache_bytes)
         # Record-cache v2: when enabled, the record heap supersedes the
         # FIFO read cache on the read path and absorbs blind writes
         # (pages are built lazily, at drain/checkpoint time).
@@ -686,14 +679,13 @@ class TransactionComponent:
             log.append_batch(records)
             read_cache = self.read_cache
             cached = read_cache._entries
-            parked = read_cache._tier_entries
             heap = self.records
             dc_ops: List[Tuple[bytes, Optional[bytes]]] = []
             for record in records:
                 key = record.key
                 value = record.value
                 versions.add(record)
-                if key in cached or key in parked:
+                if key in cached:
                     read_cache.invalidate(key)
                 if heap is None or not heap.append_record(key, value,
                                                           dirty=True):

@@ -27,9 +27,12 @@ is built on, and what the ``determinism`` lint rule enforces).
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from ..frozen import check_bounds
 
 
 class CrashError(RuntimeError):
@@ -162,17 +165,16 @@ def _registry() -> Dict[str, FaultSite]:
         ),
         FaultSite(
             "cache.demote",
-            "inside TierCache.demote / ReadCache demotion, after the "
-            "victim tier is chosen but before the copy is parked — the "
-            "victim's durable images are already on flash, only the "
-            "volatile far-memory copy is lost",
+            "inside TierCache.demote, after the victim tier is chosen "
+            "but before the copy is parked — the victim's durable "
+            "images are already on flash, only the volatile far-memory "
+            "copy is lost",
         ),
         FaultSite(
             "tier.promote",
-            "inside TierCache.promote / ReadCache promotion, after a "
-            "current far-memory copy is found but before it is "
-            "reinstalled — recovery must rebuild the page from its "
-            "flash chain alone",
+            "inside TierCache.promote, after a current far-memory copy "
+            "is found but before it is reinstalled — recovery must "
+            "rebuild the page from its flash chain alone",
         ),
     ]
     return {site.name: site for site in sites}
@@ -196,13 +198,13 @@ class FaultRule:
     kind: FaultKind
     count: int = 1
 
+    #: ``hit_index`` is 1-based; a rule fires at least once.
+    BOUNDS = {"hit_index": (1, math.inf), "count": (1, math.inf)}
+
     def __post_init__(self) -> None:
         if self.site not in FAULT_SITES:
             raise ValueError(f"unknown fault site {self.site!r}")
-        if self.hit_index < 1:
-            raise ValueError("hit_index is 1-based and must be >= 1")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
+        check_bounds(self)
 
     def matches(self, hit: int) -> bool:
         return self.hit_index <= hit < self.hit_index + self.count

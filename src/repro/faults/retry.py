@@ -12,9 +12,11 @@ virtual time via the CPU model, like every other cost in the simulator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 
+from ..frozen import check_bounds
 from .plan import IoError
 
 if TYPE_CHECKING:  # keep faults import-independent of hardware
@@ -32,11 +34,12 @@ class RetryPolicy:
     backoff_base: int = 1
     backoff_multiplier: int = 2
 
+    #: At least one attempt; a backoff that never shrinks.
+    BOUNDS = {"max_attempts": (1, math.inf), "backoff_base": (0, math.inf),
+              "backoff_multiplier": (1, math.inf)}
+
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base < 0 or self.backoff_multiplier < 1:
-            raise ValueError("backoff must be non-negative and growing")
+        check_bounds(self)
 
     def backoff_switches(self, retry_number: int) -> int:
         """Context switches charged before the ``retry_number``-th retry."""

@@ -28,10 +28,17 @@ from typing import Any, Dict, List, Tuple, Type, TypeVar, get_args, get_type_hin
 
 T = TypeVar("T")
 
+
+def above(value: float) -> float:
+    """The float after ``value``: as a ``low``, the bound is exclusive
+    (``> value``); as a ``high``, inclusive (``<= value``)."""
+    return math.nextafter(value, math.inf)
+
+
 #: As a ``low``, the least positive float: the value must be above 0.
-ABOVE_ZERO = math.ulp(0.0)
+ABOVE_ZERO = above(0.0)
 #: As a ``high``, the float after 1: the value may be 1 but no more.
-UP_TO_ONE = math.nextafter(1.0, math.inf)
+UP_TO_ONE = above(1.0)
 
 
 def slot_init(cls: Type[T]) -> Type[T]:
@@ -97,13 +104,23 @@ def _kinds(cls: type) -> Dict[str, Tuple[type, bool]]:
     return kinds
 
 
+def _just_past(bound: float) -> float | None:
+    """The whole number ``bound`` is :func:`above`, if it is one."""
+    before = math.nextafter(bound, -math.inf)
+    if before.is_integer() and not float(bound).is_integer():
+        return before
+    return None
+
+
 def _wanted(kind: type, low: float, high: float, optional: bool) -> str:
     """What a bounded value must be, in words."""
     limits = ["finite"] if kind is float and high == math.inf else []
     if low > -math.inf:
-        limits.append("> 0" if low == ABOVE_ZERO else f">= {low:g}")
+        past = _just_past(low)
+        limits.append(f">= {low:g}" if past is None else f"> {past:g}")
     if high < math.inf:
-        limits.append("<= 1" if high == UP_TO_ONE else f"< {high:g}")
+        past = _just_past(high)
+        limits.append(f"< {high:g}" if past is None else f"<= {past:g}")
     text = " and ".join(limits)
     if kind is int:
         text = f"an int {text}".rstrip()

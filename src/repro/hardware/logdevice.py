@@ -13,9 +13,8 @@ write begins service when the device frees up, occupies it for the
 larger of the per-IO and bandwidth terms (the same service model the
 SSD's busy-time accounting uses), and acks ``ack_latency_us`` after
 service completes.  Ack latency is a *costed hardware axis*: a cheap
-shared log device acks late and queues behind every shard; a dedicated
-per-shard device acks early but multiplies the capital cost (the
-five-minute-rule revisit prices exactly this trade).
+shared log device acks late and queues behind every shard (the
+five-minute-rule revisit prices this trade against its capital cost).
 
 Topology is expressed by what the device wraps:
 

@@ -85,13 +85,12 @@ class Machine:
         cost_table: CostTable | None = None,
         ssd_spec: SsdSpec | None = None,
         io_path: IoPathKind = IoPathKind.USER_LEVEL,
-        dram_capacity_bytes: int | None = None,
     ) -> None:
         check_bounds(Machine, cores=cores)
         self.clock = VirtualClock()
         self.cpu = CpuModel(cores, cost_table, self.clock)
         self.ssd = SimulatedSsd(ssd_spec)
-        self.dram = DramModel(dram_capacity_bytes)
+        self.dram = DramModel()
         self.io_path = IoPathModel(io_path, self.cpu)
         # Per-operation latency (execution + device service time).  The
         # paper's cost metric deliberately excludes waiting time; latency
@@ -150,7 +149,6 @@ class Machine:
         cls,
         cores: int = 4,
         io_path: IoPathKind = IoPathKind.USER_LEVEL,
-        dram_capacity_bytes: int | None = None,
     ) -> "Machine":
         """The paper's server: 4 cores, Samsung-class SSD, SPDK I/O path."""
         return cls(
@@ -158,7 +156,6 @@ class Machine:
             cost_table=CostTable(),
             ssd_spec=SsdSpec(),
             io_path=io_path,
-            dram_capacity_bytes=dram_capacity_bytes,
         )
 
     # --- operation accounting ---------------------------------------------

@@ -74,7 +74,7 @@ from .spans import COMPONENT_OF_CATEGORY
 #: Pseudo-components naming hardware rather than CPU cost categories:
 #: ``ssd`` scales every simulated drive (data and, in a fleet, any log
 #: drives built from the machine spec); ``log_device`` scales only the
-#: dedicated/shared commit-log drives of a non-colocated topology.
+#: commit-log drive of the "shared" topology.
 DEVICE_SSD = "ssd"
 DEVICE_LOG = "log_device"
 DEVICE_COMPONENTS = (DEVICE_SSD, DEVICE_LOG)
@@ -279,7 +279,7 @@ def _assert_mirrors_stats(view: RunView, stats: dict) -> None:
 
 def _shard_elapsed(shard: ShardView) -> float:
     """One shard's virtual elapsed time: slower of CPU and data SSD,
-    floored by a dedicated log drive (mirrors ``stats()`` exactly)."""
+    floored by a non-colocated log drive (mirrors ``stats()`` exactly)."""
     elapsed = max(shard.busy_us * 1e-6 / shard.cores,
                   shard.ssd_busy_seconds)
     return max(elapsed, shard.log_busy_seconds)

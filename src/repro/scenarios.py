@@ -113,7 +113,7 @@ class Scenario:
             # and log_ssd_spec rules are the fleet constructor's own and
             # surface from prepare().
             raise ValueError(
-                "dedicated/shared log topologies require a fleet, not a "
+                "non-colocated log topologies require a fleet, not a "
                 "bare engine"
             )
 
@@ -137,8 +137,8 @@ class Scenario:
 
         ``ssd_spec`` builds every machine's drive from that spec instead
         of the paper default; ``log_ssd_spec`` does the same for the
-        dedicated/shared commit-log drives of a fleet (the what-if
-        profiler's device scaling).
+        shared commit-log drive of a fleet (the what-if profiler's device
+        scaling).
         """
         def machine() -> Machine:
             return Machine(cores=self.cores, cost_table=CostTable(),
@@ -159,8 +159,8 @@ class Scenario:
         else:
             if log_ssd_spec is not None:
                 raise ValueError(
-                    "a log_ssd_spec needs a fleet on a dedicated/shared "
-                    "log topology, not a bare engine"
+                    "a log_ssd_spec needs a fleet on the shared log "
+                    "topology, not a bare engine"
                 )
             engine = DeuteronomyEngine(machine(),
                                        tree_config=self.tree_config,
@@ -268,7 +268,7 @@ class Run:
                      if shard.tc.pipeline is not None]
         groups = sum(p.group_sizes.count for p in pipelines)
         # Colocated log writes already land on the data SSD (counted in
-        # ssd_ios); dedicated/shared drives bill their own writes.
+        # ssd_ios); the shared drive bills its own writes.
         log_writes = (totals["log_device_writes"]
                       if scenario.log_topology != "colocated" else 0)
         # Demote-not-drop parks victims in the first far tier of the
@@ -316,10 +316,8 @@ class Run:
             "page_cache_hit_rate": totals["page_cache_hit_rate"],
             "record_cache_gc_relocations":
                 totals["record_cache_gc_relocations"],
-            "demotions": (totals["page_cache_demotions"]
-                          + totals["read_cache_demotions"]),
-            "promotions": (totals["page_cache_promotions"]
-                           + totals["read_cache_promotions"]),
+            "demotions": totals["page_cache_demotions"],
+            "promotions": totals["page_cache_promotions"],
             "log_flushes": totals["log_flushes"],
             "log_batch_appends": totals["log_batch_appends"],
             "log_device_writes": totals["log_device_writes"],

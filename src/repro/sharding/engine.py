@@ -48,10 +48,9 @@ from .router import ShardRouter
 
 # Where commit-pipeline log writes land, the costed hardware axis of the
 # five-minute-rule revisit: "colocated" shares each shard's data SSD,
-# "per-shard" gives every shard a dedicated log SSD (capital cost x N,
-# no contention), "shared" funnels every shard through one log SSD (one
-# drive's capital cost, fleet elapsed floored by its total busy time).
-LOG_TOPOLOGIES = ("colocated", "per-shard", "shared")
+# "shared" funnels every shard through one log SSD (one drive's capital
+# cost, fleet elapsed floored by its total busy time).
+LOG_TOPOLOGIES = ("colocated", "shared")
 
 
 class ShardedEngine:
@@ -78,14 +77,14 @@ class ShardedEngine:
             )
         if log_topology == "colocated" and log_ssd_spec is not None:
             raise ValueError(
-                "log_ssd_spec needs a dedicated log drive (log_topology "
-                "'per-shard' or 'shared'); colocated log writes land on "
-                "each shard's data SSD"
+                "log_ssd_spec needs a log drive of its own (log_topology "
+                "'shared'); colocated log writes land on each shard's "
+                "data SSD"
             )
         self.router = ShardRouter(num_shards)
         self.log_topology = log_topology
-        # Device spec for dedicated/shared log drives; None mirrors each
-        # shard's data-SSD spec.  The what-if profiler passes a scaled
+        # Device spec for the shared log drive; None mirrors the shard
+        # data-SSD spec.  The what-if profiler passes a scaled
         # spec here to speed up *only* the commit-log device.
         self._log_ssd_spec = log_ssd_spec
         # The single drive behind every shard's queue under "shared"
@@ -126,9 +125,9 @@ class ShardedEngine:
         """The shard's commit-log device under the chosen topology.
 
         Returns None under "colocated": a pipelined TC then builds its
-        own queue over the shard's data SSD.  The other topologies exist
-        only as commit-pipeline devices, so asking for one without the
-        pipeline is an error, not a silently colocated fleet.
+        own queue over the shard's data SSD.  "shared" exists only as a
+        commit-pipeline device, so asking for it without the pipeline is
+        an error, not a silently colocated fleet.
         """
         if self.log_topology == "colocated":
             return None
@@ -138,12 +137,9 @@ class ShardedEngine:
                 "pipeline (TcConfig(commit_pipeline=True)); without it "
                 "the fleet would run colocated"
             )
-        spec = (self._log_ssd_spec if self._log_ssd_spec is not None
-                else machine.ssd.spec)
-        if self.log_topology == "per-shard":
-            return LogDevice(SimulatedSsd(spec), machine.clock,
-                             colocated=False)
         if self._shared_log_ssd is None:
+            spec = (self._log_ssd_spec if self._log_ssd_spec is not None
+                    else machine.ssd.spec)
             self._shared_log_ssd = SimulatedSsd(spec)
         return LogDevice(self._shared_log_ssd, machine.clock,
                          colocated=False)

@@ -7,7 +7,7 @@ or breakeven-interval eviction (and an optional record cache), and cleaned
 by a :class:`GarbageCollector`.
 """
 
-from .cache import CacheStats, EvictionPolicy, PageCache, TierCache
+from .cache import CacheStats, PageCache, TierCache
 from .checkpoint import CheckpointImage, CheckpointManager
 from .gc import GarbageCollector, GcStats
 from .log_store import LogStructuredStore, ReadResult, SegmentInfo
@@ -27,7 +27,6 @@ from .pages import (
 
 __all__ = [
     "CacheStats",
-    "EvictionPolicy",
     "PageCache",
     "TierCache",
     "CheckpointImage",

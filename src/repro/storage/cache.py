@@ -2,16 +2,7 @@
 
 This is the component that makes a *data caching system* (paper Section 1.3):
 hot pages live in DRAM, cold pages live only on flash, and the eviction
-policy decides which is which.  Two policies pick victims under a byte
-budget:
-
-* classic LRU, and
-* CLOCK (second chance): each access sets a reference bit instead of
-  reordering a recency list, so the touch on every single operation is a
-  plain store; a clock hand sweeps residents only when eviction is actually
-  needed, clearing bits and evicting pages whose bit is already clear.
-  CLOCK approximates LRU's hit rate at a fraction of the per-access
-  bookkeeping — the O(1)-touch choice for the batched hot path.
+decides which is which.  Victims leave in LRU order under a byte budget.
 
 The paper's cost-derived rule (Section 4.2) is not a victim order but a
 sweep, :meth:`PageCache.evict_idle_pages`: evict every page idle longer
@@ -46,10 +37,9 @@ the normal flash path, so correctness never depends on the victim tier.
 
 from __future__ import annotations
 
-import enum
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..frozen import check_bounds
 from ..hardware.machine import Machine
@@ -61,13 +51,6 @@ from .pages import DataPageState, PageImage
 DRAM_TAG = "page_cache"
 #: Default idle-sweep breakeven, the paper's Eq. (6) Ti in seconds.
 TI_SECONDS = 45.0
-
-
-class EvictionPolicy(enum.Enum):
-    """How the cache chooses eviction victims."""
-
-    LRU = "lru"
-    CLOCK = "clock"         # second chance: ref bit, O(1) touch
 
 
 @dataclass(slots=True)
@@ -272,7 +255,6 @@ class PageCache:
         mapping_table: MappingTable,
         store: LogStructuredStore,
         capacity_bytes: Optional[int] = None,
-        policy: EvictionPolicy = EvictionPolicy.LRU,
         record_cache: bool = False,
         max_flash_fragments: int = 4,
         demote_to_tiers: bool = False,
@@ -284,7 +266,6 @@ class PageCache:
         self.mapping_table = mapping_table
         self.store = store
         self.capacity_bytes = capacity_bytes
-        self.policy = policy
         # The idle-sweep breakeven; the adaptive controller overwrites it
         # with its Eq. (6) value.
         self.ti_seconds = TI_SECONDS
@@ -312,10 +293,6 @@ class PageCache:
         # and evict, which do register's and _untrack's work in place.
         self._resident: "OrderedDict[int, int]" = OrderedDict()
         self._resident_bytes = 0
-        # CLOCK ring: page id -> reference bit, in hand order (the front
-        # is where the hand points).  Touching a page is a plain store
-        # into this dict — no reordering on the hot path.
-        self._clock_ring: "OrderedDict[int, bool]" = OrderedDict()
 
     # --- residency accounting ---------------------------------------------
 
@@ -329,8 +306,6 @@ class PageCache:
         self.machine.dram.allocate(nbytes, DRAM_TAG)
         self._resident[entry.page_id] = nbytes
         self._resident_bytes += nbytes
-        if self.policy is EvictionPolicy.CLOCK:
-            self._clock_ring[entry.page_id] = True
         self.touch(entry)
 
     def resize(self, entry: PageEntry) -> None:
@@ -349,15 +324,10 @@ class PageCache:
     def _untrack(self, entry: PageEntry) -> None:
         nbytes = self._resident.pop(entry.page_id)
         self._resident_bytes -= nbytes
-        self._clock_ring.pop(entry.page_id, None)
         self.machine.dram.free(nbytes, DRAM_TAG)
 
     def touch(self, entry: PageEntry, grown_bytes: int = 0) -> None:
-        """Record an access: recency state and virtual access time.
-
-        Under LRU every touch reorders the recency list; under CLOCK it is
-        a single reference-bit store and all ordering work is deferred to
-        the (rare) eviction sweep.
+        """Record an access: recency order and virtual access time.
 
         ``grown_bytes`` is what the access added to a tracked page's
         resident size when the caller already knows it — a blind post
@@ -375,11 +345,7 @@ class PageCache:
         entry.access_count += 1
         stats = self.stats
         stats.touches += 1
-        if self.policy is EvictionPolicy.CLOCK:
-            ring = self._clock_ring
-            if page_id in ring:
-                ring[page_id] = True
-        elif page_id in self._resident:
+        if page_id in self._resident:
             self._resident.move_to_end(page_id)
 
     def is_tracked(self, page_id: int) -> bool:
@@ -483,7 +449,6 @@ class PageCache:
             # _untrack, in this frame.
             nbytes = self._resident.pop(entry.page_id)
             self._resident_bytes -= nbytes
-            self._clock_ring.pop(entry.page_id, None)
             self.machine.dram.free(nbytes, DRAM_TAG)
         self.stats.evictions += 1
 
@@ -510,33 +475,6 @@ class PageCache:
         self._untrack(entry)
         self.stats.evictions += 1
 
-    def _clock_victims(self, protect: Set[int]) -> Iterable[int]:
-        """Second-chance sweep: clear set bits, evict clear ones.
-
-        The hand is the front of ``_clock_ring``.  A referenced page gets
-        its bit cleared and a second chance; an unreferenced one is
-        yielded.  Lazily consumed — the sweep stops as soon as the caller
-        is back under budget, so reference bits survive exactly as long
-        as CLOCK intends.
-        """
-        ring = self._clock_ring
-        resident = self._resident
-        # Two full sweeps suffice: one clearing bits, one evicting.
-        scans = 2 * len(ring)
-        while ring and scans > 0:
-            scans -= 1
-            page_id = next(iter(ring))
-            if page_id not in resident:
-                del ring[page_id]
-                continue
-            ring.move_to_end(page_id)
-            if page_id in protect:
-                continue
-            if ring[page_id]:
-                ring[page_id] = False
-                continue
-            yield page_id
-
     def hit_rate(self) -> float:
         """Fraction of page touches served without a flash fetch."""
         touches = self.stats.touches
@@ -547,12 +485,12 @@ class PageCache:
     def ensure_capacity(self, protect: Optional[Set[int]] = None) -> int:
         """Evict victims until the byte budget is met; returns evictions.
 
-        Under LRU this is the victim walk: it restarts at the front of the
-        live recency dict for every victim (most victims are untracked as
-        they go, so nothing is snapshotted up front), never offers a page
-        in ``protect``, and offers a page it leaves resident at most once
-        per call — a record-cache-retained page, or a tracked page with no
-        state.  CLOCK takes its victims from :meth:`_clock_victims`.
+        The LRU victim walk restarts at the front of the live recency
+        dict for every victim (most victims are untracked as they go, so
+        nothing is snapshotted up front), never offers a page in
+        ``protect``, and offers a page it leaves resident at most once
+        per call — a record-cache-retained page, or a tracked page with
+        no state.
         """
         capacity = self.capacity_bytes
         if capacity is None:
@@ -561,24 +499,14 @@ class PageCache:
         evicted = 0
         resident = self._resident
         entries = self.mapping_table.by_id
-        # Pull CLOCK victims only while over budget: advancing the
-        # generator one step too far would move the hand past an
-        # unreferenced page, granting it a second chance it never earned.
-        clock_victims = (self._clock_victims(protect)
-                         if self.policy is EvictionPolicy.CLOCK else None)
         offered: Set[int] = set()
         while self._resident_bytes > capacity:
-            if clock_victims is not None:
-                pid = next(clock_victims, None)
-                if pid is None:
+            for pid in resident:
+                if pid not in protect and pid not in offered:
                     break
             else:
-                for pid in resident:
-                    if pid not in protect and pid not in offered:
-                        break
-                else:
-                    break
-                offered.add(pid)
+                break
+            offered.add(pid)
             entry = entries[pid]
             state = entry.state
             if state is None:
@@ -717,8 +645,6 @@ class PageCache:
                     self.machine.dram.allocate(nbytes, DRAM_TAG)
                     self._resident[page_id] = nbytes
                     self._resident_bytes += nbytes
-                    if self.policy is EvictionPolicy.CLOCK:
-                        self._clock_ring[page_id] = True
                 self.touch(entry)
             self.stats.fetches += 1
             self.stats.fetch_ios += ios

@@ -56,16 +56,15 @@ class Tee:
 
 
 #: Each set-up drives a different slice of the read cascade: a FIFO read
-#: cache with a victim tier, a log that drops buffers it still has
-#: versions for, and a page cache small enough to miss; then the record
-#: heap in place of the read cache.
+#: cache, a log that drops buffers it still has versions for, and a page
+#: cache small enough to miss, whose victims demote to a tier; then the
+#: record heap in place of the read cache.
 SETUPS = {
     "read_cache": (
         BwTreeConfig(max_page_bytes=512, cache_capacity_bytes=4096,
-                     segment_bytes=1 << 14),
+                     segment_bytes=1 << 14, demote_to_tiers=True),
         TcConfig(log_buffer_bytes=512, log_retain_budget_bytes=1024,
-                 read_cache_bytes=512, read_cache_demote=True,
-                 version_gc_horizon_lag=1 << 20),
+                 read_cache_bytes=512, version_gc_horizon_lag=1 << 20),
     ),
     "record_heap": (
         BwTreeConfig(max_page_bytes=512, cache_capacity_bytes=4096,
@@ -93,7 +92,7 @@ def build(setup, seed, faults):
     engine.machine.reset_accounting()
     if faults:
         engine.machine.faults = FaultInjector(FaultPlan.transient_noise(
-            seed, 0.15, sites=("tier.promote", "cache.demote")))
+            seed, 0.15, sites=("tier.promote",)))
     return engine
 
 
@@ -133,11 +132,13 @@ def outcome(before, after, promotions, value):
         return "log_cache_hit"
     stale = "stale+" if diff.get("tc.log_cache_stale") else ""
     if diff.get("tc.read_cache_hits"):
-        return stale + ("promote" if promotions else "read_cache_hit")
+        return stale + "read_cache_hit"
     if diff.get("tc.record_cache_hits"):
         return stale + ("tombstone" if value is None else "record_hit")
     if value is None:
         return stale + "not_found"
+    if promotions:
+        return stale + "promote"
     return stale + ("dc_io" if diff.get("tc.dc_read_ios") else "dc_no_io")
 
 
@@ -160,7 +161,7 @@ def drive(setup, seed, get, faults=False):
             tc.commit(held)
             continue
         before = tc.counters.snapshot()
-        promotions = tc.read_cache.promotions
+        promotions = engine.dc.cache.stats.promotions
         try:
             if kind == "put":
                 results.append(engine.put(step[1], step[2]))
@@ -171,7 +172,7 @@ def drive(setup, seed, get, faults=False):
                 results.append(value)
                 outcomes.append(outcome(
                     before, tc.counters.snapshot(),
-                    tc.read_cache.promotions - promotions, value))
+                    engine.dc.cache.stats.promotions - promotions, value))
         except IoError as error:
             results.append(("IoError", error.site, error.hit))
             if kind == "get":

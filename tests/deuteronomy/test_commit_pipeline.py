@@ -293,24 +293,21 @@ class TestShardedTopologies:
         with pytest.raises(ValueError, match="log topology"):
             self._fleet(log_topology="nvram")
 
-    @pytest.mark.parametrize("topology", ["per-shard", "shared"])
     @pytest.mark.parametrize("tc_config",
                              [None, TcConfig(sync_commit=True)])
-    def test_dedicated_log_without_pipeline_rejected(self, topology,
-                                                     tc_config):
+    def test_dedicated_log_without_pipeline_rejected(self, tc_config):
         """Used to run colocated while stats() reported the label."""
         with pytest.raises(ValueError,
                            match="requires the commit pipeline"):
             ShardedEngine(2, tree_config=TREE, tc_config=tc_config,
-                          log_topology=topology)
+                          log_topology="shared")
 
     def test_log_ssd_spec_on_colocated_rejected(self):
         """Used to be silently ignored: there is no log drive to spec."""
         with pytest.raises(ValueError, match="log_ssd_spec"):
             self._fleet(log_ssd_spec=SsdSpec())
 
-    @pytest.mark.parametrize("topology",
-                             ["colocated", "per-shard", "shared"])
+    @pytest.mark.parametrize("topology", ["colocated", "shared"])
     def test_batches_commit_and_drain_on_every_topology(self, topology):
         fleet = self._fleet(log_topology=topology)
         fleet.apply_batch([("put", b"k%d" % i, b"v") for i in range(16)])
@@ -321,15 +318,14 @@ class TestShardedTopologies:
         assert fleet.stats()["log_topology"] == topology
         assert fleet.get(b"k3") == b"v"
 
-    @pytest.mark.parametrize("topology", ["per-shard", "shared"])
-    def test_recovered_fleet_keeps_its_log_topology(self, topology):
+    def test_recovered_fleet_keeps_its_log_topology(self):
         """Recovery used to rebuild every shard colocated: the shared
         drive, its busy seconds and the fleet elapsed floor vanished
         while stats() still reported the crashed fleet's label."""
         # A log drive slow enough that its busy time, not any shard's
         # own elapsed time, bounds the fleet.
         slow = SsdSpec(iops=100.0)
-        fleet = self._fleet(shards=3, log_topology=topology,
+        fleet = self._fleet(shards=3, log_topology="shared",
                             log_ssd_spec=slow)
         fleet.apply_batch([("put", b"k%d" % i, b"v") for i in range(32)])
         fleet.checkpoint()
@@ -351,18 +347,13 @@ class TestShardedTopologies:
         drives = {id(device.ssd) for device in devices}
         assert not drives & old_drives   # the crashed queues are gone
         stats = recovered.stats()
-        assert stats["log_topology"] == topology
+        assert stats["log_topology"] == "shared"
         slowest_shard = max(shard_stats["elapsed_seconds"]
                             for shard_stats in stats["per_shard"])
-        if topology == "shared":
-            assert len(drives) == 1
-            busy = recovered.shared_log_busy_seconds
-            assert busy > slowest_shard
-            assert stats["fleet"]["elapsed_seconds"] == busy
-        else:
-            assert len(drives) == recovered.num_shards
-            assert recovered.shared_log_busy_seconds == 0.0
-            assert stats["fleet"]["elapsed_seconds"] == slowest_shard
+        assert len(drives) == 1
+        busy = recovered.shared_log_busy_seconds
+        assert busy > slowest_shard
+        assert stats["fleet"]["elapsed_seconds"] == busy
         assert recovered.get(b"k3") == b"w"
 
     def test_drain_commits_is_a_noop_for_sync_fleet(self):

@@ -119,15 +119,16 @@ class TestReadsAndWrites:
     def test_failed_get_leaves_no_active_transaction(self, machine):
         """A transient error inside an autocommit read aborts it: the
         active set stays empty, so the next commit still truncates."""
+        tree = BwTree(machine, BwTreeConfig(segment_bytes=1 << 16,
+                                            demote_to_tiers=True))
         tc = TransactionComponent(
-            machine, BwTree(machine, BwTreeConfig(segment_bytes=1 << 16)),
-            TcConfig(read_cache_bytes=64, read_cache_demote=True,
-                     version_gc_horizon_lag=1))
+            machine, tree,
+            TcConfig(read_cache_bytes=64, version_gc_horizon_lag=1))
         tc.dc.upsert(b"cold", b"v" * 20)
-        tc.dc.upsert(b"warm", b"w" * 20)
-        assert tc.get(b"cold") == b"v" * 20
-        assert tc.get(b"warm") == b"w" * 20     # demotes "cold"
-        assert tc.read_cache.demotions == 1
+        tc.dc.checkpoint()
+        tree.cache.capacity_bytes = 1
+        tree.cache.ensure_capacity()             # demotes "cold"'s page
+        assert tree.cache.stats.demotions == 1
         machine.faults = FaultInjector(FaultPlan.io_error_at("tier.promote", 1))
         with pytest.raises(IoError):
             tc.get(b"cold")
@@ -240,8 +241,6 @@ def test_the_components_refuse_the_same_sizes_when_built_directly(value):
         RecoveryLog(machine, buffer_bytes=value)
     with pytest.raises(ValueError, match="TcConfig.read_cache_bytes"):
         ReadCache(machine, budget_bytes=value)
-    with pytest.raises(ValueError, match="BwTreeConfig.demote_budget_bytes"):
-        ReadCache(machine, 1 << 10, demote_budget_bytes=value)
     log = RecoveryLog(machine)
     with pytest.raises(ValueError, match="TcConfig.commit_epoch_bytes"):
         CommitPipeline(machine, log, LogDevice(machine.ssd, machine.clock),

@@ -10,11 +10,11 @@ deltas) and a short blind-chain limit, a checkpoint, segment GC, a
 crash and recovery, and more batches on the recovered engine.  The read
 run: YCSB-B through ``get``, ``apply_batch`` and YCSB-C through
 ``multi_get``, over a small page cache with record-cache retention and
-a small read cache that demotes its FIFO victims to a tier.  The fleet
-run: batched YCSB-A, ``multi_put`` and ``multi_get`` on four shards
-behind the router, with the async commit pipeline on one shared log
-device, half the shards over a small page cache and half unbudgeted,
-then a crash, recovery, and more batches on the recovered fleet.
+a small FIFO read cache.  The fleet run: batched YCSB-A, ``multi_put``
+and ``multi_get`` on four shards behind the router, with the async
+commit pipeline on one shared log device, half the shards over a small
+page cache and half unbudgeted, then a crash, recovery, and more
+batches on the recovered fleet.
 
 Each pins the sha256 of the ``ChargeRecorder`` stream, as ``(category,
 repr(microseconds))`` lines (a fleet's shard streams in shard order),
@@ -128,13 +128,13 @@ READ_TREE_CONFIG = BwTreeConfig(cache_capacity_bytes=24 * 1024,
                                 record_cache=True, segment_bytes=1 << 15)
 READ_TC_CONFIG = TcConfig(log_buffer_bytes=1024, log_retain_budget_bytes=2048,
                           read_cache_bytes=READ_CACHE_BYTES,
-                          read_cache_demote=True, version_gc_horizon_lag=64)
+                          version_gc_horizon_lag=64)
 READ_BATCH = 16
 
 READ_CHARGES_SHA256 = (
-    "744dda60818a6983ee62a14e111582ac19b9a2108fa55396e11130d64849cdc6")
+    "c31beea1dca3f985fdcb2762689995cdc03b068cd471b792ef922f6e293c7934")
 READ_STATS_SHA256 = (
-    "ab4763b70db4d2e513b2ffc5a820cdbd8a670681070e08ef4799ca8514579e51")
+    "867f51a55f1b6cd626597dd3831d79fcf3abed351a7fa5f71e18efba3c0e1cbe")
 
 
 def test_read_path_charge_stream_and_stats_match_their_pinned_digests(
@@ -193,8 +193,7 @@ def test_read_path_charge_stream_and_stats_match_their_pinned_digests(
         evictions=tree.cache.stats.evictions,
         delta_only_hits=tree.counters.get("bwtree.record_cache_hits"),
         read_cache_fifo_evictions=read_cache.evicted_records,
-        read_cache_rejects=read_cache.rejected_inserts,
-        tier_promotes=read_cache.promotions)
+        read_cache_rejects=read_cache.rejected_inserts)
     assert all(count > 0 for count in reached.values()), reached
     assert sha256_of_charges(recorder) == READ_CHARGES_SHA256
     latencies = machine.op_latencies

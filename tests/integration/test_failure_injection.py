@@ -71,7 +71,8 @@ class TestSsdExhaustion:
 
 class TestDramExhaustion:
     def test_uncapped_tree_hits_dram_wall(self):
-        machine = Machine(dram_capacity_bytes=64 * 1024)
+        machine = Machine()
+        machine.dram.capacity_bytes = 64 * 1024
         tree = BwTree(machine, BwTreeConfig(segment_bytes=1 << 14))
         with pytest.raises(DramFullError):
             for index in range(10_000):
@@ -79,7 +80,8 @@ class TestDramExhaustion:
 
     def test_capped_cache_stays_inside_dram(self):
         """A cache budget below the DRAM capacity never trips the wall."""
-        machine = Machine(dram_capacity_bytes=256 * 1024)
+        machine = Machine()
+        machine.dram.capacity_bytes = 256 * 1024
         tree = BwTree(machine, BwTreeConfig(
             cache_capacity_bytes=64 * 1024, segment_bytes=1 << 14,
         ))

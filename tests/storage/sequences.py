@@ -22,7 +22,7 @@ import hypothesis.strategies as st
 
 from repro.bwtree import BwTree, BwTreeConfig
 from repro.hardware import Machine
-from repro.storage import EvictionPolicy, PageCache
+from repro.storage import PageCache
 
 TI_SECONDS = 2e-4
 KEY_SPACE = 240
@@ -33,7 +33,6 @@ LOADED_KEYS = 160
 class Shape:
     """The cache configuration one run is driven under."""
 
-    policy: EvictionPolicy
     record_cache: bool
     demote_to_tiers: bool
     capacity_bytes: int
@@ -42,14 +41,13 @@ class Shape:
         return BwTreeConfig(
             max_page_bytes=512, min_page_bytes=160, consolidate_threshold=4,
             segment_bytes=1 << 13, cache_capacity_bytes=self.capacity_bytes,
-            eviction_policy=self.policy, record_cache=self.record_cache,
+            record_cache=self.record_cache,
             demote_to_tiers=self.demote_to_tiers,
         )
 
 
 SHAPES = st.builds(
     Shape,
-    policy=st.sampled_from(list(EvictionPolicy)),
     record_cache=st.booleans(),
     demote_to_tiers=st.booleans(),
     # 600 is under one full page: a miss or a blind post can leave only

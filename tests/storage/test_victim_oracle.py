@@ -20,7 +20,6 @@ from hypothesis import given, settings
 
 from repro.hardware import Machine
 from repro.storage import (
-    EvictionPolicy,
     LogStructuredStore,
     MappingTable,
     PageCache,
@@ -35,9 +34,6 @@ class ReferencePageCache(PageCache):
     snapshotting LRU arm of its ``_victims``."""
 
     def _victims(self, protect):
-        if self.policy is EvictionPolicy.CLOCK:
-            yield from self._clock_victims(protect)
-            return
         for pid in list(self._resident):
             if pid not in protect:
                 yield pid
@@ -48,9 +44,7 @@ class ReferencePageCache(PageCache):
             return 0
         protect = protect if protect is not None else set()
         evicted = 0
-        # Pull victims only while over budget: advancing the generator one
-        # step too far would move the CLOCK hand past an unreferenced page,
-        # granting it a second chance it never earned.
+        # Pull victims only while over budget.
         victims = iter(self._victims(protect))
         while self.resident_bytes > self.capacity_bytes:
             pid = next(victims, None)
@@ -106,7 +100,6 @@ class IgnoringProtectPageCache(PageCache):
     the page it has just fetched."""
 
     def ensure_capacity(self, protect=None):
-        assert self.policy is EvictionPolicy.LRU
         return mutant_walk(self, protect, honour_protect=False)
 
 
@@ -117,7 +110,6 @@ class ReofferingPageCache(PageCache):
     call, where its deltas are dropped too."""
 
     def ensure_capacity(self, protect=None):
-        assert self.policy is EvictionPolicy.LRU
         return mutant_walk(self, protect, skip_offered=False)
 
 
@@ -180,11 +172,10 @@ def test_lazy_walk_picks_the_reference_victims(shape, seed):
     assert_same_run(PageCache, shape, seed)
 
 
-@pytest.mark.parametrize("policy", list(EvictionPolicy))
-def test_sequences_reach_every_way_in_and_out_of_the_cache(policy):
+def test_sequences_reach_every_way_in_and_out_of_the_cache():
     """What the comparison above is worth: the seeded steps evict, retain
     deltas, demote, promote, merge pages away, relocate and recover."""
-    shape = Shape(policy, record_cache=True, demote_to_tiers=True,
+    shape = Shape(record_cache=True, demote_to_tiers=True,
                   capacity_bytes=1500)
     reached = collections.Counter()
     for seed in range(4):
@@ -208,8 +199,8 @@ def test_sequences_reach_every_way_in_and_out_of_the_cache(policy):
 def test_reoffering_a_retained_page_is_caught():
     """The mutant drops a retained page's deltas in the call that
     retained them; the oracle sees the second offer."""
-    shape = Shape(EvictionPolicy.LRU, record_cache=True,
-                  demote_to_tiers=False, capacity_bytes=1500)
+    shape = Shape(record_cache=True, demote_to_tiers=False,
+                  capacity_bytes=1500)
     with pytest.raises(AssertionError, match=r"^\(\d+, \("):
         assert_same_run(ReofferingPageCache, shape, seed=0)
 
@@ -218,8 +209,8 @@ def test_ignoring_protect_is_caught():
     """Under a budget smaller than one page, a walk that ignores
     ``protect`` evicts the page a blind post or a miss is working on
     once every other page is gone; the oracle sees that eviction."""
-    shape = Shape(EvictionPolicy.LRU, record_cache=False,
-                  demote_to_tiers=False, capacity_bytes=600)
+    shape = Shape(record_cache=False, demote_to_tiers=False,
+                  capacity_bytes=600)
     with pytest.raises(AssertionError, match=r"^\(\d+, \("):
         assert_same_run(IgnoringProtectPageCache, shape, seed=0)
 

@@ -1,8 +1,10 @@
 """No config builds a silent NaN.
 
 Every dataclass in ``repro`` named ``*Config`` / ``*Spec`` /
-``*Parameters``, plus ``CostTable``, ``CostCatalog`` and ``Scenario``,
-checks its numeric fields against one ``BOUNDS`` table with
+``*Parameters``, plus ``CostTable``, ``CostCatalog``, ``Scenario`` and
+the model inputs ``MainMemoryComparison``, ``PriceTrends``,
+``MeasuredPoint``, ``RetryPolicy`` and ``FaultRule``, checks its
+numeric fields against one ``BOUNDS`` table with
 :func:`repro.frozen.check_bounds`.  A NaN or infinite size, rate or
 price compares false or never binds, so it used to build a config whose
 results read NaN.  Here every numeric field of
@@ -21,15 +23,26 @@ import typing
 import pytest
 
 import repro
+from repro.core.catalog import CostCatalog
+from repro.core.mainmemory import MainMemoryComparison
+from repro.core.mixture import MeasuredPoint
+from repro.faults.plan import FaultKind, FaultRule
 from repro.hardware import CpuModel, Machine
 from repro.hardware.tiers import StorageHierarchy
 from repro.sharding import ShardedEngine
 
 NUMBERS = {int, float, typing.Optional[int], typing.Optional[float]}
 SUFFIXES = ("Config", "Spec", "Parameters")
-EXTRA = ("CostTable", "CostCatalog", "Scenario")
+EXTRA = ("CostTable", "CostCatalog", "Scenario", "MainMemoryComparison",
+         "PriceTrends", "MeasuredPoint", "RetryPolicy", "FaultRule")
 #: A good instance of each class whose fields have no defaults.
-EXAMPLES = {"TierSpec": lambda: StorageHierarchy.cxl_2026().tiers[1]}
+EXAMPLES = {
+    "TierSpec": lambda: StorageHierarchy.cxl_2026().tiers[1],
+    "MainMemoryComparison": lambda: MainMemoryComparison(2.6, 2.1,
+                                                         CostCatalog()),
+    "MeasuredPoint": lambda: MeasuredPoint(0.5, 1e5),
+    "FaultRule": lambda: FaultRule("log_store.flush", 1, FaultKind.IO_ERROR),
+}
 
 
 def config_classes():
@@ -58,7 +71,9 @@ def test_every_named_class_is_enumerated():
     assert {"BwTreeConfig", "TcConfig", "SsdSpec", "CostTable",
             "WorkloadSpec", "TierSpec", "MatrixConfig", "LsmConfig",
             "StackConfig", "Scenario", "CostCatalog", "CssParameters",
-            "HddParameters", "NvramParameters", "CmmParameters"} <= names
+            "HddParameters", "NvramParameters", "CmmParameters",
+            "MainMemoryComparison", "PriceTrends", "MeasuredPoint",
+            "RetryPolicy", "FaultRule"} <= names
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)

@@ -20,9 +20,10 @@ SRC = pathlib.Path(repro.__file__).parent
 #: plain public attributes, 72 before the TC's version-retention
 #: test read ``RecoveryLog.first_retained_lsn`` instead of
 #: ``self.log._buffers``, and 71 before ``CpuModel.bill`` read a
-#: :class:`~repro.hardware.cpu.ChargePlan`'s fields as public attributes;
-#: only ever lower this.
-PINNED = 62
+#: :class:`~repro.hardware.cpu.ChargePlan`'s fields as public attributes,
+#: and 62 before the TC's commit stopped probing the read cache's retired
+#: victim tier (``read_cache._tier_entries``); only ever lower this.
+PINNED = 61
 
 
 def private_access_sites():

@@ -116,7 +116,7 @@ class TestResult:
     def test_same_keys_for_engine_and_fleet_and_repeatable(self):
         bare = SMALL.measure()
         fleet = replace(SMALL, shards=3, tc_config=ASYNC_COMMIT,
-                        log_topology="per-shard").measure()
+                        log_topology="shared").measure()
         assert set(bare) == set(fleet)
         assert bare == SMALL.measure()
         assert (bare["shards"], fleet["shards"]) == (0, 3)
