@@ -600,8 +600,7 @@ def measure_f8(record_count: int = 2_000, value_bytes: int = 100,
                catalog: Optional[CostCatalog] = None) -> Values:
     """Measure real compression ratios, then price the three-tier model."""
     cat = catalog if catalog is not None else CostCatalog()
-    spec = WorkloadSpec(record_count=record_count, value_bytes=value_bytes,
-                        name="fig8")
+    spec = WorkloadSpec(record_count=record_count, value_bytes=value_bytes)
     corpus = [value for __, value in WorkloadGenerator(spec).load_items()]
     # Page-sized payloads: concatenate ~27 values per page image.
     per_page = max(1, int(cat.page_bytes // max(1, value_bytes)))
@@ -807,8 +806,7 @@ def measure_a1(record_count: int = 4_000, updates: int = 6_000,
                value_bytes: int = 100) -> Values:
     """Run the same zipfian update stream under each flush policy."""
     spec = WorkloadSpec(record_count=record_count, value_bytes=value_bytes,
-                        read_fraction=0.0, update_fraction=1.0,
-                        name="a1")
+                        read_fraction=0.0, update_fraction=1.0)
     flushed = {}
     flush_counts = {}
     for mode, max_fragments, consolidate in (("full", 1, 8),
@@ -872,8 +870,7 @@ A1 = Experiment(
 # ----------------------------------------------------------------------
 
 def measure_a2(record_count: int = 4_000, updates: int = 2_000) -> Values:
-    spec = WorkloadSpec(record_count=record_count, distribution="uniform",
-                        name="a2")
+    spec = WorkloadSpec(record_count=record_count, distribution="uniform")
     ops = list(WorkloadGenerator(spec).operations(updates))
 
     def cold_store_ios(read_first: bool) -> int:
@@ -941,7 +938,7 @@ def measure_a3(record_count: int = 6_000, operations: int = 4_000,
     ``Scenario`` fields for this one caller, so it keeps its own loop.
     """
     spec = WorkloadSpec(record_count=record_count, distribution="scrambled",
-                        read_fraction=0.8, update_fraction=0.2, name="a3")
+                        read_fraction=0.8, update_fraction=0.2)
     record_bytes = spec.value_bytes + 14 + 16
     budget = int(record_count * record_bytes * budget_fraction)
 
@@ -1083,8 +1080,7 @@ def measure_a5(record_count: int = 3_000, updates: int = 9_000) -> Values:
     # nothing on flash goes dead.  Reads force fetch + consolidate + full
     # rewrites, which is what creates garbage for the cleaner.
     spec = WorkloadSpec(record_count=record_count, read_fraction=0.4,
-                        update_fraction=0.6, distribution="uniform",
-                        name="a5")
+                        update_fraction=0.6, distribution="uniform")
     values: Values = {"updates": updates}
     for policy, target in (("eager", 0.85), ("lazy", 0.55)):
         machine = Machine.paper_default(cores=1)
@@ -1372,7 +1368,7 @@ def measure_a9(record_count: int = 8_000, operations: int = 4_000,
     execution ratio R via Equation (3).
     """
     spec = WorkloadSpec(record_count=record_count, value_bytes=100,
-                        distribution="scrambled", name="a9")
+                        distribution="scrambled")
     data_bytes = record_count * (spec.value_bytes + 14 + 16)
 
     def run(block_cache_bytes) -> tuple:
@@ -1468,8 +1464,7 @@ def measure_a10(record_count: int = 4_000,
                 hot_access_fraction: float = 0.98,
                 seed: int = 13) -> Values:
     """Cost-driven eviction vs keeping everything as the hot set moves."""
-    spec = WorkloadSpec(record_count=record_count, value_bytes=100,
-                        name="a10")
+    spec = WorkloadSpec(record_count=record_count, value_bytes=100)
     record_bytes = spec.value_bytes + 14 + 16
     hot_count = int(record_count * hot_fraction)
     hot_a = (0, hot_count)

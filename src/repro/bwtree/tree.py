@@ -62,7 +62,6 @@ class BwTreeConfig:
     blind_chain_limit: int = 64         # fetch+consolidate past this
     max_flash_fragments: int = 4        # delta images before full rewrite
     cache_capacity_bytes: Optional[int] = None
-    record_cache: bool = False
     segment_bytes: int = 1 << 20
     # Demote-not-drop eviction: park victims in the middle tiers of the
     # cxl_2026 hierarchy instead of dropping, when their observed access
@@ -119,7 +118,6 @@ class BwTree:
             self.mapping_table,
             self.store,
             capacity_bytes=self.config.cache_capacity_bytes,
-            record_cache=self.config.record_cache,
             max_flash_fragments=self.config.max_flash_fragments,
             demote_to_tiers=self.config.demote_to_tiers,
             demote_budget_bytes=self.config.demote_budget_bytes,
@@ -295,8 +293,7 @@ class BwTree:
                     probe = None
                 elif state.base is None:
                     # Resolved without I/O from a resident delta of a
-                    # page whose base was evicted: a record-cache hit
-                    # (Section 6.3).
+                    # delta-only page: a record-cache hit (Section 6.3).
                     record_cache_hit = True
             if probe is None:
                 # Base page (and possibly flushed deltas) must come from

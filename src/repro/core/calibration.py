@@ -43,7 +43,6 @@ class StackConfig:
     cores: int = 4
     io_path: IoPathKind = IoPathKind.USER_LEVEL
     cache_fraction: Optional[float] = None   # None = everything cached
-    record_cache: bool = False
     segment_bytes: int = 1 << 18
     seed: int = 42
     warmup_operations: int = 2_000
@@ -118,7 +117,6 @@ def build_loaded_stack(config: StackConfig
         )
     tree = BwTree(machine, BwTreeConfig(
         cache_capacity_bytes=None,
-        record_cache=config.record_cache,
         segment_bytes=config.segment_bytes,
     ))
     spec = WorkloadSpec(
@@ -127,7 +125,6 @@ def build_loaded_stack(config: StackConfig
         distribution=config.distribution,
         theta=config.theta,
         seed=config.seed,
-        name="calibration",
     )
     generator = WorkloadGenerator(spec)
     # Bulk load at the paper's ~69% B-tree utilization so the measured Ps
@@ -221,7 +218,6 @@ def measure_direct_r(config: StackConfig) -> float:
     ss = measure_point(config.replace(
         distribution="uniform",
         cache_fraction=0.02,
-        record_cache=False,
         ssd_iops_override=1e9,   # execution-path ratio, not device limits
     ))
     if ss.f < 0.5:
@@ -288,7 +284,7 @@ def measure_px_mx(record_count: int = 20_000, value_bytes: int = 100,
     Bw-tree configured for main memory (no cache cap).
     """
     spec = WorkloadSpec(record_count=record_count, value_bytes=value_bytes,
-                        seed=seed, name="pxmx")
+                        seed=seed)
 
     bw_machine = Machine.paper_default(cores=cores)
     bwtree = BwTree(bw_machine, BwTreeConfig(cache_capacity_bytes=None))

@@ -36,7 +36,9 @@ class VersionStore:
         self._install = plan("tc_mvcc", "hash_probe", "install_cas")
         self._probe = plan("tc_mvcc", "hash_probe")
         self._check = plan("tc_mvcc", "version_visibility_check")
-        self._versions: Dict[bytes, List[LogRecord]] = {}
+        #: key -> its versions, newest first; read-only outside the store
+        #: (``TransactionComponent.apply_batch`` probes it inline).
+        self.chains: Dict[bytes, List[LogRecord]] = {}
         self._bytes = 0
         self._count = 0
         # Reclamation index.  A version becomes invisible exactly when its
@@ -56,7 +58,7 @@ class VersionStore:
         """Install a newly committed version (must be newest for its key)."""
         self.machine.cpu.bill(self._install)
         key = version.key
-        chain = self._versions.setdefault(key, [])
+        chain = self.chains.setdefault(key, [])
         timestamp = version.timestamp
         value = version.value
         nbytes = VERSION_ENTRY_OVERHEAD_BYTES + (
@@ -90,7 +92,7 @@ class VersionStore:
         """
         bill = self.machine.cpu.bill
         bill(self._probe)
-        chain = self._versions.get(key)
+        chain = self.chains.get(key)
         if not chain:
             return None, 0
         examined = 0
@@ -105,7 +107,7 @@ class VersionStore:
     def newest_timestamp(self, key: bytes) -> Optional[int]:
         """Timestamp of the newest committed version (for conflict checks)."""
         self.machine.cpu.charge("hash_probe", category="tc_mvcc")
-        chain = self._versions.get(key)
+        chain = self.chains.get(key)
         if not chain:
             return None
         return chain[0].timestamp
@@ -123,7 +125,7 @@ class VersionStore:
         freed = 0
         while order and order[0] <= horizon_timestamp:
             for key in self._superseded.pop(heapq.heappop(order)):
-                chain = self._versions[key]
+                chain = self.chains[key]
                 # Oldest is last; it goes once its successor is visible
                 # at the horizon.  An earlier bucket of this same call
                 # may already have trimmed the chain.
@@ -151,4 +153,4 @@ class VersionStore:
         return self._count
 
     def key_count(self) -> int:
-        return len(self._versions)
+        return len(self.chains)

@@ -27,7 +27,8 @@ class ReadCache:
         check_bounds(TcConfig, read_cache_bytes=budget_bytes)
         self.machine = machine
         self.budget_bytes = budget_bytes
-        self._entries: "OrderedDict[bytes, bytes]" = OrderedDict()
+        #: key -> value, oldest first; read-only outside the cache.
+        self.entries: "OrderedDict[bytes, bytes]" = OrderedDict()
         self._bytes = 0
         # The lookup's probe and the insert's copy, priced once.
         plan = machine.cpu.plan
@@ -49,9 +50,9 @@ class ReadCache:
     def lookup(self, key: bytes) -> Tuple[bool, Optional[bytes]]:
         """Probe the cache; charges one hash probe."""
         self.machine.cpu.bill(self._probe)
-        if key in self._entries:
+        if key in self.entries:
             self.hits += 1
-            return True, self._entries[key]
+            return True, self.entries[key]
         self.misses += 1
         return False, None
 
@@ -71,7 +72,7 @@ class ReadCache:
             machine.cpu.charge("hash_probe", category="tc_read_cache")
             self.rejected_inserts += 1
             return
-        entries = self._entries
+        entries = self.entries
         dram = machine.dram
         if key in entries:
             old = entries.pop(key)
@@ -92,8 +93,8 @@ class ReadCache:
 
     def invalidate(self, key: bytes) -> None:
         """Drop a stale record (its key was updated)."""
-        if key in self._entries:
-            old = self._entries.pop(key)
+        if key in self.entries:
+            old = self.entries.pop(key)
             freed = self._entry_bytes(key, old)
             self.machine.dram.free(freed, DRAM_TAG)
             self._bytes -= freed
@@ -103,7 +104,7 @@ class ReadCache:
         return self._bytes
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def hit_rate(self) -> float:
         """Fraction of probes served from the cache (PageCache parity)."""

@@ -304,8 +304,13 @@ class TransactionComponent:
         Returns one entry per transaction, in order: its commit timestamp,
         or ``None`` if it lost a conflict check and was aborted.
         """
+        listed: set = set()
         for txn in txns:
             self._require_active(txn)
+            if txn.txn_id in listed:
+                raise ValueError(
+                    f"txn {txn.txn_id} is listed twice in one commit_batch")
+            listed.add(txn.txn_id)
         self.batch_sizes.observe(float(len(txns)))
         tracer = self.machine.tracer
         if tracer is not None:
@@ -658,7 +663,7 @@ class TransactionComponent:
         try:
             bill(self._stamp)
             versions = self.versions
-            chains = versions._versions
+            chains = versions.chains
             commit_ts = self._clock + 1
             conflict_probe = self._conflict_probe
             records: List[LogRecord] = []
@@ -678,7 +683,7 @@ class TransactionComponent:
             self._clock = commit_ts
             log.append_batch(records)
             read_cache = self.read_cache
-            cached = read_cache._entries
+            cached = read_cache.entries
             heap = self.records
             dc_ops: List[Tuple[bytes, Optional[bytes]]] = []
             for record in records:

@@ -3,8 +3,7 @@
 Logical pages located through a :class:`MappingTable`, persisted by a
 :class:`LogStructuredStore` in large appended segments with variable-size
 full or delta-only images, cached in DRAM by a :class:`PageCache` with LRU
-or breakeven-interval eviction (and an optional record cache), and cleaned
-by a :class:`GarbageCollector`.
+or breakeven-interval eviction, and cleaned by a :class:`GarbageCollector`.
 """
 
 from .cache import CacheStats, PageCache, TierCache

@@ -11,9 +11,9 @@ past that point an SS operation is cheaper than continued DRAM rental.
 :class:`~repro.core.adaptive.AdaptiveCacheController` sets ``ti_seconds``
 from Eq. (6) and drives the sweep.
 
-The cache also implements the **record cache** of Section 6.3: in record
-cache mode an evicted page keeps its delta records resident, so a later read
-that hits a delta is served without any I/O.
+A blind update to an evicted page leaves it resident with deltas only
+(Section 6.2), so a later read that hits one of those deltas is served
+without any I/O.
 
 Invariant maintained jointly with the flush path: whenever a page has any
 resident state, its resident delta list contains *every* delta since the
@@ -61,7 +61,6 @@ class CacheStats:
     fetches: int = 0
     fetch_ios: int = 0
     evictions: int = 0
-    record_cache_retained: int = 0
     flushes_full: int = 0
     flushes_delta: int = 0
     bytes_flushed: int = 0
@@ -255,7 +254,6 @@ class PageCache:
         mapping_table: MappingTable,
         store: LogStructuredStore,
         capacity_bytes: Optional[int] = None,
-        record_cache: bool = False,
         max_flash_fragments: int = 4,
         demote_to_tiers: bool = False,
         demote_budget_bytes: Optional[int] = None,
@@ -269,7 +267,6 @@ class PageCache:
         # The idle-sweep breakeven; the adaptive controller overwrites it
         # with its Eq. (6) value.
         self.ti_seconds = TI_SECONDS
-        self.record_cache = record_cache
         self.max_flash_fragments = max_flash_fragments
         self.stats = CacheStats()
         self.tiers: Optional[TierCache] = None
@@ -388,9 +385,9 @@ class PageCache:
         base_present = state.base is not None
         if pending <= 0 and (state.base_flushed or not base_present):
             return
-        # A page whose base is not resident (record cache, or a blind update
-        # posted to an evicted page) can only be flushed incrementally; the
-        # fragment cap yields to correctness in that case.
+        # A page whose base is not resident (a blind update posted to an
+        # evicted page) can only be flushed incrementally; the fragment cap
+        # yields to correctness in that case.
         if (state.base_flushed and not force_full and pending > 0
                 and (not base_present
                      or len(entry.flash_chain) < max_fragments)):
@@ -423,33 +420,26 @@ class PageCache:
     # --- eviction ------------------------------------------------------------------
 
     def evict(self, entry: PageEntry) -> None:
-        """Push a page out of DRAM (keeping deltas in record-cache mode)."""
+        """Push a page out of DRAM: flush it, drop its state, untrack it."""
         state = entry.state
         if state is None or entry.page_id not in self._resident:
             raise ValueError(f"page {entry.page_id} is not resident")
         if state.has_unflushed_changes:
             self.flush_page(entry)
         self.machine.cpu.bill(self._evict)
-        if self.record_cache and state.deltas and state.base_present:
-            state.drop_base()
-            self.resize(entry)
-            self.stats.record_cache_retained += 1
-        else:
-            if (self.tiers is not None and state.base_present
-                    and not state.has_unflushed_changes):
-                # Demote-not-drop: park the flushed state in the middle
-                # tier (if any) whose breakeven the page's observed mean
-                # inter-access interval clears.  entry.state is cleared
-                # either way; the parked copy is only served while the
-                # flash chain stays bit-identical.
-                self.tiers.demote(
-                    entry, state, self._observed_interval(entry)
-                )
-            entry.state = None
-            # _untrack, in this frame.
-            nbytes = self._resident.pop(entry.page_id)
-            self._resident_bytes -= nbytes
-            self.machine.dram.free(nbytes, DRAM_TAG)
+        if (self.tiers is not None and state.base_present
+                and not state.has_unflushed_changes):
+            # Demote-not-drop: park the flushed state in the middle tier
+            # (if any) whose breakeven the page's observed mean
+            # inter-access interval clears.  entry.state is cleared either
+            # way; the parked copy is only served while the flash chain
+            # stays bit-identical.
+            self.tiers.demote(entry, state, self._observed_interval(entry))
+        entry.state = None
+        # _untrack, in this frame.
+        nbytes = self._resident.pop(entry.page_id)
+        self._resident_bytes -= nbytes
+        self.machine.dram.free(nbytes, DRAM_TAG)
         self.stats.evictions += 1
 
     def _observed_interval(self, entry: PageEntry) -> float:
@@ -462,10 +452,10 @@ class PageCache:
     def _drop_delta_only(self, entry: PageEntry) -> None:
         """Fully drop a page whose base is already evicted.
 
-        Record-cache retention leaves delta-only pages resident; pushing
-        one out is still an eviction and owes the same bookkeeping CPU
-        as :meth:`evict` (PAPER.md: every operation's core-seconds are
-        charged, including cache maintenance).
+        A blind update to an evicted page leaves it resident with deltas
+        only; pushing one out is still an eviction and owes the same
+        bookkeeping CPU as :meth:`evict` (PAPER.md: every operation's
+        core-seconds are charged, including cache maintenance).
         """
         assert entry.state is not None
         if entry.state.has_unflushed_changes:
@@ -486,11 +476,11 @@ class PageCache:
         """Evict victims until the byte budget is met; returns evictions.
 
         The LRU victim walk restarts at the front of the live recency
-        dict for every victim (most victims are untracked as they go, so
-        nothing is snapshotted up front), never offers a page in
-        ``protect``, and offers a page it leaves resident at most once
-        per call — a record-cache-retained page, or a tracked page with
-        no state.
+        dict for every victim and never offers a page in ``protect``.
+        Every victim leaves the dict (:meth:`evict` and
+        :meth:`_drop_delta_only` untrack it, and a tracked page always
+        has state), so nothing is snapshotted and no page is offered
+        twice.
         """
         capacity = self.capacity_bytes
         if capacity is None:
@@ -499,22 +489,14 @@ class PageCache:
         evicted = 0
         resident = self._resident
         entries = self.mapping_table.by_id
-        offered: Set[int] = set()
         while self._resident_bytes > capacity:
             for pid in resident:
-                if pid not in protect and pid not in offered:
+                if pid not in protect:
                     break
             else:
                 break
-            offered.add(pid)
             entry = entries[pid]
-            state = entry.state
-            if state is None:
-                continue
-            # Record-cache retention may leave deltas resident; if we are
-            # still over budget those delta-only pages are next in line and
-            # get dropped entirely on a second pass.
-            if state.base is None:
+            if entry.state.base is None:
                 self._drop_delta_only(entry)
             else:
                 self.evict(entry)
@@ -535,8 +517,6 @@ class PageCache:
             if pid in protect:
                 continue
             entry = self.mapping_table.get(pid)
-            if entry.state is None:
-                continue
             if now - entry.last_access > self.ti_seconds:
                 if entry.state.base_present:
                     self.evict(entry)
@@ -586,7 +566,7 @@ class PageCache:
                 and state.flushed_delta_count == entry.flushed_delta_records
             )
             if state is not None and resident_covers_flash:
-                # Record-cache case: the resident delta list already
+                # Delta-only page: the resident delta list already
                 # contains every flash delta record, so only the base
                 # image is needed.
                 ios += self._read_base_into(entry, state)

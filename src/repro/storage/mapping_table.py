@@ -31,8 +31,8 @@ class FlashAddr:
 class PageEntry:
     """Mapping-table entry for one logical page.
 
-    ``state`` is the resident :class:`DataPageState` (possibly with an
-    evicted base when the record cache keeps deltas), or ``None`` when the
+    ``state`` is the resident :class:`DataPageState` (possibly deltas
+    only, after a blind update to an evicted page), or ``None`` when the
     page is entirely on flash.  ``flash_chain`` lists the persisted images
     needed to rebuild the page, oldest first: a base image followed by zero
     or more delta images (paper Figure 5).

@@ -3,7 +3,7 @@
 Deuteronomy pages are *logical*: the current state of a page is a base page
 plus a chain of delta records prepended by updates (paper Figures 4 and 5).
 The chain is what makes latch-free updating and blind updates cheap, and what
-enables delta-only flushes and the record cache (Section 6).
+enables delta-only flushes and delta-only pages (Section 6).
 
 Sizes are byte-accurate for the workload's real keys and values: the cost
 model's storage terms ($M, $Fl rental) and the write-amplification
@@ -68,9 +68,9 @@ class LookupResult:
 class DataPageState:
     """The in-memory state of one logical data page.
 
-    ``base`` is the consolidated, key-sorted record array (or ``None`` when
-    the base page has been evicted while its deltas stay resident — the
-    record-cache mode of Section 6.3).  ``deltas`` is newest-first.
+    ``base`` is the consolidated, key-sorted record array (or ``None`` for
+    a delta-only page: blind updates posted after the base was evicted).
+    ``deltas`` is newest-first.
 
     Both are plain attributes so the read path pays no indirection, but
     only this class's constructor and mutation methods may assign or

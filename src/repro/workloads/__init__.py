@@ -1,13 +1,11 @@
 """Workload generation: key distributions and YCSB-style mixes."""
 
 from .distributions import (
-    HotspotChooser,
+    CHOOSERS,
     KeyChooser,
-    LatestChooser,
     ScrambledZipfianChooser,
     UniformChooser,
     ZipfianChooser,
-    access_interval_seconds,
     make_chooser,
 )
 from .ycsb import (
@@ -26,10 +24,8 @@ __all__ = [
     "UniformChooser",
     "ZipfianChooser",
     "ScrambledZipfianChooser",
-    "HotspotChooser",
-    "LatestChooser",
+    "CHOOSERS",
     "make_chooser",
-    "access_interval_seconds",
     "WorkloadSpec",
     "WorkloadGenerator",
     "Operation",

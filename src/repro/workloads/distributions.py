@@ -2,16 +2,14 @@
 
 The paper's analysis turns on how *hot* data is — the access rate per page
 decides whether MM or SS operation pricing wins.  These generators produce
-the key streams that create those access-rate distributions: Zipfian (YCSB's
-default, scrambled so hot keys are spread across the keyspace), uniform,
-hotspot, and latest.
+the key streams that create those access-rate distributions: YCSB's
+scrambled Zipfian (hot keys spread across the keyspace) and uniform.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 from ..sharding.router import fnv1a_64
 
@@ -102,79 +100,20 @@ class ScrambledZipfianChooser(KeyChooser):
         return index
 
 
-class HotspotChooser(KeyChooser):
-    """A fraction of the keyspace receives a fraction of the accesses.
-
-    ``hot_fraction`` of items get ``hot_access_fraction`` of accesses;
-    e.g. the classic 80/20.
-    """
-
-    def __init__(self, item_count: int, hot_fraction: float = 0.2,
-                 hot_access_fraction: float = 0.8, seed: int = 0) -> None:
-        super().__init__(item_count, seed)
-        if not 0.0 < hot_fraction <= 1.0:
-            raise ValueError("hot_fraction must be in (0, 1]")
-        if not 0.0 <= hot_access_fraction <= 1.0:
-            raise ValueError("hot_access_fraction must be in [0, 1]")
-        self.hot_count = max(1, int(item_count * hot_fraction))
-        self.hot_access_fraction = hot_access_fraction
-
-    def next_index(self) -> int:
-        if self.rng.random() < self.hot_access_fraction:
-            return self.rng.randrange(self.hot_count)
-        if self.hot_count >= self.item_count:
-            return self.rng.randrange(self.item_count)
-        return self.rng.randrange(self.hot_count, self.item_count)
-
-
-class LatestChooser(KeyChooser):
-    """Skewed toward the most recently inserted items (YCSB workload D)."""
-
-    def __init__(self, item_count: int, theta: float = 0.99,
-                 seed: int = 0) -> None:
-        super().__init__(item_count, seed)
-        self._zipf = ZipfianChooser(item_count, theta, seed)
-
-    def next_index(self) -> int:
-        rank = self._zipf.next_index()
-        return self.item_count - 1 - rank
-
-    def grow(self) -> None:
-        """Note a newly inserted item (shifts "latest")."""
-        self.item_count += 1
-        if self.item_count > self._zipf.item_count:
-            # Rebuild lazily in powers of two to bound zeta recomputation.
-            if self.item_count > 2 * self._zipf.item_count or \
-                    self.item_count.bit_count() == 1:
-                self._zipf = ZipfianChooser(
-                    self.item_count, self._zipf.theta,
-                    self.rng.randrange(1 << 30),
-                )
-
-
-def access_interval_seconds(ops_per_second: float) -> float:
-    """The paper's Ti: mean seconds between accesses at a given rate."""
-    if ops_per_second <= 0.0:
-        return math.inf
-    return 1.0 / ops_per_second
+#: Each ``make_chooser`` kind, a ``WorkloadSpec.distribution`` value,
+#: and its chooser, built from ``(item_count, theta, seed)``.
+CHOOSERS: Dict[str, Callable[[int, float, int], KeyChooser]] = {
+    "uniform": lambda item_count, theta, seed: UniformChooser(item_count,
+                                                              seed),
+    "scrambled": ScrambledZipfianChooser,
+}
 
 
 def make_chooser(kind: str, item_count: int, seed: int = 0,
-                 theta: float = 0.99,
-                 hot_fraction: float = 0.2,
-                 hot_access_fraction: float = 0.8) -> KeyChooser:
-    """Factory by name: uniform | zipfian | scrambled | hotspot | latest."""
-    kinds = {
-        "uniform": lambda: UniformChooser(item_count, seed),
-        "zipfian": lambda: ZipfianChooser(item_count, theta, seed),
-        "scrambled": lambda: ScrambledZipfianChooser(item_count, theta, seed),
-        "hotspot": lambda: HotspotChooser(
-            item_count, hot_fraction, hot_access_fraction, seed
-        ),
-        "latest": lambda: LatestChooser(item_count, theta, seed),
-    }
-    if kind not in kinds:
+                 theta: float = 0.99) -> KeyChooser:
+    """Factory by name: a :data:`CHOOSERS` kind."""
+    if kind not in CHOOSERS:
         raise ValueError(
-            f"unknown distribution {kind!r}; choose from {sorted(kinds)}"
+            f"unknown distribution {kind!r}; choose from {sorted(CHOOSERS)}"
         )
-    return kinds[kind]()
+    return CHOOSERS[kind](item_count, theta, seed)

@@ -2,8 +2,8 @@
 
 The paper's experiments are read and read/update mixes over a loaded store;
 we generate them YCSB-style: a keyspace of ``user########``-shaped keys,
-fixed-size values, a popularity distribution, and an operation mix.  The
-standard A-F mixes are provided as constructors.
+fixed-size values, a popularity distribution, and a read/update mix.
+YCSB's A, B and C mixes are provided as constructors.
 """
 
 from __future__ import annotations
@@ -11,9 +11,7 @@ from __future__ import annotations
 import enum
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..frozen import ABOVE_ZERO, UP_TO_ONE, check_bounds, slot_init
@@ -23,15 +21,6 @@ from .distributions import KeyChooser, make_chooser
 class OpKind(enum.Enum):
     READ = "read"
     UPDATE = "update"
-    INSERT = "insert"
-    SCAN = "scan"
-    READ_MODIFY_WRITE = "rmw"
-
-
-#: A spec's op-kind fractions, in the order the roll of an op meets them.
-_FRACTIONS = ("read_fraction", "update_fraction", "insert_fraction",
-              "scan_fraction", "rmw_fraction")
-_KINDS = tuple(OpKind)                  # declared in _FRACTIONS order
 
 #: A generator draws its value words a block at a time: its first block
 #: is small, and each next block doubles up to the largest.
@@ -68,7 +57,6 @@ class Operation:
     kind: OpKind
     key: bytes
     value: Optional[bytes] = None
-    scan_length: int = 0
 
 
 @dataclass
@@ -80,71 +68,42 @@ class WorkloadSpec:
     value_bytes: int = 100
     distribution: str = "scrambled"
     theta: float = 0.99
-    hot_fraction: float = 0.2
-    hot_access_fraction: float = 0.8
     read_fraction: float = 1.0
     update_fraction: float = 0.0
-    insert_fraction: float = 0.0
-    scan_fraction: float = 0.0
-    rmw_fraction: float = 0.0
-    max_scan_length: int = 100
     seed: int = 42
-    name: str = "custom"
 
-    #: Every op-mix fraction is in [0, 1] (and they sum to 1); a zipfian
-    #: theta is in (0, 1) and a hot set is a non-empty share of the keys.
+    #: Both op-mix fractions are in [0, 1] (and they sum to 1); a zipfian
+    #: theta is in (0, 1).
     BOUNDS = {
         "record_count": (1, math.inf), "value_bytes": (0, math.inf),
-        "theta": (ABOVE_ZERO, 1.0), "hot_fraction": (ABOVE_ZERO, UP_TO_ONE),
-        **dict.fromkeys(("hot_access_fraction",) + _FRACTIONS,
-                        (0.0, UP_TO_ONE)),
-        "max_scan_length": (1, math.inf), "seed": (-math.inf, math.inf),
+        "theta": (ABOVE_ZERO, 1.0),
+        "read_fraction": (0.0, UP_TO_ONE), "update_fraction": (0.0, UP_TO_ONE),
+        "seed": (-math.inf, math.inf),
     }
 
     def __post_init__(self) -> None:
         check_bounds(self)
-        total = sum(getattr(self, name) for name in _FRACTIONS)
+        total = self.read_fraction + self.update_fraction
         if not abs(total - 1.0) <= 1e-9:
-            raise ValueError(f"WorkloadSpec.{' + '.join(_FRACTIONS)} must "
-                             f"sum to 1, got {total}")
+            raise ValueError(f"WorkloadSpec.read_fraction + update_fraction "
+                             f"must sum to 1, got {total}")
 
     # --- the standard mixes ------------------------------------------------
 
     @classmethod
     def ycsb_a(cls, **overrides) -> "WorkloadSpec":
         """50/50 read/update, zipfian — the update-heavy mix."""
-        return cls(read_fraction=0.5, update_fraction=0.5,
-                   name="ycsb-a", **overrides)
+        return cls(read_fraction=0.5, update_fraction=0.5, **overrides)
 
     @classmethod
     def ycsb_b(cls, **overrides) -> "WorkloadSpec":
         """95/5 read/update — the read-mostly mix."""
-        return cls(read_fraction=0.95, update_fraction=0.05,
-                   name="ycsb-b", **overrides)
+        return cls(read_fraction=0.95, update_fraction=0.05, **overrides)
 
     @classmethod
     def ycsb_c(cls, **overrides) -> "WorkloadSpec":
         """100% reads — the paper's read-only experiments."""
-        return cls(read_fraction=1.0, name="ycsb-c", **overrides)
-
-    @classmethod
-    def ycsb_d(cls, **overrides) -> "WorkloadSpec":
-        """95/5 read/insert, skewed to recent inserts."""
-        overrides.setdefault("distribution", "latest")
-        return cls(read_fraction=0.95, insert_fraction=0.05,
-                   name="ycsb-d", **overrides)
-
-    @classmethod
-    def ycsb_e(cls, **overrides) -> "WorkloadSpec":
-        """95/5 scan/insert — the range-scan mix."""
-        return cls(read_fraction=0.0, scan_fraction=0.95,
-                   insert_fraction=0.05, name="ycsb-e", **overrides)
-
-    @classmethod
-    def ycsb_f(cls, **overrides) -> "WorkloadSpec":
-        """50/50 read/read-modify-write."""
-        return cls(read_fraction=0.5, rmw_fraction=0.5,
-                   name="ycsb-f", **overrides)
+        return cls(read_fraction=1.0, **overrides)
 
 
 class WorkloadGenerator:
@@ -159,14 +118,8 @@ class WorkloadGenerator:
         self._values: List[bytes] = []      # cut, last one first
         self._op_rng = random.Random(spec.seed ^ 0x0B5)
         self._chooser: KeyChooser = make_chooser(
-            spec.distribution,
-            spec.record_count,
-            seed=spec.seed,
-            theta=spec.theta,
-            hot_fraction=spec.hot_fraction,
-            hot_access_fraction=spec.hot_access_fraction,
-        )
-        self._inserted = spec.record_count
+            spec.distribution, spec.record_count, seed=spec.seed,
+            theta=spec.theta)
         self._keys: Dict[int, bytes] = {}
 
     def key_for(self, index: int) -> bytes:
@@ -248,34 +201,18 @@ class WorkloadGenerator:
         """An operation stream of ``count`` ops following the mix.
 
         Lazy, so ops taken in turns (warm-up, then measured) continue one
-        stream; an op's kind is the first running total above its roll.
+        stream; an op is a read when its roll is below ``read_fraction``.
         """
-        spec = self.spec
-        bounds = list(accumulate([getattr(spec, name)
-                                  for name in _FRACTIONS[:-1]]))
+        reads = self.spec.read_fraction
         roll = self._op_rng.random
         next_index = self._chooser.next_index
-        grow = getattr(self._chooser, "grow", None)
         key_for, make_value = self.key_for, self.make_value
-        read, __, insert, scan, __ = _KINDS   # locals: no enum lookups
+        read, update = OpKind.READ, OpKind.UPDATE   # locals: no enum lookups
         for __ in range(count):
-            kind = _KINDS[bisect_right(bounds, roll())]
-            if kind is insert:
-                index = self._inserted
-                self._inserted += 1
-                if grow is not None:
-                    grow()
+            if roll() < reads:
+                yield Operation(read, key_for(next_index()))
             else:
-                index = next_index()
-                if index >= self._inserted:
-                    index %= self._inserted
-            if kind is read:
-                yield Operation(kind, key_for(index))
-            elif kind is scan:
-                yield Operation(kind, key_for(index), None, self._op_rng
-                                .randint(1, spec.max_scan_length))
-            else:
-                yield Operation(kind, key_for(index), make_value())
+                yield Operation(update, key_for(next_index()), make_value())
 
 
 def partition_operations(
@@ -316,13 +253,9 @@ class RunStats:
     operations: int = 0
     reads: int = 0
     updates: int = 0
-    inserts: int = 0
-    scans: int = 0
-    rmws: int = 0
     ss_operations: int = 0
     ios: int = 0
     record_cache_hits: int = 0
-    scanned_records: int = 0
     not_found: int = 0
 
     @property
@@ -336,14 +269,13 @@ class RunStats:
 def apply_operations(store, operations: Iterator[Operation]) -> RunStats:
     """Drive a store (BwTree-compatible API) with an operation stream.
 
-    The store must expose ``get_with_stats``, ``upsert`` and ``scan``;
-    ``upsert`` must return an object with ``ios`` (BwTree and LsmTree both
-    qualify).  Returns per-run statistics including the paper's F.
+    The store must expose ``get_with_stats`` and ``upsert``, each
+    returning an object with ``ios`` (BwTree and LsmTree both qualify).
+    Returns per-run statistics including the paper's F.
     """
     stats = RunStats()
     for op in operations:
         stats.operations += 1
-        ios = 0
         if op.kind is OpKind.READ:
             stats.reads += 1
             result = store.get_with_stats(op.key)
@@ -352,29 +284,10 @@ def apply_operations(store, operations: Iterator[Operation]) -> RunStats:
                 stats.not_found += 1
             if getattr(result, "record_cache_hit", False):
                 stats.record_cache_hits += 1
-        elif op.kind is OpKind.UPDATE:
+        else:
             stats.updates += 1
             ios = store.upsert(op.key, op.value).ios
-        elif op.kind is OpKind.INSERT:
-            stats.inserts += 1
-            ios = store.upsert(op.key, op.value).ios
-        elif op.kind is OpKind.SCAN:
-            stats.scans += 1
-            counter = _io_counter_name(store)
-            before = store.counters.get(counter)
-            for __ in store.scan(op.key, limit=op.scan_length):
-                stats.scanned_records += 1
-            ios = int(store.counters.get(counter) - before)
-        else:
-            stats.rmws += 1
-            result = store.get_with_stats(op.key)
-            ios = result.ios
-            ios += store.upsert(op.key, op.value).ios
         stats.ios += ios
         if ios > 0:
             stats.ss_operations += 1
     return stats
-
-
-def _io_counter_name(store) -> str:
-    return "lsm.ios" if "lsm" in type(store).__module__ else "bwtree.ios"

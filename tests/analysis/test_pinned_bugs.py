@@ -15,6 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.storage import (
+    DataPageState,
     LogStructuredStore,
     MappingTable,
     PageCache,
@@ -27,18 +28,21 @@ def _cache_cpu_us(machine) -> float:
 
 
 def _delta_only_rig(machine, **cache_kwargs):
-    """A record-cache PageCache holding one delta-only resident page."""
+    """A PageCache holding one delta-only resident page: a flushed page,
+    fully evicted, then given a blind delta as ``BwTree`` posts one."""
     table = MappingTable()
     store = LogStructuredStore(machine, segment_bytes=1 << 14)
-    cache = PageCache(machine, table, store, record_cache=True,
-                      **cache_kwargs)
+    cache = PageCache(machine, table, store, **cache_kwargs)
     entry = table.allocate()
     entry.state.install_base([Record(b"a", b"v" * 200)])
     cache.register(entry)
-    cache.flush_page(entry)
-    entry.state.prepend_delta(Record(b"b", b"w" * 200, 1))
-    cache.resize(entry)
-    cache.evict(entry)   # retains the deltas, drops the base
+    cache.evict(entry)   # flushes the page, then drops it
+    state = DataPageState(entry.page_id, base=None, deltas=[])
+    state.base_flushed = True
+    entry.state = state
+    cache.register(entry)
+    cache.touch(entry, grown_bytes=state.prepend_delta(
+        Record(b"b", b"w" * 200, 1)))
     assert entry.state is not None and not entry.state.base_present
     return cache, entry
 

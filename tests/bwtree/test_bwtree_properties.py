@@ -66,18 +66,6 @@ def test_eviction_heavy_tree_matches_dict(ops):
     ))
 
 
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(ops=operations)
-def test_record_cache_tree_matches_dict(ops):
-    run_against_model(ops, BwTreeConfig(
-        cache_capacity_bytes=2048,
-        segment_bytes=1 << 12,
-        record_cache=True,
-        consolidate_threshold=4,
-    ))
-
-
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(ops=operations, seed=st.integers(0, 2**16))

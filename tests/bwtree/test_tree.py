@@ -206,28 +206,26 @@ class TestCachingBehaviour:
                 == counters.get("bwtree.ops"))
 
 
-class TestRecordCacheMode:
-    def test_record_cache_hits_counted(self):
-        machine = Machine.paper_default()
-        tree = BwTree(machine, BwTreeConfig(
-            cache_capacity_bytes=32 * 1024,
-            segment_bytes=1 << 16,
-            record_cache=True,
-        ))
-        expected = load_keys(tree, 1500, value_bytes=100)
-        tree.checkpoint()
-        # Touch updated keys: their deltas may be retained after eviction.
-        for index in range(0, 1500, 3):
-            tree.upsert(b"key%08d" % index, b"upd")
-        hits_possible = 0
-        for index in range(0, 1500, 3):
-            result = tree.get_with_stats(b"key%08d" % index)
-            assert result.value == b"upd"
-            if result.record_cache_hit:
-                hits_possible += 1
-        assert tree.counters.get("bwtree.record_cache_hits") \
-            == pytest.approx(hits_possible)
-        del expected
+class TestDeltaOnlyRead:
+    def test_a_blind_upsert_to_an_evicted_page_is_read_without_io(
+            self, capped_tree):
+        """The upsert leaves the page resident with its delta only; the
+        read is served from that delta: a record-cache hit (Section
+        6.3)."""
+        load_keys(capped_tree, 1500, value_bytes=100)
+        capped_tree.checkpoint()
+        key = b"key%08d" % 700
+        entry = capped_tree._descend(key)
+        if capped_tree.cache.is_tracked(entry.page_id):
+            capped_tree.cache.evict(entry)
+        assert entry.state is None
+        capped_tree.upsert(key, b"blind")
+        assert entry.state.base is None and len(entry.state.deltas) == 1
+        hits = capped_tree.counters.get("bwtree.record_cache_hits")
+        result = capped_tree.get_with_stats(key)
+        assert (result.value, result.ios) == (b"blind", 0)
+        assert result.record_cache_hit
+        assert capped_tree.counters.get("bwtree.record_cache_hits") == hits + 1
 
 
 class TestDurability:

@@ -113,6 +113,28 @@ class TestGroupCommitSemantics:
         assert all(ts is not None for ts in results)
         assert tc.counters.get("tc.group_commits") == 1
 
+    def test_a_transaction_listed_twice_is_refused_before_anything_runs(
+            self):
+        """It used to log and install its version, skip the blind post,
+        leave the transaction committed and count an abort, then raise
+        a bare ``KeyError``."""
+        engine = make_engine()
+        tc = engine.tc
+        txn = tc.begin()
+        tc.write(txn, b"k", b"v")
+        busy_us = engine.machine.cpu.busy_us
+        with pytest.raises(ValueError, match=f"txn {txn.txn_id} .*twice"):
+            tc.commit_batch([txn, txn])
+        assert engine.machine.cpu.busy_us == busy_us
+        assert tc.log.appended_records == 0
+        assert tc.versions.chains == {}
+        assert tc.counters.get("tc.commits") == 0
+        assert tc.counters.get("tc.aborts") == 0
+        assert tc.batch_sizes.count == 0
+        assert txn.status.value == "active"
+        assert tc.commit_batch([txn]) != [None]
+        assert engine.get(b"k") == b"v"
+
     def test_sync_commit_flushes_once_per_batch(self):
         per_op, batched = make_engine(sync=True), make_engine(sync=True)
         items = [(b"k%02d" % i, b"v") for i in range(32)]

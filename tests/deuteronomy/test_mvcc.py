@@ -154,7 +154,7 @@ def test_truncate_visits_only_superseded_chains(store):
     nothing to reclaim are never touched."""
     for index in range(10_000):
         store.add(v(b"key%06d" % index, index + 1))
-    store._versions = chains = CountingDict(store._versions)
+    store.chains = chains = CountingDict(store.chains)
     assert store.truncate(1 << 40) == 0
     assert chains.lookups == 0
     superseded = 25
@@ -219,7 +219,7 @@ class CheckedVersionStore(VersionStore):
         return removed
 
     def check(self):
-        assert self._versions == self.ref_chains
+        assert self.chains == self.ref_chains
         expected_bytes = self.ref_dram.bytes_for(DRAM_TAG)
         assert self.resident_bytes == expected_bytes
         assert self.machine.dram.bytes_for(DRAM_TAG) == expected_bytes

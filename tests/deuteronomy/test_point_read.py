@@ -53,7 +53,7 @@ def test_a_point_read_does_its_bookkeeping_in_the_frames_it_has():
         engine.get(op.key)
     tc, cache = engine.tc, engine.dc.cache
     key = next(key for key, __ in generator.load_items()
-               if key not in tc.read_cache._entries)
+               if key not in tc.read_cache.entries)
     before = (tc.counters.get("tc.dc_reads"), cache.stats.fetches,
               tc.read_cache.evicted_records)
     dc_read = count_calls(lambda: engine.get(key))
@@ -127,7 +127,7 @@ def test_a_page_miss_does_its_bookkeeping_in_the_frames_it_has():
         engine.get(op.key)
     tc, cache, ssd = engine.tc, engine.dc.cache, engine.machine.ssd
     for key, __ in generator.load_items():
-        if key in tc.read_cache._entries:
+        if key in tc.read_cache.entries:
             continue
         before = (cache.stats.fetches, cache.stats.evictions,
                   ssd.total_ios, tc.counters.get("tc.dc_read_ios"))

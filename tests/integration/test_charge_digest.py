@@ -5,16 +5,16 @@ the same order, and leave every statistic where it was.  Each run is
 small enough for tier-1 and wide enough to cross one path's rare
 branches.  The write run: a load through 64-record group commits (leaf
 splits), then batched YCSB-A (sync commit) over a page cache a fraction
-of the data, with record-cache retention (evicted pages keep their
-deltas) and a short blind-chain limit, a checkpoint, segment GC, a
-crash and recovery, and more batches on the recovered engine.  The read
-run: YCSB-B through ``get``, ``apply_batch`` and YCSB-C through
-``multi_get``, over a small page cache with record-cache retention and
-a small FIFO read cache.  The fleet run: batched YCSB-A, ``multi_put``
-and ``multi_get`` on four shards behind the router, with the async
-commit pipeline on one shared log device, half the shards over a small
-page cache and half unbudgeted, then a crash, recovery, and more
-batches on the recovered fleet.
+of the data, with a short blind-chain limit (blind posts to evicted
+pages grow delta-only chains), a checkpoint, segment GC, a crash and
+recovery, and more batches on the recovered engine.  The read run:
+YCSB-B through ``get``, ``apply_batch`` and YCSB-C through
+``multi_get``, over a small page cache and a small FIFO read cache,
+with re-reads served from delta-only pages.  The fleet run: batched
+YCSB-A, ``multi_put`` and ``multi_get`` on four shards behind the
+router, with the async commit pipeline on one shared log device, half
+the shards over a small page cache and half unbudgeted, then a crash,
+recovery, and more batches on the recovered fleet.
 
 Each pins the sha256 of the ``ChargeRecorder`` stream, as ``(category,
 repr(microseconds))`` lines (a fleet's shard streams in shard order),
@@ -47,21 +47,20 @@ BATCH = 64
 
 
 TREE_CONFIG = BwTreeConfig(cache_capacity_bytes=48 * 1024,
-                           record_cache=True, blind_chain_limit=8,
-                           segment_bytes=1 << 15)
+                           blind_chain_limit=8, segment_bytes=1 << 15)
 TC_CONFIG = TcConfig(sync_commit=True, version_gc_horizon_lag=64)
 
 CHARGES_SHA256 = (
-    "1179ef168c40d8007a4c28330f60b1962e69da8ad1d60ff8f18314963fa182c7")
+    "e83abdd14c9bcc668f3b085bec223787626af09bf40e516a19c8bcae94c2affe")
 STATS_SHA256 = (
-    "7556fb0d8041a6aff6a398e614ded187a29f55faf5e28b1fce16752af8fd469d")
+    "9861194f97a29a399f2ebc4371973a9e5fc65ce13dda26a9ba1409c4060d2f6c")
 
 
 def test_charge_stream_and_stats_match_their_pinned_digests(monkeypatch):
     # What the run reached, summed over the engine before and after the
     # crash: it must cross every rare branch of the blind-write path.
     reached = {"blind_chain_fetches": 0, "consolidations": 0,
-               "leaf_splits": 0, "evictions": 0, "retained": 0}
+               "leaf_splits": 0, "evictions": 0}
     fetch = PageCache.fetch
 
     def spying_fetch(cache, entry):
@@ -76,7 +75,6 @@ def test_charge_stream_and_stats_match_their_pinned_digests(monkeypatch):
             "bwtree.consolidations")
         reached["leaf_splits"] += tree.counters.get("bwtree.leaf_splits")
         reached["evictions"] += tree.cache.stats.evictions
-        reached["retained"] += tree.cache.stats.record_cache_retained
 
     def run(sink):
         machine = Machine.paper_default(cores=1)
@@ -125,16 +123,16 @@ def sha256_of_charges(*recorders: ChargeRecorder) -> str:
 
 READ_CACHE_BYTES = 4096
 READ_TREE_CONFIG = BwTreeConfig(cache_capacity_bytes=24 * 1024,
-                                record_cache=True, segment_bytes=1 << 15)
+                                segment_bytes=1 << 15)
 READ_TC_CONFIG = TcConfig(log_buffer_bytes=1024, log_retain_budget_bytes=2048,
                           read_cache_bytes=READ_CACHE_BYTES,
                           version_gc_horizon_lag=64)
 READ_BATCH = 16
 
 READ_CHARGES_SHA256 = (
-    "c31beea1dca3f985fdcb2762689995cdc03b068cd471b792ef922f6e293c7934")
+    "1b441f4d7f7e9abe5477ad3d2cda41d1bb2ceb5421778af0ca743d49696eb3a6")
 READ_STATS_SHA256 = (
-    "867f51a55f1b6cd626597dd3831d79fcf3abed351a7fa5f71e18efba3c0e1cbe")
+    "efa6f85b2536f85b70a35467bc072f79f6d472ae651469f32c0dbd0ede7418b1")
 
 
 def test_read_path_charge_stream_and_stats_match_their_pinned_digests(
@@ -175,6 +173,16 @@ def test_read_path_charge_stream_and_stats_match_their_pinned_digests(
             else:
                 engine.put(op.key, op.value)
         assert engine.get(oversized) == b"x" * READ_CACHE_BYTES
+        # A put to a page the cache has evicted leaves the page
+        # delta-only; once the log has dropped the put's buffer, a
+        # re-read passes the version store and is served from the delta.
+        cold = [items[index][0] for index in range(50, 1500, 300)]
+        for key in cold:
+            engine.put(key, b"d" * 90)
+        for __ in range(40):
+            engine.put(items[0][0], b"f" * 90)
+        for key in cold:
+            assert engine.get(key) == b"d" * 90
         for start in range(third, 2 * third, READ_BATCH):
             engine.apply_batch([batch_item(op)
                                 for op in ops[start:start + READ_BATCH]])
@@ -207,13 +215,13 @@ FLEET_SHARDS = 4
 #: call ``ensure_capacity``.
 UNBUDGETED_SHARDS = (2, 3)
 FLEET_TREE_CONFIG = BwTreeConfig(cache_capacity_bytes=16 * 1024,
-                                 record_cache=True, segment_bytes=1 << 15)
+                                 segment_bytes=1 << 15)
 FLEET_TC_CONFIG = TcConfig(commit_pipeline=True, version_gc_horizon_lag=64)
 
 FLEET_CHARGES_SHA256 = (
-    "ce6c3fd0af47c11e7c2cdc59d980c8cee865233eb1f9b02df42157c7e65c352c")
+    "49b0fa93b9eded1d7fa970bfe9e991e6a44715e56400f59a4f903d2e3dcf646b")
 FLEET_STATS_SHA256 = (
-    "5e5df59751afb3c08e686202114ee899aa01812b7ee0a2ecbf4daaf212f12692")
+    "dd372fd6e155283a3cdb976815385d64fff7c1d21867adeab15d7f1677ff732b")
 
 
 def test_fleet_charge_streams_and_stats_match_their_pinned_digests(
@@ -221,7 +229,7 @@ def test_fleet_charge_streams_and_stats_match_their_pinned_digests(
     # Blind posts must run inline with and without a page-cache budget,
     # and through the helper for leaves whose base was evicted.
     reached = {"inline_posts_budgeted": 0, "inline_posts_unbudgeted": 0,
-               "helper_posts": 0, "evictions": 0, "retained": 0,
+               "helper_posts": 0, "evictions": 0,
                "consolidations": 0, "commit_epochs": 0, "redo_replayed": 0}
     touch = PageCache.touch
     post = BwTree._post_blind_delta
@@ -243,7 +251,6 @@ def test_fleet_charge_streams_and_stats_match_their_pinned_digests(
     def tally(fleet: ShardedEngine) -> None:
         for shard in fleet.shards:
             reached["evictions"] += shard.dc.cache.stats.evictions
-            reached["retained"] += shard.dc.cache.stats.record_cache_retained
             reached["consolidations"] += shard.dc.counters.get(
                 "bwtree.consolidations")
             reached["commit_epochs"] += shard.tc.pipeline.epochs_closed
@@ -316,7 +323,7 @@ MISS_STATS_SHA256 = (
 
 def test_page_miss_charge_stream_and_stats_match_their_pinned_digests(
         monkeypatch):
-    """The path ``read_cold`` runs: no record cache, LRU, a page cache of
+    """The path ``read_cold`` runs: LRU, a page cache of
     about three pages and a FIFO read cache that evicts, so most DC
     reads fetch a fully evicted page and evict another.  YCSB-B through
     ``get`` / ``put``, ``apply_batch`` and ``multi_get``, with one page
@@ -373,7 +380,6 @@ def test_page_miss_charge_stream_and_stats_match_their_pinned_digests(
                    evictions=cache.stats.evictions,
                    read_cache_fifo_evictions=read_cache.evicted_records)
     assert all(count > 0 for count in reached.values()), reached
-    assert cache.stats.record_cache_retained == 0
     assert 2 * cache.stats.evictions > dc_reads
     assert 2 * cache.stats.fetches > dc_reads
     latencies = engine.machine.op_latencies

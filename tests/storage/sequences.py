@@ -5,8 +5,8 @@ bookkeeping to a reference (``test_victim_oracle``) or to a
 from-scratch recomputation (``test_size_accounting``): small pages so
 a few hundred records split and merge, a budget of a few pages so most
 reads miss, and every way a page enters or leaves ``_resident`` —
-fetch, blind update to an evicted page, eviction with and without
-retained deltas, tier demote/promote, ``forget`` on merge, the Ti idle
+fetch, blind update to an evicted page, eviction of a whole or a
+delta-only page, tier demote/promote, ``forget`` on merge, the Ti idle
 sweep, a budget cut under a warm cache, checkpoint, GC relocation,
 crash and recovery.
 """
@@ -33,7 +33,6 @@ LOADED_KEYS = 160
 class Shape:
     """The cache configuration one run is driven under."""
 
-    record_cache: bool
     demote_to_tiers: bool
     capacity_bytes: int
 
@@ -41,14 +40,12 @@ class Shape:
         return BwTreeConfig(
             max_page_bytes=512, min_page_bytes=160, consolidate_threshold=4,
             segment_bytes=1 << 13, cache_capacity_bytes=self.capacity_bytes,
-            record_cache=self.record_cache,
             demote_to_tiers=self.demote_to_tiers,
         )
 
 
 SHAPES = st.builds(
     Shape,
-    record_cache=st.booleans(),
     demote_to_tiers=st.booleans(),
     # 600 is under one full page: a miss or a blind post can leave only
     # its protected page resident and still be over budget.

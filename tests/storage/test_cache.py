@@ -177,38 +177,20 @@ class TestEvictFetch:
         assert entry.state.lookup(b"b").value == b"w"
         assert entry.state.lookup(b"c").value == b"z"
 
-
-class TestRecordCacheMode:
-    def test_evict_keeps_deltas(self, machine):
-        table = MappingTable()
-        store = LogStructuredStore(machine, segment_bytes=1 << 14)
-        cache = PageCache(machine, table, store, record_cache=True)
-        entry = table.allocate()
-        entry.state.install_base([Record(b"a", b"v" * 100)])
-        cache.register(entry)
-        cache.flush_page(entry)   # base persisted: deltas can be retained
-        entry.state.prepend_delta(up(b"b", b"w"))
-        cache.resize(entry)
-        cache.evict(entry)
-        assert entry.state is not None
-        assert not entry.state.base_present
-        assert entry.state.lookup(b"b").value == b"w"
-        assert cache.stats.record_cache_retained == 1
-
-    def test_fetch_after_record_cache_evict_reads_base_only(self, machine):
-        table = MappingTable()
-        store = LogStructuredStore(machine, segment_bytes=1 << 14)
-        cache = PageCache(machine, table, store, record_cache=True)
-        entry = table.allocate()
-        entry.state.install_base([Record(b"a", b"v")])
-        cache.register(entry)
-        cache.flush_page(entry)
-        entry.state.prepend_delta(up(b"b", b"w"))
-        cache.resize(entry)
-        cache.evict(entry)
+    def test_fetch_of_a_delta_only_page_reads_its_base_only(self, rig):
+        """Resident deltas that cover every flushed delta (here: none
+        on flash) need only the base image: one I/O."""
+        __, table, store, cache = rig
+        entry = make_page(table, cache, [Record(b"a", b"v")])
+        cache.evict(entry)        # one full image, no delta images
         store.flush()
-        ios = cache.fetch(entry)
-        assert ios == 1   # base image only; deltas were retained
+        state = DataPageState(entry.page_id, base=None, deltas=[])
+        state.base_flushed = True
+        entry.state = state
+        cache.register(entry)
+        cache.touch(entry, grown_bytes=state.prepend_delta(
+            up(b"b", b"w", ts=1)))
+        assert cache.fetch(entry) == 1
         assert entry.state.lookup(b"a").value == b"v"
         assert entry.state.lookup(b"b").value == b"w"
 

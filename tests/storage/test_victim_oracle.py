@@ -18,13 +18,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings
 
-from repro.hardware import Machine
-from repro.storage import (
-    LogStructuredStore,
-    MappingTable,
-    PageCache,
-    Record,
-)
+from repro.storage import PageCache
 
 from .sequences import SEEDS, SHAPES, Shape, apply_step, make_steps, make_tree
 
@@ -64,53 +58,20 @@ class ReferencePageCache(PageCache):
         return evicted
 
 
-def mutant_walk(cache, protect, honour_protect=True, skip_offered=True):
-    """``PageCache.ensure_capacity``'s LRU walk, with one rule switchable
-    off: skipping protected pages, or skipping a page already offered."""
-    if cache.capacity_bytes is None:
-        return 0
-    protect = protect if protect is not None else set()
-    evicted = 0
-    resident = cache._resident
-    offered = set()
-    while cache.resident_bytes > cache.capacity_bytes:
-        for pid in resident:
-            if ((not honour_protect or pid not in protect)
-                    and (not skip_offered or pid not in offered)):
-                break
-        else:
-            break
-        offered.add(pid)
-        entry = cache.mapping_table.by_id[pid]
-        state = entry.state
-        if state is None:
-            if not skip_offered:
-                break   # the only page left would be offered forever
-            continue
-        if state.base is None:
-            cache._drop_delta_only(entry)
-        else:
-            cache.evict(entry)
-        evicted += 1
-    return evicted
-
-
 class IgnoringProtectPageCache(PageCache):
-    """The inline walk without its ``protect`` check: a miss can evict
-    the page it has just fetched."""
+    """``PageCache.ensure_capacity``'s LRU walk without its ``protect``
+    check: a miss can evict the page it has just fetched."""
 
     def ensure_capacity(self, protect=None):
-        return mutant_walk(self, protect, honour_protect=False)
-
-
-class ReofferingPageCache(PageCache):
-    """The inline walk without its ``offered`` check, which always
-    offers the front: a page the walk kept resident (record-cache
-    retention) stays at the front and is offered again in the same
-    call, where its deltas are dropped too."""
-
-    def ensure_capacity(self, protect=None):
-        return mutant_walk(self, protect, skip_offered=False)
+        evicted = 0
+        while self.resident_bytes > self.capacity_bytes:
+            entry = self.mapping_table.by_id[next(iter(self._resident))]
+            if entry.state.base is None:
+                self._drop_delta_only(entry)
+            else:
+                self.evict(entry)
+            evicted += 1
+        return evicted
 
 
 def log_victims(cache):
@@ -172,12 +133,19 @@ def test_lazy_walk_picks_the_reference_victims(shape, seed):
     assert_same_run(PageCache, shape, seed)
 
 
-def test_sequences_reach_every_way_in_and_out_of_the_cache():
-    """What the comparison above is worth: the seeded steps evict, retain
-    deltas, demote, promote, merge pages away, relocate and recover."""
-    shape = Shape(record_cache=True, demote_to_tiers=True,
-                  capacity_bytes=1500)
+def test_sequences_reach_every_way_in_and_out_of_the_cache(monkeypatch):
+    """What the comparison above is worth: the seeded steps evict whole
+    and delta-only pages, demote, promote, merge pages away, relocate
+    and recover."""
+    shape = Shape(demote_to_tiers=True, capacity_bytes=1500)
+    drop_delta_only = PageCache._drop_delta_only
     reached = collections.Counter()
+
+    def counting_drop(cache, entry):
+        reached["delta_only_drops"] += 1
+        return drop_delta_only(cache, entry)
+
+    monkeypatch.setattr(PageCache, "_drop_delta_only", counting_drop)
     for seed in range(4):
         tree = make_tree(shape)
         for step in make_steps(seed):
@@ -185,7 +153,6 @@ def test_sequences_reach_every_way_in_and_out_of_the_cache():
         stats = tree.cache.stats
         reached.update(
             evictions=stats.evictions,
-            retained=stats.record_cache_retained,
             demotions=stats.demotions,
             promotions=stats.promotions,
             stale_tier_copies=stats.stale_tier_copies,
@@ -196,53 +163,10 @@ def test_sequences_reach_every_way_in_and_out_of_the_cache():
     assert all(reached.values()), reached
 
 
-def test_reoffering_a_retained_page_is_caught():
-    """The mutant drops a retained page's deltas in the call that
-    retained them; the oracle sees the second offer."""
-    shape = Shape(record_cache=True, demote_to_tiers=False,
-                  capacity_bytes=1500)
-    with pytest.raises(AssertionError, match=r"^\(\d+, \("):
-        assert_same_run(ReofferingPageCache, shape, seed=0)
-
-
 def test_ignoring_protect_is_caught():
     """Under a budget smaller than one page, a walk that ignores
     ``protect`` evicts the page a blind post or a miss is working on
     once every other page is gone; the oracle sees that eviction."""
-    shape = Shape(record_cache=False, demote_to_tiers=False,
-                  capacity_bytes=600)
+    shape = Shape(demote_to_tiers=False, capacity_bytes=600)
     with pytest.raises(AssertionError, match=r"^\(\d+, \("):
         assert_same_run(IgnoringProtectPageCache, shape, seed=0)
-
-
-def three_flushed_pages_with_a_delta(capacity_bytes):
-    machine = Machine.paper_default(cores=1)
-    table = MappingTable()
-    cache = PageCache(
-        machine, table, LogStructuredStore(machine, segment_bytes=1 << 14),
-        capacity_bytes=capacity_bytes, record_cache=True)
-    entries = []
-    for index in range(3):
-        entry = table.allocate()
-        entry.state.install_base([Record(b"k%d" % index, b"v" * 400)])
-        cache.register(entry)
-        cache.flush_page(entry)
-        entry.state.prepend_delta(
-            Record(b"k%d" % index, b"w" * 40))
-        cache.resize(entry)
-        entries.append(entry)
-    return machine, cache, entries
-
-
-def test_lru_offers_a_retained_page_once_per_call():
-    """Retaining the first victim's deltas is not enough, so the walk
-    moves on to the next page instead of dropping those deltas."""
-    __, cache, (first, second, third) = three_flushed_pages_with_a_delta(700)
-    log = log_victims(cache)
-    assert cache.ensure_capacity() == 2
-    assert log == ["call", first.page_id, second.page_id]
-    assert cache.stats.record_cache_retained == 2
-    assert not first.state.base_present and first.state.deltas
-    assert not second.state.base_present and second.state.deltas
-    assert third.state.base_present
-

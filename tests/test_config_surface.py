@@ -10,11 +10,13 @@ The rule: an option value stays only if one of these sets it —
 A derived ratio alone does not count.  A value with no consumer is
 deleted, with its bench rows, its code paths and the tests of its
 behaviour.  A choice — a ``bool``, ``IoPathKind``, ``LOG_TOPOLOGIES``,
-``CONCURRENCY_MODES`` — names a consumer for every value.  A size,
-count or component names a run whose numbers it sets, at its default or
-not.  Adding, removing or renaming an option changes a line here, so the
-change is visible in review instead of slipping in beside the code that
-reads it.
+``CONCURRENCY_MODES``, a key distribution (a ``make_chooser`` kind) —
+names a consumer for every value.  A size, count or component names a
+run whose numbers it sets, at its default or not.  The workload
+generator is under the same rule: every ``WorkloadSpec`` field and every
+mix constructor names its consumer too.  Adding, removing or renaming an
+option changes a line here, so the change is visible in review instead
+of slipping in beside the code that reads it.
 """
 
 import dataclasses
@@ -34,14 +36,9 @@ from repro.hardware import IoPathKind, Machine
 from repro.sharding import ShardedEngine
 from repro.sharding.engine import LOG_TOPOLOGIES
 from repro.storage import PageCache, TierCache
+from repro.workloads import CHOOSERS, WorkloadSpec
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
-
-#: The rule deletes it, but its removal moves three pinned charge digests
-#: and the victim oracle's record-cache shapes, so it lands on its own
-#: (ROADMAP.md lists it).  Its entries below read ``None``; no other may.
-DELETE_NEXT = {(BwTreeConfig, "record_cache", True),
-               (PageCache, "record_cache", True)}
 
 CONFIG_FIELDS = {
     TcConfig: {
@@ -69,12 +66,28 @@ CONFIG_FIELDS = {
         "blind_chain_limit": "update_batched",
         "max_flash_fragments": "a5",
         "cache_capacity_bytes": "read_cold",
-        "record_cache": {False: "read_cold", True: None},
         "segment_bytes": "engine",
         "demote_to_tiers": {False: "read_cold",
                             True: "tiered/dollars_ratio"},
         "demote_budget_bytes": "tiered/dollars_ratio",
     },
+    WorkloadSpec: {
+        "record_count": "read_hot",
+        "key_prefix": "read_hot",
+        "value_bytes": "read_hot",
+        "distribution": {"uniform": "a2", "scrambled": "read_hot"},
+        "theta": "read_hot",
+        "read_fraction": "update_batched",
+        "update_fraction": "update_batched",
+        "seed": "read_hot",
+    },
+}
+
+#: ``WorkloadSpec``'s mix constructors, each with the run that builds it.
+MIXES = {
+    "ycsb_a": "update_batched",
+    "ycsb_b": "tiered/dollars_ratio",
+    "ycsb_c": "read_hot",
 }
 
 PARAMETERS = {
@@ -83,7 +96,6 @@ PARAMETERS = {
         "mapping_table": "read_cold",
         "store": "read_cold",
         "capacity_bytes": "read_cold",
-        "record_cache": {False: "read_cold", True: None},
         "max_flash_fragments": "a5",
         "demote_to_tiers": {False: "read_cold",
                             True: "tiered/dollars_ratio"},
@@ -118,6 +130,7 @@ CHOICES = {
     (TcConfig, "concurrency_mode"): set(CONCURRENCY_MODES),
     (Machine, "io_path"): set(IoPathKind),
     (ShardedEngine, "log_topology"): set(LOG_TOPOLOGIES),
+    (WorkloadSpec, "distribution"): set(CHOOSERS),
 }
 
 
@@ -131,8 +144,9 @@ def defaults(owner):
 
 
 def census():
-    """``(owner, name, value, consumer)`` for every pinned option value;
-    ``value`` is ``None`` for a name that is not a choice."""
+    """``(owner, name, value, consumer)`` for every pinned option value
+    and mix constructor; ``value`` is ``None`` for a name that is not a
+    choice."""
     for owner, names in {**CONFIG_FIELDS, **PARAMETERS}.items():
         for name, consumer in names.items():
             if isinstance(consumer, dict):
@@ -140,6 +154,8 @@ def census():
                     yield owner, name, value, user
             else:
                 yield owner, name, None, consumer
+    for name, consumer in MIXES.items():
+        yield WorkloadSpec, name, None, consumer
 
 
 def consumers():
@@ -175,12 +191,13 @@ def test_every_choice_names_a_consumer_for_each_of_its_values():
                 assert set(consumer) == values, (owner, name)
 
 
+def test_the_mix_constructors_are_pinned():
+    constructors = [name for name, member in vars(WorkloadSpec).items()
+                    if isinstance(member, classmethod)]
+    assert constructors == list(MIXES)
+
+
 def test_every_option_value_has_a_consumer():
     known = consumers()
-    unclaimed = set()
     for owner, name, value, consumer in census():
-        if consumer is None:
-            unclaimed.add((owner, name, value))
-        else:
-            assert consumer in known, (owner.__name__, name, value, consumer)
-    assert unclaimed == DELETE_NEXT
+        assert consumer in known, (owner.__name__, name, value, consumer)

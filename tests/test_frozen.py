@@ -25,9 +25,8 @@ CASES = [
      "LogRecord(key=b'k', value=None, timestamp=6, txn_id=9, lsn=11)"),
     (ReadResult, (IMAGE, False, 12.5),
      f"ReadResult(image={IMAGE!r}, from_write_buffer=False, service_us=12.5)"),
-    (Operation, (OpKind.SCAN, b"k", None, 7),
-     "Operation(kind=<OpKind.SCAN: 'scan'>, key=b'k', value=None, "
-     "scan_length=7)"),
+    (Operation, (OpKind.UPDATE, b"k", b"v"),
+     "Operation(kind=<OpKind.UPDATE: 'update'>, key=b'k', value=b'v')"),
 ]
 
 
@@ -53,7 +52,7 @@ def test_a_record_stays_a_frozen_dataclass(cls, values, text):
 def test_defaults_are_kept():
     assert Record(b"k", b"v") == Record(b"k", b"v", 0)
     assert Operation(OpKind.READ, b"k") == Operation(OpKind.READ, b"k",
-                                                     None, 0)
+                                                     None)
 
 
 def test_only_frozen_slotted_plain_dataclasses_are_accepted():

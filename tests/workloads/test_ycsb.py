@@ -20,8 +20,8 @@ from repro.workloads import (
 
 from ..frames import count_calls
 
-MIXES = ("ycsb_a", "ycsb_b", "ycsb_c", "ycsb_d", "ycsb_e", "ycsb_f")
-DISTRIBUTIONS = ("uniform", "zipfian", "scrambled", "hotspot", "latest")
+MIXES = ("ycsb_a", "ycsb_b", "ycsb_c")
+DISTRIBUTIONS = ("uniform", "scrambled")
 VALUE_BYTES = (0, 1, 7, 100, 257)
 #: Both seeds roll a 5% op kind in the first 24 ops, and 15 also after.
 SEEDS = (7, 15)
@@ -30,17 +30,11 @@ SEEDS = (7, 15)
 #: in that order: :func:`stream_digest` of 16 records and 24 + 8 ops.
 GOLDEN_MIXES = {
     "ycsb_a":
-        "2a629fb532cb83b9c033ca01c72421b929bcdd223a10e57cd05cbf2f4d21f8dd",
+        "c1517a829e1cc63c49db414604dbc9d6e265210a1d303587fa9aa9681b0348fc",
     "ycsb_b":
-        "4f6c44841396bdbd39eb079df8857187fc8d760a7b18cf9d5f3f35183fe762dd",
+        "9011051768c6815676127091bcb89e5f99d1c0d73be48abdee97f3b75b5ac1e9",
     "ycsb_c":
-        "9098074606e734743f821e249b7e9c6d2e89b210d43de818b273304001a0fe13",
-    "ycsb_d":
-        "d370630112d470a6c677b94886ce07583bce598b6d079bbb29cd83b3bc56db3d",
-    "ycsb_e":
-        "ab73589e3b04eb5967a8309fa7e3580623e4f70304768cf0f3e896c805854554",
-    "ycsb_f":
-        "8abe872ffdabd03b81ae9c26f6ceaf50fc51142af4fb631be169d7cf918bfac3",
+        "eda44b423d955aeedca0e462055370eda361f679ce48f991732ea79cd3dca679",
 }
 
 #: The e2e benchmark's four specs at a tenth of their records and of
@@ -56,23 +50,7 @@ GOLDEN_E2E = [
      "2b9f99c4709adad02355e9f0707e74610650b9e8b136f9009db0d02a737afe1d"),
 ]
 
-#: Inserts under ``latest`` rebuild its Zipfian at 16, 32 and 64 items, and
-#: a five-way mix with long scans reaches every op kind:
-#: name -> (spec fields, ops before and after the extra value, sha256).
-GOLDEN_EXTRA = {
-    "inserts": (
-        dict(read_fraction=0.5, insert_fraction=0.5, distribution="latest",
-             record_count=12), 60,
-        "7d7ef583f58e621161d5aa7ad2fbc877273319aa0098d68397546df6c89a6850"),
-    "all kinds": (
-        dict(read_fraction=0.4, update_fraction=0.3, insert_fraction=0.1,
-             scan_fraction=0.1, rmw_fraction=0.1, max_scan_length=1000,
-             record_count=40, value_bytes=33), 200,
-        "b13862ef168e0b57873a2d5042f025c04334e4bf85609e6891a9af08a460bf19"),
-}
-
-_TAGS = {OpKind.READ: b"R", OpKind.UPDATE: b"U", OpKind.INSERT: b"I",
-         OpKind.SCAN: b"S", OpKind.READ_MODIFY_WRITE: b"M"}
+_TAGS = {OpKind.READ: b"R", OpKind.UPDATE: b"U"}
 
 
 def stream_digest(spec: WorkloadSpec, ops: int, more_ops: int = 0) -> str:
@@ -87,8 +65,8 @@ def stream_digest(spec: WorkloadSpec, ops: int, more_ops: int = 0) -> str:
     def absorb(count: int) -> None:
         for op in generator.operations(count):
             value = b"-" if op.value is None else b"=" + op.value
-            update(b"%b%b%b%d;" % (_TAGS[op.kind], op.key, value,
-                                   op.scan_length))
+            # The byte format keeps a scan-length slot, always 0.
+            update(b"%b%b%b0;" % (_TAGS[op.kind], op.key, value))
 
     absorb(ops)
     update(b"V%b;" % generator.make_value())
@@ -110,8 +88,8 @@ def mix_digest(mix: str) -> str:
 
 class TestGoldenStream:
     """The stream is pinned draw for draw: any change to what a seed
-    generates (a key, a value byte, an op kind, a scan length, or the
-    order the generators draw in) changes a digest here.  CI runs them
+    generates (a key, a value byte, an op kind, or the order the
+    generators draw in) changes a digest here.  CI runs them
     on every Python version it tests, so they also show that the stream
     does not depend on the interpreter."""
 
@@ -125,11 +103,6 @@ class TestGoldenStream:
                                                   seed=42)
             assert stream_digest(spec, ops) == expected, (builder, records)
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN_EXTRA))
-    def test_inserts_and_scans(self, name):
-        fields, ops, expected = GOLDEN_EXTRA[name]
-        assert stream_digest(WorkloadSpec(**fields), ops, ops) == expected
-
 
 class TestSpec:
     def test_fractions_must_sum_to_one(self):
@@ -140,10 +113,6 @@ class TestSpec:
         assert WorkloadSpec.ycsb_a().update_fraction == 0.5
         assert WorkloadSpec.ycsb_b().read_fraction == 0.95
         assert WorkloadSpec.ycsb_c().read_fraction == 1.0
-        assert WorkloadSpec.ycsb_d().insert_fraction == 0.05
-        assert WorkloadSpec.ycsb_d().distribution == "latest"
-        assert WorkloadSpec.ycsb_e().scan_fraction == 0.95
-        assert WorkloadSpec.ycsb_f().rmw_fraction == 0.5
 
     def test_record_count_validation(self):
         with pytest.raises(ValueError):
@@ -153,25 +122,20 @@ class TestSpec:
         ("record_count", 10.5), ("record_count", True), ("record_count", "9"),
         ("value_bytes", math.nan), ("value_bytes", 10.5),
         ("value_bytes", True), ("value_bytes", None),
-        ("max_scan_length", 2.0), ("max_scan_length", False),
-        ("max_scan_length", 0), ("max_scan_length", -3),
     ])
-    def test_a_size_that_is_no_int_or_scans_nothing_is_refused_by_name(
-            self, name, value):
+    def test_a_size_that_is_no_int_is_refused_by_name(self, name, value):
         """A NaN or 10.5 ``value_bytes`` and a 10.5 ``record_count`` used
-        to fail only deep inside generation, ``value_bytes=True`` built
-        1-byte values and ``max_scan_length=0`` failed at the first
-        scan."""
+        to fail only deep inside generation, and ``value_bytes=True``
+        built 1-byte values."""
         with pytest.raises(ValueError, match=name):
             WorkloadSpec(**{name: value})
 
     @pytest.mark.parametrize("fields, name", [
         (dict(read_fraction=math.nan, update_fraction=0.0), "read_fraction"),
         (dict(read_fraction=1.5, update_fraction=-0.5), "read_fraction"),
-        (dict(read_fraction=0.5, update_fraction=-0.5, insert_fraction=1.0),
+        (dict(read_fraction=0.5, update_fraction=math.nan),
          "update_fraction"),
-        (dict(read_fraction=1.0, rmw_fraction=math.nan), "rmw_fraction"),
-        (dict(read_fraction=0.0, scan_fraction=math.inf), "scan_fraction"),
+        (dict(read_fraction=-0.5, update_fraction=1.5), "read_fraction"),
     ])
     def test_a_fraction_outside_zero_to_one_is_refused_by_name(self, fields,
                                                                name):
@@ -210,21 +174,6 @@ class TestGenerator:
         assert 0.65 < reads / 5000 < 0.75
         assert all(op.kind in (OpKind.READ, OpKind.UPDATE) for op in ops)
 
-    def test_inserts_extend_keyspace(self):
-        spec = WorkloadSpec(record_count=100, read_fraction=0.0,
-                            insert_fraction=1.0)
-        generator = WorkloadGenerator(spec)
-        ops = list(generator.operations(10))
-        assert [op.key for op in ops] == [
-            b"user%010d" % (100 + i) for i in range(10)
-        ]
-
-    def test_scan_ops_have_length(self):
-        spec = WorkloadSpec(record_count=100, read_fraction=0.0,
-                            scan_fraction=1.0, max_scan_length=7)
-        ops = list(WorkloadGenerator(spec).operations(20))
-        assert all(1 <= op.scan_length <= 7 for op in ops)
-
     def test_generated_keys_within_inserted_range(self):
         spec = WorkloadSpec(record_count=50, distribution="uniform")
         generator = WorkloadGenerator(spec)
@@ -253,15 +202,14 @@ class TestApplyOperations:
 
     def test_mixed_stats_counted(self, loaded):
         tree, __ = loaded
-        spec = WorkloadSpec(record_count=500, read_fraction=0.4,
-                            update_fraction=0.3, insert_fraction=0.1,
-                            scan_fraction=0.1, rmw_fraction=0.1, seed=11)
+        spec = WorkloadSpec(record_count=500, read_fraction=0.6,
+                            update_fraction=0.4, seed=11)
         generator = WorkloadGenerator(spec)
         stats = apply_operations(tree, generator.operations(400))
         assert stats.operations == 400
-        assert (stats.reads + stats.updates + stats.inserts
-                + stats.scans + stats.rmws) == 400
-        assert stats.scanned_records > 0
+        assert stats.reads + stats.updates == 400
+        assert stats.reads > 0 and stats.updates > 0
+        assert stats.not_found == 0
 
     def test_ss_fraction_zero_when_cached(self, loaded):
         tree, spec = loaded
