@@ -257,7 +257,7 @@ class BwTree:
         validator is called only to raise.
         """
         if type(key) is not bytes or not key:
-            self._validate_key(key)
+            self.validate_key(key)
         machine = self.machine
         tracer = machine.tracer
         if tracer is not None:
@@ -342,7 +342,7 @@ class BwTree:
 
     def upsert(self, key: bytes, value: bytes) -> OpResult:
         """Blind upsert: posts a delta without reading the base page."""
-        self._validate_kv(key, value)
+        self.validate_kv(key, value)
         tracer = self.machine.tracer
         if tracer is not None:
             tracer.open_span("bwtree.upsert", "bwtree")
@@ -360,7 +360,7 @@ class BwTree:
 
     def delete(self, key: bytes) -> OpResult:
         """Blind delete: posts a tombstone delta without reading the base."""
-        self._validate_key(key)
+        self.validate_key(key)
         tracer = self.machine.tracer
         if tracer is not None:
             tracer.open_span("bwtree.delete", "bwtree")
@@ -423,9 +423,9 @@ class BwTree:
                 machine._ops_started += 1
                 ios_before = result.ios
                 if type(key) is not bytes or not key:
-                    self._validate_key(key)
+                    self.validate_key(key)
                 if type(value) is not bytes and value is not None:
-                    self._validate_kv(key, value)
+                    self.validate_kv(key, value)
                 self._timestamp += 1
                 delta = Record(key, value, self._timestamp)
                 node_id = self.root_id
@@ -449,7 +449,8 @@ class BwTree:
                         self._consolidate(entry)
                         # None when the leaf collapsed or merged away.
                         state = entry.state
-                    if state is not None and state._base_bytes > max_page_bytes:
+                    if (state is not None
+                            and state.base_size_bytes > max_page_bytes):
                         self._maybe_split(entry)
                     if cache.capacity_bytes is not None:
                         cache.ensure_capacity(protect={entry.page_id})
@@ -525,15 +526,19 @@ class BwTree:
             cache.ensure_capacity(protect={entry.page_id})
 
     @staticmethod
-    def _validate_key(key: bytes) -> None:
+    def validate_key(key: bytes) -> None:
+        """Raise what the tree raises for a key it refuses: a non-bytes
+        key (``TypeError``) or an empty one (``ValueError``)."""
         if not isinstance(key, bytes):
             raise TypeError(f"keys must be bytes, got {type(key).__name__}")
         if not key:
             raise ValueError("keys must be non-empty")
 
     @staticmethod
-    def _validate_kv(key: bytes, value: bytes) -> None:
-        BwTree._validate_key(key)
+    def validate_kv(key: bytes, value: bytes) -> None:
+        """:meth:`validate_key`, then a ``TypeError`` for a non-bytes
+        value."""
+        BwTree.validate_key(key)
         if not isinstance(value, bytes):
             raise TypeError(
                 f"values must be bytes, got {type(value).__name__}"
@@ -545,7 +550,7 @@ class BwTree:
 
     def _maybe_consolidate(self, entry: PageEntry) -> None:
         state = entry.state
-        if state is None or not state.base_present:
+        if state is None or state.base is None:
             return
         if state.chain_length < self.config.consolidate_threshold:
             return
@@ -553,7 +558,7 @@ class BwTree:
 
     def _consolidate(self, entry: PageEntry) -> None:
         state = entry.state
-        assert state is not None and state.base_present
+        assert state is not None and state.base is not None
         new_base_bytes = state.consolidate()
         self.machine.cpu.bill(self._fold, new_base_bytes)
         self._counts["bwtree.consolidations"] += 1.0
@@ -568,7 +573,7 @@ class BwTree:
 
     def _maybe_split(self, entry: PageEntry) -> None:
         state = entry.state
-        if state is None or not state.base_present:
+        if state is None or state.base is None:
             return
         if state.base_size_bytes <= self.config.max_page_bytes:
             return
@@ -576,7 +581,7 @@ class BwTree:
             # Fold the chain first so the split sees the true contents.
             self._consolidate(entry)
             state = entry.state
-            if state is None or not state.base_present:
+            if state is None or state.base is None:
                 return
             if state.base_size_bytes <= self.config.max_page_bytes:
                 return
@@ -695,7 +700,7 @@ class BwTree:
         if sibling_id < 0:
             return False   # an inner node: structure is mid-rebuild
         sibling = self.mapping_table.get(sibling_id)
-        if sibling.state is None or not sibling.state.base_present:
+        if sibling.state is None or sibling.state.base is None:
             ios = self.cache.fetch(sibling)
             self.counters.add("bwtree.ios", ios)
         self.cache.touch(sibling)
@@ -743,7 +748,7 @@ class BwTree:
         Visiting a non-resident leaf costs an SS fetch, exactly like a point
         read.  ``end=None`` scans to the end of the keyspace.
         """
-        self._validate_key(start)
+        self.validate_key(start)
         emitted = 0
         for entry in self._leaves_from(start):
             # Each leaf visit dispatches like a point read (the docstring
@@ -752,7 +757,7 @@ class BwTree:
             self.machine.cpu.charge("op_dispatch", category="bwtree")
             self.machine.cpu.charge("epoch_protect", category="bwtree")
             self.cache.touch(entry)
-            if entry.state is None or not entry.state.base_present:
+            if entry.state is None or entry.state.base is None:
                 ios = self.cache.fetch(entry)
                 self.counters.add("bwtree.ios", ios)
                 self.cache.ensure_capacity(protect={entry.page_id})
@@ -836,7 +841,7 @@ class BwTree:
             current_bytes = 0
 
         for key, value in items:
-            self._validate_kv(key, value)
+            self.validate_kv(key, value)
             if previous_key is not None and key <= previous_key:
                 raise ValueError(
                     "bulk_load input must be strictly key-sorted"
@@ -1001,7 +1006,7 @@ class BwTree:
         """Fetch every leaf into DRAM (for main-memory experiments)."""
         ios = 0
         for entry in self.mapping_table.entries():
-            if entry.state is None or not entry.state.base_present:
+            if entry.state is None or entry.state.base is None:
                 ios += self.cache.fetch(entry)
         return ios
 
@@ -1009,7 +1014,7 @@ class BwTree:
         """Exact logical record count (fetches evicted pages)."""
         total = 0
         for entry in self.mapping_table.entries():
-            if entry.state is None or not entry.state.base_present:
+            if entry.state is None or entry.state.base is None:
                 self.cache.fetch(entry)
             assert entry.state is not None
             total += entry.state.record_count
@@ -1044,7 +1049,7 @@ class BwTree:
         total = 0
         counted = 0
         for entry in entries:
-            if entry.state is not None and entry.state.base_present:
+            if entry.state is not None and entry.state.base is not None:
                 total += entry.state.base_size_bytes
                 counted += 1
             elif entry.flash_chain:

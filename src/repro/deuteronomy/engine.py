@@ -167,7 +167,7 @@ class DeuteronomyEngine:
         transaction begins: nothing of it is charged or counted."""
         for key in keys:
             if type(key) is not bytes or not key:
-                self.dc._validate_key(key)
+                self.dc.validate_key(key)
         tracer = self.machine.tracer
         if tracer is not None:
             tracer.open_span("engine.multi_get", "engine")

@@ -43,10 +43,6 @@ class ReadCache:
         self.demotions = 0
         self.promotions = 0
 
-    @staticmethod
-    def _entry_bytes(key: bytes, value: bytes) -> int:
-        return READ_CACHE_ENTRY_OVERHEAD_BYTES + len(key) + len(value)
-
     def lookup(self, key: bytes) -> Tuple[bool, Optional[bytes]]:
         """Probe the cache; charges one hash probe."""
         self.machine.cpu.bill(self._probe)
@@ -95,7 +91,7 @@ class ReadCache:
         """Drop a stale record (its key was updated)."""
         if key in self.entries:
             old = self.entries.pop(key)
-            freed = self._entry_bytes(key, old)
+            freed = READ_CACHE_ENTRY_OVERHEAD_BYTES + len(key) + len(old)
             self.machine.dram.free(freed, DRAM_TAG)
             self._bytes -= freed
 

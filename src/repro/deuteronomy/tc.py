@@ -67,16 +67,24 @@ def check_batch(
     keys: List[bytes] = []
     for kind, key, value in ops:
         if type(key) is not bytes or not key:
-            BwTree._validate_key(key)
+            BwTree.validate_key(key)
         if kind == "put":
             if type(value) is not bytes:
                 if value is None:
                     raise ValueError("put requires a value")
-                BwTree._validate_kv(key, value)
+                BwTree.validate_kv(key, value)
         elif kind != "get" and kind != "delete":
             raise ValueError(f"unknown batch op kind {kind!r}")
         keys.append(key)
     return keys
+
+
+def check_write(key: bytes, value: Optional[bytes]) -> None:
+    """Raise what the data component would raise for a write of
+    ``value`` (``None`` deletes) to ``key``; return if it takes it."""
+    if type(key) is not bytes or not key or (
+            value is not None and type(value) is not bytes):
+        BwTree.validate_kv(key, value)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,15 +95,12 @@ class TcConfig:
     log_retain_budget_bytes: Optional[int] = 8 << 20
     read_cache_bytes: int = 4 << 20
     version_gc_horizon_lag: int = 1024   # truncate versions this far back
-    # Force the log to flash at every commit: durable commits at the cost
-    # of small log writes (group commit would amortize them; the default
-    # leaves durability to checkpoints/periodic flushes).
+    # Force the log to flash at every commit (or group commit); the
+    # default leaves durability to checkpoints and full log buffers.
     sync_commit: bool = False
     # Asynchronous epoch-based group commit: commits enqueue into the
-    # current epoch and receive a commit future; epochs close on a
-    # virtual-time window or byte threshold and flush as one device
-    # write.  Mutually exclusive with ``sync_commit`` (which is the
-    # flush-per-commit-batch semantics this pipeline replaces).
+    # current epoch, which closes on a virtual-time window or byte
+    # threshold and flushes as one device write (not with sync_commit).
     commit_pipeline: bool = False
     commit_interval_us: float = 50.0
     commit_epoch_bytes: int = 1 << 16
@@ -212,10 +217,6 @@ class TransactionComponent:
     # transaction lifecycle
     # ------------------------------------------------------------------
 
-    def _tick(self) -> int:
-        self._clock += 1
-        return self._clock
-
     def begin(self) -> Transaction:
         """Start a transaction reading at the current timestamp."""
         self.machine.cpu.charge("timestamp_alloc", category="tc")
@@ -243,10 +244,10 @@ class TransactionComponent:
                 if newest is not None and newest > txn.read_timestamp:
                     self.abort(txn)
                     raise TransactionAborted(
-                        f"txn {txn.txn_id}: write-write conflict on {key!r}"
-                    )
+                        f"txn {txn.txn_id}: write-write conflict on {key!r}")
             self.machine.cpu.charge("timestamp_alloc", category="tc")
-            commit_ts = self._tick()
+            self._clock += 1
+            commit_ts = self._clock
             for key, value in txn.write_set.items():
                 record = LogRecord(key, value, commit_ts, txn.txn_id,
                                    self.log.appended_records + 1)
@@ -267,16 +268,23 @@ class TransactionComponent:
                 else:
                     self.dc.upsert(key, value)
                 self.counters.add("tc.writes_applied")
-            self._maybe_drain_records()
+            if (self.records is not None and self.records.dirty_bytes
+                    >= self.config.record_dirty_flush_bytes):
+                self.flush_record_cache()
             if txn.write_set:
                 if self.pipeline is not None:
                     self._last_future = self.pipeline.enqueue_epoch()
                 elif self.config.sync_commit:
                     self.log.flush()
             txn.status = TxnStatus.COMMITTED
-            del self._active[txn.txn_id]
+            active = self._active
+            del active[txn.txn_id]
             self.counters.add("tc.commits")
-            self._maybe_gc_versions()
+            oldest = (min(t.read_timestamp for t in active.values())
+                      if active else self._clock)
+            horizon = oldest - self.config.version_gc_horizon_lag
+            if 0 < horizon and self.versions.oldest_superseded <= horizon:
+                self.versions.truncate(horizon)
             return commit_ts
         finally:
             if tracer is not None:
@@ -287,22 +295,17 @@ class TransactionComponent:
     ) -> List[Optional[int]]:
         """Group commit: one log-buffer append and one flush decision.
 
-        Semantically each transaction commits (or aborts) on its own —
-        first-committer-wins applies both against already-committed
-        versions and *within* the batch — but the execution cost of
-        commit is amortized: one timestamp-range allocation, one batched
-        append of every redo record, one batched round of blind posts to
-        the DC, and (under ``sync_commit``) a single log flush for the
-        whole group instead of one per transaction.
-
-        With ``sequential=True`` the group is an ordered pipeline of
-        transactions (each logically begins after its predecessor commits,
-        the autocommit-batch case): intra-batch writes to the same key are
-        last-wins instead of a conflict, matching what the same updates
-        committed one at a time would produce.
-
-        Returns one entry per transaction, in order: its commit timestamp,
-        or ``None`` if it lost a conflict check and was aborted.
+        Each transaction commits or aborts on its own, by
+        first-committer-wins against committed versions and *within* the
+        batch, but the cost is amortized: one timestamp-range allocation,
+        one append of every redo record, one round of blind posts to the
+        DC and (under ``sync_commit``) one log flush for the group.  With
+        ``sequential=True`` the group is an ordered pipeline (each
+        transaction begins after its predecessor commits, the autocommit
+        case): a later write to a key an earlier one wrote wins instead
+        of conflicting.  Returns one entry per transaction, in order: its
+        commit timestamp, or ``None`` if it lost a conflict check and was
+        aborted.  A raise leaves every transaction active.
         """
         listed: set = set()
         for txn in txns:
@@ -311,78 +314,121 @@ class TransactionComponent:
                 raise ValueError(
                     f"txn {txn.txn_id} is listed twice in one commit_batch")
             listed.add(txn.txn_id)
-        self.batch_sizes.observe(float(len(txns)))
-        tracer = self.machine.tracer
+        # The group leaves the active set before the version-GC horizon
+        # is taken.
+        active = self._active
+        for txn in txns:
+            del active[txn.txn_id]
+        try:
+            results = self._group_commit(
+                [(txn.txn_id, txn.read_timestamp, txn.write_set)
+                 for txn in txns], sequential)
+        except BaseException:
+            for txn in txns:
+                active[txn.txn_id] = txn
+            raise
+        for txn, commit_ts in zip(txns, results):
+            txn.status = (TxnStatus.ABORTED if commit_ts is None
+                          else TxnStatus.COMMITTED)
+        return results
+
+    def _group_commit(
+        self,
+        groups: Sequence[Tuple[int, int, Dict[bytes, Optional[bytes]]]],
+        sequential: bool = False,
+    ) -> List[Optional[int]]:
+        """The one group commit of ``(txn_id, read_ts, write_set)``
+        groups outside the active set: the stamp, each written key's
+        conflict probe, one log append, the version installs, one blind
+        batch to the DC, then the record drain, the epoch or flush and
+        the version-GC horizon once.  Returns each group's commit
+        timestamp, or ``None`` (an abort, counted) for a group that lost
+        its conflict check (see :meth:`commit_batch`)."""
+        counts = self._counts
+        self.batch_sizes.observe(float(len(groups)))
+        machine = self.machine
+        tracer = machine.tracer
         if tracer is not None:
             tracer.open_span("tc.commit_batch", "tc")
         try:
-            # One timestamp-range allocation covers the whole group.
-            self.machine.cpu.charge("timestamp_alloc", category="tc")
-            results: List[Optional[int]] = []
+            bill = machine.cpu.bill
+            bill(self._stamp)
+            versions = self.versions
+            chains = versions.chains
+            conflict_probe = self._conflict_probe
+            log = self.log
+            lsn = log.appended_records
+            commit_ts = self._clock
             records: List[LogRecord] = []
-            lsn = self.log.appended_records
-            committed: List[Tuple[Transaction, int, int]] = []
-            batch_written: set = set()
-            for txn in txns:
-                conflict = False
-                for key in txn.write_set:
-                    if key in batch_written:
-                        if not sequential:
-                            conflict = True
-                            break
-                        continue
-                    newest = self.versions.newest_timestamp(key)
-                    if newest is not None and newest > txn.read_timestamp:
-                        conflict = True
+            results: List[Optional[int]] = []
+            written: set = set()
+            for txn_id, read_ts, write_set in groups:
+                for key in write_set:
+                    if key in written:
+                        if sequential:
+                            continue
                         break
-                if conflict:
-                    self.abort(txn)
-                    results.append(None)
+                    # The conflict probe, VersionStore.newest_timestamp
+                    # in this frame.
+                    bill(conflict_probe)
+                    chain = chains.get(key)
+                    if chain and chain[0].timestamp > read_ts:
+                        break
+                else:
+                    commit_ts += 1
+                    for key, value in write_set.items():
+                        lsn += 1
+                        records.append(
+                            LogRecord(key, value, commit_ts, txn_id, lsn))
+                        written.add(key)
+                    results.append(commit_ts)
                     continue
-                commit_ts = self._tick()
-                start = len(records)
-                for key, value in txn.write_set.items():
-                    lsn += 1
-                    records.append(
-                        LogRecord(key, value, commit_ts, txn.txn_id, lsn))
-                    batch_written.add(key)
-                committed.append((txn, start, len(records)))
-                results.append(commit_ts)
-            self.log.append_batch(records)
+                counts["tc.aborts"] += 1.0
+                results.append(None)
+            committed = commit_ts - self._clock
+            self._clock = commit_ts
+            log.append_batch(records)
+            read_cache = self.read_cache
+            cached = read_cache.entries
+            heap = self.records
             dc_ops: List[Tuple[bytes, Optional[bytes]]] = []
-            counts = self._counts
-            for txn, start, end in committed:
-                for index in range(start, end):
-                    record = records[index]
-                    self.versions.add(record)
-                    self.read_cache.invalidate(record.key)
-                    if self.records is not None and \
-                            self.records.append_record(
-                                record.key, record.value, dirty=True):
-                        pass
-                    else:
-                        dc_ops.append((record.key, record.value))
-                    counts["tc.writes_applied"] += 1.0
-                txn.status = TxnStatus.COMMITTED
-                del self._active[txn.txn_id]
-                counts["tc.commits"] += 1.0
+            for record in records:
+                key = record.key
+                value = record.value
+                versions.add(record)
+                if key in cached:
+                    read_cache.invalidate(key)
+                if heap is None or not heap.append_record(key, value,
+                                                          dirty=True):
+                    dc_ops.append((key, value))
+                counts["tc.writes_applied"] += 1.0
+            if committed:
+                counts["tc.commits"] += committed
             if dc_ops:
                 # Blind posts, exactly as in :meth:`commit`, but the DC
                 # enters its epoch and dispatches once for the whole group.
                 self.dc.apply_blind_batch(dc_ops)
-            self._maybe_drain_records()
+            if (heap is not None and heap.dirty_bytes
+                    >= self.config.record_dirty_flush_bytes):
+                self.flush_record_cache()
             if records:
                 if self.pipeline is not None:
                     self._last_future = self.pipeline.enqueue_epoch(
-                        len(committed))
+                        committed)
                 elif self.config.sync_commit:
-                    self.log.flush()
+                    log.flush()
             counts["tc.group_commits"] += 1.0
-            self._maybe_gc_versions()
-            return results
+            # The version-GC horizon, as in commit.
+            active = self._active
+            oldest = (min(t.read_timestamp for t in active.values())
+                      if active else self._clock)
+            horizon = oldest - self.config.version_gc_horizon_lag
+            if 0 < horizon and versions.oldest_superseded <= horizon:
+                versions.truncate(horizon)
         finally:
             if tracer is not None:
                 tracer.close_span()
+        return results
 
     def abort(self, txn: Transaction) -> None:
         """Abort: buffered writes are simply discarded."""
@@ -406,17 +452,15 @@ class TransactionComponent:
 
         Bills what :meth:`begin`, :meth:`read` and :meth:`commit` would
         bill for it, in the same order and under the same spans, and
-        still consumes a transaction id — but builds no
-        :class:`Transaction`: nobody else can see it, so it never enters
-        the active set and cannot pin the version-GC horizon.  A failed
-        read counts an abort, as :meth:`abort` would, and re-raises; a
-        key the data component would reject is rejected first, before
-        anything is charged or counted.  The commit half's record drain
-        and version GC are checked here and called only when they have
-        work.
+        consumes a transaction id, but builds no :class:`Transaction`, so
+        it never pins the version-GC horizon.  A failed read counts an
+        abort and re-raises; a key the data component would reject is
+        refused before anything is charged or counted.  The commit
+        half's record drain and version GC run only when they have work
+        (a commit that raised may leave the heap over its threshold).
         """
         if type(key) is not bytes or not key:
-            self.dc._validate_key(key)
+            self.dc.validate_key(key)
         machine = self.machine
         cpu = machine.cpu
         tracer = machine.tracer
@@ -448,7 +492,7 @@ class TransactionComponent:
                     >= self.config.record_dirty_flush_bytes):
                 self.flush_record_cache()
             counts["tc.commits"] += 1.0
-            # _maybe_gc_versions, in this frame.
+            # The version-GC horizon, as in commit.
             active = self._active
             oldest = (min(t.read_timestamp for t in active.values())
                       if active else self._clock)
@@ -482,8 +526,8 @@ class TransactionComponent:
         """Every transactional read enters here; a key the data component
         would reject is rejected before the read is counted."""
         if type(key) is not bytes or not key:
-            self.dc._validate_key(key)
-        self.machine._ops_started += 1
+            self.dc.validate_key(key)
+        self.machine.begin_operation()
         self._counts["tc.reads"] += 1.0
         tracer = self.machine.tracer
         if tracer is not None:
@@ -554,21 +598,13 @@ class TransactionComponent:
     def _buffer_write(self, txn: Transaction, key: bytes,
                       value: Optional[bytes]) -> None:
         """Every TC write enters here.  A key or value the data component
-        would reject is rejected now, before anything is counted,
-        charged or buffered: past this point the write is logged and
-        versioned at commit, and a late rejection would leave the
-        logged record for recovery to replay into the same error."""
-        if type(key) is not bytes or not key:
-            self.dc._validate_key(key)
-        value_len = 0
-        if value is not None:
-            if type(value) is not bytes:
-                self.dc._validate_kv(key, value)
-            value_len = len(value)
+        would reject is refused before anything is counted, charged or
+        buffered: a logged record must be one recovery can replay."""
+        check_write(key, value)
         machine = self.machine
-        machine._ops_started += 1
-        machine.cpu.charge("copy_per_byte", len(key) + value_len,
-                           category="tc")
+        machine.begin_operation()
+        machine.cpu.bill(self._copy,
+                         len(key) + (len(value) if value is not None else 0))
         txn.write_set[key] = value
         self._counts["tc.writes"] += 1.0
 
@@ -609,10 +645,11 @@ class TransactionComponent:
         transaction through a one-transaction group commit.
 
         Bills what :meth:`begin`, :meth:`execute_batch` and
-        :meth:`commit_batch` would bill for it, in the same order and
-        under the same spans, and still consumes a transaction id — but,
-        like :meth:`get`, builds no :class:`Transaction` and never
-        enters the active set.  The whole batch is checked first
+        :meth:`commit_batch` would, in the same order and under the same
+        spans, and consumes a transaction id, but, like :meth:`get`,
+        builds no :class:`Transaction`.  It reads at the newest
+        timestamp and commits before anything else can, so it never
+        loses its conflict check.  The whole batch is checked first
         (:func:`check_batch`): a bad op refuses it before anything is
         charged or counted.  A failed read counts an abort and re-raises.
         """
@@ -657,81 +694,16 @@ class TransactionComponent:
         except BaseException:
             counts["tc.aborts"] += 1.0
             raise
-        self.batch_sizes.observe(1.0)
-        if tracer is not None:
-            tracer.open_span("tc.commit_batch", "tc")
-        try:
-            bill(self._stamp)
-            versions = self.versions
-            chains = versions.chains
-            commit_ts = self._clock + 1
-            conflict_probe = self._conflict_probe
-            records: List[LogRecord] = []
-            log = self.log
-            lsn = log.appended_records
-            for key, value in write_set.items():
-                # The conflict probe, VersionStore.newest_timestamp in
-                # this frame.
-                bill(conflict_probe)
-                chain = chains.get(key)
-                if chain and chain[0].timestamp > read_ts:
-                    counts["tc.aborts"] += 1.0
-                    raise TransactionAborted(
-                        f"txn {txn_id}: write-write conflict on {key!r}")
-                lsn += 1
-                records.append(LogRecord(key, value, commit_ts, txn_id, lsn))
-            self._clock = commit_ts
-            log.append_batch(records)
-            read_cache = self.read_cache
-            cached = read_cache.entries
-            heap = self.records
-            dc_ops: List[Tuple[bytes, Optional[bytes]]] = []
-            for record in records:
-                key = record.key
-                value = record.value
-                versions.add(record)
-                if key in cached:
-                    read_cache.invalidate(key)
-                if heap is None or not heap.append_record(key, value,
-                                                          dirty=True):
-                    dc_ops.append((key, value))
-                counts["tc.writes_applied"] += 1.0
-            counts["tc.commits"] += 1.0
-            if dc_ops:
-                self.dc.apply_blind_batch(dc_ops)
-            if (heap is not None and heap.dirty_bytes
-                    >= self.config.record_dirty_flush_bytes):
-                self.flush_record_cache()
-            if records:
-                if self.pipeline is not None:
-                    self._last_future = self.pipeline.enqueue_epoch(1)
-                elif self.config.sync_commit:
-                    self.log.flush()
-            counts["tc.group_commits"] += 1.0
-            # _maybe_gc_versions, in this frame.
-            active = self._active
-            oldest = (min(t.read_timestamp for t in active.values())
-                      if active else self._clock)
-            horizon = oldest - self.config.version_gc_horizon_lag
-            if 0 < horizon and versions.oldest_superseded <= horizon:
-                versions.truncate(horizon)
-        finally:
-            if tracer is not None:
-                tracer.close_span()
+        self._group_commit([(txn_id, read_ts, write_set)])
         return results
 
     def run_update(self, key: bytes, value: Optional[bytes]) -> int:
         """Execute a single-update transaction; returns commit timestamp.
-
-        A rejected write aborts the transaction, so it does not stay
-        active and pin the version-GC horizon.
-        """
+        A key or value the data component would reject is refused before
+        the transaction begins: nothing is billed or counted."""
+        check_write(key, value)
         txn = self.begin()
-        try:
-            self.write(txn, key, value)
-        except BaseException:
-            self.abort(txn)
-            raise
+        self.write(txn, key, value)
         return self.commit(txn)
 
     def run_update_batch(
@@ -739,25 +711,35 @@ class TransactionComponent:
     ) -> List[Optional[int]]:
         """Group-commit a batch of autocommit single-update transactions.
 
-        Each item is still its own transaction with its own commit
-        timestamp — a crash recovers to a prefix of the batch — but the
-        request dispatch, the log append, the DC posts and the flush
-        decision are shared across the group (Deuteronomy 2.0's batched
-        log buffers).  Returns one commit timestamp per item.  A rejected
-        write aborts every transaction of the group before any commits.
+        Each item is its own transaction, with its own transaction id and
+        commit timestamp (a crash recovers to a prefix of the batch), but
+        the request dispatch, the log append, the DC posts and the flush
+        decision are shared (Deuteronomy 2.0's batched log buffers).
+        Bills what a ``begin`` and a buffered write per item, then
+        ``commit_batch(sequential=True)``, would, without building a
+        :class:`Transaction`.  Returns one commit timestamp per item.  A
+        rejected write refuses the batch before anything is billed.
         """
-        self.machine.cpu.charge("op_dispatch", category="tc")
-        txns: List[Transaction] = []
-        try:
-            for key, value in items:
-                txn = self.begin()
-                txns.append(txn)
-                self._buffer_write(txn, key, value)
-        except BaseException:
-            for txn in txns:
-                self.abort(txn)
-            raise
-        return self.commit_batch(txns, sequential=True)
+        items = list(items)
+        for key, value in items:
+            check_write(key, value)
+        machine = self.machine
+        bill = machine.cpu.bill
+        counts = self._counts
+        machine.cpu.charge("op_dispatch", category="tc")
+        read_ts = self._clock
+        groups = []
+        for key, value in items:
+            # begin, then _buffer_write, in this frame.
+            bill(self._stamp)
+            groups.append((self._next_txn_id, read_ts, {key: value}))
+            self._next_txn_id += 1
+            counts["tc.begins"] += 1.0
+            machine.begin_operation()
+            bill(self._copy,
+                 len(key) + (len(value) if value is not None else 0))
+            counts["tc.writes"] += 1.0
+        return self._group_commit(groups, sequential=True)
 
     # ------------------------------------------------------------------
     # durability
@@ -770,32 +752,23 @@ class TransactionComponent:
         return self._last_future
 
     def sync_log(self) -> None:
-        """Make everything appended so far durable.
-
-        Under the commit pipeline this drains it (closes the open epoch,
-        waits out in-flight acks, resolves every future); otherwise it is
-        a plain synchronous flush.  Checkpoint and GC barriers call this
-        instead of ``log.flush()`` so they stay correct in both modes.
-        """
+        """Make everything appended so far durable: drain the commit
+        pipeline (close the open epoch, wait out in-flight acks, resolve
+        every future), or else flush the log.  Checkpoint and GC barriers
+        call this instead of ``log.flush()``, correct in both modes."""
         if self.pipeline is not None:
             self.pipeline.force()
         else:
             self.log.flush()
 
-    def _maybe_drain_records(self) -> None:
-        if (self.records is not None
-                and self.records.dirty_bytes
-                >= self.config.record_dirty_flush_bytes):
-            self.flush_record_cache()
-
     def flush_record_cache(self) -> None:
         """Post every committed-but-unapplied record delta to the DC.
 
         The lazy half of the blind-write fast path: pages are materialized
-        here (one blind batch) instead of once per commit.  WAL-first is
-        untouched — every drained record was logged at its commit, so a
-        crash before (or during) the drain replays it from the durable
-        log.  Called at the dirty-byte threshold and before checkpoints.
+        here (one blind batch) instead of once per commit.  Every drained
+        record was logged at its commit, so a crash before (or during)
+        the drain replays it.  Called at the dirty-byte threshold and
+        before checkpoints.
         """
         if self.records is None:
             return
@@ -838,13 +811,6 @@ class TransactionComponent:
     # ------------------------------------------------------------------
     # maintenance / reporting
     # ------------------------------------------------------------------
-
-    def _maybe_gc_versions(self) -> None:
-        oldest = (min(t.read_timestamp for t in self._active.values())
-                  if self._active else self._clock)
-        horizon = oldest - self.config.version_gc_horizon_lag
-        if 0 < horizon and self.versions.oldest_superseded <= horizon:
-            self.versions.truncate(horizon)
 
     def tc_hit_rate(self) -> float:
         """Fraction of reads served without reaching the data component."""

@@ -14,7 +14,7 @@ attribute check when untraced).
 
 from .clock import VirtualClock
 from .cpu import CostTable, CpuModel
-from .dram import DramFullError, DramModel
+from .dram import DramModel
 from .iopath import IoPathKind, IoPathModel
 from .logdevice import LogDevice
 from .machine import Machine, RunSummary
@@ -27,7 +27,6 @@ __all__ = [
     "CostTable",
     "CpuModel",
     "DramModel",
-    "DramFullError",
     "IoPathKind",
     "IoPathModel",
     "LogDevice",

@@ -15,10 +15,7 @@ from typing import Dict
 class DramModel:
     """Tracks current resident bytes per tag."""
 
-    def __init__(self, capacity_bytes: int | None = None) -> None:
-        if capacity_bytes is not None and capacity_bytes <= 0:
-            raise ValueError("DRAM capacity must be positive when given")
-        self.capacity_bytes = capacity_bytes
+    def __init__(self) -> None:
         self._by_tag: Dict[str, int] = defaultdict(int)
         self._current = 0
 
@@ -26,12 +23,6 @@ class DramModel:
         """Account ``nbytes`` as newly resident under ``tag``."""
         if nbytes < 0:
             raise ValueError(f"cannot allocate negative bytes: {nbytes}")
-        if (self.capacity_bytes is not None
-                and self._current + nbytes > self.capacity_bytes):
-            raise DramFullError(
-                f"DRAM full: {self._current} + {nbytes} "
-                f"> {self.capacity_bytes}"
-            )
         self._by_tag[tag] += nbytes
         self._current += nbytes
 
@@ -68,7 +59,3 @@ class DramModel:
         """
         self._by_tag.clear()
         self._current = 0
-
-
-class DramFullError(RuntimeError):
-    """Raised when allocations exceed a configured DRAM capacity."""

@@ -310,7 +310,10 @@ class PageCache:
         old = self._resident.get(entry.page_id)
         if old is None:
             raise KeyError(f"page {entry.page_id} is not tracked")
-        new = entry.resident_bytes
+        # PageEntry.resident_bytes, in this frame.
+        state = entry.state
+        new = (state.base_size_bytes + state.delta_size_bytes
+               if state is not None else 0)
         if new > old:
             self.machine.dram.allocate(new - old, DRAM_TAG)
         elif new < old:
@@ -427,7 +430,7 @@ class PageCache:
         if state.has_unflushed_changes:
             self.flush_page(entry)
         self.machine.cpu.bill(self._evict)
-        if (self.tiers is not None and state.base_present
+        if (self.tiers is not None and state.base is not None
                 and not state.has_unflushed_changes):
             # Demote-not-drop: park the flushed state in the middle tier
             # (if any) whose breakeven the page's observed mean
@@ -518,7 +521,7 @@ class PageCache:
                 continue
             entry = self.mapping_table.get(pid)
             if now - entry.last_access > self.ti_seconds:
-                if entry.state.base_present:
+                if entry.state.base is not None:
                     self.evict(entry)
                 else:
                     self._drop_delta_only(entry)
@@ -535,7 +538,7 @@ class PageCache:
         evicted page reads every image in its flash chain.
         """
         ios = 0
-        if entry.state is not None and entry.state.base_present:
+        if entry.state is not None and entry.state.base is not None:
             return 0
         if self.tiers is not None:
             promoted = self.tiers.promote(entry)

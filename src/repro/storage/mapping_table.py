@@ -55,7 +55,7 @@ class PageEntry:
 
     @property
     def fully_resident(self) -> bool:
-        return self.state is not None and self.state.base_present
+        return self.state is not None and self.state.base is not None
 
     @property
     def dirty(self) -> bool:

@@ -72,15 +72,16 @@ class DataPageState:
     a delta-only page: blind updates posted after the base was evicted).
     ``deltas`` is newest-first.
 
-    Both are plain attributes so the read path pays no indirection, but
-    only this class's constructor and mutation methods may assign or
-    mutate them: the byte totals behind the ``*_size_bytes`` properties
-    are maintained incrementally there, never re-summed.
+    These and the byte totals ``base_size_bytes`` / ``delta_size_bytes``
+    are plain attributes so the hot paths pay no indirection, but only
+    this class's constructor and mutation methods may assign or mutate
+    them: the totals are maintained incrementally there, never
+    re-summed.
     """
 
     __slots__ = (
         "page_id", "base", "_base_keys", "deltas",
-        "_base_bytes", "_delta_bytes",
+        "base_size_bytes", "delta_size_bytes",
         "flushed_delta_count", "base_flushed",
     )
 
@@ -102,7 +103,7 @@ class DataPageState:
             base_size_bytes,
         )
         self.deltas: List[Record] = deltas if deltas is not None else []
-        self._delta_bytes = (sum(map(delta_size_bytes, self.deltas))
+        self.delta_size_bytes = (sum(map(delta_size_bytes, self.deltas))
                              if self.deltas else 0)
         # Persistence bookkeeping used by the log store's delta-only flushes.
         self.flushed_delta_count = 0
@@ -119,33 +120,21 @@ class DataPageState:
         self.base: Optional[List[Record]] = records
         if records is None:
             self._base_keys: Optional[List[bytes]] = None
-            self._base_bytes = 0
+            self.base_size_bytes = 0
         else:
             self._base_keys = [record.key for record in records]
-            self._base_bytes = (full_image_size_bytes(records)
-                                if size_bytes is None else size_bytes)
+            self.base_size_bytes = (full_image_size_bytes(records)
+                                    if size_bytes is None else size_bytes)
 
     # --- size accounting --------------------------------------------------
 
     @property
-    def base_size_bytes(self) -> int:
-        return self._base_bytes
-
-    @property
-    def delta_size_bytes(self) -> int:
-        return self._delta_bytes
-
-    @property
     def resident_size_bytes(self) -> int:
-        return self._base_bytes + self._delta_bytes
+        return self.base_size_bytes + self.delta_size_bytes
 
     @property
     def chain_length(self) -> int:
         return len(self.deltas)
-
-    @property
-    def base_present(self) -> bool:
-        return self.base is not None
 
     @property
     def record_count(self) -> int:
@@ -162,12 +151,12 @@ class DataPageState:
         size = DELTA_OVERHEAD_BYTES + len(delta.key) + (
             len(value) if value is not None else 0)
         self.deltas.insert(0, delta)
-        self._delta_bytes += size
+        self.delta_size_bytes += size
         return size
 
     def drop_base(self) -> int:
         """Evict the base page, keeping deltas resident; returns bytes freed."""
-        freed = self._base_bytes
+        freed = self.base_size_bytes
         self._set_base(None)
         return freed
 
@@ -179,7 +168,7 @@ class DataPageState:
         not summed again.
         """
         self._set_base(records, size_bytes)
-        return self._base_bytes
+        return self.base_size_bytes
 
     def replace_base(self, records: List[Record]) -> int:
         """Replace the base with new (sorted) contents after a split/merge.
@@ -190,7 +179,7 @@ class DataPageState:
         """
         self._set_base(records)
         self.base_flushed = False
-        return self._base_bytes
+        return self.base_size_bytes
 
     def consolidate(self) -> int:
         """Fold deltas into a fresh sorted base; returns new base bytes.
@@ -208,7 +197,7 @@ class DataPageState:
             )
         records = list(self.base)
         keys = list(self._base_keys)
-        size = self._base_bytes
+        size = self.base_size_bytes
         for delta in reversed(self.deltas):
             key = delta.key
             index = bisect.bisect_left(keys, key)
@@ -226,12 +215,13 @@ class DataPageState:
                 size -= (RECORD_OVERHEAD_BYTES + len(key)
                          + len(records[index].value))
                 del records[index], keys[index]
-        self.base, self._base_keys, self._base_bytes = records, keys, size
+        self.base, self._base_keys = records, keys
+        self.base_size_bytes = size
         self.deltas = []
-        self._delta_bytes = 0
+        self.delta_size_bytes = 0
         self.flushed_delta_count = 0
         self.base_flushed = False
-        return self._base_bytes
+        return self.base_size_bytes
 
     # --- lookup ---------------------------------------------------------------
 
@@ -303,7 +293,7 @@ class DataPageState:
                 f"page {self.page_id}: cannot write full image without base"
             )
         return PageImage("full", self.page_id, records=tuple(self.base),
-                         size_bytes=self._base_bytes)
+                         size_bytes=self.base_size_bytes)
 
     def mark_deltas_flushed(self) -> None:
         self.flushed_delta_count = len(self.deltas)

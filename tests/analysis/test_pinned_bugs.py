@@ -43,7 +43,7 @@ def _delta_only_rig(machine, **cache_kwargs):
     cache.register(entry)
     cache.touch(entry, grown_bytes=state.prepend_delta(
         Record(b"b", b"w" * 200, 1)))
-    assert entry.state is not None and not entry.state.base_present
+    assert entry.state is not None and entry.state.base is None
     return cache, entry
 
 

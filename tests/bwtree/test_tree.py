@@ -101,7 +101,7 @@ class TestStructure:
     def test_leaf_sizes_bounded(self, small_tree):
         load_keys(small_tree, 3000, value_bytes=100)
         for entry in small_tree.mapping_table.entries():
-            if entry.state is not None and entry.state.base_present:
+            if entry.state is not None and entry.state.base is not None:
                 assert (entry.state.base_size_bytes
                         <= small_tree.config.max_page_bytes)
 

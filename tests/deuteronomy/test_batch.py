@@ -256,12 +256,15 @@ BATCH_FORBIDDEN = {"tc.begin", "tc.execute_batch", "tc.commit_batch",
 
 def test_a_blind_post_does_its_bookkeeping_in_the_frames_it_has():
     """Complexity guard as call counts: one 64-put ``apply_batch`` on a
-    warmed engine enters at most 9.5 ``repro`` frames per put: 9.3 here,
-    11.6 while the log allocated DRAM once per record, the blind batch
-    bracketed its latency through two ``machine`` frames and each write
-    built a proxy version and a kind-tagged delta, 14.7 while each charge
-    of a fixed run (the dispatch, each
-    descent level, the post) was a frame of its own; 21.5 while the
+    warmed engine enters at most 8.7 ``repro`` frames per put: 8.66
+    here, 9.3 while a page's byte totals were read through property
+    frames, the read cache's invalidation sized its victim in a helper
+    and the group commit was inline in ``apply_batch``, 11.6 while the
+    log allocated DRAM once per record, the blind batch bracketed its
+    latency through two ``machine`` frames and each write built a proxy
+    version and a kind-tagged delta, 14.7 while each charge of a fixed
+    run (the dispatch, each descent level, the post) was a frame of its
+    own; 21.5 while the
     descent and the post of a resident leaf ran in helper frames and the
     batch built a transaction object; and 49.5 before the batched write
     path routed, validated, timestamped, counted and sized in the frames
@@ -284,11 +287,11 @@ def test_a_blind_post_does_its_bookkeeping_in_the_frames_it_has():
     assert calls["tree.apply_blind_batch"] == 1
     assert calls["pages.consolidate"] > 0
     forbidden = {"node.child_for", "node.search_steps",
-                 "tree._validate_kv", "tree._validate_key",
+                 "tree.validate_kv", "tree.validate_key",
                  "tree._next_timestamp", "metrics.add",
                  "pages.full_image_size_bytes"} | BATCH_FORBIDDEN
     assert forbidden.isdisjoint(calls), forbidden & set(calls)
-    assert sum(calls.frames.values()) / 64 <= 9.5
+    assert sum(calls.frames.values()) / 64 <= 8.7
     assert calls["<string>.__init__"] == 95
 
 
@@ -307,8 +310,11 @@ def warmed_batch_calls(engine, generator):
 def test_a_batched_op_does_its_bookkeeping_in_the_frames_it_has():
     """Complexity guard as frame counts, on ``update_batched`` in
     miniature (YCSB-A, sync commit): a warmed 64-op mixed
-    ``apply_batch`` enters 508 ``repro`` frames, 7.9 per op: 575 while
-    the log allocated DRAM once per record and the blind batch bracketed
+    ``apply_batch`` enters 500 ``repro`` frames, 7.8 per op: 508 while
+    the group commit was inline in ``apply_batch`` (it is one shared
+    frame now), a page's byte totals were read through property frames
+    and the read cache's invalidation sized its victim in a helper, 575
+    while the log allocated DRAM once per record and the blind batch bracketed
     its latency through two ``machine`` frames, 576 while
     its one consolidation re-indexed the new base in ``_set_base``, 580 while
     its two DC reads read ``cpu.busy_us`` and ``ssd.service_us_total``
@@ -338,16 +344,20 @@ def test_a_batched_op_does_its_bookkeeping_in_the_frames_it_has():
     calls = warmed_batch_calls(engine, generator)
     assert calls["tc.apply_batch"] == calls["tree.apply_blind_batch"] == 1
     assert calls["tree.get_with_stats"] > 0   # reads reach the DC too
-    assert sum(calls.frames.values()) == 508
+    assert sum(calls.frames.values()) == 500
     assert calls["<string>.__init__"] == 58
 
 
 def test_a_fleet_batch_does_its_bookkeeping_in_the_frames_it_has():
     """The same guard on ``fleet_async`` in miniature (8 shards, commit
     pipeline, one shared log device, every key routed once by the bulk
-    load): a warmed 64-op ``apply_batch`` enters 581 ``repro`` frames,
-    9.1 per op: 679 (10.6) while each shard's commit entered the
-    pipeline's ``maybe_close`` and ``ack`` with nothing due, read
+    load): a warmed 64-op ``apply_batch`` enters 580 ``repro`` frames,
+    9.1 per op: 581 while each shard's group commit was inline in
+    ``apply_batch`` (it is one shared frame per shard now), a page's
+    byte totals were read through property frames and the read cache's
+    invalidation sized its victim in a helper, 679 (10.6) while each
+    shard's commit entered the pipeline's ``maybe_close`` and ``ack``
+    with nothing due, read
     ``last_lsn`` through a property frame, allocated log DRAM once per
     record and bracketed its blind batch's latency through two
     ``machine`` frames, 680 while a consolidation re-indexed the new base
@@ -375,5 +385,5 @@ def test_a_fleet_batch_does_its_bookkeeping_in_the_frames_it_has():
     # ``enqueue_epoch``'s frame.
     assert "commit_pipeline.maybe_close" not in calls
     assert "commit_pipeline.ack" not in calls
-    assert sum(calls.frames.values()) == 581
+    assert sum(calls.frames.values()) == 580
     assert calls["<string>.__init__"] == 72

@@ -91,15 +91,21 @@ REJECTED_WRITES = {
 
 @pytest.mark.parametrize("name", sorted(REJECTED_WRITES))
 def test_a_rejected_write_is_neither_logged_nor_applied(engine, name):
-    """A key or value the data component would reject is rejected where
-    the TC buffers it.  Nothing of the call is logged, versioned or
-    posted (no half-applied batch), no transaction stays active to pin
-    the version-GC horizon, and recovery does not replay a record it
-    cannot apply."""
+    """A key or value the data component would reject is refused before
+    anything of the call is billed or counted: no operation, no core-µs,
+    no begin, write or abort, and no transaction id consumed.  Nothing
+    of it is logged, versioned or posted (no half-applied batch), no
+    transaction stays active to pin the version-GC horizon, and
+    recovery does not replay a record it cannot apply."""
     write, error = REJECTED_WRITES[name]
     engine.put(b"a", b"1")
+    machine, tc = engine.machine, engine.tc
+    before = (machine.operations, machine.cpu.busy_us,
+              tc.counters.snapshot(), tc._next_txn_id)
     with pytest.raises(error):
         write(engine)
+    assert (machine.operations, machine.cpu.busy_us,
+            tc.counters.snapshot(), tc._next_txn_id) == before
     assert engine.tc._active == {}
     for key, expected in ((b"a", b"1"), (b"b", None), (b"c", None)):
         assert engine.get(key) == expected

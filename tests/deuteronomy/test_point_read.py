@@ -9,8 +9,8 @@ from ..frames import count_calls
 
 #: Functions a point read on a resident page must not enter: the
 #: Bw-tree's per-op helpers, the mapping-table and clock accessors, the
-#: machine's op-count and latency helpers, the read cache's admit and
-#: sizing helpers, the commit half's no-op calls, any span frame while
+#: machine's op-count and latency helpers, the read cache's admit
+#: helper, the commit half's no-op calls, any span frame while
 #: no tracer is attached (the old ``machine.trace_span`` and the
 #: standard library's context-manager protocol), and ``CpuModel.charge``:
 #: every charge on the path is a billed plan, one step or more.
@@ -18,8 +18,8 @@ FORBIDDEN = {"tree._begin_op", "tree._finish_read", "tree._post_op",
              "tree._descend", "tree._maybe_consolidate", "mapping_table.get",
              "clock.now", "machine.begin_operation", "machine.latency_window",
              "machine.observe_latency", "metrics.add",
-             "read_cache._admit", "read_cache._entry_bytes",
-             "tc._maybe_drain_records", "tc._maybe_gc_versions",
+             "read_cache._admit", "tc._maybe_drain_records",
+             "tc._maybe_gc_versions",
              "mvcc.truncate", "machine.trace_span",
              "contextlib.__enter__", "contextlib.__exit__", "cpu.charge"}
 
@@ -79,13 +79,12 @@ def test_a_point_read_does_its_bookkeeping_in_the_frames_it_has():
 #: copies skip too, billing plans): the cache's register / untrack
 #: helpers and residency-size readers (the fetch and the eviction keep
 #: the books in their own frames), the retired victim generator
-#: (``ensure_capacity`` walks the LRU order), the page-state accessor
-#: the walk reads as an attribute, and the I/O round-trip wrapper (the
-#: store read calls its halves).
+#: (``ensure_capacity`` walks the LRU order) and the I/O round-trip
+#: wrapper (the store read calls its halves).
 MISS_FORBIDDEN = FORBIDDEN | {
     "cache.register", "cache._untrack", "cache._victims",
     "cache.resident_bytes", "mapping_table.resident_bytes",
-    "pages.base_present", "iopath.charge_round_trip"}
+    "iopath.charge_round_trip"}
 
 #: The layer boundaries ``benchmarks/e2e`` counts a traced run's work
 #: by, and the e2e metric each feeds: ``log_store.reads`` counts

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hardware import DramFullError, DramModel
+from repro.hardware import DramModel
 
 
 def test_allocate_and_free():
@@ -37,21 +37,9 @@ def test_cannot_free_untagged_from_other_tag():
         dram.free(5, "y")
 
 
-def test_capacity_enforced():
-    dram = DramModel(capacity_bytes=100)
-    dram.allocate(90)
-    with pytest.raises(DramFullError):
-        dram.allocate(11)
-
-
 def test_negative_amounts_rejected():
     dram = DramModel()
     with pytest.raises(ValueError):
         dram.allocate(-1)
     with pytest.raises(ValueError):
         dram.free(-1)
-
-
-def test_zero_capacity_rejected():
-    with pytest.raises(ValueError):
-        DramModel(capacity_bytes=0)

@@ -8,12 +8,7 @@ into the walls and check that (a) the right exception type escapes, and
 import pytest
 
 from repro.bwtree import BwTree, BwTreeConfig
-from repro.hardware import (
-    DramFullError,
-    Machine,
-    SsdFullError,
-    SsdSpec,
-)
+from repro.hardware import Machine, SsdFullError, SsdSpec
 from repro.lsm import LsmConfig, LsmTree
 
 
@@ -67,28 +62,6 @@ class TestSsdExhaustion:
         with pytest.raises(SsdFullError):
             for index in range(10_000):
                 tree.upsert(b"key%06d" % index, b"v" * 100)
-
-
-class TestDramExhaustion:
-    def test_uncapped_tree_hits_dram_wall(self):
-        machine = Machine()
-        machine.dram.capacity_bytes = 64 * 1024
-        tree = BwTree(machine, BwTreeConfig(segment_bytes=1 << 14))
-        with pytest.raises(DramFullError):
-            for index in range(10_000):
-                tree.upsert(b"key%06d" % index, b"v" * 100)
-
-    def test_capped_cache_stays_inside_dram(self):
-        """A cache budget below the DRAM capacity never trips the wall."""
-        machine = Machine()
-        machine.dram.capacity_bytes = 256 * 1024
-        tree = BwTree(machine, BwTreeConfig(
-            cache_capacity_bytes=64 * 1024, segment_bytes=1 << 14,
-        ))
-        for index in range(3_000):
-            tree.upsert(b"key%06d" % index, b"v" * 50)
-        assert machine.dram.current_bytes <= 256 * 1024
-        assert tree.get(b"key%06d" % 0) == b"v" * 50
 
 
 class TestRecoveryValidation:

@@ -18,7 +18,6 @@ import pytest
 from repro.bwtree import BwTreeConfig
 from repro.deuteronomy import DeuteronomyEngine, TcConfig, TransactionAborted
 from repro.faults import CrashError, FaultInjector, FaultPlan
-from repro.hardware.dram import DramFullError
 from repro.hardware.machine import Machine
 from repro.observability.spans import (
     _ENTER_WIDTH,
@@ -264,7 +263,7 @@ class TestExceptionBalance:
             "engine.apply_batch", "tc.commit_batch", "recovery_log.flush"]
 
     @pytest.mark.parametrize("detailed", [False, True])
-    def test_a_raise_inside_a_page_fetch(self, detailed):
+    def test_a_raise_inside_a_page_fetch(self, detailed, monkeypatch):
         engine = _loaded_engine(tree_config=BwTreeConfig(
             max_page_bytes=512, cache_capacity_bytes=4096,
             segment_bytes=1 << 14))
@@ -273,9 +272,12 @@ class TestExceptionBalance:
                        is None)
         machine = engine.machine
         tracer = _attach(machine, detailed)
-        # A full DRAM refuses the fetched page as it is registered.
-        machine.dram.capacity_bytes = machine.dram.current_bytes
-        with pytest.raises(DramFullError):
+        # The device fails the fetch's flash read.
+        def fail(*args, **kwargs):
+            raise RuntimeError("device gone")
+
+        monkeypatch.setattr(machine.ssd, "read", fail)
+        with pytest.raises(RuntimeError, match="device gone"):
             engine.get(evicted)
         roots = _assert_balanced(tracer)
         assert len(roots) == 1

@@ -45,14 +45,14 @@ class TestSizes:
 class TestConstruction:
     def test_fresh_page_has_empty_present_base(self):
         state = DataPageState(1)
-        assert state.base_present
+        assert state.base is not None
         assert state.base == []
 
     def test_explicit_none_base_means_evicted(self):
         """The regression behind the blind-update data-loss bug: an
         explicit ``base=None`` must NOT be coerced to an empty base."""
         state = DataPageState(1, base=None)
-        assert not state.base_present
+        assert state.base is None
         probe = state.lookup(b"k")
         assert probe.base_missing
 
@@ -184,7 +184,7 @@ class TestDropInstallBase:
         state.prepend_delta(up(b"b", b"1"))
         freed = state.drop_base()
         assert freed > 0
-        assert not state.base_present
+        assert state.base is None
         assert state.chain_length == 1
 
     def test_replace_base_marks_unflushed(self):

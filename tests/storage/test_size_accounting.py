@@ -81,7 +81,7 @@ def test_sizes_equal_recomputation_after_every_mutation(ops):
         elif op[0] == "delete":
             state.prepend_delta(Record(op[1], None))
         elif op[0] == "consolidate":
-            if state.base_present:
+            if state.base is not None:
                 assert state.consolidate() == state.base_size_bytes
         elif op[0] == "drop_base":
             before = state.base_size_bytes

@@ -50,7 +50,7 @@ class ReferencePageCache(PageCache):
             # Record-cache retention may leave deltas resident; if we are
             # still over budget those delta-only pages are next in line and
             # get dropped entirely on a second pass.
-            if not entry.state.base_present:
+            if entry.state.base is None:
                 self._drop_delta_only(entry)
             else:
                 self.evict(entry)
