@@ -58,15 +58,6 @@ class InnerNode:
             INNER_ENTRY_OVERHEAD_BYTES + len(key) for key in self.keys
         ) + INNER_ENTRY_OVERHEAD_BYTES * len(self.children)
 
-    def child_index(self, child_id: int) -> int:
-        """Position of ``child_id`` among the children."""
-        try:
-            return self.children.index(child_id)
-        except ValueError:
-            raise KeyError(
-                f"inner node {self.node_id} has no child {child_id}"
-            ) from None
-
     def insert_separator(self, key: bytes, right_child: int) -> None:
         """Install a separator after a child split: ``key`` routes to
         ``right_child`` for keys >= ``key``."""
@@ -77,22 +68,6 @@ class InnerNode:
             )
         self.keys.insert(index, key)
         self.children.insert(index + 1, right_child)
-
-    def remove_child(self, child_id: int) -> bytes | None:
-        """Remove a (merged-away) child and its separator.
-
-        Returns the removed separator key, or ``None`` when the leftmost
-        child was removed (its right neighbour's separator is deleted so the
-        neighbour inherits the range).
-        """
-        index = self.child_index(child_id)
-        del self.children[index]
-        if not self.keys:
-            return None
-        if index == 0:
-            self.keys.pop(0)
-            return None
-        return self.keys.pop(index - 1)
 
     def split(self, right_node_id: int) -> tuple[bytes, "InnerNode"]:
         """Split in half; returns (separator pushed up, new right node)."""

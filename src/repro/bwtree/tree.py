@@ -55,9 +55,6 @@ class BwTreeConfig:
     """Tuning knobs; defaults reproduce the paper's configuration."""
 
     max_page_bytes: int = 4096          # paper Section 4.1
-    # Consolidated pages below this size merge into a sibling (0 disables
-    # underflow merging; empty pages always collapse).
-    min_page_bytes: int = 256
     consolidate_threshold: int = 8      # delta-chain length trigger
     blind_chain_limit: int = 64         # fetch+consolidate past this
     max_flash_fragments: int = 4        # delta images before full rewrite
@@ -72,7 +69,7 @@ class BwTreeConfig:
     #: Every size and count; the two budgets may also be ``None``,
     #: unbudgeted.
     BOUNDS = {
-        "max_page_bytes": (256, math.inf), "min_page_bytes": (0, math.inf),
+        "max_page_bytes": (256, math.inf),
         "consolidate_threshold": (1, math.inf),
         "blind_chain_limit": (0, math.inf),
         "max_flash_fragments": (1, math.inf),
@@ -197,13 +194,6 @@ class BwTree:
         elif new < old:
             self.machine.dram.free(old - new, DRAM_TAG_INDEX)
         self._inner_sizes[node.node_id] = new
-
-    def _free_inner(self, node: InnerNode) -> None:
-        self.machine.dram.free(
-            self._inner_sizes.pop(node.node_id), DRAM_TAG_INDEX
-        )
-        del self._inners[node.node_id]
-        self._parent.pop(node.node_id, None)
 
     def _next_timestamp(self) -> int:
         self._timestamp += 1
@@ -545,7 +535,7 @@ class BwTree:
             )
 
     # ------------------------------------------------------------------
-    # consolidation / split / merge
+    # consolidation / split
     # ------------------------------------------------------------------
 
     def _maybe_consolidate(self, entry: PageEntry) -> None:
@@ -563,12 +553,6 @@ class BwTree:
         self.machine.cpu.bill(self._fold, new_base_bytes)
         self._counts["bwtree.consolidations"] += 1.0
         self.cache.resize(entry)
-        if not state.base:
-            self._collapse_empty_leaf(entry)
-            return
-        if new_base_bytes < self.config.min_page_bytes:
-            if self._maybe_merge_underflow(entry):
-                return
         self._maybe_split(entry)
 
     def _maybe_split(self, entry: PageEntry) -> None:
@@ -644,98 +628,6 @@ class BwTree:
             self._parent[child] = right_id
         self.counters.add("bwtree.inner_splits")
         self._install_separator(node.node_id, push_up, right_id)
-
-    def _collapse_empty_leaf(self, entry: PageEntry) -> None:
-        """Remove a leaf whose consolidated contents are empty."""
-        if entry.page_id == self.root_id:
-            return  # an empty tree keeps its root leaf
-        parent_id = self._parent.get(entry.page_id)
-        if parent_id is None:
-            return
-        parent = self._inners[parent_id]
-        if parent.fanout <= 1:
-            return
-        parent.remove_child(entry.page_id)
-        self._reaccount_inner(parent)
-        self.machine.cpu.charge("install_cas", category="bwtree")
-        self.counters.add("bwtree.leaf_merges")
-        self._free_leaf(entry)
-        self._collapse_root_chain()
-
-    def _collapse_root_chain(self) -> None:
-        """Drop root inner nodes that route to a single child."""
-        while (self.root_id < 0
-               and not self._inners[self.root_id].keys
-               and self._inners[self.root_id].fanout == 1):
-            old_root = self._inners[self.root_id]
-            self.root_id = old_root.children[0]
-            self._parent.pop(self.root_id, None)
-            self._free_inner(old_root)
-
-    def _maybe_merge_underflow(self, entry: PageEntry) -> bool:
-        """Fold an underfull (freshly consolidated) leaf into a sibling.
-
-        Returns True when the leaf was merged away.  The sibling's base is
-        brought in and consolidated first, so the move is a plain ordered
-        concatenation; the sibling's own delta chain semantics are
-        untouched (its deltas stay newer than any base record).
-        """
-        if entry.page_id == self.root_id:
-            return False
-        parent_id = self._parent.get(entry.page_id)
-        if parent_id is None:
-            return False
-        parent = self._inners[parent_id]
-        if parent.fanout <= 1:
-            return False
-        index = parent.child_index(entry.page_id)
-        if index > 0:
-            sibling_id = parent.children[index - 1]
-            merge_left = True
-        elif index + 1 < parent.fanout:
-            sibling_id = parent.children[index + 1]
-            merge_left = False
-        else:
-            return False
-        if sibling_id < 0:
-            return False   # an inner node: structure is mid-rebuild
-        sibling = self.mapping_table.get(sibling_id)
-        if sibling.state is None or sibling.state.base is None:
-            ios = self.cache.fetch(sibling)
-            self.counters.add("bwtree.ios", ios)
-        self.cache.touch(sibling)
-        sibling_state = sibling.state
-        assert sibling_state is not None
-        if sibling_state.deltas:
-            folded = sibling_state.consolidate()
-            self.machine.cpu.bill(self._fold, folded)
-            self.cache.resize(sibling)
-        state = entry.state
-        assert state is not None and state.base is not None
-        assert sibling_state.base is not None
-        combined = (sibling_state.base_size_bytes
-                    + state.base_size_bytes)
-        if combined > self.config.max_page_bytes:
-            return False
-        moved = list(state.base)
-        if merge_left:
-            merged = list(sibling_state.base) + moved
-        else:
-            merged = moved + list(sibling_state.base)
-        sibling_state.replace_base(merged)
-        self.cache.resize(sibling)
-        self.machine.cpu.charge("install_cas", 2, category="bwtree")
-        self.machine.cpu.charge(
-            "copy_per_byte", sum(r.size_bytes for r in moved),
-            category="bwtree",
-        )
-        parent.remove_child(entry.page_id)
-        self._reaccount_inner(parent)
-        self.counters.add("bwtree.leaf_merges")
-        self.counters.add("bwtree.underflow_merges")
-        self._free_leaf(entry)
-        self._collapse_root_chain()
-        return True
 
     # ------------------------------------------------------------------
     # scans

@@ -1,23 +1,19 @@
 """Compression codecs for the CSS operation class (paper Section 7.2)."""
 
 from .codecs import (
-    ChargedCodec,
     Codec,
     CodecError,
     CompressionReport,
     DeflateCodec,
     RleCodec,
     measure_corpus,
-    serialize_records,
 )
 
 __all__ = [
     "Codec",
     "RleCodec",
     "DeflateCodec",
-    "ChargedCodec",
     "CodecError",
     "CompressionReport",
     "measure_corpus",
-    "serialize_records",
 ]

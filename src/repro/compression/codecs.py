@@ -2,10 +2,10 @@
 
 Paper Section 7.2: Facebook compresses cold data, trading extra CPU per
 operation for lower storage cost.  The analytic CSS curve in Figure 8 needs
-two inputs — a compression ratio and the added execution cost — and we
-*measure* both here: a real run-length codec (written out in full) and the
-stdlib DEFLATE codec run over the actual page bytes the workloads produce,
-with the CPU model charged per byte processed.
+two inputs — a compression ratio and the added execution cost.  The ratio
+is *measured* here: a real run-length codec (written out in full) and the
+stdlib DEFLATE codec run over the actual page bytes the workloads produce.
+The execution cost is ``CostTable.decompress_per_byte``, priced per page.
 """
 
 from __future__ import annotations
@@ -13,9 +13,6 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from typing import Iterable
-
-from ..hardware.machine import Machine
-from ..storage.pages import Record
 
 
 class CodecError(ValueError):
@@ -145,36 +142,6 @@ class CompressionReport:
     @property
     def savings_fraction(self) -> float:
         return 1.0 - self.ratio
-
-
-class ChargedCodec:
-    """A codec whose work is charged to the simulated CPU."""
-
-    def __init__(self, codec: Codec, machine: Machine) -> None:
-        self.codec = codec
-        self.machine = machine
-
-    def compress(self, data: bytes) -> bytes:
-        self.machine.cpu.charge("compress_per_byte", len(data),
-                                category="compression")
-        return self.codec.compress(data)
-
-    def decompress(self, data: bytes) -> bytes:
-        out = self.codec.decompress(data)
-        self.machine.cpu.charge("decompress_per_byte", len(out),
-                                category="compression")
-        return out
-
-
-def serialize_records(records: Iterable[Record]) -> bytes:
-    """Flatten records to the byte stream a page image would occupy."""
-    out = bytearray()
-    for record in records:
-        out += len(record.key).to_bytes(4, "big")
-        out += len(record.value).to_bytes(4, "big")
-        out += record.key
-        out += record.value
-    return bytes(out)
 
 
 def measure_corpus(codec: Codec, payloads: Iterable[bytes]

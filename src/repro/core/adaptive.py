@@ -86,10 +86,6 @@ class PacedPhaseStats:
             return 0.0
         return self.ss_operations / self.operations
 
-    @property
-    def mean_resident_bytes(self) -> float:
-        return self.dram_byte_seconds
-
 
 class PacedDriver:
     """Drives a store at a target offered rate by advancing virtual time.

@@ -116,10 +116,6 @@ class HddParameters:
     def commodity(cls) -> "HddParameters":
         return cls(iops=100.0, latency_ms=10.0, price_dollars=150.0)
 
-    @property
-    def price_per_byte(self) -> float:
-        return self.price_dollars / self.capacity_bytes
-
 
 @dataclass(frozen=True)
 class HddViabilityReport:

@@ -390,9 +390,3 @@ class RecordStore:
 
     def __len__(self) -> int:
         return len(self._index)
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        if total == 0:
-            return 0.0
-        return self.hits / total

@@ -88,7 +88,6 @@ class CostTable:
     context_switch: float = 1.00        # park/unpark a worker around an I/O
 
     # --- compression (Section 7.2) ----------------------------------------
-    compress_per_byte: float = 0.0030
     decompress_per_byte: float = 0.0012
 
     # --- transaction component -------------------------------------------

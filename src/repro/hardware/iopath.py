@@ -21,9 +21,6 @@ class IoPathKind(enum.Enum):
     USER_LEVEL = "user-level"    # SPDK-style polling from user space
     KERNEL = "kernel"            # conventional syscall-based path
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 class IoPathModel:
     """Charges the CPU for the software side of one device access.

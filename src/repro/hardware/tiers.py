@@ -79,9 +79,6 @@ class TierSpec:
         """$ of device capital per access/second — the Eq. (6) I/O term."""
         return self.io_dollars / self.iops
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.name
-
 
 class StorageHierarchy:
     """An ordered stack of tiers, fastest/most expensive first.

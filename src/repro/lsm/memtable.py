@@ -66,12 +66,6 @@ class Memtable:
         """All (key, value-or-tombstone, seq) in key order."""
         yield from zip(self._keys, self._values, self._seqs)
 
-    def items_from(self, start: bytes) -> Iterator[
-            Tuple[bytes, Optional[bytes], int]]:
-        index = bisect.bisect_left(self._keys, start)
-        for i in range(index, len(self._keys)):
-            yield self._keys[i], self._values[i], self._seqs[i]
-
     def clear(self) -> None:
         self._keys = []
         self._values = []

@@ -84,9 +84,6 @@ class SsTable:
         )
         self.block_count = max(1, -(-self.data_bytes // BLOCK_BYTES))
 
-    def __len__(self) -> int:
-        return len(self._records)
-
     @property
     def resident_index_bytes(self) -> int:
         """DRAM for the block index and bloom filter."""
@@ -125,9 +122,3 @@ class SsTable:
 
     def items(self) -> Iterator[Tuple[bytes, Optional[bytes], int]]:
         yield from self._records
-
-    def items_from(self, start: bytes) -> Iterator[
-            Tuple[bytes, Optional[bytes], int]]:
-        index = bisect.bisect_left(self._keys, start)
-        for i in range(index, len(self._records)):
-            yield self._records[i]

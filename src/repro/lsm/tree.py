@@ -10,10 +10,9 @@ key out.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..frozen import check_bounds
 from ..hardware.machine import Machine
@@ -115,10 +114,6 @@ class LsmOpResult:
     ios: int = 0
     tables_probed: int = 0
     memtable_hit: bool = False
-
-    @property
-    def is_ss(self) -> bool:
-        return self.ios > 0
 
 
 class LsmTree:
@@ -397,76 +392,12 @@ class LsmTree:
         return sum(t.data_bytes for t in self.levels[level])
 
     # ------------------------------------------------------------------
-    # scans
-    # ------------------------------------------------------------------
-
-    def scan(self, start: bytes, end: Optional[bytes] = None,
-             limit: Optional[int] = None) -> Iterator[Tuple[bytes, bytes]]:
-        """Merged scan across memtable and every run."""
-        self._validate_key(start)
-        self.machine.begin_operation()
-        sources: List[Iterator] = [self.memtable.items_from(start)]
-        tables = list(self.levels[0]) + [
-            t for level in self.levels[1:] for t in level
-        ]
-        table_by_priority: Dict[int, SsTable] = {}
-        for table in tables:
-            table_by_priority[len(sources)] = table
-            sources.append(table.items_from(start))
-        charged: Dict[int, bool] = {p: False for p in table_by_priority}
-        # Newest source first; on key ties the lowest source index wins.
-        heap: List[Tuple[bytes, int, Optional[bytes]]] = []
-        iters = []
-        for priority, source in enumerate(sources):
-            iters.append(source)
-            try:
-                key, value, __ = next(source)
-                heap.append((key, priority, value))
-            except StopIteration:
-                pass
-        heapq.heapify(heap)
-        emitted = 0
-        last_key: Optional[bytes] = None
-        while heap:
-            key, priority, value = heapq.heappop(heap)
-            if priority in charged and not charged[priority]:
-                # First record drawn from this table: pay its sequential
-                # read (large I/O, amortized over the whole run).
-                table = table_by_priority[priority]
-                self.machine.io_path.charge_round_trip(table.data_bytes)
-                self.machine.ssd.read(table.data_bytes)
-                self.counters.add("lsm.ios")
-                charged[priority] = True
-            try:
-                nkey, nvalue, __ = next(iters[priority])
-                heapq.heappush(heap, (nkey, priority, nvalue))
-            except StopIteration:
-                pass
-            if key == last_key:
-                continue
-            last_key = key
-            if end is not None and key >= end:
-                return
-            if value is None:
-                continue   # tombstone
-            # Sequential scan I/O: charge one block read per block consumed.
-            self.machine.cpu.charge("copy_per_byte", len(value),
-                                    category="lsm")
-            yield key, value
-            emitted += 1
-            if limit is not None and emitted >= limit:
-                return
-
-    # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
 
     def stored_bytes(self) -> int:
         return sum(self._level_bytes(level)
                    for level in range(len(self.levels)))
-
-    def table_count(self) -> int:
-        return sum(len(level) for level in self.levels)
 
     def dram_footprint_bytes(self) -> int:
         block_bytes = (self.block_cache.resident_bytes

@@ -109,10 +109,6 @@ class LayerStats:
     def node_bytes(self) -> int:
         return (self.leaves + self.inners) * NODE_BYTES
 
-    @property
-    def total_bytes(self) -> int:
-        return self.node_bytes + self.alloc_bytes
-
 
 class LayerTree:
     """A single-layer B+-tree mapping entry keys to :class:`Entry` slots."""
@@ -246,20 +242,6 @@ class LayerTree:
         while leaf is not None:
             yield from zip(leaf.keys, leaf.entries)
             leaf = leaf.next
-
-    def items_from(self, ekey: EntryKey) -> Iterator[Tuple[EntryKey, Entry]]:
-        """Entries with key >= ``ekey`` in key order."""
-        node = self._root
-        while isinstance(node, _Inner):
-            node = node.children[bisect.bisect_right(node.keys, ekey)]
-        assert isinstance(node, _Leaf)
-        leaf: Optional[_Leaf] = node
-        start = bisect.bisect_left(node.keys, ekey)
-        while leaf is not None:
-            for index in range(start, len(leaf.keys)):
-                yield leaf.keys[index], leaf.entries[index]
-            leaf = leaf.next
-            start = 0
 
     # --- accounting -------------------------------------------------------------
 

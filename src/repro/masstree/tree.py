@@ -14,7 +14,7 @@ Bw-tree's.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional
 
 from ..hardware.machine import Machine
 from ..hardware.metrics import CounterSet
@@ -229,46 +229,6 @@ class MassTree:
         self._count -= 1
         return True
 
-    # ------------------------------------------------------------------
-    # scans
-    # ------------------------------------------------------------------
-
-    def scan(self, start: bytes, end: Optional[bytes] = None,
-             limit: Optional[int] = None) -> Iterator[Tuple[bytes, bytes]]:
-        """Yield (key, value) with start <= key < end in key order."""
-        self._validate_key(start)
-        self.machine.begin_operation()
-        emitted = 0
-        for key, value in self._iter_layer(self._root_layer, b"", start):
-            if end is not None and key >= end:
-                return
-            self.machine.cpu.charge("copy_per_byte", len(value),
-                                    category="masstree")
-            yield key, value
-            emitted += 1
-            if limit is not None and emitted >= limit:
-                return
-
-    def _iter_layer(self, layer: LayerTree, prefix: bytes,
-                    start: bytes) -> Iterator[Tuple[bytes, bytes]]:
-        # Entries at or after the start key's slice in this layer.
-        rel = start[len(prefix):] if start > prefix else b""
-        padded, __ = slice_of(rel, 0)
-        for (slice_bytes, marker), entry in layer.items_from((padded, 0)):
-            self.machine.cpu.charge("pointer_chase", category="masstree")
-            if marker <= SLICE_BYTES:
-                key = prefix + slice_bytes[:marker]
-                if entry.value is None or key < start:
-                    continue
-                yield key, entry.value
-            elif entry.link is not None:
-                yield from self._iter_layer(
-                    entry.link, prefix + slice_bytes, start
-                )
-            elif entry.suffix is not None and entry.value is not None:
-                key = prefix + slice_bytes + entry.suffix
-                if key >= start:
-                    yield key, entry.value
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ along its execution path.  This package makes that accounting visible
   registry read off live components, with snapshot/delta APIs and a
   fleet registry folded from the engine's one ``STATS`` table;
 * :mod:`~repro.observability.trace_cli` — ``python -m repro trace``:
-  replays a seeded workload and exports JSON / Chrome-trace output plus
+  replays a seeded workload and exports JSON output or
   the "$ per op by component" report citing Eq. (4)-(5) terms by name;
 * :mod:`~repro.observability.whatif` — ``python -m repro whatif``: the
   virtual causal profiler — predicts the fleet-level effect of making
@@ -30,7 +30,6 @@ from .spans import (
     SPAN_NAMES,
     Span,
     Tracer,
-    export_chrome,
     export_json,
 )
 from .whatif import (
@@ -59,7 +58,6 @@ __all__ = [
     "WhatifSummary",
     "check_agreement",
     "engine_registry",
-    "export_chrome",
     "export_json",
     "fleet_registry",
     "predict",

@@ -174,18 +174,6 @@ class Span:
             "children": [child.to_dict() for child in self.children],
         }
 
-    def render(self, indent: int = 0) -> str:
-        """Plain-text cost-attribution tree for one span."""
-        pad = "  " * indent
-        lines = [
-            f"{pad}{self.name:<22s} cpu={self.self_cpu_us():8.3f}us "
-            f"subtree={self.subtree_cpu_us:8.3f}us ios={self.ssd_ios}"
-        ]
-        for child in self.children:
-            lines.append(child.render(indent + 1))
-        return "\n".join(lines)
-
-
 #: Flat-log record widths: an enter record leads with the span name
 #: (a str), an exit record with ``None``.
 _ENTER_WIDTH = 7
@@ -470,42 +458,4 @@ def export_json(tracers: List[Tracer], config: Dict[str, object],
         })
     doc = {"schema": 1, "kind": "repro-trace", "config": config,
            "shards": shards}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def export_chrome(tracers: List[Tracer],
-                  max_roots: Optional[int] = None) -> str:
-    """Chrome trace-event format (``chrome://tracing`` / Perfetto).
-
-    Complete ("X") events on virtual-time microseconds; ``pid`` is the
-    shard index, so a fleet renders as one process row per shard.
-    """
-    events: List[Dict[str, object]] = []
-
-    def emit(span: Span, pid: int) -> None:
-        events.append({
-            "name": span.name,
-            "cat": span.component,
-            "ph": "X",
-            "ts": span.begin_s * 1e6,
-            "dur": (span.end_s - span.begin_s) * 1e6,
-            "pid": pid,
-            "tid": 1,
-            "args": {
-                "self_cpu_us": span.self_cpu_us(),
-                "cpu_us": dict(sorted(span.cpu_us.items())),
-                "ssd_ios": span.ssd_ios,
-                "notes": dict(sorted(span.notes.items())),
-            },
-        })
-        for child in span.children:
-            emit(child, pid)
-
-    for shard_id, tracer in enumerate(tracers):
-        roots = tracer.roots
-        if max_roots is not None:
-            roots = roots[:max_roots]
-        for root in roots:
-            emit(root, shard_id)
-    doc = {"traceEvents": events, "displayTimeUnit": "ms"}
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

@@ -7,10 +7,8 @@ exactly), and emits one of:
 
 * ``--format json`` (default) — the deterministic span-tree export; the
   same ``--seed`` and config produce byte-identical output;
-* ``--format chrome`` — Chrome trace-event JSON for ``chrome://tracing``;
 * ``--format report`` — the plain-text "$ per op by component" report
-  citing Eq. (4)-(5) terms by name;
-* ``--format tree`` — the first few per-op cost-attribution trees.
+  citing Eq. (4)-(5) terms by name.
 
 Everything runs on virtual time; no wall clocks (determinism-lint clean).
 """
@@ -27,7 +25,7 @@ from ..core.catalog import CostCatalog
 from ..core.costmeter import price_run
 from ..scenarios import MIX_BUILDERS, Scenario, fleet_totals
 from .registry import engine_registry, fleet_registry
-from .spans import Tracer, export_chrome, export_json
+from .spans import Tracer, export_json
 
 #: Relative tolerance for re-summing per-span CPU buckets with fsum
 #: against the event-ordered running total: float addition is not
@@ -241,18 +239,6 @@ def cost_report(
     return "\n".join(lines)
 
 
-def render_trees(tracers: List[Tracer], limit: int = 3) -> str:
-    """The first ``limit`` root spans as plain-text cost trees."""
-    lines: List[str] = []
-    for shard_id, tracer in enumerate(tracers):
-        for root in tracer.roots[:limit]:
-            if len(tracers) > 1:
-                lines.append(f"shard {shard_id}:")
-            lines.append(root.render())
-            lines.append("")
-    return "\n".join(lines).rstrip()
-
-
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -294,7 +280,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="0 = per-op replay (default); >1 groups ops "
                              "into apply_batch calls")
     parser.add_argument("--format",
-                        choices=("json", "chrome", "report", "tree"),
+                        choices=("json", "report"),
                         default="json")
     parser.add_argument("--max-roots", type=int, default=2000,
                         help="cap exported root spans (totals always "
@@ -328,12 +314,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     if args.format == "json":
         output = export_json(tracers, config, max_roots=args.max_roots)
-    elif args.format == "chrome":
-        output = export_chrome(tracers, max_roots=args.max_roots)
-    elif args.format == "report":
-        output = cost_report(tracers, stats, args.ops) + "\n"
     else:
-        output = render_trees(tracers) + "\n"
+        output = cost_report(tracers, stats, args.ops) + "\n"
 
     if args.out == "-":
         sys.stdout.write(output)

@@ -1,12 +1,11 @@
 """A config that would silently build a different tree is refused by name.
 
 Every comparison with NaN is false, so a NaN size read as 0 (a NaN
-``min_page_bytes`` or ``max_flash_fragments``), as no limit (a NaN
-``blind_chain_limit`` or ``consolidate_threshold``: the tree never
-consolidated) or as "split every consolidated leaf" (a NaN
-``max_page_bytes``); an infinite ``max_page_bytes`` bulk-loaded every
-record into one leaf, and a NaN or infinite ``segment_bytes`` never
-filled a segment.
+``max_flash_fragments``), as no limit (a NaN ``blind_chain_limit`` or
+``consolidate_threshold``: the tree never consolidated) or as "split
+every consolidated leaf" (a NaN ``max_page_bytes``); an infinite
+``max_page_bytes`` bulk-loaded every record into one leaf, and a NaN
+or infinite ``segment_bytes`` never filled a segment.
 """
 
 import math
@@ -22,8 +21,6 @@ from repro.storage import LogStructuredStore, MappingTable, PageCache, TierCache
     ("max_page_bytes", math.inf),
     ("max_page_bytes", math.nan),
     ("max_page_bytes", 255),
-    ("min_page_bytes", math.nan),
-    ("min_page_bytes", -1),
     ("consolidate_threshold", math.nan),
     ("consolidate_threshold", 0),
     ("blind_chain_limit", math.nan),
@@ -46,7 +43,7 @@ def test_a_size_that_would_build_a_different_tree_is_refused_by_name(name,
 
 def test_every_floor_and_an_unbudgeted_cache_still_build_a_tree():
     config = BwTreeConfig(
-        max_page_bytes=256, min_page_bytes=0, consolidate_threshold=1,
+        max_page_bytes=256, consolidate_threshold=1,
         blind_chain_limit=0, max_flash_fragments=1,
         cache_capacity_bytes=None, segment_bytes=1 << 12,
         demote_to_tiers=True, demote_budget_bytes=None,

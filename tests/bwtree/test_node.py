@@ -71,13 +71,6 @@ def test_child_for_routes_half_open_ranges():
     assert route(routing, b"z") == 3
 
 
-def test_child_index_and_missing_child():
-    routing = node([b"g"], [1, 2])
-    assert routing.child_index(2) == 1
-    with pytest.raises(KeyError):
-        routing.child_index(99)
-
-
 def test_insert_separator_keeps_order():
     routing = node([b"g", b"s"], [1, 2, 3])
     routing.insert_separator(b"m", 9)
@@ -91,31 +84,6 @@ def test_insert_duplicate_separator_rejected():
     routing = node([b"g"], [1, 2])
     with pytest.raises(ValueError):
         routing.insert_separator(b"g", 9)
-
-
-def test_remove_middle_child_merges_range_left():
-    routing = node([b"g", b"m"], [1, 2, 3])
-    separator = routing.remove_child(2)
-    assert separator == b"g"
-    assert routing.children == [1, 3]
-    # keys in [g, m) now route to child 1's successor range:
-    assert route(routing, b"h") == 1
-
-
-def test_remove_leftmost_child():
-    routing = node([b"g", b"m"], [1, 2, 3])
-    separator = routing.remove_child(1)
-    assert separator is None
-    assert routing.children == [2, 3]
-    assert route(routing, b"a") == 2
-
-
-def test_remove_only_sibling_leaves_no_keys():
-    routing = node([b"g"], [1, 2])
-    routing.remove_child(2)
-    assert routing.keys == []
-    assert routing.children == [1]
-    assert descend(routing, b"z") == (1, 1)
 
 
 def test_split_pushes_middle_key_up():

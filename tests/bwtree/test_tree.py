@@ -117,17 +117,6 @@ class TestStructure:
         assert (entry.state.chain_length
                 < small_tree.config.consolidate_threshold + 2)
 
-    def test_mass_delete_collapses_pages(self, small_tree):
-        expected = load_keys(small_tree, 2000, value_bytes=100)
-        pages_before = len(small_tree.mapping_table)
-        for key in expected:
-            small_tree.delete(key)
-        # Force consolidation of the tombstones via reads.
-        for key in list(expected)[::10]:
-            small_tree.get(key)
-        assert len(small_tree.mapping_table) < pages_before
-        assert small_tree.counters.get("bwtree.leaf_merges") > 0
-
     def test_count_records(self, small_tree):
         expected = load_keys(small_tree, 500)
         assert small_tree.count_records() == len(expected)
@@ -300,60 +289,6 @@ class TestLatency:
         # The paper's Section 8.1 point: MM latencies are tens of us at
         # most; p50 here is ~1 us.
         assert hist.percentile(50) < 10.0
-
-
-class TestUnderflowMerging:
-    def test_shrunken_pages_merge_into_siblings(self):
-        machine = Machine.paper_default(cores=1)
-        tree = BwTree(machine, BwTreeConfig(
-            segment_bytes=1 << 16, min_page_bytes=512,
-        ))
-        expected = load_keys(tree, 3000, value_bytes=100)
-        pages_full = len(tree.mapping_table)
-        # Delete 90% of records, then read to force consolidations.
-        keys = sorted(expected)
-        for index, key in enumerate(keys):
-            if index % 10 != 0:
-                tree.delete(key)
-                del expected[key]
-        for key in keys[::7]:
-            tree.get(key)
-        assert len(tree.mapping_table) < pages_full
-        assert tree.counters.get("bwtree.underflow_merges") > 0
-        for key, value in expected.items():
-            assert tree.get(key) == value
-        assert list(tree.scan(b"\x00")) == sorted(expected.items())
-
-    def test_merging_disabled_with_zero_min(self):
-        machine = Machine.paper_default(cores=1)
-        tree = BwTree(machine, BwTreeConfig(
-            segment_bytes=1 << 16, min_page_bytes=0,
-        ))
-        expected = load_keys(tree, 1500, value_bytes=100)
-        for index, key in enumerate(sorted(expected)):
-            if index % 10 != 0:
-                tree.delete(key)
-        for key in sorted(expected)[::7]:
-            tree.get(key)
-        assert tree.counters.get("bwtree.underflow_merges") == 0
-
-    def test_merge_survives_checkpoint_recovery(self):
-        machine = Machine.paper_default(cores=1)
-        tree = BwTree(machine, BwTreeConfig(
-            segment_bytes=1 << 14, min_page_bytes=512,
-        ))
-        expected = load_keys(tree, 2000, value_bytes=100)
-        for index, key in enumerate(sorted(expected)):
-            if index % 5 != 0:
-                tree.delete(key)
-                del expected[key]
-        for key in sorted(expected):
-            tree.get(key)
-        tree.checkpoint()
-        recovered = tree.simulate_crash_and_recover()
-        for key, value in expected.items():
-            assert recovered.get(key) == value
-        assert recovered.count_records() == len(expected)
 
 
 class TestBulkLoad:

@@ -1,19 +1,10 @@
-"""Codec round-trips, ratios, charging, and corpus measurement."""
+"""Codec round-trips, ratios and corpus measurement."""
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.compression import (
-    ChargedCodec,
-    CodecError,
-    DeflateCodec,
-    RleCodec,
-    measure_corpus,
-    serialize_records,
-)
-from repro.hardware import Machine
-from repro.storage import Record
+from repro.compression import CodecError, DeflateCodec, RleCodec, measure_corpus
 
 
 class TestRleCodec:
@@ -85,34 +76,12 @@ class TestDeflateCodec:
         assert codec.decompress(codec.compress(data)) == data
 
 
-class TestChargedCodec:
-    def test_charges_cpu_per_byte(self, machine: Machine):
-        codec = ChargedCodec(RleCodec(), machine)
-        data = b"a" * 1000
-        packed = codec.compress(data)
-        compress_cost = machine.cpu.busy_us
-        assert compress_cost == pytest.approx(
-            machine.cpu.costs.compress_per_byte * 1000
-        )
-        codec.decompress(packed)
-        assert machine.cpu.busy_us - compress_cost == pytest.approx(
-            machine.cpu.costs.decompress_per_byte * 1000
-        )
-
-
 class TestCorpus:
     def test_measure_reports_ratio(self):
         report = measure_corpus(RleCodec(), [b"a" * 100, b"b" * 100])
         assert report.raw_bytes == 200
         assert report.ratio < 0.2
         assert report.savings_fraction == pytest.approx(1 - report.ratio)
-
-    def test_serialize_records_roundtrip_layout(self):
-        records = [Record(b"k1", b"v1"), Record(b"key2", b"value2")]
-        blob = serialize_records(records)
-        assert b"k1" in blob and b"value2" in blob
-        assert len(blob) == sum(8 + len(r.key) + len(r.value)
-                                for r in records)
 
     def test_workload_values_compress_meaningfully(self):
         from repro.workloads import WorkloadGenerator, WorkloadSpec

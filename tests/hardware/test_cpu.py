@@ -366,7 +366,3 @@ class TestCostTable:
         table = CostTable()
         assert table.io_submit_kernel > table.io_submit_user
         assert table.io_complete_kernel > table.io_complete_user
-
-    def test_compression_costs_more_than_decompression(self):
-        table = CostTable()
-        assert table.compress_per_byte > table.decompress_per_byte

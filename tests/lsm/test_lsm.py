@@ -153,33 +153,6 @@ class TestCosts:
         assert machine.ssd.stored_bytes == tree.stored_bytes()
 
 
-class TestScan:
-    def test_scan_merges_all_sources(self, tree):
-        expected = load(tree, 800)
-        got = dict(tree.scan(b"key"))
-        assert got == expected
-
-    def test_scan_respects_tombstones(self, tree):
-        expected = load(tree, 100)
-        tree.flush_memtable()
-        tree.delete(b"key000050")
-        del expected[b"key000050"]
-        got = dict(tree.scan(b"key"))
-        assert got == expected
-
-    def test_scan_range_and_limit(self, tree):
-        load(tree, 100)
-        got = [k for k, __ in tree.scan(b"key000010", b"key000020")]
-        assert got == [b"key%06d" % i for i in range(10, 20)]
-        assert len(list(tree.scan(b"key", limit=7))) == 7
-
-    def test_scan_newest_version_wins(self, tree):
-        tree.upsert(b"k", b"old")
-        tree.flush_memtable()
-        tree.upsert(b"k", b"new")
-        assert dict(tree.scan(b"k"))[b"k"] == b"new"
-
-
 class TestBlockCache:
     def make_cached_tree(self, machine, cache_bytes=64 << 10):
         cfg = small_config()

@@ -39,14 +39,6 @@ def test_items_sorted():
     assert [k for k, __, __s in table.items()] == [b"a", b"b", b"c"]
 
 
-def test_items_from():
-    table = Memtable()
-    for index in range(10):
-        table.put(b"%02d" % index, b"v", seq=index)
-    got = [k for k, __, __s in table.items_from(b"05")]
-    assert got == [b"%02d" % i for i in range(5, 10)]
-
-
 def test_clear():
     table = Memtable()
     table.put(b"k", b"v", seq=1)

@@ -73,11 +73,6 @@ class TestSsTable:
         found, value, __ = table.get(b"a")
         assert found and value is None
 
-    def test_items_from(self):
-        table = SsTable(records(10), level=1)
-        got = [k for k, __, __s in table.items_from(b"k00007")]
-        assert got == [b"k00007", b"k00008", b"k00009"]
-
     def test_block_count_and_index_bytes(self):
         small = SsTable(records(5), level=0)
         big = SsTable(

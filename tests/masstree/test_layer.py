@@ -103,13 +103,6 @@ class TestIteration:
         assert got == sorted(got)
         assert len(got) == 4
 
-    def test_items_from_starts_midway(self):
-        layer = LayerTree()
-        for index in range(50):
-            layer.upsert(ekey(b"%02d" % index))
-        got = [key for key, __ in layer.items_from(ekey(b"25"))]
-        assert len(got) == 25
-
     def test_terminal_orders_before_layer_marker(self):
         layer = LayerTree()
         layer.upsert(ekey(b"abcdefgh"))                     # marker 8

@@ -100,29 +100,6 @@ class TestLongKeysAndLayers:
         assert not tree.delete(b"12345678xyz")
 
 
-class TestScan:
-    def test_scan_sorted(self, tree):
-        import random
-        source = random.Random(4)
-        model = {}
-        for __ in range(400):
-            key = bytes(source.randrange(97, 110)
-                        for __i in range(source.randrange(1, 14)))
-            value = b"v%d" % source.randrange(100)
-            tree.upsert(key, value)
-            model[key] = value
-        got = list(tree.scan(b"\x01"))
-        assert got == sorted(model.items())
-
-    def test_scan_range_and_limit(self, tree):
-        for index in range(100):
-            tree.upsert(b"user%010d" % index, b"v")
-        got = [k for k, __ in tree.scan(b"user%010d" % 10,
-                                        b"user%010d" % 20)]
-        assert got == [b"user%010d" % i for i in range(10, 20)]
-        assert len(list(tree.scan(b"user", limit=5))) == 5
-
-
 class TestAccounting:
     def test_footprint_matches_dram_tag(self, tree, machine):
         for index in range(300):

@@ -3,12 +3,11 @@
 One generator for the tests that hold the page cache's host-side
 bookkeeping to a reference (``test_victim_oracle``) or to a
 from-scratch recomputation (``test_size_accounting``): small pages so
-a few hundred records split and merge, a budget of a few pages so most
-reads miss, and every way a page enters or leaves ``_resident`` —
-fetch, blind update to an evicted page, eviction of a whole or a
-delta-only page, tier demote/promote, ``forget`` on merge, the Ti idle
-sweep, a budget cut under a warm cache, checkpoint, GC relocation,
-crash and recovery.
+a few hundred records split, a budget of a few pages so most reads
+miss, and every way a page enters or leaves ``_resident`` — fetch,
+blind update to an evicted page, eviction of a whole or a delta-only
+page, tier demote/promote, the Ti idle sweep, a budget cut under a
+warm cache, checkpoint, GC relocation, crash and recovery.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ class Shape:
 
     def config(self) -> BwTreeConfig:
         return BwTreeConfig(
-            max_page_bytes=512, min_page_bytes=160, consolidate_threshold=4,
+            max_page_bytes=512, consolidate_threshold=4,
             segment_bytes=1 << 13, cache_capacity_bytes=self.capacity_bytes,
             demote_to_tiers=self.demote_to_tiers,
         )
@@ -80,7 +79,7 @@ def make_steps(seed: int, count: int = 300) -> List[Step]:
         elif draw < 0.83:
             steps.append(("delete", key))
         elif draw < 0.86:
-            # A run of neighbours, so pages underflow and merge.
+            # A run of neighbours, so pages consolidate down to empty.
             first = source.randrange(KEY_SPACE - 12)
             steps.extend(("delete", key_of(first + offset))
                          for offset in range(12))

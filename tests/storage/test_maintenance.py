@@ -3,66 +3,14 @@
 A checkpoint walks the mapping table once and sizes its image in that
 pass; cleaning a segment finds each live image's page from the image
 (``image.page_id``), not from a reverse map of every flash address.
-The frame guards pin both as exact counts on a small seeded tree, and
-the scenario below runs cleaning and recovery after leaf merges have
-freed pages and collapsed the root.
+The frame guards pin both as exact counts on a small seeded tree.
 """
 
 from repro.bwtree import BwTree, BwTreeConfig
-from repro.bwtree.tree import DRAM_TAG_INDEX
 from repro.hardware import Machine
 from repro.workloads import OpKind, WorkloadGenerator, WorkloadSpec
 
 from ..frames import count_calls
-
-
-def assert_store_matches_mapping_table(tree: BwTree) -> None:
-    """Every chain address is live in its flushed segment, and no live
-    data image names a page the mapping table no longer has."""
-    store = tree.store
-    for entry in tree.mapping_table.entries():
-        for addr in entry.flash_chain:
-            assert store.segments[addr.segment_id].entries[addr.offset] == (
-                addr.nbytes, True)
-    for segment_id in store.flushed_segment_ids:
-        for __, image in store.live_images(segment_id):
-            assert image.kind == "checkpoint" or image.page_id in (
-                tree.mapping_table)
-
-
-def assert_contents(tree: BwTree, model: dict) -> None:
-    assert dict(tree.scan(min(model))) == model
-
-
-def test_cleaning_after_leaf_merges_and_a_root_collapse_then_recovery():
-    machine = Machine.paper_default()
-    tree = BwTree(machine, BwTreeConfig(consolidate_threshold=1))
-    keys = [b"key%05d" % index for index in range(500)]
-    for key in keys:
-        tree.upsert(key, b"v" * 64 + key)
-    tree.checkpoint()
-    assert tree.depth() == 2
-    assert machine.dram.bytes_for(DRAM_TAG_INDEX) > 0
-
-    calls = count_calls(lambda: [tree.delete(key) for key in keys[:-5]])
-    assert calls["tree._free_inner"] == 1
-    assert tree.depth() == 1
-    assert machine.dram.bytes_for(DRAM_TAG_INDEX) == 0
-    model = {key: b"v" * 64 + key for key in keys[-5:]}
-    assert_contents(tree, model)
-
-    tree.checkpoint()
-    assert tree.collect_garbage(1.0) > 0
-    assert tree.gc.stats.images_relocated > 0
-    assert_store_matches_mapping_table(tree)
-
-    tree = tree.simulate_crash_and_recover()
-    assert_contents(tree, model)
-    assert_store_matches_mapping_table(tree)
-    assert tree.collect_garbage(1.0) > 0
-    assert tree.gc.stats.images_relocated > 0
-    assert_store_matches_mapping_table(tree)
-    assert_contents(tree, model)
 
 
 def seeded_tree() -> BwTree:

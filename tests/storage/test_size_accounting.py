@@ -276,11 +276,10 @@ def assert_stored_images_carry_their_true_size(tree: BwTree) -> None:
 def test_running_totals_equal_recomputation_after_every_step(shape, seed):
     """``resident_bytes`` is a running total written by ``register``,
     ``resize``, ``touch`` (a blind post's known growth) and ``_untrack``
-    only; whatever a step does — fetch,
-    ``forget`` on merge, eviction with retained deltas, tier promote,
-    the idle sweep, crash and recovery — it equals the sum it replaced.
-    ``fetch`` trusts ``PageImage.size_bytes`` the same way: after
-    splits, merges, consolidations, delta flushes, checkpoints and GC
+    only; whatever a step does — fetch, eviction with retained deltas,
+    tier promote, the idle sweep, crash and recovery — it equals the
+    sum it replaced.  ``fetch`` trusts ``PageImage.size_bytes`` the same
+    way: after splits, consolidations, delta flushes, checkpoints and GC
     relocation every image on flash or in the open buffer still carries
     the size a re-sum of its payload gives."""
     tree = make_tree(shape)

@@ -135,8 +135,7 @@ def test_lazy_walk_picks_the_reference_victims(shape, seed):
 
 def test_sequences_reach_every_way_in_and_out_of_the_cache(monkeypatch):
     """What the comparison above is worth: the seeded steps evict whole
-    and delta-only pages, demote, promote, merge pages away, relocate
-    and recover."""
+    and delta-only pages, demote, promote, relocate and recover."""
     shape = Shape(demote_to_tiers=True, capacity_bytes=1500)
     drop_delta_only = PageCache._drop_delta_only
     reached = collections.Counter()
@@ -157,7 +156,6 @@ def test_sequences_reach_every_way_in_and_out_of_the_cache(monkeypatch):
             promotions=stats.promotions,
             stale_tier_copies=stats.stale_tier_copies,
             delta_flushes=stats.flushes_delta,
-            merges=int(tree.counters.get("bwtree.leaf_merges")),
             relocations=tree.gc.stats.images_relocated,
         )
     assert all(reached.values()), reached

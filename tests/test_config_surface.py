@@ -61,7 +61,6 @@ CONFIG_FIELDS = {
     },
     BwTreeConfig: {
         "max_page_bytes": "read_cold",
-        "min_page_bytes": "update_batched",
         "consolidate_threshold": "update_batched",
         "blind_chain_limit": "update_batched",
         "max_flash_fragments": "a5",
