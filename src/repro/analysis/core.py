@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from io import StringIO
 from pathlib import PurePath
 from typing import (
@@ -70,7 +70,6 @@ class SourceFile:
 
     def __init__(self, path: str, text: str) -> None:
         self.path = path
-        self.text = text
         self.tree = ast.parse(text, filename=path)
         # line -> set of suppressed rule ids ("*" suppresses everything)
         self.suppressions: Dict[int, Set[str]] = {}
@@ -118,8 +117,6 @@ class LintConfig:
 
     #: Restrict to these rule ids (``None`` = all registered rules).
     select: Optional[Set[str]] = None
-    #: Extra receiver-attribute names treated as page/log stores.
-    extra_store_hints: Set[str] = field(default_factory=set)
 
 
 class Rule:

@@ -88,8 +88,6 @@ class OpResult:
     value: Optional[bytes] = None
     found: bool = False
     ios: int = 0
-    record_cache_hit: bool = False
-    latency_us: float = 0.0   # execution + device service time
 
     @property
     def is_ss(self) -> bool:
@@ -273,7 +271,6 @@ class BwTree:
             cache = self.cache
             cache.touch(entry)
             ios = 0
-            record_cache_hit = False
             state = entry.state
             probe = None
             if state is not None:
@@ -281,10 +278,6 @@ class BwTree:
                 bill(self._hops, probe.delta_hops)
                 if probe.base_missing:
                     probe = None
-                elif state.base is None:
-                    # Resolved without I/O from a resident delta of a
-                    # delta-only page: a record-cache hit (Section 6.3).
-                    record_cache_hit = True
             if probe is None:
                 # Base page (and possibly flushed deltas) must come from
                 # flash: the SS operation of the paper's model.
@@ -306,19 +299,14 @@ class BwTree:
             latency = ((cpu.busy_us - cpu_before)
                        + (ssd.service_us_total - service_before))
             machine.op_latencies.observe(latency)
-            counts = self._counts
-            counts["bwtree.ops"] += 1.0
-            counts["bwtree.ios"] += ios
             if ios > 0:
-                counts["bwtree.ss_ops"] += 1.0
+                self._counts["bwtree.ss_ops"] += 1.0
             else:
-                counts["bwtree.mm_ops"] += 1.0
-            if record_cache_hit:
-                counts["bwtree.record_cache_hits"] += 1.0
+                self._counts["bwtree.mm_ops"] += 1.0
             if (state.base is not None
                     and len(state.deltas) >= self.config.consolidate_threshold):
                 self._consolidate(entry)
-            return OpResult(value, found, ios, record_cache_hit, latency)
+            return OpResult(value, found, ios)
         finally:
             if tracer is not None:
                 tracer.close_span()
@@ -376,7 +364,7 @@ class BwTree:
         and copy — batching amortizes only the request decode and the
         epoch enter/exit, which is exactly what a multi-op network request
         saves a real server.  Returns an aggregate :class:`OpResult`
-        (``ios`` summed, ``latency_us`` spanning the whole batch).
+        (``ios`` summed); one latency observation spans the whole batch.
 
         The per-record bookkeeping — operation count, validity checks,
         timestamp, counters, the descent of :meth:`_descend` — is done in
@@ -444,7 +432,6 @@ class BwTree:
                         self._maybe_split(entry)
                     if cache.capacity_bytes is not None:
                         cache.ensure_capacity(protect={entry.page_id})
-                counts["bwtree.ops"] += 1.0
                 if result.ios > ios_before:
                     counts["bwtree.ss_ops"] += 1.0
                 else:
@@ -452,8 +439,6 @@ class BwTree:
             latency = ((cpu.busy_us - cpu_before)
                        + (ssd.service_us_total - service_before))
             machine.op_latencies.observe(latency)
-            result.latency_us = latency
-            counts["bwtree.ios"] += result.ios
             counts["bwtree.blind_batches"] += 1.0
             return result
         finally:
@@ -606,7 +591,6 @@ class BwTree:
             # Splitting the root: grow the tree by one level.
             root = self._new_inner([separator], [left_id, right_id])
             self.root_id = root.node_id
-            self.counters.add("bwtree.root_splits")
             return
         parent = self._inners[parent_id]
         parent.insert_separator(separator, right_id)
@@ -626,7 +610,6 @@ class BwTree:
         self._reaccount_inner(node)
         for child in right.children:
             self._parent[child] = right_id
-        self.counters.add("bwtree.inner_splits")
         self._install_separator(node.node_id, push_up, right_id)
 
     # ------------------------------------------------------------------
@@ -650,8 +633,7 @@ class BwTree:
             self.machine.cpu.charge("epoch_protect", category="bwtree")
             self.cache.touch(entry)
             if entry.state is None or entry.state.base is None:
-                ios = self.cache.fetch(entry)
-                self.counters.add("bwtree.ios", ios)
+                self.cache.fetch(entry)
                 self.cache.ensure_capacity(protect={entry.page_id})
             assert entry.state is not None
             for record in entry.state.iter_records():
@@ -752,7 +734,6 @@ class BwTree:
         self._free_leaf(root_entry)
         leaves.sort()
         self._bulk_build_index(leaves)
-        self.counters.add("bwtree.bulk_loaded", count)
         self.cache.ensure_capacity()
         return count
 
@@ -954,13 +935,9 @@ class BwTree:
     def _post_op(self, entry: PageEntry, result: OpResult,
                  window: Optional[Tuple[float, float]] = None) -> None:
         if window is not None:
-            result.latency_us = self.machine.observe_latency(window)
-        self.counters.add("bwtree.ops")
-        self.counters.add("bwtree.ios", result.ios)
+            self.machine.observe_latency(window)
         if result.ios > 0:
             self.counters.add("bwtree.ss_ops")
         else:
             self.counters.add("bwtree.mm_ops")
-        if result.record_cache_hit:
-            self.counters.add("bwtree.record_cache_hits")
         self._maybe_consolidate(entry)

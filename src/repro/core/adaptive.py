@@ -16,7 +16,7 @@ inter-arrival think time (see :class:`PacedDriver`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, Optional
 
 from ..bwtree.tree import BwTree
 from ..hardware.machine import Machine
@@ -45,7 +45,6 @@ class AdaptiveCacheController:
         )
         tree.cache.ti_seconds = self.ti_seconds
         self._last_sweep = tree.machine.clock.now
-        self.sweeps = 0
         self.evicted_total = 0
 
     def maybe_sweep(self) -> int:
@@ -58,7 +57,6 @@ class AdaptiveCacheController:
             return 0
         self._last_sweep = now
         evicted = self.tree.cache.evict_idle_pages()
-        self.sweeps += 1
         self.evicted_total += evicted
         return evicted
 
@@ -78,7 +76,6 @@ class PacedPhaseStats:
     operations: int = 0
     ss_operations: int = 0
     resident_bytes_end: int = 0
-    dram_byte_seconds: float = 0.0   # integral of resident bytes over time
 
     @property
     def ss_fraction(self) -> float:
@@ -105,7 +102,6 @@ class PacedDriver:
         self.machine: Machine = tree.machine
         self.think_seconds = 1.0 / offered_ops_per_sec
         self.controller = controller
-        self.phases: List[PacedPhaseStats] = []
 
     def run_phase(self, name: str, keys: Iterable[bytes],
                   values: Optional[Iterable[bytes]] = None
@@ -116,8 +112,6 @@ class PacedDriver:
         (an iterable of equal length) the phase performs upserts instead.
         """
         stats = PacedPhaseStats(name=name)
-        phase_start = self.machine.clock.now
-        last_time = phase_start
         value_iter = iter(values) if values is not None else None
         for key in keys:
             self.machine.clock.advance(self.think_seconds)
@@ -130,15 +124,5 @@ class PacedDriver:
                 stats.ss_operations += 1
             if self.controller is not None:
                 self.controller.maybe_sweep()
-            now = self.machine.clock.now
-            stats.dram_byte_seconds += (
-                self.tree.cache.resident_bytes * (now - last_time)
-            )
-            last_time = now
-        elapsed = self.machine.clock.now - phase_start
-        if elapsed > 0:
-            # Store the time-weighted mean resident footprint.
-            stats.dram_byte_seconds /= elapsed
         stats.resident_bytes_end = self.tree.cache.resident_bytes
-        self.phases.append(stats)
         return stats

@@ -82,7 +82,6 @@ class MeasuredRun:
     summary: RunSummary
     stats: RunStats
     cache_capacity_bytes: Optional[int]
-    leaf_bytes_total: int
 
     @property
     def f(self) -> float:
@@ -154,13 +153,10 @@ def run_measurement(machine: Machine, tree: BwTree,
     stats = apply_operations(
         tree, generator.operations(config.measure_operations)
     )
-    summary = machine.summary()
-    leaf_bytes = int(tree.average_leaf_bytes() * len(tree.mapping_table))
     return MeasuredRun(
-        summary=summary,
+        summary=machine.summary(),
         stats=stats,
         cache_capacity_bytes=tree.cache.capacity_bytes,
-        leaf_bytes_total=leaf_bytes,
     )
 
 

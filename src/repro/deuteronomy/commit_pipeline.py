@@ -59,7 +59,6 @@ class CommitFuture:
     resolved future implies every earlier future is resolved too.
     """
 
-    epoch_id: int
     lsn: int
     done: bool = False
 
@@ -93,7 +92,6 @@ class CommitPipeline:
         log.on_buffer_full = self.spill
         # --- epoch state ---
         self._epoch_open = False
-        self._epoch_id = 0
         self._epoch_opened_s = 0.0
         self._epoch_commits = 0
         # Bytes already handed to the device (sealed + submitted); the
@@ -104,12 +102,10 @@ class CommitPipeline:
         self._inflight: Deque[Tuple[_Buffer, float]] = deque()
         self._pending: Deque[CommitFuture] = deque()
         # --- stats ---
-        self.epochs_opened = 0
         self.epochs_closed = 0
         self.group_sizes = Histogram("commit_group_size")
         self.commit_wait_us = 0.0
         self.futures_resolved = 0
-        self.acks = 0
         # The enqueue's and each resolution's charge, priced once.
         plan = machine.cpu.plan
         self._enqueue = plan("commit_pipeline", "commit_enqueue")
@@ -135,13 +131,11 @@ class CommitPipeline:
             if faults is not None:
                 faults.hit(SITE_EPOCH_OPEN)
             self._epoch_open = True
-            self._epoch_id += 1
             self._epoch_opened_s = clock.now
             self._epoch_commits = 0
-            self.epochs_opened += 1
         machine.cpu.bill(self._enqueue)
         log = self.log
-        future = CommitFuture(self._epoch_id, log.appended_records)
+        future = CommitFuture(log.appended_records)
         self._pending.append(future)
         self._epoch_commits += n_commits
         if (clock.now - self._epoch_opened_s
@@ -210,7 +204,6 @@ class CommitPipeline:
             if faults is not None:
                 faults.hit(SITE_PRE_ACK)
             machine.cpu.charge("commit_ack", 1.0, category="commit_pipeline")
-            self.acks += 1
             self.log.mark_durable(buffer)
             if faults is not None:
                 faults.hit(SITE_POST_ACK)
@@ -263,7 +256,6 @@ class CommitPipeline:
                     faults.hit(SITE_PRE_ACK)
                 machine.cpu.charge("commit_ack", 1.0,
                                    category="commit_pipeline")
-                self.acks += 1
                 self.log.mark_durable(buffer)
                 if faults is not None:
                     faults.hit(SITE_POST_ACK)

@@ -36,10 +36,9 @@ class ReadCache:
         self._copy = plan("tc_read_cache", then="copy_per_byte")
         self.hits = 0
         self.misses = 0
-        self.evicted_records = 0
-        self.rejected_inserts = 0
         # Always 0: the engine's ``read_cache_demotions`` /
-        # ``read_cache_promotions`` statistics still read them.
+        # ``read_cache_promotions`` statistics and the e2e harness's
+        # ``tier_cache`` counts still read them.
         self.demotions = 0
         self.promotions = 0
 
@@ -66,7 +65,6 @@ class ReadCache:
             # not fit; reject it outright.  Only the admission probe is
             # charged -- no bytes are copied.
             machine.cpu.charge("hash_probe", category="tc_read_cache")
-            self.rejected_inserts += 1
             return
         entries = self.entries
         dram = machine.dram
@@ -85,7 +83,6 @@ class ReadCache:
                      + len(old_value))
             dram.free(freed, DRAM_TAG)
             self._bytes -= freed
-            self.evicted_records += 1
 
     def invalidate(self, key: bytes) -> None:
         """Drop a stale record (its key was updated)."""

@@ -113,13 +113,7 @@ class RecordStore:
         self.epoch = 0
         self.hits = 0
         self.misses = 0
-        self.appends = 0
-        self.rejected_appends = 0
-        self.evicted_records = 0
         self.gc_relocations = 0
-        self.gc_passes = 0
-        self.arenas_sealed = 0
-        self.arenas_reclaimed = 0
 
     # ------------------------------------------------------------------
     # concurrency-mode costing
@@ -203,10 +197,8 @@ class RecordStore:
                 # Over-sized for the heap: the caller keeps the page path.
                 self.machine.cpu.charge("hash_probe",
                                         category=CHARGE_CATEGORY)
-                self.rejected_appends += 1
                 return False
             self._write_record(key, value, nbytes, dirty, referenced=False)
-            self.appends += 1
             if self._physical_bytes > self.budget_bytes:
                 self.collect_garbage()
             return True
@@ -282,7 +274,6 @@ class RecordStore:
         self.epoch += 1
         arena.seal_epoch = self.epoch
         self._sealed.append(arena)
-        self.arenas_sealed += 1
         faults = self.machine.faults
         if faults is not None:
             faults.hit("record_cache.arena_seal")
@@ -317,7 +308,6 @@ class RecordStore:
         try:
             self.machine.cpu.charge("op_dispatch", category=CHARGE_CATEGORY)
             self._charge_protect()
-            self.gc_passes += 1
             faults = self.machine.faults
             candidates = [a for a in self._sealed if a.seal_epoch <= self.epoch]
             reclaimed = 0
@@ -337,12 +327,10 @@ class RecordStore:
                     else:
                         del self._index[key]
                         self._mark_dead(key, record)
-                        self.evicted_records += 1
                 assert arena.live_bytes == 0, "reclaiming arena with live bytes"
                 self._sealed.remove(arena)
                 self.machine.dram.free(arena.physical_bytes, DRAM_TAG)
                 self._physical_bytes -= arena.physical_bytes
-                self.arenas_reclaimed += 1
                 reclaimed += 1
             return reclaimed
         finally:

@@ -90,7 +90,6 @@ class RecoveryLog:
         self.appended_records = 0
         self.appended_bytes = 0
         self.batch_appends = 0
-        self.dropped_buffers = 0
         self.retry_stats = RetryStats()
         # Records whose buffer reached the SSD: the durable redo log that
         # survives a crash (the in-memory retained copies do not).
@@ -140,8 +139,11 @@ class RecoveryLog:
         fills mid-batch still flushes immediately, so durability ordering
         is preserved: the durable log is always a prefix of the append
         order.  The bytes still pending are accounted before such a spill,
-        whose flush may drop buffers against the retention budget.
+        whose flush may drop buffers against the retention budget.  An
+        empty group appends nothing and is not counted.
         """
+        if not records:
+            return
         total_bytes = 0
         pending = 0
         buffers = self._buffers
@@ -324,7 +326,6 @@ class RecoveryLog:
             self.machine.dram.free(dropped.nbytes, DRAM_TAG)
             self._retained_bytes -= dropped.nbytes
             self.first_retained_lsn += len(dropped.records)
-            self.dropped_buffers += 1
 
     # --- record-cache reads --------------------------------------------------
 

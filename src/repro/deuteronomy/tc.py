@@ -223,7 +223,6 @@ class TransactionComponent:
         txn = Transaction(self._next_txn_id, read_timestamp=self._clock)
         self._next_txn_id += 1
         self._active[txn.txn_id] = txn
-        self._counts["tc.begins"] += 1.0
         return txn
 
     def commit(self, txn: Transaction) -> int:
@@ -468,7 +467,6 @@ class TransactionComponent:
         cpu.bill(self._begin_dispatch)
         read_ts = self._clock
         self._next_txn_id += 1
-        counts["tc.begins"] += 1.0
         try:
             machine._ops_started += 1
             counts["tc.reads"] += 1.0
@@ -535,7 +533,6 @@ class TransactionComponent:
         try:
             # Read-your-own-writes.
             if key in txn.write_set:
-                self._counts["tc.own_write_hits"] += 1.0
                 return txn.write_set[key]
             return self._snapshot_read(key, txn.read_timestamp)
         finally:
@@ -550,15 +547,11 @@ class TransactionComponent:
         #    buffer (updated-record cache).
         version, examined = self.versions.visible(key, read_ts)
         del examined  # already charged per visibility check
-        if version is not None:
-            # The version is its redo record: servable while the log
-            # still retains its LSN.
-            if version.lsn >= self.log.first_retained_lsn:
-                counts["tc.log_cache_hits"] += 1.0
-                return version.value
-            # The buffer holding the version was dropped; fall through
-            # to the read cache / DC for the record bytes.
-            counts["tc.log_cache_stale"] += 1.0
+        # The version is its redo record: servable while the log still
+        # retains its LSN.  Once its buffer is dropped, the read falls
+        # through to the read cache / DC for the record bytes.
+        if version is not None and version.lsn >= self.log.first_retained_lsn:
+            return version.value
 
         # 2. Record heap (record-cache v2) or the FIFO read cache of
         #    records previously fetched from the DC.  A record-heap
@@ -567,12 +560,10 @@ class TransactionComponent:
         if self.records is not None:
             hit, value = self.records.lookup(key)
             if hit:
-                counts["tc.record_cache_hits"] += 1.0
                 return value
         else:
             hit, value = self.read_cache.lookup(key)
             if hit:
-                counts["tc.read_cache_hits"] += 1.0
                 return value
 
         # 3. Full trip to the data component (may cost an I/O).
@@ -606,7 +597,6 @@ class TransactionComponent:
         machine.cpu.bill(self._copy,
                          len(key) + (len(value) if value is not None else 0))
         txn.write_set[key] = value
-        self._counts["tc.writes"] += 1.0
 
     def execute_batch(
         self, txn: Transaction,
@@ -663,7 +653,6 @@ class TransactionComponent:
         read_ts = self._clock
         txn_id = self._next_txn_id
         self._next_txn_id += 1
-        counts["tc.begins"] += 1.0
         write_set: Dict[bytes, Optional[bytes]] = {}
         results: List[Optional[bytes]] = []
         try:
@@ -675,7 +664,6 @@ class TransactionComponent:
                         tracer.open_span("tc.read", "tc")
                     try:
                         if key in write_set:
-                            counts["tc.own_write_hits"] += 1.0
                             results.append(write_set[key])
                         else:
                             results.append(self._snapshot_read(key, read_ts))
@@ -689,7 +677,6 @@ class TransactionComponent:
                 else:
                     bill(copy, len(key) + len(value))
                 write_set[key] = value
-                counts["tc.writes"] += 1.0
                 results.append(None)
         except BaseException:
             counts["tc.aborts"] += 1.0
@@ -725,7 +712,6 @@ class TransactionComponent:
             check_write(key, value)
         machine = self.machine
         bill = machine.cpu.bill
-        counts = self._counts
         machine.cpu.charge("op_dispatch", category="tc")
         read_ts = self._clock
         groups = []
@@ -734,11 +720,9 @@ class TransactionComponent:
             bill(self._stamp)
             groups.append((self._next_txn_id, read_ts, {key: value}))
             self._next_txn_id += 1
-            counts["tc.begins"] += 1.0
             machine.begin_operation()
             bill(self._copy,
                  len(key) + (len(value) if value is not None else 0))
-            counts["tc.writes"] += 1.0
         return self._group_commit(groups, sequential=True)
 
     # ------------------------------------------------------------------
@@ -776,8 +760,6 @@ class TransactionComponent:
         ops = self.records.drain_dirty()
         if ops:
             self.dc.apply_blind_batch(ops)
-            self.counters.add("tc.record_cache_drains")
-            self.counters.add("tc.record_cache_drained_records", len(ops))
 
     # ------------------------------------------------------------------
     # recovery

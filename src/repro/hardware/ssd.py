@@ -7,7 +7,7 @@ Models the three things the paper's analysis cares about:
   offered I/O rate exceeds it becomes I/O bound, which the paper explicitly
   excludes from its R derivation and which our harness detects;
 * **byte accounting** of what is stored on flash (for the $Fl storage-cost
-  term) and of read/write traffic (for write-amplification experiments);
+  term);
 * a **service latency**, used only for latency reporting — the paper's cost
   analysis deliberately excludes waiting time, and so do our cost sums.
 """
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from ..frozen import ABOVE_ZERO, check_bounds
-from .metrics import CounterSet, Histogram
+from .metrics import CounterSet
 
 
 @dataclass(frozen=True)
@@ -114,42 +114,35 @@ class SimulatedSsd:
     def __init__(self, spec: SsdSpec | None = None) -> None:
         self.spec = spec if spec is not None else SsdSpec()
         self.counters = CounterSet()
-        self.latencies = Histogram("ssd_latency_us")
         self._busy_seconds = 0.0
         self._stored_bytes = 0
-        # Running scalars duplicating latencies.count / latencies.total:
-        # the histogram's ``total`` is an O(n) fsum, far too slow for the
-        # per-span snapshots trace spans take around every hot-path call.
+        # Running scalars, O(1) to read for the per-span snapshots trace
+        # spans take around every hot-path call.
         self._total_ios = 0
         #: Running sum of per-access service time in microseconds since
-        #: the last reset (O(1), unlike ``latencies.total``): a plain
-        #: attribute, read without a call; only the device writes it.
+        #: the last reset: a plain attribute, read without a call; only
+        #: the device writes it.
         self.service_us_total = 0.0
 
     # --- data-path operations ------------------------------------------
 
     def read(self, nbytes: int) -> float:
         """Perform one read access of ``nbytes``; returns service us."""
-        return self._access("ssd.reads", "ssd.read_bytes", nbytes,
-                            self.spec.read_latency_us)
+        return self._access("ssd.reads", nbytes, self.spec.read_latency_us)
 
     def write(self, nbytes: int) -> float:
         """Perform one write access of ``nbytes``; returns service us."""
-        return self._access("ssd.writes", "ssd.write_bytes", nbytes,
+        return self._access("ssd.writes", nbytes,
                             self.spec.write_latency_us)
 
-    def _access(self, ios_key: str, bytes_key: str, nbytes: int,
-                latency_us: float) -> float:
+    def _access(self, ios_key: str, nbytes: int, latency_us: float) -> float:
         if nbytes <= 0:
             raise ValueError(f"I/O size must be positive, got {nbytes}")
-        counts = self.counters.counts
-        counts[ios_key] += 1.0
-        counts[bytes_key] += nbytes
+        self.counters.counts[ios_key] += 1.0
         per_io = 1.0 / self.spec.iops
         transfer = nbytes / self.spec.bandwidth_bytes_per_sec
         self._busy_seconds += max(per_io, transfer)
         service_us = latency_us + transfer * 1e6
-        self.latencies.observe(service_us)
         self._total_ios += 1
         self.service_us_total += service_us
         return service_us
@@ -196,7 +189,6 @@ class SimulatedSsd:
     def reset(self) -> None:
         """Zero traffic accounting; stored bytes are left in place."""
         self.counters.reset()
-        self.latencies.reset()
         self._busy_seconds = 0.0
         self._total_ios = 0
         self.service_us_total = 0.0

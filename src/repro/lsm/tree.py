@@ -112,8 +112,6 @@ class LsmOpResult:
     value: Optional[bytes] = None
     found: bool = False
     ios: int = 0
-    tables_probed: int = 0
-    memtable_hit: bool = False
 
 
 class LsmTree:
@@ -199,7 +197,6 @@ class LsmTree:
         result = LsmOpResult(found=True)
         if self.memtable.size_bytes >= self.config.memtable_bytes:
             self.flush_memtable()
-        self.counters.add("lsm.mm_ops")
         return result
 
     # ------------------------------------------------------------------
@@ -219,23 +216,18 @@ class LsmTree:
         hit, value, steps = self.memtable.get(key)
         cpu.charge("memtable_step", steps, category="lsm")
         if hit:
-            result.memtable_hit = True
-            self.counters.add("lsm.memtable_hits")
             self._finish_get(result, value is not None, value)
             return result
 
         for table in self._tables_for(key):
-            result.tables_probed += 1
             cpu.charge("bloom_filter_probe", category="lsm")
             if not table.bloom.may_contain(key):
                 continue
             cpu.charge("page_binary_search_step", table.search_steps(),
                        category="lsm")
             block = table.block_of(key)
-            if (self.block_cache is not None
-                    and self.block_cache.probe(table.table_id, block)):
-                self.counters.add("lsm.block_cache_hits")
-            else:
+            if (self.block_cache is None
+                    or not self.block_cache.probe(table.table_id, block)):
                 # One block read from the device for this probe.
                 self.machine.io_path.charge_round_trip(BLOCK_BYTES)
                 self.machine.ssd.read(BLOCK_BYTES)
@@ -269,9 +261,6 @@ class LsmTree:
                                     category="lsm")
         if result.ios > 0:
             self.counters.add("lsm.ss_ops")
-            self.counters.add("lsm.ios", result.ios)
-        else:
-            self.counters.add("lsm.mm_ops")
 
     # ------------------------------------------------------------------
     # flush & compaction
@@ -287,7 +276,6 @@ class LsmTree:
         self.memtable.clear()
         self._sync_memtable_dram()
         self._sync_index_dram()
-        self.counters.add("lsm.memtable_flushes")
         if len(self.levels[0]) > self.config.l0_compaction_trigger:
             self.compact_level(0)
         return table
@@ -299,7 +287,6 @@ class LsmTree:
         self.machine.ssd.store_bytes(table.data_bytes)
         self.machine.cpu.charge("copy_per_byte", table.data_bytes,
                                 category="lsm")
-        self.counters.add("lsm.bytes_written", table.data_bytes)
         return table
 
     def _drop_table(self, table: SsTable) -> None:
@@ -348,7 +335,6 @@ class LsmTree:
         self.levels[level + 1].extend(new_tables)
         self.levels[level + 1].sort(key=lambda t: t.min_key)
         self._sync_index_dram()
-        self.counters.add("lsm.compactions")
         if (self._level_bytes(level + 1)
                 > self.config.level_capacity(level + 1)):
             self.compact_level(level + 1)

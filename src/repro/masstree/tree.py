@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..hardware.machine import Machine
-from ..hardware.metrics import CounterSet
 from .layer import (
     LAYER_MARKER,
     NODE_BYTES,
@@ -35,7 +34,6 @@ class MassTree:
 
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
-        self.counters = CounterSet()
         self._root_layer = LayerTree()
         self._layers: List[LayerTree] = [self._root_layer]
         self._count = 0
@@ -90,7 +88,6 @@ class MassTree:
         """Point lookup; returns the value or ``None``."""
         self._validate_key(key)
         self._begin_op()
-        self.counters.add("masstree.ops")
         value = self._get_inner(key)
         if value is not None:
             self.machine.cpu.charge("copy_per_byte", len(value),
@@ -132,7 +129,6 @@ class MassTree:
         """Insert or replace ``key``'s value."""
         self._validate_kv(key, value)
         self._begin_op()
-        self.counters.add("masstree.ops")
         self._upsert_in_layer(self._root_layer, key, 0, value, depth=0)
         self._sync_node_bytes()
 
@@ -174,7 +170,6 @@ class MassTree:
         entry.value = None
         sublayer = self._new_layer()
         entry.link = sublayer
-        self.counters.add("masstree.layer_promotions")
         cpu.charge("copy_per_byte", len(old_suffix) + len(old_value),
                    category="masstree")
         self._count -= 1  # re-inserted below
@@ -196,7 +191,6 @@ class MassTree:
         """Remove ``key``; returns True when it was present."""
         self._validate_key(key)
         self._begin_op()
-        self.counters.add("masstree.ops")
         removed = self._delete_in_layer(self._root_layer, key, 0, depth=0)
         self._sync_node_bytes()
         return removed

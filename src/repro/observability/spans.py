@@ -214,7 +214,6 @@ class Tracer:
         # bitwise identity — the reconciliation contract.
         self._busy_attach = machine.cpu.busy_us
         self._ios_attach = machine.ssd._total_ios
-        self._service_attach = machine.ssd.service_us_total
         self._counters_attach = {
             name: value
             for name, value in machine.cpu.counters.snapshot().items()

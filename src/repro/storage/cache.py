@@ -59,15 +59,12 @@ class CacheStats:
 
     touches: int = 0
     fetches: int = 0
-    fetch_ios: int = 0
     evictions: int = 0
     flushes_full: int = 0
     flushes_delta: int = 0
     bytes_flushed: int = 0
     demotions: int = 0           # victims parked in a middle tier
     promotions: int = 0          # fetches served from a middle tier
-    tier_drops: int = 0          # tier-budget FIFO overflow drops
-    stale_tier_copies: int = 0   # copies discarded on chain mismatch
 
 
 @dataclass(slots=True)
@@ -198,8 +195,6 @@ class TierCache:
                 continue
             dropped = parked.pop(victim_id)
             self._bytes[tier_name] -= dropped.nbytes
-            if self.stats is not None:
-                self.stats.tier_drops += 1
 
     def promote(self, entry: PageEntry) -> Optional[DataPageState]:
         """Hand back a parked copy if it is still current, else discard.
@@ -216,8 +211,6 @@ class TierCache:
             self._bytes[tier.name] -= copy.nbytes
             if (entry.state is not None
                     or copy.chain != tuple(entry.flash_chain)):
-                if self.stats is not None:
-                    self.stats.stale_tier_copies += 1
                 return None
             faults = self.machine.faults
             if faults is not None:
@@ -630,7 +623,6 @@ class PageCache:
                     self._resident_bytes += nbytes
                 self.touch(entry)
             self.stats.fetches += 1
-            self.stats.fetch_ios += ios
             return ios
         finally:
             if tracer is not None:

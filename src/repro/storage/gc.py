@@ -22,11 +22,9 @@ from .mapping_table import MappingTable
 class GcStats:
     """Cumulative cleaner activity."""
 
-    passes: int = 0
     segments_cleaned: int = 0
     bytes_reclaimed: int = 0
     bytes_relocated: int = 0
-    images_relocated: int = 0
 
     @property
     def reclaim_efficiency(self) -> float:
@@ -106,7 +104,6 @@ class GarbageCollector:
                 if self.checkpoint_manager is not None:
                     self.checkpoint_manager.note_relocated(new_addr)
                 self.stats.bytes_relocated += addr.nbytes
-                self.stats.images_relocated += 1
                 continue
             # Only the image's own page can reference it: an image is
             # appended by its page's flush or relocation alone.
@@ -125,7 +122,6 @@ class GarbageCollector:
                 # source dead here is safe.
                 self.store.invalidate(addr)
             self.stats.bytes_relocated += addr.nbytes
-            self.stats.images_relocated += 1
         if defer_drop:
             self._pending_drops.append(segment_id)
             self.stats.segments_cleaned += 1
@@ -165,7 +161,6 @@ class GarbageCollector:
         Returns the cleaned segment id, or ``None`` if no segment qualifies.
         The open write buffer is never a victim.
         """
-        self.stats.passes += 1
         victim = self._pick_victim(max_occupancy)
         if victim is None:
             return None

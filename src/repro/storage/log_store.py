@@ -70,7 +70,6 @@ class LogStructuredStore:
         # segment -> offset -> image: a flushed segment keeps its buffer.
         self._payloads: Dict[int, Dict[int, PageImage]] = {}
         self.bytes_appended = 0
-        self.images_appended = 0
         self.segment_flushes = 0
         self.retry_stats = RetryStats()
         # Staging an image into the buffer and reading one back are each
@@ -104,7 +103,6 @@ class LogStructuredStore:
         self._open_buffer[self._open_offset] = image
         self._open_offset += nbytes
         self.bytes_appended += nbytes
-        self.images_appended += 1
         self.machine.cpu.bill(self._copy, nbytes)
         return addr
 

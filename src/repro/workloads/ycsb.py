@@ -251,12 +251,8 @@ class RunStats:
     """What happened when a stream was applied to a store."""
 
     operations: int = 0
-    reads: int = 0
-    updates: int = 0
     ss_operations: int = 0
     ios: int = 0
-    record_cache_hits: int = 0
-    not_found: int = 0
 
     @property
     def ss_fraction(self) -> float:
@@ -277,15 +273,8 @@ def apply_operations(store, operations: Iterator[Operation]) -> RunStats:
     for op in operations:
         stats.operations += 1
         if op.kind is OpKind.READ:
-            stats.reads += 1
-            result = store.get_with_stats(op.key)
-            ios = result.ios
-            if not result.found:
-                stats.not_found += 1
-            if getattr(result, "record_cache_hit", False):
-                stats.record_cache_hits += 1
+            ios = store.get_with_stats(op.key).ios
         else:
-            stats.updates += 1
             ios = store.upsert(op.key, op.value).ios
         stats.ios += ios
         if ios > 0:

@@ -122,24 +122,44 @@ def script(seed):
     return steps
 
 
-def outcome(before, after, promotions, value):
-    """Which step of the cascade served one get (from the counters)."""
-    diff = {name: after.get(name, 0.0) - before.get(name, 0.0)
-            for name in after}
-    if diff.get("tc.aborts"):
+def observe(engine, key):
+    """What a get of ``key`` may move, read without a charge, and
+    whether the key's newest version has left the retained log."""
+    tc = engine.tc
+    heap = tc.records
+    chain = tc.versions.chains.get(key)
+    return {
+        "aborts": tc.counters.get("tc.aborts"),
+        "dc_reads": tc.counters.get("tc.dc_reads"),
+        "dc_read_ios": tc.counters.get("tc.dc_read_ios"),
+        "read_cache_hits": tc.read_cache.hits,
+        "read_cache_probes": tc.read_cache.hits + tc.read_cache.misses,
+        "record_hits": heap.hits if heap is not None else 0,
+        "record_probes": heap.hits + heap.misses if heap is not None else 0,
+        "promotions": engine.dc.cache.stats.promotions,
+        "stale": bool(chain) and chain[0].lsn < tc.log.first_retained_lsn,
+    }
+
+
+def outcome(before, after, value):
+    """Which step of the cascade served one get: a retained log record
+    answers it before any cache is probed."""
+    diff = {name: after[name] - before[name] for name in after}
+    if diff["aborts"]:
         return "failed"
-    if diff.get("tc.log_cache_hits"):
+    if not (diff["read_cache_probes"] or diff["record_probes"]
+            or diff["dc_reads"]):
         return "log_cache_hit"
-    stale = "stale+" if diff.get("tc.log_cache_stale") else ""
-    if diff.get("tc.read_cache_hits"):
+    stale = "stale+" if before["stale"] else ""
+    if diff["read_cache_hits"]:
         return stale + "read_cache_hit"
-    if diff.get("tc.record_cache_hits"):
+    if diff["record_hits"]:
         return stale + ("tombstone" if value is None else "record_hit")
     if value is None:
         return stale + "not_found"
-    if promotions:
+    if diff["promotions"]:
         return stale + "promote"
-    return stale + ("dc_io" if diff.get("tc.dc_read_ios") else "dc_no_io")
+    return stale + ("dc_io" if diff["dc_read_ios"] else "dc_no_io")
 
 
 def drive(setup, seed, get, faults=False):
@@ -160,8 +180,7 @@ def drive(setup, seed, get, faults=False):
         if kind == "close":
             tc.commit(held)
             continue
-        before = tc.counters.snapshot()
-        promotions = engine.dc.cache.stats.promotions
+        before = observe(engine, step[1])
         try:
             if kind == "put":
                 results.append(engine.put(step[1], step[2]))
@@ -171,13 +190,12 @@ def drive(setup, seed, get, faults=False):
                 value = get(engine, step[1])
                 results.append(value)
                 outcomes.append(outcome(
-                    before, tc.counters.snapshot(),
-                    engine.dc.cache.stats.promotions - promotions, value))
+                    before, observe(engine, step[1]), value))
         except IoError as error:
             results.append(("IoError", error.site, error.hit))
             if kind == "get":
                 outcomes.append(outcome(
-                    before, tc.counters.snapshot(), 0, None))
+                    before, observe(engine, step[1]), None))
     observed = {
         "results": results,
         "charges": recorder.events,

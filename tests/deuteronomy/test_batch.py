@@ -310,7 +310,8 @@ def warmed_batch_calls(engine, generator):
 def test_a_batched_op_does_its_bookkeeping_in_the_frames_it_has():
     """Complexity guard as frame counts, on ``update_batched`` in
     miniature (YCSB-A, sync commit): a warmed 64-op mixed
-    ``apply_batch`` enters 500 ``repro`` frames, 7.8 per op: 508 while
+    ``apply_batch`` enters 499 ``repro`` frames, 7.8 per op: 500 while
+    the SSD observed each access in a latency histogram, 508 while
     the group commit was inline in ``apply_batch`` (it is one shared
     frame now), a page's byte totals were read through property frames
     and the read cache's invalidation sized its victim in a helper, 575
@@ -344,7 +345,7 @@ def test_a_batched_op_does_its_bookkeeping_in_the_frames_it_has():
     calls = warmed_batch_calls(engine, generator)
     assert calls["tc.apply_batch"] == calls["tree.apply_blind_batch"] == 1
     assert calls["tree.get_with_stats"] > 0   # reads reach the DC too
-    assert sum(calls.frames.values()) == 500
+    assert sum(calls.frames.values()) == 499
     assert calls["<string>.__init__"] == 58
 
 

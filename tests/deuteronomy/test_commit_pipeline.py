@@ -81,7 +81,6 @@ class TestEpochScheduling:
         log.append(record(0))
         future = pipeline.enqueue_epoch()
         assert pipeline.epoch_open
-        assert pipeline.epochs_opened == 1
         assert not future.resolved
         assert future.lsn == log.last_lsn == 1
         assert pipeline.pending_futures == 1
@@ -213,9 +212,11 @@ class TestForce:
         log.append(record(0))
         pipeline.enqueue_epoch()
         pipeline.force()
-        acks = pipeline.acks
+        drained = (log.durable_lsn, pipeline.device.submitted_writes,
+                   pipeline.futures_resolved)
         pipeline.force()
-        assert pipeline.acks == acks
+        assert (log.durable_lsn, pipeline.device.submitted_writes,
+                pipeline.futures_resolved) == drained
 
     def test_force_flushes_records_appended_outside_epochs(
             self, log, pipeline):

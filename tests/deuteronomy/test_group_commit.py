@@ -16,6 +16,7 @@ from repro.faults import FaultInjector, FaultPlan, IoError
 from repro.hardware import Machine
 from repro.observability.whatif import ChargeRecorder
 from repro.scenarios import batch_item
+from repro.sharding import ShardedEngine
 from repro.workloads import OpKind, WorkloadGenerator, WorkloadSpec
 
 from ..frames import count_calls
@@ -63,6 +64,7 @@ def observed(engine, recorder, results, keys):
         "results": results,
         "charges": list(recorder.events),
         "tc.counters": tc.counters.snapshot(),
+        "dc.counters": engine.dc.counters.snapshot(),
         "busy_us": engine.machine.cpu.busy_us,
         "operations": engine.machine.operations,
         "clock": tc._clock,
@@ -140,7 +142,8 @@ def test_apply_batch_bills_what_a_one_transaction_group_commit_bills(
     for name in fused:
         assert fused[name] == reference[name], name
     if config == "record_heap":
-        assert fused["tc.counters"]["tc.record_cache_drains"] > 0
+        # Every DC post went through a drain of the heap.
+        assert fused["dc.counters"]["bwtree.blind_batches"] > 0
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
@@ -190,7 +193,33 @@ def test_a_get_drains_a_heap_a_failed_commit_left_dirty():
     with pytest.raises(IoError):
         tc.commit(txn)
     assert tc.records.dirty_bytes >= tc.config.record_dirty_flush_bytes
-    drains = tc.counters.get("tc.record_cache_drains")
+    drains = engine.dc.counters.get("bwtree.blind_batches")
     assert engine.get(b"a") == b"x" * 100
-    assert tc.counters.get("tc.record_cache_drains") == drains + 1
+    assert engine.dc.counters.get("bwtree.blind_batches") == drains + 1
     assert tc.records.dirty_bytes == 0
+
+
+def test_a_group_commit_that_logs_nothing_counts_no_log_append():
+    """An all-get batch commits an empty group: it appends no record,
+    so it counts no log append (``log_batch_appends`` once counted one
+    per all-get batch)."""
+    engine = DeuteronomyEngine(Machine.paper_default(cores=1))
+    engine.put(b"a", b"1")
+    log = engine.tc.log
+    before = (log.batch_appends, log.appended_records)
+    assert engine.apply_batch([("get", b"a", None),
+                               ("get", b"b", None)]) == [b"1", None]
+    assert (log.batch_appends, log.appended_records) == before
+    engine.apply_batch([("get", b"a", None), ("put", b"b", b"2")])
+    assert (log.batch_appends, log.appended_records) == (
+        before[0] + 1, before[1] + 1)
+
+
+def test_a_shard_whose_sub_batch_is_all_gets_counts_no_log_append():
+    fleet = ShardedEngine(num_shards=2, cores_per_shard=1)
+    keys = [b"k%04d" % index for index in range(32)]
+    read_key = next(key for key in keys if fleet.shard_for(key) == 0)
+    write_key = next(key for key in keys if fleet.shard_for(key) == 1)
+    fleet.apply_batch([("get", read_key, None), ("put", write_key, b"v")])
+    assert [shard.tc.log.batch_appends for shard in fleet.shards] == [0, 1]
+    assert fleet.stats()["fleet"]["log_batch_appends"] == 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bwtree import BwTree, BwTreeConfig
+from repro.bwtree import BwTree, BwTreeConfig, OpResult
 from repro.deuteronomy import (
     RecoveryLog,
     TcConfig,
@@ -101,12 +101,11 @@ class TestReadsAndWrites:
         assert tc.dc.get(b"k") is None
 
     def test_writes_reach_dc_as_blind_updates(self, tc, machine):
-        ios_before = machine.ssd.total_ios
+        reads_before = machine.ssd.counters.get("ssd.reads")
         tc.run_update(b"k", b"v")
-        assert tc.dc.get(b"k") == b"v"
-        # The DC update itself never read flash.
-        assert tc.dc.counters.get("bwtree.ios") == 0
-        del ios_before
+        # Neither the blind update nor the read after it read flash.
+        assert tc.dc.get_with_stats(b"k") == OpResult(b"v", True, 0)
+        assert machine.ssd.counters.get("ssd.reads") == reads_before
 
     def test_run_read_only(self, tc):
         tc.run_update(b"a", b"1")
@@ -174,7 +173,8 @@ class TestCachingTiers:
         tc.run_update(b"k", b"v")
         txn = tc.begin()
         assert tc.read(txn, b"k") == b"v"
-        assert tc.counters.get("tc.log_cache_hits") >= 1
+        # Served before the read cache is probed or the DC reached.
+        assert tc.read_cache.hits + tc.read_cache.misses == 0
         assert tc.counters.get("tc.dc_reads") == 0
 
     def test_dc_read_populates_read_cache(self, tc):
@@ -185,7 +185,7 @@ class TestCachingTiers:
         assert tc.counters.get("tc.dc_reads") == 1
         txn2 = tc.begin()
         assert tc.read(txn2, b"cold") == b"v"
-        assert tc.counters.get("tc.read_cache_hits") == 1
+        assert tc.read_cache.hits == 1
         assert tc.counters.get("tc.dc_reads") == 1   # no second trip
 
     def test_update_invalidates_read_cache(self, tc):

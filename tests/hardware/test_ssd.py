@@ -74,12 +74,11 @@ def test_scaled_iops_keeps_other_fields():
     assert spec.price_dollars == SsdSpec().price_dollars
 
 
-def test_read_counts_ios_and_bytes():
+def test_read_counts_ios():
     ssd = SimulatedSsd()
     ssd.read(4096)
     ssd.read(4096)
     assert ssd.counters.get("ssd.reads") == 2
-    assert ssd.counters.get("ssd.read_bytes") == 8192
     assert ssd.total_ios == 2
 
 
@@ -112,7 +111,8 @@ def test_latency_recorded():
     ssd = SimulatedSsd()
     service = ssd.read(4096)
     assert service >= ssd.spec.read_latency_us
-    assert ssd.latencies.count == 1
+    assert ssd.total_ios == 1
+    assert ssd.service_us_total == service
 
 
 def test_store_and_release_bytes():

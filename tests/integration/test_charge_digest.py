@@ -31,11 +31,13 @@ and ``tests/hardware/test_cpu.py``, so no run is repeated untraced.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import sys
 
 from repro.bwtree import BwTree, BwTreeConfig
 from repro.deuteronomy import DeuteronomyEngine, TcConfig
+from repro.deuteronomy.read_cache import ReadCache
 from repro.hardware import Machine
 from repro.observability.whatif import ChargeRecorder
 from repro.scenarios import batch_item
@@ -129,10 +131,38 @@ READ_TC_CONFIG = TcConfig(log_buffer_bytes=1024, log_retain_budget_bytes=2048,
                           version_gc_horizon_lag=64)
 READ_BATCH = 16
 
+
+def spy_on_read_cache_inserts(monkeypatch, reached) -> None:
+    """Count the read cache's FIFO evictions and refused inserts into
+    ``reached``; the spy charges nothing."""
+    reached.update(read_cache_fifo_evictions=0, read_cache_rejects=0)
+    insert = ReadCache.insert
+
+    def spying_insert(cache, key, value):
+        admitted = len(cache.entries) + (key not in cache.entries)
+        insert(cache, key, value)
+        if key in cache.entries:
+            reached["read_cache_fifo_evictions"] += (admitted
+                                                     - len(cache.entries))
+        else:
+            reached["read_cache_rejects"] += 1
+
+    monkeypatch.setattr(ReadCache, "insert", spying_insert)
+
+
+def leaf_of(tree, key):
+    """The leaf ``key`` descends to, found without billing a charge."""
+    node_id = tree.root_id
+    while node_id < 0:
+        node = tree._inners[node_id]
+        node_id = node.children[bisect.bisect_right(node.keys, key)]
+    return tree.mapping_table.by_id[node_id]
+
+
 READ_CHARGES_SHA256 = (
     "1b441f4d7f7e9abe5477ad3d2cda41d1bb2ceb5421778af0ca743d49696eb3a6")
 READ_STATS_SHA256 = (
-    "efa6f85b2536f85b70a35467bc072f79f6d472ae651469f32c0dbd0ede7418b1")
+    "e226452291e12020286b593b89da22e426717be1f59bb1496de43af0842b859d")
 
 
 def test_read_path_charge_stream_and_stats_match_their_pinned_digests(
@@ -140,7 +170,7 @@ def test_read_path_charge_stream_and_stats_match_their_pinned_digests(
     # A log that drops its buffers sends re-reads of written keys past
     # the version store, so DC reads land on delta-only pages; updates
     # to evicted pages grow chains that the read's fetch consolidates.
-    reached = {"read_consolidations": 0}
+    reached = {"read_consolidations": 0, "delta_only_hits": 0}
     get_with_stats = BwTree.get_with_stats
 
     def spying_get(tree, key):
@@ -148,9 +178,14 @@ def test_read_path_charge_stream_and_stats_match_their_pinned_digests(
         result = get_with_stats(tree, key)
         reached["read_consolidations"] += (
             tree.counters.get("bwtree.consolidations") - before)
+        # No I/O and no consolidation: the page it read is still
+        # delta-only, so the read was served from a delta.
+        reached["delta_only_hits"] += (
+            result.ios == 0 and leaf_of(tree, key).state.base is None)
         return result
 
     monkeypatch.setattr(BwTree, "get_with_stats", spying_get)
+    spy_on_read_cache_inserts(monkeypatch, reached)
 
     def run(sink):
         machine = Machine.paper_default(cores=1)
@@ -195,13 +230,9 @@ def test_read_path_charge_stream_and_stats_match_their_pinned_digests(
     recorder = ChargeRecorder()
     engine = run(recorder)
     machine = engine.machine
-    tree, read_cache = engine.dc, engine.tc.read_cache
-    reached.update(
-        fetches=tree.cache.stats.fetches,
-        evictions=tree.cache.stats.evictions,
-        delta_only_hits=tree.counters.get("bwtree.record_cache_hits"),
-        read_cache_fifo_evictions=read_cache.evicted_records,
-        read_cache_rejects=read_cache.rejected_inserts)
+    tree = engine.dc
+    reached.update(fetches=tree.cache.stats.fetches,
+                   evictions=tree.cache.stats.evictions)
     assert all(count > 0 for count in reached.values()), reached
     assert sha256_of_charges(recorder) == READ_CHARGES_SHA256
     latencies = machine.op_latencies
@@ -318,7 +349,7 @@ OVERSIZED_VALUE = b"o" * (13 * 1024)
 MISS_CHARGES_SHA256 = (
     "0a4fea4c54d559339be6f36f0a48b0e91f1b3971b392f993147c6d69de860cae")
 MISS_STATS_SHA256 = (
-    "91771770d23d5075830ab4c3511f5cbb1b2cd02502f52ed446aaa132a480523b")
+    "0c4a46d9fcde1ab3787240f6d0d14e7c8b5841850ea031e020db20827cee23e2")
 
 
 def test_page_miss_charge_stream_and_stats_match_their_pinned_digests(
@@ -339,6 +370,7 @@ def test_page_miss_charge_stream_and_stats_match_their_pinned_digests(
         return evicted
 
     monkeypatch.setattr(PageCache, "ensure_capacity", spying_ensure_capacity)
+    spy_on_read_cache_inserts(monkeypatch, reached)
 
     def run(sink):
         machine = Machine.paper_default(cores=1)
@@ -374,11 +406,11 @@ def test_page_miss_charge_stream_and_stats_match_their_pinned_digests(
 
     recorder = ChargeRecorder()
     engine = run(recorder)
-    cache, read_cache = engine.dc.cache, engine.tc.read_cache
+    cache = engine.dc.cache
     dc_reads = engine.tc.counters.get("tc.dc_reads")
     reached.update(fetches=cache.stats.fetches,
-                   evictions=cache.stats.evictions,
-                   read_cache_fifo_evictions=read_cache.evicted_records)
+                   evictions=cache.stats.evictions)
+    del reached["read_cache_rejects"]   # the miss run admits every record
     assert all(count > 0 for count in reached.values()), reached
     assert 2 * cache.stats.evictions > dc_reads
     assert 2 * cache.stats.fetches > dc_reads

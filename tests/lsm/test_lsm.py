@@ -79,11 +79,10 @@ class TestStructure:
 
     def test_auto_flush_on_memtable_full(self, tree):
         load(tree, 200)
-        assert tree.counters.get("lsm.memtable_flushes") > 0
+        assert any(tree.levels)
 
     def test_compaction_triggers_and_levels_fill(self, tree):
         load(tree, 3000)
-        assert tree.counters.get("lsm.compactions") > 0
         deeper = sum(len(level) for level in tree.levels[1:])
         assert deeper > 0
 
@@ -131,7 +130,8 @@ class TestCosts:
         tree.upsert(b"hot", b"v")
         machine.reset_accounting()
         result = tree.get_with_stats(b"hot")
-        assert result.memtable_hit
+        assert not any(tree.levels)   # only the memtable holds it
+        assert result.value == b"v"
         assert result.ios == 0
 
     def test_bloom_filters_bound_probe_ios(self, tree, machine):
@@ -168,7 +168,6 @@ class TestBlockCache:
         second = tree.get_with_stats(key)
         assert first.ios >= 1
         assert second.ios == 0
-        assert tree.counters.get("lsm.block_cache_hits") >= 1
 
     def test_block_cache_respects_budget(self, machine):
         tree = self.make_cached_tree(machine, cache_bytes=16 << 10)

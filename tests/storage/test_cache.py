@@ -105,9 +105,9 @@ class TestFlush:
         __, table, store, cache = rig
         entry = make_page(table, cache, [Record(b"a", b"v")])
         cache.flush_page(entry)
-        appended = store.images_appended
+        appended = store.bytes_appended
         cache.flush_page(entry)
-        assert store.images_appended == appended
+        assert store.bytes_appended == appended
 
     def test_flush_without_state_rejected(self, rig):
         __, table, __s, cache = rig
@@ -334,7 +334,7 @@ class TestDemoteNotDrop:
         cache.register(entry)
         ios = cache.fetch(entry)
         assert ios >= 1
-        assert cache.stats.stale_tier_copies == 1
+        assert not cache.tiers.holds(entry.page_id)   # discarded
         assert cache.stats.promotions == 0
         assert entry.state.lookup(b"a").value == b"new"
 
@@ -351,7 +351,8 @@ class TestDemoteNotDrop:
         store.flush()
         ios = cache.fetch(entry)
         assert ios >= 1
-        assert cache.stats.stale_tier_copies == 1
+        assert not cache.tiers.holds(entry.page_id)   # discarded
+        assert cache.stats.promotions == 0
         assert entry.state.lookup(b"a").value == b"moved"
 
     def test_tier_budget_fifo_overflow(self, machine):
@@ -362,7 +363,6 @@ class TestDemoteNotDrop:
         cache.evict(first)
         cache.evict(second)
         assert cache.stats.demotions == 2
-        assert cache.stats.tier_drops == 1
         assert not cache.tiers.holds(first.page_id)
         assert cache.tiers.holds(second.page_id)
         assert cache.tiers.resident_bytes <= 150

@@ -50,7 +50,9 @@ def test_cleaning_relocates_live_and_reclaims_dead(rig):
     cleaned = gc.run_once(max_occupancy=0.99)
     assert cleaned == segment
     assert gc.stats.bytes_reclaimed > 0
-    assert gc.stats.images_relocated == 1   # page b moved
+    # Page b's image moved, and only it.
+    assert b.flash_chain[0].segment_id != segment
+    assert gc.stats.bytes_relocated == b.flash_chain[0].nbytes
     # b's chain now points somewhere valid:
     result = store.read(b.flash_chain[0])
     assert result.image.page_id == b.page_id
@@ -85,7 +87,8 @@ def test_unreferenced_live_image_is_dropped_not_relocated(rig):
     entry.flash_chain = []
     table.free(entry.page_id)
     gc.clean_segment(segment)
-    assert gc.stats.images_relocated == 1   # only `other`
+    # Only `other`'s image moved.
+    assert gc.stats.bytes_relocated == other.flash_chain[0].nbytes
     assert segment not in store.segments
     del other
 

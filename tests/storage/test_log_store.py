@@ -134,4 +134,3 @@ def test_bytes_appended_accumulates(store):
     store.append(image(2, 200))
     assert store.bytes_appended == (image(1, 100).size_bytes
                                     + image(2, 200).size_bytes)
-    assert store.images_appended == 2

@@ -194,22 +194,22 @@ class TestApplyOperations:
 
     def test_reads_all_found(self, loaded):
         tree, spec = loaded
-        generator = WorkloadGenerator(spec)
-        stats = apply_operations(tree, generator.operations(500))
+        ops = list(WorkloadGenerator(spec).operations(500))
+        assert {op.kind for op in ops} == {OpKind.READ}   # ycsb-c default
+        stats = apply_operations(tree, iter(ops))
         assert stats.operations == 500
-        assert stats.not_found == 0
-        assert stats.reads == 500   # ycsb-c default: all reads
+        assert all(tree.get(op.key) is not None for op in ops)
 
     def test_mixed_stats_counted(self, loaded):
         tree, __ = loaded
         spec = WorkloadSpec(record_count=500, read_fraction=0.6,
                             update_fraction=0.4, seed=11)
-        generator = WorkloadGenerator(spec)
-        stats = apply_operations(tree, generator.operations(400))
+        ops = list(WorkloadGenerator(spec).operations(400))
+        assert {op.kind for op in ops} == {OpKind.READ, OpKind.UPDATE}
+        stats = apply_operations(tree, iter(ops))
         assert stats.operations == 400
-        assert stats.reads + stats.updates == 400
-        assert stats.reads > 0 and stats.updates > 0
-        assert stats.not_found == 0
+        latest = {op.key: op.value for op in ops if op.kind is OpKind.UPDATE}
+        assert all(tree.get(key) == value for key, value in latest.items())
 
     def test_ss_fraction_zero_when_cached(self, loaded):
         tree, spec = loaded
