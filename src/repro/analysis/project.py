@@ -106,11 +106,8 @@ GENERIC_TOUCH_VERBS = frozenset({
     "upsert",
     "get_with_stats",
     "multi_get",
-    "multi_put",
-    "multi_delete",
     "apply_batch",
     "run_update",
-    "run_update_batch",
     "execute_batch",
     "commit",
     "commit_batch",

@@ -8,7 +8,7 @@ context-manager transaction API.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..bwtree.tree import BwTree, BwTreeConfig
 from ..hardware.logdevice import LogDevice
@@ -129,63 +129,12 @@ class DeuteronomyEngine:
 
     # --- batched (multi-op) conveniences ------------------------------
 
-    def multi_put(self, items: Iterable[Tuple[bytes, bytes]]) -> List[int]:
-        """Group-committed autocommit updates: one log append and one
-        flush decision for the whole batch.  Items are applied in order
-        (a later write to the same key wins, exactly like sequential
-        ``put`` calls).  Returns one commit timestamp per item."""
-        tracer = self.machine.tracer
-        if tracer is not None:
-            tracer.open_span("engine.multi_put", "engine")
-        try:
-            timestamps = self.tc.run_update_batch(items)
-            assert all(ts is not None for ts in timestamps)
-            return timestamps  # type: ignore[return-value]
-        finally:
-            if tracer is not None:
-                tracer.close_span()
-
-    def multi_delete(self, keys: Iterable[bytes]) -> List[int]:
-        """Group-committed autocommit deletes (see :meth:`multi_put`)."""
-        tracer = self.machine.tracer
-        if tracer is not None:
-            tracer.open_span("engine.multi_delete", "engine")
-        try:
-            timestamps = self.tc.run_update_batch(
-                (key, None) for key in keys
-            )
-            assert all(ts is not None for ts in timestamps)
-            return timestamps  # type: ignore[return-value]
-        finally:
-            if tracer is not None:
-                tracer.close_span()
-
-    def multi_get(self, keys: Sequence[bytes]) -> List[Optional[bytes]]:
-        """Batched autocommitted snapshot reads: one transaction and one
-        request dispatch amortized across the whole batch.  A key the
-        data component would reject refuses the batch before its
-        transaction begins: nothing of it is charged or counted."""
-        for key in keys:
-            if type(key) is not bytes or not key:
-                self.dc.validate_key(key)
-        tracer = self.machine.tracer
-        if tracer is not None:
-            tracer.open_span("engine.multi_get", "engine")
-        try:
-            txn = self.tc.begin()
-            try:
-                values = self.tc.read_batch(txn, keys)
-            except BaseException:
-                self.tc.abort(txn)
-                raise
-            self.tc.commit(txn)
-            return values
-        finally:
-            if tracer is not None:
-                tracer.close_span()
+    def multi_get(self, keys: Iterable[bytes]) -> List[Optional[bytes]]:
+        """Batched autocommitted snapshot reads: a batch of gets."""
+        return self.apply_batch([("get", key, None) for key in keys])
 
     def apply_batch(
-        self, ops: Sequence[Tuple[str, bytes, Optional[bytes]]]
+        self, ops: Iterable[Tuple[str, bytes, Optional[bytes]]]
     ) -> List[Optional[bytes]]:
         """Run a mixed batch of ops as one transaction via group commit.
 

@@ -289,21 +289,16 @@ class TransactionComponent:
             if tracer is not None:
                 tracer.close_span()
 
-    def commit_batch(
-        self, txns: Sequence[Transaction], sequential: bool = False
-    ) -> List[Optional[int]]:
+    def commit_batch(self, txns: Sequence[Transaction]) -> List[Optional[int]]:
         """Group commit: one log-buffer append and one flush decision.
 
         Each transaction commits or aborts on its own, by
         first-committer-wins against committed versions and *within* the
         batch, but the cost is amortized: one timestamp-range allocation,
         one append of every redo record, one round of blind posts to the
-        DC and (under ``sync_commit``) one log flush for the group.  With
-        ``sequential=True`` the group is an ordered pipeline (each
-        transaction begins after its predecessor commits, the autocommit
-        case): a later write to a key an earlier one wrote wins instead
-        of conflicting.  Returns one entry per transaction, in order: its
-        commit timestamp, or ``None`` if it lost a conflict check and was
+        DC and (under ``sync_commit``) one log flush for the group.
+        Returns one entry per transaction, in order: its commit
+        timestamp, or ``None`` if it lost a conflict check and was
         aborted.  A raise leaves every transaction active.
         """
         listed: set = set()
@@ -321,7 +316,7 @@ class TransactionComponent:
         try:
             results = self._group_commit(
                 [(txn.txn_id, txn.read_timestamp, txn.write_set)
-                 for txn in txns], sequential)
+                 for txn in txns])
         except BaseException:
             for txn in txns:
                 active[txn.txn_id] = txn
@@ -332,9 +327,7 @@ class TransactionComponent:
         return results
 
     def _group_commit(
-        self,
-        groups: Sequence[Tuple[int, int, Dict[bytes, Optional[bytes]]]],
-        sequential: bool = False,
+        self, groups: Sequence[Tuple[int, int, Dict[bytes, Optional[bytes]]]],
     ) -> List[Optional[int]]:
         """The one group commit of ``(txn_id, read_ts, write_set)``
         groups outside the active set: the stamp, each written key's
@@ -364,8 +357,6 @@ class TransactionComponent:
             for txn_id, read_ts, write_set in groups:
                 for key in write_set:
                     if key in written:
-                        if sequential:
-                            continue
                         break
                     # The conflict probe, VersionStore.newest_timestamp
                     # in this frame.
@@ -629,7 +620,7 @@ class TransactionComponent:
     # ------------------------------------------------------------------
 
     def apply_batch(
-        self, ops: Sequence[Tuple[str, bytes, Optional[bytes]]],
+        self, ops: Iterable[Tuple[str, bytes, Optional[bytes]]],
     ) -> List[Optional[bytes]]:
         """Run a mixed batch (see :meth:`execute_batch`) as one
         transaction through a one-transaction group commit.
@@ -643,6 +634,7 @@ class TransactionComponent:
         (:func:`check_batch`): a bad op refuses it before anything is
         charged or counted.  A failed read counts an abort and re-raises.
         """
+        ops = list(ops)
         check_batch(ops)
         machine = self.machine
         bill = machine.cpu.bill
@@ -692,38 +684,6 @@ class TransactionComponent:
         txn = self.begin()
         self.write(txn, key, value)
         return self.commit(txn)
-
-    def run_update_batch(
-        self, items: Iterable[Tuple[bytes, Optional[bytes]]]
-    ) -> List[Optional[int]]:
-        """Group-commit a batch of autocommit single-update transactions.
-
-        Each item is its own transaction, with its own transaction id and
-        commit timestamp (a crash recovers to a prefix of the batch), but
-        the request dispatch, the log append, the DC posts and the flush
-        decision are shared (Deuteronomy 2.0's batched log buffers).
-        Bills what a ``begin`` and a buffered write per item, then
-        ``commit_batch(sequential=True)``, would, without building a
-        :class:`Transaction`.  Returns one commit timestamp per item.  A
-        rejected write refuses the batch before anything is billed.
-        """
-        items = list(items)
-        for key, value in items:
-            check_write(key, value)
-        machine = self.machine
-        bill = machine.cpu.bill
-        machine.cpu.charge("op_dispatch", category="tc")
-        read_ts = self._clock
-        groups = []
-        for key, value in items:
-            # begin, then _buffer_write, in this frame.
-            bill(self._stamp)
-            groups.append((self._next_txn_id, read_ts, {key: value}))
-            self._next_txn_id += 1
-            machine.begin_operation()
-            bill(self._copy,
-                 len(key) + (len(value) if value is not None else 0))
-        return self._group_commit(groups, sequential=True)
 
     # ------------------------------------------------------------------
     # durability

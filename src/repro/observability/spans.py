@@ -98,7 +98,6 @@ COMPONENT_OF_CATEGORY: Dict[str, str] = {
 #: set so the docs cannot drift silently).
 SPAN_NAMES = frozenset({
     "engine.get", "engine.put", "engine.delete",
-    "engine.multi_get", "engine.multi_put", "engine.multi_delete",
     "engine.apply_batch", "engine.checkpoint", "engine.collect_garbage",
     "tc.read", "tc.commit", "tc.commit_batch",
     "record_cache.lookup", "record_cache.append", "record_cache.gc",

@@ -188,17 +188,30 @@ class ShardedEngine:
 
     # --- batched scatter/gather API -----------------------------------
 
-    def _scatter_gather(
-        self,
-        items: Sequence,
-        keys: List[bytes],
-        run_shard: Callable[[DeuteronomyEngine, list], list],
-    ) -> list:
-        """Fan a batch out by shard, run each sub-batch in ascending
-        shard id, merge in input order.  ``keys[i]`` is the key of
-        ``items[i]``; the caller has already checked every item, so no
-        shard can refuse its sub-batch after an earlier one ran."""
-        per_shard, positions = self.router.scatter(items, keys)
+    def multi_get(self, keys: Iterable[bytes]) -> List[Optional[bytes]]:
+        """Batched reads: a batch of gets, one snapshot per involved
+        shard (shards have independent clocks, so there is no
+        cross-shard snapshot, the usual contract of hash-sharded
+        stores)."""
+        return self.apply_batch([("get", key, None) for key in keys])
+
+    def apply_batch(
+        self, ops: Iterable[Tuple[str, bytes, Optional[bytes]]],
+    ) -> List[Optional[bytes]]:
+        """Mixed get/put/delete batch, scatter/gathered by key.
+
+        The batch fans out by shard, each sub-batch runs in ascending
+        shard id as one transaction through that shard's group commit,
+        and the results merge back in input order.  Reads see the
+        batch's earlier writes *to keys of the same shard* — with hash
+        routing that is every earlier write to the same key, which is
+        what read-your-batch-writes requires.  Every op is checked
+        (:func:`~repro.deuteronomy.tc.check_batch`) before any shard
+        runs, so a bad op refuses the whole batch instead of leaving the
+        shards before it committed.
+        """
+        ops = list(ops)
+        per_shard, positions = self.router.scatter(ops, check_batch(ops))
         results: List[list] = []
         result_positions: List[List[int]] = []
         for shard_id, sub_batch in enumerate(per_shard):
@@ -222,69 +235,15 @@ class ShardedEngine:
             if tracer is not None:
                 tracer.open_span("shard.batch", "sharding")
             try:
-                results.append(run_shard(shard, sub_batch))
+                results.append(shard.apply_batch(sub_batch))
             finally:
                 if tracer is not None:
                     tracer.close_span()
             result_positions.append(positions[shard_id])
         counts = self.counters.counts
         counts["router.batches"] += 1.0
-        counts["router.routed_ops"] += len(items)
-        return self.router.gather(len(items), results, result_positions)
-
-    def multi_put(
-        self, items: Sequence[Tuple[bytes, bytes]],
-    ) -> List[int]:
-        """Group-committed puts, one group commit per involved shard.
-
-        Items are applied in input order per key (duplicate keys are
-        last-wins, exactly as on a single engine, because a key's
-        occurrences all land on the same shard in order).  Returns one
-        commit timestamp per item; timestamps are per-shard clocks and
-        only comparable within a shard.  A bad key or value refuses the
-        whole batch before any shard runs (as :meth:`apply_batch`; a
-        ``None`` value deletes, as on a single engine).
-        """
-        items = list(items)
-        keys = check_batch([("put", key, value) if value is not None
-                            else ("delete", key, None)
-                            for key, value in items])
-        return self._scatter_gather(items, keys,
-                                    DeuteronomyEngine.multi_put)
-
-    def multi_delete(self, keys: Sequence[bytes]) -> List[int]:
-        """Group-committed deletes (see :meth:`multi_put`)."""
-        keys = check_batch([("delete", key, None) for key in keys])
-        return self._scatter_gather(keys, keys,
-                                    DeuteronomyEngine.multi_delete)
-
-    def multi_get(self, keys: Sequence[bytes]) -> List[Optional[bytes]]:
-        """Batched reads: one snapshot transaction per involved shard.
-
-        Each shard's sub-batch is one consistent snapshot; there is no
-        cross-shard snapshot (shards have independent clocks), matching
-        the usual contract of hash-sharded stores.  A bad key refuses
-        the whole batch before any shard runs.
-        """
-        keys = check_batch([("get", key, None) for key in keys])
-        return self._scatter_gather(keys, keys, DeuteronomyEngine.multi_get)
-
-    def apply_batch(
-        self, ops: Sequence[Tuple[str, bytes, Optional[bytes]]],
-    ) -> List[Optional[bytes]]:
-        """Mixed get/put/delete batch, scatter/gathered by key.
-
-        Per shard the sub-batch runs as one transaction through group
-        commit, so reads see the batch's earlier writes *to keys of the
-        same shard* — with hash routing that is every earlier write to
-        the same key, which is what read-your-batch-writes requires.
-        Every op is checked (:func:`~repro.deuteronomy.tc.check_batch`)
-        before any shard runs, so a bad op refuses the whole batch
-        instead of leaving the shards before it committed.
-        """
-        ops = list(ops)
-        return self._scatter_gather(ops, check_batch(ops),
-                                    DeuteronomyEngine.apply_batch)
+        counts["router.routed_ops"] += len(ops)
+        return self.router.gather(len(ops), results, result_positions)
 
     # --- load / maintenance -------------------------------------------
 

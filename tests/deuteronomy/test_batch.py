@@ -21,32 +21,38 @@ def make_engine(sync: bool = False, cores: int = 1) -> DeuteronomyEngine:
     )
 
 
+def puts(items):
+    """``(key, value)`` items as a batch of puts."""
+    return [("put", key, value) for key, value in items]
+
+
 class TestMultiOpApi:
+    """Multi-key puts, gets and deletes: ``multi_get``, and
+    ``apply_batch`` for the writes."""
+
     def test_multi_put_then_gets(self):
         engine = make_engine()
         items = [(b"k%02d" % i, b"v%d" % i) for i in range(20)]
-        timestamps = engine.multi_put(items)
-        assert len(timestamps) == 20
-        assert timestamps == sorted(timestamps)
+        assert engine.apply_batch(puts(items)) == [None] * 20
         for key, value in items:
             assert engine.get(key) == value
 
     def test_multi_put_same_key_last_wins(self):
         engine = make_engine()
-        engine.multi_put([(b"k", b"first"), (b"k", b"second"),
-                          (b"k", b"third")])
+        engine.apply_batch(puts([(b"k", b"first"), (b"k", b"second"),
+                                 (b"k", b"third")]))
         assert engine.get(b"k") == b"third"
 
     def test_multi_get_matches_gets(self):
         engine = make_engine()
-        engine.multi_put([(b"a", b"1"), (b"b", b"2")])
+        engine.apply_batch(puts([(b"a", b"1"), (b"b", b"2")]))
         assert engine.multi_get([b"a", b"missing", b"b"]) == [
             b"1", None, b"2"]
 
     def test_multi_delete(self):
         engine = make_engine()
-        engine.multi_put([(b"a", b"1"), (b"b", b"2")])
-        engine.multi_delete([b"a", b"b"])
+        engine.apply_batch(puts([(b"a", b"1"), (b"b", b"2")]))
+        engine.apply_batch([("delete", b"a", None), ("delete", b"b", None)])
         assert engine.multi_get([b"a", b"b"]) == [None, None]
 
     def test_apply_batch_reads_see_earlier_batch_writes(self):
@@ -75,7 +81,7 @@ class TestMultiOpApi:
         for key, value in items:
             per_op.put(key, value)
         for start in range(0, len(items), 8):
-            batched.multi_put(items[start:start + 8])
+            batched.apply_batch(puts(items[start:start + 8]))
         for index in range(10):
             key = b"k%02d" % index
             assert per_op.get(key) == batched.get(key)
@@ -140,15 +146,15 @@ class TestGroupCommitSemantics:
         items = [(b"k%02d" % i, b"v") for i in range(32)]
         for key, value in items:
             per_op.put(key, value)
-        batched.multi_put(items)
+        batched.apply_batch(puts(items))
         assert per_op.tc.log.flushes == 32
         assert batched.tc.log.flushes == 1
         assert batched.tc.log.appended_records == 32
 
     def test_batch_appends_counted(self):
         engine = make_engine()
-        engine.multi_put([(b"a", b"1"), (b"b", b"2")])
-        engine.multi_put([(b"c", b"3")])
+        engine.apply_batch(puts([(b"a", b"1"), (b"b", b"2")]))
+        engine.apply_batch(puts([(b"c", b"3")]))
         assert engine.tc.log.batch_appends == 2
 
     def test_batched_path_spends_fewer_core_us(self):
@@ -161,14 +167,14 @@ class TestGroupCommitSemantics:
                 for key, value in items:
                     engine.put(key, value)
             else:
-                engine.multi_put(items)
+                engine.apply_batch(puts(items))
             costs[mode] = engine.machine.cpu.busy_us
         assert costs["batched"] < costs["per_op"]
 
     def test_recovered_batch_equals_logged_records(self):
         engine = make_engine(sync=True)
         engine.checkpoint()
-        engine.multi_put([(b"k%d" % i, b"v%d" % i) for i in range(8)])
+        engine.apply_batch(puts((b"k%d" % i, b"v%d" % i) for i in range(8)))
         recovered = DeuteronomyEngine.recover(engine)
         for index in range(8):
             assert recovered.get(b"k%d" % index) == b"v%d" % index
@@ -177,15 +183,9 @@ class TestGroupCommitSemantics:
 class TestBatchEdgeCases:
     """Edge cases the sharded scatter/gather router leans on."""
 
-    def test_empty_multi_put_is_a_no_op(self):
-        engine = make_engine()
-        assert engine.multi_put([]) == []
-        assert engine.tc.counters.get("tc.commits") == 0
-
-    def test_empty_multi_get_and_delete(self):
+    def test_empty_multi_get(self):
         engine = make_engine()
         assert engine.multi_get([]) == []
-        assert engine.multi_delete([]) == []
 
     def test_empty_apply_batch(self):
         engine = make_engine(sync=True)
@@ -228,14 +228,21 @@ class TestBatchEdgeCases:
         ])
         assert engine.get(b"k") == b"reborn"
 
-    def test_multi_put_mixed_with_deletes_via_run_update_batch(self):
-        engine = make_engine()
-        # None values are deletes on the same group-commit path.
-        engine.multi_put([(b"a", b"1"), (b"b", b"2")])
-        timestamps = engine.tc.run_update_batch(
-            [(b"a", None), (b"a", b"3"), (b"b", None)])
-        assert all(ts is not None for ts in timestamps)
-        assert engine.multi_get([b"a", b"b"]) == [b"3", None]
+
+@pytest.mark.parametrize("shards", [0, 2])
+def test_a_one_shot_iterable_batch_is_read_once(shards):
+    """``apply_batch`` and ``multi_get`` take any iterable.  A bare
+    engine's TC used to check a generator's ops and then loop over the
+    spent iterator: it returned ``[]``, applied nothing and still billed
+    and counted an empty commit."""
+    engine = (ShardedEngine(shards, cores_per_shard=1) if shards
+              else make_engine())
+    assert engine.apply_batch(
+        ("put", key, b"v") for key in (b"a", b"b")) == [None, None]
+    assert engine.multi_get(key for key in (b"a", b"b", b"c")) == [
+        b"v", b"v", None]
+    assert engine.apply_batch(
+        op for op in [("get", b"a", None)]) == [b"v"]
 
 
 #: Functions a warmed batched op must not enter: the transaction object's
@@ -352,8 +359,10 @@ def test_a_batched_op_does_its_bookkeeping_in_the_frames_it_has():
 def test_a_fleet_batch_does_its_bookkeeping_in_the_frames_it_has():
     """The same guard on ``fleet_async`` in miniature (8 shards, commit
     pipeline, one shared log device, every key routed once by the bulk
-    load): a warmed 64-op ``apply_batch`` enters 580 ``repro`` frames,
-    9.1 per op: 581 while each shard's group commit was inline in
+    load): a warmed 64-op ``apply_batch`` enters 579 ``repro`` frames,
+    9.0 per op: 580 while the scatter/gather ran in a helper frame of
+    its own, shared with the retired ``multi_put`` and ``multi_delete``,
+    581 while each shard's group commit was inline in
     ``apply_batch`` (it is one shared frame per shard now), a page's
     byte totals were read through property frames and the read cache's
     invalidation sized its victim in a helper, 679 (10.6) while each
@@ -386,5 +395,5 @@ def test_a_fleet_batch_does_its_bookkeeping_in_the_frames_it_has():
     # ``enqueue_epoch``'s frame.
     assert "commit_pipeline.maybe_close" not in calls
     assert "commit_pipeline.ack" not in calls
-    assert sum(calls.frames.values()) == 580
+    assert sum(calls.frames.values()) == 579
     assert calls["<string>.__init__"] == 72

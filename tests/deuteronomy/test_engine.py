@@ -80,8 +80,9 @@ REJECTED_WRITES = {
     "put-str-key": (lambda e: e.put("b", b"v"), TypeError),
     "put-empty-key": (lambda e: e.put(b"", b"v"), ValueError),
     "delete-str-key": (lambda e: e.delete("a"), TypeError),
-    "multi_put-empty-key": (
-        lambda e: e.multi_put([(b"b", b"1"), (b"", b"2"), (b"c", b"3")]),
+    "apply_batch-put-empty-key": (
+        lambda e: e.apply_batch([("put", b"b", b"1"), ("put", b"", b"2"),
+                                 ("put", b"c", b"3")]),
         ValueError),
     "apply_batch-int-value": (
         lambda e: e.apply_batch([("put", b"b", b"1"), ("put", b"c", 7)]),

@@ -1,11 +1,11 @@
 """The one group commit against the choreography it stands for.
 
-``TransactionComponent.apply_batch`` and ``run_update_batch`` commit
-through the same private group commit as ``commit_batch``, without
-building a ``Transaction``.  Each is held here, on twin seeded engines,
-to the transaction calls it replaces: every charge in order (through a
-``ChargeRecorder``), every TC counter, every redo record and every value
-read back compare with ``==``.
+``TransactionComponent.apply_batch`` commits through the same private
+group commit as ``commit_batch``, without building a ``Transaction``,
+and ``multi_get`` is a batch of gets.  Each is held here, on twin seeded
+engines, to the transaction calls it replaces: every charge in order
+(through a ``ChargeRecorder``), every TC counter, every redo record and
+every value read back compare with ``==``.
 """
 
 import pytest
@@ -17,7 +17,7 @@ from repro.hardware import Machine
 from repro.observability.whatif import ChargeRecorder
 from repro.scenarios import batch_item
 from repro.sharding import ShardedEngine
-from repro.workloads import OpKind, WorkloadGenerator, WorkloadSpec
+from repro.workloads import WorkloadGenerator, WorkloadSpec
 
 from ..frames import count_calls
 
@@ -35,15 +35,11 @@ CONFIGS = {
 RECORDS = 600
 
 
-def workload():
-    return WorkloadGenerator(WorkloadSpec.ycsb_a(record_count=RECORDS,
-                                                 seed=7))
-
-
 def build(config):
     """A loaded, checkpointed engine with a recorder on its CPU, and the
     YCSB-A stream that drives it."""
-    generator = workload()
+    generator = WorkloadGenerator(WorkloadSpec.ycsb_a(record_count=RECORDS,
+                                                      seed=7))
     engine = DeuteronomyEngine(Machine.paper_default(cores=2),
                                BwTreeConfig(segment_bytes=1 << 14,
                                             cache_capacity_bytes=16 << 10),
@@ -89,16 +85,13 @@ def reference_apply_batch(engine, ops):
     return results
 
 
-def reference_run_update_batch(tc, items):
-    """The retired ``TransactionComponent.run_update_batch``: one
-    transaction per item, committed as one sequential group."""
-    tc.machine.cpu.charge("op_dispatch", category="tc")
-    txns = []
-    for key, value in items:
-        txn = tc.begin()
-        txns.append(txn)
-        tc._buffer_write(txn, key, value)
-    return tc.commit_batch(txns, sequential=True)
+def reference_multi_get(engine, keys):
+    """The retired ``multi_get``: one read-only transaction, its reads
+    under one request dispatch."""
+    txn = engine.tc.begin()
+    values = engine.tc.read_batch(txn, keys)
+    engine.tc.commit(txn)
+    return values
 
 
 def run_batches(config, apply):
@@ -110,24 +103,17 @@ def run_batches(config, apply):
                     [key for key, __ in generator.load_items()])
 
 
-def update_items(generator):
-    """YCSB-A's updates as autocommit items, every fifth a delete and
-    every seventh a repeat of the item before it (last wins)."""
-    items = []
-    for index, op in enumerate(generator.operations(40 * 64)):
-        if op.kind is not OpKind.UPDATE:
-            continue
-        if index % 7 == 0 and items:
-            items.append((items[-1][0], op.value))
-        items.append((op.key, None if index % 5 == 0 else op.value))
-    return items
-
-
-def run_updates(config, apply):
+def run_reads(config, read):
+    """YCSB-A in 64-op batches: each batch's updates through
+    ``apply_batch``, then all its keys read back through ``read``, so
+    the reads meet versions, cached records and the data component."""
     engine, generator, recorder = build(config)
-    items = update_items(generator)
-    results = [apply(engine, items[start:start + 48])
-               for start in range(0, len(items), 48)]
+    ops = [batch_item(op) for op in generator.operations(30 * 64)]
+    results = []
+    for start in range(0, len(ops), 64):
+        batch = ops[start:start + 64]
+        engine.apply_batch([op for op in batch if op[0] != "get"])
+        results.append(read(engine, [key for __, key, __ in batch]))
     return observed(engine, recorder, results,
                     [key for key, __ in generator.load_items()])
 
@@ -147,30 +133,37 @@ def test_apply_batch_bills_what_a_one_transaction_group_commit_bills(
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
-def test_multi_put_bills_what_one_transaction_per_item_bills(config):
-    fused = run_updates(config,
-                        lambda engine, items: engine.tc.run_update_batch(items))
-    reference = run_updates(
-        config, lambda engine, items: reference_run_update_batch(engine.tc,
-                                                                 items))
+def test_multi_get_bills_what_a_read_only_transaction_bills(config):
+    """Two things differ on purpose: each ``multi_get`` is a group
+    commit, so it counts one ``tc.group_commits`` and observes one
+    ``tc_commit_batch_size`` of 1; ``commit`` does neither."""
+    fused = run_reads(config, lambda engine, keys: engine.multi_get(keys))
+    reference = run_reads(config, reference_multi_get)
+    batches = len(fused["results"])
     assert len(fused["charges"]) > 10_000
-    assert any(value is None for __, value in update_items(workload()))
+    assert fused["tc.counters"]["tc.dc_reads"] > 0
+    assert any(value is not None for batch in fused["results"]
+               for value in batch)
+    fused_groups = fused["tc.counters"].pop("tc.group_commits")
+    reference_groups = reference["tc.counters"].pop("tc.group_commits")
+    assert fused_groups == reference_groups + batches
+    count, total = reference["batch_sizes"]
+    assert fused.pop("batch_sizes") == (count + batches, total + batches)
     for name in fused:
         assert fused[name] == reference[name], name
-    assert all(None not in batch for batch in fused["results"])
 
 
-def test_a_multi_put_builds_no_transaction():
-    """Complexity guard as call counts: a warmed ``multi_put`` commits
-    through the group commit without ``begin``, a ``Transaction`` (its
-    ``__post_init__``) or ``commit_batch``."""
+def test_a_multi_get_builds_no_transaction():
+    """Complexity guard as call counts: a warmed ``multi_get`` is one
+    ``apply_batch``, without ``begin``, a ``Transaction`` (its
+    ``__post_init__``), ``read_batch`` or ``commit``."""
     engine, generator, __ = build("sync")
-    items = update_items(generator)
-    engine.multi_put(items[:64])
-    calls = count_calls(lambda: engine.multi_put(items[64:128]))
-    assert calls["tc.run_update_batch"] == calls["tc._group_commit"] == 1
-    forbidden = {"tc.begin", "tc.__post_init__", "tc.commit_batch",
-                 "tc._buffer_write", "tc.commit"}
+    keys = [key for key, __ in generator.load_items()]
+    engine.multi_get(keys[:64])
+    calls = count_calls(lambda: engine.multi_get(keys[64:128]))
+    assert calls["tc.apply_batch"] == calls["tc._group_commit"] == 1
+    forbidden = {"tc.begin", "tc.__post_init__", "tc.read_batch",
+                 "tc._read_one", "tc.commit", "tc.commit_batch"}
     assert forbidden.isdisjoint(calls), forbidden & set(calls)
 
 

@@ -283,8 +283,8 @@ def test_truncate_matches_full_walk_through_engine_crash_and_replay():
                 ("put", rng.choice(keys), b"b%d" % rng.randrange(1000))
                 for __ in range(64)
             ])
-            engine.multi_put(
-                (rng.choice(keys), b"m%d" % rng.randrange(1000))
+            engine.apply_batch(
+                ("put", rng.choice(keys), b"m%d" % rng.randrange(1000))
                 for __ in range(20))
             assert engine.tc.versions.reclaimed > 0
             if round_index == 0:

@@ -3,7 +3,7 @@
 A host-clock optimization must bill exactly the charges it replaced, in
 the same order, and leave every statistic where it was.  Each run is
 small enough for tier-1 and wide enough to cross one path's rare
-branches.  The write run: a load through 64-record group commits (leaf
+branches.  The write run: a load through 64-put batches (leaf
 splits), then batched YCSB-A (sync commit) over a page cache a fraction
 of the data, with a short blind-chain limit (blind posts to evicted
 pages grow delta-only chains), a checkpoint, segment GC, a crash and
@@ -11,7 +11,7 @@ recovery, and more batches on the recovered engine.  The read run:
 YCSB-B through ``get``, ``apply_batch`` and YCSB-C through
 ``multi_get``, over a small page cache and a small FIFO read cache,
 with re-reads served from delta-only pages.  The fleet run: batched
-YCSB-A, ``multi_put`` and ``multi_get`` on four shards behind the
+YCSB-A, a batch of puts and ``multi_get`` on four shards behind the
 router, with the async commit pipeline on one shared log device, half
 the shards over a small page cache and half unbudgeted, then a crash,
 recovery, and more batches on the recovered fleet.
@@ -53,9 +53,9 @@ TREE_CONFIG = BwTreeConfig(cache_capacity_bytes=48 * 1024,
 TC_CONFIG = TcConfig(sync_commit=True, version_gc_horizon_lag=64)
 
 CHARGES_SHA256 = (
-    "e83abdd14c9bcc668f3b085bec223787626af09bf40e516a19c8bcae94c2affe")
+    "88b12a9b451af46a745422569b1a1705d91d6d460d500f7fc6d806e3e1c2e751")
 STATS_SHA256 = (
-    "9861194f97a29a399f2ebc4371973a9e5fc65ce13dda26a9ba1409c4060d2f6c")
+    "968c96261ba601b9eaef7810eb46fe73cab88818223901481653cae42296f412")
 
 
 def test_charge_stream_and_stats_match_their_pinned_digests(monkeypatch):
@@ -87,7 +87,8 @@ def test_charge_stream_and_stats_match_their_pinned_digests(monkeypatch):
             WorkloadSpec.ycsb_a(record_count=1500, seed=11))
         items = list(generator.load_items())
         for start in range(0, len(items), BATCH):
-            engine.multi_put(items[start:start + BATCH])
+            engine.apply_batch([("put", key, value) for key, value
+                                in items[start:start + BATCH]])
         engine.checkpoint()
         ops = [batch_item(op) for op in generator.operations(9600)]
         batches = [ops[start:start + BATCH]
@@ -250,9 +251,9 @@ FLEET_TREE_CONFIG = BwTreeConfig(cache_capacity_bytes=16 * 1024,
 FLEET_TC_CONFIG = TcConfig(commit_pipeline=True, version_gc_horizon_lag=64)
 
 FLEET_CHARGES_SHA256 = (
-    "49b0fa93b9eded1d7fa970bfe9e991e6a44715e56400f59a4f903d2e3dcf646b")
+    "c546588aa25fa87e4d3684954204141aa46b3349989a723f1052d5dc3f077e24")
 FLEET_STATS_SHA256 = (
-    "dd372fd6e155283a3cdb976815385d64fff7c1d21867adeab15d7f1677ff732b")
+    "1ca37687e2f1ac5501d06895feaa9675eeca543b1b4a5dae99d38760633a6bc6")
 
 
 def test_fleet_charge_streams_and_stats_match_their_pinned_digests(
@@ -316,7 +317,7 @@ def test_fleet_charge_streams_and_stats_match_their_pinned_digests(
                    for start in range(0, len(ops), BATCH)]
         for batch in batches[:30]:
             fleet.apply_batch(batch)
-        fleet.multi_put([(key, b"m" * 90) for key, __ in items[::7]])
+        fleet.apply_batch([("put", key, b"m" * 90) for key, __ in items[::7]])
         fleet.multi_get([key for key, __ in items[::5]])
         fleet.checkpoint()
         for batch in batches[30:60]:

@@ -296,9 +296,11 @@ class TestGroupCommitRecovery:
     def test_flushed_batch_survives_unflushed_batch_lost(self):
         engine = self.make_engine(sync=False)
         engine.checkpoint()
-        engine.multi_put([(b"early%03d" % i, b"E%d" % i) for i in range(40)])
+        engine.apply_batch([("put", b"early%03d" % i, b"E%d" % i)
+                            for i in range(40)])
         engine.tc.log.flush()
-        engine.multi_put([(b"late%03d" % i, b"L%d" % i) for i in range(40)])
+        engine.apply_batch([("put", b"late%03d" % i, b"L%d" % i)
+                            for i in range(40)])
         recovered = DeuteronomyEngine.recover(engine)
         for index in range(40):
             assert recovered.get(b"early%03d" % index) == b"E%d" % index
@@ -308,7 +310,8 @@ class TestGroupCommitRecovery:
         engine = self.make_engine(sync=True)
         engine.put(b"base", b"0")
         engine.checkpoint()
-        engine.multi_put([(b"key%03d" % i, b"v%d" % i) for i in range(30)])
+        engine.apply_batch([("put", b"key%03d" % i, b"v%d" % i)
+                            for i in range(30)])
         recovered = DeuteronomyEngine.recover(engine)
         for index in range(30):
             assert recovered.get(b"key%03d" % index) == b"v%d" % index
@@ -317,11 +320,17 @@ class TestGroupCommitRecovery:
         # Values big enough that the 4KB log buffer fills (and flushes)
         # several times inside one large batch; a crash before the final
         # flush must leave exactly a prefix of the batch durable — never
-        # a record without its predecessors.
+        # a record without its predecessors.  One transaction per key,
+        # committed as one group.
         engine = self.make_engine(sync=False)
         engine.checkpoint()
         keys = [b"key%03d" % i for i in range(80)]
-        engine.multi_put([(key, b"x" * 100) for key in keys])
+        tc = engine.tc
+        txns = []
+        for key in keys:
+            txns.append(tc.begin())
+            tc.write(txns[-1], key, b"x" * 100)
+        tc.commit_batch(txns)
         assert engine.tc.log.flushes > 0      # buffer filled mid-batch
         recovered = DeuteronomyEngine.recover(engine)
         survived = [recovered.get(key) is not None for key in keys]
@@ -340,7 +349,8 @@ class TestGroupCommitRecovery:
                     engine.put(key, value)
             else:
                 for start in range(0, len(items), 16):
-                    engine.multi_put(items[start:start + 16])
+                    engine.apply_batch([("put", key, value) for key, value
+                                        in items[start:start + 16]])
             engine.checkpoint()
             recovered[mode] = DeuteronomyEngine.recover(engine)
         for index in range(30):

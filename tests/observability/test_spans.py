@@ -9,12 +9,15 @@ directly so every expected number is known in closed form.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import gc
 import json
+import pathlib
 
 import pytest
 
+import repro
 from repro.bwtree import BwTreeConfig
 from repro.deuteronomy import DeuteronomyEngine, TcConfig, TransactionAborted
 from repro.faults import CrashError, FaultInjector, FaultPlan
@@ -358,6 +361,21 @@ class TestSpanNames:
             "commit_pipeline", "bwtree", "page_cache", "tier_cache",
             "log_store", "shard",
         }
+
+    def test_every_known_name_is_opened_somewhere_in_src(self):
+        """Each name is the literal of an ``open_span`` call in
+        ``src/repro``, and each such literal is a known name: a retired
+        entry point cannot leave its span name behind."""
+        package = pathlib.Path(repro.__file__).parent
+        opened = set()
+        for path in package.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "open_span" and node.args
+                        and isinstance(node.args[0], ast.Constant)):
+                    opened.add(node.args[0].value)
+        assert opened == SPAN_NAMES
 
 
 class TestExports:

@@ -48,6 +48,11 @@ def random_ops(count: int, key_space: int, seed: int):
     return ops
 
 
+def puts(items):
+    """``(key, value)`` items as a batch of puts."""
+    return [("put", key, value) for key, value in items]
+
+
 def run_stream(engine, ops, batch_size=16):
     results = []
     for start in range(0, len(ops), batch_size):
@@ -73,18 +78,18 @@ class TestEquivalence:
         items = [(b"k%03d" % (i % 40), b"v%d" % i) for i in range(120)]
         keys = [key for key, __ in items]
         single, sharded = make_single(), make_sharded(4)
-        single.multi_put(items)
-        sharded.multi_put(items)
+        single.apply_batch(puts(items))
+        sharded.apply_batch(puts(items))
         assert sharded.multi_get(keys) == single.multi_get(keys)
-        dropped = keys[::3]
-        single.multi_delete(dropped)
-        sharded.multi_delete(dropped)
+        dropped = [("delete", key, None) for key in keys[::3]]
+        single.apply_batch(dropped)
+        sharded.apply_batch(dropped)
         assert sharded.multi_get(keys) == single.multi_get(keys)
 
     def test_duplicate_keys_in_one_batch_last_wins(self):
         sharded = make_sharded(4)
-        sharded.multi_put([(b"k", b"first"), (b"k", b"second"),
-                           (b"other", b"x"), (b"k", b"third")])
+        sharded.apply_batch(puts([(b"k", b"first"), (b"k", b"second"),
+                                  (b"other", b"x"), (b"k", b"third")]))
         assert sharded.get(b"k") == b"third"
 
     def test_single_key_ops_route_consistently(self):
@@ -98,7 +103,7 @@ class TestEquivalence:
         sharded = make_sharded(8)
         items = [(b"key%04d" % index, b"v%d" % index)
                  for index in range(64)]
-        sharded.multi_put(items)
+        sharded.apply_batch(puts(items))
         values = sharded.multi_get([key for key, __ in items])
         assert values == [value for __, value in items]
 
@@ -107,7 +112,7 @@ class TestShardIndependence:
     def test_ops_land_on_owning_shard_only(self):
         sharded = make_sharded(4)
         items = [(b"user%06d" % index, b"v") for index in range(200)]
-        sharded.multi_put(items)
+        sharded.apply_batch(puts(items))
         for shard_id, shard in enumerate(sharded.shards):
             for key, __ in items:
                 owner = sharded.shard_for(key)
@@ -117,7 +122,7 @@ class TestShardIndependence:
     def test_each_involved_shard_group_commits_once(self):
         sharded = make_sharded(4, sync=True)
         items = [(b"user%06d" % index, b"v" * 10) for index in range(64)]
-        sharded.multi_put(items)
+        sharded.apply_batch(puts(items))
         for shard in sharded.shards:
             commits = shard.tc.counters.get("tc.commits")
             if commits:
@@ -128,7 +133,7 @@ class TestShardIndependence:
     def test_redo_records_stay_on_owning_shards_log(self):
         sharded = make_sharded(4, sync=True)
         items = [(b"user%06d" % index, b"v") for index in range(80)]
-        sharded.multi_put(items)
+        sharded.apply_batch(puts(items))
         for shard_id, shard in enumerate(sharded.shards):
             for record in shard.tc.log.durable_records:
                 assert sharded.shard_for(record.key) == shard_id
@@ -191,10 +196,10 @@ REJECTED_FLEET_BATCHES = {
         lambda f, a, b: f.apply_batch([("put", a, b"new"),
                                        ("get", b"", None)]),
         ValueError),
-    "multi_put-int-value": (
-        lambda f, a, b: f.multi_put([(a, b"new"), (b, 7)]), TypeError),
-    "multi_delete-empty-key": (
-        lambda f, a, b: f.multi_delete([a, b""]), ValueError),
+    "apply_batch-delete-empty-key": (
+        lambda f, a, b: f.apply_batch([("delete", a, None),
+                                       ("delete", b"", None)]),
+        ValueError),
     "multi_get-empty-key": (
         lambda f, a, b: f.multi_get([a, b""]), ValueError),
 }
@@ -210,7 +215,7 @@ def test_a_rejected_fleet_batch_runs_on_no_shard(name):
     assert fleet.shard_for(b"") == 1
     a, b = (next(key for key in (b"user%06d" % i for i in range(64))
                  if fleet.shard_for(key) == shard) for shard in (0, 2))
-    fleet.multi_put([(a, b"old"), (b, b"old")])
+    fleet.apply_batch(puts([(a, b"old"), (b, b"old")]))
 
     def state():
         return ([(shard.machine.operations, shard.machine.cpu.busy_us,
@@ -241,9 +246,11 @@ class TestFleetRecovery:
 
     def test_post_checkpoint_writes_lost_consistently(self):
         sharded = make_sharded(4)
-        sharded.multi_put([(b"user%06d" % i, b"kept") for i in range(40)])
+        sharded.apply_batch(puts((b"user%06d" % i, b"kept")
+                                 for i in range(40)))
         sharded.checkpoint()
-        sharded.multi_put([(b"user%06d" % i, b"lost") for i in range(40)])
+        sharded.apply_batch(puts((b"user%06d" % i, b"lost")
+                                 for i in range(40)))
         recovered = ShardedEngine.recover(sharded)
         for index in range(40):
             assert recovered.get(b"user%06d" % index) == b"kept"
@@ -251,7 +258,7 @@ class TestFleetRecovery:
     def test_recovered_fleet_routes_identically(self):
         sharded = make_sharded(8)
         keys = [b"user%06d" % index for index in range(100)]
-        sharded.multi_put([(key, b"v") for key in keys])
+        sharded.apply_batch(puts((key, b"v") for key in keys))
         sharded.checkpoint()
         recovered = ShardedEngine.recover(sharded)
         for key in keys:
@@ -270,10 +277,12 @@ class TestFleetRecovery:
 
     def test_recovered_fleet_accepts_new_batches(self):
         sharded = make_sharded(4)
-        sharded.multi_put([(b"user%06d" % i, b"old") for i in range(30)])
+        sharded.apply_batch(puts((b"user%06d" % i, b"old")
+                                 for i in range(30)))
         sharded.checkpoint()
         recovered = ShardedEngine.recover(sharded)
-        recovered.multi_put([(b"user%06d" % i, b"new") for i in range(30)])
+        recovered.apply_batch(puts((b"user%06d" % i, b"new")
+                                   for i in range(30)))
         assert all(recovered.get(b"user%06d" % i) == b"new"
                    for i in range(30))
 
@@ -371,7 +380,7 @@ class TestAggregatedStats:
 
     def test_router_work_charged_to_shard_machines(self):
         sharded = make_sharded(2)
-        sharded.multi_put([(b"user%06d" % i, b"v") for i in range(50)])
+        sharded.apply_batch(puts((b"user%06d" % i, b"v") for i in range(50)))
         total_router_us = sum(
             shard.machine.cpu.counters.get("cpu_us.router")
             for shard in sharded.shards

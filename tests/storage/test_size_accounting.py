@@ -225,7 +225,9 @@ def test_cache_accounting_reconciles_through_eviction_gc_and_recovery():
             cache_capacity_bytes=48 * 1024, segment_bytes=1 << 15),
         tc_config=TcConfig(sync_commit=True, version_gc_horizon_lag=64),
     )
-    engine.multi_put(generator.load_items())
+    engine.apply_batch(("put", key, value)
+                       for key, value in generator.load_items())
+    assert engine.tc.log.appended_records == spec.record_count
     engine.checkpoint()
     assert_residency_reconciles(engine.dc)
     operations = list(generator.operations(6000))
