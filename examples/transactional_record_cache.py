@@ -65,7 +65,7 @@ def main() -> None:
     print(f"  read cache                    : {read_cache_hits:,.0f}")
     print(f"  data component                : {dc_reads:,.0f} "
           f"(of which {counters.get('tc.dc_read_ios'):,.0f} needed I/O)")
-    print(f"TC hit rate (no DC trip): {engine.tc.tc_hit_rate():.1%} — "
+    print(f"TC hit rate (no DC trip): {engine.stats()['tc_hit_rate']:.1%} — "
           "the paper's point: a TC cache hit avoids the I/O *and* the "
           "Bw-tree descent.")
 

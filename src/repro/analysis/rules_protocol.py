@@ -165,8 +165,11 @@ def _first_str_arg(call: ast.Call) -> Optional[str]:
 # wal-ordering
 # ---------------------------------------------------------------------------
 
-#: Log verbs that license materialization when aimed at the log.
-_LOG_VERBS = frozenset({"append", "append_batch", "flush", "mark_durable"})
+#: Log verbs that license materialization when aimed at the log
+#: (``restore`` appends a record recovery read back as durable).
+_LOG_VERBS = frozenset({
+    "append", "append_batch", "flush", "mark_durable", "restore",
+})
 #: Verbs that license on any receiver: ``sync_log`` forces the WAL by
 #: definition; ``drain_dirty`` returns records that were logged at their
 #: own commit time (the record heap admits only logged dirty data).

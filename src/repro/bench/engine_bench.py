@@ -41,10 +41,10 @@ from ..bwtree.tree import BwTreeConfig
 from ..core.calibration import PXMX_WARMUP_OPERATIONS, measure_masstree_reads
 from ..core.catalog import CostCatalog
 from ..core.mainmemory import MainMemoryComparison
+from ..deuteronomy.engine import STATS, stats_window
 from ..deuteronomy.tc import TcConfig
 from ..hardware.logdevice import ACK_LATENCY_US
 from ..hardware.tiers import StorageHierarchy
-from ..observability.registry import engine_registry
 from ..observability.spans import Tracer
 from ..observability.whatif import run_whatif
 from ..scenarios import ASYNC_COMMIT, Scenario
@@ -449,8 +449,8 @@ def run_trace_block(smoke: bool = False,
     load, and the reported overhead is the *median* ratio minus one —
     scheduler jitter at sub-second run lengths would otherwise swamp it.
     The block tracks only what the virtual clock determines: the traced
-    run's per-component cost breakdown and the metrics registry's
-    window delta.  The host timings are for printing.
+    run's per-component cost breakdown and the ``STATS`` counter rows
+    over its window.  The host timings are for printing.
     """
     batched = scenario_table(smoke)["ycsb-a/batched"]
     scenario = replace(batched, op_count=3 * batched.op_count)
@@ -462,12 +462,11 @@ def run_trace_block(smoke: bool = False,
             (machine,) = run.machines
             tracer = Tracer(machine)
             machine.attach_tracer(tracer)
-            registry = engine_registry(run.engine)
-            before = registry.snapshot()
+            before = run.engine.stats()
         with WallTimer() as timer:
             run.drive()
         if traced:
-            delta = registry.delta(before)
+            delta = stats_window(before, run.engine.stats())
         return run.result()["core_us_per_op"], timer.elapsed, tracer, delta
 
     untraced_walls, traced_walls = [], []
@@ -487,7 +486,9 @@ def run_trace_block(smoke: bool = False,
         "cpu_us_by_component": tracer.cpu_us_by_component(),
         "ssd_ios_by_component": tracer.ssd_ios_by_component(),
         "unattributed_cpu_us": tracer.unattributed_us(),
-        "metrics_delta_counters": delta["counters"],
+        "metrics_delta_counters": {
+            name: delta[name] for name, kind, __ in STATS
+            if kind == "counter"},
     }
     timings = {
         "overhead_fraction": (ratios[len(ratios) // 2] - 1.0

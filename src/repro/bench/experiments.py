@@ -969,7 +969,7 @@ def measure_a3(record_count: int = 6_000, operations: int = 4_000,
             else:
                 engine.tc.run_update(op.key, op.value)
         read_ios = int(engine.tc.counters.get("tc.dc_read_ios"))
-        return read_ios, engine.tc.tc_hit_rate()
+        return read_ios, engine.stats()["tc_hit_rate"]
 
     ios_without, __ = run(tc_caches=False)
     ios_with, hit_rate = run(tc_caches=True)

@@ -221,11 +221,9 @@ class BwTree:
         bill(self._lookup)
         return self.mapping_table.get(node_id)
 
-    def _begin_op(self) -> Tuple[float, float]:
+    def _begin_op(self) -> None:
         self.machine.begin_operation()
-        window = self.machine.latency_window()
         self.machine.cpu.bill(self._dispatch)
-        return window
 
     # ------------------------------------------------------------------
     # reads
@@ -239,7 +237,7 @@ class BwTree:
         """Point lookup returning the value plus cost-relevant facts.
 
         The bookkeeping the writes leave to ``_begin_op`` / ``_descend``
-        / ``_post_op`` — op count, latency window, routing down to the
+        / ``_post_op`` — op count, dispatch, routing down to the
         mapping-table dict, counters, the consolidation check — is done
         in this frame, with the same charges in the same order; the
         validator is called only to raise.
@@ -252,11 +250,7 @@ class BwTree:
             tracer.open_span("bwtree.get", "bwtree")
         try:
             machine._ops_started += 1
-            cpu = machine.cpu
-            ssd = machine.ssd
-            cpu_before = cpu.busy_us
-            service_before = ssd.service_us_total
-            bill = cpu.bill
+            bill = machine.cpu.bill
             bill(self._dispatch)
             level = self._level
             inners = self._inners
@@ -296,9 +290,6 @@ class BwTree:
             found = probe.found
             if found and value is not None:
                 bill(self._copy, len(value))
-            latency = ((cpu.busy_us - cpu_before)
-                       + (ssd.service_us_total - service_before))
-            machine.op_latencies.observe(latency)
             if ios > 0:
                 self._counts["bwtree.ss_ops"] += 1.0
             else:
@@ -325,12 +316,12 @@ class BwTree:
         if tracer is not None:
             tracer.open_span("bwtree.upsert", "bwtree")
         try:
-            window = self._begin_op()
+            self._begin_op()
             entry = self._descend(key)
             result = OpResult(found=True)
             self._post_blind_delta(
                 entry, Record(key, value, self._next_timestamp()), result)
-            self._post_op(entry, result, window)
+            self._post_op(entry, result)
             return result
         finally:
             if tracer is not None:
@@ -343,12 +334,12 @@ class BwTree:
         if tracer is not None:
             tracer.open_span("bwtree.delete", "bwtree")
         try:
-            window = self._begin_op()
+            self._begin_op()
             entry = self._descend(key)
             result = OpResult()
             self._post_blind_delta(
                 entry, Record(key, None, self._next_timestamp()), result)
-            self._post_op(entry, result, window)
+            self._post_op(entry, result)
             return result
         finally:
             if tracer is not None:
@@ -364,7 +355,7 @@ class BwTree:
         and copy — batching amortizes only the request decode and the
         epoch enter/exit, which is exactly what a multi-op network request
         saves a real server.  Returns an aggregate :class:`OpResult`
-        (``ios`` summed); one latency observation spans the whole batch.
+        (``ios`` summed).
 
         The per-record bookkeeping — operation count, validity checks,
         timestamp, counters, the descent of :meth:`_descend` — is done in
@@ -379,12 +370,7 @@ class BwTree:
         if tracer is not None:
             tracer.open_span("bwtree.blind_batch", "bwtree")
         try:
-            # The latency window, bracketed in this frame.
-            cpu = machine.cpu
-            ssd = machine.ssd
-            cpu_before = cpu.busy_us
-            service_before = ssd.service_us_total
-            bill = cpu.bill
+            bill = machine.cpu.bill
             bill(self._dispatch)
             level = self._level
             post = self._post
@@ -436,9 +422,6 @@ class BwTree:
                     counts["bwtree.ss_ops"] += 1.0
                 else:
                     counts["bwtree.mm_ops"] += 1.0
-            latency = ((cpu.busy_us - cpu_before)
-                       + (ssd.service_us_total - service_before))
-            machine.op_latencies.observe(latency)
             counts["bwtree.blind_batches"] += 1.0
             return result
         finally:
@@ -932,10 +915,7 @@ class BwTree:
             return 0.0
         return total / counted
 
-    def _post_op(self, entry: PageEntry, result: OpResult,
-                 window: Optional[Tuple[float, float]] = None) -> None:
-        if window is not None:
-            self.machine.observe_latency(window)
+    def _post_op(self, entry: PageEntry, result: OpResult) -> None:
         if result.ios > 0:
             self.counters.add("bwtree.ss_ops")
         else:

@@ -44,13 +44,15 @@ class DeuteronomyEngine:
         """Rebuild the engine after a power loss.
 
         DRAM and the stores' open write buffers are lost; the data
-        component is rebuilt from its last checkpoint, then every durable
-        redo record is replayed through the normal blind-update path.
-        Transactions whose redo records had not reached flash are lost —
-        the standard write-ahead-logging contract (``checkpoint()`` forces
-        the log).  ``log_device`` is the commit-log device the
-        replacement's pipeline writes to (a fleet passes the drive its
-        topology assigns; None rebuilds the colocated default).
+        component is rebuilt from its last checkpoint, then the redo
+        records of every whole durable transaction are replayed through
+        the normal blind-update path and carried into the replacement's
+        durable log.  Transactions whose redo records had not all reached
+        flash are lost — the standard write-ahead-logging contract
+        (``checkpoint()`` forces the log).  ``log_device`` is the
+        commit-log device the replacement's pipeline writes to (a fleet
+        passes the drive its topology assigns; None rebuilds the
+        colocated default).
 
         Recovery is idempotent per crashed engine: the replacement shares
         the crashed engine's machine and flash store, so running the crash
@@ -62,7 +64,7 @@ class DeuteronomyEngine:
         if crashed._recovered_into is not None:
             return crashed._recovered_into
         machine = crashed.machine
-        durable = list(crashed.tc.log.durable_records)
+        durable = crashed.tc.log.whole_transactions()
         crashed.dc.store.simulate_crash()
         machine.dram.wipe()
         dc = BwTree.recover(machine, crashed.dc.store, crashed.dc.config)
@@ -308,3 +310,20 @@ STATS: Tuple[Tuple[str, str, Callable], ...] = (
      lambda e: (e.tc.pipeline.futures_resolved
                 if e.tc.pipeline is not None else 0)),
 )
+
+
+def stats_window(before: dict, after: dict) -> dict:
+    """The :data:`STATS` rows over a measured window, from two flat
+    ``stats()`` snapshots taken at its ends (a fleet passes its
+    ``fleet`` sums): counters subtract, levels and maxima are read at
+    the end, and ratios are re-read from the window's counts, so a rate
+    describes the window alone."""
+    window: dict = {}
+    for name, kind, read in STATS:
+        if kind == "counter":
+            window[name] = after[name] - before[name]
+        elif kind == "ratio":
+            window[name] = read(window)
+        else:
+            window[name] = after[name]
+    return window

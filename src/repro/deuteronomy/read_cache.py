@@ -98,10 +98,3 @@ class ReadCache:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def hit_rate(self) -> float:
-        """Fraction of probes served from the cache (PageCache parity)."""
-        total = self.hits + self.misses
-        if total == 0:
-            return 0.0
-        return self.hits / total

@@ -61,6 +61,10 @@ class _Buffer:
     # retention budget never drops a sealed-unflushed buffer — its
     # records are still owed to ``durable_records``.
     sealed: bool = False
+    # Spilled mid-transaction: its last record's transaction goes on in
+    # the next buffer, so the durable log ends torn until that one is
+    # durable too.
+    torn: bool = False
 
 
 class RecoveryLog:
@@ -94,6 +98,9 @@ class RecoveryLog:
         # Records whose buffer reached the SSD: the durable redo log that
         # survives a crash (the in-memory retained copies do not).
         self.durable_records: List[LogRecord] = []
+        # Whether ``durable_records`` ends inside a transaction (its
+        # last durable buffer was spilled mid-transaction).
+        self._durable_torn = False
         # Sealed buffers whose device ack is still outstanding (async
         # commit pipeline); a synchronous flush is only legal at zero.
         self._sealed_pending = 0
@@ -119,6 +126,12 @@ class RecoveryLog:
             )
         current = self._buffers[-1]
         if current.nbytes + nbytes > self.buffer_bytes:
+            # A transaction's records share its commit timestamp; one
+            # that goes on in this record is torn by the spill, unless
+            # the buffer is durable already (:meth:`restore`).
+            current.torn = (current.durable_upto < len(current.records)
+                            and current.records[-1].timestamp
+                            == record.timestamp)
             self._spill_full_buffer()
             current = self._buffers[-1]
         current.records.append(record)
@@ -161,6 +174,8 @@ class RecoveryLog:
                 self.machine.dram.allocate(pending, DRAM_TAG)
                 self._retained_bytes += pending
                 pending = 0
+                current.torn = (current.records[-1].timestamp
+                                == record.timestamp)
                 self._spill_full_buffer()
                 current = buffers[-1]
             current.records.append(record)
@@ -254,6 +269,7 @@ class RecoveryLog:
         """
         self.durable_records.extend(buffer.records[buffer.durable_upto:])
         buffer.durable_upto = len(buffer.records)
+        self._durable_torn = buffer.torn
         if not buffer.flushed:
             buffer.flushed = True
             self.flushes += 1
@@ -305,6 +321,7 @@ class RecoveryLog:
             self.durable_records.extend(
                 current.records[current.durable_upto:])
             current.durable_upto = len(current.records)
+            self._durable_torn = current.torn
             if faults is not None:
                 faults.hit("recovery_log.flush.after_write")
             current.flushed = True
@@ -326,6 +343,37 @@ class RecoveryLog:
             self.machine.dram.free(dropped.nbytes, DRAM_TAG)
             self._retained_bytes -= dropped.nbytes
             self.first_retained_lsn += len(dropped.records)
+
+    # --- recovery -----------------------------------------------------------
+
+    def whole_transactions(self) -> List[LogRecord]:
+        """The durable log cut after its last whole transaction.
+
+        A buffer spilled mid-transaction makes the head of that
+        transaction durable before its tail.  Recovery replays none of
+        it until the tail is durable too: the trailing records that
+        share the last durable commit timestamp are cut.
+        """
+        durable = self.durable_records
+        end = len(durable)
+        if self._durable_torn:
+            torn = durable[-1].timestamp
+            while end and durable[end - 1].timestamp == torn:
+                end -= 1
+        return durable[:end]
+
+    def restore(self, record: LogRecord) -> None:
+        """Append a record recovery read back from a crashed log.
+
+        It is billed and retained like any append, and it is durable as
+        it stands, with no write: the recovered log goes on from the
+        crashed one's durable prefix, so a second crash replays it too.
+        """
+        self.append(record)
+        current = self._buffers[-1]
+        current.durable_upto = len(current.records)
+        self.durable_records.append(record)
+        self._durable_torn = False
 
     # --- record-cache reads --------------------------------------------------
 

@@ -24,7 +24,7 @@ from ..bwtree.tree import BwTree
 from ..frozen import ABOVE_ZERO, check_bounds
 from ..hardware.logdevice import LogDevice
 from ..hardware.machine import Machine
-from ..hardware.metrics import CounterSet, Histogram
+from ..hardware.metrics import CounterSet
 from .commit_pipeline import CommitFuture, CommitPipeline
 from .mvcc import VersionStore
 from .read_cache import ReadCache
@@ -206,9 +206,6 @@ class TransactionComponent:
         # The dict behind ``counters`` (a reset clears it in place): the
         # read path bumps its constant-1 counters here directly.
         self._counts = self.counters.counts
-        # Group-commit batch sizes (metrics-registry histogram; observing
-        # is bookkeeping, not simulated work, so it carries no charge).
-        self.batch_sizes = Histogram("tc_commit_batch_size")
         self._clock = 0
         self._next_txn_id = 1
         self._active: Dict[int, Transaction] = {}
@@ -337,7 +334,6 @@ class TransactionComponent:
         timestamp, or ``None`` (an abort, counted) for a group that lost
         its conflict check (see :meth:`commit_batch`)."""
         counts = self._counts
-        self.batch_sizes.observe(float(len(groups)))
         machine = self.machine
         tracer = machine.tracer
         if tracer is not None:
@@ -731,8 +727,11 @@ class TransactionComponent:
         Exactly the paper's Section 6.2 observation: "there is no
         difference in how updates are handled during normal operation and
         during recovery" — each record is posted to the Bw-tree as a blind
-        update and re-installed in the version store.  Returns the number
-        of records replayed.
+        update and re-installed in the version store.  The records join
+        this log's durable prefix (:meth:`RecoveryLog.restore`), so a
+        later crash replays them again.  ``records`` must end on a whole
+        transaction (:meth:`RecoveryLog.whole_transactions`).  Returns
+        the number of records replayed.
         """
         replayed = 0
         log = self.log
@@ -740,7 +739,7 @@ class TransactionComponent:
             self._clock = max(self._clock, durable.timestamp)
             record = LogRecord(durable.key, durable.value, durable.timestamp,
                                durable.txn_id, log.appended_records + 1)
-            log.append(record)
+            log.restore(record)
             self.versions.add(record)
             if record.value is None:
                 self.dc.delete(record.key)
@@ -753,14 +752,6 @@ class TransactionComponent:
     # ------------------------------------------------------------------
     # maintenance / reporting
     # ------------------------------------------------------------------
-
-    def tc_hit_rate(self) -> float:
-        """Fraction of reads served without reaching the data component."""
-        reads = self.counters.get("tc.reads")
-        if reads == 0:
-            return 0.0
-        dc_reads = self.counters.get("tc.dc_reads")
-        return 1.0 - dc_reads / reads
 
     def dram_footprint_bytes(self) -> int:
         dram = self.machine.dram

@@ -11,9 +11,11 @@ paths, and checks the recovered store against a durable-prefix oracle:
 
 * **durable prefix** — for every key, the recovered value equals the
   value of its last *durable* committed write (the redo records that
-  had reached flash at the crash, over the bulk-loaded baseline); a
+  had reached flash at the crash, over the bulk-loaded baseline), where
+  a transaction counts only once all of its records are durable; a
   stale value means GC resurrected a dead image, a missing one means a
-  committed-and-flushed write was lost;
+  committed-and-flushed write was lost, and a torn transaction's write
+  means recovery replayed part of one;
 * **no lost checkpoint** — recovery itself must succeed: a
   ``RecoveryError`` means a crash window destroyed the only live
   checkpoint image (or left the durable one referencing dropped flash).
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -344,18 +347,32 @@ def _shard_engines(scenario: str,
 
 
 def _durable_view(shards: Sequence[DeuteronomyEngine],
-                  baseline: Dict[bytes, bytes]) -> Dict[bytes, bytes]:
+                  baseline: Dict[bytes, bytes],
+                  sizes: Optional[Sequence[Counter]] = None,
+                  ) -> Dict[bytes, bytes]:
     """What a correct recovery must serve: the last durable value per key.
 
-    Recovery is checkpoint image + full durable-log replay, and every
-    durable checkpoint's content is covered by the durable log (the log
-    is forced before pages are checkpointed), so the durable floor and
-    ceiling coincide: exactly the last durable record per key, over the
-    bulk-loaded baseline for never-durably-written keys.
+    Recovery is checkpoint image + durable-log replay, and every durable
+    checkpoint's content is covered by the durable log (the log is
+    forced before pages are checkpointed), so the durable floor and
+    ceiling coincide: exactly the last durable record per key of a
+    whole transaction, over the bulk-loaded baseline for never-durably-
+    written keys.  ``sizes`` holds, per shard, the records each commit
+    timestamp's transaction wrote in an uncrashed run of the same trace
+    (:func:`_count_hits`); a transaction with fewer durable records was
+    torn by the crash and counts for nothing.  ``None`` is for traces
+    whose every transaction wrote one record (autocommit puts and
+    deletes), which no crash can tear.
     """
     expected = dict(baseline)
-    for shard in shards:
-        for record in shard.tc.log.durable_records:
+    for index, shard in enumerate(shards):
+        durable = shard.tc.log.durable_records
+        if sizes is not None:
+            whole = sizes[index]
+            seen = Counter(record.timestamp for record in durable)
+            durable = [record for record in durable
+                       if seen[record.timestamp] == whole[record.timestamp]]
+        for record in durable:
             if record.value is None:
                 expected.pop(record.key, None)
             else:
@@ -401,21 +418,43 @@ def _sample_hits(total: int, cap: int) -> List[int]:
 
 
 def _count_hits(scenario: str, config: MatrixConfig,
-                baseline: Dict[bytes, bytes],
-                ops: Sequence[Op]) -> Dict[str, int]:
+                baseline: Dict[bytes, bytes], ops: Sequence[Op],
+                ) -> Tuple[Dict[str, int], List[Counter]]:
+    """Drive the trace uncrashed under a counting-only injector.
+
+    Returns how often each fault site was hit and, per shard, how many
+    redo records each commit timestamp's transaction wrote (the log is
+    forced once the trace is done, so every record is counted): the
+    whole-transaction sizes :func:`_durable_view` checks against.
+    """
     injector = FaultInjector()
     injector.disarm()
     engine = _build(scenario, config, injector)
     _setup(scenario, engine, baseline)
     injector.arm()
     _drive(scenario, engine, ops, config)
-    return dict(injector.hit_counts)
+    injector.disarm()
+    shards = _shard_engines(scenario, engine)
+    for shard in shards:
+        shard.tc.sync_log()
+    sizes = [Counter(record.timestamp
+                     for record in shard.tc.log.durable_records)
+             for shard in shards]
+    return dict(injector.hit_counts), sizes
 
 
 def run_case(scenario: str, config: MatrixConfig,
              baseline: Dict[bytes, bytes], ops: Sequence[Op],
-             site: str, hit: int) -> CaseResult:
-    """Crash the trace at (site, hit), recover, check the oracle."""
+             site: str, hit: int,
+             sizes: Optional[Sequence[Counter]] = None) -> CaseResult:
+    """Crash the trace at (site, hit), recover, check the oracle.
+
+    ``sizes`` are the uncrashed run's transaction sizes
+    (:func:`_count_hits`); ``None`` runs the trace once uncrashed to
+    learn them.
+    """
+    if sizes is None:
+        __, sizes = _count_hits(scenario, config, baseline, ops)
     result = CaseResult(scenario=scenario, site=site, hit=hit)
     injector = FaultInjector(FaultPlan.crash_at(site, hit))
     injector.disarm()
@@ -429,7 +468,8 @@ def run_case(scenario: str, config: MatrixConfig,
     injector.disarm()
     if not result.crashed:
         return result
-    expected = _durable_view(_shard_engines(scenario, engine), baseline)
+    expected = _durable_view(_shard_engines(scenario, engine), baseline,
+                             sizes)
     keys = sorted(set(baseline) | set(expected))
     try:
         recovered = _recover(scenario, engine)
@@ -501,7 +541,7 @@ def run_matrix(
     hit_counts: Dict[str, Dict[str, int]] = {}
     sampled: Dict[str, List[str]] = {}
     for scenario in config.scenarios:
-        counts = _count_hits(scenario, config, baseline, ops)
+        counts, sizes = _count_hits(scenario, config, baseline, ops)
         hit_counts[scenario] = counts
         sampled[scenario] = []
         for site in FAULT_SITES:
@@ -510,7 +550,8 @@ def run_matrix(
             if len(hits) < total:
                 sampled[scenario].append(site)
             for hit in hits:
-                case = run_case(scenario, config, baseline, ops, site, hit)
+                case = run_case(scenario, config, baseline, ops, site, hit,
+                                sizes)
                 cases.append(case)
                 if progress is not None:
                     progress(case)

@@ -51,22 +51,10 @@ DEFAULT_RETRY_POLICY = RetryPolicy()
 
 @dataclass(slots=True)
 class RetryStats:
-    """Cumulative retry activity of one store/log (for tests/reports)."""
+    """Cumulative retries of one store/log (the crash matrix's
+    transient-noise pass reports them)."""
 
-    attempts: int = 0
     retries: int = 0
-    exhausted: int = 0
-
-    def retry_rate(self) -> float:
-        """Fraction of attempts that were retries.
-
-        Returns 0.0 on an empty run (no attempts yet) — the repo-wide
-        ratio-accessor contract: empty accounting reads as zero, never
-        as a ``ZeroDivisionError``.
-        """
-        if self.attempts == 0:
-            return 0.0
-        return self.retries / self.attempts
 
 
 def run_with_retries(
@@ -93,13 +81,9 @@ def run_with_retries(
             )
             if stats is not None:
                 stats.retries += 1
-        if stats is not None:
-            stats.attempts += 1
         try:
             return attempt()
         except IoError as exc:
             last = exc
-    if stats is not None:
-        stats.exhausted += 1
     assert last is not None
     raise last

@@ -16,7 +16,6 @@ from .clock import VirtualClock
 from .cpu import CostTable, CpuModel
 from .dram import DramModel
 from .iopath import IoPathKind, IoPathModel
-from .metrics import Histogram
 from .ssd import SimulatedSsd, SsdSpec
 
 if TYPE_CHECKING:  # deliberate: hardware stays import-independent of faults
@@ -92,11 +91,6 @@ class Machine:
         self.ssd = SimulatedSsd(ssd_spec)
         self.dram = DramModel()
         self.io_path = IoPathModel(io_path, self.cpu)
-        # Per-operation latency (execution + device service time).  The
-        # paper's cost metric deliberately excludes waiting time; latency
-        # is tracked separately for the Section 8.1 "time-value"
-        # discussion.
-        self.op_latencies = Histogram("op_latency_us")
         self._ops_started = 0
         # Optional fault injector shared by every component running on
         # this machine (or every shard machine of a fleet).  ``None``
@@ -127,20 +121,15 @@ class Machine:
     def latency_window(self) -> "tuple[float, float]":
         """Snapshot (cpu busy us, device service us) to bracket one op.
 
-        Reads the SSD's O(1) running service-time scalar, not
-        ``latencies.total`` (an O(n) fsum) — this runs once per
-        operation on the hot path, so both reads are plain attributes
-        and the call is one frame.
+        An operation's latency is the sum of the two deltas across it:
+        execution plus device service time.  The paper's cost metric
+        leaves waiting time out; latency is measured beside it for the
+        Section 8.1 "time-value" discussion.  Reads the SSD's O(1)
+        running service-time scalar, not ``latencies.total`` (an O(n)
+        fsum) — this runs once per operation on the hot path, so both
+        reads are plain attributes and the call is one frame.
         """
         return self.cpu.busy_us, self.ssd.service_us_total
-
-    def observe_latency(self, window: "tuple[float, float]") -> float:
-        """Record one operation's latency since ``window``; returns us."""
-        cpu_before, service_before = window
-        latency = (self.cpu.busy_us - cpu_before) \
-            + (self.ssd.service_us_total - service_before)
-        self.op_latencies.observe(latency)
-        return latency
 
     # --- construction helpers ---------------------------------------------
 
@@ -187,5 +176,4 @@ class Machine:
         """
         self.cpu.reset()
         self.ssd.reset()
-        self.op_latencies.reset()
         self._ops_started = 0

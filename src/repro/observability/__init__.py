@@ -9,12 +9,10 @@ along its execution path.  This package makes that accounting visible
   time (``hardware.clock``; no wall clocks) and annotated with the
   CPU/IoPath/DRAM charges each component bills, forming a
   cost-attribution tree that reconciles exactly with ``engine.stats()``;
-* :mod:`~repro.observability.registry` — a counters/gauges/histograms
-  registry read off live components, with snapshot/delta APIs and a
-  fleet registry folded from the engine's one ``STATS`` table;
 * :mod:`~repro.observability.trace_cli` — ``python -m repro trace``:
-  replays a seeded workload and exports JSON output or
-  the "$ per op by component" report citing Eq. (4)-(5) terms by name;
+  replays a seeded workload and exports JSON output (with the
+  ``STATS`` rows over the traced window) or the "$ per op by
+  component" report citing Eq. (4)-(5) terms by name;
 * :mod:`~repro.observability.whatif` — ``python -m repro whatif``: the
   virtual causal profiler — predicts the fleet-level effect of making
   one component faster by folding the recorded charge stream, then
@@ -24,7 +22,6 @@ along its execution path.  This package makes that accounting visible
 See docs/ARCHITECTURE.md for the equation → module → span map.
 """
 
-from .registry import MetricsRegistry, engine_registry, fleet_registry
 from .spans import (
     COMPONENT_OF_CATEGORY,
     SPAN_NAMES,
@@ -52,14 +49,11 @@ __all__ = [
     "CONTRACT_QUEUEING",
     "SPAN_NAMES",
     "ChargeRecorder",
-    "MetricsRegistry",
     "Span",
     "Tracer",
     "WhatifSummary",
     "check_agreement",
-    "engine_registry",
     "export_json",
-    "fleet_registry",
     "predict",
     "run_scenario",
     "run_whatif",

@@ -23,8 +23,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.catalog import CostCatalog
 from ..core.costmeter import price_run
+from ..deuteronomy.engine import stats_window
 from ..scenarios import MIX_BUILDERS, Scenario, fleet_totals
-from .registry import engine_registry, fleet_registry
 from .spans import Tracer, export_json
 
 #: Relative tolerance for re-summing per-span CPU buckets with fsum
@@ -37,20 +37,32 @@ def run_traced(scenario: Scenario) -> Tuple[List[Tracer], dict, dict]:
     """Load, warm, trace and replay; returns (tracers, stats, metrics).
 
     ``stats`` is ``engine.stats()`` (bare engine) or
-    ``ShardedEngine.stats()`` (fleet); ``metrics`` is the registry delta
-    over the traced window.  Tracers attach immediately after
-    ``prepare()`` resets accounting, establishing the bit-exact
-    reconciliation baseline.
+    ``ShardedEngine.stats()`` (fleet); ``metrics`` holds the
+    :data:`~repro.deuteronomy.engine.STATS` rows over the traced window
+    (``stats``, same names for an engine and a fleet) and the measured
+    operations' latency distribution (``latency_us``).  Tracers attach
+    immediately after ``prepare()`` resets accounting, establishing the
+    bit-exact reconciliation baseline.
     """
     run = scenario.prepare()
     tracers = [Tracer(machine, detailed=True) for machine in run.machines]
     for tracer in tracers:
         tracer.machine.attach_tracer(tracer)
-    registry = (fleet_registry(run.engine) if scenario.shards
-                else engine_registry(run.engine))
-    before = registry.snapshot()
+    before = fleet_totals(run.engine.stats())
     run.drive()
-    return tracers, run.engine.stats(), registry.delta(before)
+    stats = run.engine.stats()
+    latencies = run.latencies
+    metrics = {
+        "stats": stats_window(before, fleet_totals(stats)),
+        "latency_us": {
+            "count": float(latencies.count),
+            "mean": latencies.mean,
+            "p50": latencies.percentile(50),
+            "p99": latencies.percentile(99),
+            "max": latencies.maximum,
+        },
+    }
+    return tracers, stats, metrics
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +262,11 @@ def _smoke() -> int:
             seed=7, mix="a", record_count=64, op_count=200,
             shards=shards, batch_size=batch))
         verify_reconciliation(tracers, stats)
-        counters = metrics["counters"]
-        assert isinstance(counters, dict) and counters, (
-            "registry delta is empty"
+        # Accounting starts the window at zero, so its counters are the
+        # run's totals exactly.
+        window = metrics["stats"]
+        assert window["core_seconds"] == fleet_totals(stats)["core_seconds"], (
+            "the stats window does not cover the traced run"
         )
         # The export must be reproducible within one process too.
         config = {"shards": shards, "batch": batch}

@@ -461,13 +461,6 @@ class PageCache:
         self._untrack(entry)
         self.stats.evictions += 1
 
-    def hit_rate(self) -> float:
-        """Fraction of page touches served without a flash fetch."""
-        touches = self.stats.touches
-        if touches == 0:
-            return 0.0
-        return 1.0 - self.stats.fetches / touches
-
     def ensure_capacity(self, protect: Optional[Set[int]] = None) -> int:
         """Evict victims until the byte budget is met; returns evictions.
 

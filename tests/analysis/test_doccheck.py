@@ -51,7 +51,7 @@ def test_module_class_member_and_instance_attrs_resolve(checker):
     assert checker.resolve(
         "repro.observability.spans.Tracer.cpu_us_by_component") is None
     assert checker.resolve(
-        "repro.hardware.machine.Machine.op_latencies") is None
+        "repro.hardware.machine.Machine.tracer") is None
     assert checker.resolve(
         "repro.observability.spans.SPAN_NAMES") is None
 

@@ -304,7 +304,7 @@ class TestDeterminism:
         assert block["operations"] == 3 * SMOKE_SIZE[1]
         assert block["unattributed_cpu_us"] == 0.0
         assert block["cpu_us_by_component"]["bwtree"] > 0.0
-        assert block["metrics_delta_counters"]["tc.commits"] > 0
+        assert block["metrics_delta_counters"]["commits"] > 0
         assert set(timings) == {"overhead_fraction", "untraced_seconds",
                                 "traced_seconds"}
 

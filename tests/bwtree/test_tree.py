@@ -4,6 +4,7 @@ import pytest
 
 from repro.bwtree import BwTree, BwTreeConfig
 from repro.hardware import Machine
+from repro.hardware.metrics import Histogram
 
 from ..conftest import load_keys
 
@@ -263,34 +264,49 @@ class TestMachineCoupling:
         )
 
 
+def latency_of(machine, operation):
+    """Run ``operation``; its latency from ``latency_window`` deltas."""
+    cpu_before, service_before = machine.latency_window()
+    result = operation()
+    cpu_after, service_after = machine.latency_window()
+    return result, (cpu_after - cpu_before) + (service_after - service_before)
+
+
 class TestLatency:
     def test_cached_read_latency_is_execution_only(self, small_tree):
         small_tree.upsert(b"k", b"v")
-        latencies = small_tree.machine.op_latencies
-        latencies.reset()
-        small_tree.get_with_stats(b"k")
-        assert latencies.count == 1
-        assert 0.0 < latencies.maximum < 10.0
+        ssd = small_tree.machine.ssd
+        service_before = ssd.service_us_total
+        __, latency = latency_of(small_tree.machine,
+                                 lambda: small_tree.get_with_stats(b"k"))
+        assert ssd.service_us_total == service_before
+        assert 0.0 < latency < 10.0
 
     def test_ss_read_latency_includes_device_time(self, capped_tree):
         load_keys(capped_tree, 2000, value_bytes=100)
         capped_tree.checkpoint()
         capped_tree.store.flush()
         read_latency = capped_tree.machine.ssd.spec.read_latency_us
-        latencies = capped_tree.machine.op_latencies
         saw_ss = False
         for index in range(0, 2000, 11):
-            latencies.reset()
-            result = capped_tree.get_with_stats(b"key%08d" % index)
+            key = b"key%08d" % index
+            result, latency = latency_of(
+                capped_tree.machine,
+                lambda: capped_tree.get_with_stats(key))
             if result.is_ss:
                 saw_ss = True
-                assert latencies.maximum > read_latency
+                assert latency > read_latency
         assert saw_ss
 
     def test_latency_histogram_populated(self, small_tree):
-        load_keys(small_tree, 200)
-        hist = small_tree.machine.op_latencies
-        assert hist.count >= 200
+        hist = Histogram("upsert_us")
+        for index in range(200):
+            key = b"key%08d" % index
+            __, latency = latency_of(
+                small_tree.machine,
+                lambda: small_tree.upsert(key, b"v" * 16))
+            hist.observe(latency)
+        assert hist.count == 200
         # The paper's Section 8.1 point: MM latencies are tens of us at
         # most; p50 here is ~1 us.
         assert hist.percentile(50) < 10.0

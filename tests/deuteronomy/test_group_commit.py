@@ -69,7 +69,6 @@ def observed(engine, recorder, results, keys):
         "redo": [(record.key, record.value, record.timestamp,
                   record.txn_id, record.lsn)
                  for record in tc.log.durable_records],
-        "batch_sizes": (tc.batch_sizes.count, tc.batch_sizes.total),
     }
     observation["values"] = [engine.get(key) for key in keys]
     observation["stats"] = engine.stats()
@@ -134,9 +133,9 @@ def test_apply_batch_bills_what_a_one_transaction_group_commit_bills(
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 def test_multi_get_bills_what_a_read_only_transaction_bills(config):
-    """Two things differ on purpose: each ``multi_get`` is a group
-    commit, so it counts one ``tc.group_commits`` and observes one
-    ``tc_commit_batch_size`` of 1; ``commit`` does neither."""
+    """One thing differs on purpose: each ``multi_get`` is a group
+    commit, so it counts one ``tc.group_commits``; ``commit`` does
+    not."""
     fused = run_reads(config, lambda engine, keys: engine.multi_get(keys))
     reference = run_reads(config, reference_multi_get)
     batches = len(fused["results"])
@@ -147,8 +146,6 @@ def test_multi_get_bills_what_a_read_only_transaction_bills(config):
     fused_groups = fused["tc.counters"].pop("tc.group_commits")
     reference_groups = reference["tc.counters"].pop("tc.group_commits")
     assert fused_groups == reference_groups + batches
-    count, total = reference["batch_sizes"]
-    assert fused.pop("batch_sizes") == (count + batches, total + batches)
     for name in fused:
         assert fused[name] == reference[name], name
 

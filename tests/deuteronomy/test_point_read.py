@@ -9,7 +9,8 @@ from ..frames import count_calls
 
 #: Functions a point read on a resident page must not enter: the
 #: Bw-tree's per-op helpers, the mapping-table and clock accessors, the
-#: machine's op-count and latency helpers, the read cache's admit
+#: machine's op-count and latency helpers, any histogram, the read
+#: cache's admit
 #: helper, the commit half's no-op calls, any span frame while
 #: no tracer is attached (the old ``machine.trace_span`` and the
 #: standard library's context-manager protocol), and ``CpuModel.charge``:
@@ -17,7 +18,7 @@ from ..frames import count_calls
 FORBIDDEN = {"tree._begin_op", "tree._finish_read", "tree._post_op",
              "tree._descend", "tree._maybe_consolidate", "mapping_table.get",
              "clock.now", "machine.begin_operation", "machine.latency_window",
-             "machine.observe_latency", "metrics.add",
+             "metrics.observe", "metrics.add",
              "read_cache._admit", "tc._maybe_drain_records",
              "tc._maybe_gc_versions",
              "mvcc.truncate", "machine.trace_span",
@@ -29,7 +30,9 @@ def test_a_point_read_does_its_bookkeeping_in_the_frames_it_has():
     the ``repro`` package), on ``read_hot`` in miniature — YCSB-C data
     bulk-loaded into the DC, every page resident, the read cache warmed
     by a few thousand gets: a read-cache hit enters 9, a DC read of a
-    resident page 24.  That is down from 10 and 28 while the TC's begin,
+    resident page 23.  That is down from 9 and 24 while the Bw-tree
+    observed each call's latency in a histogram, from 10 and 28 while
+    the TC's begin,
     the Bw-tree's dispatch and each descent level charged step by step
     instead of billing one plan each, from 13 and 32 while every span
     site entered ``machine.trace_span`` and a ``nullcontext``, and from
@@ -67,7 +70,7 @@ def test_a_point_read_does_its_bookkeeping_in_the_frames_it_has():
     for calls in (hit, dc_read):
         assert FORBIDDEN.isdisjoint(calls), FORBIDDEN & set(calls)
     assert sum(hit.frames.values()) == 9
-    assert sum(dc_read.frames.values()) == 24
+    assert sum(dc_read.frames.values()) == 23
     assert hit["cpu.bill"] == 4            # begin, two probes, the stamp
     assert hit["<string>.__init__"] == 0
     assert dc_read["<string>.__init__"] == 2
@@ -102,9 +105,10 @@ def test_a_page_miss_does_its_bookkeeping_in_the_frames_it_has():
     """Complexity guard as frame counts, on ``read_cold`` in miniature
     (YCSB-C over a page cache and a read cache a fraction of the data,
     LRU, no record cache): a warmed get whose page must come from flash
-    — one fetch, one I/O, one eviction — enters 45 ``repro`` frames.
-    That is down from 46 while the SSD observed each access in a
-    latency histogram, and from 59 while the fetch registered the page through
+    — one fetch, one I/O, one eviction — enters 44 ``repro`` frames.
+    That is down from 45 while the Bw-tree observed each call's latency
+    in a histogram, from 46 while the SSD observed each access in one
+    too, and from 59 while the fetch registered the page through
     ``register`` (which sized it through ``PageEntry.resident_bytes``),
     the store read charged its round trip through
     ``charge_round_trip``, ``ensure_capacity`` pulled victims from a
@@ -141,5 +145,5 @@ def test_a_page_miss_does_its_bookkeeping_in_the_frames_it_has():
     assert {name: miss[name] for name in MISS_BOUNDARIES} == dict.fromkeys(
         MISS_BOUNDARIES, 1)
     assert miss["cache.touch"] == 2   # the Bw-tree's and the fetch's
-    assert sum(miss.frames.values()) == 45
+    assert sum(miss.frames.values()) == 44
     assert miss["<string>.__init__"] == 3

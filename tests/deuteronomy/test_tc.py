@@ -11,6 +11,7 @@ from repro.deuteronomy import (
     TxnStatus,
 )
 from repro.deuteronomy.commit_pipeline import CommitPipeline
+from repro.deuteronomy.engine import STATS
 from repro.deuteronomy.read_cache import ReadCache
 from repro.faults import FaultInjector, FaultPlan, IoError
 from repro.hardware import LogDevice, Machine
@@ -202,7 +203,10 @@ class TestCachingTiers:
         txn = tc.begin()
         tc.read(txn, b"k")
         tc.read(txn, b"k")
-        assert tc.tc_hit_rate() > 0.0
+        # Served by the retained log: neither read reached the DC.
+        hit_rate = {name: read for name, __, read in STATS}["tc_hit_rate"]
+        assert hit_rate({"reads": tc.counters.get("tc.reads"),
+                         "dc_reads": tc.counters.get("tc.dc_reads")}) == 1.0
 
     def test_footprint_tracks_components(self, tc, machine):
         for index in range(100):

@@ -18,6 +18,7 @@ from repro.faults.matrix import (
     SCENARIOS as MATRIX_SCENARIOS,
     MatrixConfig,
     _build,
+    _count_hits,
     _drive,
     _durable_view,
     _setup,
@@ -97,7 +98,10 @@ def test_recovered_fleet_stats_stay_additive(seed, site, hit):
     if crashed is None:
         return
     recovered = ShardedEngine.recover(crashed)
-    expected = _durable_view(_shard_engines("sharded", crashed), baseline)
+    # A shard's sub-batch is one transaction a crash can tear.
+    __, sizes = _count_hits("sharded", config, baseline, ops)
+    expected = _durable_view(_shard_engines("sharded", crashed), baseline,
+                             sizes)
     for key in sorted(baseline):
         assert recovered.get(key) == expected.get(key)
     # Recovery swapped every shard; the fleet bill (Eqs. 4-5) must total

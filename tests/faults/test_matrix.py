@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.bwtree import BwTreeConfig
@@ -9,6 +11,7 @@ from repro.deuteronomy import DeuteronomyEngine, TcConfig
 from repro.faults import CrashError, FaultInjector, FaultPlan
 from repro.faults.matrix import (
     MatrixConfig,
+    _durable_view,
     _sample_hits,
     build_trace,
     main,
@@ -209,6 +212,20 @@ class TestMatrixRunner:
         assert report.noise_retries is not None
         assert report.noise_retries >= 2   # the planned per-site errors
         assert report.ok, report.render()
+
+    def test_oracle_counts_a_transaction_only_when_it_is_whole(self):
+        # One 80-write transaction whose 4 KB log buffer spilled twice:
+        # 60 of its records are durable, so none of its writes are.
+        engine = make_engine()
+        keys = [b"k%03d" % index for index in range(80)]
+        engine.apply_batch([("put", key, b"n" * 100) for key in keys])
+        durable = engine.tc.log.durable_records
+        (timestamp,) = {record.timestamp for record in durable}
+        assert len(durable) == 60
+        assert _durable_view([engine], {}, [Counter({timestamp: 80})]) == {}
+        # Had it written only those 60, it would be whole.
+        assert len(_durable_view([engine], {}, [Counter({timestamp: 60})])) \
+            == 60
 
     def test_oracle_flags_a_corrupted_recovery(self):
         # Sabotage: serve a stale/garbage value for one key after the

@@ -76,37 +76,36 @@ def test_empty_summary_is_all_zero():
     assert summary.ios_per_op == 0.0
 
 
+def latency_since(machine, window):
+    """One op's latency: the execution plus device-service deltas."""
+    cpu_before, service_before = window
+    cpu_after, service_after = machine.latency_window()
+    return (cpu_after - cpu_before) + (service_after - service_before)
+
+
 def test_latency_window_brackets_one_op():
     machine = Machine.paper_default()
     window = machine.latency_window()
     machine.cpu.charge("context_switch", 2.0)
     machine.ssd.read(4096)
-    latency = machine.observe_latency(window)
+    latency = latency_since(machine, window)
     assert latency >= 2.0 + machine.ssd.spec.read_latency_us
-    assert machine.op_latencies.count == 1
 
 
 def test_latency_reset_with_accounting():
     machine = Machine.paper_default()
-    machine.observe_latency(machine.latency_window())
+    machine.cpu.charge("context_switch", 2.0)
+    machine.ssd.read(4096)
     machine.reset_accounting()
-    assert machine.op_latencies.count == 0
+    assert machine.latency_window() == (0.0, 0.0)
 
 
 def test_the_latency_window_reads_plain_attributes():
     """Complexity guard: the harnesses call ``latency_window`` twice per
-    op.  It enters one frame, and ``observe_latency`` one of its own
-    plus the histogram's ``observe`` it records into: the CPU's busy
-    time, the SSD's service total and the clock are attributes, not
-    property frames."""
+    op.  It enters one frame: the CPU's busy time, the SSD's service
+    total and the clock are attributes, not property frames."""
     machine = Machine.paper_default()
     window = count_calls(machine.latency_window)
     assert window.frames == {"machine.latency_window": 1}
-    start = machine.latency_window()
-    machine.cpu.charge("context_switch", 2.0)
-    observe = count_calls(lambda: machine.observe_latency(start))
-    assert observe.frames == {"machine.observe_latency": 1,
-                              "metrics.observe": 1}
     properties = {"cpu.busy_us", "ssd.service_us_total", "clock.now"}
-    for calls in (window, observe):
-        assert properties.isdisjoint(calls), properties & set(calls)
+    assert properties.isdisjoint(window), properties & set(window)

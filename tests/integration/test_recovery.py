@@ -6,6 +6,7 @@ import pytest
 
 from repro.bwtree import BwTree, BwTreeConfig, RecoveryError
 from repro.deuteronomy import DeuteronomyEngine, TcConfig
+from repro.faults import CrashError, FaultInjector, FaultPlan
 from repro.hardware import Machine
 from repro.storage import CheckpointManager, LogStructuredStore
 
@@ -459,3 +460,61 @@ class TestRecoveryIdempotence:
             a is b for a, b in zip(recovered, recovered_again))
         for shard, engine in enumerate(recovered):
             assert engine.get(b"shard%d" % shard) == b"v"
+
+
+class TestWholeTransactionRecovery:
+    """Recovery replays whole transactions only, and the recovered log
+    goes on from the crashed one's durable prefix."""
+
+    KEYS = [b"k%03d" % index for index in range(80)]
+
+    def make_engine(self, **tc) -> DeuteronomyEngine:
+        engine = DeuteronomyEngine(Machine.paper_default(cores=2),
+                                   tc_config=TcConfig(**tc))
+        engine.dc.bulk_load([(key, b"old") for key in self.KEYS])
+        engine.checkpoint()
+        return engine
+
+    def test_a_torn_transaction_is_not_replayed(self):
+        # Eighty 136-byte redo records in one transaction: the 4 KB
+        # buffer spills twice mid-transaction, so 60 records are
+        # durable and 20 are not when the engine crashes.
+        engine = self.make_engine(log_buffer_bytes=4096)
+        engine.apply_batch([("put", key, b"n" * 100) for key in self.KEYS])
+        assert len(engine.tc.log.durable_records) == 60
+        recovered = DeuteronomyEngine.recover(engine)
+        assert [recovered.get(key) for key in self.KEYS] == [b"old"] * 80
+
+    def test_a_second_crash_keeps_every_acked_write(self):
+        engine = self.make_engine(sync_commit=True)
+        keys = self.KEYS[:50]
+        for key in keys:
+            engine.put(key, b"new")
+        once = DeuteronomyEngine.recover(engine)
+        twice = DeuteronomyEngine.recover(once)
+        assert [once.get(key) for key in keys] == [b"new"] * 50
+        assert [twice.get(key) for key in keys] == [b"new"] * 50
+
+    def test_torn_commit_recover_commit_crash_recover(self):
+        engine = self.make_engine(log_buffer_bytes=4096, sync_commit=True)
+        acked = {}
+        for index, key in enumerate(self.KEYS[:10]):
+            engine.put(key, b"a%d" % index)
+            acked[key] = b"a%d" % index
+        # The batch's third flush is its commit flush, after two spills:
+        # crash before it writes, with 60 of 80 records durable.
+        engine.machine.faults = FaultInjector(
+            FaultPlan.crash_at("recovery_log.flush", 3))
+        with pytest.raises(CrashError):
+            engine.apply_batch([("put", key, b"t" * 100) for key in self.KEYS])
+        engine.machine.faults = None
+        assert len(engine.tc.log.durable_records) == 10 + 60
+        recovered = DeuteronomyEngine.recover(engine)
+        for index, key in enumerate(self.KEYS[40:50]):
+            recovered.put(key, b"b%d" % index)
+            acked[key] = b"b%d" % index
+        again = DeuteronomyEngine.recover(recovered)
+        for survivor in (recovered, again):
+            for key in self.KEYS:
+                assert survivor.get(key) == acked.get(key, b"old"), key
+

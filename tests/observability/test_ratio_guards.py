@@ -1,26 +1,33 @@
-"""Ratio accessors on empty accounting: 0.0, never ZeroDivisionError.
+"""Ratios on empty accounting: 0.0, never ZeroDivisionError.
 
 The repo-wide contract (documented in docs/ARCHITECTURE.md): every
-rate/ratio accessor reads as zero before any traffic — except
+rate/ratio reads as zero before any traffic — except
 ``LogStructuredStore.utilization``, which reads 1.0 (an empty store is
-fully live).  These pins keep the audit from regressing: a registry
-snapshot of a freshly built engine exercises every gauge at once.
+fully live).  These pins keep the audit from regressing: every ratio
+row of ``STATS``, read off a freshly built engine and fleet and over an
+empty window, exercises every rate at once.
 """
 
 from __future__ import annotations
 
-from repro.deuteronomy.engine import DeuteronomyEngine
+from repro.deuteronomy.engine import STATS, DeuteronomyEngine, stats_window
 from repro.deuteronomy.tc import TcConfig
-from repro.faults.retry import RetryStats
 from repro.hardware.machine import Machine, RunSummary
 from repro.hardware.metrics import Histogram
-from repro.observability.registry import engine_registry, fleet_registry
 from repro.sharding.engine import ShardedEngine
 from repro.storage.cache import CacheStats
 
+RATIOS = [name for name, kind, __ in STATS if kind == "ratio"]
 
-def test_retry_rate_on_no_attempts():
-    assert RetryStats().retry_rate() == 0.0
+
+def fresh_engine() -> DeuteronomyEngine:
+    engine = DeuteronomyEngine(
+        Machine.paper_default(cores=2),
+        tc_config=TcConfig(sync_commit=True))
+    # Building the engine itself touches the page cache once (the root
+    # page), so zero the stats to reach the untouched-division branch.
+    engine.dc.cache.stats = CacheStats()
+    return engine
 
 
 def test_histogram_empty_reads_as_zero():
@@ -43,47 +50,29 @@ def test_run_summary_with_zero_operations():
 
 
 def test_fresh_engine_ratio_accessors():
-    machine = Machine.paper_default(cores=2)
-    engine = DeuteronomyEngine(
-        machine, tc_config=TcConfig(sync_commit=True))
-    assert engine.tc.tc_hit_rate() == 0.0
-    assert engine.tc.read_cache.hit_rate() == 0.0
-    # Building the engine itself touches the page cache once (the root
-    # page), so zero the stats to reach the untouched-division branch.
-    engine.dc.cache.stats = CacheStats()
-    assert engine.dc.cache.hit_rate() == 0.0
-    assert engine.tc.log.retry_stats.retry_rate() == 0.0
-    assert engine.dc.store.retry_stats.retry_rate() == 0.0
+    engine = fresh_engine()
+    stats = engine.stats()
+    assert RATIOS
+    for name in RATIOS:
+        assert stats[name] == 0.0, name
     # Nothing flushed yet: the store is all live bytes by definition.
     assert engine.dc.store.utilization() == 1.0
 
 
 def test_fresh_engine_registry_snapshot_has_no_division_errors():
-    machine = Machine.paper_default(cores=2)
-    engine = DeuteronomyEngine(
-        machine, tc_config=TcConfig(sync_commit=True))
-    engine.dc.cache.stats = CacheStats()
-    snapshot = engine_registry(engine).snapshot()
-    gauges = snapshot["gauges"]
-    assert gauges["tc.hit_rate"] == 0.0
-    assert gauges["read_cache.hit_rate"] == 0.0
-    assert gauges["page_cache.hit_rate"] == 0.0
-    assert gauges["recovery_log.retry_rate"] == 0.0
-    assert gauges["log_store.retry_rate"] == 0.0
-    assert gauges["log_store.utilization"] == 1.0
-    histograms = snapshot["histograms"]
-    assert histograms["machine.op_latency_us"]["count"] == 0.0
-    assert histograms["machine.op_latency_us"]["p99"] == 0.0
+    """A window with no traffic in it re-reads every ratio from zero
+    counts."""
+    engine = fresh_engine()
+    window = stats_window(engine.stats(), engine.stats())
+    for name in RATIOS:
+        assert window[name] == 0.0, name
 
 
 def test_fresh_fleet_rates_read_as_zero():
     fleet = ShardedEngine(
         2, cores_per_shard=2, tc_config=TcConfig(sync_commit=True))
+    for shard in fleet.shards:
+        shard.dc.cache.stats = CacheStats()
     stats = fleet.stats()["fleet"]
-    assert stats["tc_hit_rate"] == 0.0
-    assert stats["read_cache_hit_rate"] == 0.0
-    # Shard construction touches each page cache once (the root page);
-    # the rate is well-defined, not a division error.
-    assert 0.0 <= stats["page_cache_hit_rate"] <= 1.0
-    registry = fleet_registry(fleet)
-    assert registry.snapshot()["gauges"]["fleet.tc_hit_rate"] == 0.0
+    for name in RATIOS:
+        assert stats[name] == 0.0, name

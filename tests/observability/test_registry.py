@@ -1,19 +1,19 @@
-"""Metrics registry: validation, snapshot/delta, fleet additivity."""
+"""The metrics registry: the ``STATS`` table read over a window.
+
+``stats_window`` folds two ``stats()`` snapshots into one row per
+``STATS`` entry: counters subtract, levels and maxima read at the end,
+ratios are re-read from the window's counts.  A bare engine passes its
+flat dict, a fleet its ``fleet`` sums, so both report the same names.
+"""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.deuteronomy.engine import STATS, DeuteronomyEngine
+from repro.deuteronomy.engine import STATS, DeuteronomyEngine, stats_window
 from repro.deuteronomy.tc import TcConfig
 from repro.hardware.machine import Machine
-from repro.hardware.metrics import Histogram
-from repro.observability.registry import (
-    MetricsRegistry,
-    engine_registry,
-    fleet_registry,
-)
 from repro.sharding.engine import ShardedEngine
+
+KINDS = {name: kind for name, kind, __ in STATS}
 
 
 def _items(count: int, width: int = 16):
@@ -35,144 +35,107 @@ def _small_engine(ops: int = 48) -> DeuteronomyEngine:
     return engine
 
 
+def _fleet() -> ShardedEngine:
+    fleet = ShardedEngine(
+        2, cores_per_shard=2, tc_config=TcConfig(sync_commit=True))
+    fleet.bulk_load(_items(48))
+    return fleet
+
+
 class TestMetricsRegistry:
-    def test_names_must_be_component_dotted(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError, match="component.metric"):
-            registry.register_counter("ops", lambda: 0.0)
-        with pytest.raises(ValueError, match="component.metric"):
-            registry.register_gauge("", lambda: 0.0)
-
-    def test_duplicates_rejected_across_kinds(self):
-        registry = MetricsRegistry()
-        registry.register_counter("tc.commits", lambda: 1.0)
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register_gauge("tc.commits", lambda: 0.0)
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register_histogram(
-                "tc.commits", lambda: Histogram("x"))
-
-    def test_names_lists_every_kind_sorted(self):
-        registry = MetricsRegistry()
-        registry.register_gauge("b.level", lambda: 0.0)
-        registry.register_counter("a.count", lambda: 0.0)
-        registry.register_histogram("c.lat", lambda: Histogram("x"))
-        assert registry.names == ["a.count", "b.level", "c.lat"]
-
     def test_snapshot_and_delta(self):
-        state = {"count": 2.0, "level": 7.0}
-        hist = Histogram("lat")
-        hist.observe_many([1.0, 3.0])
-        registry = MetricsRegistry()
-        registry.register_counter("c.count", lambda: state["count"])
-        registry.register_gauge("c.level", lambda: state["level"])
-        registry.register_histogram("c.lat", lambda: hist)
-
-        before = registry.snapshot()
-        assert before["counters"] == {"c.count": 2.0}
-        assert before["gauges"] == {"c.level": 7.0}
-        lat = before["histograms"]["c.lat"]
-        assert lat["count"] == 2.0 and lat["mean"] == 2.0
-
-        state["count"] = 5.0
-        state["level"] = 1.0
-        delta = registry.delta(before)
-        # Counters difference; gauges read at the end of the window.
-        assert delta["counters"] == {"c.count": 3.0}
-        assert delta["gauges"] == {"c.level": 1.0}
-
-    def test_delta_tolerates_new_counters(self):
-        registry = MetricsRegistry()
-        registry.register_counter("c.count", lambda: 4.0)
-        delta = registry.delta({"counters": {}})
-        assert delta["counters"] == {"c.count": 4.0}
+        before = {name: 2.0 for name in KINDS}
+        after = {name: 7.0 for name in KINDS}
+        after["reads"], after["dc_reads"] = 10.0, 4.0
+        window = stats_window(before, after)
+        assert list(window) == list(KINDS)
+        assert (window["reads"], window["dc_reads"]) == (8.0, 2.0)
+        for name, kind in KINDS.items():
+            if kind == "counter" and name not in ("reads", "dc_reads"):
+                assert window[name] == 5.0, name
+            elif kind in ("level", "max"):
+                # Levels and maxima are read at the end of the window.
+                assert window[name] == 7.0, name
+        # 8 reads in the window, 2 of them reached the DC.
+        assert window["tc_hit_rate"] == 0.75
 
 
 class TestEngineRegistry:
     def test_counters_read_live_engine_accounting(self):
-        engine = _small_engine()
-        registry = engine_registry(engine)
+        machine = Machine.paper_default(cores=2)
+        engine = DeuteronomyEngine(
+            machine, tc_config=TcConfig(sync_commit=True))
+        engine.dc.bulk_load(_items(32))
+        machine.reset_accounting()
+        before = engine.stats()
+        for index in range(48):
+            engine.get(b"k%04d" % (index % 32))
         stats = engine.stats()
-        snapshot = registry.snapshot()
-        counters = snapshot["counters"]
-        assert counters["machine.operations"] == stats["operations"]
-        assert counters["machine.ssd_ios"] == stats["ssd_ios"]
-        assert counters["tc.commits"] == stats["commits"]
-        assert counters["tc.reads"] == stats["reads"]
-        assert counters["page_cache.fetches"] == \
-            stats["page_cache_fetches"]
-        assert counters["recovery_log.flushes"] == stats["log_flushes"]
-        latency = snapshot["histograms"]["machine.op_latency_us"]
-        assert latency["count"] == \
-            float(engine.machine.op_latencies.count)
-        assert latency["count"] > 0.0
-        assert 0.0 <= snapshot["gauges"]["tc.hit_rate"] <= 1.0
+        window = stats_window(before, stats)
+        assert window["operations"] == stats["operations"] > 0
+        assert window["core_seconds"] == stats["core_seconds"]
+        assert window["reads"] == stats["reads"] == 48
+        assert window["tc_hit_rate"] == stats["tc_hit_rate"]
 
     def test_delta_over_a_measured_window(self):
         engine = _small_engine(ops=12)
-        registry = engine_registry(engine)
-        before = registry.snapshot()
+        before = engine.stats()
         for index in range(10):
             engine.get(b"k%04d" % (index % 32))
-        delta = registry.delta(before)
-        assert delta["counters"]["machine.operations"] == 10.0
-        assert delta["counters"]["tc.reads"] == 10.0
+        window = stats_window(before, engine.stats())
+        assert window["operations"] == 10.0
+        assert window["reads"] == 10.0
+        assert window["commits"] == 10.0
 
 
 class TestFleetRegistry:
     def test_sums_match_per_shard_stats(self):
-        fleet = ShardedEngine(
-            2, cores_per_shard=2,
-            tc_config=TcConfig(sync_commit=True))
-        fleet.bulk_load(_items(48))
+        fleet = _fleet()
         fleet.reset_accounting()
+        before = fleet.stats()
         batch = [
             ("put", key, b"w" * 16) if index % 4 == 0
             else ("get", key, None)
             for index, (key, __) in enumerate(_items(48))
         ]
         fleet.apply_batch(batch)
-
-        snapshot = fleet_registry(fleet).snapshot()
-        counters, gauges = snapshot["counters"], snapshot["gauges"]
-        fleet_stats = fleet.stats()
-        for name, kind, __ in STATS:
-            # Counters are the only rows a delta may subtract.
-            table = counters if kind == "counter" else gauges
-            assert table[f"fleet.{name}"] == \
-                float(fleet_stats["fleet"][name]), name
-        assert len(counters) + len(gauges) == len(STATS) + 3
-        assert counters["fleet.routed_ops"] == \
-            float(fleet_stats["routed_ops"])
-        assert counters["fleet.routed_batches"] == \
-            float(fleet_stats["routed_batches"])
+        after = fleet.stats()
+        window = stats_window(before["fleet"], after["fleet"])
+        shard_windows = [
+            stats_window(shard_before, shard_after)
+            for shard_before, shard_after
+            in zip(before["per_shard"], after["per_shard"])]
+        for name, kind in KINDS.items():
+            if kind == "counter":
+                assert window[name] == sum(
+                    shard[name] for shard in shard_windows), name
+        assert window["reads"] == 36
 
     def test_resident_bytes_are_levels_not_deltas(self):
-        """A read-only window grows no DRAM; the delta must still report
-        the resident level Eq. 5 prices, not the growth."""
-        fleet = ShardedEngine(
-            2, cores_per_shard=2,
-            tc_config=TcConfig(sync_commit=True))
-        fleet.bulk_load(_items(48))
+        """A read-only window grows no DRAM; the window must still
+        report the resident level Eq. 5 prices, not the growth."""
+        fleet = _fleet()
         fleet.multi_get([key for key, __ in _items(48)])
-        registry = fleet_registry(fleet)
-        before = registry.snapshot()
+        before = fleet.stats()["fleet"]
         fleet.multi_get([key for key, __ in _items(48)])
-        delta = registry.delta(before)
+        window = stats_window(before, fleet.stats()["fleet"])
         level = fleet.stats()["fleet"]["dram_bytes"]
         assert level > 0
-        assert delta["gauges"]["fleet.dram_bytes"] == level
-        assert "fleet.dram_bytes" not in delta["counters"]
+        assert window["dram_bytes"] == level
+        assert KINDS["dram_bytes"] == "level"
 
     def test_fleet_hit_rate_rederived_from_sums(self):
-        fleet = ShardedEngine(
-            2, cores_per_shard=2,
-            tc_config=TcConfig(sync_commit=True))
-        registry = fleet_registry(fleet)
-        # Empty fleet: 0.0, never a ZeroDivisionError.
-        assert registry.snapshot()["gauges"]["fleet.tc_hit_rate"] == 0.0
-        fleet.bulk_load(_items(32))
+        """A window's rate describes the window, not the run so far."""
+        fleet = _fleet()
         fleet.reset_accounting()
-        fleet.apply_batch([("get", key, None) for key, __ in _items(32)])
-        rate = registry.snapshot()["gauges"]["fleet.tc_hit_rate"]
-        assert rate == fleet.stats()["fleet"]["tc_hit_rate"]
+        keys = [key for key, __ in _items(32)]
+        # Cold: every read reaches the DC.
+        fleet.multi_get(keys)
+        before = fleet.stats()["fleet"]
+        assert before["tc_hit_rate"] == 0.0
+        # Warm: every read is a read-cache hit.
+        fleet.multi_get(keys)
+        after = fleet.stats()["fleet"]
+        window = stats_window(before, after)
+        assert after["tc_hit_rate"] == 0.5
+        assert window["tc_hit_rate"] == 1.0

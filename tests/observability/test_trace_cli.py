@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.deuteronomy.engine import STATS
 from repro.observability import trace_cli
 
 BASE = ["--seed", "5", "--records", "64", "--ops", "150"]
@@ -29,11 +30,21 @@ def test_json_export_is_byte_identical_across_runs(tmp_path):
     reconciliation = doc["config"]["reconciliation"]
     assert reconciliation["core_seconds_exact"] is True
     assert reconciliation["ssd_ios_exact"] is True
-    assert doc["config"]["metrics_delta"]["counters"]
+    assert doc["config"]["metrics_delta"]["stats"]["operations"] > 0
     shard = doc["shards"][0]
     assert shard["detailed"] is True
     assert 0 < shard["roots_exported"] <= shard["roots_total"]
     assert shard["spans"][0]["name"].startswith("engine.")
+
+
+@pytest.mark.parametrize("shards", ["1", "4"])
+def test_metric_names_are_the_stats_names_for_an_engine_and_a_fleet(
+        tmp_path, shards):
+    doc = json.loads(_run(tmp_path, "names.json",
+                          ["--shards", shards, "--batch-size", "16"]))
+    metrics = doc["config"]["metrics_delta"]
+    assert sorted(metrics["stats"]) == sorted(name for name, __, ___ in STATS)
+    assert metrics["latency_us"]["count"] == 150
 
 
 def test_report_cites_the_paper_equations(tmp_path):
