@@ -14,7 +14,7 @@ machinery (``durable_upto``) the synchronous path uses.
 
 Epoch lifecycle and its fault sites::
 
-    enqueue_epoch ──► [epoch open] ──► maybe_close ──► seal + submit
+    enqueue_epoch ──► [epoch open] ──► maybe_close ──► submit + seal
          │                 │                               │
          │   commit_pipeline.epoch_open                    │ (in flight)
          ▼                                                 ▼
@@ -86,7 +86,7 @@ class CommitPipeline:
         self.device = device
         self.commit_interval_us = commit_interval_us
         self.epoch_bytes = epoch_bytes
-        # Full buffers spill through us (seal + submit) instead of a
+        # Full buffers spill through us (submit + seal) instead of a
         # synchronous flush, keeping the durable log a prefix of append
         # order even with sealed buffers in flight.
         log.on_buffer_full = self.spill
@@ -162,7 +162,7 @@ class CommitPipeline:
             self._close_epoch()
 
     def _close_epoch(self) -> None:
-        """Seal the epoch's buffer and submit it as one device write."""
+        """Submit the epoch's buffer as one device write and seal it."""
         self.spill()
         self.group_sizes.observe(float(self._epoch_commits))
         self.epochs_closed += 1
@@ -172,21 +172,25 @@ class CommitPipeline:
     # All simulated cost lives in RecoveryLog.submit_sealed (I/O round
     # trip + device write); this method only reorders bookkeeping.
     def spill(self) -> None:  # repro: ignore[cost-accounting]
-        """Buffer-full hook: seal and submit the full buffer mid-append.
+        """Buffer-full hook: submit the full buffer mid-append, then seal
+        it.
 
         The spilled buffer joins the FIFO behind older sealed buffers,
-        so durability order still follows append order.  The epoch (a
+        so durability order still follows append order.  A write that
+        exhausts its retries raises before the seal and leaves the
+        buffer open and owed, as a failed synchronous flush does, so no
+        later buffer becomes durable ahead of it.  The epoch (a
         grouping of *commits*, not buffers) stays open if it was open;
-        closing one seals and submits through here too.
+        closing one submits and seals through here too.
         """
         tracer = self.machine.tracer
         if tracer is not None:
             tracer.open_span("commit_pipeline.epoch_flush", "commit_pipeline")
         try:
-            sealed = self.log.seal()
-            if sealed is not None:
-                ack_s = self.log.submit_sealed(sealed, self.device)
-                self._inflight.append((sealed, ack_s))
+            submitted = self.log.submit_sealed(self.device)
+            self.log.seal()
+            if submitted is not None:
+                self._inflight.append(submitted)
             self._bytes_submitted_upto = self.log.appended_bytes
         finally:
             if tracer is not None:

@@ -11,7 +11,7 @@ buffer is dropped its records stop being servable from the TC.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..faults.retry import RetryStats, run_with_retries
 from ..frozen import check_bounds, slot_init
@@ -30,7 +30,9 @@ class LogRecord:
     It is also the committed version the MVCC store chains (Section 6.3:
     the TC uses "the versions themselves").  ``lsn`` is its 1-based append
     index in the log, so the caller numbers a group from
-    ``appended_records + 1``.
+    ``appended_records + 1``.  ``end`` marks a transaction's last record:
+    recovery replays a transaction only once that record is durable
+    (:meth:`RecoveryLog.whole_transactions`).  It costs no modelled bytes.
     """
 
     key: bytes
@@ -38,6 +40,7 @@ class LogRecord:
     timestamp: int
     txn_id: int
     lsn: int
+    end: bool = True
 
     @property
     def size_bytes(self) -> int:
@@ -61,10 +64,6 @@ class _Buffer:
     # retention budget never drops a sealed-unflushed buffer — its
     # records are still owed to ``durable_records``.
     sealed: bool = False
-    # Spilled mid-transaction: its last record's transaction goes on in
-    # the next buffer, so the durable log ends torn until that one is
-    # durable too.
-    torn: bool = False
 
 
 class RecoveryLog:
@@ -98,9 +97,6 @@ class RecoveryLog:
         # Records whose buffer reached the SSD: the durable redo log that
         # survives a crash (the in-memory retained copies do not).
         self.durable_records: List[LogRecord] = []
-        # Whether ``durable_records`` ends inside a transaction (its
-        # last durable buffer was spilled mid-transaction).
-        self._durable_torn = False
         # Sealed buffers whose device ack is still outstanding (async
         # commit pipeline); a synchronous flush is only legal at zero.
         self._sealed_pending = 0
@@ -126,12 +122,6 @@ class RecoveryLog:
             )
         current = self._buffers[-1]
         if current.nbytes + nbytes > self.buffer_bytes:
-            # A transaction's records share its commit timestamp; one
-            # that goes on in this record is torn by the spill, unless
-            # the buffer is durable already (:meth:`restore`).
-            current.torn = (current.durable_upto < len(current.records)
-                            and current.records[-1].timestamp
-                            == record.timestamp)
             self._spill_full_buffer()
             current = self._buffers[-1]
         current.records.append(record)
@@ -159,6 +149,7 @@ class RecoveryLog:
             return
         total_bytes = 0
         pending = 0
+        first = self.appended_records
         buffers = self._buffers
         buffer_bytes = self.buffer_bytes
         current = buffers[-1]
@@ -174,8 +165,9 @@ class RecoveryLog:
                 self.machine.dram.allocate(pending, DRAM_TAG)
                 self._retained_bytes += pending
                 pending = 0
-                current.torn = (current.records[-1].timestamp
-                                == record.timestamp)
+                # The records before this one stay in the log even if
+                # the spill raises, so the next append numbers after them.
+                self.appended_records = record.lsn - 1
                 self._spill_full_buffer()
                 current = buffers[-1]
             current.records.append(record)
@@ -186,7 +178,7 @@ class RecoveryLog:
             self.machine.dram.allocate(pending, DRAM_TAG)
             self._retained_bytes += pending
             self.machine.cpu.bill(self._append, total_bytes)
-        self.appended_records += len(records)
+        self.appended_records = first + len(records)
         self.appended_bytes += total_bytes
         self.batch_appends += 1
 
@@ -221,12 +213,12 @@ class RecoveryLog:
         return self._sealed_pending
 
     def seal(self) -> Optional[_Buffer]:
-        """Rotate the open buffer out of the append path for async flush.
+        """Rotate the open buffer out of the append path once
+        :meth:`submit_sealed` has written it.
 
-        Returns the sealed buffer (for the caller to submit to a log
-        device), or ``None`` when the open buffer holds no records.  The
-        sealed buffer stays retained — it is not durable until
-        :meth:`mark_durable` runs at the device ack.
+        Returns the sealed buffer, or ``None`` when the open buffer holds
+        no records.  The sealed buffer stays retained — it is not durable
+        until :meth:`mark_durable` runs at the device ack.
         """
         current = self._buffers[-1]
         if not current.records:
@@ -237,14 +229,23 @@ class RecoveryLog:
         self._next_buffer_id += 1
         return current
 
-    def submit_sealed(self, buffer: _Buffer, device: LogDevice) -> float:
-        """Submit one sealed buffer to ``device`` as a single log write.
+    def submit_sealed(self, device: LogDevice,
+                      ) -> Optional[Tuple[_Buffer, float]]:
+        """Write the open buffer to ``device`` as one log write, ahead of
+        the :meth:`seal` that rotates it out.
 
         Charges the I/O round trip and performs the device write now (the
-        data is in flight); returns the virtual ack time.  Durability is
+        data is in flight); returns the buffer and its virtual ack time,
+        or ``None`` when the open buffer holds no records.  Durability is
         deferred: the caller must invoke :meth:`mark_durable` once the
-        virtual clock passes the returned ack time.
+        virtual clock passes the ack time.  A write that exhausts its
+        retries raises before the seal, so the buffer stays open and
+        owed, as after a failed :meth:`flush`: the durable log stays a
+        prefix of the append order.
         """
+        buffer = self._buffers[-1]
+        if not buffer.records:
+            return None
         faults = self.machine.faults
 
         def write_buffer() -> float:
@@ -257,7 +258,7 @@ class RecoveryLog:
 
         ack_s: float = run_with_retries(self.machine, write_buffer,
                                         stats=self.retry_stats)
-        return ack_s
+        return buffer, ack_s
 
     def mark_durable(self, buffer: _Buffer) -> None:
         """Record that ``buffer``'s device write was acknowledged.
@@ -269,7 +270,6 @@ class RecoveryLog:
         """
         self.durable_records.extend(buffer.records[buffer.durable_upto:])
         buffer.durable_upto = len(buffer.records)
-        self._durable_torn = buffer.torn
         if not buffer.flushed:
             buffer.flushed = True
             self.flushes += 1
@@ -321,7 +321,6 @@ class RecoveryLog:
             self.durable_records.extend(
                 current.records[current.durable_upto:])
             current.durable_upto = len(current.records)
-            self._durable_torn = current.torn
             if faults is not None:
                 faults.hit("recovery_log.flush.after_write")
             current.flushed = True
@@ -347,20 +346,18 @@ class RecoveryLog:
     # --- recovery -----------------------------------------------------------
 
     def whole_transactions(self) -> List[LogRecord]:
-        """The durable log cut after its last whole transaction.
+        """The durable records of every transaction whose ``end`` record
+        is durable.
 
-        A buffer spilled mid-transaction makes the head of that
-        transaction durable before its tail.  Recovery replays none of
-        it until the tail is durable too: the trailing records that
-        share the last durable commit timestamp are cut.
+        A spill makes the head of a transaction durable before its tail,
+        and a commit that raised mid-append never logs its end record:
+        recovery replays neither.  A txn id names one transaction across
+        recoveries
+        (:meth:`~repro.deuteronomy.tc.TransactionComponent.replay_redo`).
         """
         durable = self.durable_records
-        end = len(durable)
-        if self._durable_torn:
-            torn = durable[-1].timestamp
-            while end and durable[end - 1].timestamp == torn:
-                end -= 1
-        return durable[:end]
+        ended = {record.txn_id for record in durable if record.end}
+        return [record for record in durable if record.txn_id in ended]
 
     def restore(self, record: LogRecord) -> None:
         """Append a record recovery read back from a crashed log.
@@ -373,7 +370,6 @@ class RecoveryLog:
         current = self._buffers[-1]
         current.durable_upto = len(current.records)
         self.durable_records.append(record)
-        self._durable_torn = False
 
     # --- record-cache reads --------------------------------------------------
 

@@ -244,9 +244,11 @@ class TransactionComponent:
             self.machine.cpu.charge("timestamp_alloc", category="tc")
             self._clock += 1
             commit_ts = self._clock
+            last = self.log.appended_records + len(txn.write_set)
             for key, value in txn.write_set.items():
-                record = LogRecord(key, value, commit_ts, txn.txn_id,
-                                   self.log.appended_records + 1)
+                lsn = self.log.appended_records + 1
+                record = LogRecord(key, value, commit_ts, txn.txn_id, lsn,
+                                   lsn == last)
                 self.log.append(record)
                 self.versions.add(record)
                 self.read_cache.invalidate(key)
@@ -264,6 +266,11 @@ class TransactionComponent:
                 else:
                     self.dc.upsert(key, value)
                 self.counters.add("tc.writes_applied")
+            # Logged and applied: the transaction has committed, and it
+            # leaves the active set even if a drain or flush below raises.
+            txn.status = TxnStatus.COMMITTED
+            active = self._active
+            del active[txn.txn_id]
             if (self.records is not None and self.records.dirty_bytes
                     >= self.config.record_dirty_flush_bytes):
                 self.flush_record_cache()
@@ -272,9 +279,6 @@ class TransactionComponent:
                     self._last_future = self.pipeline.enqueue_epoch()
                 elif self.config.sync_commit:
                     self.log.flush()
-            txn.status = TxnStatus.COMMITTED
-            active = self._active
-            del active[txn.txn_id]
             self.counters.add("tc.commits")
             oldest = (min(t.read_timestamp for t in active.values())
                       if active else self._clock)
@@ -362,10 +366,11 @@ class TransactionComponent:
                         break
                 else:
                     commit_ts += 1
+                    last = lsn + len(write_set)
                     for key, value in write_set.items():
                         lsn += 1
-                        records.append(
-                            LogRecord(key, value, commit_ts, txn_id, lsn))
+                        records.append(LogRecord(key, value, commit_ts,
+                                                 txn_id, lsn, lsn == last))
                         written.add(key)
                     results.append(commit_ts)
                     continue
@@ -679,7 +684,15 @@ class TransactionComponent:
         check_write(key, value)
         txn = self.begin()
         self.write(txn, key, value)
-        return self.commit(txn)
+        try:
+            return self.commit(txn)
+        except BaseException:
+            # It raised before it committed (a log spill that exhausted
+            # its retries): abort, as ``engine.transaction()`` does, so
+            # it leaves the active set.
+            if txn.status is TxnStatus.ACTIVE:
+                self.abort(txn)
+            raise
 
     # ------------------------------------------------------------------
     # durability
@@ -729,16 +742,20 @@ class TransactionComponent:
         during recovery" — each record is posted to the Bw-tree as a blind
         update and re-installed in the version store.  The records join
         this log's durable prefix (:meth:`RecoveryLog.restore`), so a
-        later crash replays them again.  ``records`` must end on a whole
-        transaction (:meth:`RecoveryLog.whole_transactions`).  Returns
-        the number of records replayed.
+        later crash replays them again, and txn ids go on past the
+        largest replayed one, so an id names one transaction across
+        recoveries.  ``records`` must hold whole transactions only
+        (:meth:`RecoveryLog.whole_transactions`).  Returns the number of
+        records replayed.
         """
         replayed = 0
         log = self.log
         for durable in records:
             self._clock = max(self._clock, durable.timestamp)
+            self._next_txn_id = max(self._next_txn_id, durable.txn_id + 1)
             record = LogRecord(durable.key, durable.value, durable.timestamp,
-                               durable.txn_id, log.appended_records + 1)
+                               durable.txn_id, log.appended_records + 1,
+                               durable.end)
             log.restore(record)
             self.versions.add(record)
             if record.value is None:

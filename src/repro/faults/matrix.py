@@ -20,6 +20,12 @@ paths, and checks the recovered store against a durable-prefix oracle:
   ``RecoveryError`` means a crash window destroyed the only live
   checkpoint image (or left the durable one referencing dropped flash).
 
+An exhausted-retry pass then fails every attempt of one write at each
+retry-wrapped site (``log_store.flush``, ``recovery_log.flush``) at the
+same sampled hits, drives the trace on past every raise, forces the
+log and recovers: recovery must serve exactly what the live engine
+served, so a write the live engine refused is never recovered.
+
 Hit indices above ``max_hits_per_site`` are sampled deterministically
 (first, last, evenly spaced between), and the report says so — a capped
 matrix never silently claims exhaustiveness.
@@ -48,8 +54,9 @@ from .plan import (
     FaultKind,
     FaultPlan,
     FaultRule,
+    IoError,
 )
-from .retry import RetryStats
+from .retry import RetryPolicy, RetryStats
 
 Op = Tuple[str, bytes, Optional[bytes]]
 
@@ -61,6 +68,11 @@ Engine = Union[DeuteronomyEngine, ShardedEngine]
 # post-ack) are actually reachable and the durable-prefix oracle covers
 # commits whose device ack was still outstanding at the crash.
 SCENARIOS = ("engine", "sharded", "engine-async", "sharded-async")
+
+#: The retry-wrapped sites, where a write that fails every attempt
+#: raises :class:`IoError` to its caller.
+RETRY_SITES = tuple(name for name, site in FAULT_SITES.items()
+                    if site.transient_ok)
 
 
 def _base_scenario(scenario: str) -> str:
@@ -157,6 +169,8 @@ class MatrixReport:
     hit_counts: Dict[str, Dict[str, int]]
     sampled_sites: Dict[str, List[str]]
     noise_retries: Optional[int] = None
+    #: The exhausted-retry pass, one case per (scenario, site, hit).
+    exhausted: List[CaseResult] = field(default_factory=list)
 
     @property
     def uncovered_sites(self) -> List[str]:
@@ -168,7 +182,7 @@ class MatrixReport:
 
     @property
     def failures(self) -> List[CaseResult]:
-        return [case for case in self.cases if not case.ok]
+        return [case for case in self.cases + self.exhausted if not case.ok]
 
     @property
     def total_violations(self) -> int:
@@ -203,19 +217,28 @@ class MatrixReport:
                 f"transient-noise pass: {self.noise_retries} retries "
                 "charged, final state verified"
             )
+        lines.append(
+            f"exhausted-retry pass: {len(self.exhausted)} cases at "
+            f"{', '.join(RETRY_SITES)}, recovered state == live state"
+        )
         for site in self.uncovered_sites:
             lines.append(f"VIOLATION: site {site} never hit by any scenario")
-        for case in self.failures:
-            head = (f"VIOLATION: {case.scenario} {case.site} "
-                    f"hit {case.hit}: ")
-            if not case.crashed:
-                lines.append(head + "scheduled crash never fired")
-            elif not case.recovered:
-                lines.append(head + (case.violations[0] if case.violations
-                                     else "recovery failed"))
-            else:
-                for violation in case.violations[:4]:
-                    lines.append(head + violation)
+        for kind, group in (("crash", self.cases),
+                            ("retries exhausted", self.exhausted)):
+            for case in group:
+                if case.ok:
+                    continue
+                head = (f"VIOLATION: {case.scenario} {case.site} "
+                        f"hit {case.hit} ({kind}): ")
+                if not case.crashed:
+                    lines.append(head + "scheduled fault never fired")
+                elif not case.recovered:
+                    lines.append(head + (case.violations[0]
+                                         if case.violations
+                                         else "recovery failed"))
+                else:
+                    for violation in case.violations[:4]:
+                        lines.append(head + violation)
         lines.append(
             f"crash matrix: {len(self.cases)} cases, "
             f"{self.total_violations} violations"
@@ -312,31 +335,42 @@ def _setup(scenario: str, engine: Engine,
 
 
 def _drive(scenario: str, engine: Engine, ops: Sequence[Op],
-           config: MatrixConfig) -> None:
-    """Replay the trace with periodic checkpoints and GC passes."""
+           config: MatrixConfig,
+           errors: Tuple[type, ...] = ()) -> None:
+    """Replay the trace with periodic checkpoints and GC passes.
+
+    An op, batch, checkpoint or GC pass that raises one of ``errors``
+    is skipped, and the trace goes on.
+    """
+    def attempt(call: Callable[..., object], *args: object) -> None:
+        try:
+            call(*args)
+        except errors:
+            pass
+
     if _base_scenario(scenario) == "engine":
         for index, (kind, key, value) in enumerate(ops, start=1):
             if kind == "get":
-                engine.get(key)
+                attempt(engine.get, key)
             elif kind == "put":
-                engine.put(key, value)
+                attempt(engine.put, key, value)
             else:
-                engine.delete(key)
+                attempt(engine.delete, key)
             if index % config.checkpoint_every == 0:
-                engine.checkpoint()
+                attempt(engine.checkpoint)
             if index % config.gc_every == 0:
-                engine.collect_garbage(config.gc_target)
+                attempt(engine.collect_garbage, config.gc_target)
         return
     done = 0
     for start in range(0, len(ops), config.batch_size):
         batch = list(ops[start:start + config.batch_size])
-        engine.apply_batch(batch)
+        attempt(engine.apply_batch, batch)
         before, done = done, done + len(batch)
         if done // config.checkpoint_every != before // config.checkpoint_every:
-            engine.checkpoint()
+            attempt(engine.checkpoint)
         if done // config.gc_every != before // config.gc_every:
             for shard in engine.shards:
-                shard.collect_garbage(config.gc_target)
+                attempt(shard.collect_garbage, config.gc_target)
 
 
 def _shard_engines(scenario: str,
@@ -481,6 +515,36 @@ def run_case(scenario: str, config: MatrixConfig,
     return result
 
 
+def run_exhausted_case(scenario: str, config: MatrixConfig,
+                       baseline: Dict[bytes, bytes], ops: Sequence[Op],
+                       site: str, hit: int) -> CaseResult:
+    """Fail every attempt of the write at (site, hit), drive the trace
+    on past each raise, force the log, recover, and check that recovery
+    serves exactly what the live engine served."""
+    result = CaseResult(scenario=scenario, site=site, hit=hit)
+    injector = FaultInjector(FaultPlan(rules=(FaultRule(
+        site, hit, FaultKind.IO_ERROR, count=RetryPolicy().max_attempts),)))
+    injector.disarm()
+    engine = _build(scenario, config, injector)
+    _setup(scenario, engine, baseline)
+    injector.arm()
+    _drive(scenario, engine, ops, config, errors=(IoError,))
+    injector.disarm()
+    result.crashed = injector.hits(site) >= hit
+    keys = sorted(set(baseline) | {key for __, key, __ in ops})
+    live = {key: engine.get(key) for key in keys}
+    for shard in _shard_engines(scenario, engine):
+        shard.tc.sync_log()
+    try:
+        recovered = _recover(scenario, engine)
+    except Exception as exc:  # RecoveryError and anything like it
+        result.violations.append(f"recovery failed: {exc!r}")
+        return result
+    result.recovered = True
+    result.violations = _check_oracle(recovered, live, keys)
+    return result
+
+
 def _noise_pass(config: MatrixConfig, baseline: Dict[bytes, bytes],
                 ops: Sequence[Op], probability: float) -> Tuple[int, List[str]]:
     """Drive the trace under seeded transient I/O noise on the SSD path.
@@ -493,10 +557,8 @@ def _noise_pass(config: MatrixConfig, baseline: Dict[bytes, bytes],
     """
     noise = FaultPlan.transient_noise(config.seed, probability)
     injector = FaultInjector(FaultPlan(
-        rules=(
-            FaultRule("log_store.flush", 1, FaultKind.IO_ERROR),
-            FaultRule("recovery_log.flush", 1, FaultKind.IO_ERROR),
-        ),
+        rules=tuple(FaultRule(site, 1, FaultKind.IO_ERROR)
+                    for site in RETRY_SITES),
         noise_seed=noise.noise_seed,
         noise_probability=noise.noise_probability,
     ))
@@ -535,9 +597,11 @@ def run_matrix(
     noise_probability: float = 0.0,
     progress: Optional[Callable[[CaseResult], None]] = None,
 ) -> MatrixReport:
-    """Count hits, then crash-and-recover every sampled (site, hit) pair."""
+    """Count hits, then crash-and-recover every sampled (site, hit) pair,
+    then exhaust the retries at every sampled hit of each retry site."""
     baseline, ops = build_trace(config)
     cases: List[CaseResult] = []
+    exhausted: List[CaseResult] = []
     hit_counts: Dict[str, Dict[str, int]] = {}
     sampled: Dict[str, List[str]] = {}
     for scenario in config.scenarios:
@@ -555,9 +619,17 @@ def run_matrix(
                 cases.append(case)
                 if progress is not None:
                     progress(case)
+        for site in RETRY_SITES:
+            for hit in _sample_hits(counts.get(site, 0),
+                                    config.max_hits_per_site):
+                case = run_exhausted_case(scenario, config, baseline, ops,
+                                          site, hit)
+                exhausted.append(case)
+                if progress is not None:
+                    progress(case)
     report = MatrixReport(
         config=config, cases=cases,
-        hit_counts=hit_counts, sampled_sites=sampled,
+        hit_counts=hit_counts, sampled_sites=sampled, exhausted=exhausted,
     )
     if noise_probability > 0.0:
         retries, violations = _noise_pass(

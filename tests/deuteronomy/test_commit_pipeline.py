@@ -11,6 +11,7 @@ from repro.bwtree import BwTreeConfig
 from repro.deuteronomy import DeuteronomyEngine, LogRecord, RecoveryLog
 from repro.deuteronomy.commit_pipeline import CommitPipeline
 from repro.deuteronomy.tc import TcConfig
+from repro.faults import FaultInjector, FaultPlan, IoError
 from repro.hardware import LogDevice, Machine, SsdSpec
 from repro.sharding.engine import ShardedEngine
 
@@ -282,6 +283,61 @@ class TestEngineIntegration:
         engine.checkpoint()
         assert engine.tc.last_commit_future.resolved
         assert engine.tc.log.sealed_pending == 0
+
+    def test_a_failed_spill_leaves_its_buffer_open(self, machine):
+        """An epoch write that exhausts its retries stays in the open
+        buffer, so the durable log has no hole and a resolved future's
+        write survives a crash."""
+        engine = self._engine(machine)
+        engine.checkpoint()
+        machine.faults = FaultInjector(
+            FaultPlan.io_error_at("recovery_log.flush", 1, failures=4))
+        acked = []
+        for index in range(200):
+            key, value = b"k%03d" % index, b"v%d" % index
+            try:
+                engine.put(key, value)
+            except IoError:
+                continue
+            acked.append((key, value, engine.tc.last_commit_future))
+        engine.tc.sync_log()
+        log = engine.tc.log
+        assert log.sealed_pending == 0
+        assert [record.lsn for record in log.durable_records] == list(
+            range(1, log.durable_lsn + 1))
+        recovered = DeuteronomyEngine.recover(engine)
+        lost = [key for key, value, future in acked
+                if future.resolved and recovered.get(key) != value]
+        assert len(acked) == 199 and lost == []
+
+    @pytest.mark.parametrize("pipelined", [False, True])
+    def test_a_raised_group_commit_keeps_lsns_append_indices(
+            self, machine, pipelined):
+        """A group commit whose spill write exhausts its retries leaves
+        its head in the open buffer; later commits are numbered after
+        it, so the durable LSNs stay append indices and no future
+        resolves ahead of its own record."""
+        engine = DeuteronomyEngine(
+            machine, tree_config=TREE,
+            tc_config=TcConfig(commit_pipeline=pipelined,
+                               log_buffer_bytes=4096))
+        engine.checkpoint()
+        machine.faults = FaultInjector(
+            FaultPlan.io_error_at("recovery_log.flush", 1, failures=4))
+        with pytest.raises(IoError):
+            engine.apply_batch([("put", b"k%03d" % index, b"n" * 100)
+                                for index in range(80)])
+        acked = []
+        for index in range(60):
+            engine.put(b"z%03d" % index, b"v")
+            acked.append((b"z%03d" % index, engine.tc.last_commit_future))
+        log = engine.tc.log
+        durable = {record.key for record in log.durable_records}
+        assert [key for key, future in acked if future is not None
+                and future.resolved and key not in durable] == []
+        engine.tc.sync_log()
+        assert [record.lsn for record in log.durable_records] == list(
+            range(1, log.last_lsn + 1))
 
 
 class TestShardedTopologies:

@@ -173,8 +173,8 @@ class TestRetentionBudget:
         device = LogDevice(machine.ssd, machine.clock)
         for index in range(5):
             log.append(record(index))
+        log.submit_sealed(device)
         sealed = log.seal()
-        log.submit_sealed(sealed, device)
         assert sealed.records[0].lsn >= log.first_retained_lsn
         log.mark_durable(sealed)
         # The ack made the buffer evictable and the budget is tiny:
@@ -192,8 +192,8 @@ class TestRetentionBudget:
         device = LogDevice(machine.ssd, machine.clock)
         first = record(0)
         log.append(first)
+        log.submit_sealed(device)
         sealed = log.seal()
-        log.submit_sealed(sealed, device)
         log.mark_durable(sealed)
         assert first.lsn >= log.first_retained_lsn   # budget not exceeded
         assert log.retained_bytes == sum(
@@ -207,8 +207,8 @@ class TestRetentionBudget:
         device = LogDevice(machine.ssd, machine.clock)
         for index in range(3):
             log.append(record(index))
+        log.submit_sealed(device)
         sealed = log.seal()
-        log.submit_sealed(sealed, device)
         log.mark_durable(sealed)
         log.mark_durable(sealed)   # resubmission after a transient error
         assert log.durable_lsn == 3

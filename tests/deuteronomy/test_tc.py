@@ -138,6 +138,44 @@ class TestReadsAndWrites:
             tc.run_update(b"k", value)
         assert tc.versions.version_count() == 2
 
+    def test_a_raised_sync_commit_leaves_no_active_transaction(
+            self, machine):
+        """A sync commit whose log flush exhausts its retries has logged
+        and applied its write: it leaves the active set as committed,
+        so the next commit still truncates."""
+        tc = TransactionComponent(
+            machine, BwTree(machine, BwTreeConfig(segment_bytes=1 << 16)),
+            TcConfig(sync_commit=True, version_gc_horizon_lag=1))
+        machine.faults = FaultInjector(
+            FaultPlan.io_error_at("recovery_log.flush", 1, failures=4))
+        with pytest.raises(IoError):
+            tc.run_update(b"k", b"0")
+        assert not tc._active
+        assert tc.get(b"k") == b"0"
+        for value in (b"1", b"2", b"3", b"4"):
+            tc.run_update(b"k", value)
+        assert tc.versions.version_count() == 2
+
+    def test_a_put_whose_log_spill_raises_leaves_no_active_transaction(
+            self, machine):
+        """A put whose append spills a full buffer that cannot be
+        written applied nothing: it aborts, so the next commit still
+        truncates."""
+        tc = TransactionComponent(
+            machine, BwTree(machine, BwTreeConfig(segment_bytes=1 << 16)),
+            TcConfig(log_buffer_bytes=4096, version_gc_horizon_lag=1))
+        machine.faults = FaultInjector(
+            FaultPlan.io_error_at("recovery_log.flush", 1, failures=4))
+        for index in range(30):   # 30 136-byte records fill the buffer
+            tc.run_update(b"a%03d" % index, b"n" * 100)
+        with pytest.raises(IoError):
+            tc.run_update(b"k", b"n" * 100)
+        assert not tc._active
+        assert tc.get(b"k") is None
+        for value in (b"1", b"2", b"3", b"4"):
+            tc.run_update(b"k", value)
+        assert tc.versions.version_count() == 2 + 30
+
 
 class TestConflicts:
     def test_write_write_conflict_aborts_second(self, tc):

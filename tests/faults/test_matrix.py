@@ -16,6 +16,7 @@ from repro.faults.matrix import (
     build_trace,
     main,
     run_case,
+    run_exhausted_case,
     run_matrix,
 )
 from repro.hardware import Machine
@@ -189,6 +190,7 @@ class TestMatrixRunner:
     def test_tiny_matrix_has_no_violations(self):
         report = run_matrix(TINY)
         assert report.cases, "matrix ran no cases"
+        assert report.exhausted, "the exhausted-retry pass ran no cases"
         assert report.uncovered_sites == []
         assert report.total_violations == 0, report.render()
 
@@ -206,6 +208,17 @@ class TestMatrixRunner:
                           "checkpoint.write.after_append", 1)
         assert first.ok and second.ok
         assert first.violations == second.violations == []
+
+    def test_recovery_serves_what_the_live_engine_served(self):
+        # An epoch write that fails every attempt: had the pipeline
+        # sealed its buffer first, the buffer would never be written
+        # while later ones were, and recovery would lose writes the
+        # live engine served.
+        baseline, ops = build_trace(TINY)
+        case = run_exhausted_case("engine-async", TINY, baseline, ops,
+                                  "recovery_log.flush", 2)
+        assert case.crashed and case.recovered
+        assert case.violations == []
 
     def test_noise_pass_charges_retries(self):
         report = run_matrix(TINY, noise_probability=0.1)

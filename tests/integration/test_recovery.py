@@ -6,7 +6,7 @@ import pytest
 
 from repro.bwtree import BwTree, BwTreeConfig, RecoveryError
 from repro.deuteronomy import DeuteronomyEngine, TcConfig
-from repro.faults import CrashError, FaultInjector, FaultPlan
+from repro.faults import CrashError, FaultInjector, FaultPlan, IoError
 from repro.hardware import Machine
 from repro.storage import CheckpointManager, LogStructuredStore
 
@@ -494,6 +494,35 @@ class TestWholeTransactionRecovery:
         twice = DeuteronomyEngine.recover(once)
         assert [once.get(key) for key in keys] == [b"new"] * 50
         assert [twice.get(key) for key in keys] == [b"new"] * 50
+
+    def test_a_raised_group_commit_is_never_replayed(self):
+        # The first spill's write fails all four attempts: the batch
+        # raises with 30 of its records in the open buffer, which the
+        # next flush makes durable.  Its end record was never logged.
+        engine = self.make_engine(log_buffer_bytes=4096)
+        engine.machine.faults = FaultInjector(
+            FaultPlan.io_error_at("recovery_log.flush", 1, failures=4))
+        with pytest.raises(IoError):
+            engine.apply_batch([("put", key, b"n" * 100) for key in self.KEYS])
+        assert [engine.get(key) for key in self.KEYS] == [b"old"] * 80
+        engine.put(b"after", b"1")
+        engine.checkpoint()
+        recovered = DeuteronomyEngine.recover(engine)
+        assert [recovered.get(key) for key in self.KEYS] == [b"old"] * 80
+        assert recovered.get(b"after") == b"1"
+
+    def test_txn_ids_go_on_after_a_recovery(self):
+        engine = self.make_engine()
+        for key in self.KEYS[:3]:
+            engine.put(key, b"a")
+        engine.checkpoint()
+        engine.put(self.KEYS[3], b"a")
+        engine.tc.log.flush()
+        recovered = DeuteronomyEngine.recover(engine)
+        recovered.put(self.KEYS[4], b"a")
+        recovered.tc.log.flush()
+        assert [record.txn_id for record in
+                recovered.tc.log.durable_records] == [1, 2, 3, 4, 5]
 
     def test_torn_commit_recover_commit_crash_recover(self):
         engine = self.make_engine(log_buffer_bytes=4096, sync_commit=True)

@@ -21,8 +21,9 @@ IMAGE = PageImage("full", 7, records=(Record(b"a", b"1"),))
 CASES = [
     (Record, (b"k", b"v", 3), "Record(key=b'k', value=b'v', timestamp=3)"),
     (Record, (b"k", None, 4), "Record(key=b'k', value=None, timestamp=4)"),
-    (LogRecord, (b"k", None, 6, 9, 11),
-     "LogRecord(key=b'k', value=None, timestamp=6, txn_id=9, lsn=11)"),
+    (LogRecord, (b"k", None, 6, 9, 11, False),
+     "LogRecord(key=b'k', value=None, timestamp=6, txn_id=9, lsn=11, "
+     "end=False)"),
     (ReadResult, (IMAGE, False, 12.5),
      f"ReadResult(image={IMAGE!r}, from_write_buffer=False, service_us=12.5)"),
     (Operation, (OpKind.UPDATE, b"k", b"v"),
@@ -51,6 +52,8 @@ def test_a_record_stays_a_frozen_dataclass(cls, values, text):
 
 def test_defaults_are_kept():
     assert Record(b"k", b"v") == Record(b"k", b"v", 0)
+    assert LogRecord(b"k", b"v", 1, 2, 3) == LogRecord(b"k", b"v", 1, 2, 3,
+                                                       True)
     assert Operation(OpKind.READ, b"k") == Operation(OpKind.READ, b"k",
                                                      None)
 
