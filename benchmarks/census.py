@@ -31,7 +31,6 @@ Run from the repository root (about three minutes; Python >= 3.11 for
 from __future__ import annotations
 
 import ast
-import glob
 import os
 import pathlib
 import shlex
@@ -46,15 +45,15 @@ CENSUS_PATH = ROOT / "benchmarks" / "results" / "census.txt"
 
 #: The consumer commands, each exactly as ``ci.yml`` runs it after
 #: ``PYTHONPATH=src`` (``tests/test_ci.py`` checks that it does).  An
-#: ``--out PATH`` runs as ``--out -`` here, and ``"$example"`` stands for
-#: each ``examples/*.py`` in turn, as in CI's loop.
+#: ``--out PATH`` runs as ``--out -`` here.  CI's examples loop is not
+#: one: an example shows the API, so code that only an example calls has
+#: no consumer.
 COMMANDS = (
     "python -m repro lint",
     "python -m repro lint --format sarif",
     "python -m repro doc-check",
     "python -m pytest benchmarks --ignore=benchmarks/e2e -q "
     "--benchmark-disable",
-    'python "$example"',
     "python -m repro trace --smoke",
     "python -m repro trace --seed 7 --out run1.json",
     "python -m repro trace --seed 7 --format report --out report1.txt",
@@ -129,16 +128,12 @@ def source_defs() -> Dict[str, int]:
     return found
 
 
-def _argvs(command: str) -> Iterator[List[str]]:
+def _argv(command: str) -> List[str]:
     argv = shlex.split(command)
     argv[0] = sys.executable
     if "--out" in argv:
         argv[argv.index("--out") + 1] = "-"
-    if "$example" not in argv:
-        yield argv
-        return
-    for example in sorted(glob.glob(str(ROOT / "examples" / "*.py"))):
-        yield [example if arg == "$example" else arg for arg in argv]
+    return argv
 
 
 def reached() -> Set[str]:
@@ -159,10 +154,10 @@ def reached() -> Set[str]:
             "REPRO_CENSUS_DIR": str(records),
         }
         for command in COMMANDS:
-            for argv in _argvs(command):
-                print(f"census: {' '.join(argv[1:])}", file=sys.stderr)
-                subprocess.run(argv, cwd=ROOT, env=env, check=True,
-                               stdout=subprocess.DEVNULL)
+            argv = _argv(command)
+            print(f"census: {' '.join(argv[1:])}", file=sys.stderr)
+            subprocess.run(argv, cwd=ROOT, env=env, check=True,
+                           stdout=subprocess.DEVNULL)
         for record in records.iterdir():
             for line in record.read_text().splitlines():
                 filename, qualname = line.split("\t")

@@ -12,13 +12,15 @@ Run:  python examples/capacity_planner.py
 """
 
 import random
+from collections import Counter
 
 from repro.bench import format_table
 from repro.core import (
     Advisor,
-    CacheSizingAdvisor,
     CostCatalog,
     CssParameters,
+    OperationCostModel,
+    cheapest,
 )
 
 
@@ -41,23 +43,28 @@ def main() -> None:
     offered = 2_000.0                    # ops/sec across the whole store
     rates = zipfian_page_rates(pages, offered)
 
-    advisor = CacheSizingAdvisor(catalog, css)
+    model = OperationCostModel(catalog, css)
+    mm, ss = model.mm_line(), model.ss_line()
+    lines = (mm, ss, model.css_line())
     # The rate at which each class stops being the cheapest.
     upper_rate = {cold: rate for __, cold, rate
-                  in Advisor(advisor.lines).boundaries()}
+                  in Advisor(lines).boundaries()}
     print("Tier boundaries (accesses/sec per page):")
     print(f"  CSS below {upper_rate['CSS']:.4g}, "
           f"SS up to {upper_rate['SS']:.4g}, MM above "
           f"(Ti = {1 / upper_rate['SS']:.0f} s)\n")
 
-    sized = advisor.size_for(rates)
-    all_dram = advisor.cost_if_all_cached(rates)
-    no_cache = advisor.cost_if_none_cached(rates)
+    # Each page on its cheapest line; "all DRAM" and "no cache" put
+    # every page on one line.
+    winners = [cheapest(lines, rate) for rate in rates]
+    sized = sum(winner.total for winner in winners)
+    all_dram = sum(mm.totals(rates))
+    no_cache = sum(ss.totals(rates))
 
-    counts = sized.tier_counts
+    counts = Counter(winner.kind for winner in winners)
     rows = [
-        ["cost-optimal (this paper)", f"{sized.total_cost:.4g}",
-         f"{sized.cache_bytes / 1e6:,.1f} MB",
+        ["cost-optimal (this paper)", f"{sized:.4g}",
+         f"{counts['MM'] * catalog.page_bytes / 1e6:,.1f} MB",
          f"{counts['MM']:,}/{counts['SS']:,}/{counts['CSS']:,}"],
         ["everything in DRAM", f"{all_dram:.4g}",
          f"{pages * catalog.page_bytes / 1e6:,.1f} MB", f"{pages:,}/0/0"],
@@ -70,8 +77,8 @@ def main() -> None:
         title=f"Pricing {pages:,} pages at {offered:,.0f} ops/sec total",
     ))
 
-    savings_dram = 1 - sized.total_cost / all_dram
-    savings_none = 1 - sized.total_cost / no_cache
+    savings_dram = 1 - sized / all_dram
+    savings_none = 1 - sized / no_cache
     print(f"\nThe sized cache costs {savings_dram:.0%} less than all-DRAM "
           f"and {savings_none:.0%} less than no cache.")
     print("This is the paper's core claim: a data caching system can pick "

@@ -12,10 +12,10 @@ Run:  python examples/five_minute_rule.py
 from repro.bench import format_table
 from repro.core import (
     CostCatalog,
+    breakeven_interval_seconds,
     breakeven_report,
     classic_gray_interval_seconds,
     iops_price_sweep,
-    page_size_sweep,
     record_cache_breakeven_seconds,
 )
 
@@ -23,13 +23,14 @@ from repro.core import (
 def main() -> None:
     catalog = CostCatalog.paper_2018()
     report = breakeven_report(catalog)
+    cpu_share = report.cpu_term_seconds / report.interval_seconds
 
     print("The updated five-minute rule (Equation 6)")
     print("=" * 55)
     print(f"breakeven interval Ti : {report.interval_seconds:6.1f} s")
     print(f"  I/O device term     : {report.io_term_seconds:6.1f} s")
     print(f"  CPU path term       : {report.cpu_term_seconds:6.1f} s "
-          f"({report.cpu_term_fraction:.0%} of the total — the paper's "
+          f"({cpu_share:.0%} of the total — the paper's "
           "addition)")
     print(f"Gray's original rule  : "
           f"{classic_gray_interval_seconds(catalog):6.1f} s "
@@ -44,8 +45,9 @@ def main() -> None:
 
     sizes = [512, 1024, 2700, 4096, 8192, 16384]
     rows = [
-        [f"{size:,} B", f"{interval:.1f} s"]
-        for size, interval in zip(sizes, page_size_sweep(catalog, sizes))
+        [f"{size:,} B",
+         f"{breakeven_interval_seconds(catalog.with_page_bytes(size)):.1f} s"]
+        for size in sizes
     ]
     print(format_table(["page size", "breakeven Ti"], rows,
                        title="Sensitivity: page size (Ps divides Ti)"))

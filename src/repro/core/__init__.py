@@ -7,7 +7,7 @@
 * :mod:`breakeven` — the updated five-minute rule (§4.2)
 * :mod:`mainmemory` — Bw-tree vs MassTree crossover (§5)
 * :mod:`technology` — NVRAM, HDD and compressed-memory lines (§7.2, §8)
-* :mod:`tiers` — N-tier hierarchy lines and cost-optimal cache sizing
+* :mod:`tiers` — N-tier hierarchy lines
 * :mod:`calibration` — measuring the model's inputs from the simulator
 """
 
@@ -25,7 +25,6 @@ from .breakeven import (
     classic_gray_interval_seconds,
     hierarchy_breakeven_surface,
     iops_price_sweep,
-    page_size_sweep,
     record_cache_breakeven_seconds,
     tier_pair_breakeven,
 )
@@ -65,14 +64,6 @@ from .mixture import (
     mixed_throughput,
     relative_performance,
 )
-from .sensitivity import (
-    PriceTrends,
-    breakeven_trajectory,
-    cpu_term_trajectory,
-    grid_sweep,
-    project_catalog,
-    tornado,
-)
 from .technology import (
     CmmParameters,
     HddParameters,
@@ -84,7 +75,7 @@ from .technology import (
     nvm_line,
     nvram_in_ssd_savings_fraction,
 )
-from .tiers import CacheSizingAdvisor, CacheSizingResult, hierarchy_lines
+from .tiers import hierarchy_lines
 
 __all__ = [
     "CostCatalog",
@@ -109,7 +100,6 @@ __all__ = [
     "breakeven_report",
     "classic_gray_interval_seconds",
     "record_cache_breakeven_seconds",
-    "page_size_sweep",
     "iops_price_sweep",
     "TierPairBreakeven",
     "tier_pair_breakeven",
@@ -117,8 +107,6 @@ __all__ = [
     "hierarchy_lines",
     "MainMemoryComparison",
     "paper_comparison",
-    "CacheSizingAdvisor",
-    "CacheSizingResult",
     "NvramParameters",
     "nvm_line",
     "nvram_in_ssd_savings_fraction",
@@ -135,12 +123,6 @@ __all__ = [
     "meter_bill",
     "RunPrice",
     "price_run",
-    "PriceTrends",
-    "project_catalog",
-    "breakeven_trajectory",
-    "cpu_term_trajectory",
-    "grid_sweep",
-    "tornado",
     "StackConfig",
     "MeasuredRun",
     "RExperiment",

@@ -83,12 +83,6 @@ class BreakevenReport:
     storage_cost_ratio: float        # MM vs SS storage, ~11x
     execution_cost_ratio: float      # SS vs MM execution, ~9-12x
 
-    @property
-    def cpu_term_fraction(self) -> float:
-        """How much of the breakeven the I/O *execution path* contributes —
-        the term the paper adds to the classic rule."""
-        return self.cpu_term_seconds / self.interval_seconds
-
 
 def breakeven_interval_seconds(catalog: CostCatalog) -> float:
     """Equation (6): the breakeven access interval Ti."""
@@ -141,15 +135,6 @@ def classic_gray_interval_seconds(catalog: CostCatalog) -> float:
     """
     io_term, __ = _breakeven_terms(catalog)
     return io_term
-
-
-def page_size_sweep(catalog: CostCatalog,
-                    page_sizes: Sequence[float]) -> List[float]:
-    """Ti across page sizes (ablation: Ps is in the denominator)."""
-    return [
-        breakeven_interval_seconds(catalog.with_page_bytes(size))
-        for size in page_sizes
-    ]
 
 
 def iops_price_sweep(catalog: CostCatalog,

@@ -5,9 +5,9 @@ every comparison in the paper is relative, L cancels (Section 3.2), so the
 catalog stores raw prices and the model works per implicit 1/L — exactly as
 the paper's equations do.
 
-Defaults are the paper's 2018 numbers; everything is overridable so the
-sensitivity experiments (IOPS price declines, DRAM price moves) are one
-``replace`` away.
+Defaults are the paper's 2018 numbers; everything is overridable, so a
+what-if (an IOPS price decline, a DRAM price move, another page size) is
+one ``with_*`` or ``replace`` away.
 """
 
 from __future__ import annotations

@@ -1,19 +1,18 @@
 """DeuteronomyEngine: the assembled TC + DC system.
 
 Convenience facade wiring a :class:`TransactionComponent` over a
-:class:`BwTree` (itself over LLAMA and the simulated machine), with a
-context-manager transaction API.
+:class:`BwTree` (itself over LLAMA and the simulated machine).  A
+multi-key transaction is one :meth:`DeuteronomyEngine.apply_batch`.
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from ..bwtree.tree import BwTree, BwTreeConfig
 from ..hardware.logdevice import LogDevice
 from ..hardware.machine import Machine
-from .tc import TcConfig, Transaction, TransactionComponent, TxnStatus
+from .tc import TcConfig, TransactionComponent
 
 
 class DeuteronomyEngine:
@@ -78,21 +77,6 @@ class DeuteronomyEngine:
         engine.tc.replay_redo(durable)
         crashed._recovered_into = engine
         return engine
-
-    @contextlib.contextmanager
-    def transaction(self) -> Iterator[Transaction]:
-        """``with engine.transaction() as txn:`` — commits on success,
-        aborts if the body raises."""
-        txn = self.tc.begin()
-        try:
-            yield txn
-        except BaseException:
-            if txn.status is TxnStatus.ACTIVE:
-                self.tc.abort(txn)
-            raise
-        else:
-            if txn.status is TxnStatus.ACTIVE:
-                self.tc.commit(txn)
 
     # --- autocommit conveniences -------------------------------------
 

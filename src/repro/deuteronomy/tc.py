@@ -244,28 +244,41 @@ class TransactionComponent:
             self.machine.cpu.charge("timestamp_alloc", category="tc")
             self._clock += 1
             commit_ts = self._clock
+            # The write set is applied once its last record, the one
+            # that ends the transaction, is in the log: an append that
+            # raises (a spill that exhausts its retries) leaves no key
+            # visible.
             last = self.log.appended_records + len(txn.write_set)
+            logged: List[LogRecord] = []
             for key, value in txn.write_set.items():
                 lsn = self.log.appended_records + 1
                 record = LogRecord(key, value, commit_ts, txn.txn_id, lsn,
                                    lsn == last)
                 self.log.append(record)
-                self.versions.add(record)
-                self.read_cache.invalidate(key)
-                # The DC update is blind: no read, just a delta post
-                # (Section 6.2 — "all transactional updates are blind
-                # updates at the Bw-tree").  With the record store on,
-                # the delta lands in the record heap instead (dirty) and
-                # the DC absorbs it lazily at drain/checkpoint time —
-                # the commit never touches a page.
-                if self.records is not None and self.records.append_record(
-                        key, value, dirty=True):
-                    pass
-                elif value is None:
-                    self.dc.delete(key)
-                else:
-                    self.dc.upsert(key, value)
-                self.counters.add("tc.writes_applied")
+                logged.append(record)
+                if not record.end:
+                    continue
+                for applied in logged:
+                    key = applied.key
+                    value = applied.value
+                    self.versions.add(applied)
+                    self.read_cache.invalidate(key)
+                    # The DC update is blind: no read, just a delta post
+                    # (Section 6.2 — "all transactional updates are blind
+                    # updates at the Bw-tree").  With the record store
+                    # on, the delta lands in the record heap instead
+                    # (dirty) and the DC absorbs it lazily at
+                    # drain/checkpoint time — the commit never touches a
+                    # page.
+                    if (self.records is not None
+                            and self.records.append_record(
+                                key, value, dirty=True)):
+                        pass
+                    elif value is None:
+                        self.dc.delete(key)
+                    else:
+                        self.dc.upsert(key, value)
+                    self.counters.add("tc.writes_applied")
             # Logged and applied: the transaction has committed, and it
             # leaves the active set even if a drain or flush below raises.
             txn.status = TxnStatus.COMMITTED
@@ -688,8 +701,7 @@ class TransactionComponent:
             return self.commit(txn)
         except BaseException:
             # It raised before it committed (a log spill that exhausted
-            # its retries): abort, as ``engine.transaction()`` does, so
-            # it leaves the active set.
+            # its retries): abort, so it leaves the active set.
             if txn.status is TxnStatus.ACTIVE:
                 self.abort(txn)
             raise

@@ -1,4 +1,4 @@
-"""Tier selection over line sets, and cost-optimal cache sizing.
+"""Tier selection over line sets.
 
 One ``Advisor`` serves every line set; the classes below are the two
 sets the repo ships (MM/SS/CSS and a storage hierarchy's tiers).  Their
@@ -11,12 +11,10 @@ from hypothesis import given, settings
 
 from repro.core import (
     Advisor,
-    CacheSizingAdvisor,
     CostCatalog,
     CssParameters,
     OperationCostModel,
     breakeven_rate_ops_per_sec,
-    cheapest,
     crossover,
     hierarchy_lines,
     tier_pair_breakeven,
@@ -116,82 +114,6 @@ class TestTierAdvisor:
     @given(low=st.floats(1e-9, 1e4), high=st.floats(1e-9, 1e4))
     def test_tier_for_rate_monotone_property(self, low, high):
         assert_monotone(mm_ss_css(), low, high)
-
-
-class TestCacheSizing:
-    def test_threshold_policy(self):
-        advisor = CacheSizingAdvisor()
-        breakeven = breakeven_rate_ops_per_sec(advisor.catalog)
-        rates = [breakeven * 10, breakeven * 2, breakeven / 2,
-                 breakeven / 10]
-        result = advisor.size_for(rates)
-        assert result.cached_pages == 2
-        assert result.cache_bytes == pytest.approx(
-            2 * advisor.catalog.page_bytes
-        )
-        assert result.tier_of_page == ("MM", "MM", "SS", "SS")
-
-    def test_optimal_beats_extremes(self):
-        """The sized cache costs no more than all-DRAM or no-cache."""
-        advisor = CacheSizingAdvisor()
-        breakeven = breakeven_rate_ops_per_sec(advisor.catalog)
-        rates = [breakeven * factor
-                 for factor in (100, 10, 2, 0.5, 0.1, 0.01)]
-        sized = advisor.size_for(rates).total_cost
-        assert sized <= advisor.cost_if_all_cached(rates) + 1e-15
-        assert sized <= advisor.cost_if_none_cached(rates) + 1e-15
-
-    def test_all_hot_caches_everything(self):
-        advisor = CacheSizingAdvisor()
-        breakeven = breakeven_rate_ops_per_sec(advisor.catalog)
-        result = advisor.size_for([breakeven * 5] * 10)
-        assert result.cached_pages == 10
-        assert result.total_cost == pytest.approx(
-            advisor.cost_if_all_cached([breakeven * 5] * 10)
-        )
-
-    def test_tier_counts(self):
-        advisor = CacheSizingAdvisor(css=CSS)
-        (__, __, ss_to_mm), (__, __, css_to_ss) = \
-            Advisor(advisor.lines).boundaries()
-        rates = [ss_to_mm * 10, (css_to_ss * ss_to_mm) ** 0.5,
-                 css_to_ss / 10]
-        counts = advisor.size_for(rates).tier_counts
-        assert (counts["MM"], counts["SS"], counts["CSS"]) == (1, 1, 1)
-        assert CacheSizingAdvisor().size_for(rates).tier_counts["CSS"] == 0
-
-    @settings(max_examples=50, deadline=None)
-    @given(rates=st.lists(st.floats(1e-8, 1e4), min_size=1, max_size=40))
-    def test_sized_never_worse_than_extremes_property(self, rates):
-        advisor = CacheSizingAdvisor()
-        sized = advisor.size_for(rates).total_cost
-        assert sized <= advisor.cost_if_all_cached(rates) * (1 + 1e-12)
-        assert sized <= advisor.cost_if_none_cached(rates) * (1 + 1e-12)
-
-    def test_size_for_without_css_never_prices_css(self):
-        """Selection and costing share one code path: without ``css``
-        parameters no page is placed on, or priced as, CSS."""
-        advisor = CacheSizingAdvisor()
-        assert [line.kind for line in advisor.lines] == ["MM", "SS"]
-        breakeven = breakeven_rate_ops_per_sec(advisor.catalog)
-        rates = [breakeven * factor
-                 for factor in (100, 3, 1.0, 0.3, 1e-3, 1e-6, 1e-9)]
-        result = advisor.size_for(rates)
-        assert "CSS" not in result.tier_of_page
-        assert result.total_cost == sum(
-            cheapest(advisor.lines, rate).total for rate in rates
-        )
-
-    @settings(max_examples=50, deadline=None)
-    @given(rates=st.lists(st.floats(1e-9, 1e4), min_size=1, max_size=30))
-    def test_size_for_matches_cheapest_property(self, rates):
-        """Tier selection agrees with the argmin, CSS given or not."""
-        for css in (None, CSS):
-            advisor = CacheSizingAdvisor(css=css)
-            result = advisor.size_for(rates)
-            assert list(result.tier_of_page) == [
-                Advisor(advisor.lines).tier_for_rate(rate) for rate in rates
-            ]
 
 
 class TestNTierAdvisor:

@@ -1,4 +1,4 @@
-"""DeuteronomyEngine facade and transaction context manager."""
+"""DeuteronomyEngine facade and explicit TC transactions."""
 
 import pytest
 
@@ -21,27 +21,14 @@ def test_autocommit_put_get_delete(engine):
     assert engine.get(b"k") is None
 
 
-def test_context_manager_commits(engine):
-    with engine.transaction() as txn:
-        engine.tc.write(txn, b"k", b"v")
-    assert engine.get(b"k") == b"v"
-
-
-def test_context_manager_aborts_on_exception(engine):
-    with pytest.raises(RuntimeError):
-        with engine.transaction() as txn:
-            engine.tc.write(txn, b"k", b"v")
-            raise RuntimeError("boom")
-    assert engine.get(b"k") is None
-
-
-def test_context_manager_multi_key(engine):
+def test_a_multi_key_transaction_commits_every_key(engine):
     engine.put(b"from", b"100")
     engine.put(b"to", b"0")
-    with engine.transaction() as txn:
-        amount = engine.tc.read(txn, b"from")
-        engine.tc.write(txn, b"from", b"0")
-        engine.tc.write(txn, b"to", amount)
+    txn = engine.tc.begin()
+    amount = engine.tc.read(txn, b"from")
+    engine.tc.write(txn, b"from", b"0")
+    engine.tc.write(txn, b"to", amount)
+    engine.tc.commit(txn)
     assert engine.get(b"from") == b"0"
     assert engine.get(b"to") == b"100"
 
@@ -164,9 +151,10 @@ def test_a_rejected_read_in_an_open_transaction_is_not_counted(engine):
     """Inside an explicit transaction the request dispatch is billed,
     but the read itself is refused before it counts as an operation."""
     machine, tc = engine.machine, engine.tc
+    txn = tc.begin()
     with pytest.raises(ValueError):
-        with engine.transaction() as txn:
-            tc.read(txn, b"")
+        tc.read(txn, b"")
+    tc.abort(txn)
     assert machine.operations == 0
     assert tc.counters.get("tc.reads") == 0
     assert tc.counters.get("tc.aborts") == 1

@@ -12,7 +12,6 @@ import pytest
 
 from repro.bwtree import BwTreeConfig
 from repro.deuteronomy import DeuteronomyEngine, TcConfig
-from repro.faults import FaultInjector, FaultPlan, IoError
 from repro.hardware import Machine
 from repro.observability.whatif import ChargeRecorder
 from repro.scenarios import batch_item
@@ -164,23 +163,27 @@ def test_a_multi_get_builds_no_transaction():
     assert forbidden.isdisjoint(calls), forbidden & set(calls)
 
 
-def test_a_get_drains_a_heap_a_failed_commit_left_dirty():
-    """``commit`` parks each record in the record heap before the next
-    record's log append, and that append may spill the log buffer into a
-    flush whose retries run out.  The commit then raises with the heap
-    over its drain threshold, so the next ``get`` drains it: the inline
-    drain in ``TransactionComponent.get`` is reachable."""
+def test_a_get_drains_a_heap_a_failed_commit_left_dirty(monkeypatch):
+    """``commit`` parks a record in the record heap before it posts the
+    next one, too big for a heap arena, to the DC, and that post may
+    fail.  The commit then raises with the heap over its drain
+    threshold, so the next ``get`` drains it: the inline drain in
+    ``TransactionComponent.get`` is reachable."""
     engine = DeuteronomyEngine(
         Machine.paper_default(cores=1), BwTreeConfig(segment_bytes=1 << 14),
-        TcConfig(log_buffer_bytes=256, record_cache=True,
+        TcConfig(record_cache=True, record_arena_bytes=256,
                  record_dirty_flush_bytes=1))
     tc = engine.tc
-    engine.machine.faults = FaultInjector(FaultPlan.io_error_at(
-        "recovery_log.flush", 1, failures=4))
+
+    # The device fails the DC post.
+    def fail(key, value):
+        raise RuntimeError("device gone")
+
+    monkeypatch.setattr(engine.dc, "upsert", fail)
     txn = tc.begin()
     tc.write(txn, b"a", b"x" * 100)
-    tc.write(txn, b"b", b"y" * 100)
-    with pytest.raises(IoError):
+    tc.write(txn, b"b", b"y" * 300)
+    with pytest.raises(RuntimeError, match="device gone"):
         tc.commit(txn)
     assert tc.records.dirty_bytes >= tc.config.record_dirty_flush_bytes
     drains = engine.dc.counters.get("bwtree.blind_batches")

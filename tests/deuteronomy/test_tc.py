@@ -176,6 +176,25 @@ class TestReadsAndWrites:
             tc.run_update(b"k", value)
         assert tc.versions.version_count() == 2 + 30
 
+    def test_a_commit_whose_log_spill_raises_applies_no_key(self, machine):
+        """A commit logs its whole write set before it applies a key, so
+        a log spill that exhausts its retries part-way through the write
+        set leaves none of it visible."""
+        tc = TransactionComponent(
+            machine, BwTree(machine, BwTreeConfig(segment_bytes=1 << 16)),
+            TcConfig(log_buffer_bytes=4096))
+        machine.faults = FaultInjector(
+            FaultPlan.io_error_at("recovery_log.flush", 1, failures=4))
+        keys = [b"k%03d" % index for index in range(80)]
+        txn = tc.begin()
+        for key in keys:
+            tc.write(txn, key, b"n" * 100)
+        with pytest.raises(IoError):
+            tc.commit(txn)
+        tc.abort(txn)
+        assert [key for key in keys if tc.get(key) is not None] == []
+        assert [key for key in keys if tc.dc.get(key) is not None] == []
+
 
 class TestConflicts:
     def test_write_write_conflict_aborts_second(self, tc):

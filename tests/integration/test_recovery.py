@@ -214,9 +214,10 @@ class TestEngineRecovery:
         engine.put(b"a", b"1")
         engine.checkpoint()
         recovered = DeuteronomyEngine.recover(engine)
-        with recovered.transaction() as txn:
-            value = recovered.tc.read(txn, b"a")
-            recovered.tc.write(txn, b"b", value)
+        txn = recovered.tc.begin()
+        value = recovered.tc.read(txn, b"a")
+        recovered.tc.write(txn, b"b", value)
+        recovered.tc.commit(txn)
         assert recovered.get(b"b") == b"1"
 
     def test_replay_order_newest_wins(self):

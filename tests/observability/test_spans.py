@@ -239,10 +239,11 @@ class TestExceptionBalance:
     def test_a_write_write_conflict(self, detailed):
         engine = _loaded_engine()
         tracer = _attach(engine.machine, detailed)
+        txn = engine.tc.begin()
+        engine.tc.write(txn, b"key0001", b"mine")
+        engine.put(b"key0001", b"theirs")
         with pytest.raises(TransactionAborted):
-            with engine.transaction() as txn:
-                engine.tc.write(txn, b"key0001", b"mine")
-                engine.put(b"key0001", b"theirs")
+            engine.tc.commit(txn)
         engine.get(b"key0002")
         roots = _assert_balanced(tracer)
         assert [root.name for root in roots] == [

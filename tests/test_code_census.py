@@ -14,9 +14,22 @@ import ast
 import pathlib
 import re
 
-from benchmarks.census import CENSUS_PATH, ROOT, read_census, source_defs
+from benchmarks.census import (
+    CENSUS_PATH,
+    COMMANDS,
+    ROOT,
+    read_census,
+    source_defs,
+)
 
 KIND = re.compile(r"error-path|abstract|test-support|pending: item \d+")
+
+
+def test_no_census_command_runs_an_example():
+    """An example shows the API; it is not a consumer, so code that only
+    an example calls shows up in the census."""
+    assert [command for command in COMMANDS
+            if "example" in command] == []
 
 
 def test_every_unreached_function_has_a_kind_and_a_test():

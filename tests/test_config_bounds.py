@@ -2,10 +2,9 @@
 
 Every dataclass in ``repro`` named ``*Config`` / ``*Spec`` /
 ``*Parameters``, plus ``CostTable``, ``CostCatalog``, ``Scenario`` and
-the model inputs ``MainMemoryComparison``, ``PriceTrends``,
-``MeasuredPoint``, ``RetryPolicy`` and ``FaultRule``, checks its
-numeric fields against one ``BOUNDS`` table with
-:func:`repro.frozen.check_bounds`.  A NaN or infinite size, rate or
+the model inputs ``MainMemoryComparison``, ``MeasuredPoint``,
+``RetryPolicy`` and ``FaultRule``, checks its numeric fields against one
+``BOUNDS`` table with :func:`repro.frozen.check_bounds`.  A NaN or infinite size, rate or
 price compares false or never binds, so it used to build a config whose
 results read NaN.  Here every numeric field of
 every such class gets NaN, +inf, -inf, 0, -1, ``True`` and, where an
@@ -34,7 +33,7 @@ from repro.sharding import ShardedEngine
 NUMBERS = {int, float, typing.Optional[int], typing.Optional[float]}
 SUFFIXES = ("Config", "Spec", "Parameters")
 EXTRA = ("CostTable", "CostCatalog", "Scenario", "MainMemoryComparison",
-         "PriceTrends", "MeasuredPoint", "RetryPolicy", "FaultRule")
+         "MeasuredPoint", "RetryPolicy", "FaultRule")
 #: A good instance of each class whose fields have no defaults.
 EXAMPLES = {
     "TierSpec": lambda: StorageHierarchy.cxl_2026().tiers[1],
@@ -72,8 +71,8 @@ def test_every_named_class_is_enumerated():
             "WorkloadSpec", "TierSpec", "MatrixConfig", "LsmConfig",
             "StackConfig", "Scenario", "CostCatalog", "CssParameters",
             "HddParameters", "NvramParameters", "CmmParameters",
-            "MainMemoryComparison", "PriceTrends", "MeasuredPoint",
-            "RetryPolicy", "FaultRule"} <= names
+            "MainMemoryComparison", "MeasuredPoint", "RetryPolicy",
+            "FaultRule"} <= names
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
