@@ -689,10 +689,9 @@ class BwTree:
                 return
             entry = self._allocate_leaf()
             assert entry.state is not None
-            entry.state.replace_base(list(current))
+            entry.state.replace_base(list(current), current_bytes)
             self.cache.resize(entry)
-            self.machine.cpu.bill(
-                self._copy, sum(r.size_bytes for r in current))
+            self.machine.cpu.bill(self._copy, current_bytes)
             leaves.append((current[0].key, entry.page_id))
             current = []
             current_bytes = 0
@@ -705,10 +704,11 @@ class BwTree:
                 )
             previous_key = key
             record = Record(key, value, self._next_timestamp())
-            if current and current_bytes + record.size_bytes > target_bytes:
+            size = record.size_bytes
+            if current and current_bytes + size > target_bytes:
                 seal()
             current.append(record)
-            current_bytes += record.size_bytes
+            current_bytes += size
             count += 1
         seal()
         if not leaves:

@@ -170,14 +170,18 @@ class DataPageState:
         self._set_base(records, size_bytes)
         return self.base_size_bytes
 
-    def replace_base(self, records: List[Record]) -> int:
-        """Replace the base with new (sorted) contents after a split/merge.
+    def replace_base(self, records: List[Record],
+                     record_bytes: Optional[int] = None) -> int:
+        """Replace the base with new (sorted) contents after a split or a
+        bulk load; ``record_bytes`` is the records' byte total when the
+        caller already summed it (a bulk load sizes each record once).
 
         Unlike :meth:`install_base` (which re-installs an image that already
         exists on flash), the new contents differ from anything persisted,
         so the page must be re-flushed in full.
         """
-        self._set_base(records)
+        self._set_base(records, None if record_bytes is None
+                       else PAGE_HEADER_BYTES + record_bytes)
         self.base_flushed = False
         return self.base_size_bytes
 

@@ -2,10 +2,6 @@
 
 from .distributions import (
     CHOOSERS,
-    KeyChooser,
-    ScrambledZipfianChooser,
-    UniformChooser,
-    ZipfianChooser,
     make_chooser,
 )
 from .ycsb import (
@@ -20,10 +16,6 @@ from .ycsb import (
 )
 
 __all__ = [
-    "KeyChooser",
-    "UniformChooser",
-    "ZipfianChooser",
-    "ScrambledZipfianChooser",
     "CHOOSERS",
     "make_chooser",
     "WorkloadSpec",

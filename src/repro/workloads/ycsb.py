@@ -12,10 +12,11 @@ import enum
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..frozen import ABOVE_ZERO, UP_TO_ONE, check_bounds, slot_init
-from .distributions import KeyChooser, make_chooser
+from .distributions import make_chooser
 
 
 class OpKind(enum.Enum):
@@ -117,10 +118,12 @@ class WorkloadGenerator:
         self._runs = b""        # drawn runs no value has used yet
         self._values: List[bytes] = []      # cut, last one first
         self._op_rng = random.Random(spec.seed ^ 0x0B5)
-        self._chooser: KeyChooser = make_chooser(
+        self._indices: Iterator[int] = make_chooser(
             spec.distribution, spec.record_count, seed=spec.seed,
             theta=spec.theta)
         self._keys: Dict[int, bytes] = {}
+        #: Index -> its one shared read ``Operation``, once drawn.
+        self._reads: List[Optional[Operation]] = [None] * spec.record_count
 
     def key_for(self, index: int) -> bytes:
         """Item ``index``'s key: one shared object (and hash) per index."""
@@ -202,17 +205,23 @@ class WorkloadGenerator:
 
         Lazy, so ops taken in turns (warm-up, then measured) continue one
         stream; an op is a read when its roll is below ``read_fraction``.
+        A read is one shared frozen ``Operation`` per index (memoised as
+        :meth:`key_for` memoises keys); an update is a fresh one.
         """
         reads = self.spec.read_fraction
         roll = self._op_rng.random
-        next_index = self._chooser.next_index
         key_for, make_value = self.key_for, self.make_value
-        read, update = OpKind.READ, OpKind.UPDATE   # locals: no enum lookups
-        for __ in range(count):
+        read_of = self._reads
+        update = OpKind.UPDATE          # a local: no enum lookup per op
+        for index in islice(self._indices, count):
             if roll() < reads:
-                yield Operation(read, key_for(next_index()))
+                op = read_of[index]
+                if op is None:
+                    op = read_of[index] = Operation(OpKind.READ,
+                                                    key_for(index))
+                yield op
             else:
-                yield Operation(update, key_for(next_index()), make_value())
+                yield Operation(update, key_for(index), make_value())
 
 
 def partition_operations(

@@ -5,8 +5,10 @@ import pytest
 from repro.bwtree import BwTree, BwTreeConfig
 from repro.hardware import Machine
 from repro.hardware.metrics import Histogram
+from repro.storage.pages import full_image_size_bytes
 
 from ..conftest import load_keys
+from ..frames import count_calls
 
 
 class TestBasicOps:
@@ -368,6 +370,18 @@ class TestBulkLoad:
         assert tree.get(b"anything") is None
         tree.upsert(b"k", b"v")
         assert tree.get(b"k") == b"v"
+
+    def test_a_loaded_record_is_sized_once(self):
+        """The fill test, the copy bill and the leaf's base size all use
+        the one size the load loop took (it used to be 4n - 1 calls)."""
+        tree = BwTree(Machine.paper_default(cores=1), BwTreeConfig())
+        calls = count_calls(lambda: tree.bulk_load(self.items(200)))
+        assert calls.frames["pages.size_bytes"] == 200
+        states = [entry.state for entry in tree.mapping_table.by_id.values()
+                  if entry.state is not None and entry.state.base]
+        assert len(states) > 1
+        for state in states:
+            assert state.base_size_bytes == full_image_size_bytes(state.base)
 
     def test_bulk_loaded_tree_supports_full_lifecycle(self):
         machine = Machine.paper_default(cores=1)
