@@ -43,6 +43,14 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src"
 CENSUS_PATH = ROOT / "benchmarks" / "results" / "census.txt"
 
+if str(SOURCE) not in sys.path:    # run as a script from a checkout
+    sys.path.insert(0, str(SOURCE))
+from repro.analysis.runner import (  # noqa: E402
+    collect_python_files,
+    load_sources,
+    module_name,
+)
+
 #: The consumer commands, each exactly as ``ci.yml`` runs it after
 #: ``PYTHONPATH=src`` (``tests/test_ci.py`` checks that it does).  An
 #: ``--out PATH`` runs as ``--out -`` here.  CI's examples loop is not
@@ -98,14 +106,6 @@ sys.setprofile(_on_event)
 '''
 
 
-def module_name(path: pathlib.Path) -> str:
-    """``src/repro/bwtree/tree.py`` -> ``repro.bwtree.tree``."""
-    parts = path.resolve().relative_to(SOURCE).with_suffix("").parts
-    if parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts)
-
-
 def _defs(body: List[ast.stmt], prefix: str
           ) -> Iterator[Tuple[str, ast.AST]]:
     for node in body:
@@ -119,9 +119,9 @@ def source_defs() -> Dict[str, int]:
     """Every module-level function and method: ``module:qualname`` ->
     source lines (a property's setter adds to its getter's)."""
     found: Dict[str, int] = {}
-    for path in sorted((SOURCE / "repro").rglob("*.py")):
-        module = module_name(path)
-        for qualname, node in _defs(ast.parse(path.read_text()).body, ""):
+    for source in load_sources(collect_python_files([str(SOURCE / "repro")])):
+        module = module_name(source.path, str(SOURCE))
+        for qualname, node in _defs(source.tree.body, ""):
             name = f"{module}:{qualname}"
             lines = node.end_lineno - node.lineno + 1
             found[name] = found.get(name, 0) + lines
@@ -161,7 +161,7 @@ def reached() -> Set[str]:
         for record in records.iterdir():
             for line in record.read_text().splitlines():
                 filename, qualname = line.split("\t")
-                names.add(f"{module_name(pathlib.Path(filename))}:{qualname}")
+                names.add(f"{module_name(filename, str(SOURCE))}:{qualname}")
     return names
 
 

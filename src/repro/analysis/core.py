@@ -14,6 +14,7 @@ import ast
 import re
 import tokenize
 from dataclasses import dataclass
+from functools import cached_property
 from io import StringIO
 from pathlib import PurePath
 from typing import (
@@ -66,18 +67,19 @@ class Finding:
 
 
 class SourceFile:
-    """A parsed module plus the comment-derived suppression table."""
+    """A parsed module plus the comment-derived suppression table; every
+    check that loads the same text shares one, so none may change it."""
 
     def __init__(self, path: str, text: str) -> None:
         self.path = path
+        self.text = text
         self.tree = ast.parse(text, filename=path)
-        # line -> set of suppressed rule ids ("*" suppresses everything)
-        self.suppressions: Dict[int, Set[str]] = {}
-        self._scan_suppressions(text)
 
-    def _scan_suppressions(self, text: str) -> None:
+    @cached_property
+    def suppressions(self) -> Dict[int, Set[str]]:
+        """line -> set of suppressed rule ids ("*" suppresses everything)."""
         try:
-            tokens = tokenize.generate_tokens(StringIO(text).readline)
+            tokens = tokenize.generate_tokens(StringIO(self.text).readline)
             comments = [
                 (token.start[0], token.string)
                 for token in tokens
@@ -86,9 +88,10 @@ class SourceFile:
         except tokenize.TokenError:  # pragma: no cover - defensive
             comments = [
                 (number, line)
-                for number, line in enumerate(text.splitlines(), start=1)
+                for number, line in enumerate(self.text.splitlines(), start=1)
                 if "#" in line
             ]
+        suppressions: Dict[int, Set[str]] = {}
         for line_number, comment in comments:
             match = _SUPPRESS_RE.search(comment)
             if match is None:
@@ -98,7 +101,8 @@ class SourceFile:
                 rules = {"*"}
             else:
                 rules = {part.strip() for part in ids.split(",") if part.strip()}
-            self.suppressions.setdefault(line_number, set()).update(rules)
+            suppressions.setdefault(line_number, set()).update(rules)
+        return suppressions
 
     def is_suppressed(self, line: int, rule_id: str) -> bool:
         rules = self.suppressions.get(line)

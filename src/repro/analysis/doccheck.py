@@ -22,8 +22,8 @@ import re
 import sys
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .project import ProjectIndex
-from .runner import collect_python_files, load_sources
+from .project import project_index
+from .runner import collect_python_files, load_sources, module_name
 
 #: Backticked dotted references into the package, optionally written as
 #: calls (``repro.x.f()``); the call parens are stripped before resolving.
@@ -40,11 +40,9 @@ def extract_symbols(text: str) -> List[Tuple[int, str]]:
 
 
 class _ModuleNames:
-    """Top-level names of one module file, split by kind."""
+    """Top-level names of one parsed module, split by kind."""
 
-    def __init__(self, path: str) -> None:
-        with open(path, "r", encoding="utf-8") as handle:
-            tree = ast.parse(handle.read(), filename=path)
+    def __init__(self, tree: ast.Module) -> None:
         self.classes: Dict[str, ast.ClassDef] = {}
         self.other: Set[str] = set()
         for node in tree.body:
@@ -106,50 +104,32 @@ class DocChecker:
     def __init__(self, package_root: str) -> None:
         # package_root is the directory containing the ``repro`` package
         # source (i.e. ``.../src/repro``).
-        self.package_root = package_root
-        self.index = ProjectIndex(
-            load_sources(collect_python_files([package_root]))
-        )
-        self._module_cache: Dict[str, _ModuleNames] = {}
+        sources = load_sources(collect_python_files([package_root]))
+        self.index = project_index(sources)
+        # Each module's top-level names, by its dotted path below the
+        # package ("" is the package's own __init__.py).
+        self.modules: Dict[str, _ModuleNames] = {
+            module_name(source.path, package_root): _ModuleNames(source.tree)
+            for source in sources
+        }
 
-    def _module_file(self, parts: Sequence[str]) -> Tuple[str, int]:
-        """Longest module prefix of ``parts``: (file path, parts used)."""
-        current = self.package_root
-        used = 0
-        module_file = os.path.join(current, "__init__.py")
-        for part in parts:
-            as_dir = os.path.join(current, part)
-            as_file = os.path.join(current, part + ".py")
-            if os.path.isdir(as_dir) \
-                    and os.path.isfile(os.path.join(as_dir, "__init__.py")):
-                current = as_dir
-                module_file = os.path.join(as_dir, "__init__.py")
-                used += 1
-            elif os.path.isfile(as_file):
-                module_file = as_file
-                used += 1
-                break
-            else:
-                break
-        return module_file, used
-
-    def _names_of(self, module_file: str) -> _ModuleNames:
-        names = self._module_cache.get(module_file)
-        if names is None:
-            names = _ModuleNames(module_file)
-            self._module_cache[module_file] = names
-        return names
+    def _module(self, parts: Sequence[str]) -> Tuple[str, int]:
+        """Longest module prefix of ``parts``: (module path, parts used)."""
+        used = len(parts)
+        while used and ".".join(parts[:used]) not in self.modules:
+            used -= 1
+        return ".".join(parts[:used]), used
 
     def resolve(self, symbol: str) -> Optional[str]:
         """``None`` when the symbol exists, else a failure reason."""
         parts = symbol.split(".")
         if parts[0] != "repro":
             return f"not a repro.* symbol: {symbol}"
-        module_file, used = self._module_file(parts[1:])
+        module, used = self._module(parts[1:])
         remaining = parts[1 + used:]
         if not remaining:
             return None                     # a module/package path
-        names = self._names_of(module_file)
+        names = self.modules[module]
         head = remaining[0]
         if head not in names.classes and head not in names.other:
             return (
@@ -170,7 +150,8 @@ class DocChecker:
             return None
         return f"class {head} has no attribute {member!r}"
 
-    def check_doc(self, doc_path: str) -> List[str]:
+    def check_doc(self, doc_path: str) -> Tuple[int, List[str]]:
+        """(symbol references in the doc, one error per failure)."""
         with open(doc_path, "r", encoding="utf-8") as handle:
             text = handle.read()
         symbols = extract_symbols(text)
@@ -184,7 +165,7 @@ class DocChecker:
                 f"{doc_path}: no `repro.*` symbol references found — "
                 "the equation map is supposed to cite real symbols"
             )
-        return errors
+        return len(symbols), errors
 
 
 def _default_package_root() -> str:
@@ -221,15 +202,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"doc-check: no such file: {doc}", file=sys.stderr)
             failures += 1
             continue
-        errors = checker.check_doc(doc)
+        count, errors = checker.check_doc(doc)
         for error in errors:
             print(error, file=sys.stderr)
         if errors:
             failures += 1
         else:
-            count = len(extract_symbols(
-                open(doc, "r", encoding="utf-8").read()
-            ))
             print(f"doc-check: {doc}: {count} symbol references OK")
     return 1 if failures else 0
 

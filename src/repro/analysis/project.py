@@ -501,6 +501,19 @@ class ProjectIndex:
         return False
 
 
+#: The index of each set of loaded files, shared by the lint's rules and
+#: doc-check.
+_INDEXES: Dict[Tuple[SourceFile, ...], ProjectIndex] = {}
+
+
+def project_index(files: Sequence[SourceFile]) -> ProjectIndex:
+    """The :class:`ProjectIndex` of ``files``, built once per process."""
+    key = tuple(files)
+    if key not in _INDEXES:
+        _INDEXES[key] = ProjectIndex(files)
+    return _INDEXES[key]
+
+
 def _own_methods(
     index: ProjectIndex, source: SourceFile
 ) -> Iterator[Tuple[ast.ClassDef, CallableInfo]]:

@@ -42,6 +42,7 @@ from .project import (
     CallableInfo,
     ProjectIndex,
     _own_methods,
+    project_index,
     split_call,
     _is_state_drop,
 )
@@ -128,7 +129,7 @@ class CostAccountingRule(Rule):
 
     def check(self, files: Sequence[SourceFile],
               config: LintConfig) -> Iterator[Finding]:
-        index = ProjectIndex(files)
+        index = project_index(files)
         for source in files:
             if not scoped_to(source, COST_SCOPE_SEGMENTS):
                 continue

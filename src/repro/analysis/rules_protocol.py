@@ -72,6 +72,7 @@ from .project import (
     CallableInfo,
     ProjectIndex,
     _own_methods,
+    project_index,
     _walk_skipping_nested_defs,
     split_call,
 )
@@ -218,7 +219,7 @@ class WalOrderingRule(Rule):
 
     def check(self, files: Sequence[SourceFile],
               config: LintConfig) -> Iterator[Finding]:
-        index = ProjectIndex(files)
+        index = project_index(files)
         governed = _wal_governed_classes(index)
         summaries = self._log_summaries(index, governed)
         for source in files:
@@ -480,7 +481,7 @@ class EpochDisciplineRule(Rule):
 
     def check(self, files: Sequence[SourceFile],
               config: LintConfig) -> Iterator[Finding]:
-        index = ProjectIndex(files)
+        index = project_index(files)
         plans = _protect_plans(files)
         aware = _epoch_aware_classes(index, plans)
         summaries = self._summaries(index, aware, plans)

@@ -4,49 +4,57 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from pathlib import PurePath
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .core import Finding, LintConfig, SourceFile, all_rules
 
 
 def collect_python_files(paths: Sequence[str]) -> List[str]:
     """Expand files/directories into a sorted list of ``.py`` files."""
-    seen: Set[str] = set()
-    out: List[str] = []
+    found: Set[str] = set()
     for path in paths:
         if os.path.isfile(path):
-            if path.endswith(".py") and path not in seen:
-                seen.add(path)
-                out.append(path)
+            if path.endswith(".py"):
+                found.add(path)
             continue
         for dirpath, dirnames, filenames in os.walk(path):
-            dirnames[:] = sorted(
-                d for d in dirnames
-                if not d.startswith(".") and d != "__pycache__"
-            )
-            for filename in sorted(filenames):
-                if not filename.endswith(".py"):
-                    continue
-                full = os.path.join(dirpath, filename)
-                if full not in seen:
-                    seen.add(full)
-                    out.append(full)
-    return sorted(out)
+            dirnames[:] = [d for d in dirnames
+                           if not d.startswith(".") and d != "__pycache__"]
+            found.update(os.path.join(dirpath, filename)
+                         for filename in filenames if filename.endswith(".py"))
+    return sorted(found)
+
+
+#: Every file loaded in this process, by path and text.
+_LOADED: Dict[Tuple[str, str], SourceFile] = {}
 
 
 def load_sources(paths: Iterable[str]) -> List[SourceFile]:
+    """Read each file; parse it unless this process already parsed the
+    same path with the same text, and then share that one."""
     sources: List[SourceFile] = []
     for path in paths:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        sources.append(SourceFile(path=path, text=text))
+            key = (path, handle.read())
+        if key not in _LOADED:
+            _LOADED[key] = SourceFile(*key)
+        sources.append(_LOADED[key])
     return sources
+
+
+def module_name(path: str, root: str) -> str:
+    """``<root>/repro/bwtree/tree.py`` -> ``repro.bwtree.tree`` (a
+    package's ``__init__.py`` names the package)."""
+    parts = PurePath(os.path.relpath(path, root)).with_suffix("").parts
+    if parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(parts)
 
 
 def lint_paths(
     paths: Sequence[str],
     select: Optional[Set[str]] = None,
-    config: Optional[LintConfig] = None,
 ) -> List[Finding]:
     """Run every (selected) rule over ``paths`` and return findings.
 
@@ -54,23 +62,18 @@ def lint_paths(
     comment are dropped here, so rules never need to know about
     suppression.
     """
-    if config is None:
-        config = LintConfig(select=select)
+    config = LintConfig(select=select)
     files = load_sources(collect_python_files(paths))
+    by_path = {source.path: source for source in files}
     findings: List[Finding] = []
     for instance in all_rules():
-        if config.select is not None \
-                and instance.rule_id not in config.select:
+        if select is not None and instance.rule_id not in select:
             continue
         for finding in instance.check(files, config):
-            source = next(
-                (f for f in files if f.path == finding.path), None
-            )
-            if source is not None and source.is_suppressed(
-                finding.line, finding.rule
-            ):
-                continue
-            findings.append(finding)
+            source = by_path.get(finding.path)
+            if source is None \
+                    or not source.is_suppressed(finding.line, finding.rule):
+                findings.append(finding)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 

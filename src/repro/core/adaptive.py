@@ -45,7 +45,6 @@ class AdaptiveCacheController:
         )
         tree.cache.ti_seconds = self.ti_seconds
         self._last_sweep = tree.machine.clock.now
-        self.evicted_total = 0
 
     def maybe_sweep(self) -> int:
         """Evict pages idle past the breakeven, at most once per interval.
@@ -56,9 +55,7 @@ class AdaptiveCacheController:
         if now - self._last_sweep < self.sweep_interval_seconds:
             return 0
         self._last_sweep = now
-        evicted = self.tree.cache.evict_idle_pages()
-        self.evicted_total += evicted
-        return evicted
+        return self.tree.cache.evict_idle_pages()
 
     def resident_fraction(self) -> float:
         """Fraction of the tree's pages currently DRAM-resident."""

@@ -8,12 +8,15 @@ docs/ARCHITECTURE.md green from inside the test suite too.
 
 from __future__ import annotations
 
+import gc
 import os
+import warnings
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.analysis import doccheck
 from repro.analysis.doccheck import DocChecker, extract_symbols
 
 PACKAGE_ROOT = os.path.dirname(os.path.abspath(repro.__file__))
@@ -28,7 +31,7 @@ def checker() -> DocChecker:
 
 def test_architecture_doc_has_no_stale_symbols(checker):
     doc = REPO_ROOT / "docs" / "ARCHITECTURE.md"
-    assert checker.check_doc(str(doc)) == []
+    assert checker.check_doc(str(doc))[1] == []
 
 
 def test_extract_symbols_only_matches_backticked_repro_refs():
@@ -59,7 +62,8 @@ def test_module_class_member_and_instance_attrs_resolve(checker):
 def test_unknown_member_is_reported(checker, tmp_path):
     doc = tmp_path / "doc.md"
     doc.write_text("`repro.hardware.machine.Machine.frobnicate`\n")
-    errors = checker.check_doc(str(doc))
+    count, errors = checker.check_doc(str(doc))
+    assert count == 1
     assert len(errors) == 1
     assert "frobnicate" in errors[0]
 
@@ -72,22 +76,21 @@ def test_unknown_module_is_reported(checker):
 def test_doc_without_any_symbols_is_an_error(checker, tmp_path):
     doc = tmp_path / "empty.md"
     doc.write_text("prose with no symbol citations\n")
-    errors = checker.check_doc(str(doc))
+    count, errors = checker.check_doc(str(doc))
+    assert count == 0
     assert errors
     assert "no `repro.*` symbol references" in errors[0]
 
 
 def test_analysis_doc_has_no_stale_symbols(checker):
     doc = REPO_ROOT / "docs" / "ANALYSIS.md"
-    assert checker.check_doc(str(doc)) == []
+    assert checker.check_doc(str(doc))[1] == []
 
 
 def test_analysis_doc_is_in_the_default_doc_set():
     # The doc-check CLI must cover docs/ANALYSIS.md without arguments,
     # or the rule catalog rots the way ARCHITECTURE.md used to.
     import argparse
-
-    from repro.analysis import doccheck
 
     recorded = {}
     original = argparse.ArgumentParser.parse_args
@@ -103,3 +106,13 @@ def test_analysis_doc_is_in_the_default_doc_set():
     finally:
         argparse.ArgumentParser.parse_args = original
     assert "docs/ANALYSIS.md" in recorded["docs"]
+
+
+def test_doc_check_closes_every_doc_it_reads(monkeypatch, capsys):
+    monkeypatch.chdir(REPO_ROOT)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert doccheck.main([]) == 0
+        gc.collect()
+    assert [str(warning.message) for warning in caught
+            if issubclass(warning.category, ResourceWarning)] == []

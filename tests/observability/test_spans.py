@@ -13,11 +13,12 @@ import ast
 import contextlib
 import gc
 import json
-import pathlib
+import os
 
 import pytest
 
 import repro
+from repro.analysis.runner import collect_python_files, load_sources
 from repro.bwtree import BwTreeConfig
 from repro.deuteronomy import DeuteronomyEngine, TcConfig, TransactionAborted
 from repro.faults import CrashError, FaultInjector, FaultPlan
@@ -367,10 +368,10 @@ class TestSpanNames:
         """Each name is the literal of an ``open_span`` call in
         ``src/repro``, and each such literal is a known name: a retired
         entry point cannot leave its span name behind."""
-        package = pathlib.Path(repro.__file__).parent
+        package = os.path.dirname(repro.__file__)
         opened = set()
-        for path in package.rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
+        for source in load_sources(collect_python_files([package])):
+            for node in ast.walk(source.tree):
                 if (isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Attribute)
                         and node.func.attr == "open_span" and node.args

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import ast
 import collections
-import pathlib
+import os
 import re
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 import repro
+from repro.analysis.runner import collect_python_files, load_sources
 from repro.bwtree import BwTree, BwTreeConfig
 from repro.deuteronomy import DeuteronomyEngine, TcConfig
 from repro.hardware import Machine
@@ -180,18 +181,18 @@ def test_only_pages_module_writes_base_and_deltas():
         r"\.(?:base|deltas)\s*(?:[-+*|&]?=(?!=)"
         r"|\.(?:append|extend|insert|pop|remove|clear|sort|reverse)\()"
         r"|\bdel\s+[\w.]+\.(?:base|deltas)\b")
-    package = pathlib.Path(repro.__file__).parent
+    package = os.path.dirname(repro.__file__)
     offenders = []
-    for path in sorted(package.rglob("*.py")):
-        if path.name == "pages.py" and path.parent.name == "storage":
+    for source in load_sources(collect_python_files([package])):
+        path = os.path.relpath(source.path, package)
+        if path == os.path.join("storage", "pages.py"):
             continue
-        for number, line in enumerate(path.read_text().splitlines(), 1):
+        for number, line in enumerate(source.text.splitlines(), 1):
             code = line.split("#", 1)[0]
             # ``self.base = OperationCostModel(...)`` in core/technology
             # is a cost model attribute, not a page state.
             if write.search(code) and "OperationCostModel" not in code:
-                offenders.append(f"{path.relative_to(package)}:{number}: "
-                                 f"{line.strip()}")
+                offenders.append(f"{path}:{number}: {line.strip()}")
     assert offenders == []
 
 
@@ -300,21 +301,19 @@ def test_only_full_image_hands_page_image_a_size():
     """An explicit ``size_bytes`` is taken on trust, so exactly one
     builder may pass it: ``DataPageState.full_image``, whose total is
     pinned to a recomputation above."""
-    package = pathlib.Path(repro.__file__).parent
+    package = os.path.dirname(repro.__file__)
     sized = []
-    for path in sorted(package.rglob("*.py")):
-        source = path.read_text()
-        if "PageImage(" not in source:
+    for source in load_sources(collect_python_files([package])):
+        if "PageImage(" not in source.text:
             continue
-        tree = ast.parse(source)
-        for call in ast.walk(tree):
+        for call in ast.walk(source.tree):
             if (isinstance(call, ast.Call)
                     and getattr(call.func, "id", None) == "PageImage"
                     and (len(call.args) > 4 or any(
                         keyword.arg in ("size_bytes", None)
                         for keyword in call.keywords))):
-                inside = [node.name for node in ast.walk(tree)
+                inside = [node.name for node in ast.walk(source.tree)
                           if isinstance(node, ast.FunctionDef)
                           and node.lineno <= call.lineno <= node.end_lineno]
-                sized.append((str(path.relative_to(package)), inside))
+                sized.append((os.path.relpath(source.path, package), inside))
     assert sized == [("storage/pages.py", ["full_image"])]

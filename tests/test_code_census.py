@@ -21,6 +21,7 @@ from benchmarks.census import (
     read_census,
     source_defs,
 )
+from repro.analysis.runner import load_sources
 
 KIND = re.compile(r"error-path|abstract|test-support|pending: item \d+")
 
@@ -53,7 +54,7 @@ def test_the_census_is_sorted_with_one_line_per_function():
 def defined_tests(path: pathlib.Path) -> set:
     """``name`` and ``Class::name`` for every function in a test file."""
     found = set()
-    for node in ast.parse(path.read_text()).body:
+    for node in load_sources([str(path)])[0].tree.body:
         if isinstance(node, ast.FunctionDef):
             found.add(node.name)
         elif isinstance(node, ast.ClassDef):

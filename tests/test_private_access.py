@@ -9,11 +9,12 @@ sites, and a change that retires one lowers :data:`PINNED`.
 """
 
 import ast
-import pathlib
+import os
 
 import repro
+from repro.analysis.runner import collect_python_files, load_sources
 
-SRC = pathlib.Path(repro.__file__).parent
+SRC = os.path.dirname(repro.__file__)
 
 #: Sites in ``src/`` now.  There were 91 before ``CpuModel.busy_us``,
 #: ``SimulatedSsd.service_us_total`` and ``VirtualClock.now`` became
@@ -36,9 +37,8 @@ PINNED = 48
 def private_access_sites():
     """``(path, line, source)`` of every site, in file order."""
     sites = []
-    for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
+    for source in load_sources(collect_python_files([SRC])):
+        for node in ast.walk(source.tree):
             if not (isinstance(node, ast.Attribute)
                     and node.attr.startswith("_")
                     and not node.attr.startswith("__")):
@@ -47,8 +47,8 @@ def private_access_sites():
             if isinstance(receiver, ast.Name) and receiver.id in ("self",
                                                                   "cls"):
                 continue
-            sites.append((str(path.relative_to(SRC.parent)), node.lineno,
-                          ast.unparse(node)))
+            sites.append((os.path.relpath(source.path, os.path.dirname(SRC)),
+                          node.lineno, ast.unparse(node)))
     return sorted(sites)
 
 

@@ -10,11 +10,11 @@ A *store* is one of
 * a field of a mutable dataclass (its constructor stores it).
 
 A key is *read* where its string appears, outside a store, anywhere in
-``src/``, ``benchmarks/`` (the e2e harness and ``layertrace.py``
-included) or ``examples/``; an attribute where ``.name`` is loaded there
-(or ``getattr`` names it), except as the receiver of a write
-(``.observe``, ``.append``, ``.add`` or ``.extend`` on it, or a
-subscript store into it).  Reads go by name: a name read anywhere keeps
+``src/`` or ``benchmarks/`` (the e2e harness and ``layertrace.py``
+included; an example is not a reader, as in the code census); an
+attribute where ``.name`` is loaded there (or ``getattr`` names it),
+except as the receiver of a write (``.observe``, ``.append``, ``.add``
+or ``.extend`` on it, or a subscript store into it).  Reads go by name: a name read anywhere keeps
 every store of that name, so the census errs toward keeping.  A store
 to a property is a setter call, not state.
 
@@ -28,12 +28,16 @@ deleted key would pass without testing anything.
 """
 
 import ast
+import os
 from typing import Dict, Iterator, List, NamedTuple, Set, Tuple
 
-from benchmarks.census import ROOT, module_name
+import pytest
+
+from benchmarks.census import ROOT
+from repro.analysis.runner import collect_python_files, load_sources, module_name
 
 SOURCE = ROOT / "src" / "repro"
-READERS = (ROOT / "src", ROOT / "benchmarks", ROOT / "examples")
+READERS = (ROOT / "src", ROOT / "benchmarks")
 
 #: Methods whose receiver is written, not read.
 WRITE_METHODS = frozenset({"observe", "append", "add", "extend"})
@@ -187,10 +191,10 @@ def source_stores() -> Tuple[List[Store], Set[str]]:
     """Every store in ``src/repro``, and every property name there."""
     found: List[Store] = []
     setters: Set[str] = set()
-    for path in sorted(SOURCE.rglob("*.py")):
-        tree = ast.parse(path.read_text())
-        found += stores(tree, str(path.relative_to(ROOT)), module_name(path))
-        setters |= properties(tree)
+    for source in load_sources(collect_python_files([str(SOURCE)])):
+        found += stores(source.tree, os.path.relpath(source.path, ROOT),
+                        module_name(source.path, str(SOURCE.parent)))
+        setters |= properties(source.tree)
     return found, setters
 
 
@@ -198,11 +202,11 @@ def reader_reads() -> Tuple[Set[str], Set[str]]:
     """What every module outside ``tests/`` reads."""
     strings: Set[str] = set()
     attributes: Set[str] = set()
-    for directory in READERS:
-        for path in sorted(directory.rglob("*.py")):
-            more_strings, more_attributes = reads(ast.parse(path.read_text()))
-            strings |= more_strings
-            attributes |= more_attributes
+    for source in load_sources(collect_python_files(
+            [str(directory) for directory in READERS])):
+        more_strings, more_attributes = reads(source.tree)
+        strings |= more_strings
+        attributes |= more_attributes
     return strings, attributes
 
 
@@ -216,12 +220,9 @@ def unread(found: List[Store], setters: Set[str], strings: Set[str],
                 and store.name not in setters)]
 
 
-def census() -> Tuple[List[Store], List[Store]]:
-    """``(unread stores, run-time key stores)`` of the tree."""
-    found, setters = source_stores()
-    strings, attributes = reader_reads()
-    return (unread(found, setters, strings, attributes),
-            [store for store in found if store.kind == "runtime"])
+@pytest.fixture(scope="module")
+def src_stores() -> Tuple[List[Store], Set[str]]:
+    return source_stores()
 
 
 def counter_reads(tree: ast.AST) -> Iterator[Tuple[str, int]]:
@@ -247,27 +248,26 @@ def unwritten(tree: ast.AST, path: str, written: Set[str]) -> List[str]:
                         else key == name for name in RUNTIME_KEY_NAMES)]
 
 
-def test_every_store_names_a_reader_outside_the_tests():
-    missing = [str(store) for store in census()[0]]
+def test_every_store_names_a_reader_outside_the_tests(src_stores):
+    missing = [str(store) for store in unread(*src_stores, *reader_reads())]
     assert missing == [], (
         "nothing outside tests/ reads these; delete each store:\n"
         + "\n".join(missing))
 
 
-def test_every_counter_a_test_reads_is_written():
-    written = {store.name for store in source_stores()[0]
-               if store.kind == "key"}
+def test_every_counter_a_test_reads_is_written(src_stores):
+    written = {store.name for store in src_stores[0] if store.kind == "key"}
     missing = []
-    for path in sorted((ROOT / "tests").rglob("*.py")):
-        missing += unwritten(ast.parse(path.read_text()),
-                             str(path.relative_to(ROOT)), written)
+    for source in load_sources(collect_python_files([str(ROOT / "tests")])):
+        missing += unwritten(source.tree, os.path.relpath(source.path, ROOT),
+                             written)
     assert missing == [], (
         "nothing in src/ writes these, so each reads 0:\n"
         + "\n".join(missing))
 
 
-def test_every_run_time_key_names_its_reader():
-    runtime = census()[1]
+def test_every_run_time_key_names_its_reader(src_stores):
+    runtime = [store for store in src_stores[0] if store.kind == "runtime"]
     unlisted = [str(store) for store in runtime
                 if store.function not in RUNTIME_KEYS]
     assert unlisted == []
