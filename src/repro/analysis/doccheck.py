@@ -45,6 +45,8 @@ class _ModuleNames:
     def __init__(self, tree: ast.Module) -> None:
         self.classes: Dict[str, ast.ClassDef] = {}
         self.other: Set[str] = set()
+        #: Each class's member set, computed on its first lookup.
+        self._members: Dict[str, Set[str]] = {}
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
                 self.classes[node.name] = node
@@ -66,11 +68,13 @@ class _ModuleNames:
                 )
 
     def class_members(self, class_name: str) -> Set[str]:
-        cls = self.classes.get(class_name)
-        if cls is None:
-            return set()
-        members: Set[str] = set()
-        for item in cls.body:
+        """The class's methods, class attributes and ``self.<name>``
+        assignments; its body is walked once, on the first lookup."""
+        members = self._members.get(class_name)
+        if members is not None:
+            return members
+        members = self._members[class_name] = set()
+        for item in self.classes[class_name].body:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 members.add(item.name)
                 # Instance attributes: self.<name> = ... anywhere in a

@@ -10,11 +10,9 @@ default ``BENCH_engine.json``):
   record with the same key set per row.  The studies are groups of rows:
   per-op vs batched (group commit), the sync and async shard-scaling
   curves, the two commit-log topologies, record- vs page-granularity
-  caching at equal DRAM (plus the two Figure-3 engine sides), and drop
-  vs demote eviction.
+  caching at equal DRAM, and drop vs demote eviction.
 * ``derived`` — the cross-row numbers: batched speedups, scaling
-  curves, ``mm_core_us_drop``, the tiered ``dollars_ratio``, the
-  re-derived Figure-3 crossover.
+  curves, ``mm_core_us_drop``, the tiered ``dollars_ratio``.
 * ``floors`` — :data:`FLOORS` evaluated over ``derived`` by
   :func:`check_floors`; a floor whose rows did not run is ``skipped``.
 * ``whatif`` — per tracked workload the causal profiler's baseline, its
@@ -38,9 +36,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..bwtree.tree import BwTreeConfig
-from ..core.calibration import PXMX_WARMUP_OPERATIONS, measure_masstree_reads
 from ..core.catalog import CostCatalog
-from ..core.mainmemory import MainMemoryComparison
 from ..deuteronomy.engine import STATS, stats_window
 from ..deuteronomy.tc import TcConfig
 from ..hardware.logdevice import ACK_LATENCY_US
@@ -190,17 +186,6 @@ def scenario_table(smoke: bool = False) -> Dict[str, Scenario]:
         table["record-cache/latched"] = replace(
             read_hot, tree_config=split,
             tc_config=replace(record_heap, concurrency_mode="latched"))
-        # Figure 3's caching-system side, fully resident and warmed:
-        # the page-granularity TC path vs a record heap big enough for
-        # a second copy of the hot set.
-        resident = replace(read_hot, warmup_ops=PXMX_WARMUP_OPERATIONS)
-        table["figure3/page"] = replace(resident, tc_config=no_tc_cache)
-        resident_heap = max(heap, base.record_count * value_bytes * 2)
-        table["figure3/record-cache"] = replace(
-            resident, tc_config=TcConfig(
-                record_cache=True, record_cache_bytes=resident_heap,
-                record_arena_bytes=max(arena, 16 << 10),
-                record_dirty_flush_bytes=resident_heap // 2))
 
     # Skewed YCSB-B on a capped page cache, per-op, periodic commit.
     capped = sizes["capped_cache_bytes"]
@@ -236,66 +221,7 @@ def whatif_table(smoke: bool = False) -> Dict[str, Scenario]:
 # derived values and floors
 # ---------------------------------------------------------------------------
 
-def _figure3_side(px: float, mx: float, rops: float,
-                  database_bytes: int) -> Optional[Dict[str, float]]:
-    """Eq-7 breakeven numbers, or ``None`` when the comparison collapses.
-
-    ``MainMemoryComparison`` requires Px > 1 and Mx > 1 (MassTree must be
-    the faster *and* bigger system).  A record-cache engine that matches
-    MassTree's speed or footprint makes the trade-off one-sided — there
-    is no crossover to report.
-    """
-    if px <= 1.0 or mx <= 1.0:
-        return None
-    comparison = MainMemoryComparison(
-        px=px, mx=mx, catalog=replace(CostCatalog(), rops=rops))
-    return {
-        "breakeven_constant": comparison.breakeven_constant,
-        "breakeven_rate_ops_per_sec":
-            comparison.breakeven_rate_ops_per_sec(database_bytes),
-    }
-
-
-def _figure3(table: Dict[str, Scenario],
-             rows: Dict[str, Dict[str, object]]) -> Dict[str, float]:
-    """Figure 3 with the record-cache engine as the caching system.
-
-    The Section 5.1 point experiment at the engine level: the two
-    ``figure3/*`` rows against MassTree on the same data under the same
-    warm/reset/measure protocol.  Px and Mx shrink together — the record
-    heap buys back most of the MM system's per-op advantage by spending
-    DRAM on a second copy of the hot set — and Eq 7 turns both into a
-    moved crossover.  A side with no crossover (px or mx <= 1) reports
-    px/mx only.
-    """
-    scenario = table["figure3/page"]
-    mt_us, mt_bytes = measure_masstree_reads(
-        scenario.spec(), scenario.cores, scenario.op_count)
-    # S: the caching system's fully resident footprint (same DB for both
-    # sides, so the page engine's bytes anchor the rate axis).
-    database_bytes = rows["figure3/page"]["dram_bytes"]
-    derived = {
-        "figure3/masstree_core_us_per_op": mt_us,
-        "figure3/masstree_dram_bytes": mt_bytes,
-    }
-    rates = []
-    for side, name in (("before", "figure3/page"),
-                       ("after", "figure3/record-cache")):
-        row = rows[name]
-        px, mx = row["core_us_per_op"] / mt_us, mt_bytes / row["dram_bytes"]
-        breakeven = _figure3_side(px, mx, row["machine_ops_per_sec"],
-                                  database_bytes) or {}
-        for key, value in {"px": px, "mx": mx, **breakeven}.items():
-            derived[f"figure3/{side}/{key}"] = value
-        rates.append(breakeven.get("breakeven_rate_ops_per_sec"))
-    before, after = rates
-    if before and after is not None:
-        derived["figure3/crossover_rate_shift"] = after / before
-    return derived
-
-
-def derive(table: Dict[str, Scenario],
-           rows: Dict[str, Dict[str, object]]) -> Dict[str, float]:
+def derive(rows: Dict[str, Dict[str, object]]) -> Dict[str, float]:
     """Every cross-row number, for whichever rows ran."""
     derived: Dict[str, float] = {}
 
@@ -346,8 +272,6 @@ def derive(table: Dict[str, Scenario],
     ratio("record-cache/latch_free_vs_latched_speedup",
           "record-cache/latched", "record-cache/latch-free",
           field="core_us_per_op")
-    if "figure3/page" in rows:
-        derived.update(_figure3(table, rows))
     ratio("tiered/dollars_ratio", "tiered/demote", "tiered/drop",
           field="dollars_per_op")
     return derived
@@ -407,7 +331,7 @@ def run_bench(smoke: bool = False) -> Dict[str, object]:
     base = table["ycsb-a/batched"]
     hierarchy = StorageHierarchy.cxl_2026()
     rows = {name: scenario.measure() for name, scenario in table.items()}
-    derived = derive(table, rows)
+    derived = derive(rows)
     return {
         "schema_version": SCHEMA_VERSION,
         "benchmark": "engine-throughput",

@@ -142,8 +142,9 @@ class RecoveryLog:
         fills mid-batch still flushes immediately, so durability ordering
         is preserved: the durable log is always a prefix of the append
         order.  The bytes still pending are accounted before such a spill,
-        whose flush may drop buffers against the retention budget.  An
-        empty group appends nothing and is not counted.
+        whose flush may drop buffers against the retention budget; a
+        spill that raises still bills and counts the records placed
+        before it.  An empty group appends nothing and is not counted.
         """
         if not records:
             return
@@ -166,9 +167,16 @@ class RecoveryLog:
                 self._retained_bytes += pending
                 pending = 0
                 # The records before this one stay in the log even if
-                # the spill raises, so the next append numbers after them.
+                # the spill raises, so the next append numbers after them
+                # and their bytes are billed and counted.
                 self.appended_records = record.lsn - 1
-                self._spill_full_buffer()
+                try:
+                    self._spill_full_buffer()
+                except Exception:
+                    if total_bytes:
+                        self.machine.cpu.bill(self._append, total_bytes)
+                        self.appended_bytes += total_bytes
+                    raise
                 current = buffers[-1]
             current.records.append(record)
             current.nbytes += nbytes

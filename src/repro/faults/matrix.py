@@ -42,8 +42,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from ..bwtree.tree import BwTreeConfig
 from ..deuteronomy.engine import DeuteronomyEngine
 from ..deuteronomy.tc import TcConfig
-from ..frozen import ABOVE_ZERO, UP_TO_ONE, check_bounds
-from ..hardware.cpu import CpuModel
+from ..frozen import check_bounds
 from ..hardware.machine import Machine
 from ..sharding.engine import ShardedEngine
 from ..workloads.ycsb import OpKind, WorkloadGenerator, WorkloadSpec
@@ -80,56 +79,55 @@ def _base_scenario(scenario: str) -> str:
         else scenario
 
 
+#: The engine every scenario builds.  Its caches are small enough that
+#: even the tiny test traces overflow DRAM and evict, so the
+#: demote-not-drop path and its fault sites (``cache.demote`` /
+#: ``tier.promote``) run, with a far-tier budget small enough to churn.
+TREE_CONFIG = BwTreeConfig(
+    segment_bytes=1 << 13,
+    cache_capacity_bytes=5 << 10,
+    demote_to_tiers=True,
+    demote_budget_bytes=8 << 10,
+)
+#: Sync commit; the "-async" variants turn the pipeline on.  The record
+#: cache is deliberately tiny so the traces seal arenas and relocate
+#: records (the two ``record_cache.*`` fault sites) many times per run.
+TC_CONFIG = TcConfig(
+    log_buffer_bytes=2 << 10,
+    record_cache=True,
+    record_arena_bytes=1 << 10,
+    record_cache_bytes=4 << 10,
+    record_dirty_flush_bytes=1 << 10,
+)
+VALUE_BYTES = 64
+#: Every Nth write becomes a delete, so the oracle also covers
+#: tombstones.
+DELETE_EVERY = 11
+GC_TARGET = 0.85
+CORES = 2
+
+
 @dataclass(frozen=True)
 class MatrixConfig:
-    """One crash-matrix run: trace shape, engine sizing, sampling."""
+    """One crash-matrix run: trace shape, checkpoint/GC cadence,
+    sampling."""
 
     seed: int = 0
     ops: int = 2000
     records: int = 320
-    value_bytes: int = 64
-    #: every Nth write becomes a delete (0 disables), so the oracle also
-    #: covers tombstones.
-    delete_every: int = 11
     checkpoint_every: int = 250
     gc_every: int = 600
-    gc_target: float = 0.85
     batch_size: int = 24
     shards: int = 2
-    cores: int = 2
     max_hits_per_site: int = 6
-    segment_bytes: int = 1 << 13
-    # Small enough that even the tiny test traces overflow DRAM and
-    # evict, so the demote-not-drop path (and its fault sites) runs.
-    cache_capacity_bytes: int = 5 << 10
-    log_buffer_bytes: int = 2 << 10
-    # Record-cache v2 sizing, deliberately tiny so the matrix traces
-    # exercise arena seals and GC relocations (the two record_cache.*
-    # fault sites) many times per run.
-    record_arena_bytes: int = 1 << 10
-    record_cache_bytes: int = 4 << 10
-    record_dirty_flush_bytes: int = 1 << 10
-    # Demote-not-drop is on so the tiered-eviction fault sites
-    # (cache.demote / tier.promote) are reachable; the budget is small
-    # enough that the far-memory tier itself churns under the trace.
-    demote_budget_bytes: int = 8 << 10
     scenarios: Tuple[str, ...] = SCENARIOS
 
-    #: ``max_hits_per_site`` 0 runs every hit; the engine sizes take the
-    #: bounds of the config fields they fill.
+    #: ``max_hits_per_site`` 0 runs every hit.
     BOUNDS = {
         "seed": (-math.inf, math.inf), "ops": (1, math.inf),
-        "records": (1, math.inf), "value_bytes": (0, math.inf),
-        "delete_every": (0, math.inf), "checkpoint_every": (1, math.inf),
-        "gc_every": (1, math.inf), "gc_target": (ABOVE_ZERO, UP_TO_ONE),
-        "batch_size": (1, math.inf), "shards": (1, math.inf),
-        "cores": CpuModel.BOUNDS["cores"],
-        "max_hits_per_site": (0, math.inf),
-        **{name: BwTreeConfig.BOUNDS[name] for name in (
-            "segment_bytes", "cache_capacity_bytes", "demote_budget_bytes")},
-        **{name: TcConfig.BOUNDS[name] for name in (
-            "log_buffer_bytes", "record_arena_bytes", "record_cache_bytes",
-            "record_dirty_flush_bytes")},
+        "records": (1, math.inf), "checkpoint_every": (1, math.inf),
+        "gc_every": (1, math.inf), "batch_size": (1, math.inf),
+        "shards": (1, math.inf), "max_hits_per_site": (0, math.inf),
     }
 
     def __post_init__(self) -> None:
@@ -253,7 +251,7 @@ def build_trace(config: MatrixConfig) -> Tuple[Dict[bytes, bytes], List[Op]]:
     """The seeded baseline load and operation list, built once per run."""
     spec = WorkloadSpec.ycsb_a(
         record_count=config.records,
-        value_bytes=config.value_bytes,
+        value_bytes=VALUE_BYTES,
         seed=config.seed,
     )
     generator = WorkloadGenerator(spec)
@@ -265,7 +263,7 @@ def build_trace(config: MatrixConfig) -> Tuple[Dict[bytes, bytes], List[Op]]:
             ops.append(("get", operation.key, None))
             continue
         writes += 1
-        if config.delete_every and writes % config.delete_every == 0:
+        if writes % DELETE_EVERY == 0:
             ops.append(("delete", operation.key, None))
         else:
             ops.append(("put", operation.key, operation.value))
@@ -275,49 +273,28 @@ def build_trace(config: MatrixConfig) -> Tuple[Dict[bytes, bytes], List[Op]]:
 # --- scenario plumbing ----------------------------------------------------
 
 
-def _tree_config(config: MatrixConfig) -> BwTreeConfig:
-    return BwTreeConfig(
-        segment_bytes=config.segment_bytes,
-        cache_capacity_bytes=config.cache_capacity_bytes,
-        demote_to_tiers=True,
-        demote_budget_bytes=config.demote_budget_bytes,
-    )
-
-
-def _tc_config(config: MatrixConfig, pipelined: bool = False) -> TcConfig:
-    return TcConfig(
-        log_buffer_bytes=config.log_buffer_bytes,
-        commit_pipeline=pipelined,
-        record_cache=True,
-        record_arena_bytes=config.record_arena_bytes,
-        record_cache_bytes=config.record_cache_bytes,
-        record_dirty_flush_bytes=config.record_dirty_flush_bytes,
-    )
-
-
 def _build(scenario: str, config: MatrixConfig,
            injector: FaultInjector) -> Engine:
     """A fresh engine (or fleet) with every machine sharing ``injector``."""
-    pipelined = scenario.endswith("-async")
+    tc_config = TC_CONFIG
+    if scenario.endswith("-async"):
+        tc_config = replace(TC_CONFIG, commit_pipeline=True)
     base = _base_scenario(scenario)
     if base == "engine":
-        machine = Machine.paper_default(cores=config.cores)
+        machine = Machine.paper_default(cores=CORES)
         machine.faults = injector
-        return DeuteronomyEngine(
-            machine,
-            tree_config=_tree_config(config),
-            tc_config=_tc_config(config, pipelined),
-        )
+        return DeuteronomyEngine(machine, tree_config=TREE_CONFIG,
+                                 tc_config=tc_config)
     if base == "sharded":
         def factory() -> Machine:
-            machine = Machine.paper_default(cores=config.cores)
+            machine = Machine.paper_default(cores=CORES)
             machine.faults = injector
             return machine
 
         return ShardedEngine(
             config.shards,
-            tree_config=_tree_config(config),
-            tc_config=_tc_config(config, pipelined),
+            tree_config=TREE_CONFIG,
+            tc_config=tc_config,
             machine_factory=factory,
         )
     raise ValueError(f"unknown scenario {scenario!r}")
@@ -359,7 +336,7 @@ def _drive(scenario: str, engine: Engine, ops: Sequence[Op],
             if index % config.checkpoint_every == 0:
                 attempt(engine.checkpoint)
             if index % config.gc_every == 0:
-                attempt(engine.collect_garbage, config.gc_target)
+                attempt(engine.collect_garbage, GC_TARGET)
         return
     done = 0
     for start in range(0, len(ops), config.batch_size):
@@ -370,7 +347,7 @@ def _drive(scenario: str, engine: Engine, ops: Sequence[Op],
             attempt(engine.checkpoint)
         if done // config.gc_every != before // config.gc_every:
             for shard in engine.shards:
-                attempt(shard.collect_garbage, config.gc_target)
+                attempt(shard.collect_garbage, GC_TARGET)
 
 
 def _shard_engines(scenario: str,

@@ -8,8 +8,8 @@ Eq. (4)-(5) terms.  :class:`Scenario` is that recipe as a frozen value,
 in three steps:
 
 * :meth:`Scenario.prepare` — spec -> engine or fleet -> bulk load ->
-  optional checkpoint and warm-up -> generate the measured operations
-  -> ``reset_accounting()``; returns a :class:`Run`;
+  optional checkpoint -> generate the measured operations ->
+  ``reset_accounting()``; returns a :class:`Run`;
 * :meth:`Run.drive` — replay the measured operations per-op or in
   ``apply_batch`` chunks, bracketing every call with a latency window,
   then drain the commit pipeline;
@@ -21,8 +21,8 @@ Callers hook in between ``prepare()`` and ``drive()``: tracers and
 charge recorders attach to ``run.machines``, what-if CPU scaling goes
 through ``machine.cpu.scale_costs``, and scaled devices are passed to
 ``prepare()`` itself.  The single-engine/fleet fork and the generator
-call order (``load_items()`` -> warm-up ops -> measured ops, all from
-one :class:`~repro.workloads.ycsb.WorkloadGenerator`) live here and
+call order (``load_items()`` -> measured ops, both from one
+:class:`~repro.workloads.ycsb.WorkloadGenerator`) live here and
 nowhere else.  Everything runs on virtual time: the same scenario
 produces the same record, bit for bit.
 """
@@ -86,16 +86,12 @@ class Scenario:
     log_topology: str = "colocated"
     #: Checkpoint after loading, so evicted pages really live on flash.
     checkpoint: bool = False
-    #: Operations replayed (same generator, same path) before accounting
-    #: resets.
-    warmup_ops: int = 0
 
     BOUNDS = {
         "seed": WorkloadSpec.BOUNDS["seed"],
         "record_count": WorkloadSpec.BOUNDS["record_count"],
         "op_count": (1, math.inf), "shards": (0, math.inf),
         "batch_size": (0, math.inf), "cores": CpuModel.BOUNDS["cores"],
-        "warmup_ops": (0, math.inf),
     }
 
     def __post_init__(self) -> None:
@@ -132,7 +128,7 @@ class Scenario:
 
     def prepare(self, ssd_spec: Optional[SsdSpec] = None,
                 log_ssd_spec: Optional[SsdSpec] = None) -> "Run":
-        """Build, load, (checkpoint, warm) and reset: a :class:`Run`
+        """Build, load, (checkpoint) and reset: a :class:`Run`
         whose accounting window starts clean.
 
         ``ssd_spec`` builds every machine's drive from that spec instead
@@ -169,9 +165,6 @@ class Scenario:
             run = Run(self, engine, [engine])
         if self.checkpoint:
             run.engine.checkpoint()
-        if self.warmup_ops:
-            run._replay(list(generator.operations(self.warmup_ops)),
-                        Histogram())
         run.ops = list(generator.operations(self.op_count))
         for shard_machine in run.machines:
             shard_machine.reset_accounting()
@@ -206,8 +199,7 @@ class Run:
         self.scenario = scenario
         self.engine = engine
         self.shards = shards
-        #: The measured operation stream, generated once warm-up has
-        #: consumed its share of the generator.
+        #: The measured operation stream, generated after the load.
         self.ops: List[Operation] = []
         #: Per-operation latency over the measured window: execution
         #: plus device service time of the call that carried the op.
@@ -218,21 +210,19 @@ class Run:
         return [shard.machine for shard in self.shards]
 
     def drive(self) -> None:
-        """Replay the measured operations, then resolve every in-flight
-        commit epoch so the accounting describes *durable* commits
-        (a no-op for engines without the pipeline)."""
-        self._replay(self.ops, self.latencies)
-        for shard in self.shards:
-            if shard.tc.pipeline is not None:
-                shard.tc.pipeline.force()
+        """Replay the measured operations per-op or in ``apply_batch``
+        chunks, then resolve every in-flight commit epoch so the
+        accounting describes *durable* commits (a no-op for engines
+        without the pipeline).
 
-    def _replay(self, ops: List[Operation], latencies: Histogram) -> None:
-        """Per-op or in ``apply_batch`` chunks.  Group commit holds every
-        request until the batch commits, so each op in a batch observes
-        the whole batch's latency; shards run in parallel, so a call's
-        latency is its slowest shard's."""
+        Group commit holds every request until the batch commits, so
+        each op in a batch observes the whole batch's latency; shards
+        run in parallel, so a call's latency is its slowest shard's.
+        """
         engine = self.engine
         machines = self.machines
+        ops = self.ops
+        latencies = self.latencies
         batch_size = max(self.scenario.batch_size, 1)
         for start in range(0, len(ops), batch_size):
             chunk = ops[start:start + batch_size]
@@ -250,15 +240,15 @@ class Run:
             )
             for __ in chunk:
                 latencies.observe(latency)
+        for shard in self.shards:
+            if shard.tc.pipeline is not None:
+                shard.tc.pipeline.force()
 
     def result(self) -> Dict[str, object]:
         """The run as one flat record (same key set for every scenario).
 
-        Rates are per *measured* operation; ``machine_ops_per_sec``
-        counts every layer's ``begin_operation`` instead (a TC read that
-        misses to the DC counts twice) — the ``ROPS`` the Figure-3
-        re-derivation calibrates with.  The bill prices everything the
-        run used: see :func:`~repro.core.costmeter.price_run`.
+        Rates are per *measured* operation.  The bill prices everything
+        the run used: see :func:`~repro.core.costmeter.price_run`.
         """
         scenario = self.scenario
         ops = scenario.op_count
@@ -300,8 +290,6 @@ class Run:
             "core_seconds": totals["core_seconds"],
             "elapsed_seconds": elapsed,
             "ops_per_sec": (ops / elapsed) if elapsed else 0.0,
-            "machine_ops_per_sec": (totals["operations"] / elapsed
-                                    if elapsed else 0.0),
             "core_us_per_op": totals["core_seconds"] * 1e6 / ops,
             "p50_latency_us": self.latencies.percentile(50),
             "p99_latency_us": self.latencies.percentile(99),

@@ -8,9 +8,11 @@ docs/ARCHITECTURE.md green from inside the test suite too.
 
 from __future__ import annotations
 
+import ast
 import gc
 import os
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -116,3 +118,26 @@ def test_doc_check_closes_every_doc_it_reads(monkeypatch, capsys):
         gc.collect()
     assert [str(warning.message) for warning in caught
             if issubclass(warning.category, ResourceWarning)] == []
+
+
+def test_doc_check_walks_each_cited_class_body_once(monkeypatch):
+    # A fresh checker, so no class's members are known yet; every
+    # method node ``class_members`` walks is walked once however many
+    # doc symbols name a member of its class.
+    fresh = DocChecker(PACKAGE_ROOT)
+    walks: Counter = Counter()
+    real_walk = ast.walk
+
+    def counting_walk(node):
+        walks[id(node)] += 1
+        return real_walk(node)
+
+    monkeypatch.setattr(ast, "walk", counting_walk)
+    for doc in ("ARCHITECTURE.md", "ANALYSIS.md", "PROFILING.md"):
+        assert fresh.check_doc(str(REPO_ROOT / "docs" / doc))[1] == []
+    walked = {
+        name for names in fresh.modules.values()
+        for name, cls in names.classes.items()
+        if any(id(item) in walks for item in cls.body)}
+    assert len(walked) > 20
+    assert set(walks.values()) == {1}

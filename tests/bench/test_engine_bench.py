@@ -122,7 +122,6 @@ class TestRecordCacheBlock:
         rows = smoke_report["rows"]
         assert {name for name in rows if name.startswith("record-cache/")} \
             == {"record-cache/page", "record-cache/latch-free"}
-        assert not any(name.startswith("figure3/") for name in rows)
         config = smoke_report["config"]
         assert config["record_heap_budget_bytes"] \
             == config["record_cache_budget_bytes"] // 2
@@ -137,46 +136,27 @@ class TestRecordCacheBlock:
         assert latch_free["record_cache_hit_rate"] > 0.5
         assert latch_free["ssd_ios"] < page["ssd_ios"]
 
-    def test_full_block_figure3_and_latched_costing(self):
+    def test_full_block_latched_costing(self):
         # The full table's read-hot rows, shrunk.  Budgets stay at the
         # tracked sizing, so everything is resident: a shape check — the
         # tracked numbers are pinned by BENCH_engine.json itself.
         table = {
             name: replace(scenario, record_count=300, op_count=600)
             for name, scenario in scenario_table().items()
-            if name.startswith(("record-cache/", "figure3/"))
+            if name.startswith("record-cache/")
         }
         assert set(table) == {
             "record-cache/page", "record-cache/read-cache-v4",
-            "record-cache/latch-free", "record-cache/latched",
-            "figure3/page", "figure3/record-cache"}
+            "record-cache/latch-free", "record-cache/latched"}
         rows = {name: scenario.measure()
                 for name, scenario in table.items()}
         assert len({frozenset(row) for row in rows.values()}) == 1
-        derived = derive(table, rows)
+        derived = derive(rows)
         # Latched mode pays acquire+convoy where latch-free pays
         # epoch-protect+CAS on the identical trace.
         assert derived["record-cache/latch_free_vs_latched_speedup"] > 1.0
         assert (derived["record-cache/latched_core_us_drop"]
                 < derived["record-cache/mm_core_us_drop"])
-        for side in ("before", "after"):
-            assert derived[f"figure3/{side}/px"] > 0
-            assert derived[f"figure3/{side}/mx"] > 0
-        # The record heap narrows the gap to the MM system on both axes.
-        assert derived["figure3/after/px"] < derived["figure3/before/px"]
-        assert derived["figure3/after/mx"] < derived["figure3/before/mx"]
-        assert derived["figure3/masstree_dram_bytes"] > 0
-        assert rows["figure3/page"]["dram_bytes"] > 0
-
-    def test_figure3_guard_rejects_degenerate_comparison(self):
-        from repro.bench.engine_bench import _figure3_side
-        # MassTree must be strictly faster AND bigger, else Eq 7 has no
-        # crossover to report.
-        assert _figure3_side(0.9, 2.0, 1e6, 1 << 20) is None
-        assert _figure3_side(2.0, 1.0, 1e6, 1 << 20) is None
-        side = _figure3_side(2.6, 2.1, 1e6, 1 << 20)
-        assert side["breakeven_constant"] > 0
-        assert side["breakeven_rate_ops_per_sec"] > 0
 
     def test_render_includes_record_cache_section(self, smoke_report):
         text = render(smoke_report)
@@ -286,7 +266,6 @@ class TestGoldenRows:
         assert row["dram_bytes"] == 278818
         assert row["record_heap_bytes"] == 127896
         assert row["record_cache_hit_rate"] == 0.7547
-        assert row["machine_ops_per_sec"] == 1327611.9402985496
 
 
 class TestDeterminism:

@@ -33,7 +33,13 @@ from repro.deuteronomy.commit_pipeline import (
 )
 from repro.deuteronomy.tc import TcConfig
 from repro.faults import CrashError, FaultInjector, FaultPlan
-from repro.faults.matrix import MatrixConfig, _durable_view, build_trace
+from repro.faults.matrix import (
+    GC_TARGET,
+    TC_CONFIG,
+    MatrixConfig,
+    _durable_view,
+    build_trace,
+)
 from repro.hardware import Machine
 
 TREE = BwTreeConfig(segment_bytes=1 << 13, cache_capacity_bytes=20 << 10)
@@ -191,7 +197,7 @@ def test_random_epoch_boundaries_recover_to_durable_prefix(
         commit_pipeline=True,
         commit_interval_us=interval_us,
         commit_epoch_bytes=epoch_bytes,
-        log_buffer_bytes=config.log_buffer_bytes,
+        log_buffer_bytes=TC_CONFIG.log_buffer_bytes,
     )
     injector = FaultInjector(FaultPlan.crash_at(site, hit))
     injector.disarm()
@@ -211,7 +217,7 @@ def test_random_epoch_boundaries_recover_to_durable_prefix(
             if index % config.checkpoint_every == 0:
                 engine.checkpoint()
             if index % config.gc_every == 0:
-                engine.collect_garbage(config.gc_target)
+                engine.collect_garbage(GC_TARGET)
     except CrashError:
         crashed = True
     injector.disarm()

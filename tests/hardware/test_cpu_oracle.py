@@ -171,11 +171,10 @@ def record_engine_run(scenario):
 
 
 def test_engine_charge_stream_is_identical_under_both_models():
-    """Batched YCSB-A through a 2-shard fleet with checkpoint and
-    warm-up: every charge, in order, with the same float."""
-    scenario = Scenario(seed=42, mix="a", record_count=300, op_count=1536,
-                        shards=2, batch_size=64, checkpoint=True,
-                        warmup_ops=256)
+    """Batched YCSB-A through a 2-shard fleet with a checkpoint: every
+    charge, in order, with the same float."""
+    scenario = Scenario(seed=42, mix="a", record_count=300, op_count=1792,
+                        shards=2, batch_size=64, checkpoint=True)
     kinds, events, totals, result = record_engine_run(scenario)
     with mock.patch("repro.hardware.machine.CpuModel", ReferenceCpuModel):
         (ref_kinds, ref_events, ref_totals,

@@ -73,8 +73,7 @@ def scenarios():
         table = engine_bench.scenario_table()
     finally:
         patch.undo()
-    return {name: replace(scenario, op_count=OPS,
-                          warmup_ops=min(scenario.warmup_ops, OPS))
+    return {name: replace(scenario, op_count=OPS)
             for name, scenario in table.items()}
 
 

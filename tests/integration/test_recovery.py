@@ -5,9 +5,15 @@ import random
 import pytest
 
 from repro.bwtree import BwTree, BwTreeConfig, RecoveryError
-from repro.deuteronomy import DeuteronomyEngine, TcConfig
+from repro.deuteronomy import (
+    DeuteronomyEngine,
+    LogRecord,
+    RecoveryLog,
+    TcConfig,
+)
 from repro.faults import CrashError, FaultInjector, FaultPlan, IoError
 from repro.hardware import Machine
+from repro.observability.whatif import ChargeRecorder
 from repro.storage import CheckpointManager, LogStructuredStore
 
 
@@ -511,6 +517,28 @@ class TestWholeTransactionRecovery:
         recovered = DeuteronomyEngine.recover(engine)
         assert [recovered.get(key) for key in self.KEYS] == [b"old"] * 80
         assert recovered.get(b"after") == b"1"
+
+    def test_a_raised_group_commit_bills_the_records_it_logged(self):
+        # The same failed spill: the 30 records (4,080 B) already in the
+        # open buffer hold DRAM, so they are billed and counted as one
+        # successful group of those records would be.
+        engine = self.make_engine(log_buffer_bytes=4096, sync_commit=True)
+        log = engine.tc.log
+        appended = log.appended_bytes
+        engine.machine.cpu.sink = recorder = ChargeRecorder()
+        engine.machine.faults = FaultInjector(
+            FaultPlan.io_error_at("recovery_log.flush", 1, failures=4))
+        with pytest.raises(IoError):
+            engine.apply_batch([("put", key, b"n" * 100) for key in self.KEYS])
+        assert log.appended_bytes - appended == 30 * 136
+        assert engine.machine.dram.bytes_for("tc_recovery_log") == 30 * 136
+        twin = Machine.paper_default(cores=2)
+        twin.cpu.sink = twin_recorder = ChargeRecorder()
+        RecoveryLog(twin, buffer_bytes=4096).append_batch([
+            LogRecord(key, b"n" * 100, timestamp=1, txn_id=1, lsn=lsn)
+            for lsn, key in enumerate(self.KEYS[:30], start=1)])
+        assert ([event for event in recorder.events if event[0] == "tc_log"]
+                == twin_recorder.events)
 
     def test_txn_ids_go_on_after_a_recovery(self):
         engine = self.make_engine()

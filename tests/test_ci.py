@@ -30,6 +30,10 @@ GATES = {
         "--benchmark-disable",
         "git diff --exit-code benchmarks/results"],
     "full crash matrix": ["python -m repro crash-matrix --seed 0 --ops 2000"],
+    "crash matrix across processes": [
+        "python -m repro crash-matrix --smoke --seed 0 > matrix1.txt",
+        "python -m repro crash-matrix --smoke --seed 0 > matrix2.txt",
+        "cmp matrix1.txt matrix2.txt"],
     "trace json across processes": [
         "python -m repro trace --seed 7 --out run1.json",
         "python -m repro trace --seed 7 --out run2.json",

@@ -23,20 +23,17 @@ SMALL = Scenario(seed=5, record_count=96, op_count=240)
 
 
 class TestPrepare:
-    def test_generator_order_is_load_then_warmup_then_measured(self):
-        scenario = replace(SMALL, warmup_ops=50)
-        reference = WorkloadGenerator(scenario.spec())
+    def test_generator_order_is_load_then_measured(self):
+        reference = WorkloadGenerator(SMALL.spec())
         loaded = dict(reference.load_items())
-        list(reference.operations(scenario.warmup_ops))
-        expected = list(reference.operations(scenario.op_count))
-        run = scenario.prepare()
+        expected = list(reference.operations(SMALL.op_count))
+        run = SMALL.prepare()
         assert run.ops == expected
-        # Warm-up ran against the engine (it may have updated keys), but
-        # every loaded key is there.
-        assert all(run.engine.get(key) is not None for key in loaded)
+        assert all(run.engine.get(key) == value
+                   for key, value in loaded.items())
 
     def test_window_starts_clean_but_state_is_kept(self):
-        run = replace(SMALL, checkpoint=True, warmup_ops=64).prepare()
+        run = replace(SMALL, checkpoint=True).prepare()
         (machine,) = run.machines
         assert machine.cpu.busy_us == 0.0
         assert machine.ssd.total_ios == 0
