@@ -417,7 +417,7 @@ class ProjectIndex:
 
         Domain verbs (``bulk_load``, ``replay_redo``, ...) are
         distinctive enough that name-based dispatch is sound — it lets
-        ``shard.dc.bulk_load(...)`` through a loop variable credit the
+        ``shard.bulk_load(...)`` through a loop variable credit the
         charge BwTree.bulk_load makes internally.  Generic names
         (``get``, ``append``) never take this path.
         """

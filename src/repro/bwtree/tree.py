@@ -302,9 +302,6 @@ class BwTree:
             if tracer is not None:
                 tracer.close_span()
 
-    def contains(self, key: bytes) -> bool:
-        return self.get_with_stats(key).found
-
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
@@ -427,20 +424,6 @@ class BwTree:
         finally:
             if tracer is not None:
                 tracer.close_span()
-
-    def insert(self, key: bytes, value: bytes) -> bool:
-        """Insert iff absent (non-blind: reads first). True on success."""
-        if self.get_with_stats(key).found:
-            return False
-        self.upsert(key, value)
-        return True
-
-    def update(self, key: bytes, value: bytes) -> bool:
-        """Update iff present (non-blind: reads first). True on success."""
-        if not self.get_with_stats(key).found:
-            return False
-        self.upsert(key, value)
-        return True
 
     def _post_blind_delta(self, entry: PageEntry, delta: Record,
                           result: OpResult) -> None:

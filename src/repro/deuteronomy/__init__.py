@@ -15,6 +15,7 @@ from .read_cache import ReadCache
 from .record_cache import RecordStore
 from .recovery_log import LogRecord, RecoveryLog
 from .tc import (
+    DataComponent,
     TcConfig,
     Transaction,
     TransactionAborted,
@@ -23,6 +24,7 @@ from .tc import (
 )
 
 __all__ = [
+    "DataComponent",
     "DeuteronomyEngine",
     "TransactionComponent",
     "TcConfig",

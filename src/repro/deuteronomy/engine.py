@@ -1,6 +1,7 @@
 """DeuteronomyEngine: the assembled TC + DC system.
 
 Convenience facade wiring a :class:`TransactionComponent` over a
+:class:`~repro.deuteronomy.tc.DataComponent`, by default a
 :class:`BwTree` (itself over LLAMA and the simulated machine).  A
 multi-key transaction is one :meth:`DeuteronomyEngine.apply_batch`.
 """
@@ -12,7 +13,7 @@ from typing import Callable, Iterable, List, Optional, Tuple
 from ..bwtree.tree import BwTree, BwTreeConfig
 from ..hardware.logdevice import LogDevice
 from ..hardware.machine import Machine
-from .tc import TcConfig, TransactionComponent
+from .tc import DataComponent, TcConfig, TransactionComponent
 
 
 class DeuteronomyEngine:
@@ -23,12 +24,13 @@ class DeuteronomyEngine:
         machine: Machine,
         tree_config: Optional[BwTreeConfig] = None,
         tc_config: Optional[TcConfig] = None,
-        data_component: Optional[BwTree] = None,
+        data_component: Optional[DataComponent] = None,
         log_device: Optional[LogDevice] = None,
     ) -> None:
         self.machine = machine
-        self.dc = (data_component if data_component is not None
-                   else BwTree(machine, tree_config))
+        self.dc: DataComponent = (data_component
+                                  if data_component is not None
+                                  else BwTree(machine, tree_config))
         self.tc = TransactionComponent(machine, self.dc, tc_config,
                                        log_device=log_device)
         # Set once this engine has been crashed-and-recovered: the engine
@@ -62,13 +64,10 @@ class DeuteronomyEngine:
         """
         if crashed._recovered_into is not None:
             return crashed._recovered_into
-        machine = crashed.machine
         durable = crashed.tc.log.whole_transactions()
-        crashed.dc.store.simulate_crash()
-        machine.dram.wipe()
-        dc = BwTree.recover(machine, crashed.dc.store, crashed.dc.config)
+        dc = crashed.dc.simulate_crash_and_recover()
         engine = cls(
-            machine,
+            crashed.machine,
             tc_config=tc_config if tc_config is not None
             else crashed.tc.config,
             data_component=dc,
@@ -140,6 +139,11 @@ class DeuteronomyEngine:
         finally:
             if tracer is not None:
                 tracer.close_span()
+
+    def bulk_load(self, items: Iterable[Tuple[bytes, bytes]]) -> int:
+        """Bulk-load key-sorted ``(key, value)`` pairs into the empty data
+        component; returns the number of records loaded."""
+        return self.dc.bulk_load(items)
 
     def checkpoint(self) -> None:
         """Flush the log and every dirty data page.

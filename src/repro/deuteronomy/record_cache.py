@@ -29,7 +29,7 @@ latch-acquire pair per access plus an expected convoy term per mutation
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..frozen import check_bounds
 from ..hardware.machine import Machine
@@ -341,23 +341,31 @@ class RecordStore:
     # dirty drain (DC absorption)
     # ------------------------------------------------------------------
 
-    def drain_dirty(self) -> List[Tuple[bytes, Optional[bytes]]]:
-        """Hand back every dirty record (in first-dirtied order), clean.
+    def drain_dirty(
+        self, post: Callable[[List[Tuple[bytes, Optional[bytes]]]], object],
+    ) -> None:
+        """Hand every dirty record (in first-dirtied order) to ``post`` as
+        one batch, then mark them clean.
 
-        The caller posts these to the DC as one blind batch; last-wins
-        replacement already collapsed intermediate images, so each key
-        appears once with its newest committed value.
+        The caller's ``post`` applies the batch to the DC as blind
+        updates; last-wins replacement already collapsed intermediate
+        images, so each key appears once with its newest committed
+        value.  A record stays dirty until ``post`` returns: a post that
+        raises leaves every record pinned and counted, and the next drain
+        posts them again (a blind post of the same value is idempotent).
         """
         self.machine.cpu.charge("op_dispatch", category=CHARGE_CATEGORY)
+        index = self._index
         drained: List[Tuple[bytes, Optional[bytes]]] = []
         for key in self._dirty:
-            record = self._index[key]
             self.machine.cpu.charge("pointer_chase", category=CHARGE_CATEGORY)
-            record.dirty = False
-            drained.append((key, record.value))
+            drained.append((key, index[key].value))
+        if drained:
+            post(drained)
+        for key in self._dirty:
+            index[key].dirty = False
         self._dirty.clear()
         self._dirty_bytes = 0
-        return drained
 
     # ------------------------------------------------------------------
     # reporting

@@ -18,18 +18,19 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
-from ..bwtree.tree import BwTree
+from ..bwtree.tree import BwTree, OpResult
 from ..frozen import ABOVE_ZERO, check_bounds
 from ..hardware.logdevice import LogDevice
 from ..hardware.machine import Machine
 from ..hardware.metrics import CounterSet
+from ..storage.cache import PageCache
 from .commit_pipeline import CommitFuture, CommitPipeline
 from .mvcc import VersionStore
 from .read_cache import ReadCache
 from .record_cache import CONCURRENCY_MODES, RecordStore
-from .recovery_log import LogRecord, RecoveryLog
+from .recovery_log import LOG_RECORD_OVERHEAD_BYTES, LogRecord, RecoveryLog
 
 
 class TxnStatus(enum.Enum):
@@ -56,14 +57,62 @@ class TransactionAborted(RuntimeError):
     """Raised when commit fails a conflict check."""
 
 
+class DataComponent(Protocol):
+    """What the TC and the engine call on their data component (DC).
+
+    :class:`TransactionComponent` reads, posts blind writes and checks
+    keys; :class:`~repro.deuteronomy.engine.DeuteronomyEngine` loads,
+    checkpoints, collects garbage, recovers, and reads ``cache``'s
+    counters for its ``STATS`` rows.  :class:`~repro.bwtree.tree.BwTree`
+    is the one implementation.  A member is added only with a caller in
+    the TC or the engine.
+    """
+
+    cache: PageCache
+
+    def get_with_stats(self, key: bytes) -> OpResult:
+        ...
+
+    def upsert(self, key: bytes, value: bytes) -> OpResult:
+        ...
+
+    def delete(self, key: bytes) -> OpResult:
+        ...
+
+    def apply_blind_batch(
+        self, ops: List[Tuple[bytes, Optional[bytes]]]
+    ) -> OpResult:
+        ...
+
+    @staticmethod
+    def validate_key(key: bytes) -> None:
+        ...
+
+    def bulk_load(self, items: Iterable[Tuple[bytes, bytes]]) -> int:
+        ...
+
+    def checkpoint(self) -> None:
+        ...
+
+    def collect_garbage(self, target_utilization: float) -> int:
+        ...
+
+    def simulate_crash_and_recover(self) -> "DataComponent":
+        ...
+
+
 def check_batch(
     ops: Iterable[Tuple[str, bytes, Optional[bytes]]],
+    log_buffer_bytes: int,
 ) -> List[bytes]:
     """The keys of a mixed ``(kind, key, value)`` batch, in order, once
     every op is known good: a kind of ``"get"`` / ``"put"`` /
-    ``"delete"``, a key the data component accepts and, for a put, a
-    bytes value.  The first bad op raises what the data component would
-    raise for it, before the caller has run or billed any of the batch."""
+    ``"delete"``, a key the data component accepts, for a put a bytes
+    value, and for a write a redo record that fits a log buffer of
+    ``log_buffer_bytes``.  The first bad op raises what the data
+    component (or the log) would raise for it, before the caller has run
+    or billed any of the batch."""
+    room = log_buffer_bytes - LOG_RECORD_OVERHEAD_BYTES
     keys: List[bytes] = []
     for kind, key, value in ops:
         if type(key) is not bytes or not key:
@@ -73,18 +122,35 @@ def check_batch(
                 if value is None:
                     raise ValueError("put requires a value")
                 BwTree.validate_kv(key, value)
-        elif kind != "get" and kind != "delete":
+            if len(key) + len(value) > room:
+                nbytes = LOG_RECORD_OVERHEAD_BYTES + len(key) + len(value)
+                raise ValueError(f"record of {nbytes}B exceeds buffer size "
+                                 f"{log_buffer_bytes}")
+        elif kind == "delete":
+            if len(key) > room:
+                nbytes = LOG_RECORD_OVERHEAD_BYTES + len(key)
+                raise ValueError(f"record of {nbytes}B exceeds buffer size "
+                                 f"{log_buffer_bytes}")
+        elif kind != "get":
             raise ValueError(f"unknown batch op kind {kind!r}")
         keys.append(key)
     return keys
 
 
-def check_write(key: bytes, value: Optional[bytes]) -> None:
+def check_write(key: bytes, value: Optional[bytes],
+                log_buffer_bytes: int) -> None:
     """Raise what the data component would raise for a write of
-    ``value`` (``None`` deletes) to ``key``; return if it takes it."""
+    ``value`` (``None`` deletes) to ``key``, or what the log would raise
+    for a redo record larger than ``log_buffer_bytes``; return if both
+    take it."""
     if type(key) is not bytes or not key or (
             value is not None and type(value) is not bytes):
         BwTree.validate_kv(key, value)  # type: ignore[arg-type]
+    nbytes = LOG_RECORD_OVERHEAD_BYTES + len(key) + (
+        len(value) if value is not None else 0)
+    if nbytes > log_buffer_bytes:
+        raise ValueError(
+            f"record of {nbytes}B exceeds buffer size {log_buffer_bytes}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,9 +220,9 @@ class TcConfig:
 
 
 class TransactionComponent:
-    """MVCC transactions over a Bw-tree data component."""
+    """MVCC transactions over a :class:`DataComponent`."""
 
-    def __init__(self, machine: Machine, data_component: BwTree,
+    def __init__(self, machine: Machine, data_component: DataComponent,
                  config: Optional[TcConfig] = None,
                  log_device: Optional[LogDevice] = None) -> None:
         self.machine = machine
@@ -594,9 +660,10 @@ class TransactionComponent:
     def _buffer_write(self, txn: Transaction, key: bytes,
                       value: Optional[bytes]) -> None:
         """Every TC write enters here.  A key or value the data component
-        would reject is refused before anything is counted, charged or
-        buffered: a logged record must be one recovery can replay."""
-        check_write(key, value)
+        would reject, or a redo record larger than a log buffer, is
+        refused before anything is counted, charged or buffered: a logged
+        record must be one recovery can replay."""
+        check_write(key, value, self.config.log_buffer_bytes)
         machine = self.machine
         machine.begin_operation()
         machine.cpu.bill(self._copy,
@@ -617,7 +684,7 @@ class TransactionComponent:
         """
         self._require_active(txn)
         ops = list(ops)
-        check_batch(ops)
+        check_batch(ops, self.config.log_buffer_bytes)
         self.machine.cpu.charge("op_dispatch", category="tc")
         results: List[Optional[bytes]] = []
         for kind, key, value in ops:
@@ -649,7 +716,7 @@ class TransactionComponent:
         charged or counted.  A failed read counts an abort and re-raises.
         """
         ops = list(ops)
-        check_batch(ops)
+        check_batch(ops, self.config.log_buffer_bytes)
         machine = self.machine
         bill = machine.cpu.bill
         copy = self._copy
@@ -692,9 +759,10 @@ class TransactionComponent:
 
     def run_update(self, key: bytes, value: Optional[bytes]) -> int:
         """Execute a single-update transaction; returns commit timestamp.
-        A key or value the data component would reject is refused before
-        the transaction begins: nothing is billed or counted."""
-        check_write(key, value)
+        A key or value the data component would reject, or a redo record
+        larger than a log buffer, is refused before the transaction
+        begins: nothing is billed, counted or logged."""
+        check_write(key, value, self.config.log_buffer_bytes)
         txn = self.begin()
         self.write(txn, key, value)
         try:
@@ -732,15 +800,14 @@ class TransactionComponent:
         The lazy half of the blind-write fast path: pages are materialized
         here (one blind batch) instead of once per commit.  Every drained
         record was logged at its commit, so a crash before (or during)
-        the drain replays it.  Called at the dirty-byte threshold and
+        the drain replays it, and a post that raises leaves the records
+        dirty for the next drain.  Called at the dirty-byte threshold and
         before checkpoints.
         """
         if self.records is None:
             return
         self.machine.cpu.charge("op_dispatch", category="tc")
-        ops = self.records.drain_dirty()
-        if ops:
-            self.dc.apply_blind_batch(ops)
+        self.records.drain_dirty(self.dc.apply_blind_batch)
 
     # ------------------------------------------------------------------
     # recovery

@@ -43,7 +43,7 @@ from ..bwtree.tree import BwTreeConfig
 from ..deuteronomy.engine import DeuteronomyEngine
 from ..deuteronomy.tc import TcConfig
 from ..frozen import check_bounds
-from ..hardware.machine import Machine
+from ..scenarios import Run, Scenario
 from ..sharding.engine import ShardedEngine
 from ..workloads.ycsb import OpKind, WorkloadGenerator, WorkloadSpec
 from .plan import (
@@ -72,11 +72,6 @@ SCENARIOS = ("engine", "sharded", "engine-async", "sharded-async")
 #: raises :class:`IoError` to its caller.
 RETRY_SITES = tuple(name for name, site in FAULT_SITES.items()
                     if site.transient_ok)
-
-
-def _base_scenario(scenario: str) -> str:
-    return scenario[:-len("-async")] if scenario.endswith("-async") \
-        else scenario
 
 
 #: The engine every scenario builds.  Its caches are small enough that
@@ -273,48 +268,33 @@ def build_trace(config: MatrixConfig) -> Tuple[Dict[bytes, bytes], List[Op]]:
 # --- scenario plumbing ----------------------------------------------------
 
 
-def _build(scenario: str, config: MatrixConfig,
-           injector: FaultInjector) -> Engine:
-    """A fresh engine (or fleet) with every machine sharing ``injector``."""
-    tc_config = TC_CONFIG
-    if scenario.endswith("-async"):
-        tc_config = replace(TC_CONFIG, commit_pipeline=True)
-    base = _base_scenario(scenario)
-    if base == "engine":
-        machine = Machine.paper_default(cores=CORES)
+def _start(scenario: str, config: MatrixConfig, baseline: Dict[bytes, bytes],
+           injector: FaultInjector) -> Run:
+    """A fresh engine (or fleet), built by :meth:`Scenario.build`, with
+    every machine sharing ``injector``: loaded with the baseline and
+    checkpointed while it is disarmed, then armed."""
+    if scenario not in SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    run = Scenario(
+        shards=config.shards if scenario.startswith("sharded") else 0,
+        cores=CORES,
+        tree_config=TREE_CONFIG,
+        tc_config=(replace(TC_CONFIG, commit_pipeline=True)
+                   if scenario.endswith("-async") else TC_CONFIG),
+    ).build()
+    injector.disarm()
+    for machine in run.machines:
         machine.faults = injector
-        return DeuteronomyEngine(machine, tree_config=TREE_CONFIG,
-                                 tc_config=tc_config)
-    if base == "sharded":
-        def factory() -> Machine:
-            machine = Machine.paper_default(cores=CORES)
-            machine.faults = injector
-            return machine
-
-        return ShardedEngine(
-            config.shards,
-            tree_config=TREE_CONFIG,
-            tc_config=tc_config,
-            machine_factory=factory,
-        )
-    raise ValueError(f"unknown scenario {scenario!r}")
+    run.engine.bulk_load(sorted(baseline.items()))
+    run.engine.checkpoint()
+    injector.arm()
+    return run
 
 
-def _setup(scenario: str, engine: Engine,
-           baseline: Dict[bytes, bytes]) -> None:
-    """Load the baseline and take the first checkpoint (faults disarmed)."""
-    items = sorted(baseline.items())
-    if _base_scenario(scenario) == "engine":
-        engine.dc.bulk_load(items)
-    else:
-        engine.bulk_load(items)
-    engine.checkpoint()
-
-
-def _drive(scenario: str, engine: Engine, ops: Sequence[Op],
-           config: MatrixConfig,
+def _drive(run: Run, ops: Sequence[Op], config: MatrixConfig,
            errors: Tuple[type, ...] = ()) -> None:
-    """Replay the trace with periodic checkpoints and GC passes.
+    """Replay the trace with periodic checkpoints and GC passes: per op
+    on a bare engine, in ``apply_batch`` chunks on a fleet.
 
     An op, batch, checkpoint or GC pass that raises one of ``errors``
     is skipped, and the trace goes on.
@@ -325,7 +305,8 @@ def _drive(scenario: str, engine: Engine, ops: Sequence[Op],
         except errors:
             pass
 
-    if _base_scenario(scenario) == "engine":
+    engine = run.engine
+    if not run.scenario.shards:
         for index, (kind, key, value) in enumerate(ops, start=1):
             if kind == "get":
                 attempt(engine.get, key)
@@ -346,15 +327,8 @@ def _drive(scenario: str, engine: Engine, ops: Sequence[Op],
         if done // config.checkpoint_every != before // config.checkpoint_every:
             attempt(engine.checkpoint)
         if done // config.gc_every != before // config.gc_every:
-            for shard in engine.shards:
+            for shard in run.shards:
                 attempt(shard.collect_garbage, GC_TARGET)
-
-
-def _shard_engines(scenario: str,
-                   engine: Engine) -> List[DeuteronomyEngine]:
-    if _base_scenario(scenario) == "engine":
-        return [engine]
-    return list(engine.shards)
 
 
 def _durable_view(shards: Sequence[DeuteronomyEngine],
@@ -407,12 +381,6 @@ def _check_oracle(recovered: Engine, expected: Dict[bytes, bytes],
     return violations
 
 
-def _recover(scenario: str, engine: Engine) -> Engine:
-    if _base_scenario(scenario) == "engine":
-        return DeuteronomyEngine.recover(engine)
-    return ShardedEngine.recover(engine)
-
-
 # --- the matrix -----------------------------------------------------------
 
 
@@ -439,18 +407,14 @@ def _count_hits(scenario: str, config: MatrixConfig,
     whole-transaction sizes :func:`_durable_view` checks against.
     """
     injector = FaultInjector()
+    run = _start(scenario, config, baseline, injector)
+    _drive(run, ops, config)
     injector.disarm()
-    engine = _build(scenario, config, injector)
-    _setup(scenario, engine, baseline)
-    injector.arm()
-    _drive(scenario, engine, ops, config)
-    injector.disarm()
-    shards = _shard_engines(scenario, engine)
-    for shard in shards:
+    for shard in run.shards:
         shard.tc.sync_log()
     sizes = [Counter(record.timestamp
                      for record in shard.tc.log.durable_records)
-             for shard in shards]
+             for shard in run.shards]
     return dict(injector.hit_counts), sizes
 
 
@@ -468,22 +432,18 @@ def run_case(scenario: str, config: MatrixConfig,
         __, sizes = _count_hits(scenario, config, baseline, ops)
     result = CaseResult(scenario=scenario, site=site, hit=hit)
     injector = FaultInjector(FaultPlan.crash_at(site, hit))
-    injector.disarm()
-    engine = _build(scenario, config, injector)
-    _setup(scenario, engine, baseline)
-    injector.arm()
+    run = _start(scenario, config, baseline, injector)
     try:
-        _drive(scenario, engine, ops, config)
+        _drive(run, ops, config)
     except CrashError as crash:
         result.crashed = (crash.site == site and crash.hit == hit)
     injector.disarm()
     if not result.crashed:
         return result
-    expected = _durable_view(_shard_engines(scenario, engine), baseline,
-                             sizes)
+    expected = _durable_view(run.shards, baseline, sizes)
     keys = sorted(set(baseline) | set(expected))
     try:
-        recovered = _recover(scenario, engine)
+        recovered = type(run.engine).recover(run.engine)
     except Exception as exc:  # RecoveryError and anything like it
         result.violations.append(f"recovery failed: {exc!r}")
         return result
@@ -501,19 +461,16 @@ def run_exhausted_case(scenario: str, config: MatrixConfig,
     result = CaseResult(scenario=scenario, site=site, hit=hit)
     injector = FaultInjector(FaultPlan(rules=(FaultRule(
         site, hit, FaultKind.IO_ERROR, count=RetryPolicy().max_attempts),)))
-    injector.disarm()
-    engine = _build(scenario, config, injector)
-    _setup(scenario, engine, baseline)
-    injector.arm()
-    _drive(scenario, engine, ops, config, errors=(IoError,))
+    run = _start(scenario, config, baseline, injector)
+    _drive(run, ops, config, errors=(IoError,))
     injector.disarm()
     result.crashed = injector.hits(site) >= hit
     keys = sorted(set(baseline) | {key for __, key, __ in ops})
-    live = {key: engine.get(key) for key in keys}
-    for shard in _shard_engines(scenario, engine):
+    live = {key: run.engine.get(key) for key in keys}
+    for shard in run.shards:
         shard.tc.sync_log()
     try:
-        recovered = _recover(scenario, engine)
+        recovered = type(run.engine).recover(run.engine)
     except Exception as exc:  # RecoveryError and anything like it
         result.violations.append(f"recovery failed: {exc!r}")
         return result
@@ -539,12 +496,10 @@ def _noise_pass(config: MatrixConfig, baseline: Dict[bytes, bytes],
         noise_seed=noise.noise_seed,
         noise_probability=noise.noise_probability,
     ))
+    run = _start("engine", config, baseline, injector)
+    _drive(run, ops, config)
     injector.disarm()
-    engine = _build("engine", config, injector)
-    _setup("engine", engine, baseline)
-    injector.arm()
-    _drive("engine", engine, ops, config)
-    injector.disarm()
+    engine = run.engine
     stats: List[RetryStats] = [
         engine.dc.store.retry_stats, engine.tc.log.retry_stats,
     ]

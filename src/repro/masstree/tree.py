@@ -118,9 +118,6 @@ class MassTree:
             offset += SLICE_BYTES
             depth += 1
 
-    def contains(self, key: bytes) -> bool:
-        return self.get(key) is not None
-
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------

@@ -7,9 +7,10 @@ fleet, accounted over a clean window and priced in the paper's
 Eq. (4)-(5) terms.  :class:`Scenario` is that recipe as a frozen value,
 in three steps:
 
-* :meth:`Scenario.prepare` — spec -> engine or fleet -> bulk load ->
-  optional checkpoint -> generate the measured operations ->
-  ``reset_accounting()``; returns a :class:`Run`;
+* :meth:`Scenario.prepare` — spec -> engine or fleet
+  (:meth:`Scenario.build`) -> bulk load -> optional checkpoint ->
+  generate the measured operations -> ``reset_accounting()``; returns a
+  :class:`Run`;
 * :meth:`Run.drive` — replay the measured operations per-op or in
   ``apply_batch`` chunks, bracketing every call with a latency window,
   then drain the commit pipeline;
@@ -126,10 +127,10 @@ class Scenario:
         return MIX_BUILDERS[self.mix](record_count=self.record_count,
                                       seed=self.seed)
 
-    def prepare(self, ssd_spec: Optional[SsdSpec] = None,
-                log_ssd_spec: Optional[SsdSpec] = None) -> "Run":
-        """Build, load, (checkpoint) and reset: a :class:`Run`
-        whose accounting window starts clean.
+    def build(self, ssd_spec: Optional[SsdSpec] = None,
+              log_ssd_spec: Optional[SsdSpec] = None) -> "Run":
+        """The engine or fleet, built and empty: a :class:`Run` with no
+        operations yet.
 
         ``ssd_spec`` builds every machine's drive from that spec instead
         of the paper default; ``log_ssd_spec`` does the same for the
@@ -140,7 +141,6 @@ class Scenario:
             return Machine(cores=self.cores, cost_table=CostTable(),
                            ssd_spec=ssd_spec)
 
-        generator = WorkloadGenerator(self.spec())
         if self.shards:
             fleet = ShardedEngine(
                 self.shards,
@@ -150,19 +150,24 @@ class Scenario:
                 log_topology=self.log_topology,
                 log_ssd_spec=log_ssd_spec,
             )
-            fleet.bulk_load(generator.load_items())
-            run = Run(self, fleet, list(fleet.shards))
-        else:
-            if log_ssd_spec is not None:
-                raise ValueError(
-                    "a log_ssd_spec needs a fleet on the shared log "
-                    "topology, not a bare engine"
-                )
-            engine = DeuteronomyEngine(machine(),
-                                       tree_config=self.tree_config,
-                                       tc_config=self.tc_config)
-            engine.dc.bulk_load(generator.load_items())
-            run = Run(self, engine, [engine])
+            return Run(self, fleet, list(fleet.shards))
+        if log_ssd_spec is not None:
+            raise ValueError(
+                "a log_ssd_spec needs a fleet on the shared log "
+                "topology, not a bare engine"
+            )
+        engine = DeuteronomyEngine(machine(), tree_config=self.tree_config,
+                                   tc_config=self.tc_config)
+        return Run(self, engine, [engine])
+
+    def prepare(self, ssd_spec: Optional[SsdSpec] = None,
+                log_ssd_spec: Optional[SsdSpec] = None) -> "Run":
+        """Build (:meth:`build`, which takes the same device specs),
+        load, (checkpoint) and reset: a :class:`Run` whose accounting
+        window starts clean."""
+        run = self.build(ssd_spec, log_ssd_spec)
+        generator = WorkloadGenerator(self.spec())
+        run.engine.bulk_load(generator.load_items())
         if self.checkpoint:
             run.engine.checkpoint()
         run.ops = list(generator.operations(self.op_count))

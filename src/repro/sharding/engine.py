@@ -117,6 +117,10 @@ class ShardedEngine:
         # machine (a recovered shard keeps its machine).
         self._route = [shard.machine.cpu.plan("router", then="hash_probe")
                        for shard in self.shards]
+        # The smallest shard log buffer: a batch holding a redo record
+        # larger than it is refused before any shard runs.
+        self._log_buffer_bytes = min(shard.tc.config.log_buffer_bytes
+                                     for shard in self.shards)
         self._recovered_into: Optional["ShardedEngine"] = None
 
     def _build_log_device(
@@ -206,12 +210,14 @@ class ShardedEngine:
         batch's earlier writes *to keys of the same shard* — with hash
         routing that is every earlier write to the same key, which is
         what read-your-batch-writes requires.  Every op is checked
-        (:func:`~repro.deuteronomy.tc.check_batch`) before any shard
-        runs, so a bad op refuses the whole batch instead of leaving the
-        shards before it committed.
+        (:func:`~repro.deuteronomy.tc.check_batch`, its redo record
+        against every shard's log buffer) before any shard runs, so a bad
+        op refuses the whole batch instead of leaving the shards before
+        it committed.
         """
         ops = list(ops)
-        per_shard, positions = self.router.scatter(ops, check_batch(ops))
+        per_shard, positions = self.router.scatter(
+            ops, check_batch(ops, self._log_buffer_bytes))
         results: List[list] = []
         result_positions: List[List[int]] = []
         for shard_id, sub_batch in enumerate(per_shard):
@@ -262,7 +268,7 @@ class ShardedEngine:
             total += 1
         for shard, shard_items in zip(self.shards, per_shard):
             if shard_items:
-                shard.dc.bulk_load(shard_items)
+                shard.bulk_load(shard_items)
         return total
 
     # All simulated cost lives in DeuteronomyEngine.checkpoint, charged

@@ -33,22 +33,6 @@ class TestBasicOps:
         small_tree.delete(b"ghost")
         assert small_tree.get(b"ghost") is None
 
-    def test_insert_only_if_absent(self, small_tree):
-        assert small_tree.insert(b"k", b"v1")
-        assert not small_tree.insert(b"k", b"v2")
-        assert small_tree.get(b"k") == b"v1"
-
-    def test_update_only_if_present(self, small_tree):
-        assert not small_tree.update(b"k", b"v")
-        small_tree.upsert(b"k", b"v1")
-        assert small_tree.update(b"k", b"v2")
-        assert small_tree.get(b"k") == b"v2"
-
-    def test_contains(self, small_tree):
-        small_tree.upsert(b"k", b"v")
-        assert small_tree.contains(b"k")
-        assert not small_tree.contains(b"j")
-
     def test_empty_value_roundtrips(self, small_tree):
         small_tree.upsert(b"k", b"")
         result = small_tree.get_with_stats(b"k")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bwtree import BwTreeConfig
-from repro.deuteronomy import DeuteronomyEngine, TransactionAborted
+from repro.deuteronomy import DeuteronomyEngine, TcConfig, TransactionAborted
 from repro.hardware import Machine
 
 
@@ -104,6 +104,48 @@ def test_a_rejected_write_is_neither_logged_nor_applied(engine, name):
     recovered = DeuteronomyEngine.recover(engine)
     assert recovered.get(b"a") == b"1"
     assert recovered.get(b"b") is None
+
+
+def test_a_redo_record_larger_than_a_log_buffer_is_refused_at_admission():
+    """A redo record that no log buffer can hold is refused before the
+    transaction begins, on every write entry point: nothing of the call
+    is billed, counted or logged, and no txn id is consumed.  The log
+    itself once found it mid-batch, after ``k1`` was already in the
+    open buffer; the next commit then reused ``k1``'s LSN, and the
+    durable log held ``k1`` (a torn transaction) and ``k3``, both at
+    LSN 1."""
+    engine = DeuteronomyEngine(Machine.paper_default(cores=1),
+                               tc_config=TcConfig(log_buffer_bytes=4096))
+    machine, tc, log = engine.machine, engine.tc, engine.tc.log
+    big = b"y" * 5000
+
+    def state():
+        return (machine.operations, machine.cpu.busy_us,
+                tc.counters.snapshot(), tc._next_txn_id,
+                log.appended_records, log.appended_bytes,
+                machine.dram.bytes_for("tc_recovery_log"))
+
+    before = state()
+    for refused in (
+            lambda: engine.apply_batch([("put", b"k1", b"x" * 100),
+                                        ("put", b"k2", big)]),
+            lambda: engine.apply_batch([("delete", b"k" * 5000, None)]),
+            lambda: engine.put(b"k2", big),
+            lambda: engine.delete(b"k" * 5000)):
+        with pytest.raises(ValueError, match="exceeds buffer size 4096"):
+            refused()
+        assert state() == before
+    assert tc._active == {}
+    engine.put(b"k3", b"z")
+    tc.sync_log()
+    assert [(record.key, record.lsn, record.end)
+            for record in log.durable_records] == [(b"k3", 1, True)]
+    assert log.appended_records == 1
+    assert engine.get(b"k1") is None
+    txn = tc.begin()
+    with pytest.raises(ValueError, match="exceeds buffer size 4096"):
+        tc.write(txn, b"k2", big)
+    assert txn.write_set == {}
 
 
 REJECTED_READS = {

@@ -12,6 +12,7 @@ import pytest
 
 from repro.bwtree import BwTreeConfig
 from repro.deuteronomy import DeuteronomyEngine, TcConfig
+from repro.faults import FaultInjector, FaultPlan, IoError, RetryPolicy
 from repro.hardware import Machine
 from repro.observability.whatif import ChargeRecorder
 from repro.scenarios import batch_item
@@ -163,33 +164,77 @@ def test_a_multi_get_builds_no_transaction():
     assert forbidden.isdisjoint(calls), forbidden & set(calls)
 
 
-def test_a_get_drains_a_heap_a_failed_commit_left_dirty(monkeypatch):
-    """``commit`` parks a record in the record heap before it posts the
-    next one, too big for a heap arena, to the DC, and that post may
-    fail.  The commit then raises with the heap over its drain
-    threshold, so the next ``get`` drains it: the inline drain in
-    ``TransactionComponent.get`` is reachable."""
+def drain_failing_engine():
+    """A record-heap engine whose page cache is small enough that every
+    drain's blind post evicts, so it flushes a LLAMA segment, under an
+    injector that fails every attempt of one ``log_store.flush`` once
+    the first checkpoint is taken: the drain some put's commit runs
+    raises ``IoError`` out of the blind post."""
+    machine = Machine.paper_default(cores=1)
+    injector = FaultInjector(FaultPlan.io_error_at(
+        "log_store.flush", 1, failures=RetryPolicy().max_attempts))
+    injector.disarm()
+    machine.faults = injector
     engine = DeuteronomyEngine(
-        Machine.paper_default(cores=1), BwTreeConfig(segment_bytes=1 << 14),
+        machine,
+        BwTreeConfig(segment_bytes=1 << 13, cache_capacity_bytes=2 << 10),
         TcConfig(record_cache=True, record_arena_bytes=256,
-                 record_dirty_flush_bytes=1))
+                 record_cache_bytes=4 << 10, record_dirty_flush_bytes=200,
+                 log_buffer_bytes=1024, log_retain_budget_bytes=2048,
+                 version_gc_horizon_lag=4))
+    engine.checkpoint()
+    injector.arm()
+    return engine
+
+
+def test_a_get_drains_a_heap_a_failed_commit_left_dirty():
+    """A commit's drain posts the heap's dirty records to the DC, and
+    the post fails when a flush inside it exhausts its retries.  The
+    records stay dirty, so the commit raises with the heap over its
+    drain threshold and the next ``get`` drains it: the inline drain in
+    ``TransactionComponent.get`` is reached by a modelled fault, and the
+    get serves the committed value."""
+    engine = drain_failing_engine()
     tc = engine.tc
-
-    # The device fails the DC post.
-    def fail(key, value):
-        raise RuntimeError("device gone")
-
-    monkeypatch.setattr(engine.dc, "upsert", fail)
-    txn = tc.begin()
-    tc.write(txn, b"a", b"x" * 100)
-    tc.write(txn, b"b", b"y" * 300)
-    with pytest.raises(RuntimeError, match="device gone"):
-        tc.commit(txn)
+    for index in range(400):
+        key, value = b"a%04d" % index, b"v%04d" % index
+        try:
+            engine.put(key, value)
+        except IoError:
+            break
+    else:
+        pytest.fail("no drain raised")
     assert tc.records.dirty_bytes >= tc.config.record_dirty_flush_bytes
     drains = engine.dc.counters.get("bwtree.blind_batches")
-    assert engine.get(b"a") == b"x" * 100
+    assert engine.get(key) == value
     assert engine.dc.counters.get("bwtree.blind_batches") == drains + 1
     assert tc.records.dirty_bytes == 0
+
+
+def test_a_drain_that_raises_leaves_no_committed_write_unapplied():
+    """A drain once marked its records clean before it posted them.
+    When the post raised, the heap later evicted those clean copies,
+    which the DC had never applied, so the live engine served ``None``
+    for committed puts that recovery served: the exhausted-retry rule
+    is that recovery serves exactly what the live engine served."""
+    engine = drain_failing_engine()
+    values = {}
+    raised = 0
+    for index in range(300):
+        key, value = b"a%04d" % index, b"v%04d" % index
+        values[key] = value
+        try:
+            engine.put(key, value)
+        except IoError:
+            raised += 1
+    assert raised == 1
+    for index in range(500):
+        engine.put(b"b%04d" % index, b"w" * 40)
+    engine.checkpoint()
+    live = {key: engine.get(key) for key in values}
+    assert live == values
+    recovered = DeuteronomyEngine.recover(engine)
+    assert {key: recovered.get(key) for key in values} == live
 
 
 def test_a_group_commit_that_logs_nothing_counts_no_log_append():

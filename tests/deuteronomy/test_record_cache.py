@@ -80,7 +80,8 @@ def test_dirty_records_survive_gc_until_drained(store):
         store.append_record(_key(index), b"v" * 64)
     hit, value = store.lookup(b"hot")
     assert hit and value == b"d" * 64
-    drained = store.drain_dirty()
+    drained = []
+    store.drain_dirty(drained.extend)
     assert (b"hot", b"d" * 64) in drained
     assert store.dirty_bytes == 0
 
@@ -88,7 +89,8 @@ def test_dirty_records_survive_gc_until_drained(store):
 def test_drain_is_last_wins(store):
     store.append_record(b"k", b"v1", dirty=True)
     store.append_record(b"k", b"v2", dirty=True)
-    drained = store.drain_dirty()
+    drained = []
+    store.drain_dirty(drained.extend)
     assert drained == [(b"k", b"v2")]
 
 

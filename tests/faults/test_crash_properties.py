@@ -17,12 +17,10 @@ from repro.faults import FAULT_SITES, CrashError, FaultInjector, FaultPlan
 from repro.faults.matrix import (
     SCENARIOS as MATRIX_SCENARIOS,
     MatrixConfig,
-    _build,
     _count_hits,
     _drive,
     _durable_view,
-    _setup,
-    _shard_engines,
+    _start,
     build_trace,
     run_case,
 )
@@ -42,18 +40,15 @@ def tiny_config(seed: int) -> MatrixConfig:
 
 
 def crash_somewhere(scenario, config, baseline, ops, site, hit):
-    """Drive the trace under a crash plan; returns the crashed engine or
+    """Drive the trace under a crash plan; returns the crashed run or
     None if (site, hit) was never reached."""
     injector = FaultInjector(FaultPlan.crash_at(site, hit))
-    injector.disarm()
-    engine = _build(scenario, config, injector)
-    _setup(scenario, engine, baseline)
-    injector.arm()
+    run = _start(scenario, config, baseline, injector)
     try:
-        _drive(scenario, engine, ops, config)
+        _drive(run, ops, config)
     except CrashError:
         injector.disarm()
-        return engine
+        return run
     return None
 
 
@@ -77,9 +72,10 @@ def test_any_reachable_crash_recovers_to_durable_prefix(
 def test_recover_twice_is_recover_once(seed, site, hit):
     config = tiny_config(seed)
     baseline, ops = build_trace(config)
-    crashed = crash_somewhere("engine", config, baseline, ops, site, hit)
-    if crashed is None:
+    run = crash_somewhere("engine", config, baseline, ops, site, hit)
+    if run is None:
         return
+    crashed = run.engine
     expected = _durable_view([crashed], baseline)
     first = DeuteronomyEngine.recover(crashed)
     second = DeuteronomyEngine.recover(crashed)
@@ -94,14 +90,13 @@ def test_recover_twice_is_recover_once(seed, site, hit):
 def test_recovered_fleet_stats_stay_additive(seed, site, hit):
     config = tiny_config(seed)
     baseline, ops = build_trace(config)
-    crashed = crash_somewhere("sharded", config, baseline, ops, site, hit)
-    if crashed is None:
+    run = crash_somewhere("sharded", config, baseline, ops, site, hit)
+    if run is None:
         return
-    recovered = ShardedEngine.recover(crashed)
+    recovered = ShardedEngine.recover(run.engine)
     # A shard's sub-batch is one transaction a crash can tear.
     __, sizes = _count_hits("sharded", config, baseline, ops)
-    expected = _durable_view(_shard_engines("sharded", crashed), baseline,
-                             sizes)
+    expected = _durable_view(run.shards, baseline, sizes)
     for key in sorted(baseline):
         assert recovered.get(key) == expected.get(key)
     # Recovery swapped every shard; the fleet bill (Eqs. 4-5) must total

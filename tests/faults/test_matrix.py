@@ -240,26 +240,22 @@ class TestMatrixRunner:
         assert len(_durable_view([engine], {}, [Counter({timestamp: 60})])) \
             == 60
 
-    def test_oracle_flags_a_corrupted_recovery(self):
+    def test_oracle_flags_a_corrupted_recovery(self, monkeypatch):
         # Sabotage: serve a stale/garbage value for one key after the
         # crash, as a GC-resurrection bug would.  The oracle must notice.
         baseline, ops = build_trace(TINY)
         victim = sorted(baseline)[0]
-        from repro.faults import matrix as matrix_module
+        real_recover = DeuteronomyEngine.recover
 
-        real_recover = matrix_module._recover
-
-        def lossy_recover(scenario, engine):
-            recovered = real_recover(scenario, engine)
+        def lossy_recover(cls, crashed):
+            recovered = real_recover(crashed)
             recovered.dc.upsert(victim, b"bogus")
             return recovered
 
-        matrix_module._recover = lossy_recover
-        try:
-            case = run_case("engine", TINY, baseline, ops,
-                            "recovery_log.flush.after_write", 1)
-        finally:
-            matrix_module._recover = real_recover
+        monkeypatch.setattr(DeuteronomyEngine, "recover",
+                            classmethod(lossy_recover))
+        case = run_case("engine", TINY, baseline, ops,
+                        "recovery_log.flush.after_write", 1)
         assert case.crashed and case.recovered
         assert case.violations
 

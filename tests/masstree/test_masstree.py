@@ -33,11 +33,6 @@ class TestBasicOps:
         assert not tree.delete(b"k")
         assert len(tree) == 0
 
-    def test_contains(self, tree):
-        tree.upsert(b"k", b"v")
-        assert tree.contains(b"k")
-        assert not tree.contains(b"x")
-
     def test_validation(self, tree):
         with pytest.raises(TypeError):
             tree.upsert("k", b"v")

@@ -230,6 +230,28 @@ def test_a_rejected_fleet_batch_runs_on_no_shard(name):
     assert fleet.multi_get([a, b]) == [b"old", b"old"]
 
 
+def test_a_record_larger_than_a_shard_log_buffer_refuses_the_fleet_batch():
+    """Every redo record of a fleet batch is checked against the shards'
+    log buffers before any shard runs.  This batch once raised only on
+    the big put's shard, after shard 0 had committed and logged ``k2``
+    and ``k6``, which the live fleet then served."""
+    fleet = make_sharded(4)   # 4 KiB log buffers
+    ops = [("put", b"k%d" % index, b"v" * 100) for index in range(1, 9)]
+    ops.insert(4, ("put", b"big", b"b" * 5000))
+
+    def state():
+        return ([(shard.machine.operations, shard.machine.cpu.busy_us,
+                  shard.tc.counters.snapshot(), shard.tc._next_txn_id,
+                  shard.tc.log.appended_records) for shard in fleet.shards],
+                fleet.counters.snapshot())
+
+    before = state()
+    with pytest.raises(ValueError, match="exceeds buffer size 4096"):
+        fleet.apply_batch(ops)
+    assert state() == before
+    assert fleet.multi_get([key for __, key, __ in ops]) == [None] * 9
+
+
 class TestFleetRecovery:
     def test_recover_matches_single_engine_recovery(self):
         ops = random_ops(300, key_space=40, seed=7)
