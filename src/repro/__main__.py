@@ -29,7 +29,7 @@ SUBCOMMANDS: Dict[str, Tuple[str, str]] = {
     ),
     "lint": (
         "repro.analysis.cli",
-        "domain static-analysis checks (cost accounting, determinism, ...)",
+        "domain static checks (epoch discipline, fault-site coverage)",
     ),
     "crash-matrix": (
         "repro.faults.matrix",

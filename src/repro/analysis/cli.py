@@ -25,8 +25,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description=(
-            "Domain-aware static checks: cost-accounting completeness, "
-            "determinism, hot-path hygiene, WAL/epoch/fault-site protocol."
+            "Domain-aware static checks: epoch discipline and "
+            "fault-site coverage."
         ),
     )
     parser.add_argument(

@@ -29,15 +29,6 @@ from typing import (
     Type,
 )
 
-#: Engine packages whose public methods must account their costs.
-COST_SCOPE_SEGMENTS = frozenset(
-    {"bwtree", "storage", "deuteronomy", "lsm", "sharding"}
-)
-#: Packages whose dataclasses sit on the measured hot path.
-HOTPATH_SCOPE_SEGMENTS = frozenset({"bwtree", "storage", "deuteronomy"})
-#: Path segments exempt from the determinism rule (wall-clock benchmarks).
-BENCH_SEGMENTS = frozenset({"bench", "benchmarks"})
-
 _SUPPRESS_RE = re.compile(
     r"#\s*repro:\s*ignore(?:\[(?P<ids>[A-Za-z0-9_,\s-]*)\])?"
 )
@@ -127,7 +118,7 @@ class Rule:
     """Base class: subclasses set ``rule_id`` and implement ``check``.
 
     ``check`` receives every parsed file at once so project-wide rules
-    (call-graph cost analysis) can correlate across modules; per-file
+    (the epoch rule's class index) can correlate across modules; per-file
     rules just iterate.
     """
 
@@ -155,9 +146,6 @@ def rule(cls: Type[Rule]) -> Type[Rule]:
 def all_rules() -> List[Rule]:
     """Fresh instances of every registered rule, in registration order."""
     # Importing the rule modules registers them; deferred to avoid cycles.
-    from . import rules_cost  # noqa: F401
-    from . import rules_determinism  # noqa: F401
-    from . import rules_hotpath  # noqa: F401
     from . import rules_protocol  # noqa: F401
 
     return [cls() for cls in _REGISTRY]

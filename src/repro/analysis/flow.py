@@ -1,9 +1,10 @@
 """One statement walker for the lint's path rules.
 
-``cost-accounting``, ``wal-ordering`` and ``epoch-discipline`` each ask a
-question of every execution path through a method body.  They differ
-only in the abstract state a path carries and in how an expression moves
-it (a rule's *transfer*); :class:`Flow` owns the rest:
+``epoch-discipline`` asks two questions of every execution path through
+a method body: is each dereference protected, and does each entered
+epoch exit.  The two walks differ only in the abstract state a path
+carries and in how an expression moves it (the *transfer*);
+:class:`Flow` owns the rest:
 
 * the walk carries a frozenset of states, and branches meet by union;
 * a loop runs zero or more times (one symbolic pass of the body);
@@ -53,8 +54,7 @@ def iter_calls(node: ast.AST) -> List[ast.Call]:
 class Flow(Generic[S]):
     """Walks one function body over a frozenset of abstract states.
 
-    A rule subclasses it with :meth:`transfer`, and may override
-    :meth:`effect` for a statement case of its own.  :attr:`exits`
+    A rule subclasses it with :meth:`transfer`.  :attr:`exits`
     collects ``(statement, states)`` for every way out of the body; the
     fall-through is recorded at the body's last statement.
     """
@@ -68,12 +68,6 @@ class Flow(Generic[S]):
     def transfer(self, node: ast.AST, states: FrozenSet[S]) -> FrozenSet[S]:
         """The states after evaluating expression ``node``."""
         raise NotImplementedError
-
-    def effect(self, stmt: ast.stmt, states: FrozenSet[S]) -> FrozenSet[S]:
-        """A statement with no control flow: its children, in order."""
-        for child in ast.iter_child_nodes(stmt):
-            states = self.transfer(child, states)
-        return states
 
     def run(self, body: Sequence[ast.stmt],
             entry: FrozenSet[S]) -> FrozenSet[S]:
@@ -120,7 +114,10 @@ class Flow(Generic[S]):
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef, ast.Break, ast.Continue)):
             return states
-        return self.effect(stmt, states)
+        # A statement with no control flow: its children, in order.
+        for child in ast.iter_child_nodes(stmt):
+            states = self.transfer(child, states)
+        return states
 
     def _try(self, stmt: ast.Try, states: FrozenSet[S]) -> FrozenSet[S]:
         mark = len(self.exits)

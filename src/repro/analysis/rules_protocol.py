@@ -1,25 +1,12 @@
-"""Protocol verifier: statically prove the WAL/epoch/fault disciplines.
+"""Protocol verifier: the two orderings no seeded run can observe.
 
-PR 4 found four durability bugs *dynamically* — a WAL inversion among
-them — that are really static *ordering* properties of the source: a
-recovery-log append must dominate the data-component post it covers, an
-epoch guard must dominate a latch-free dereference, and a registered
-fault site must dominate a durability-critical mutation.  The crash
-matrix samples these disciplines at a handful of seeded interleavings;
-the three rules below check them on every path.  The first two walk
-each method with the lint's one statement walker,
-:class:`~repro.analysis.flow.Flow`, resolving calls through the
-:class:`ProjectIndex`; the third is lexical.
+The simulator runs one thread, so a latch-free dereference made before
+its epoch is protected, or a device mutation made before the fault site
+that guards it, bills the same charges in the same order and recovers
+the same state as the correct code: no digest, test or crash-matrix
+case sees the difference (``benchmarks/results/mutants.txt``).  These
+two rules check the order in the source instead.
 
-* ``wal-ordering`` — in WAL-governed classes (those owning a
-  ``RecoveryLog`` directly or through one attribute hop), every DC page
-  post, dirty record-heap append, or checkpoint write must be dominated
-  on each non-raising path by a recovery-log append / ``sync_log`` /
-  pipeline ``force`` (or a call whose resolved callee logs on all of
-  its own exits).  A lexical sub-check covers PR 4's second inversion:
-  inside ``*checkpoint*`` methods that both append and invalidate
-  through the same receiver, every invalidate must follow a ``flush``
-  on that receiver.
 * ``epoch-discipline`` — in epoch-aware classes (those charging
   ``epoch_protect`` / ``latch_acquire`` anywhere, directly or by billing
   a charge plan with such a step), every public
@@ -27,13 +14,15 @@ each method with the lint's one statement walker,
   the mapping table, the record-heap index, or a delta chain; explicit
   ``epoch_enter`` / ``epoch_exit`` pairs must balance on every exit,
   including early returns.  Generator methods are exempt: they execute
-  lazily under the consumer's epoch.
+  lazily under the consumer's epoch.  It walks each method with
+  :class:`~repro.analysis.flow.Flow`, resolving calls through the
+  :class:`ProjectIndex`.
 * ``fault-site-coverage`` — in ``storage/`` and ``deuteronomy/``,
   device-level durability mutations (``ssd.write``, ``submit_write``,
   ``mark_durable``, ``drop_segment``) must be lexically dominated, in
   the same function body, by ``faults.hit()`` on a *registered*
-  :data:`~repro.faults.plan.FAULT_SITES` name — so a new crash window
-  cannot ship uninjectable by the crash matrix.
+  :data:`~repro.faults.plan.FAULT_SITES` name, so a crash injected at
+  the site lands before the mutation.
 
 Suppress a justified exception with ``# repro: ignore[rule-id]`` on the
 flagged line (justification comment required by review convention).
@@ -52,12 +41,10 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    TypeVar,
 )
 
 from ..faults.plan import FAULT_SITES
 from .core import (
-    COST_SCOPE_SEGMENTS,
     Finding,
     LintConfig,
     Rule,
@@ -87,8 +74,6 @@ Classifier = Callable[[ast.Call], Tuple[Optional[str], bool]]
 Violations = Dict[Tuple[int, int], str]
 
 _UNLICENSED: FrozenSet[bool] = frozenset({False})
-
-T = TypeVar("T")
 
 
 class _DominanceFlow(Flow[bool]):
@@ -126,26 +111,6 @@ def _dominance(classify: Classifier,
     return bool(exits) and all(exits), flow.violations
 
 
-def _fixpoint(
-    infos: Sequence[CallableInfo],
-    evaluate: Callable[[CallableInfo, Dict[str, T]], T],
-) -> Dict[str, T]:
-    """qualname -> ``evaluate(info, summaries)``, re-run until no value
-    changes (at most four passes), so a method's summary folds in those
-    of the methods it calls."""
-    summaries: Dict[str, T] = {}
-    for _ in range(4):
-        changed = False
-        for info in infos:
-            value = evaluate(info, summaries)
-            if summaries.get(info.qualname) != value:
-                summaries[info.qualname] = value
-                changed = True
-        if not changed:
-            break
-    return summaries
-
-
 def _is_generator(node: ast.AST) -> bool:
     """Does the def yield at its own nesting level?"""
     body = getattr(node, "body", [])
@@ -163,228 +128,19 @@ def _first_str_arg(call: ast.Call) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# wal-ordering
-# ---------------------------------------------------------------------------
-
-#: Log verbs that license materialization when aimed at the log
-#: (``restore`` appends a record recovery read back as durable).
-_LOG_VERBS = frozenset({
-    "append", "append_batch", "flush", "mark_durable", "restore",
-})
-#: Verbs that license on any receiver: ``sync_log`` forces the WAL by
-#: definition; ``drain_dirty`` returns records that were logged at their
-#: own commit time (the record heap admits only logged dirty data).
-_LOG_ANY_VERBS = frozenset({"sync_log", "drain_dirty"})
-#: Pipeline verbs that force the WAL through the commit pipeline.
-_PIPELINE_VERBS = frozenset({"force"})
-#: DC-side verbs that materialize committed state when aimed at the DC.
-_MATERIALIZE_DC_VERBS = frozenset({
-    "upsert", "delete", "apply_blind_batch", "checkpoint",
-    "collect_garbage",
-})
-#: Receiver tails that denote the recovery log / the data component.
-_LOG_TAILS = frozenset({"log", "wal"})
-_DC_TAILS = frozenset({"dc"})
-_PIPELINE_TAILS = frozenset({"pipeline"})
-
-
-def _wal_governed_classes(index: ProjectIndex) -> Set[str]:
-    """Classes owning a RecoveryLog, plus their one-hop owners.
-
-    The WAL contract is the log *owner's* responsibility: the TC and the
-    commit pipeline hold the ``RecoveryLog``; the engine owns the TC and
-    issues checkpoint/GC barriers.  The DC below the log boundary is
-    deliberately exempt — it never sees the WAL.
-    """
-    owners = {
-        class_name
-        for class_name, env in index.attr_types.items()
-        if "RecoveryLog" in env.values()
-    }
-    governed = set(owners)
-    for class_name, env in index.attr_types.items():
-        if any(attr_type in owners for attr_type in env.values()):
-            governed.add(class_name)
-    return governed
-
-
-@rule
-class WalOrderingRule(Rule):
-    rule_id = "wal-ordering"
-    description = (
-        "in WAL-governed classes, DC posts, dirty record-heap appends "
-        "and checkpoint writes must be dominated by a recovery-log "
-        "append/sync on every non-raising path"
-    )
-
-    def check(self, files: Sequence[SourceFile],
-              config: LintConfig) -> Iterator[Finding]:
-        index = project_index(files)
-        governed = _wal_governed_classes(index)
-        summaries = self._log_summaries(index, governed)
-        for source in files:
-            if not scoped_to(source, COST_SCOPE_SEGMENTS):
-                continue
-            for node, info in _own_methods(index, source):
-                if node.name in governed:
-                    yield from self._check_ordering(
-                        index, summaries, info, source
-                    )
-                yield from self._check_checkpoint_invalidation(
-                    info, source
-                )
-
-    # -- licenses / demands ---------------------------------------------
-
-    def _is_log_write(self, index: ProjectIndex, info: CallableInfo,
-                      call: ast.Call) -> bool:
-        receiver, method = split_call(call)
-        if method is None:
-            return False
-        if method in _LOG_ANY_VERBS:
-            return True
-        if receiver:
-            tail = receiver[-1]
-            if method in _LOG_VERBS and tail in _LOG_TAILS:
-                return True
-            if method in _PIPELINE_VERBS and tail in _PIPELINE_TAILS:
-                return True
-            if receiver[0] in ("self", "cls") and len(receiver) > 1:
-                owner = index.resolve_chain(
-                    info.class_name, receiver[1:]
-                )
-                if method in _LOG_VERBS and owner == "RecoveryLog":
-                    return True
-                if method in _PIPELINE_VERBS and owner == "CommitPipeline":
-                    return True
-        return False
-
-    def _demand(self, index: ProjectIndex, info: CallableInfo,
-                call: ast.Call) -> Optional[str]:
-        receiver, method = split_call(call)
-        if method is None:
-            return None
-        if method == "write_checkpoint":
-            return "checkpoint write"
-        if method == "append_record" and any(
-            keyword.arg == "dirty"
-            and isinstance(keyword.value, ast.Constant)
-            and keyword.value.value is True
-            for keyword in call.keywords
-        ):
-            return "dirty record-heap append"
-        if method in _MATERIALIZE_DC_VERBS and receiver:
-            if receiver[-1] in _DC_TAILS:
-                return f"DC {method}"
-            if receiver[0] in ("self", "cls") and len(receiver) > 1:
-                owner = index.resolve_chain(
-                    info.class_name, receiver[1:]
-                )
-                if owner == "BwTree":
-                    return f"DC {method}"
-        return None
-
-    def _classifier(
-        self, index: ProjectIndex, summaries: Dict[str, bool],
-        info: CallableInfo,
-    ) -> Classifier:
-        def classify(call: ast.Call) -> Tuple[Optional[str], bool]:
-            if self._is_log_write(index, info, call):
-                return None, True
-            receiver, method = split_call(call)
-            license_ = False
-            if method is not None and receiver \
-                    and receiver[0] in ("self", "cls"):
-                callee = index._resolve_call_target(
-                    info, receiver, method
-                )
-                license_ = callee is not None \
-                    and summaries.get(callee.qualname, False)
-            return self._demand(index, info, call), license_
-
-        return classify
-
-    def _log_summaries(
-        self, index: ProjectIndex, governed: Set[str]
-    ) -> Dict[str, bool]:
-        """qualname -> the method issues a log write on all its exits.
-
-        Fixpoint so ``sync_log`` -> ``commit`` -> engine wrappers chain.
-        """
-        infos = [
-            info
-            for class_name in governed
-            for info in index.classes.get(class_name, {}).values()
-        ]
-        return _fixpoint(infos, lambda info, summaries: _dominance(
-            self._classifier(index, summaries, info), info
-        )[0])
-
-    def _check_ordering(
-        self, index: ProjectIndex, summaries: Dict[str, bool],
-        info: CallableInfo, source: SourceFile,
-    ) -> Iterator[Finding]:
-        __, violations = _dominance(
-            self._classifier(index, summaries, info), info
-        )
-        for (line, col), what in sorted(violations.items()):
-            yield Finding(
-                path=source.path, line=line, col=col, rule=self.rule_id,
-                message=(
-                    f"{info.qualname}: {what} is reachable before any "
-                    "recovery-log append/sync on this path — WAL "
-                    "inversion; log (or sync_log/pipeline.force) first"
-                ),
-            )
-
-    def _check_checkpoint_invalidation(
-        self, info: CallableInfo, source: SourceFile
-    ) -> Iterator[Finding]:
-        """PR 4's second bug: checkpoint code invalidated the previous
-        image before the replacement was flushed durable."""
-        if "checkpoint" not in info.node.name.lower():
-            return
-        appends: Set[Tuple[str, ...]] = set()
-        flushes: Dict[Tuple[str, ...], int] = {}
-        invalidates: List[Tuple[Tuple[str, ...], ast.Call]] = []
-        body = list(getattr(info.node, "body", []))
-        for node in _walk_skipping_nested_defs(body):
-            if not isinstance(node, ast.Call):
-                continue
-            receiver, method = split_call(node)
-            if receiver is None or not receiver:
-                continue
-            if method == "append":
-                appends.add(receiver)
-            elif method == "flush":
-                previous = flushes.get(receiver)
-                if previous is None or node.lineno < previous:
-                    flushes[receiver] = node.lineno
-            elif method == "invalidate":
-                invalidates.append((receiver, node))
-        for receiver, call in invalidates:
-            if receiver not in appends:
-                continue
-            flushed_at = flushes.get(receiver)
-            if flushed_at is not None and flushed_at < call.lineno:
-                continue
-            yield Finding(
-                path=source.path, line=call.lineno,
-                col=call.col_offset, rule=self.rule_id,
-                message=(
-                    f"{info.qualname}: invalidates via "
-                    f"{'.'.join(receiver)} before flushing the "
-                    "replacement image it appended — a crash here "
-                    "loses both copies; flush before invalidate"
-                ),
-            )
-
-
-# ---------------------------------------------------------------------------
 # epoch-discipline
 # ---------------------------------------------------------------------------
 
 _EPOCH_SCOPE_SEGMENTS = frozenset({"bwtree", "deuteronomy"})
+#: Attribute names whose call is, by itself, a CPU / I/O-path charge
+#: (``bill`` charges a plan's fixed run of steps).
+CHARGE_ATTRS = frozenset({
+    "charge",
+    "bill",
+    "charge_submit",
+    "charge_complete",
+    "charge_round_trip",
+})
 #: Charge labels that establish latch-free protection on a path.
 _PROTECT_LABELS = frozenset({"epoch_protect", "latch_acquire"})
 #: Receiver tails whose ``get``/``pop`` is a latch-free dereference.
@@ -427,8 +183,6 @@ def _protect_plans(files: Sequence[SourceFile]) -> FrozenSet[str]:
 
 
 def _is_protect_charge(call: ast.Call, plans: FrozenSet[str]) -> bool:
-    from .project import CHARGE_ATTRS
-
     __, method = split_call(call)
     if method == "bill":
         return bool(call.args) and _bound_name(call.args[0]) in plans
@@ -526,11 +280,8 @@ class EpochDisciplineRule(Rule):
             if direct is not None:
                 return direct, False
             receiver, method = split_call(call)
-            if method is not None and receiver \
-                    and receiver[0] in ("self", "cls"):
-                callee = index._resolve_call_target(
-                    info, receiver, method
-                )
+            if method is not None and receiver in (("self",), ("cls",)):
+                callee = index.lookup_method(info.class_name, method)
                 if callee is not None \
                         and callee.class_name == info.class_name:
                     protects, derefs = summaries.get(
@@ -560,16 +311,22 @@ class EpochDisciplineRule(Rule):
             for info in index.classes.get(class_name, {}).values()
             if not _is_generator(info.node)
         ]
-
-        def evaluate(info: CallableInfo,
-                     summaries: Dict[str, Tuple[bool, bool]]
-                     ) -> Tuple[bool, bool]:
-            protects, violations = _dominance(
-                self._classifier(index, info, summaries, plans), info
-            )
-            return protects, bool(violations)
-
-        return _fixpoint(infos, evaluate)
+        summaries: Dict[str, Tuple[bool, bool]] = {}
+        # Re-run until no summary changes (at most four passes), so a
+        # helper's summary folds in those of the helpers it calls.
+        for _ in range(4):
+            changed = False
+            for info in infos:
+                protects, violations = _dominance(
+                    self._classifier(index, info, summaries, plans), info
+                )
+                value = (protects, bool(violations))
+                if summaries.get(info.qualname) != value:
+                    summaries[info.qualname] = value
+                    changed = True
+            if not changed:
+                break
+        return summaries
 
     def _check_pairing(self, info: CallableInfo,
                        source: SourceFile) -> Iterator[Finding]:
@@ -595,12 +352,12 @@ class _EpochPairing(Flow[int]):
     """Depth dataflow for explicit epoch_enter/epoch_exit pairing.
 
     The production code protects by *charging* (scalar cost, no handle),
-    so this pass finds nothing there; it guards the explicit-handle
-    style fixtures and any future code that adopts it.
+    so this pass finds nothing there; it guards any code that adopts
+    the explicit-handle style.
     """
 
     _CAP = 4
-    #: Unlike WAL/cost accounting, raising with an epoch held leaks it.
+    #: Unlike a missing protection, raising with an epoch held leaks it.
     raise_exempt = False
 
     def transfer(self, node: ast.AST,

@@ -2,9 +2,8 @@
 
 Everything under ``bench/`` measures *real* elapsed time — how long the
 host takes to run a simulation — which is exactly the one place wall
-clocks are allowed (the ``determinism`` lint exempts ``bench/``).
-Simulation code must never import this; it gets time from
-``hardware/clock.py``.
+clocks are allowed.  Simulation code must never import this; it gets
+time from ``hardware/clock.py``.
 """
 
 from __future__ import annotations

@@ -171,7 +171,7 @@ class CommitPipeline:
 
     # All simulated cost lives in RecoveryLog.submit_sealed (I/O round
     # trip + device write); this method only reorders bookkeeping.
-    def spill(self) -> None:  # repro: ignore[cost-accounting]
+    def spill(self) -> None:
         """Buffer-full hook: submit the full buffer mid-append, then seal
         it.
 

@@ -21,7 +21,7 @@ Everything is deterministic: hit counters plus an explicitly seeded
 ``random.Random`` — no wall clock, no global state — so the same plan
 over the same trace crashes at exactly the same machine state every
 time (the property the crash-matrix runner in :mod:`repro.faults.matrix`
-is built on, and what the ``determinism`` lint rule enforces).
+is built on, and what CI's cross-process ``cmp`` of its report checks).
 """
 
 from __future__ import annotations

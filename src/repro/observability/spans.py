@@ -38,8 +38,8 @@ individual charge by category into the innermost open span — richer
 so it is the trace CLI's mode, not the benchmark's.
 
 Everything is stamped in *virtual* time from ``machine.clock`` — no wall
-clocks anywhere (the determinism lint checks this file like any other), so
-the same seed and config produce a byte-identical exported trace.
+clocks anywhere, so the same seed and config produce a byte-identical
+exported trace.
 
 Exactness contract (pinned by tests):
 

@@ -10,7 +10,7 @@ exactly), and emits one of:
 * ``--format report`` — the plain-text "$ per op by component" report
   citing Eq. (4)-(5) terms by name.
 
-Everything runs on virtual time; no wall clocks (determinism-lint clean).
+Everything runs on virtual time; no wall clocks.
 """
 
 from __future__ import annotations

@@ -273,7 +273,7 @@ class ShardedEngine:
 
     # All simulated cost lives in DeuteronomyEngine.checkpoint, charged
     # to each shard's own machine; the fleet adds no work of its own.
-    def checkpoint(self) -> None:  # repro: ignore[cost-accounting]
+    def checkpoint(self) -> None:
         """Flush every shard's log and dirty pages (fleet-wide WAL point)."""
         for shard in self.shards:
             shard.checkpoint()

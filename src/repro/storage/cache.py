@@ -288,7 +288,7 @@ class PageCache:
 
     # Pure residency bookkeeping: the callers that make a page resident
     # (fetch / install_base) charge page_install for this pointer work.
-    def register(self, entry: PageEntry) -> None:  # repro: ignore[cost-accounting]
+    def register(self, entry: PageEntry) -> None:
         """Start tracking a page that just became resident."""
         if entry.page_id in self._resident:
             raise ValueError(f"page {entry.page_id} already tracked")

@@ -14,11 +14,12 @@ from repro.analysis.core import rule_ids
 PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__))
 
 DIRTY = """\
-import time
+class Store:
+    def __init__(self, ssd):
+        self.ssd = ssd
 
-
-def stamp():
-    return time.time()
+    def flush(self, nbytes):
+        self.ssd.write(nbytes)
 """
 
 
@@ -49,8 +50,8 @@ def test_findings_exit_nonzero_with_location(tmp_path, capsys):
     target.write_text(DIRTY)
     assert lint_main([str(tmp_path)]) == 1
     out = capsys.readouterr().out
-    assert f"{target}:5:" in out
-    assert "[determinism]" in out
+    assert f"{target}:6:" in out
+    assert "[fault-site-coverage]" in out
     assert "1 finding" in out
 
 
@@ -59,14 +60,14 @@ def test_json_format(tmp_path, capsys):
     assert lint_main(["--format", "json", str(tmp_path)]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert len(payload) == 1
-    assert payload[0]["rule"] == "determinism"
-    assert payload[0]["line"] == 5
+    assert payload[0]["rule"] == "fault-site-coverage"
+    assert payload[0]["line"] == 6
 
 
 def test_select_restricts_rules(tmp_path, capsys):
     (tmp_path / "dirty.py").write_text(DIRTY)
     assert lint_main(
-        ["--select", "mutable-default", str(tmp_path)]
+        ["--select", "epoch-discipline", str(tmp_path)]
     ) == 0
 
 
@@ -87,19 +88,11 @@ def test_module_entrypoint_dispatches(tmp_path, capsys):
 
     (tmp_path / "dirty.py").write_text(DIRTY)
     assert repro_main(["lint", str(tmp_path)]) == 1
-    assert "[determinism]" in capsys.readouterr().out
+    assert "[fault-site-coverage]" in capsys.readouterr().out
 
 
 def test_registered_rule_ids_are_stable():
-    assert set(rule_ids()) == {
-        "cost-accounting",
-        "determinism",
-        "slots-dataclass",
-        "mutable-default",
-        "wal-ordering",
-        "epoch-discipline",
-        "fault-site-coverage",
-    }
+    assert set(rule_ids()) == {"epoch-discipline", "fault-site-coverage"}
 
 
 def test_empty_select_is_an_error(tmp_path):

@@ -1,7 +1,5 @@
-"""Pinning tests for the accounting bugs the linter surfaced.
-
-Each test locks in a fix for a real ``cost-accounting`` finding from
-the first run of ``python -m repro lint`` over this repository:
+"""Pinning tests for three accounting bugs, each a path that did work
+without charging for it:
 
 * ``BwTree.scan`` yielded records without the per-operation dispatch +
   epoch charges every other public op pays via ``_begin_op``;

@@ -1,105 +1,12 @@
-"""Protocol rules: historical-bug corpus + per-rule trigger/clean pairs."""
+"""Protocol rules: per-rule trigger/clean pairs."""
 
 from __future__ import annotations
 
-import os
-
 from repro.analysis.runner import lint_paths
-
-FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                        "fixtures")
 
 
 def _findings(path: str, rule: str):
     return lint_paths([path], select={rule})
-
-
-# ---------------------------------------------------------------------------
-# wal-ordering: the PR-4 regression corpus
-# ---------------------------------------------------------------------------
-
-
-def test_wal_rule_catches_pr4_gc_inversion():
-    path = os.path.join(FIXTURES, "wal_inversion.py")
-    found = _findings(path, "wal-ordering")
-    assert len(found) == 2
-    assert all(f.rule == "wal-ordering" for f in found)
-    messages = "\n".join(f.message for f in found)
-    assert "BuggyGcEngine.relocate" in messages
-    assert "BuggyGcEngine.drop" in messages
-    assert "FixedGcEngine" not in messages
-
-
-def test_wal_rule_catches_pr4_checkpoint_invalidation():
-    path = os.path.join(FIXTURES, "checkpoint_invalidation.py")
-    found = _findings(path, "wal-ordering")
-    assert len(found) == 1
-    assert "BuggyCheckpointWriter.write_checkpoint" in found[0].message
-    assert "flush before invalidate" in found[0].message
-
-
-WAL_BRANCH = """\
-class RecoveryLog:
-    def append(self, record):
-        return record
-
-
-class PageStore:
-    def upsert(self, key, value):
-        return key
-
-
-class Engine:
-    def __init__(self):
-        self.log = RecoveryLog()
-        self.dc = PageStore()
-
-    def commit(self, key, value, durable):
-        if durable:
-            self.log.append((key, value))
-        self.dc.upsert(key, value)
-"""
-
-
-def test_wal_rule_is_path_sensitive(tmp_path):
-    """A branch that skips the log append leaves an unlogged path."""
-    target = tmp_path / "branchy.py"
-    target.write_text(WAL_BRANCH)
-    found = _findings(str(target), "wal-ordering")
-    assert len(found) == 1
-    assert "Engine.commit" in found[0].message
-
-
-WAL_FINALLY = WAL_BRANCH.replace(
-    "    def commit(self, key, value, durable):\n"
-    "        if durable:\n"
-    "            self.log.append((key, value))\n"
-    "        self.dc.upsert(key, value)\n",
-    "    def commit(self, key, value):\n"
-    "        try:\n"
-    "            return key\n"
-    "        finally:\n"
-    "            self.dc.upsert(key, value)\n",
-)
-
-
-def test_wal_rule_follows_a_return_through_finally(tmp_path):
-    """The return leaves through the finally block, which posts to the
-    DC with nothing logged on that path."""
-    target = tmp_path / "finally.py"
-    target.write_text(WAL_FINALLY)
-    found = _findings(str(target), "wal-ordering")
-    assert len(found) == 1
-    assert "Engine.commit: DC upsert" in found[0].message
-    assert found[0].line == WAL_FINALLY.splitlines().index(
-        "            self.dc.upsert(key, value)") + 1
-    logged = WAL_FINALLY.replace(
-        "            return key\n",
-        "            self.log.append((key, value))\n"
-        "            return key\n",
-    )
-    target.write_text(logged)
-    assert _findings(str(target), "wal-ordering") == []
 
 
 # ---------------------------------------------------------------------------

@@ -17,23 +17,15 @@ from repro.hardware import Machine
 from repro.storage import LogStructuredStore, MappingTable, PageCache, TierCache
 
 
+# NaN and infinity are refused by name for every field by
+# tests/test_config_bounds.py; it lets a whole number build, so the
+# integer floors are pinned here.
 @pytest.mark.parametrize("name, value", [
-    ("max_page_bytes", math.inf),
-    ("max_page_bytes", math.nan),
     ("max_page_bytes", 255),
-    ("consolidate_threshold", math.nan),
     ("consolidate_threshold", 0),
-    ("blind_chain_limit", math.nan),
-    ("blind_chain_limit", math.inf),
-    ("max_flash_fragments", math.nan),
     ("max_flash_fragments", 0),
-    ("cache_capacity_bytes", math.nan),
-    ("cache_capacity_bytes", math.inf),
     ("cache_capacity_bytes", 0),
-    ("segment_bytes", math.nan),
-    ("segment_bytes", math.inf),
     ("segment_bytes", 0),
-    ("demote_budget_bytes", math.nan),
 ])
 def test_a_size_that_would_build_a_different_tree_is_refused_by_name(name,
                                                                       value):

@@ -32,7 +32,7 @@ SRC = os.path.dirname(repro.__file__)
 #: write counted their operation through ``Machine.begin_operation``
 #: (two), and 48 before ``Scenario.prepare`` stopped replaying a
 #: warm-up through ``Run._replay``; only ever lower this.
-PINNED = 47
+PINNED = 45
 
 
 def private_access_sites():
