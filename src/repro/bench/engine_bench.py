@@ -18,7 +18,7 @@ default ``BENCH_engine.json``):
 * ``whatif`` — per tracked workload the causal profiler's baseline, its
   top-ranked component and that prediction's validation re-run.
 * ``trace`` (``--trace`` only) — the traced run's per-component cost
-  attribution.
+  attribution, recorded by the span tracer ``repro trace`` uses.
 
 Every number is virtual-time, so two runs produce byte-identical files.
 Host time is ``benchmarks/e2e``'s job; ``--trace`` still *prints* the
@@ -364,10 +364,10 @@ def run_trace_block(smoke: bool = False,
     """Batched ycsb-a with tracing off vs on: (``trace`` block, host
     timings).
 
-    Both modes drive the identical stream on identical fresh engines;
+    Both runs drive the identical stream on identical fresh engines;
     simulated costs are equal by construction (tracing charges nothing
     — asserted), so the delta is pure wall-clock harness overhead.  The
-    modes alternate back-to-back within each of :data:`TRACE_REPEATS`
+    two alternate back-to-back within each of :data:`TRACE_REPEATS`
     rounds (over three times the table's ops), so each
     ``traced / untraced`` ratio compares runs under the same machine
     load, and the reported overhead is the *median* ratio minus one —

@@ -249,7 +249,7 @@ class BwTree:
         if tracer is not None:
             tracer.open_span("bwtree.get", "bwtree")
         try:
-            machine._ops_started += 1
+            machine.operations += 1
             bill = machine.cpu.bill
             bill(self._dispatch)
             level = self._level
@@ -381,7 +381,7 @@ class BwTree:
             consolidate_threshold = config.consolidate_threshold
             max_page_bytes = config.max_page_bytes
             for key, value in ops:
-                machine._ops_started += 1
+                machine.operations += 1
                 ios_before = result.ios
                 if type(key) is not bytes or not key:
                     self.validate_key(key)

@@ -539,7 +539,7 @@ class TransactionComponent:
         read_ts = self._clock
         self._next_txn_id += 1
         try:
-            machine._ops_started += 1
+            machine.operations += 1
             counts["tc.reads"] += 1.0
             if tracer is not None:
                 tracer.open_span("tc.read", "tc")
@@ -730,7 +730,7 @@ class TransactionComponent:
         results: List[Optional[bytes]] = []
         try:
             for kind, key, value in ops:
-                machine._ops_started += 1
+                machine.operations += 1
                 if kind == "get":
                     counts["tc.reads"] += 1.0
                     if tracer is not None:

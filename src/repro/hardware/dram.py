@@ -17,14 +17,16 @@ class DramModel:
 
     def __init__(self) -> None:
         self._by_tag: Dict[str, int] = defaultdict(int)
-        self._current = 0
+        #: Resident bytes over every tag: a plain attribute, read without
+        #: a call; only this model writes it.
+        self.current_bytes = 0
 
     def allocate(self, nbytes: int, tag: str = "untagged") -> None:
         """Account ``nbytes`` as newly resident under ``tag``."""
         if nbytes < 0:
             raise ValueError(f"cannot allocate negative bytes: {nbytes}")
         self._by_tag[tag] += nbytes
-        self._current += nbytes
+        self.current_bytes += nbytes
 
     def free(self, nbytes: int, tag: str = "untagged") -> None:
         """Account ``nbytes`` under ``tag`` as released."""
@@ -36,11 +38,7 @@ class DramModel:
                 f"{self._by_tag[tag]}"
             )
         self._by_tag[tag] -= nbytes
-        self._current -= nbytes
-
-    @property
-    def current_bytes(self) -> int:
-        return self._current
+        self.current_bytes -= nbytes
 
     def bytes_for(self, tag: str) -> int:
         """Currently resident bytes under ``tag``."""
@@ -58,4 +56,4 @@ class DramModel:
         discarded by the caller.
         """
         self._by_tag.clear()
-        self._current = 0
+        self.current_bytes = 0

@@ -91,7 +91,10 @@ class Machine:
         self.ssd = SimulatedSsd(ssd_spec)
         self.dram = DramModel()
         self.io_path = IoPathModel(io_path, self.cpu)
-        self._ops_started = 0
+        #: User-visible store operations begun since the last reset: a
+        #: plain attribute; the TC's and the Bw-tree's guarded paths bump
+        #: it in place, everything else calls :meth:`begin_operation`.
+        self.operations = 0
         # Optional fault injector shared by every component running on
         # this machine (or every shard machine of a fleet).  ``None``
         # keeps the hot paths at a single attribute check per site.
@@ -104,13 +107,13 @@ class Machine:
     # --- tracing -----------------------------------------------------------
 
     def attach_tracer(self, tracer: Tracer) -> None:
-        """Install a tracer: spans open on the hot path.  A *detailed*
-        tracer additionally becomes the CPU charge sink so every charge
-        is mirrored per category; the default tracer costs nothing per
-        charge.  Attach right after :meth:`reset_accounting` so the
-        tracer's totals reconcile bit-for-bit with :meth:`summary`."""
+        """Install a tracer: spans open on the hot path, and the tracer
+        becomes the CPU charge sink so every charge is bucketed into
+        its span by category.  Attach right after
+        :meth:`reset_accounting` so the tracer's totals reconcile
+        bit-for-bit with :meth:`summary`."""
         self.tracer = tracer
-        self.cpu.sink = tracer if tracer.detailed else None
+        self.cpu.sink = tracer
 
     def detach_tracer(self) -> None:
         """Remove the tracer; span sites go back to one ``is None``
@@ -151,16 +154,12 @@ class Machine:
 
     def begin_operation(self) -> None:
         """Mark the start of one user-visible store operation."""
-        self._ops_started += 1
-
-    @property
-    def operations(self) -> int:
-        return self._ops_started
+        self.operations += 1
 
     def summary(self) -> RunSummary:
         """Summarize everything charged since the last reset."""
         return RunSummary(
-            operations=self._ops_started,
+            operations=self.operations,
             cpu_busy_seconds=self.cpu.busy_seconds,
             ssd_busy_seconds=self.ssd.busy_seconds,
             cores=self.cpu.cores,
@@ -176,4 +175,4 @@ class Machine:
         """
         self.cpu.reset()
         self.ssd.reset()
-        self._ops_started = 0
+        self.operations = 0

@@ -116,9 +116,9 @@ class SimulatedSsd:
         self.counters = CounterSet()
         self._busy_seconds = 0.0
         self._stored_bytes = 0
-        # Running scalars, O(1) to read for the per-span snapshots trace
-        # spans take around every hot-path call.
-        self._total_ios = 0
+        #: Accesses performed since the last reset (one per read/write): a
+        #: plain attribute, read without a call; only the device writes it.
+        self.total_ios = 0
         #: Running sum of per-access service time in microseconds since
         #: the last reset: a plain attribute, read without a call; only
         #: the device writes it.
@@ -143,7 +143,7 @@ class SimulatedSsd:
         transfer = nbytes / self.spec.bandwidth_bytes_per_sec
         self._busy_seconds += max(per_io, transfer)
         service_us = latency_us + transfer * 1e6
-        self._total_ios += 1
+        self.total_ios += 1
         self.service_us_total += service_us
         return service_us
 
@@ -181,16 +181,11 @@ class SimulatedSsd:
         """Device busy time implied by the accesses performed so far."""
         return self._busy_seconds
 
-    @property
-    def total_ios(self) -> int:
-        """Accesses performed since the last reset (one per read/write)."""
-        return self._total_ios
-
     def reset(self) -> None:
         """Zero traffic accounting; stored bytes are left in place."""
         self.counters.reset()
         self._busy_seconds = 0.0
-        self._total_ios = 0
+        self.total_ios = 0
         self.service_us_total = 0.0
 
 

@@ -22,20 +22,10 @@ one ``is None`` check per site and enters no frame for the span::
 The ``finally`` closes the span on a raise too, so opens and closes
 always pair LIFO and :meth:`Tracer.close_span` needs no argument.
 
-The default tracer records span boundaries as scalars appended to one
-flat event log — no per-span object or container survives the hot path,
-which keeps both the per-span cost and the garbage collector's
-generation pressure low enough that tracing a batched benchmark run
-stays under 10% wall-clock overhead (measured by ``python -m repro
-bench-engine --trace``).  The :class:`Span` tree is materialized from
-the log on first access.
-
-A *detailed* tracer (``Tracer(machine, detailed=True)``) builds the
-:class:`Span` tree live and additionally installs itself as the CPU
-model's :class:`~repro.hardware.cpu.ChargeSink`, bucketing every
-individual charge by category into the innermost open span — richer
-(per-span category splits in the export) but with a per-charge cost,
-so it is the trace CLI's mode, not the benchmark's.
+The tracer builds the :class:`Span` tree live and installs itself as the
+CPU model's :class:`~repro.hardware.cpu.ChargeSink`, bucketing every
+individual charge by category into the innermost open span, so the
+export carries per-span category splits.
 
 Everything is stamped in *virtual* time from ``machine.clock`` — no wall
 clocks anywhere, so the same seed and config produce a byte-identical
@@ -55,20 +45,18 @@ Exactness contract (pinned by tests):
 * Per-span subtree CPU windows partition the charge stream: re-summing
   every span's self-CPU with :func:`math.fsum` reproduces the span-window
   totals up to float association order (asserted at a 1e-9 relative
-  tolerance in tests), and in detailed mode the per-category buckets
-  re-sum to the counters the same way.
+  tolerance in tests), and the per-category buckets re-sum to the
+  counters the same way.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # deliberate: no runtime import of hardware needed
     from ..hardware.machine import Machine
-
-NoteValue = Union[str, int, float, bool]
 
 #: Charge category -> reporting component.  Categories not listed report
 #: under their own name.  Kept here (not in the CLI) so exporters, bench
@@ -118,20 +106,18 @@ class Span:
     ``dram_delta_bytes`` are subtree-wide snapshot differences (this span
     plus every descendant); :meth:`self_cpu_us` / :meth:`self_ssd_ios`
     subtract the children.  ``cpu_us`` holds per-category charges for the
-    span's *own* work and is populated only under a detailed tracer.
+    span's *own* work.
     """
 
     __slots__ = (
-        "name", "component", "notes", "children",
+        "name", "component", "children",
         "begin_s", "end_s", "subtree_cpu_us", "cpu_us",
         "ssd_ios", "service_us", "dram_delta_bytes",
-        "_busy0", "_ios0", "_service0", "_dram0",
     )
 
     def __init__(self, name: str, component: str) -> None:
         self.name = name
         self.component = component
-        self.notes: Dict[str, NoteValue] = {}
         self.children: List["Span"] = []
         self.begin_s = 0.0
         self.end_s = 0.0
@@ -152,10 +138,6 @@ class Span:
         """I/Os billed here but not inside any child span."""
         return self.ssd_ios - sum(c.ssd_ios for c in self.children)
 
-    def note(self, key: str, value: NoteValue) -> None:
-        """Attach an annotation (e.g. ``batch=64``, ``outcome="hit"``)."""
-        self.notes[key] = value
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready view (virtual microseconds, recursive children)."""
         return {
@@ -169,14 +151,8 @@ class Span:
             "ssd_ios": self.ssd_ios,
             "service_us": self.service_us,
             "dram_delta_bytes": self.dram_delta_bytes,
-            "notes": dict(sorted(self.notes.items())),
             "children": [child.to_dict() for child in self.children],
         }
-
-#: Flat-log record widths: an enter record leads with the span name
-#: (a str), an exit record with ``None``.
-_ENTER_WIDTH = 7
-_EXIT_WIDTH = 6
 
 
 class Tracer:
@@ -187,13 +163,16 @@ class Tracer:
     totals reconcile bit-for-bit with the machine's accounting.
     """
 
-    def __init__(self, machine: "Machine", detailed: bool = False) -> None:
+    def __init__(self, machine: "Machine") -> None:
         self.machine = machine
-        self.detailed = detailed
-        self._stack: List[Span] = []
-        #: Detailed mode only: charges billed while no span was open
-        #: (e.g. router hashing before a shard batch span), by category.
+        #: Root spans in open order; each holds its children.
+        self.roots: List[Span] = []
+        #: Charges billed while no span was open (e.g. router hashing
+        #: before a shard batch span), by category.
         self.unattributed: Dict[str, float] = {}
+        # Open spans, innermost last, each with its start snapshot:
+        # (span, busy us, ssd ios, ssd service us, dram bytes).
+        self._stack: List[Tuple[Span, float, int, float, int]] = []
         # Cached model refs for open_span / close_span: each snapshot is
         # a handful of attribute loads, no property calls, no histogram
         # sums.
@@ -201,136 +180,52 @@ class Tracer:
         self._cpu = machine.cpu
         self._ssd = machine.ssd
         self._dram = machine.dram
-        # Default mode: the flat scalar event log.
-        self._events: List[object] = []
-        # Detailed mode: the live span tree; default mode materializes
-        # from the event log on demand (cached by log length).
-        self._roots: List[Span] = []
-        self._mroots: List[Span] = []
-        self._mat_len = -1
         # Attach-time baselines.  After reset_accounting() these are all
         # exactly zero, which makes every "now - baseline" below the
         # bitwise identity — the reconciliation contract.
         self._busy_attach = machine.cpu.busy_us
-        self._ios_attach = machine.ssd._total_ios
+        self._ios_attach = machine.ssd.total_ios
         self._counters_attach = {
             name: value
             for name, value in machine.cpu.counters.snapshot().items()
             if name.startswith("cpu_us.")
         }
 
-    # -- charge sink (ChargeSink protocol, detailed mode only) -----------
+    # -- charge sink (ChargeSink protocol) --------------------------------
 
     def on_charge(self, category: str, microseconds: float) -> None:
-        """Bucket one CPU charge into the innermost open span.
-
-        Only installed as ``cpu.sink`` when ``detailed=True``; the
-        default tracer never pays per-charge work.
-        """
+        """Bucket one CPU charge into the innermost open span."""
         stack = self._stack
-        bucket = stack[-1].cpu_us if stack else self.unattributed
+        bucket = stack[-1][0].cpu_us if stack else self.unattributed
         bucket[category] = bucket.get(category, 0.0) + microseconds
 
     # -- span recording ---------------------------------------------------
 
     def open_span(self, name: str, component: str) -> None:
-        """Open a span nested in the innermost open one.
-
-        The default mode appends one enter record to the flat event log:
-        the ``+=`` tuple dies by refcount inside the statement and the
-        surviving floats/ints are not GC-tracked, so the hot path adds
-        (almost) nothing for the garbage collector's generation counters
-        to chew on.  The detailed mode pushes a live :class:`Span`.
-        """
-        ssd = self._ssd
-        if not self.detailed:
-            self._events += (
-                name, component, self._clock.now, self._cpu.busy_us,
-                ssd._total_ios, ssd.service_us_total, self._dram._current,
-            )
-            return
+        """Open a span nested in the innermost open one."""
         span = Span(name, component)
         span.begin_s = self._clock.now
-        span._busy0 = self._cpu.busy_us
-        span._ios0 = ssd._total_ios
-        span._service0 = ssd.service_us_total
-        span._dram0 = self._dram._current
         stack = self._stack
         if stack:
-            stack[-1].children.append(span)
+            stack[-1][0].children.append(span)
         else:
-            self._roots.append(span)
-        stack.append(span)
+            self.roots.append(span)
+        ssd = self._ssd
+        stack.append((span, self._cpu.busy_us, ssd.total_ios,
+                      ssd.service_us_total, self._dram.current_bytes))
 
     def close_span(self) -> None:
-        """Close the innermost open span (spans close LIFO, so the log —
-        or the detailed mode's stack — knows which one)."""
-        ssd = self._ssd
-        if not self.detailed:
-            self._events += (
-                None, self._clock.now, self._cpu.busy_us,
-                ssd._total_ios, ssd.service_us_total, self._dram._current,
-            )
-            return
+        """Close the innermost open span (spans close LIFO, so the stack
+        knows which one)."""
         stack = self._stack
         assert stack, "span stack corruption: close_span with no open span"
-        span = stack.pop()
+        span, busy0, ios0, service0, dram0 = stack.pop()
+        ssd = self._ssd
         span.end_s = self._clock.now
-        span.subtree_cpu_us = self._cpu.busy_us - span._busy0
-        span.ssd_ios = ssd._total_ios - span._ios0
-        span.service_us = ssd.service_us_total - span._service0
-        span.dram_delta_bytes = self._dram._current - span._dram0
-
-    # -- the span tree ----------------------------------------------------
-
-    @property
-    def roots(self) -> List[Span]:
-        """Root spans in open order (materialized lazily in default
-        mode; live in detailed mode)."""
-        if self.detailed:
-            return self._roots
-        if self._mat_len != len(self._events):
-            self._mroots = self._materialize()
-            self._mat_len = len(self._events)
-        return self._mroots
-
-    def _materialize(self) -> List[Span]:
-        """Rebuild the span tree from the flat event log."""
-        events = self._events
-        roots: List[Span] = []
-        stack: List[Span] = []
-        i = 0
-        n = len(events)
-        while i < n:
-            head = events[i]
-            if head is None:
-                assert stack, (
-                    "span stack corruption: close_span with no open span")
-                span = stack.pop()
-                span.end_s = events[i + 1]          # type: ignore[assignment]
-                span.subtree_cpu_us = (
-                    events[i + 2] - span._busy0)    # type: ignore[operator]
-                span.ssd_ios = (
-                    events[i + 3] - span._ios0)     # type: ignore[operator]
-                span.service_us = (
-                    events[i + 4] - span._service0)  # type: ignore[operator]
-                span.dram_delta_bytes = (
-                    events[i + 5] - span._dram0)    # type: ignore[operator]
-                i += _EXIT_WIDTH
-            else:
-                span = Span(head, events[i + 1])    # type: ignore[arg-type]
-                span.begin_s = events[i + 2]        # type: ignore[assignment]
-                span._busy0 = events[i + 3]         # type: ignore[assignment]
-                span._ios0 = events[i + 4]          # type: ignore[assignment]
-                span._service0 = events[i + 5]      # type: ignore[assignment]
-                span._dram0 = events[i + 6]         # type: ignore[assignment]
-                if stack:
-                    stack[-1].children.append(span)
-                else:
-                    roots.append(span)
-                stack.append(span)
-                i += _ENTER_WIDTH
-        return roots
+        span.subtree_cpu_us = self._cpu.busy_us - busy0
+        span.ssd_ios = ssd.total_ios - ios0
+        span.service_us = ssd.service_us_total - service0
+        span.dram_delta_bytes = self._dram.current_bytes - dram0
 
     # -- reconciliation views ---------------------------------------------
 
@@ -346,7 +241,7 @@ class Tracer:
 
     def traced_ssd_ios(self) -> int:
         """Device I/Os since attach (exact integer difference)."""
-        return self._ssd._total_ios - self._ios_attach
+        return self._ssd.total_ios - self._ios_attach
 
     def totals(self) -> Dict[str, float]:
         """Charged us per category, from the machine's own counters.
@@ -439,7 +334,6 @@ def export_json(tracers: List[Tracer], config: Dict[str, object],
         exported = roots if max_roots is None else roots[:max_roots]
         shards.append({
             "shard": shard_id,
-            "detailed": tracer.detailed,
             "total_us": tracer.total_us,
             "totals_by_category": dict(sorted(tracer.totals().items())),
             "unattributed_us": tracer.unattributed_us(),

@@ -45,7 +45,7 @@ def run_traced(scenario: Scenario) -> Tuple[List[Tracer], dict, dict]:
     bit-exact reconciliation baseline.
     """
     run = scenario.prepare()
-    tracers = [Tracer(machine, detailed=True) for machine in run.machines]
+    tracers = [Tracer(machine) for machine in run.machines]
     for tracer in tracers:
         tracer.machine.attach_tracer(tracer)
     before = fleet_totals(run.engine.stats())
@@ -78,8 +78,8 @@ def verify_reconciliation(tracers: List[Tracer], stats: dict) -> dict:
     exactly zero).  fsum checks at :data:`FSUM_REL_TOL` (float addition
     is not associative, so regrouping the same charges can differ by a
     few ULPs): per-category counters re-sum to the busy total; span
-    windows partition the root windows; and under a detailed tracer the
-    per-span category buckets re-sum to the machine's own counters.
+    windows partition the root windows; and the per-span category
+    buckets re-sum to the machine's own counters.
     Returns a summary dict (all booleans true, by construction — an
     inconsistency raises AssertionError).
     """
@@ -114,8 +114,7 @@ def verify_reconciliation(tracers: List[Tracer], stats: dict) -> dict:
         )
         # Root windows cannot exceed everything charged.
         assert root_sum <= tracer.total_us * (1.0 + FSUM_REL_TOL) + 1e-9
-        if tracer.detailed:
-            _verify_detailed_buckets(tracer, totals)
+        _verify_buckets(tracer, totals)
         covered = sum(root.ssd_ios for root in tracer.roots)
         assert covered <= tracer.traced_ssd_ios()
     return {
@@ -126,9 +125,8 @@ def verify_reconciliation(tracers: List[Tracer], stats: dict) -> dict:
     }
 
 
-def _verify_detailed_buckets(tracer: Tracer,
-                             totals: Dict[str, float]) -> None:
-    """Detailed mode: per-span charge buckets re-sum to the counters."""
+def _verify_buckets(tracer: Tracer, totals: Dict[str, float]) -> None:
+    """Per-span charge buckets re-sum to the counters."""
     parts: Dict[str, List[float]] = {}
 
     def collect(span) -> None:

@@ -45,7 +45,7 @@ def reference_get(engine, key):
 
 
 class Tee:
-    """Feeds every charge to the recorder and the detailed tracer."""
+    """Feeds every charge to the recorder and the tracer."""
 
     def __init__(self, *sinks):
         self.sinks = sinks
@@ -167,7 +167,7 @@ def drive(setup, seed, get, faults=False):
     returns every observable the two read paths must agree on."""
     engine = build(setup, seed, faults)
     machine, tc = engine.machine, engine.tc
-    tracer = Tracer(machine, detailed=True)
+    tracer = Tracer(machine)
     machine.attach_tracer(tracer)
     recorder = ChargeRecorder()
     machine.cpu.sink = Tee(recorder, tracer)

@@ -279,22 +279,6 @@ class TestCachingTiers:
 NAN, INF = float("nan"), float("inf")
 
 
-@pytest.mark.parametrize("name", [
-    "version_gc_horizon_lag", "read_cache_bytes", "log_buffer_bytes",
-    "log_retain_budget_bytes", "commit_epoch_bytes"])
-@pytest.mark.parametrize("value", [NAN, INF], ids=["nan", "inf"])
-def test_a_size_that_never_binds_is_refused_by_name(name, value):
-    """Every comparison with NaN is false and none reaches infinity, so
-    each of these silently built a different TC: in a 2,000-record
-    YCSB-A run a NaN or infinite GC lag never truncated a version (2,975
-    resident instead of 1,167), a NaN read-cache budget never evicted, a
-    NaN or infinite log buffer never filled, a NaN retention budget
-    never dropped a buffer (an infinite one is spelled ``None``), and a
-    NaN or infinite epoch threshold never closed an epoch by bytes."""
-    with pytest.raises(ValueError, match=f"TcConfig.{name}"):
-        TcConfig(commit_pipeline=True, **{name: value})
-
-
 @pytest.mark.parametrize("value", [NAN, INF, 0, -1], ids=str)
 def test_the_components_refuse_the_same_sizes_when_built_directly(value):
     machine = Machine.paper_default(cores=1)

@@ -34,22 +34,16 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("iops", float("nan")),
-    ("iops", float("inf")),
     ("read_latency_us", -5.0),
-    ("read_latency_us", float("nan")),
     ("write_latency_us", -1.0),
-    ("bandwidth_bytes_per_sec", float("nan")),
     ("bandwidth_bytes_per_sec", 0.0),
-    ("capacity_bytes", float("inf")),
-    ("price_dollars", float("nan")),
     ("flash_price_per_byte", -1.0),
-    ("flash_price_per_byte", float("inf")),
 ])
 def test_spec_refuses_a_field_that_cannot_describe_a_device(field, value):
-    """A NaN IOPS made busy time NaN, a negative latency a negative
-    service time, a negative flash price a $I of $5e11: each is now
-    refused by name at construction."""
+    """A negative latency made a negative service time, a negative flash
+    price a $I of $5e11: each is refused by name at construction.  (NaN
+    and infinity are refused for every field by
+    ``tests/test_config_bounds.py``.)"""
     with pytest.raises(ValueError, match=f"SsdSpec.{field} "):
         SsdSpec(**{field: value})
 

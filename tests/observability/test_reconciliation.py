@@ -3,8 +3,9 @@
 Core-seconds and device I/Os must match *bit-for-bit* (both sides are
 scalar differences against an attach-time baseline of exactly zero);
 per-span windows partition the totals at fsum tolerance.  Pinned here
-on real YCSB replays (single engine and a 4-shard fleet), on the cheap
-default tracer, and as a hypothesis property over random op sequences.
+on real YCSB replays (single engine and a 4-shard fleet), on a per-op
+engine whose facade spans cover every charge, and as a hypothesis
+property over random op sequences.
 """
 
 from __future__ import annotations
@@ -69,16 +70,15 @@ def test_traced_replay_reconciles_exactly(mix, shards, batch):
     assert metrics["latency_us"]["count"] == 160
 
 
-def test_default_mode_tracer_reconciles_too():
+def test_a_per_op_engine_leaves_nothing_unattributed():
     machine = Machine.paper_default(cores=2)
     engine = DeuteronomyEngine(
         machine, tc_config=TcConfig(sync_commit=True))
     engine.dc.bulk_load(
         [(b"k%03d" % index, b"v" * 16) for index in range(32)])
     machine.reset_accounting()
-    tracer = Tracer(machine)  # default: flat event log, no charge sink
+    tracer = Tracer(machine)
     machine.attach_tracer(tracer)
-    assert machine.cpu.sink is None
 
     for index in range(80):
         key = b"k%03d" % (index % 32)
@@ -128,7 +128,7 @@ def test_random_op_traces_reconcile(ops):
     engine.dc.bulk_load(
         [(b"k%02d" % index, b"v" * 8) for index in range(16)])
     machine.reset_accounting()
-    tracer = Tracer(machine, detailed=True)
+    tracer = Tracer(machine)
     machine.attach_tracer(tracer)
 
     for is_read, index in ops:

@@ -1,17 +1,16 @@
-"""Unit tests for trace spans: both tracer modes, exact attribution.
+"""Unit tests for trace spans: the live span tree, exact attribution.
 
-The default tracer records scalar snapshots in a flat event log and
-materializes the span tree lazily; the detailed tracer builds the tree
-live and buckets every CPU charge by category.  Both must attribute the
-same machine accounting — these tests drive the hardware models
-directly so every expected number is known in closed form.
+The tracer builds the span tree as spans open and close and buckets
+every CPU charge by category into the innermost open span.  It must
+attribute exactly the machine's own accounting — these tests drive the
+hardware models directly so every expected number is known in closed
+form.
 """
 
 from __future__ import annotations
 
 import ast
 import contextlib
-import gc
 import json
 import os
 
@@ -24,8 +23,6 @@ from repro.deuteronomy import DeuteronomyEngine, TcConfig, TransactionAborted
 from repro.faults import CrashError, FaultInjector, FaultPlan
 from repro.hardware.machine import Machine
 from repro.observability.spans import (
-    _ENTER_WIDTH,
-    _EXIT_WIDTH,
     COMPONENT_OF_CATEGORY,
     SPAN_NAMES,
     Span,
@@ -43,9 +40,9 @@ def spend(machine: Machine, microseconds: float, category: str) -> None:
     machine.cpu.charge("context_switch", microseconds, category)
 
 
-def _attach(machine: Machine, detailed: bool = False) -> Tracer:
+def _attach(machine: Machine) -> Tracer:
     machine.reset_accounting()
-    tracer = Tracer(machine, detailed=detailed)
+    tracer = Tracer(machine)
     machine.attach_tracer(tracer)
     return tracer
 
@@ -72,7 +69,7 @@ class TestUntraced:
         assert not {"spans.open_span", "spans.close_span"} & set(calls)
 
     def test_detach_restores_noop_and_clears_sink(self, machine):
-        tracer = _attach(machine, detailed=True)
+        tracer = _attach(machine)
         assert machine.cpu.sink is tracer
         machine.detach_tracer()
         assert machine.tracer is None
@@ -82,10 +79,9 @@ class TestUntraced:
         assert tracer.roots == []
 
 
-class TestDefaultMode:
-    def test_nested_attribution_from_the_flat_log(self, machine):
+class TestSpanTree:
+    def test_nested_attribution(self, machine):
         tracer = _attach(machine)
-        assert machine.cpu.sink is None  # default mode pays no per-charge
         with span_site(machine, "engine.get", "engine"):
             spend(machine, 2.0, "tc")
             with span_site(machine, "bwtree.get", "bwtree"):
@@ -111,51 +107,8 @@ class TestDefaultMode:
         assert root.service_us == child.service_us
         assert root.begin_s <= child.begin_s <= child.end_s <= root.end_s
 
-    def test_rematerializes_when_more_spans_arrive(self, machine):
-        tracer = _attach(machine)
-        with span_site(machine, "engine.get", "engine"):
-            spend(machine, 1.0, "bwtree")
-        assert len(tracer.roots) == 1
-        with span_site(machine, "engine.put", "engine"):
-            spend(machine, 2.0, "bwtree")
-        assert [root.name for root in tracer.roots] == [
-            "engine.get", "engine.put",
-        ]
-        # Cached until the log grows again.
-        assert tracer.roots is tracer.roots
-
-    def test_the_flat_log_holds_no_gc_tracked_object(self, machine):
-        """No per-span object survives the hot path: the log holds only
-        interned names and scalars, nothing the collector tracks."""
-        tracer = _attach(machine)
-        for __ in range(3):
-            with span_site(machine, "engine.get", "engine"):
-                with span_site(machine, "bwtree.get", "bwtree"):
-                    spend(machine, 1.0, "bwtree")
-        assert len(tracer._events) == 6 * (_ENTER_WIDTH + _EXIT_WIDTH)
-        assert not any(gc.is_tracked(item) for item in tracer._events)
-        assert tracer._stack == []
-
-    def test_span_notes_survive_materialization(self, machine):
-        # Span sites carry no notes: the materialized span's notes (and
-        # so the exported ``notes`` field) is an empty dict, not None.
-        tracer = _attach(machine)
-        with span_site(machine, "engine.get", "engine"):
-            pass
-        assert tracer.roots[0].notes == {}
-        assert tracer.roots[0].to_dict()["notes"] == {}
-
-    def test_no_category_buckets_in_default_mode(self, machine):
-        tracer = _attach(machine)
-        with span_site(machine, "engine.get", "engine"):
-            spend(machine, 5.0, "bwtree")
-        assert tracer.roots[0].cpu_us == {}
-        assert tracer.unattributed == {}
-
-
-class TestDetailedMode:
     def test_per_span_category_buckets(self, machine):
-        tracer = _attach(machine, detailed=True)
+        tracer = _attach(machine)
         assert machine.cpu.sink is tracer
         spend(machine, 0.5, "router")  # before any span opens
         with span_site(machine, "engine.get", "engine"):
@@ -169,46 +122,18 @@ class TestDetailedMode:
         assert tracer.unattributed == {"router": 0.5}
         assert tracer.unattributed_us() == pytest.approx(0.5)
 
-    def test_stack_corruption_is_an_assertion(self):
-        # A close with no open span: the detailed mode refuses it at
-        # once, the default mode when the log is materialized.
-        for detailed in (True, False):
-            tracer = _attach(Machine.paper_default(cores=2), detailed)
-            tracer.open_span("engine.get", "engine")
-            tracer.close_span()
-            with pytest.raises(AssertionError,
-                               match="span stack corruption"):
-                tracer.close_span()
-                tracer.roots
-
-    def test_note_after_open(self, machine):
-        tracer = _attach(machine, detailed=True)
-        tracer.open_span("page_cache.fetch", "page_cache")
-        span = tracer.roots[0]
-        assert isinstance(span, Span)
-        span.note("outcome", "miss")
+    def test_stack_corruption_is_an_assertion(self, machine):
+        # A close with no open span is refused at once.
+        tracer = _attach(machine)
+        tracer.open_span("engine.get", "engine")
         tracer.close_span()
-        assert tracer.roots[0].notes == {"outcome": "miss"}
+        with pytest.raises(AssertionError, match="span stack corruption"):
+            tracer.close_span()
 
 
 def _assert_balanced(tracer: Tracer) -> list:
-    """Every open span was closed: the detailed stack is empty, and the
-    default log's enter/exit records pair up without a close ever
-    outrunning its opens.  Returns the (materialized) roots."""
-    if tracer.detailed:
-        assert tracer._stack == []
-    else:
-        events = tracer._events
-        depth = index = 0
-        while index < len(events):
-            if events[index] is None:
-                depth -= 1
-                assert depth >= 0
-                index += _EXIT_WIDTH
-            else:
-                depth += 1
-                index += _ENTER_WIDTH
-        assert depth == 0
+    """Every open span was closed.  Returns the roots."""
+    assert tracer._stack == []
     return tracer.roots
 
 
@@ -233,13 +158,13 @@ def _loaded_engine(tc_config: TcConfig | None = None,
 
 
 class TestExceptionBalance:
-    """An op that raises inside open spans closes every one of them, in
-    both modes, so the next op's spans are roots again."""
+    """An op that raises inside open spans closes every one of them, so
+    the next op's spans are roots again."""
 
-    @pytest.mark.parametrize("detailed", [False, True])
-    def test_a_write_write_conflict(self, detailed):
-        engine = _loaded_engine()
-        tracer = _attach(engine.machine, detailed)
+    @pytest.mark.parametrize("sync_commit", [False, True])
+    def test_a_write_write_conflict(self, sync_commit):
+        engine = _loaded_engine(TcConfig(sync_commit=sync_commit))
+        tracer = _attach(engine.machine)
         txn = engine.tc.begin()
         engine.tc.write(txn, b"key0001", b"mine")
         engine.put(b"key0001", b"theirs")
@@ -250,12 +175,11 @@ class TestExceptionBalance:
         assert [root.name for root in roots] == [
             "engine.put", "tc.commit", "engine.get"]
 
-    @pytest.mark.parametrize("detailed", [False, True])
     @pytest.mark.parametrize("site", [
         "recovery_log.flush", "recovery_log.flush.after_write"])
-    def test_a_crash_inside_the_log_flush(self, detailed, site):
+    def test_a_crash_inside_the_log_flush(self, site):
         engine = _loaded_engine(TcConfig(sync_commit=True))
-        tracer = _attach(engine.machine, detailed)
+        tracer = _attach(engine.machine)
         engine.apply_batch([("put", b"key0001", b"first")])
         engine.machine.faults = FaultInjector(FaultPlan.crash_at(site, 1))
         with pytest.raises(CrashError):
@@ -266,8 +190,8 @@ class TestExceptionBalance:
         assert _path(roots[-1]) == [
             "engine.apply_batch", "tc.commit_batch", "recovery_log.flush"]
 
-    @pytest.mark.parametrize("detailed", [False, True])
-    def test_a_raise_inside_a_page_fetch(self, detailed, monkeypatch):
+    @pytest.mark.parametrize("reattached", [False, True])
+    def test_a_raise_inside_a_page_fetch(self, reattached, monkeypatch):
         engine = _loaded_engine(tree_config=BwTreeConfig(
             max_page_bytes=512, cache_capacity_bytes=4096,
             segment_bytes=1 << 14))
@@ -275,7 +199,10 @@ class TestExceptionBalance:
                        if engine.dc._descend(b"key%04d" % index).state
                        is None)
         machine = engine.machine
-        tracer = _attach(machine, detailed)
+        tracer = _attach(machine)
+        if reattached:
+            machine.detach_tracer()
+            machine.attach_tracer(tracer)
         # The device fails the fetch's flash read.
         def fail(*args, **kwargs):
             raise RuntimeError("device gone")
@@ -289,12 +216,11 @@ class TestExceptionBalance:
             "engine.get", "tc.read", "bwtree.get", "page_cache.fetch",
             "log_store.read"]
 
-    @pytest.mark.parametrize("detailed", [False, True])
-    def test_a_tracer_attached_or_detached_between_ops(self, detailed):
+    def test_a_tracer_attached_or_detached_between_ops(self):
         engine = _loaded_engine()
         machine = engine.machine
         engine.put(b"key0001", b"untraced")
-        tracer = _attach(machine, detailed)
+        tracer = _attach(machine)
         engine.get(b"key0001")
         machine.detach_tracer()
         engine.put(b"key0002", b"untraced")
@@ -383,10 +309,9 @@ class TestSpanNames:
 class TestExports:
     def _traced_machine(self) -> Machine:
         machine = Machine.paper_default(cores=2)
-        tracer = _attach(machine, detailed=True)
+        _attach(machine)
         for index in range(3):
             with span_site(machine, "engine.get", "engine"):
-                tracer.roots[-1].note("op", index)
                 spend(machine, 1.0 + index, "bwtree")
         return machine
 

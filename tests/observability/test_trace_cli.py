@@ -32,7 +32,6 @@ def test_json_export_is_byte_identical_across_runs(tmp_path):
     assert reconciliation["ssd_ios_exact"] is True
     assert doc["config"]["metrics_delta"]["stats"]["operations"] > 0
     shard = doc["shards"][0]
-    assert shard["detailed"] is True
     assert 0 < shard["roots_exported"] <= shard["roots_total"]
     assert shard["spans"][0]["name"].startswith("engine.")
 

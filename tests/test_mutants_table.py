@@ -2,7 +2,7 @@
 shows the evidence it keeps its place by.
 
 ``benchmarks/mutants.py`` writes ``benchmarks/results/mutants.txt``; no
-mutant runs here.  A rule of ``repro.analysis.all_rules()`` stays only
+mutant runs here, but each mutant's edit must still apply.  A rule of ``repro.analysis.all_rules()`` stays only
 if some mutant is killed by it alone, and ``docs/ANALYSIS.md`` names
 that mutant in the rule's row of its audit table.
 """
@@ -10,7 +10,7 @@ that mutant in the rule's row of its audit table.
 import pathlib
 import re
 
-from benchmarks.mutants import MECHANISMS, MUTANTS, RESULTS_PATH
+from benchmarks.mutants import MECHANISMS, MUTANTS, RESULTS_PATH, ROOT
 from repro.analysis import all_rules
 
 DOC = pathlib.Path(__file__).resolve().parent.parent / "docs" / "ANALYSIS.md"
@@ -34,6 +34,16 @@ def test_rows_and_columns_are_the_harness_tables():
     columns, rows = read_table()
     assert columns == list(MECHANISMS)
     assert list(rows) == ["unmutated", *(m.name for m in MUTANTS)]
+
+
+def test_every_mutant_edits_exactly_one_place():
+    """The audit refuses a row whose old text is missing or repeated; an
+    edit to a mutated line fails here, not at the next audit."""
+    for mutant in MUTANTS:
+        text = (ROOT / mutant.path).read_text(encoding="utf-8")
+        assert text.count(mutant.old) == 1, (
+            f"{mutant.name}: its old text occurs {text.count(mutant.old)} "
+            f"times in {mutant.path}")
 
 
 def test_the_unmutated_tree_passes_every_mechanism():
