@@ -4,11 +4,12 @@
 Runs each command in :data:`COMMANDS` (what ``.github/workflows/ci.yml``
 runs, minus the test suites) in a subprocess whose ``PYTHONPATH`` starts
 with a generated ``sitecustomize.py``.  That module installs a profile
-hook in every Python process the command starts (e2e's workers too) and,
-at exit, writes the qualified name of each ``src/repro`` code object it
-saw called.  A ``def`` in ``src/repro`` (a module-level function or a
-method, not a nested function, lambda or comprehension) that no process
-called is unreached, and is one line of ``benchmarks/results/census.txt``::
+hook in every Python process the command starts (e2e's workers and the
+golden rows' commands too) and, at exit, writes the qualified name of
+each ``src/repro`` code object it saw called.  A ``def`` in
+``src/repro`` (a module-level function or a method, not a nested
+function, lambda or comprehension) that no process called is unreached,
+and is one line of ``benchmarks/results/census.txt``::
 
     module:qualname  kind  test
 
@@ -63,15 +64,9 @@ COMMANDS = (
     "python -m pytest benchmarks --ignore=benchmarks/e2e -q "
     "--benchmark-disable",
     "python -m repro trace --smoke",
-    "python -m repro trace --seed 7 --out run1.json",
-    "python -m repro trace --seed 7 --format report --out report1.txt",
-    "python -m repro trace --seed 7 --batch-size 64 --out batch1.json",
-    "python -m repro trace --seed 7 --shards 4 --batch-size 64 "
-    "--out fleet1.json",
     "python -m repro bench-engine --smoke --out -",
     "python -m repro bench-engine --trace --out regenerated.json",
     "python -m repro whatif --smoke",
-    "python -m repro whatif --sweep --out whatif1.txt",
     "python -m repro crash-matrix --smoke --seed 0",
     "python benchmarks/e2e/run.py --smoke",
 )

@@ -15,12 +15,19 @@ The mechanisms are the commands CI already runs:
   ``repro.analysis.all_rules()`` (one run, its findings counted by rule:
   the same findings ``--select <rule>`` reports);
 * the tier-1 suite, run once without ``-x``, with hypothesis seeded and
-  not shrinking, each failing test attributed by its module to one of
+  not shrinking, each failing test attributed by its node id to one of
   :data:`TIER1_COLUMNS` (``tests/analysis/`` is the lint's own suite and
   counts for none of them, except ``test_pinned_bugs.py``; the test of
   this table is left out, as it reads the file being written);
 * ``crash-matrix --smoke --seed 0``, the ``bench-engine --smoke``
-  floors and the e2e ``--smoke`` oracle, each killed by a nonzero exit.
+  floors and the e2e ``--smoke`` oracle, each killed by a nonzero exit;
+* ``golden``: ``benchmarks/test_golden.py`` regenerates
+  ``benchmarks/results/golden.txt``, and the rows that differ kill.
+
+The ``copies`` column holds the tier-1 tests that compare code with a
+reference copy of what it replaced (:data:`COPIES`).  For each copy the
+table lists the mutants it kills and no other column does: a copy with
+none is redundant.
 
 A cell reads the number of findings or failing tests, ``x`` for a
 nonzero exit, ``T`` for a timeout (a timeout kills), ``.`` for none.
@@ -60,7 +67,8 @@ class Mutant(NamedTuple):
     """One seeded defect: replace ``old`` (found once in ``path``) by
     ``new``.  ``origin`` names the defect class it stands for (a ROADMAP
     item 5 seed kind or the lint rule whose tests it was moved from);
-    ``survives`` says why no mechanism can see it, for a survivor."""
+    ``survives`` says why no mechanism can see it, for a survivor.
+    A ``copy:`` origin names the reference copy whose subject it edits."""
 
     name: str
     origin: str
@@ -398,12 +406,81 @@ MUTANTS: Tuple[Mutant, ...] = (
         "            if faults is not None:\n"
         '                faults.hit("gc.drop_segment")\n',
     ),
+    # --- one per reference copy's subject (see COPIES) -------------------
+    Mutant(
+        "scaled-step-keeps-advance", "copy: ReferenceCpuModel",
+        "src/repro/hardware/cpu.py",
+        "                amount = amount * factor\n"
+        "                advance = (amount / cores) * 1e-6\n",
+        "                amount = amount * factor\n",
+    ),
+    Mutant(
+        "solo-bill-skips-clock", "copy: ReferenceCpuModel",
+        "src/repro/hardware/cpu.py",
+        "            self.clock.now += advance\n"
+        "            return\n",
+        "            return\n",
+    ),
+    Mutant(
+        "walk-evicts-protected", "copy: ReferencePageCache",
+        "src/repro/storage/cache.py",
+        "            for pid in resident:\n"
+        "                if pid not in protect:\n"
+        "                    break\n",
+        "            for pid in resident:\n"
+        "                break\n",
+    ),
+    Mutant(
+        "get-consumes-no-txn-id", "copy: reference_get",
+        "src/repro/deuteronomy/tc.py",
+        "        read_ts = self._clock\n"
+        "        self._next_txn_id += 1\n",
+        "        read_ts = self._clock\n",
+    ),
+    Mutant(
+        "delete-keeps-overhead", "copy: reference_fold",
+        "src/repro/storage/pages.py",
+        "                size -= (RECORD_OVERHEAD_BYTES + len(key)\n",
+        "                size -= (len(key)\n",
+    ),
+    Mutant(
+        "retained-lsn-lags", "copy: the LSN-retention model",
+        "src/repro/deuteronomy/recovery_log.py",
+        "            self.first_retained_lsn += len(dropped.records)\n",
+        "            self.first_retained_lsn += len(dropped.records) - 1\n",
+    ),
+    Mutant(
+        "values-from-low-bytes", "copy: the per-draw YCSB loop",
+        "src/repro/workloads/ycsb.py",
+        "top[3::4].translate(None, _REDRAWN)",
+        "top[0::4].translate(None, _REDRAWN)",
+    ),
+    Mutant(
+        "truncate-frees-no-overhead", "copy: full_walk_truncate",
+        "src/repro/deuteronomy/mvcc.py",
+        "                    freed += VERSION_ENTRY_OVERHEAD_BYTES + (\n",
+        "                    freed += (\n",
+    ),
 )
 
-#: The tier-1 columns.  A failing test counts in the first column whose
-#: modules list its module; otherwise in ``frame-guards`` if its module
-#: calls ``count_calls``, in ``hypothesis`` if it imports hypothesis,
-#: else in ``unit``.
+#: The reference copies: test-local verbatim copies of code that was
+#: replaced, each by the node ids of the tests that compare the code
+#: against it (a module's id covers all its tests).  A copy stays only
+#: while some mutant fails its tests and no other column; the six that
+#: had none were deleted, and their mutants stay in :data:`MUTANTS`.
+COPIES: Dict[str, Tuple[str, ...]] = {
+    "reference_get": (
+        "tests/deuteronomy/test_autocommit_oracle.py"
+        "::test_get_bills_exactly_what_the_choreography_bills",
+        "tests/deuteronomy/test_autocommit_oracle.py"
+        "::test_dropping_the_commit_timestamp_is_caught",
+    ),
+}
+
+#: The tier-1 columns, each by node ids.  A failing test counts in the
+#: first column one of whose node ids it is or lies under; otherwise in
+#: ``frame-guards`` if its module calls ``count_calls``, in
+#: ``hypothesis`` if it imports hypothesis, else in ``unit``.
 TIER1_COLUMNS: Dict[str, Tuple[str, ...]] = {
     "reconciliation": (
         "tests/observability/test_reconciliation.py",
@@ -420,6 +497,7 @@ TIER1_COLUMNS: Dict[str, Tuple[str, ...]] = {
         "tests/test_hot_path_census.py",
         "tests/deuteronomy/test_data_component.py",
     ),
+    "copies": tuple(node for nodes in COPIES.values() for node in nodes),
     "frame-guards": (),
     "hypothesis": (),
     "unit": (),
@@ -436,6 +514,7 @@ MECHANISMS: Tuple[str, ...] = (
     "crash-matrix",
     "floors",
     "e2e-oracle",
+    "golden",
 )
 RUNTIME = MECHANISMS[len(RULES):]
 
@@ -481,6 +560,11 @@ EXIT_CHECKS = {
     "floors": ("python -m repro bench-engine --smoke --out -", 300),
     "e2e-oracle": ("python benchmarks/e2e/run.py --smoke", 600),
 }
+#: Regenerates ``golden.txt`` in the copy; its cell counts the rows that
+#: differ from the copy's committed file (``x``: not rewritten, as when
+#: a row's command fails).
+GOLDEN = ("python -m pytest -q -p no:cacheprovider benchmarks/test_golden.py",
+          300)
 
 _SUMMARY = re.compile(r"^(?:FAILED|ERROR) ([^\s\[]+(?:\[.*?\])?)")
 _SKIP_DIRS = {".git", "__pycache__", ".hypothesis", ".pytest_cache",
@@ -508,14 +592,21 @@ def _run(command: str, cwd: pathlib.Path,
     return process.returncode, stdout
 
 
+def _under(test_id: str, nodes: Tuple[str, ...]) -> bool:
+    """Whether ``test_id`` is one of ``nodes`` or one of their tests."""
+    return any(test_id == node or test_id.startswith((node + "::",
+                                                      node + "["))
+               for node in nodes)
+
+
 def _column(test_id: str, tree: pathlib.Path) -> Optional[str]:
     """The tier-1 column a failing test counts in (``None``: the lint's
     own suite)."""
     module = test_id.split("::")[0]
     if module.startswith(LINT_SUITE) and module not in LINT_SUITE_RUNTIME:
         return None
-    for column, modules in TIER1_COLUMNS.items():
-        if module in modules:
+    for column, nodes in TIER1_COLUMNS.items():
+        if _under(test_id, nodes):
             return column
     text = (tree / module).read_text(encoding="utf-8")
     if "count_calls" in text:
@@ -559,6 +650,22 @@ def run_mechanisms(tree: pathlib.Path) -> Row:
         result = _run(command, tree, timeout)
         cells[column] = "T" if result is None else (
             "x" if result[0] != 0 else ".")
+    golden = tree / "benchmarks" / "results" / "golden.txt"
+    committed = golden.read_text(encoding="utf-8")
+    golden.unlink()
+    try:
+        if _run(GOLDEN[0], tree, GOLDEN[1]) is None:
+            cells["golden"] = "T"
+        elif not golden.exists():
+            cells["golden"] = "x"
+        else:
+            rows = golden.read_text(encoding="utf-8").splitlines()
+            before = committed.splitlines()
+            cells["golden"] = _cell(
+                sum(1 for new, old in zip(rows, before) if new != old)
+                + abs(len(rows) - len(before)))
+    finally:
+        golden.write_text(committed, encoding="utf-8")
     return cells, failed
 
 
@@ -663,6 +770,14 @@ def render(rows: Dict[str, Row], tree: pathlib.Path) -> Tuple[str, List[str]]:
             unexplained.append(mutant.name)
     if not survivors:
         lines.append("  none")
+    lines += ["", "kills no other column makes, by copy:"]
+    others = [c for c in MECHANISMS if c != "copies"]
+    for copy, nodes in COPIES.items():
+        unique = [m.name for m in MUTANTS
+                  if any(_under(test_id, nodes)
+                         for test_id in rows[m.name][1] - excluded)
+                  and all(table[m.name][c] == "." for c in others)]
+        lines.append(f"  {copy}: {', '.join(unique) or 'none'}")
     lines += ["", "kills no runtime mechanism makes, by rule:"]
     for rule in RULES:
         unique = [m.name for m in MUTANTS

@@ -7,6 +7,18 @@ from collections import defaultdict
 from typing import Dict, Iterable, List, Mapping
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right, as ``sum`` adds floats before
+    Python 3.12.  From 3.12 on ``sum`` compensates float rounding, so a
+    total of three or more floats can differ in its last bits from one
+    interpreter to the next; a virtual number must not.  Like ``sum``,
+    it starts from the int 0, so a total of ints stays an int."""
+    total: float = 0
+    for value in values:
+        total += value
+    return total
+
+
 class CounterSet:
     """A named set of monotonically increasing counters.
 

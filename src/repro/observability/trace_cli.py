@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.catalog import CostCatalog
 from ..core.costmeter import price_run
 from ..deuteronomy.engine import stats_window
+from ..hardware.metrics import ordered_sum
 from ..scenarios import MIX_BUILDERS, Scenario, fleet_totals
 from .spans import Tracer, export_json
 
@@ -86,7 +87,7 @@ def verify_reconciliation(tracers: List[Tracer], stats: dict) -> dict:
     fleet = "fleet" in stats
     target = fleet_totals(stats)
     core_seconds = [t.total_core_seconds() for t in tracers]
-    traced_core = sum(core_seconds) if fleet else core_seconds[0]
+    traced_core = ordered_sum(core_seconds) if fleet else core_seconds[0]
     assert traced_core == target["core_seconds"], (
         f"traced core-seconds {traced_core!r} != stats "
         f"{target['core_seconds']!r}"

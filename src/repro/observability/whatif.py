@@ -60,6 +60,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.catalog import CostCatalog
 from ..core.costmeter import price_run
+from ..hardware.metrics import ordered_sum
 from ..hardware.ssd import SsdSpec
 from ..scenarios import (
     ASYNC_COMMIT,
@@ -262,7 +263,7 @@ def _assert_mirrors_stats(view: RunView, stats: dict) -> None:
     """The view must reproduce ``stats()`` accounting bit for bit —
     this is what makes predicted and actual summaries comparable."""
     target = fleet_totals(stats)
-    core = sum(shard.busy_us * 1e-6 for shard in view.shards)
+    core = ordered_sum(shard.busy_us * 1e-6 for shard in view.shards)
     assert core == target["core_seconds"], (
         f"view core-seconds {core!r} != stats {target['core_seconds']!r}"
     )
@@ -303,7 +304,7 @@ def summarize(view: RunView,
     bit-equal inputs price to bit-equal dollars.
     """
     ops = view.ops
-    core_seconds = sum(shard.busy_us * 1e-6 for shard in view.shards)
+    core_seconds = ordered_sum(shard.busy_us * 1e-6 for shard in view.shards)
     ssd_ios = sum(shard.ssd_ios for shard in view.shards)
     elapsed = _fleet_elapsed(view)
     price = price_run(

@@ -42,7 +42,7 @@ from ..frozen import check_bounds
 from ..hardware.cpu import CpuModel
 from ..hardware.logdevice import LogDevice
 from ..hardware.machine import Machine
-from ..hardware.metrics import CounterSet
+from ..hardware.metrics import CounterSet, ordered_sum
 from ..hardware.ssd import SimulatedSsd, SsdSpec
 from .router import ShardRouter
 
@@ -357,7 +357,7 @@ class ShardedEngine:
             elif kind == "max":
                 fleet[name] = max(stats[name] for stats in per_shard)
             else:
-                fleet[name] = sum(stats[name] for stats in per_shard)
+                fleet[name] = ordered_sum(stats[name] for stats in per_shard)
         if self._shared_log_ssd is not None:
             # One drive serves every shard's commit log: its total busy
             # time is a fleet-wide serial floor no amount of shard

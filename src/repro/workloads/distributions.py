@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, Iterator
 
+from ..hardware.metrics import ordered_sum
 from ..sharding.router import fnv1a_64
 
 
@@ -34,7 +35,7 @@ def scrambled_zipfian_indices(item_count: int, theta: float,
     page-level caching earn its keep: hot records share pages with cold
     ones.
     """
-    zetan = sum(1.0 / (i ** theta) for i in range(1, item_count + 1))
+    zetan = ordered_sum(1.0 / (i ** theta) for i in range(1, item_count + 1))
     zeta2 = sum(1.0 / (i ** theta) for i in range(1, 3))
     alpha = 1.0 / (1.0 - theta)
     # Two items never need the inversion, whose ``eta`` is then 0 / 0.

@@ -1,21 +1,9 @@
 """Version store: visibility, ordering, truncation."""
 
-import random
-from unittest import mock
-
-import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
 
-from repro.deuteronomy import (
-    DeuteronomyEngine,
-    LogRecord,
-    TcConfig,
-    VersionStore,
-)
-from repro.deuteronomy.mvcc import DRAM_TAG, VERSION_ENTRY_OVERHEAD_BYTES
+from repro.deuteronomy import LogRecord, VersionStore
 from repro.hardware import Machine
-from repro.hardware.dram import DramModel
 
 
 @pytest.fixture
@@ -26,11 +14,6 @@ def store(machine: Machine) -> VersionStore:
 def v(key: bytes, ts: int, value: bytes = b"v", lsn: int = 0) -> LogRecord:
     """A committed version: the redo record that installs it."""
     return LogRecord(key, value, ts, 0, lsn)
-
-
-def version_bytes(version: LogRecord) -> int:
-    """The modelled size of a version, which is not its log size."""
-    return VERSION_ENTRY_OVERHEAD_BYTES + len(version.value or b"")
 
 
 def test_add_and_visible(store):
@@ -163,133 +146,3 @@ def test_truncate_visits_only_superseded_chains(store):
     assert store.truncate(1 << 40) == superseded
     assert chains.lookups <= superseded
     assert store.version_count() == 10_000
-
-
-# ----------------------------------------------------------------------
-# incremental truncate vs. the full walk it replaced
-# ----------------------------------------------------------------------
-
-def full_walk_truncate(chains, horizon_timestamp):
-    """The retired ``VersionStore.truncate``: visit every chain, keep the
-    newest version at or below the horizon and everything above it.
-    Returns (versions removed, bytes freed)."""
-    removed = 0
-    freed = 0
-    for chain in chains.values():
-        keep = len(chain)
-        for index, version in enumerate(chain):
-            if version.timestamp <= horizon_timestamp:
-                keep = index + 1
-                break
-        for version in chain[keep:]:
-            freed += version_bytes(version)
-            removed += 1
-        del chain[keep:]
-    return removed, freed
-
-
-class CheckedVersionStore(VersionStore):
-    """A VersionStore that replays every add/truncate on full-walk
-    bookkeeping and asserts the two agree after each call."""
-
-    def __init__(self, machine):
-        super().__init__(machine)
-        self.ref_chains = {}
-        self.ref_dram = DramModel()
-        self.reclaimed = 0
-
-    def add(self, version):
-        super().add(version)
-        key = version.key
-        chain = self.ref_chains.setdefault(key, [])
-        chain.insert(0, version)
-        self.ref_dram.allocate(
-            version_bytes(version) + (len(key) if len(chain) == 1 else 0),
-            DRAM_TAG)
-        self.check()
-
-    def truncate(self, horizon_timestamp):
-        removed = super().truncate(horizon_timestamp)
-        expected, freed = full_walk_truncate(
-            self.ref_chains, horizon_timestamp)
-        self.ref_dram.free(freed, DRAM_TAG)
-        assert removed == expected
-        self.reclaimed += removed
-        self.check()
-        return removed
-
-    def check(self):
-        assert self.chains == self.ref_chains
-        expected_bytes = self.ref_dram.bytes_for(DRAM_TAG)
-        assert self.resident_bytes == expected_bytes
-        assert self.machine.dram.bytes_for(DRAM_TAG) == expected_bytes
-        assert self.version_count() == sum(
-            len(chain) for chain in self.ref_chains.values())
-        assert self.key_count() == len(self.ref_chains)
-
-
-STORE_KEYS = st.sampled_from([b"a", b"bb", b"ccc"])
-# Per-key timestamps advance independently, so successor timestamps
-# arrive out of order across keys; horizons move in both directions
-# inside the range the timestamps reach.
-STORE_ADD = st.tuples(st.just("add"), STORE_KEYS, st.integers(1, 4),
-                      st.one_of(st.none(), st.binary(max_size=8)))
-STORE_OPS = st.lists(st.one_of(
-    STORE_ADD, STORE_ADD, STORE_ADD,
-    st.tuples(st.just("truncate"), st.integers(-2, 24)),
-    st.tuples(st.just("truncate"), st.integers(-2, 24)),
-    st.tuples(st.just("crash")),
-), max_size=40)
-
-
-@settings(max_examples=400, deadline=None)
-@given(ops=STORE_OPS)
-def test_truncate_matches_full_walk(ops):
-    """Random add/truncate/crash-replay sequences, horizons in any order:
-    every step leaves the same chains, bytes, counts and DRAM as the walk
-    over every chain did."""
-    store = CheckedVersionStore(Machine.paper_default(cores=1))
-    redo = []
-    for op in ops:
-        if op[0] == "add":
-            __, key, step, value = op
-            timestamp = (store.newest_timestamp(key) or 0) + step
-            redo.append(LogRecord(key, value, timestamp, 0, len(redo) + 1))
-            store.add(redo[-1])
-        elif op[0] == "truncate":
-            store.truncate(op[1])
-        else:
-            # Power loss: DRAM is gone, redo replay re-installs every
-            # logged version in log order (reclaimed ones included).
-            store = CheckedVersionStore(Machine.paper_default(cores=1))
-            for version in redo:
-                store.add(version)
-
-
-def test_truncate_matches_full_walk_through_engine_crash_and_replay():
-    """The TC's own call pattern — commit, commit_batch, horizon GC,
-    crash, ``replay_redo`` — checked step by step against the walk."""
-    rng = random.Random(11)
-    keys = [b"key%03d" % index for index in range(40)]
-    config = TcConfig(version_gc_horizon_lag=16, sync_commit=True)
-    with mock.patch("repro.deuteronomy.tc.VersionStore",
-                    CheckedVersionStore):
-        engine = DeuteronomyEngine(Machine.paper_default(cores=1),
-                                   tc_config=config)
-        for round_index in range(3):
-            for __ in range(60):
-                engine.put(rng.choice(keys), b"v%d" % rng.randrange(1000))
-            engine.apply_batch([
-                ("put", rng.choice(keys), b"b%d" % rng.randrange(1000))
-                for __ in range(64)
-            ])
-            engine.apply_batch(
-                ("put", rng.choice(keys), b"m%d" % rng.randrange(1000))
-                for __ in range(20))
-            assert engine.tc.versions.reclaimed > 0
-            if round_index == 0:
-                engine.checkpoint()
-            if round_index == 1:
-                engine = DeuteronomyEngine.recover(engine)
-                assert isinstance(engine.tc.versions, CheckedVersionStore)
-                assert engine.tc.counters.get("tc.redo_replayed") > 0

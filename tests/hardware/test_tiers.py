@@ -27,29 +27,6 @@ class TestTierSpec:
         with pytest.raises(ValueError, match="name"):
             tier(name="")
 
-    def test_nonpositive_dollars_per_byte_rejected(self):
-        with pytest.raises(ValueError, match="dollars_per_byte"):
-            tier(dollars_per_byte=0.0)
-        with pytest.raises(ValueError, match="dollars_per_byte"):
-            tier(dollars_per_byte=-1e-9)
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError, match="access_latency_s"):
-            tier(access_latency_s=-1e-9)
-
-    def test_nonpositive_iops_rejected(self):
-        with pytest.raises(ValueError, match="iops"):
-            tier(iops=0.0)
-
-    def test_negative_io_dollars_rejected(self):
-        with pytest.raises(ValueError, match="io_dollars"):
-            tier(io_dollars=-1.0)
-
-    def test_cpu_path_below_one_rejected(self):
-        # R < 1 would price a tier access cheaper than a cached MM op.
-        with pytest.raises(ValueError, match="cpu_path_r"):
-            tier(cpu_path_r=0.9)
-
 
 def stack(*specs) -> StorageHierarchy:
     return StorageHierarchy(tuple(specs))

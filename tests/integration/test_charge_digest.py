@@ -25,8 +25,9 @@ the virtual clock on purpose, recompute them and say why in the change.
 
 A recorder is a charge sink.  A billed plan feeds it from the loop an
 untraced run bills through too; the one-step head that only a plain
-model takes is held to that loop by ``tests/hardware/test_cpu_oracle.py``
-and ``tests/hardware/test_cpu.py``, so no run is repeated untraced.
+model takes is held to that loop by ``tests/hardware/test_cpu.py`` and
+pinned by the untraced rows of ``benchmarks/results/golden.txt``, so no
+run is repeated untraced.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ property over random op sequences.
 
 from __future__ import annotations
 
+import builtins
 import math
 
 import pytest
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 from repro.deuteronomy.engine import DeuteronomyEngine
 from repro.deuteronomy.tc import TcConfig
 from repro.hardware.machine import Machine
+from repro.hardware.metrics import ordered_sum
+from repro.observability import trace_cli
 from repro.observability.spans import SPAN_NAMES, Span, Tracer
 from repro.observability.trace_cli import (
     FSUM_REL_TOL,
@@ -26,6 +29,7 @@ from repro.observability.trace_cli import (
     verify_reconciliation,
 )
 from repro.scenarios import Scenario
+from repro.sharding import ShardedEngine
 
 
 def _spans(tracer: Tracer):
@@ -54,7 +58,7 @@ def test_traced_replay_reconciles_exactly(mix, shards, batch):
 
     target = stats["fleet"] if "fleet" in stats else stats
     traced_core = [t.total_core_seconds() for t in tracers]
-    traced = sum(traced_core) if "fleet" in stats else traced_core[0]
+    traced = ordered_sum(traced_core) if "fleet" in stats else traced_core[0]
     assert traced == target["core_seconds"]  # bit-identical, not approx
     assert sum(t.traced_ssd_ios() for t in tracers) == target["ssd_ios"]
 
@@ -111,6 +115,33 @@ def test_fleet_tracers_attach_per_shard_machine():
         assert tracer.total_core_seconds() == \
             shard_stats["core_seconds"]
         assert tracer.traced_ssd_ios() == shard_stats["ssd_ios"]
+
+
+def _compensated_sum(values, start=0):
+    """``sum`` as Python 3.12 adds floats: with the rounding compensated."""
+    values = list(values)
+    if all(isinstance(value, int) for value in values):
+        return builtins.sum(values, start)
+    return math.fsum([start, *values])
+
+
+def test_a_fleet_reconciles_whichever_way_the_interpreter_sums(monkeypatch):
+    """Three shards whose core-seconds total differently left to right
+    and compensated (1 s plus two terms under half an ulp of it): the
+    trace side must add them as ``stats()`` does, not as ``sum`` does."""
+    fleet = ShardedEngine(3)
+    fleet.reset_accounting()
+    tracers = [Tracer(shard.machine) for shard in fleet.shards]
+    for tracer in tracers:
+        tracer.machine.attach_tracer(tracer)
+    for tracer, count in zip(tracers, (2e7, 1.6e-9, 1.6e-9)):
+        tracer.machine.cpu.charge("hash_probe", count)
+    core = [tracer.total_core_seconds() for tracer in tracers]
+    assert ordered_sum(core) != _compensated_sum(core)
+
+    stats = fleet.stats()
+    monkeypatch.setattr(trace_cli, "sum", _compensated_sum, raising=False)
+    verify_reconciliation(tracers, stats)
 
 
 @settings(max_examples=25, deadline=None)

@@ -9,6 +9,7 @@ from repro.bwtree import BwTreeConfig
 from repro.deuteronomy import DeuteronomyEngine, TcConfig
 from repro.faults import CrashError, FaultInjector, FaultPlan
 from repro.hardware import Machine
+from repro.hardware.metrics import ordered_sum
 from repro.sharding import ShardedEngine
 
 TREE_CONFIG = BwTreeConfig(segment_bytes=1 << 14)
@@ -344,7 +345,7 @@ class TestAggregatedStats:
         assert (stats["routed_ops"], stats["routed_batches"]) == (200, 13)
         fleet = stats["fleet"]
         machines = [shard.machine for shard in sharded.shards]
-        assert fleet["core_seconds"] == sum(
+        assert fleet["core_seconds"] == ordered_sum(
             m.cpu.busy_seconds for m in machines) > 0.0
         assert fleet["ssd_ios"] == sum(m.ssd.total_ios for m in machines)
         assert fleet["dram_bytes"] == sum(

@@ -1,8 +1,8 @@
 """Seeded Bw-tree step sequences over a cache smaller than the data.
 
-One generator for the tests that hold the page cache's host-side
-bookkeeping to a reference (``test_victim_oracle``) or to a
-from-scratch recomputation (``test_size_accounting``): small pages so
+The generator for the tests that hold the page cache's host-side
+bookkeeping to a from-scratch recomputation
+(``test_size_accounting``): small pages so
 a few hundred records split, a budget of a few pages so most reads
 miss, and every way a page enters or leaves ``_resident`` — fetch,
 blind update to an evicted page, eviction of a whole or a delta-only
@@ -15,13 +15,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from typing import List, Tuple
-from unittest import mock
 
 import hypothesis.strategies as st
 
 from repro.bwtree import BwTree, BwTreeConfig
 from repro.hardware import Machine
-from repro.storage import PageCache
 
 TI_SECONDS = 2e-4
 KEY_SPACE = 240
@@ -104,14 +102,11 @@ def with_tiny_ti(tree: BwTree) -> BwTree:
     return tree
 
 
-def make_tree(shape: Shape, cache_class: type = PageCache) -> BwTree:
-    with mock.patch("repro.bwtree.tree.PageCache", cache_class):
-        return with_tiny_ti(
-            BwTree(Machine.paper_default(cores=1), shape.config()))
+def make_tree(shape: Shape) -> BwTree:
+    return with_tiny_ti(BwTree(Machine.paper_default(cores=1), shape.config()))
 
 
-def apply_step(tree: BwTree, step: Step,
-               cache_class: type = PageCache) -> BwTree:
+def apply_step(tree: BwTree, step: Step) -> BwTree:
     """Run one step; returns the tree to keep using (new after a crash)."""
     kind = step[0]
     if kind == "get":
@@ -137,6 +132,5 @@ def apply_step(tree: BwTree, step: Step,
         tree.collect_garbage()
     else:
         tree.checkpoint()
-        with mock.patch("repro.bwtree.tree.PageCache", cache_class):
-            tree = with_tiny_ti(tree.simulate_crash_and_recover())
+        tree = with_tiny_ti(tree.simulate_crash_and_recover())
     return tree

@@ -109,6 +109,16 @@ class TestConsolidate:
         assert [r.key for r in state.base] == [b"a", b"c", b"d"]
         assert state.deltas == []
 
+    def test_keeps_untouched_records_and_newest_upserts_by_reference(self):
+        untouched = rec(b"a")
+        state = DataPageState(1, base=[untouched, rec(b"b")])
+        state.prepend_delta(up(b"b", b"old"))
+        newest = up(b"b", b"new")
+        state.prepend_delta(newest)
+        state.consolidate()
+        assert state.base[0] is untouched
+        assert state.base[1] is newest
+
     def test_resets_persistence_bookkeeping(self):
         state = DataPageState(1, base=[rec(b"a")])
         state.base_flushed = True

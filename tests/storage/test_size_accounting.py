@@ -29,8 +29,10 @@ from repro.hardware import Machine
 from repro.storage import (
     PAGE_HEADER_BYTES,
     DataPageState,
+    PageCache,
     PageImage,
     Record,
+    TierCache,
     delta_size_bytes,
 )
 from repro.storage.cache import DRAM_TAG
@@ -44,7 +46,7 @@ from repro.storage.pages import delta_image_size_bytes, full_image_size_bytes
 from repro.workloads import OpKind, WorkloadGenerator, WorkloadSpec
 
 from ..frames import count_calls
-from .sequences import SEEDS, SHAPES, apply_step, make_steps, make_tree
+from .sequences import SEEDS, SHAPES, Shape, apply_step, make_steps, make_tree
 
 KEYS = st.sampled_from([b"a", b"bb", b"ccc", b"dddd", b"eeeee"])
 VALUES = st.binary(max_size=20)
@@ -295,6 +297,43 @@ def test_running_totals_equal_recomputation_after_every_step(shape, seed):
             # Recovery restores chains, not pages: the new cache is empty.
             assert tree.cache.resident_bytes == 0
             assert tree.cache.resident_pages == 0
+
+
+def test_sequences_reach_every_way_in_and_out_of_the_cache(monkeypatch):
+    """What the property above is worth: the seeded steps evict whole
+    and delta-only pages, demote, promote, relocate and recover."""
+    shape = Shape(demote_to_tiers=True, capacity_bytes=1500)
+    drop_delta_only = PageCache._drop_delta_only
+    reached = collections.Counter()
+
+    def counting_drop(cache, entry):
+        reached["delta_only_drops"] += 1
+        return drop_delta_only(cache, entry)
+
+    monkeypatch.setattr(PageCache, "_drop_delta_only", counting_drop)
+    promote = TierCache.promote
+
+    def counting_promote(tiers, entry):
+        held = tiers.holds(entry.page_id)
+        state = promote(tiers, entry)
+        if held and state is None:
+            reached["stale_tier_copies"] += 1
+        return state
+
+    monkeypatch.setattr(TierCache, "promote", counting_promote)
+    for seed in range(4):
+        tree = make_tree(shape)
+        for step in make_steps(seed):
+            tree = apply_step(tree, step)
+        stats = tree.cache.stats
+        reached.update(
+            evictions=stats.evictions,
+            demotions=stats.demotions,
+            promotions=stats.promotions,
+            delta_flushes=stats.flushes_delta,
+            relocated_bytes=tree.gc.stats.bytes_relocated,
+        )
+    assert all(reached.values()), reached
 
 
 def test_only_full_image_hands_page_image_a_size():

@@ -1,16 +1,17 @@
 """The tracked mutant audit matches its harness, and every lint rule
-shows the evidence it keeps its place by.
+and reference copy shows the evidence it keeps its place by.
 
 ``benchmarks/mutants.py`` writes ``benchmarks/results/mutants.txt``; no
 mutant runs here, but each mutant's edit must still apply.  A rule of ``repro.analysis.all_rules()`` stays only
 if some mutant is killed by it alone, and ``docs/ANALYSIS.md`` names
-that mutant in the rule's row of its audit table.
+that mutant in the rule's row of its audit table.  A reference copy
+stays only while the table lists a mutant that its tests alone kill.
 """
 
 import pathlib
 import re
 
-from benchmarks.mutants import MECHANISMS, MUTANTS, RESULTS_PATH, ROOT
+from benchmarks.mutants import COPIES, MECHANISMS, MUTANTS, RESULTS_PATH, ROOT
 from repro.analysis import all_rules
 
 DOC = pathlib.Path(__file__).resolve().parent.parent / "docs" / "ANALYSIS.md"
@@ -70,3 +71,16 @@ def test_every_rule_names_a_mutant_only_it_kills():
                    and all(cell == "." for key, cell in rows[name].items()
                            if key != column)
                    for name in named), rule.rule_id
+
+
+def test_every_copy_kills_a_mutant_nothing_else_kills():
+    lines = RESULTS_PATH.read_text(encoding="utf-8").splitlines()
+    start = lines.index("kills no other column makes, by copy:")
+    listed = {}
+    for line in lines[start + 1:]:
+        if not line.strip():
+            break
+        copy, kills = line.strip().split(": ")
+        listed[copy] = kills
+    assert set(listed) == set(COPIES)
+    assert all(kills != "none" for kills in listed.values()), listed

@@ -1,13 +1,9 @@
 """YCSB-style workload specs, generation and application to stores."""
 
 import hashlib
-import itertools
 import math
-import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.bwtree import BwTree, BwTreeConfig
 from repro.hardware import Machine
@@ -285,53 +281,3 @@ class TestFrames:
             "ycsb._cut_values": 11,     # blocks of 256, 512, ... 8192 words
         }
         assert not [name for name in calls if name.startswith("random.")]
-
-
-def per_draw_values(seed: int, value_bytes: int):
-    """The value stream drawn one ``getrandbits`` at a time, as
-    ``make_value`` drew it before values were cut from blocks."""
-    bits = random.Random(seed ^ 0x5EED).getrandbits
-    while True:
-        out = bytearray()
-        while len(out) < value_bytes:
-            run = bits(4)
-            while run >= 8:
-                run = bits(4)
-            letter = bits(5)
-            while letter >= 16:
-                letter = bits(5)
-            out += bytes([0x61 + letter]) * (run + 1)
-        yield bytes(out[:value_bytes])
-
-
-#: 0, 1, short values, and values longer than a largest block's letters
-#: (8,192 words: about 2,048 runs, 9.2k letters).
-VALUE_SIZES = st.one_of(st.just(0), st.just(1), st.integers(2, 300),
-                        st.integers(10_000, 12_000))
-STEPS = st.lists(st.tuples(st.sampled_from(["value", "load", "ops"]),
-                           st.integers(1, 6)), min_size=1, max_size=6)
-
-
-class TestBlockStream:
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**64), value_bytes=VALUE_SIZES,
-           steps=STEPS)
-    def test_values_match_the_per_draw_stream(self, seed, value_bytes,
-                                              steps):
-        """Values taken by ``make_value``, ``load_items`` and YCSB-A
-        updates, in any interleaving, are the per-draw stream's, in
-        order."""
-        generator = WorkloadGenerator(WorkloadSpec.ycsb_a(
-            record_count=12, value_bytes=value_bytes, seed=seed))
-        expected = per_draw_values(seed, value_bytes)
-        items, ops = generator.load_items(), generator.operations(10**6)
-        for step, count in steps:
-            if step == "value":
-                values = [generator.make_value() for __ in range(count)]
-            elif step == "load":
-                values = [value for __, value in
-                          itertools.islice(items, count)]
-            else:
-                values = [op.value for op in itertools.islice(ops, count)
-                          if op.value is not None]
-            assert values == list(itertools.islice(expected, len(values)))
