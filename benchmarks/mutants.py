@@ -104,6 +104,34 @@ _COMMIT_APPLY = (
     '                    self.counters.add("tc.writes_applied")\n'
 )
 
+#: ``CheckpointManager.write_checkpoint``'s flush of its new image,
+#: which withdraws the image when the flush raises; one mutant keeps
+#: it, another retires the previous image before the flush.
+_CHECKPOINT_WITHDRAW = (
+    "        try:\n"
+    "            self.store.flush()\n"
+    "        except BaseException:\n"
+    "            # Withdraw the unacknowledged image, or the next flush makes\n"
+    "            # it durable and find_latest picks it, although a later full\n"
+    "            # re-flush may have invalidated the images it references.\n"
+    "            self.store.invalidate(addr)\n"
+    "            raise\n"
+)
+_CHECKPOINT_FLUSH = (
+    _CHECKPOINT_WITHDRAW
+    + "        if faults is not None:\n"
+    + '            faults.hit("checkpoint.write.after_flush")\n'
+)
+_CHECKPOINT_RETIRE = (
+    "        previous, self._latest_addr = self._latest_addr, addr\n"
+    "        if previous is not None:\n"
+    "            try:\n"
+    "                self.store.invalidate(previous)\n"
+    "            except KeyError:\n"
+    "                # Its segment was already reclaimed (deferred GC drop).\n"
+    "                pass\n"
+)
+
 #: The version installs and DC post of ``_group_commit``, which one
 #: mutant runs before the group's records are logged.
 _GROUP_APPLY = (
@@ -252,6 +280,13 @@ MUTANTS: Tuple[Mutant, ...] = (
         "    room = math.inf\n",
     ),
     Mutant(
+        "checkpoint-keeps-failed-image",
+        "seed: keep a checkpoint image whose flush failed",
+        "src/repro/storage/checkpoint.py",
+        _CHECKPOINT_WITHDRAW,
+        "        self.store.flush()\n",
+    ),
+    Mutant(
         "drain-marks-clean-first", "seed: mark drained records clean early",
         "src/repro/deuteronomy/record_cache.py",
         "        if drained:\n"
@@ -337,26 +372,8 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         "checkpoint-invalidates-first", "rule: wal-ordering",
         "src/repro/storage/checkpoint.py",
-        "        self.store.flush()\n"
-        "        if faults is not None:\n"
-        '            faults.hit("checkpoint.write.after_flush")\n'
-        "        previous, self._latest_addr = self._latest_addr, addr\n"
-        "        if previous is not None:\n"
-        "            try:\n"
-        "                self.store.invalidate(previous)\n"
-        "            except KeyError:\n"
-        "                # Its segment was already reclaimed (deferred GC drop).\n"
-        "                pass\n",
-        "        previous, self._latest_addr = self._latest_addr, addr\n"
-        "        if previous is not None:\n"
-        "            try:\n"
-        "                self.store.invalidate(previous)\n"
-        "            except KeyError:\n"
-        "                # Its segment was already reclaimed (deferred GC drop).\n"
-        "                pass\n"
-        "        self.store.flush()\n"
-        "        if faults is not None:\n"
-        '            faults.hit("checkpoint.write.after_flush")\n',
+        _CHECKPOINT_FLUSH + _CHECKPOINT_RETIRE,
+        _CHECKPOINT_RETIRE + _CHECKPOINT_FLUSH,
     ),
     Mutant(
         "heap-lookup-before-protect", "rule: epoch-discipline",

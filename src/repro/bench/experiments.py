@@ -809,14 +809,10 @@ def measure_a1(record_count: int = 4_000, updates: int = 6_000,
                         read_fraction=0.0, update_fraction=1.0)
     flushed = {}
     flush_counts = {}
-    for mode, max_fragments, consolidate in (("full", 1, 8),
-                                             ("delta", 8, 24)):
+    for mode, max_fragments in (("full", 1), ("delta", 8)):
         machine = Machine.paper_default(cores=1)
-        config = BwTreeConfig(
-            segment_bytes=1 << 18,
-            max_flash_fragments=max_fragments,
-            consolidate_threshold=consolidate,
-        )
+        config = BwTreeConfig(segment_bytes=1 << 18,
+                              max_flash_fragments=max_fragments)
         tree = _loaded_tree(machine, config, spec, cache_fraction)
         stats = tree.cache.stats
         baseline_bytes = stats.bytes_flushed

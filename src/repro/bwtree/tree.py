@@ -3,8 +3,9 @@
 This is the data component of Deuteronomy as the paper uses it:
 
 * data (leaf) pages are logical pages in the :class:`MappingTable`, updated
-  by prepending delta records and consolidated when chains grow long
-  (Levandoski et al., ICDE 2013);
+  by prepending delta records (Levandoski et al., ICDE 2013) and
+  consolidated once reads have paid for the fold or the chain holds
+  half a page;
 * **blind updates** (Section 6.2) post a delta to the mapping-table entry
   without requiring the base page in memory — the key I/O-avoidance trick;
 * index pages are always main-memory resident (the paper's assumption) and
@@ -55,7 +56,6 @@ class BwTreeConfig:
     """Tuning knobs; defaults reproduce the paper's configuration."""
 
     max_page_bytes: int = 4096          # paper Section 4.1
-    consolidate_threshold: int = 8      # delta-chain length trigger
     blind_chain_limit: int = 64         # fetch+consolidate past this
     max_flash_fragments: int = 4        # delta images before full rewrite
     cache_capacity_bytes: Optional[int] = None
@@ -70,7 +70,6 @@ class BwTreeConfig:
     #: unbudgeted.
     BOUNDS = {
         "max_page_bytes": (256, math.inf),
-        "consolidate_threshold": (1, math.inf),
         "blind_chain_limit": (0, math.inf),
         "max_flash_fragments": (1, math.inf),
         "cache_capacity_bytes": (1, math.inf),
@@ -143,6 +142,9 @@ class BwTree:
         self._search = plan("bwtree", then="page_binary_search_step")
         self._copy = plan("bwtree", then="copy_per_byte")
         self._fold = plan("bwtree", then="consolidate_per_byte")
+        costs = machine.cpu.costs
+        self._hop_price = costs.delta_chain_hop
+        self._fold_price = costs.consolidate_per_byte
         self._inners: Dict[int, InnerNode] = {}
         self._inner_sizes: Dict[int, int] = {}
         self._next_inner_id = -1
@@ -237,8 +239,9 @@ class BwTree:
         """Point lookup returning the value plus cost-relevant facts.
 
         The bookkeeping the writes leave to ``_begin_op`` / ``_descend``
-        / ``_post_op`` — op count, dispatch, routing down to the
-        mapping-table dict, counters, the consolidation check — is done
+        / ``_post_blind_delta`` / ``_post_op`` — op count, dispatch,
+        routing down to the mapping-table dict, the consolidation check,
+        counters — is done
         in this frame, with the same charges in the same order; the
         validator is called only to raise.
         """
@@ -270,6 +273,7 @@ class BwTree:
             if state is not None:
                 probe = state.lookup(key)
                 bill(self._hops, probe.delta_hops)
+                state.hops_paid += probe.delta_hops
                 if probe.base_missing:
                     probe = None
             if probe is None:
@@ -282,6 +286,7 @@ class BwTree:
                 probe = state.lookup(key)
                 assert not probe.base_missing
                 bill(self._hops, probe.delta_hops)
+                state.hops_paid += probe.delta_hops
             if probe.searched_base:
                 # One binary search over the base: bit_length comparisons,
                 # at least one on a non-empty base, none on an empty one.
@@ -294,8 +299,11 @@ class BwTree:
                 self._counts["bwtree.ss_ops"] += 1.0
             else:
                 self._counts["bwtree.mm_ops"] += 1.0
-            if (state.base is not None
-                    and len(state.deltas) >= self.config.consolidate_threshold):
+            # ``_fold_due``, in this frame.
+            if state.base is not None and (
+                    2 * state.delta_size_bytes >= self.config.max_page_bytes
+                    or state.hops_paid * self._hop_price
+                    >= self._fold_price * state.base_size_bytes):
                 self._consolidate(entry)
             return OpResult(value, found, ios)
         finally:
@@ -318,7 +326,7 @@ class BwTree:
             result = OpResult(found=True)
             self._post_blind_delta(
                 entry, Record(key, value, self._next_timestamp()), result)
-            self._post_op(entry, result)
+            self._post_op(result)
             return result
         finally:
             if tracer is not None:
@@ -336,7 +344,7 @@ class BwTree:
             result = OpResult()
             self._post_blind_delta(
                 entry, Record(key, None, self._next_timestamp()), result)
-            self._post_op(entry, result)
+            self._post_op(result)
             return result
         finally:
             if tracer is not None:
@@ -377,9 +385,9 @@ class BwTree:
             entries = self.mapping_table.by_id
             cache = self.cache
             touch = cache.touch
-            config = self.config
-            consolidate_threshold = config.consolidate_threshold
-            max_page_bytes = config.max_page_bytes
+            max_page_bytes = self.config.max_page_bytes
+            hop_price = self._hop_price
+            fold_price = self._fold_price
             for key, value in ops:
                 machine.operations += 1
                 ios_before = result.ios
@@ -406,7 +414,10 @@ class BwTree:
                     size = state.prepend_delta(delta)
                     bill(post, size)
                     touch(entry, size)
-                    if len(state.deltas) >= consolidate_threshold:
+                    # ``_fold_due``, in this frame.
+                    if (2 * state.delta_size_bytes >= max_page_bytes
+                            or state.hops_paid * hop_price
+                            >= fold_price * state.base_size_bytes):
                         self._consolidate(entry)
                         # None when the leaf collapsed or merged away.
                         state = entry.state
@@ -456,7 +467,7 @@ class BwTree:
             result.ios += cache.fetch(entry)
             state = entry.state
         if state.base is not None:
-            if len(state.deltas) >= config.consolidate_threshold:
+            if self._fold_due(state):
                 self._consolidate(entry)
                 # None when the leaf collapsed or merged away.
                 state = entry.state
@@ -489,13 +500,18 @@ class BwTree:
     # consolidation / split
     # ------------------------------------------------------------------
 
-    def _maybe_consolidate(self, entry: PageEntry) -> None:
-        state = entry.state
-        if state is None or state.base is None:
-            return
-        if state.chain_length < self.config.consolidate_threshold:
-            return
-        self._consolidate(entry)
+    def _fold_due(self, state: DataPageState) -> bool:
+        """Whether a page with its base present should fold its chain:
+        once the chain holds half a page of delta bytes, or once the
+        hops its reads paid since the last fold cost as much as the fold
+        itself.  A blind post walks no chain, so writes pay for no fold;
+        the half-page bound stops their chains and keeps a fold's result
+        within 1.5 pages.  The prices are the unscaled table's, so a
+        what-if run folds where its baseline does.
+        """
+        return (2 * state.delta_size_bytes >= self.config.max_page_bytes
+                or state.hops_paid * self._hop_price
+                >= self._fold_price * state.base_size_bytes)
 
     def _consolidate(self, entry: PageEntry) -> None:
         state = entry.state
@@ -898,9 +914,8 @@ class BwTree:
             return 0.0
         return total / counted
 
-    def _post_op(self, entry: PageEntry, result: OpResult) -> None:
+    def _post_op(self, result: OpResult) -> None:
         if result.ios > 0:
             self.counters.add("bwtree.ss_ops")
         else:
             self.counters.add("bwtree.mm_ops")
-        self._maybe_consolidate(entry)

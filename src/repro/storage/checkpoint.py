@@ -89,7 +89,14 @@ class CheckpointManager:
         # table.  (The append above may already have auto-flushed on
         # fill, so by here *two* images can legitimately be durable;
         # find_latest resolves that by picking the newest.)
-        self.store.flush()
+        try:
+            self.store.flush()
+        except BaseException:
+            # Withdraw the unacknowledged image, or the next flush makes
+            # it durable and find_latest picks it, although a later full
+            # re-flush may have invalidated the images it references.
+            self.store.invalidate(addr)
+            raise
         if faults is not None:
             faults.hit("checkpoint.write.after_flush")
         previous, self._latest_addr = self._latest_addr, addr

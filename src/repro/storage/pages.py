@@ -82,7 +82,7 @@ class DataPageState:
     __slots__ = (
         "page_id", "base", "_base_keys", "deltas",
         "base_size_bytes", "delta_size_bytes",
-        "flushed_delta_count", "base_flushed",
+        "flushed_delta_count", "base_flushed", "hops_paid",
     )
 
     _UNSET: object = object()
@@ -108,6 +108,8 @@ class DataPageState:
         # Persistence bookkeeping used by the log store's delta-only flushes.
         self.flushed_delta_count = 0
         self.base_flushed = False
+        # Delta hops the page's reads have paid since its last fold.
+        self.hops_paid = 0
 
     def _set_base(self, records: Optional[List[Record]],
                   size_bytes: Optional[int] = None) -> None:
@@ -131,10 +133,6 @@ class DataPageState:
     @property
     def resident_size_bytes(self) -> int:
         return self.base_size_bytes + self.delta_size_bytes
-
-    @property
-    def chain_length(self) -> int:
-        return len(self.deltas)
 
     @property
     def record_count(self) -> int:
@@ -225,6 +223,7 @@ class DataPageState:
         self.delta_size_bytes = 0
         self.flushed_delta_count = 0
         self.base_flushed = False
+        self.hops_paid = 0
         return self.base_size_bytes
 
     # --- lookup ---------------------------------------------------------------

@@ -245,18 +245,18 @@ class TestGoldenRows:
     def test_whatif_baseline(self):
         baseline = summarize(run_scenario(
             whatif_table()["ycsb-a/1shard/sync"]))
-        assert baseline.core_seconds == 0.004923937800002646
+        assert baseline.core_seconds == 0.004620628200001964
         assert baseline.ssd_ios == 157
-        assert baseline.dram_bytes == 1952742
-        assert baseline.dollars_per_op == 4.085573539753828e-05
+        assert baseline.dram_bytes == 2036508
+        assert baseline.dollars_per_op == 3.8580887743301525e-05
 
     def test_sharded_async_row(self):
         row = scenario_table()["ycsb-a/4shard/async"].measure()
-        assert row["core_seconds"] == 0.005285005799998981
-        assert row["elapsed_seconds"] == 0.0004099344999999059
-        assert row["ops_per_sec"] == 24394141.015216567
-        assert row["ssd_ios"] == row["commit_epochs"] == 26
-        assert row["dram_bytes"] == 1946188
+        assert row["core_seconds"] == 0.004980405799999023
+        assert row["elapsed_seconds"] == 0.0003841486999999084
+        assert row["ops_per_sec"] == 26031586.206076927
+        assert row["ssd_ios"] == row["commit_epochs"] == 24
+        assert row["dram_bytes"] == 2036992
         assert row["shard_balance"] == 1.4
 
     def test_record_cache_row(self):

@@ -61,7 +61,7 @@ def test_eviction_heavy_tree_matches_dict(ops):
     run_against_model(ops, BwTreeConfig(
         cache_capacity_bytes=2048,
         segment_bytes=1 << 12,
-        consolidate_threshold=3,
+        max_page_bytes=256,
         max_flash_fragments=2,
     ))
 

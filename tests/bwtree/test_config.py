@@ -1,9 +1,9 @@
 """A config that would silently build a different tree is refused by name.
 
 Every comparison with NaN is false, so a NaN size read as 0 (a NaN
-``max_flash_fragments``), as no limit (a NaN ``blind_chain_limit`` or
-``consolidate_threshold``: the tree never consolidated) or as "split
-every consolidated leaf" (a NaN ``max_page_bytes``); an infinite
+``max_flash_fragments``), as no limit (a NaN ``blind_chain_limit``:
+the tree never fetched a blind chain's base) or as "split every
+consolidated leaf" (a NaN ``max_page_bytes``); an infinite
 ``max_page_bytes`` bulk-loaded every record into one leaf, and a NaN
 or infinite ``segment_bytes`` never filled a segment.
 """
@@ -22,7 +22,6 @@ from repro.storage import LogStructuredStore, MappingTable, PageCache, TierCache
 # integer floors are pinned here.
 @pytest.mark.parametrize("name, value", [
     ("max_page_bytes", 255),
-    ("consolidate_threshold", 0),
     ("max_flash_fragments", 0),
     ("cache_capacity_bytes", 0),
     ("segment_bytes", 0),
@@ -35,7 +34,7 @@ def test_a_size_that_would_build_a_different_tree_is_refused_by_name(name,
 
 def test_every_floor_and_an_unbudgeted_cache_still_build_a_tree():
     config = BwTreeConfig(
-        max_page_bytes=256, consolidate_threshold=1,
+        max_page_bytes=256,
         blind_chain_limit=0, max_flash_fragments=1,
         cache_capacity_bytes=None, segment_bytes=1 << 12,
         demote_to_tiers=True, demote_budget_bytes=None,

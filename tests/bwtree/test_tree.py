@@ -96,12 +96,53 @@ class TestStructure:
         ps = small_tree.average_leaf_bytes()
         assert 0 < ps <= small_tree.config.max_page_bytes
 
-    def test_consolidation_bounds_chains(self, small_tree):
-        for __ in range(50):
-            small_tree.upsert(b"hot", b"x" * 10)
+    def test_a_read_chain_folds_once_its_hops_pay_for_the_fold(
+            self, small_tree):
+        """Three deltas over a 2,252-byte base: the fold costs 0.0006 x
+        2,252 = 1.35 us and a hop 0.06 us, so the 8th read, whose 24
+        hops cost 1.44 us, folds the chain; after 7 reads (1.26 us) it
+        is still whole."""
+        small_tree.bulk_load((b"key%05d" % index, b"v" * 50)
+                             for index in range(30))
+        entry = small_tree._descend(b"key00000")
+        assert entry.state.base_size_bytes == 2252
+        for index in range(3):
+            small_tree.upsert(b"key%05d" % index, b"w" * 50)
+        counters = small_tree.counters
+        for __ in range(7):
+            assert small_tree.get(b"key00029") == b"v" * 50
+        assert counters.get("bwtree.consolidations") == 0
+        assert len(entry.state.deltas) == 3
+        assert entry.state.hops_paid == 21
+        small_tree.get(b"key00029")
+        assert counters.get("bwtree.consolidations") == 1
+        assert entry.state.deltas == []
+        assert entry.state.hops_paid == 0
+
+    @pytest.mark.parametrize("value_bytes, posts", [
+        (1024, 2),    # 2 x (24 + 3 + 1,024) = 2,102 >= 2,048
+        (10, 56),     # 56 x (24 + 3 + 10) = 2,072; 55 x 37 = 2,035
+    ])
+    @pytest.mark.parametrize("post", ["upsert", "apply_blind_batch"])
+    def test_a_write_only_chain_folds_at_half_a_page(self, small_tree, post,
+                                                     value_bytes, posts):
+        """``_post_blind_delta`` and ``apply_blind_batch``'s resident
+        branch each write the rule out; both fold on the same post."""
+        if post == "upsert":
+            def write():
+                small_tree.upsert(b"hot", b"x" * value_bytes)
+        else:
+            def write():
+                small_tree.apply_blind_batch([(b"hot", b"x" * value_bytes)])
+        small_tree.bulk_load([(b"key", b"v")])
         entry = small_tree._descend(b"hot")
-        assert (entry.state.chain_length
-                < small_tree.config.consolidate_threshold + 2)
+        for __ in range(posts - 1):
+            write()
+        assert small_tree.counters.get("bwtree.consolidations") == 0
+        assert len(entry.state.deltas) == posts - 1
+        write()
+        assert small_tree.counters.get("bwtree.consolidations") == 1
+        assert entry.state.deltas == []
 
     def test_count_records(self, small_tree):
         expected = load_keys(small_tree, 500)

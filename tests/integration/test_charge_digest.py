@@ -54,9 +54,9 @@ TREE_CONFIG = BwTreeConfig(cache_capacity_bytes=48 * 1024,
 TC_CONFIG = TcConfig(sync_commit=True, version_gc_horizon_lag=64)
 
 CHARGES_SHA256 = (
-    "88b12a9b451af46a745422569b1a1705d91d6d460d500f7fc6d806e3e1c2e751")
+    "77f3983e2e73b4bca7932d66807df6750e9b73dbf1f88d1c0d4b974271ba7ace")
 STATS_SHA256 = (
-    "968c96261ba601b9eaef7810eb46fe73cab88818223901481653cae42296f412")
+    "f984cccd8a2757411b922c1464c799c3427bce962b386a87651e4dfb6969dbe5")
 
 
 def test_charge_stream_and_stats_match_their_pinned_digests(monkeypatch):
@@ -162,9 +162,9 @@ def leaf_of(tree, key):
 
 
 READ_CHARGES_SHA256 = (
-    "1b441f4d7f7e9abe5477ad3d2cda41d1bb2ceb5421778af0ca743d49696eb3a6")
+    "fc18d77476e0fb5d4849384614890b60d14e5a98ec5d1215124452f0d4b36119")
 READ_STATS_SHA256 = (
-    "f4e163bd43871f447754daed476c5dc95ed2c2498e049446495af9f444418b39")
+    "b7601520c61f9b36ad77b3e69e64b7663bacd937c521a32366b13ba4c4e73bdc")
 
 
 def test_read_path_charge_stream_and_stats_match_their_pinned_digests(
@@ -250,9 +250,9 @@ FLEET_TREE_CONFIG = BwTreeConfig(cache_capacity_bytes=16 * 1024,
 FLEET_TC_CONFIG = TcConfig(commit_pipeline=True, version_gc_horizon_lag=64)
 
 FLEET_CHARGES_SHA256 = (
-    "c546588aa25fa87e4d3684954204141aa46b3349989a723f1052d5dc3f077e24")
+    "5ce6f4fb0bfd9f1198aec48ed7bbef81cf483306fbf53b3ab39b045d8a9a1a0d")
 FLEET_STATS_SHA256 = (
-    "1ca37687e2f1ac5501d06895feaa9675eeca543b1b4a5dae99d38760633a6bc6")
+    "315cc6fcb1647412fd3bab1110902b7c1103ded400b0e620cd543760561124d7")
 
 
 def test_fleet_charge_streams_and_stats_match_their_pinned_digests(
@@ -347,9 +347,9 @@ MISS_TC_CONFIG = TcConfig(read_cache_bytes=READ_CACHE_BYTES,
 OVERSIZED_VALUE = b"o" * (13 * 1024)
 
 MISS_CHARGES_SHA256 = (
-    "0a4fea4c54d559339be6f36f0a48b0e91f1b3971b392f993147c6d69de860cae")
+    "fcdb7f06da0e6a12f77298ac852f0dccf46155ca49d474eb4d3be173e9ebdfe3")
 MISS_STATS_SHA256 = (
-    "025cdb2ddabb8827546eba23e72126a3202c37e30e4ab09cb065f248b8509519")
+    "57c7bff62ed5d1db881d6c175138cbc9832ee5c3d1d5aa52a7bc993b07b7cabe")
 
 
 def test_page_miss_charge_stream_and_stats_match_their_pinned_digests(

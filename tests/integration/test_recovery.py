@@ -11,7 +11,13 @@ from repro.deuteronomy import (
     RecoveryLog,
     TcConfig,
 )
-from repro.faults import CrashError, FaultInjector, FaultPlan, IoError
+from repro.faults import (
+    CrashError,
+    FaultInjector,
+    FaultPlan,
+    IoError,
+    RetryPolicy,
+)
 from repro.hardware import Machine
 from repro.observability.whatif import ChargeRecorder
 from repro.storage import CheckpointManager, LogStructuredStore
@@ -381,7 +387,7 @@ class TestRecoveredFlashLiveness:
         machine = Machine.paper_default(cores=1)
         tree = BwTree(machine, BwTreeConfig(
             cache_capacity_bytes=4096, segment_bytes=1 << 12,
-            consolidate_threshold=4, max_flash_fragments=3))
+            max_flash_fragments=3))
         key = b"\x00"
         tree.checkpoint()
         tree.delete(key)
@@ -389,8 +395,18 @@ class TestRecoveredFlashLiveness:
         tree.checkpoint()
         tree.delete(key)
         tree.delete(key)
+        # The fold clears ``base_flushed``, so the idle eviction writes a
+        # full image and marks the checkpoint's [full, delta] chain dead;
+        # the crash then loses that replacement.
+        tree._consolidate(tree._descend(key))
+        store = tree.store
+        checkpoint = store.read(tree.checkpoints.latest_addr).image
+        (__, chain, __), = checkpoint.page_chains
         machine.clock.advance(45.0)
         tree.cache.evict_idle_pages()
+        live = {addr for segment_id in {addr.segment_id for addr in chain}
+                for addr, __ in store.live_images(segment_id)}
+        assert len(chain) == 2 and not live.intersection(chain)
         tree = tree.simulate_crash_and_recover()
         assert list(tree.scan(b"\x00")) == [(key, b"")]
         tree.collect_garbage(0.9)
@@ -418,6 +434,28 @@ class TestRecoveredFlashLiveness:
         recovered.collect_garbage(0.5)
         for index in range(300):
             assert recovered.get(b"key%05d" % index) == b"v%d" % index
+
+    def test_a_checkpoint_whose_flush_exhausted_its_retries_is_withdrawn(
+            self):
+        """The failed checkpoint's image stays in the open buffer unless
+        it is withdrawn; a full re-flush then pops the delta image it
+        references, the next flush makes it durable, and recovery picks
+        it as the newest and raises ``RecoveryError``."""
+        tree = fresh_tree()
+        tree.upsert(b"k", b"acked")
+        tree.checkpoint()
+        tree.upsert(b"k", b"unacked")
+        tree.machine.faults = FaultInjector(FaultPlan.io_error_at(
+            "log_store.flush", 1, failures=RetryPolicy().max_attempts))
+        with pytest.raises(IoError):
+            tree.checkpoint()
+        tree.machine.faults = None
+        tree.upsert(b"k", b"flushed")
+        entry = tree._descend(b"k")
+        tree.cache.flush_page(entry, force_full=True)
+        tree.store.flush()
+        recovered = BwTree.recover(tree.machine, tree.store, tree.config)
+        assert recovered.get(b"k") == b"acked"
 
 
 class TestRecoveryIdempotence:

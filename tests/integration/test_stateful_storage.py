@@ -39,7 +39,7 @@ class BwTreeStateMachine(RuleBasedStateMachine):
         self.tree = BwTree(self.machine, BwTreeConfig(
             cache_capacity_bytes=4096,
             segment_bytes=1 << 12,
-            consolidate_threshold=4,
+            max_page_bytes=512,
             max_flash_fragments=3,
         ))
         self.model: dict = {}

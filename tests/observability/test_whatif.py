@@ -91,6 +91,8 @@ class TestExactContract:
             assert errors["dollars_rel_err"] == 0.0
 
     def test_exact_means_full_summary_equality(self):
+        # The Bw-tree's fold rule prices hops and folds from the unscaled
+        # table; a scaled run that folded elsewhere would differ here.
         predicted, actual, __, __ = _validate(SYNC_SINGLE, "bwtree")
         assert summarize(predicted) == summarize(actual)
 

@@ -35,7 +35,7 @@ class Shape:
 
     def config(self) -> BwTreeConfig:
         return BwTreeConfig(
-            max_page_bytes=512, consolidate_threshold=4,
+            max_page_bytes=512,
             segment_bytes=1 << 13, cache_capacity_bytes=self.capacity_bytes,
             demote_to_tiers=self.demote_to_tiers,
         )

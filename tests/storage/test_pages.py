@@ -195,7 +195,7 @@ class TestDropInstallBase:
         freed = state.drop_base()
         assert freed > 0
         assert state.base is None
-        assert state.chain_length == 1
+        assert len(state.deltas) == 1
 
     def test_replace_base_marks_unflushed(self):
         state = DataPageState(1, base=[rec(b"a")])

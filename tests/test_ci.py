@@ -32,6 +32,9 @@ GATES = {
         "--benchmark-disable",
         "git diff --exit-code benchmarks/results"],
     "full crash matrix": ["python -m repro crash-matrix --seed 0 --ops 2000"],
+    "full crash matrix at seeds 4 and 7": [
+        "python -m repro crash-matrix --seed 4 --ops 2000",
+        "python -m repro crash-matrix --seed 7 --ops 2000"],
     "e2e smoke": ["python benchmarks/e2e/run.py --smoke"],
     "doc-check": ["python -m repro doc-check"],
     "lint": ["python -m repro lint"],
