@@ -302,6 +302,39 @@ MUTANTS: Tuple[Mutant, ...] = (
         "        if drained:\n"
         "            post(drained)\n",
     ),
+    Mutant(
+        "blind-chain-counts-deltas", "seed: bound a delta-only chain by count",
+        "src/repro/bwtree/tree.py",
+        "        if 2 * state.delta_size_bytes >= max_page_bytes:\n"
+        "            if state.base is None:\n",
+        "        if (2 * state.delta_size_bytes >= max_page_bytes\n"
+        "                if state.base is not None\n"
+        "                else len(state.deltas) > 64):\n"
+        "            if state.base is None:\n",
+    ),
+    Mutant(
+        "read-fold-ignores-hops", "seed: edit one copy of the fold rule",
+        "src/repro/bwtree/tree.py",
+        "                    2 * state.delta_size_bytes >= self.config.max_page_bytes\n"
+        "                    or state.hops_paid * self._hop_price\n"
+        "                    >= self._fold_price * state.base_size_bytes):\n",
+        "                    2 * state.delta_size_bytes\n"
+        "                    >= self.config.max_page_bytes):\n",
+    ),
+    Mutant(
+        "batch-fold-tests-hops", "seed: edit one copy of the fold rule",
+        "src/repro/bwtree/tree.py",
+        "                    if 2 * state.delta_size_bytes >= max_page_bytes:\n",
+        "                    if (2 * state.delta_size_bytes >= max_page_bytes\n"
+        "                            or state.hops_paid * self._hop_price\n"
+        "                            >= self._fold_price\n"
+        "                            * state.base_size_bytes):\n",
+        survives="a blind post walks no chain, so it raises neither "
+        "hops_paid nor a base's size, and a read folds once its hops pay: "
+        "a write finds the hops clause false, unless a scan, warm_all or "
+        "count_records installed a base under a delta-only chain's paid "
+        "hops, which no check does before a write",
+    ),
     # --- each lint rule's own cases, moved onto real sites ---------------
     Mutant(
         "scan-skips-dispatch", "rule: cost-accounting",

@@ -56,7 +56,6 @@ class BwTreeConfig:
     """Tuning knobs; defaults reproduce the paper's configuration."""
 
     max_page_bytes: int = 4096          # paper Section 4.1
-    blind_chain_limit: int = 64         # fetch+consolidate past this
     max_flash_fragments: int = 4        # delta images before full rewrite
     cache_capacity_bytes: Optional[int] = None
     segment_bytes: int = 1 << 20
@@ -70,7 +69,6 @@ class BwTreeConfig:
     #: unbudgeted.
     BOUNDS = {
         "max_page_bytes": (256, math.inf),
-        "blind_chain_limit": (0, math.inf),
         "max_flash_fragments": (1, math.inf),
         "cache_capacity_bytes": (1, math.inf),
         "segment_bytes": (1, math.inf), "demote_budget_bytes": (1, math.inf),
@@ -78,6 +76,12 @@ class BwTreeConfig:
 
     def __post_init__(self) -> None:
         check_bounds(self)
+        # A checkpoint writes each page's image whole, so a page must
+        # at least fit a segment.
+        if self.max_page_bytes > self.segment_bytes:
+            raise ValueError(
+                f"BwTreeConfig.segment_bytes must be >= max_page_bytes "
+                f"({self.max_page_bytes}), got {self.segment_bytes}")
 
 
 @dataclass(slots=True)
@@ -142,6 +146,8 @@ class BwTree:
         self._search = plan("bwtree", then="page_binary_search_step")
         self._copy = plan("bwtree", then="copy_per_byte")
         self._fold = plan("bwtree", then="consolidate_per_byte")
+        # The read fold rule's prices, from the unscaled table, so a
+        # what-if run folds where its baseline does.
         costs = machine.cpu.costs
         self._hop_price = costs.delta_chain_hop
         self._fold_price = costs.consolidate_per_byte
@@ -299,7 +305,10 @@ class BwTree:
                 self._counts["bwtree.ss_ops"] += 1.0
             else:
                 self._counts["bwtree.mm_ops"] += 1.0
-            # ``_fold_due``, in this frame.
+            # The fold rule: half a page of deltas (which keeps a fold
+            # within 1.5 pages), or hops paid since the last fold that
+            # cost as much as the fold.  Only a read pays hops, so only
+            # this copy tests them; a write tests the byte bound alone.
             if state.base is not None and (
                     2 * state.delta_size_bytes >= self.config.max_page_bytes
                     or state.hops_paid * self._hop_price
@@ -386,8 +395,6 @@ class BwTree:
             cache = self.cache
             touch = cache.touch
             max_page_bytes = self.config.max_page_bytes
-            hop_price = self._hop_price
-            fold_price = self._fold_price
             for key, value in ops:
                 machine.operations += 1
                 ios_before = result.ios
@@ -414,10 +421,8 @@ class BwTree:
                     size = state.prepend_delta(delta)
                     bill(post, size)
                     touch(entry, size)
-                    # ``_fold_due``, in this frame.
-                    if (2 * state.delta_size_bytes >= max_page_bytes
-                            or state.hops_paid * hop_price
-                            >= fold_price * state.base_size_bytes):
+                    # A write pays no hops: it folds at half a page.
+                    if 2 * state.delta_size_bytes >= max_page_bytes:
                         self._consolidate(entry)
                         # None when the leaf collapsed or merged away.
                         state = entry.state
@@ -459,21 +464,18 @@ class BwTree:
         size = state.prepend_delta(delta)
         self.machine.cpu.bill(self._install, size)
         cache.touch(entry, grown_bytes=size)
-        config = self.config
-        if (state.base is None
-                and len(state.deltas) > config.blind_chain_limit):
-            # Pathologically long blind chain: pay the fetch now so reads
-            # stay bounded.
-            result.ios += cache.fetch(entry)
+        max_page_bytes = self.config.max_page_bytes
+        # A write pays no hops: it folds at half a page, fetching a
+        # delta-only page's base first.
+        if 2 * state.delta_size_bytes >= max_page_bytes:
+            if state.base is None:
+                result.ios += cache.fetch(entry)
+            self._consolidate(entry)
+            # None when the leaf collapsed or merged away.
             state = entry.state
-        if state.base is not None:
-            if self._fold_due(state):
-                self._consolidate(entry)
-                # None when the leaf collapsed or merged away.
-                state = entry.state
-            if (state is not None
-                    and state.base_size_bytes > config.max_page_bytes):
-                self._maybe_split(entry)
+        if (state is not None and state.base is not None
+                and state.base_size_bytes > max_page_bytes):
+            self._maybe_split(entry)
         if cache.capacity_bytes is not None:
             cache.ensure_capacity(protect={entry.page_id})
 
@@ -499,19 +501,6 @@ class BwTree:
     # ------------------------------------------------------------------
     # consolidation / split
     # ------------------------------------------------------------------
-
-    def _fold_due(self, state: DataPageState) -> bool:
-        """Whether a page with its base present should fold its chain:
-        once the chain holds half a page of delta bytes, or once the
-        hops its reads paid since the last fold cost as much as the fold
-        itself.  A blind post walks no chain, so writes pay for no fold;
-        the half-page bound stops their chains and keeps a fold's result
-        within 1.5 pages.  The prices are the unscaled table's, so a
-        what-if run folds where its baseline does.
-        """
-        return (2 * state.delta_size_bytes >= self.config.max_page_bytes
-                or state.hops_paid * self._hop_price
-                >= self._fold_price * state.base_size_bytes)
 
     def _consolidate(self, entry: PageEntry) -> None:
         state = entry.state

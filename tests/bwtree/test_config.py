@@ -1,11 +1,11 @@
 """A config that would silently build a different tree is refused by name.
 
 Every comparison with NaN is false, so a NaN size read as 0 (a NaN
-``max_flash_fragments``), as no limit (a NaN ``blind_chain_limit``:
-the tree never fetched a blind chain's base) or as "split every
-consolidated leaf" (a NaN ``max_page_bytes``); an infinite
-``max_page_bytes`` bulk-loaded every record into one leaf, and a NaN
-or infinite ``segment_bytes`` never filled a segment.
+``max_flash_fragments``) or as "split every consolidated leaf" (a NaN
+``max_page_bytes``); an infinite ``max_page_bytes`` bulk-loaded every
+record into one leaf, and a NaN or infinite ``segment_bytes`` never
+filled a segment.  A page larger than a segment built a tree whose
+first checkpoint of a full page raised.
 """
 
 import math
@@ -32,10 +32,15 @@ def test_a_size_that_would_build_a_different_tree_is_refused_by_name(name,
         BwTreeConfig(**{name: value})
 
 
+def test_a_page_larger_than_a_segment_is_refused_at_construction():
+    """Its image could not be written: a checkpoint raised."""
+    with pytest.raises(ValueError, match="BwTreeConfig.segment_bytes "):
+        BwTreeConfig(max_page_bytes=8192, segment_bytes=4096)
+
+
 def test_every_floor_and_an_unbudgeted_cache_still_build_a_tree():
     config = BwTreeConfig(
-        max_page_bytes=256,
-        blind_chain_limit=0, max_flash_fragments=1,
+        max_page_bytes=256, max_flash_fragments=1,
         cache_capacity_bytes=None, segment_bytes=1 << 12,
         demote_to_tiers=True, demote_budget_bytes=None,
     )

@@ -123,26 +123,53 @@ class TestStructure:
         (1024, 2),    # 2 x (24 + 3 + 1,024) = 2,102 >= 2,048
         (10, 56),     # 56 x (24 + 3 + 10) = 2,072; 55 x 37 = 2,035
     ])
-    @pytest.mark.parametrize("post", ["upsert", "apply_blind_batch"])
+    @pytest.mark.parametrize("post",
+                             ["upsert", "apply_blind_batch", "delta_only"])
     def test_a_write_only_chain_folds_at_half_a_page(self, small_tree, post,
                                                      value_bytes, posts):
         """``_post_blind_delta`` and ``apply_blind_batch``'s resident
-        branch each write the rule out; both fold on the same post."""
-        if post == "upsert":
-            def write():
-                small_tree.upsert(b"hot", b"x" * value_bytes)
-        else:
+        branch each write the rule out; both fold on the same post.  A
+        delta-only leaf (its base evicted) fetches its base on that post
+        and folds it too."""
+        if post == "apply_blind_batch":
             def write():
                 small_tree.apply_blind_batch([(b"hot", b"x" * value_bytes)])
+        else:
+            def write():
+                small_tree.upsert(b"hot", b"x" * value_bytes)
         small_tree.bulk_load([(b"key", b"v")])
         entry = small_tree._descend(b"hot")
+        if post == "delta_only":
+            small_tree.checkpoint()
+            small_tree.cache.evict(entry)
         for __ in range(posts - 1):
             write()
         assert small_tree.counters.get("bwtree.consolidations") == 0
         assert len(entry.state.deltas) == posts - 1
+        assert (entry.state.base is None) == (post == "delta_only")
         write()
         assert small_tree.counters.get("bwtree.consolidations") == 1
         assert entry.state.deltas == []
+        assert small_tree.get(b"key") == b"v"
+
+    def test_a_delta_only_chain_never_outgrows_a_segment(self):
+        """64 posts of 120 B to a leaf whose base is on flash: under a
+        64-delta bound they made a 9,760-byte delta image, and the
+        checkpoint raised on an 8 KiB segment.  The half-page bound
+        fetches the base and folds at 2,048 bytes of deltas."""
+        tree = BwTree(Machine.paper_default(),
+                      BwTreeConfig(segment_bytes=8192))
+        tree.bulk_load((b"key%05d" % index, b"v" * 50)
+                       for index in range(20))
+        tree.checkpoint()
+        entry = tree._descend(b"key00000")
+        tree.cache.evict(entry)
+        for index in range(64):
+            tree.upsert(b"key%05d" % (index % 20), b"w" * 120)
+        tree.checkpoint()
+        assert 2 * entry.state.delta_size_bytes < tree.config.max_page_bytes
+        for index in range(20):
+            assert tree.get(b"key%05d" % index) == b"w" * 120
 
     def test_count_records(self, small_tree):
         expected = load_keys(small_tree, 500)

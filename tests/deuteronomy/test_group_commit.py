@@ -220,7 +220,7 @@ def test_a_drain_that_raises_leaves_no_committed_write_unapplied():
     engine = drain_failing_engine()
     values = {}
     raised = 0
-    for index in range(300):
+    for index in range(400):
         key, value = b"a%04d" % index, b"v%04d" % index
         values[key] = value
         try:

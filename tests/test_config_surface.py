@@ -61,7 +61,6 @@ CONFIG_FIELDS = {
     },
     BwTreeConfig: {
         "max_page_bytes": "read_cold",
-        "blind_chain_limit": "update_batched",
         "max_flash_fragments": "a5",
         "cache_capacity_bytes": "read_cold",
         "segment_bytes": "engine",
