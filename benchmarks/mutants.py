@@ -335,6 +335,18 @@ MUTANTS: Tuple[Mutant, ...] = (
         "count_records installed a base under a delta-only chain's paid "
         "hops, which no check does before a write",
     ),
+    Mutant(
+        "miss-rebills-walked-hops", "seed: bill a walked chain twice",
+        "src/repro/bwtree/tree.py",
+        "                extra = max(0, probe.delta_hops - walked)\n",
+        "                extra = probe.delta_hops\n",
+    ),
+    Mutant(
+        "read-cache-ignores-reference", "seed: evict FIFO past a hit",
+        "src/repro/deuteronomy/read_cache.py",
+        "            self.referenced.add(key)\n",
+        "",
+    ),
     # --- each lint rule's own cases, moved onto real sites ---------------
     Mutant(
         "scan-skips-dispatch", "rule: cost-accounting",

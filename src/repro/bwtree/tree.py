@@ -276,10 +276,12 @@ class BwTree:
             ios = 0
             state = entry.state
             probe = None
+            walked = 0
             if state is not None:
                 probe = state.lookup(key)
-                bill(self._hops, probe.delta_hops)
-                state.hops_paid += probe.delta_hops
+                walked = probe.delta_hops
+                bill(self._hops, walked)
+                state.hops_paid += walked
                 if probe.base_missing:
                     probe = None
             if probe is None:
@@ -291,8 +293,10 @@ class BwTree:
                 assert state is not None
                 probe = state.lookup(key)
                 assert not probe.base_missing
-                bill(self._hops, probe.delta_hops)
-                state.hops_paid += probe.delta_hops
+                # Only the hops beyond those walked before the fetch.
+                extra = max(0, probe.delta_hops - walked)
+                bill(self._hops, extra)
+                state.hops_paid += extra
             if probe.searched_base:
                 # One binary search over the base: bit_length comparisons,
                 # at least one on a non-empty base, none on an empty one.

@@ -2,15 +2,19 @@
 
 Records read from the data component are retained in a separate
 log-structured cache so repeated reads of recently used records skip both
-the I/O *and* the trip into the Bw-tree.  Eviction is FIFO over the log
-order (the "log-structured" part), with a byte budget.  A victim is
-dropped; demote-not-drop is the page cache's (``demote_to_tiers``).
+the I/O *and* the trip into the Bw-tree.  Eviction is CLOCK over the log
+order (the "log-structured" part), with a byte budget: a hit sets the
+record's reference bit, and the eviction sweep pops the log head,
+re-appending a referenced victim at the tail with its bit cleared (the
+second chance the record heap's ``RecordStore.relocate`` gives) and
+dropping an unreferenced one.  Demote-not-drop is the page cache's
+(``demote_to_tiers``).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Optional, Set, Tuple
 
 from ..frozen import check_bounds
 from ..hardware.machine import Machine
@@ -20,7 +24,7 @@ READ_CACHE_ENTRY_OVERHEAD_BYTES = 24
 
 
 class ReadCache:
-    """A byte-budgeted FIFO cache of records read from the DC."""
+    """A byte-budgeted CLOCK cache of records read from the DC."""
 
     def __init__(self, machine: Machine, budget_bytes: int) -> None:
         from .tc import TcConfig  # lazy: that module imports this one
@@ -29,11 +33,16 @@ class ReadCache:
         self.budget_bytes = budget_bytes
         #: key -> value, oldest first; read-only outside the cache.
         self.entries: "OrderedDict[bytes, bytes]" = OrderedDict()
+        #: Keys hit since they were appended: their reference bits.
+        self.referenced: Set[bytes] = set()
         self._bytes = 0
-        # The lookup's probe and the insert's copy, priced once.
+        # The lookup's probe, the insert's copy and a victim's re-append
+        # (its probe, then its copy), priced once.
         plan = machine.cpu.plan
         self._probe = plan("tc_read_cache", "hash_probe")
         self._copy = plan("tc_read_cache", then="copy_per_byte")
+        self._reappend = plan("tc_read_cache", "hash_probe",
+                              then="copy_per_byte")
         self.hits = 0
         self.misses = 0
         # Always 0: the engine's ``read_cache_demotions`` /
@@ -43,19 +52,26 @@ class ReadCache:
         self.promotions = 0
 
     def lookup(self, key: bytes) -> Tuple[bool, Optional[bytes]]:
-        """Probe the cache; charges one hash probe."""
+        """Probe the cache; charges one hash probe.  A hit sets the
+        record's reference bit, which bills nothing."""
         self.machine.cpu.bill(self._probe)
         if key in self.entries:
             self.hits += 1
+            self.referenced.add(key)
             return True, self.entries[key]
         self.misses += 1
         return False, None
 
     def insert(self, key: bytes, value: bytes) -> None:
-        """Append a record to the DRAM FIFO (a re-insert moves it to the
-        back), dropping victims while over budget.
+        """Append a record at the log tail (a re-insert moves it there and
+        clears its bit), first sweeping the log head until it fits.
 
-        The entry is sized once and admitted in this frame.
+        A referenced victim loses its bit and is re-appended at the tail,
+        billing a probe and its copy; its bytes move and the budget
+        holds.  An unreferenced one is dropped.  Each step clears a bit
+        or drops a record, so the sweep ends within one lap and the new
+        record is always admitted.  It is sized once and admitted in
+        this frame.
         """
         nbytes = READ_CACHE_ENTRY_OVERHEAD_BYTES + len(key) + len(value)
         machine = self.machine
@@ -67,27 +83,35 @@ class ReadCache:
             machine.cpu.charge("hash_probe", category="tc_read_cache")
             return
         entries = self.entries
+        referenced = self.referenced
         dram = machine.dram
         if key in entries:
             old = entries.pop(key)
+            referenced.discard(key)
             freed = READ_CACHE_ENTRY_OVERHEAD_BYTES + len(key) + len(old)
             dram.free(freed, DRAM_TAG)
             self._bytes -= freed
+        machine.cpu.bill(self._copy, nbytes)
+        while self._bytes + nbytes > budget:
+            old_key, old_value = entries.popitem(last=False)
+            size = (READ_CACHE_ENTRY_OVERHEAD_BYTES + len(old_key)
+                    + len(old_value))
+            if old_key in referenced:
+                referenced.remove(old_key)
+                entries[old_key] = old_value
+                machine.cpu.bill(self._reappend, size)
+                continue
+            dram.free(size, DRAM_TAG)
+            self._bytes -= size
         entries[key] = value
         dram.allocate(nbytes, DRAM_TAG)
         self._bytes += nbytes
-        machine.cpu.bill(self._copy, nbytes)
-        while self._bytes > budget:
-            old_key, old_value = entries.popitem(last=False)
-            freed = (READ_CACHE_ENTRY_OVERHEAD_BYTES + len(old_key)
-                     + len(old_value))
-            dram.free(freed, DRAM_TAG)
-            self._bytes -= freed
 
     def invalidate(self, key: bytes) -> None:
-        """Drop a stale record (its key was updated)."""
+        """Drop a stale record (its key was updated) and its bit."""
         if key in self.entries:
             old = self.entries.pop(key)
+            self.referenced.discard(key)
             freed = READ_CACHE_ENTRY_OVERHEAD_BYTES + len(key) + len(old)
             self.machine.dram.free(freed, DRAM_TAG)
             self._bytes -= freed

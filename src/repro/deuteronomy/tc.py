@@ -170,7 +170,7 @@ class TcConfig:
     commit_pipeline: bool = False
     commit_interval_us: float = 50.0
     commit_epoch_bytes: int = 1 << 16
-    # Record-cache v2 (Deuteronomy 2.0): replace the FIFO read cache with
+    # Record-cache v2 (Deuteronomy 2.0): replace the CLOCK read cache with
     # a log-structured record heap serving reads *and* a blind-write fast
     # path that defers DC page materialization to checkpoint/drain time.
     record_cache: bool = False
@@ -248,7 +248,7 @@ class TransactionComponent:
             )
         self.read_cache = ReadCache(machine, self.config.read_cache_bytes)
         # Record-cache v2: when enabled, the record heap supersedes the
-        # FIFO read cache on the read path and absorbs blind writes
+        # CLOCK read cache on the read path and absorbs blind writes
         # (pages are built lazily, at drain/checkpoint time).
         self.records: Optional[RecordStore] = None
         if self.config.record_cache:
@@ -624,7 +624,7 @@ class TransactionComponent:
         if version is not None and version.lsn >= self.log.first_retained_lsn:
             return version.value
 
-        # 2. Record heap (record-cache v2) or the FIFO read cache of
+        # 2. Record heap (record-cache v2) or the CLOCK read cache of
         #    records previously fetched from the DC.  A record-heap
         #    hit may be a cached tombstone: "known deleted" without
         #    a DC trip.

@@ -273,6 +273,35 @@ class TestDeltaOnlyRead:
         # Served from the delta: the page is still delta-only.
         assert entry.state.base is None and len(entry.state.deltas) == 1
 
+    def test_a_read_past_a_delta_only_chain_pays_its_hops_once(
+            self, small_tree, monkeypatch):
+        """A read of a key the chain does not hold walks the 12 deltas,
+        fetches the base and looks again: the second walk pays and
+        counts only hops beyond the first (none here), not 24."""
+        small_tree.bulk_load((b"key%05d" % index, b"v" * 50)
+                             for index in range(30))
+        small_tree.checkpoint()
+        entry = small_tree._descend(b"key00000")
+        small_tree.cache.evict(entry)
+        for index in range(12):
+            small_tree.upsert(b"key%05d" % index, b"w" * 50)
+        assert entry.state.base is None and entry.state.hops_paid == 0
+        cpu = small_tree.machine.cpu
+        bill = cpu.bill
+        hops = []
+
+        def spy(plan, count=1.0):
+            if plan is small_tree._hops:
+                hops.append(count)
+            bill(plan, count)
+
+        monkeypatch.setattr(cpu, "bill", spy)
+        result = small_tree.get_with_stats(b"key00029")
+        assert (result.value, result.ios) == (b"v" * 50, 1)
+        assert entry.state.base is not None
+        assert entry.state.hops_paid == 12
+        assert sum(hops) == 12
+
 
 class TestDurability:
     def test_checkpoint_then_cold_read_everything(self, small_tree):

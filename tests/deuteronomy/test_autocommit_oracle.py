@@ -55,7 +55,7 @@ class Tee:
             sink.on_charge(category, microseconds)
 
 
-#: Each set-up drives a different slice of the read cascade: a FIFO read
+#: Each set-up drives a different slice of the read cascade: a CLOCK read
 #: cache, a log that drops buffers it still has versions for, and a page
 #: cache small enough to miss, whose victims demote to a tier; then the
 #: record heap in place of the read cache.

@@ -30,7 +30,9 @@ def test_a_point_read_does_its_bookkeeping_in_the_frames_it_has():
     the ``repro`` package), on ``read_hot`` in miniature — YCSB-C data
     bulk-loaded into the DC, every page resident, the read cache warmed
     by a few thousand gets: a read-cache hit enters 9, a DC read of a
-    resident page 23.  That is down from 9 and 24 while the Bw-tree
+    resident page 23.  Its admit's sweep drops an unreferenced log head
+    in those frames; a referenced head costs one ``cpu.bill`` frame
+    more, its re-append's.  That is down from 9 and 24 while the Bw-tree
     observed each call's latency in a histogram, from 10 and 28 while
     the TC's begin,
     the Bw-tree's dispatch and each descent level charged step by step
@@ -55,14 +57,26 @@ def test_a_point_read_does_its_bookkeeping_in_the_frames_it_has():
     for op in generator.operations(3000):
         engine.get(op.key)
     tc, cache = engine.tc, engine.dc.cache
-    key = next(key for key, __ in generator.load_items()
-               if key not in tc.read_cache.entries)
+    read_cache = tc.read_cache
+    first, key = [key for key, __ in generator.load_items()
+                  if key not in read_cache.entries][:2]
+    head = list(read_cache.entries)[:3]
+    assert [old in read_cache.referenced for old in head] == [
+        True, False, False]
+    # The first admit re-appends the referenced head, bit cleared, and
+    # drops the next one; the second drops the head after it.
+    second_chance = count_calls(lambda: engine.get(first))
+    assert list(read_cache.entries)[-2:] == [head[0], first]
+    assert head[0] not in read_cache.referenced
+    assert head[1] not in read_cache.entries
     before = (tc.counters.get("tc.dc_reads"), cache.stats.fetches)
-    oldest = next(iter(tc.read_cache.entries))
     dc_read = count_calls(lambda: engine.get(key))
     assert (tc.counters.get("tc.dc_reads"), cache.stats.fetches) == (
         before[0] + 1, before[1])
-    assert oldest not in tc.read_cache.entries   # admit evicted FIFO
+    assert list(read_cache.entries)[-3:] == [head[0], first, key]
+    assert head[2] not in read_cache.entries
+    assert second_chance.frames - dc_read.frames == {"cpu.bill": 1}
+    assert not dc_read.frames - second_chance.frames
     hits = tc.read_cache.hits
     hit = count_calls(lambda: engine.get(key))
     assert tc.read_cache.hits == hits + 1

@@ -9,7 +9,7 @@ of the data (blind posts to evicted pages grow delta-only chains, which
 fetch their base at half a page), a checkpoint, segment GC, a crash and
 recovery, and more batches on the recovered engine.  The read run:
 YCSB-B through ``get``, ``apply_batch`` and YCSB-C through
-``multi_get``, over a small page cache and a small FIFO read cache,
+``multi_get``, over a small page cache and a small read cache,
 with re-reads served from delta-only pages.  The fleet run: batched
 YCSB-A, a batch of puts and ``multi_get`` on four shards behind the
 router, with the async commit pipeline on one shared log device, half
@@ -135,17 +135,21 @@ READ_BATCH = 16
 
 
 def spy_on_read_cache_inserts(monkeypatch, reached) -> None:
-    """Count the read cache's FIFO evictions and refused inserts into
-    ``reached``; the spy charges nothing."""
-    reached.update(read_cache_fifo_evictions=0, read_cache_rejects=0)
+    """Count the read cache's dropped victims, second chances (a
+    re-append clears a bit) and refused inserts into ``reached``; the
+    spy charges nothing."""
+    reached.update(read_cache_drops=0, read_cache_second_chances=0,
+                   read_cache_rejects=0)
     insert = ReadCache.insert
 
     def spying_insert(cache, key, value):
         admitted = len(cache.entries) + (key not in cache.entries)
+        bits = len(cache.referenced) - (key in cache.referenced)
         insert(cache, key, value)
         if key in cache.entries:
-            reached["read_cache_fifo_evictions"] += (admitted
-                                                     - len(cache.entries))
+            reached["read_cache_drops"] += admitted - len(cache.entries)
+            reached["read_cache_second_chances"] += (
+                bits - len(cache.referenced))
         else:
             reached["read_cache_rejects"] += 1
 
@@ -162,9 +166,9 @@ def leaf_of(tree, key):
 
 
 READ_CHARGES_SHA256 = (
-    "52d6eb58a5b2d592e49a49274836431db4d09f9e9e4d267422f8a0f1f47e6b72")
+    "817b124c8dace6ee8531ed40d788c9cc3d70659927e8fe066ad71333e5f76529")
 READ_STATS_SHA256 = (
-    "de7eb12e3a4df6b39eb211481d9e757b7579ca8b399e859d80848ed38a53469a")
+    "e91bddd68e26abbfb2adb36f10365be621fe1535d56c7ea94bd234b06a040306")
 
 
 def test_read_path_charge_stream_and_stats_match_their_pinned_digests(
@@ -256,9 +260,9 @@ FLEET_TREE_CONFIG = BwTreeConfig(cache_capacity_bytes=16 * 1024,
 FLEET_TC_CONFIG = TcConfig(commit_pipeline=True, version_gc_horizon_lag=64)
 
 FLEET_CHARGES_SHA256 = (
-    "5921bf73e1a19f284394e3d63ae563c20212fe83391300b4e089f47fa536a59a")
+    "3068c251abc3e8ad9d40b4be2af4ed9591c54abbc6519064ddb84c3a783256c8")
 FLEET_STATS_SHA256 = (
-    "c17a70eeb0bb93d23afee69644b515b186fcf1f2188e207a9eef39b8fcd0e8b8")
+    "69268825916fb65b26408052c490ac71e372eb22f9b35b6866cf7d860339e38f")
 
 
 def test_fleet_charge_streams_and_stats_match_their_pinned_digests(
@@ -353,15 +357,15 @@ MISS_TC_CONFIG = TcConfig(read_cache_bytes=READ_CACHE_BYTES,
 OVERSIZED_VALUE = b"o" * (13 * 1024)
 
 MISS_CHARGES_SHA256 = (
-    "fcdb7f06da0e6a12f77298ac852f0dccf46155ca49d474eb4d3be173e9ebdfe3")
+    "755ef3b06950b1595164355fae394519268d6dea0b7da65ce84eed3330ea841c")
 MISS_STATS_SHA256 = (
-    "57c7bff62ed5d1db881d6c175138cbc9832ee5c3d1d5aa52a7bc993b07b7cabe")
+    "df5c91365facffb0bbe156a73b43df0bf46f7a551f55e07feed11332818772d3")
 
 
 def test_page_miss_charge_stream_and_stats_match_their_pinned_digests(
         monkeypatch):
     """The path ``read_cold`` runs: LRU, a page cache of
-    about three pages and a FIFO read cache that evicts, so most DC
+    about three pages and a CLOCK read cache that evicts, so most DC
     reads fetch a fully evicted page and evict another.  YCSB-B through
     ``get`` / ``put``, ``apply_batch`` and ``multi_get``, with one page
     larger than the budget, so the victim walk meets its ``protect``."""
